@@ -55,7 +55,6 @@ __all__ = [
     "AmbitPath",
     "make_path",
     "evaluate",
-    "evaluate_approx",
     "approx_parts",
     "DecayReport",
     "error_decay",
@@ -550,23 +549,6 @@ def make_path(spec, model, t, x, rng, disc=None, *, eps_grid=(), nt=64,
 def evaluate(spec, model, t, x, rng, discretization=None) -> float:
     """One exact draw of X(t, x)."""
     return make_path(spec, model, t, x, rng, disc=discretization).value
-
-
-def evaluate_approx(spec, model, t, x, eps, rng=None, *, path=None,
-                    discretization=None) -> float:
-    """X_eps(t, x) from the same noise as a paired exact evaluation.
-
-    `path` is the shared-noise handle from make_path; when omitted a fresh
-    path is drawn with `rng` (and the approximation is still coupled to
-    its own exact value).  eps may equal t (the frozen window is then the
-    whole cone); eps > t is rejected.
-    """
-    if path is None:
-        if rng is None:
-            raise ValueError("need either a path handle or an rng")
-        path = make_path(spec, model, t, x, rng, disc=discretization,
-                         eps_grid=(eps,))
-    return approx_parts(path, eps).value
 
 
 @dataclass

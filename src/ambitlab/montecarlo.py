@@ -1,26 +1,24 @@
 """Monte-Carlo plumbing: scaling fits, reproducible ensembles, ECF, KDE.
 
-Every stochastic experiment in the package funnels through `run_ensemble`
-(or its block-vectorised sibling), which derives one RNG per path from
-(master_seed, stream, path_index).  Results are therefore bit-identical
-for any worker count.
+Randomness comes from `path_rng`, a pure function of (master_seed, stream,
+path_index).  Path ensembles run through `run_ensemble_blocks`, whose fixed
+blocks and per-path RNGs make results bit-identical for any worker count;
+single-draw experiments take one `path_rng` stream directly.
 """
 
 from __future__ import annotations
 
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as _stats
 
 __all__ = [
     "ScalingFit",
-    "Ensemble",
     "fit_scaling",
     "path_rng",
-    "run_ensemble",
     "run_ensemble_blocks",
     "empirical_cf",
     "kernel_density",
@@ -139,23 +137,6 @@ def path_rng(master_seed: int, stream: str, index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-@dataclass
-class Ensemble:
-    """Per-path results plus the coordinates needed to regenerate them."""
-
-    values: np.ndarray
-    master_seed: int
-    stream: str
-    n_paths: int
-    metadata: dict = field(default_factory=dict)
-
-    def mean(self):
-        return np.mean(self.values, axis=0)
-
-    def stderr(self):
-        return np.std(self.values, axis=0, ddof=1) / np.sqrt(self.n_paths)
-
-
 def _blocks(n: int, size: int):
     return [(i, min(i + size, n)) for i in range(0, n, size)]
 
@@ -190,23 +171,6 @@ def run_ensemble_blocks(n_paths, block_fn, *, master_seed, stream,
             results = list(pool.map(do_block, spans))
     by_start = dict(results)
     return np.concatenate([by_start[i0] for i0, _ in spans], axis=0)
-
-
-def run_ensemble(n_paths, path_fn, *, master_seed, stream,
-                 workers=1, block_size=DEFAULT_BLOCK) -> np.ndarray:
-    """Run `path_fn(index, rng) -> float or 1-d array` for each path."""
-
-    def block_fn(idx, rngs):
-        rows = [np.atleast_1d(np.asarray(path_fn(int(i), r), dtype=float))
-                for i, r in zip(idx, rngs)]
-        return np.stack(rows, axis=0)
-
-    out = run_ensemble_blocks(n_paths, block_fn, master_seed=master_seed,
-                              stream=stream, workers=workers,
-                              block_size=block_size)
-    if out.ndim == 2 and out.shape[1] == 1:
-        return out[:, 0]
-    return out
 
 
 # ---------------------------------------------------------------------------

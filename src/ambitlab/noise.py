@@ -207,69 +207,29 @@ def _quad(f, a, b, **kw):
     return val
 
 
-def spectral_time_slice(model, lam, s) -> float:
-    """I(s) = int mu(dxi) |F(Lambda(s))(xi)|^2, radial quadrature over R^d."""
+def _check_dalang(model):
+    """Dalang's condition int mu(dxi) / (1 + |xi|^2) < inf, decided exactly.
+
+    S is locally integrable for every supported kind, so only its tail
+    S(r) ~ r^-p counts: S(r) r^(d-1) / r^2 is integrable at infinity iff
+    p > d - 2.  The same rule holds for heat and wave.
+    """
     d = model.d
-    omega = _SPHERE_AREA[d]
-    S = lambda r: spectral_density_radial(model, r)
-    try:
-        if lam.kind == "heat":
-            f = lambda r: S(r) * np.exp(-2.0 * s * r * r) * r ** (d - 1)
-            r1 = 1.0 / np.sqrt(2.0 * s)
-            return omega * (_quad(f, 0.0, r1) + _quad(f, r1, np.inf))
-        # wave: I(s) = omega/s * int_0^inf T(q/s) sin^2(q) dq with
-        # T(r) = S(r) r^(d-3); working in the phase variable q = s*r keeps
-        # every piece scale-free.  Past q = 1, sin^2 = (1 - cos 2q)/2 and the
-        # flat part is mapped to (0, 1] by q -> 1/u (it diverges exactly when
-        # the Dalang condition fails).
-        T = lambda r: S(r) * r ** (d - 3)
-        # the tail int T(r) dr must converge; probe the decay exponent of T
-        rp = (1.0 / s) * np.array([1.0, 1e2, 1e4, 1e6])
-        decay = -np.polyfit(np.log(rp), np.log(np.maximum(T(rp), 1e-300)), 1)[0]
-        if decay <= 1.0 + 1e-9:
-            raise DalangConditionError(
-                f"wave spectral tail T(r) ~ r^-{decay:.3f} at s={s:g}: "
-                "radial integral diverges (Dalang condition fails)")
-        head = _quad(lambda q: T(q / s) * np.sin(q) ** 2, 0.0, 1.0) / s
-        flat = _quad(lambda u: T(1.0 / (s * u)) / u**2, 0.0, 1.0) / (2.0 * s)
-        osc = _quad(lambda q: T(q / s), 1.0, np.inf,
-                    weight="cos", wvar=2.0) / (2.0 * s)
-        return omega * (head + flat - osc)
-    except _integrate.IntegrationWarning as exc:
+    if model.kind == "white":
+        p = 0.0
+    elif model.kind == "riesz":
+        p = d - model.beta
+    else:
+        p = d + 1.0  # Cauchy profile
+    if p <= d - 2:
         raise DalangConditionError(
-            f"spectral integral appears divergent at s={s:g}: {exc}") from exc
-
-
-def _check_dalang(model, lam, eps):
-    # probe the small-s growth of I(s): integrability over (0, eps] needs
-    # I(s) = o(1/s); a fitted local slope <= -1 flags divergence
-    probes = eps * np.array([1e-6, 1e-5, 1e-4, 1e-3])
-    vals = np.array([spectral_time_slice(model, lam, s) for s in probes])
-    if not np.all(np.isfinite(vals)):
-        raise DalangConditionError(
-            f"spectral integral infinite near s={probes[0]:g}")
-    slope = np.polyfit(np.log(probes), np.log(np.maximum(vals, 1e-300)), 1)[0]
-    if slope <= -1.0 + 1e-9:
-        raise DalangConditionError(
-            f"I(s) ~ s^{slope:.3f} near s={probes[0]:g}: "
-            "time integral diverges (Dalang condition fails)")
-
-
-def variance_g(model, lam, eps, check=True) -> float:
-    """g(eps) = int_0^eps ds int mu(dxi) |F(Lambda(s))(xi)|^2 (nested quad)."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if eps == 0:
-        return 0.0
-    if check:
-        _check_dalang(model, lam, eps)
-    val = _quad(lambda s: spectral_time_slice(model, lam, s), 0.0, eps,
-                epsabs=1e-13, epsrel=1e-10)
-    return float(val)
+            f"{model.kind} noise in d={d} has spectral tail r^-{p:g}: "
+            f"int mu(dxi)/(1+|xi|^2) diverges (Dalang needs tail power > "
+            f"{d - 2})")
 
 
 def squared_time_integral(lam, t, r):
-    """int_0^t |F(Lambda(u))(r)|^2 du in closed form (vectorised in r)."""
+    """int_0^t |F(Lambda(u))(r)|^2 du in closed form (vectorised in t, r)."""
     r = np.asarray(r, dtype=float)
     small = r < 1e-12
     rs = np.where(small, 1.0, r)
@@ -278,6 +238,28 @@ def squared_time_integral(lam, t, r):
         return np.where(small, t, out)
     out = (t - np.sin(2.0 * t * rs) / (2.0 * rs)) / (2.0 * rs**2)
     return np.where(small, t**3 / 3.0, out)
+
+
+def variance_g(model, lam, eps) -> float:
+    """g(eps) = int_0^eps ds int mu(dxi) |F(Lambda(s))(xi)|^2.
+
+    Computed as one radial quadrature of the closed-form time integral,
+    omega_d int_0^inf S(r) r^(d-1) squared_time_integral(lam, eps, r) dr,
+    split where that integral turns over from growing like eps to decaying
+    in r (r = 1/sqrt(2 eps) for heat, r = 1/eps for wave).
+    """
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    _check_dalang(model)
+    if eps == 0:
+        return 0.0
+    d = model.d
+    f = lambda r: (spectral_density_radial(model, r) * r ** (d - 1)
+                   * squared_time_integral(lam, eps, r))
+    r1 = 1.0 / np.sqrt(2.0 * eps) if lam.kind == "heat" else 1.0 / eps
+    kw = dict(epsabs=0.0, epsrel=1e-10)
+    return float(_SPHERE_AREA[d] * (_quad(f, 0.0, r1, **kw)
+                                    + _quad(f, r1, np.inf, **kw)))
 
 
 def grid_variance_g(model, lam, eps) -> float:
@@ -312,11 +294,8 @@ def exponent_gamma(model, lam, eps_grid) -> GammaExponents:
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size < 4:
         raise ValueError("eps_grid needs at least 4 points")
-    _check_dalang(model, lam, float(eps_grid.max()))
-    g_vals = np.array([variance_g(model, lam, e, check=False)
-                       for e in eps_grid])
-    z_vals = np.array([_quad(lambda s: lam.zero_mode(s) ** 2, 0.0, e)
-                       for e in eps_grid])
+    g_vals = np.array([variance_g(model, lam, e) for e in eps_grid])
+    z_vals = squared_time_integral(lam, eps_grid, 0.0)
     f_g = fit_scaling(eps_grid, g_vals)
     f_z = fit_scaling(eps_grid, z_vals)
     for f in (f_g, f_z):

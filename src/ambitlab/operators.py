@@ -35,10 +35,6 @@ class FundamentalSolution:
         out[small] = s  # sin(sr)/r -> s as r -> 0
         return out
 
-    def zero_mode(self, s):
-        """F(Lambda(s))(0): total mass of Lambda(s)."""
-        return 1.0 if self.kind == "heat" else float(s)
-
     def mass_sup(self, horizon: float) -> float:
         """sup_{t <= T} of the total-variation mass of Lambda(t)."""
         return 1.0 if self.kind == "heat" else float(horizon)

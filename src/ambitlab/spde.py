@@ -84,14 +84,6 @@ def anderson_coefficients(lam=1.0, b0=0.0) -> CoefficientPair:
                            b_constant=float(b0), label=f"anderson({lam:g})")
 
 
-def coefficient_pair(sigma, b) -> CoefficientPair:
-    sc = float(sigma) if np.isscalar(sigma) else None
-    bc = float(b) if np.isscalar(b) else None
-    return CoefficientPair(sigma=None if sc is not None else sigma,
-                           b=None if bc is not None else b,
-                           sigma_constant=sc, b_constant=bc, label="custom")
-
-
 @dataclass
 class FieldSolution:
     """Batch of solution paths plus the records used by the experiments."""
@@ -169,8 +161,8 @@ def _wave_step_covariance(dt, r):
 
 
 def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *, v0=0.0,
-                store_times=None, eps_grid=None, target_time=None,
-                check_dalang=True) -> FieldSolution:
+                store_times=None, eps_grid=None,
+                target_time=None) -> FieldSolution:
     """Integrate a batch of independent paths (one RNG per path).
 
     Preconditions: dt resolves the operator (heat: dt <= 4 dx^2, wave:
@@ -189,8 +181,7 @@ def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *, v0=0.0,
             raise ValueError(f"wave step too large: need dt <= dx = {dx:.3e}")
     if lam.d != model.d:
         raise ValueError("operator and noise dimension mismatch")
-    if check_dalang:
-        _check_dalang(model, lam, t_end)
+    _check_dalang(model)
 
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * t_end:
@@ -461,13 +452,13 @@ class SpdeDensityReport:
     slopes: dict
     min_slope: float
     alpha: float
-    target_exponent: float
     verdict: bool
 
 
 def density_criterion_experiment(point_values, coeffs, n, h_grid=None,
-                                 alpha=0.5, frequencies=besov.DEFAULT_FREQUENCIES,
-                                 gammabar_value=None) -> SpdeDensityReport:
+                                 alpha=0.5,
+                                 frequencies=besov.DEFAULT_FREQUENCIES
+                                 ) -> SpdeDensityReport:
     """Criterion statistic for the law of u(t, 0) weighted by |sigma(u)|^n.
 
     The target bound is |E[|sigma|^n D_h^n phi(u)]| <= C |h|^(zeta + alpha)
@@ -483,14 +474,9 @@ def density_criterion_experiment(point_values, coeffs, n, h_grid=None,
     slopes = {s.test_function_id: s.fitted.slope for s in stats
               if s.fitted.flag == "ok"}
     min_slope = min(slopes.values()) if slopes else float("nan")
-    if gammabar_value is not None:
-        zeta = max(min(gammabar_value - 1.0, 1.0 - alpha), 0.0)
-    else:
-        zeta = 0.0
-    target = alpha + zeta
     verdict = bool(slopes) and all(v > alpha for v in slopes.values())
     return SpdeDensityReport(stats, slopes, float(min_slope), float(alpha),
-                             float(target), verdict)
+                             verdict)
 
 
 def gaussian_derivative_l1(n, variance) -> float:

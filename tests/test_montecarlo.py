@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from ambitlab.montecarlo import (
-    Ensemble,
     empirical_cf,
     fit_scaling,
     kernel_density,
     path_rng,
-    run_ensemble,
     run_ensemble_blocks,
     silverman_bandwidth,
 )
@@ -91,8 +89,8 @@ class TestPathRng:
 
 class TestEnsembles:
     def test_run_ensemble_preserves_path_order(self):
-        out = run_ensemble(10, lambda i, rng: float(i), master_seed=0,
-                           stream="order", block_size=3)
+        out = run_ensemble_blocks(10, lambda idx, rngs: idx.astype(float),
+                                  master_seed=0, stream="order", block_size=3)
         assert np.array_equal(out, np.arange(10.0))
 
     def test_worker_count_does_not_change_bytes(self):
@@ -107,8 +105,9 @@ class TestEnsembles:
             assert out.tobytes() == ref.tobytes()
 
     def test_vector_valued_paths_stack(self):
-        out = run_ensemble(7, lambda i, rng: np.array([i, 2.0 * i]),
-                           master_seed=0, stream="vec")
+        out = run_ensemble_blocks(
+            7, lambda idx, rngs: np.stack([idx, 2.0 * idx], axis=1),
+            master_seed=0, stream="vec", block_size=3)
         assert out.shape == (7, 2)
         assert np.array_equal(out[:, 1], 2.0 * np.arange(7.0))
 
@@ -126,12 +125,6 @@ class TestEnsembles:
                                 lambda idx, rngs: np.zeros((len(idx), 1)),
                                 master_seed=0, stream="n",
                                 workers=args["workers"])
-
-    def test_ensemble_summary_stats(self):
-        ens = Ensemble(values=np.array([1.0, 3.0]), master_seed=0,
-                       stream="s", n_paths=2)
-        assert ens.mean() == 2.0
-        assert ens.stderr() == pytest.approx(np.sqrt(2.0) / np.sqrt(2.0))
 
 
 class TestEmpiricalCF:

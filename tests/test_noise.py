@@ -8,7 +8,12 @@ noted):
   * wave, white, d=1:  I(s) = 2 int_0^inf sin^2(sr)/r^2 dr = pi s, so
     g(eps) = pi eps^2 / 2;
   * exponential covariance, d=1:  S(r) = (1/2pi) F(e^{-|x|/ell})(r)
-    = ell / (pi (1 + (ell r)^2)).
+    = ell / (pi (1 + (ell r)^2)); for the wave operator Lambda(s) is
+    1{|x| < s}/2, so g(eps) = int_0^eps ds (1/4) int int_{|x|,|y|<s}
+    e^{-|x-y|/ell} dx dy = ell eps^2/2 - (ell^2/2)(eps + (ell/2)
+    expm1(-2 eps/ell));
+  * riesz(beta), wave:  S(r) r^(d-1) = r^(beta-1), and the time integral
+    scales as eps^3 q(eps r), so g(eps) = C eps^(3-beta) exactly.
 """
 
 import numpy as np
@@ -199,19 +204,50 @@ def test_exponent_fits_wave():
     assert ex.gamma2.slope == pytest.approx(3.0, abs=1e-9)
 
 
+def test_exponential_wave_variance_closed_form():
+    ell = 0.7
+    m = noise.make_noise_model("exponential", d=1, Lbox=8.0, m=64, ell=ell)
+    eps = np.geomspace(1e-4, 0.1, 12)
+    want = ell * eps**2 / 2 - (ell**2 / 2) * (
+        eps + (ell / 2) * np.expm1(-2 * eps / ell))
+    got = [noise.variance_g(m, WAVE, e) for e in eps]
+    assert got == pytest.approx(want, rel=1e-4)
+
+
+def test_riesz_wave_exponent_is_exact():
+    beta = 0.5
+    m = noise.make_noise_model("riesz", d=1, Lbox=8.0, m=64, beta=beta)
+    ex = noise.exponent_gamma(m, WAVE, np.geomspace(1e-4, 0.1, 12))
+    assert ex.gamma.slope == pytest.approx(3.0 - beta, abs=1e-6)
+
+
 def test_exponent_grid_needs_four_points():
     m = noise.make_noise_model("white", d=1, Lbox=8.0, m=64)
     with pytest.raises(ValueError, match="4"):
         noise.exponent_gamma(m, HEAT, [0.1, 0.2, 0.3])
 
 
-def test_dalang_failure_detected():
-    # riesz beta >= 2 in d=3: I(s) ~ s^{-beta/2} is not integrable at 0
-    bad = noise.make_noise_model("riesz", d=3, Lbox=8.0, m=16, beta=2.5)
-    with pytest.raises(noise.DalangConditionError):
-        noise.variance_g(bad, operators.heat_operator(3), 0.1)
-    with pytest.raises(noise.DalangConditionError):
-        noise.variance_g(bad, operators.wave_operator(3), 0.1)
+@pytest.mark.parametrize("kwargs,diverges", [
+    (dict(kind="white", d=2), True),
+    (dict(kind="white", d=3), True),
+    (dict(kind="riesz", d=3, beta=2.0), True),
+    (dict(kind="riesz", d=3, beta=2.5), True),
+    (dict(kind="riesz", d=3, beta=1.99), False),
+    (dict(kind="exponential", d=3, ell=0.7), False),
+], ids=["white-d2", "white-d3", "riesz-d3-beta2", "riesz-d3-beta2.5",
+        "riesz-d3-beta1.99", "exponential-d3"])
+def test_dalang_failure_detected(kwargs, diverges):
+    # int mu(dxi)/(1+|xi|^2) is finite iff S(r) ~ r^-p has p > d - 2;
+    # e.g. riesz in d=3 needs beta < 2 (I(s) ~ s^{-beta/2} near s = 0)
+    model = noise.make_noise_model(Lbox=8.0, m=16, **kwargs)
+    d = kwargs["d"]
+    for lam in (operators.heat_operator(d), operators.wave_operator(d)):
+        if diverges:
+            with pytest.raises(noise.DalangConditionError):
+                noise.variance_g(model, lam, 0.1)
+        else:
+            g = noise.variance_g(model, lam, 0.1)
+            assert np.isfinite(g) and g > 0
 
 
 def test_riesz_heat_d1_is_fine():
@@ -231,8 +267,6 @@ def test_fundamental_solution_transforms():
     w = WAVE.fourier_radial(0.3, r)
     assert w[0] == pytest.approx(0.3)
     assert np.allclose(w[1:], np.sin(0.3 * r[1:]) / r[1:])
-    assert HEAT.zero_mode(5.0) == 1.0
-    assert WAVE.zero_mode(5.0) == 5.0
     assert HEAT.mass_sup(3.0) == 1.0
     assert WAVE.mass_sup(3.0) == 3.0
 

@@ -394,11 +394,10 @@ def test_gammabar_needs_positive_gamma():
 def test_density_report_weights_and_verdict():
     vals = 0.25 * path_rng(13, "dens", 0).standard_normal(40_000)
     rep = spde.density_criterion_experiment(
-        vals, spde.constant_coefficients(2.0), n=1, gammabar_value=2.0)
+        vals, spde.constant_coefficients(2.0), n=1)
     assert rep.verdict
     assert len(rep.slopes) == 5
     assert rep.min_slope > 0.5
-    assert rep.target_exponent == pytest.approx(1.0)  # alpha + min(gb-1, 1-alpha)
     zero = spde.density_criterion_experiment(
         vals, spde.constant_coefficients(0.0), n=1)
     assert not zero.verdict
