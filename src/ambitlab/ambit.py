@@ -10,11 +10,15 @@ known by construction.  Everything is d = 1.
 
 The stochastic integral freezes sigma at cell midpoints of the sampling
 partition (a predictable simple-process approximation) and is driven by
-levy.sample_integral; the jump record makes the coupled approximation
+one levy.sample_record jump record per path; the record makes the coupled
+approximation
 
     X_eps(t, x) = U_eps(t, x) + sigma(t - eps, x) * int int_slab g dL
 
 share every jump and every sub-truncation Gaussian with the exact field.
+Cells are time-major and every t - eps is a time edge, so each path's
+record is reduced once to per-row integrals and every eps reads a prefix
+(history) and a suffix (slab) of them.
 For time-singular kernels the sub-truncation Gaussian variance is the
 cell-midpoint quadrature, converging only in the joint cell/tau
 refinement (the slab terms of the paired gap cancel to the order of the
@@ -24,7 +28,8 @@ volatility modulus, which is what the decay experiments measure).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -52,6 +57,7 @@ __all__ = [
     "default_beta_gamma",
     "AmbitDiscretization",
     "make_discretization",
+    "CouplingTable",
     "AmbitPath",
     "make_path",
     "evaluate",
@@ -166,6 +172,9 @@ class _ConstantPath:
     def __call__(self, s, y):
         return np.full(np.broadcast(np.asarray(s), 0.0).shape, self.value)
 
+    def grid(self, s, y):
+        return np.full((len(s), len(y)), self.value)
+
 
 class _WeierstrassPath:
     """One realisation: base + amp * sum_j 2^(-j d1) G_j cos(2^j w0 s + ph_j)
@@ -193,6 +202,16 @@ class _WeierstrassPath:
             + self.spec.amplitude * np.cos(st) @ self.gains_t \
             + self.spec.amplitude * np.cos(sx) @ self.gains_x
         return out
+
+    def grid(self, s, y):
+        """The field on the grid s x y, shape (len(s), len(y)): the time and
+        space sums are separable, so each axis is evaluated once."""
+        amp = self.spec.amplitude
+        time = self.spec.base + amp * np.cos(
+            np.multiply.outer(s, self.freqs) + self.phases_t) @ self.gains_t
+        space = amp * np.cos(
+            np.multiply.outer(y, self.freqs) + self.phases_x) @ self.gains_x
+        return time[:, None] + space
 
 
 @dataclass(frozen=True)
@@ -447,11 +466,25 @@ def exponent_conditions(spec, model, eps_grid, beta=None, gamma=None, *,
 
 @dataclass
 class AmbitDiscretization:
+    """Sampling box and time-major cell grid of X(t, x), with the
+    sigma-free cell factors every path shares (flat, one per cell)."""
+
     box_model: levy.LevyBasisModel
     cells: levy.CellGrid
     t: float
     x: float
     tau: float
+    s_axis: np.ndarray       # (rows,) time midpoints
+    y_axis: np.ndarray       # (cols,) space midpoints
+    g_mid: np.ndarray        # 1_A * g at the midpoints
+    gauss_sd: np.ndarray     # sd of the sub-tau Gaussian
+    comp_cell: np.ndarray    # (tau, 1] compensator (a multiple of w * vol)
+    drift_cell: np.ndarray   # 1_B * h * cellvol (b excluded)
+    cut_rows: dict = field(default_factory=dict)  # eps -> cut_row(eps)
+
+    @property
+    def shape(self):
+        return self.s_axis.size, self.y_axis.size
 
     def cell_index(self, s, y):
         te = self.cells.time_edges
@@ -464,6 +497,22 @@ class AmbitDiscretization:
         ix = np.clip(np.searchsorted(se, yv, side="right") - 1, 0,
                      se.size - 2)
         return it * (se.size - 1) + ix
+
+    def cut_row(self, eps):
+        """Index of the time edge at t - eps: rows below it are the
+        history, the others the slab."""
+        eps = float(eps)
+        if eps in self.cut_rows:
+            return self.cut_rows[eps]
+        if not (0.0 < eps <= self.t + 1e-12):
+            raise ValueError("eps must lie in (0, t]")
+        t_cut = self.t - eps
+        gap = np.abs(self.cells.time_edges - t_cut)
+        k = int(np.argmin(gap))
+        if gap[k] > 1e-9 * max(self.t, 1.0):
+            raise ValueError(f"discretization has no cell edge at t - eps = "
+                             f"{t_cut!r}; pass eps_grid when building it")
+        return k
 
 
 def make_discretization(spec, model, t, x, *, eps_grid=(), nt=64, nx=64,
@@ -487,11 +536,47 @@ def make_discretization(spec, model, t, x, *, eps_grid=(), nt=64, nx=64,
                               weight=model.weight,
                               weight_bound=model.weight_bound,
                               tau=model.tau)
-    edges = [t - e for e in np.asarray(eps_grid, dtype=float)
-             if 0 < e <= t]
+    eps_grid = np.asarray(eps_grid, dtype=float)
+    edges = [t - e for e in eps_grid if 0 < e <= t]
     cells = levy.build_cells(box, nt=nt, nx=nx, extra_time_edges=edges)
     tau = levy.default_tau(box, target_var_error) if tau is None else tau
-    return AmbitDiscretization(box, cells, float(t), float(x), float(tau))
+    te, se = cells.time_edges, cells.space_edges[0]
+    s_mid, y_mid = cells.s_mid, _space(cells.y_mid)
+    g_mid = spec.ambit_set.indicator(t, x, s_mid, y_mid) \
+        * spec.kernel_g(t, s_mid, x, y_mid)
+    ind_b = spec.drift_set.indicator(t, x, s_mid, y_mid)
+    h_mid = spec.kernel_h(t, s_mid, x, y_mid)
+    # drift is a plain Lebesgue integral; the control weight only scales L
+    drift_cell = np.where(ind_b, h_mid, 0.0) * cells.cell_vol
+    gauss_sd, comp_cell = levy.cell_factors(box, tau, cells)
+    disc = AmbitDiscretization(box, cells, float(t), float(x), float(tau),
+                               0.5 * (te[:-1] + te[1:]),
+                               0.5 * (se[:-1] + se[1:]), g_mid, gauss_sd,
+                               comp_cell, drift_cell)
+    disc.cut_rows.update((e, disc.cut_row(e)) for e in eps_grid
+                         if 0 < e <= t)
+    return disc
+
+
+@dataclass
+class CouplingTable:
+    """Every term of X_eps for t - eps at time edge k of the cell grid, as
+    entry k: sums over the rows below k (prefix) or from k on (suffix)."""
+
+    hist: np.ndarray         # prefix of int 1_A g sigma dL
+    slab: np.ndarray         # suffix of int 1_A g dL (sigma-free)
+    drift_hist: np.ndarray   # prefix of int 1_B h b
+    drift_slab: np.ndarray   # suffix of int 1_B h (b-free)
+    sigma_frozen: np.ndarray  # sigma(edge, x)
+    b_frozen: np.ndarray     # b(edge, x)
+
+
+def _prefix(rows):
+    return np.concatenate(([0.0], np.cumsum(rows)))
+
+
+def _suffix(rows):
+    return np.concatenate((np.cumsum(rows[::-1])[::-1], [0.0]))
 
 
 @dataclass
@@ -508,12 +593,39 @@ class AmbitPath:
     drift_cell: np.ndarray   # 1_B * h * cellvol per cell (b excluded)
     value: float             # X(t, x)
 
-    def integrand(self, s, y):
-        """1_A * g * cell-frozen sigma — the integrand of the exact field."""
-        disc, spec = self.disc, self.spec
-        ind = spec.ambit_set.indicator(disc.t, disc.x, s, _space(y))
-        gv = spec.kernel_g(disc.t, s, disc.x, _space(y))
-        return ind * gv * self.sigma_mid[disc.cell_index(s, y)]
+    @cached_property
+    def coupling(self) -> CouplingTable:
+        """The record reduced once to per-row integrals (cells are
+        time-major and every t - eps is a row edge, so each eps reads a
+        prefix and a suffix).  A path rebuilt with another record by
+        dataclasses.replace recomputes them."""
+        disc, rec, spec = self.disc, self.record, self.spec
+        n_rows, n_cols = disc.shape
+        cell = disc.cell_index(rec.s, rec.y)
+        y = _space(rec.y)
+        g_jump = spec.ambit_set.indicator(disc.t, disc.x, rec.s, y) \
+            * spec.kernel_g(disc.t, rec.s, disc.x, y)
+        row = cell // n_cols
+        # sub-tau Gaussian minus the (tau, 1] compensator, per unit integrand
+        noise = rec.cell_normals[0] * disc.gauss_sd - disc.comp_cell
+
+        def per_row(jump_f, cell_f):
+            return np.bincount(row, weights=jump_f * rec.z,
+                               minlength=n_rows) \
+                + (cell_f * noise).reshape(n_rows, n_cols).sum(axis=1)
+
+        def row_sums(cell_values):
+            return cell_values.reshape(n_rows, n_cols).sum(axis=1)
+
+        edges, x = disc.cells.time_edges, np.array([disc.x])
+        return CouplingTable(
+            hist=_prefix(per_row(g_jump * self.sigma_mid[cell],
+                                 disc.g_mid * self.sigma_mid)),
+            slab=_suffix(per_row(g_jump, disc.g_mid)),
+            drift_hist=_prefix(row_sums(self.drift_cell * self.b_mid)),
+            drift_slab=_suffix(row_sums(self.drift_cell)),
+            sigma_frozen=self.sigma_path.grid(edges, x)[:, 0],
+            b_frozen=self.b_path.grid(edges, x)[:, 0])
 
 
 def _space(y):
@@ -528,22 +640,15 @@ def make_path(spec, model, t, x, rng, disc=None, *, eps_grid=(), nt=64,
                                    nt=nt, nx=nx, tau=tau)
     sigma_path = spec.sigma.sample_path(rng)
     b_path = spec.b.sample_path(rng)
-    cells = disc.cells
-    sigma_mid = np.asarray(sigma_path(cells.s_mid, cells.y_mid), dtype=float)
-    b_mid = np.asarray(b_path(cells.s_mid, cells.y_mid), dtype=float)
-    ind_b = spec.drift_set.indicator(t, x, cells.s_mid, _space(cells.y_mid))
-    h_mid = spec.kernel_h(t, cells.s_mid, x, _space(cells.y_mid))
-    # drift is a plain Lebesgue integral; the control weight only scales L
-    drift_cell = np.where(ind_b, h_mid, 0.0) * cells.cell_vol
-
-    holder = AmbitPath(spec, disc, sigma_path, b_path, sigma_mid, b_mid,
-                       record=None, drift_cell=drift_cell, value=0.0)
-    stoch, record = levy.sample_integral(
-        disc.box_model, holder.integrand, rng, n_draws=1, tau=disc.tau,
-        cells=cells, return_record=True)
-    holder.record = record
-    holder.value = float(spec.x0 + stoch[0] + np.sum(drift_cell * b_mid))
-    return holder
+    sigma_mid = sigma_path.grid(disc.s_axis, disc.y_axis).ravel()
+    b_mid = b_path.grid(disc.s_axis, disc.y_axis).ravel()
+    record = levy.sample_record(disc.box_model, disc.g_mid * sigma_mid, rng,
+                                tau=disc.tau, cells=disc.cells)
+    path = AmbitPath(spec, disc, sigma_path, b_path, sigma_mid, b_mid,
+                     record, disc.drift_cell, value=0.0)
+    table = path.coupling
+    path.value = float(spec.x0 + table.hist[-1] + table.drift_hist[-1])
+    return path
 
 
 def evaluate(spec, model, t, x, rng, discretization=None) -> float:
@@ -563,40 +668,17 @@ class ApproxParts:
 
 
 def approx_parts(path: AmbitPath, eps) -> ApproxParts:
-    """Decompose X_eps = U_eps + sigma(t - eps, x) * slab_noise."""
-    disc, spec = path.disc, path.spec
-    t, x = disc.t, disc.x
-    if not (0.0 < eps <= t + 1e-12):
-        raise ValueError("eps must lie in (0, t]")
-    t_cut = t - eps
-    te = path.record.cells.time_edges
-    if np.min(np.abs(te - t_cut)) > 1e-9 * max(t, 1.0):
-        raise ValueError(f"discretization has no cell edge at t - eps = "
-                         f"{t_cut!r}; pass eps_grid when building it")
-
-    sigma_frozen = float(np.asarray(path.sigma_path(
-        np.array([t_cut]), np.array([x])))[0])
-    b_frozen = float(np.asarray(path.b_path(
-        np.array([t_cut]), np.array([x])))[0])
-
-    def hist_integrand(s, y):
-        return path.integrand(s, y) * (s <= t_cut + 1e-15)
-
-    def slab_unit_integrand(s, y):
-        ind = spec.ambit_set.indicator(t, x, s, _space(y))
-        gv = spec.kernel_g(t, s, x, _space(y))
-        return ind * gv * (s > t_cut + 1e-15)
-
-    hist = float(levy.replay_integral(disc.box_model, path.record,
-                                      hist_integrand)[0])
-    slab = float(levy.replay_integral(disc.box_model, path.record,
-                                      slab_unit_integrand)[0])
-    s_mid = path.record.cells.s_mid
-    in_hist = s_mid <= t_cut + 1e-15
-    drift_hist = float(np.sum(path.drift_cell[in_hist]
-                              * path.b_mid[in_hist]))
-    drift_frozen = b_frozen * float(np.sum(path.drift_cell[~in_hist]))
-    u_eps = spec.x0 + hist + drift_hist + drift_frozen
+    """Decompose X_eps = U_eps + sigma(t - eps, x) * slab_noise: entry k
+    of the path's coupling table, k the time edge at t - eps (sigma and b
+    are frozen at that edge)."""
+    k = path.disc.cut_row(eps)
+    table = path.coupling
+    sigma_frozen = float(table.sigma_frozen[k])
+    hist = float(table.hist[k])
+    slab = float(table.slab[k])
+    drift_hist = float(table.drift_hist[k])
+    drift_frozen = float(table.b_frozen[k]) * float(table.drift_slab[k])
+    u_eps = path.spec.x0 + hist + drift_hist + drift_frozen
     return ApproxParts(float(eps), u_eps + sigma_frozen * slab, u_eps,
                        slab, sigma_frozen, drift_hist, drift_frozen)
 
@@ -617,6 +699,8 @@ class DecayReport:
     target_rate: float
     passed: bool
     flag: str
+    discretization: AmbitDiscretization
+    jumps_per_path: float    # mean recorded jump count
 
 
 def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
@@ -637,20 +721,24 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
                                nt=nt, nx=nx, tau=tau)
 
     def block(_idx, rngs):
-        # last column carries 1 + |X| so degenerate gaps (pure float
-        # rearrangement for constant coefficients) can be told apart
-        out = np.empty((len(rngs), eps_grid.size + 1))
+        # after the gaps: 1 + |X|, so degenerate gaps (pure float
+        # rearrangement for constant coefficients) can be told apart, and
+        # the path's jump count
+        out = np.empty((len(rngs), eps_grid.size + 2))
         for i, rng in enumerate(rngs):
             path = make_path(spec, model, t, x, rng, disc=disc)
             for j, e in enumerate(eps_grid):
                 out[i, j] = abs(path.value - approx_parts(path, e).value)
-            out[i, -1] = 1.0 + abs(path.value)
+            out[i, -2] = 1.0 + abs(path.value)
+            out[i, -1] = path.record.s.size
         return out
 
     raw = run_ensemble_blocks(n_paths, block, master_seed=master_seed,
                               stream=stream, workers=workers)
-    gaps = raw[:, :-1] ** beta
-    degenerate = bool(np.all(raw[:, :-1] < 1e-11 * raw[:, -1:]))
+    abs_gaps, scale, jumps = raw[:, :-2], raw[:, -2:-1], raw[:, -1]
+    counters = dict(discretization=disc, jumps_per_path=float(jumps.mean()))
+    gaps = abs_gaps ** beta
+    degenerate = bool(np.all(abs_gaps < 1e-11 * scale))
     means = gaps.mean(axis=0)
     stderrs = gaps.std(axis=0, ddof=1) / math.sqrt(n_paths)
 
@@ -663,14 +751,15 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
     if degenerate:
         fit = ScalingFit(0.0, 0.0, 0.0, float("inf"), 0, "degenerate")
         return DecayReport(fit, eps_grid, means, stderrs, beta,
-                           gammabar_value, target, True, "degenerate")
+                           gammabar_value, target, True, "degenerate",
+                           **counters)
     fit = fit_scaling(eps_grid, means, stderrs)
     flag = fit.flag
     if flag == "ok" and fit.ci_halfwidth > 0.3:
         flag = "inconclusive"
     passed = flag != "inconclusive" and fit.slope >= target - 0.15
     return DecayReport(fit, eps_grid, means, stderrs, beta, gammabar_value,
-                       target, bool(passed), flag)
+                       target, bool(passed), flag, **counters)
 
 
 @dataclass

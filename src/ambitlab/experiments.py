@@ -273,7 +273,13 @@ def _exp_ambit_decay(cfg):
         "flag": report.flag, "n_paths": run["n_paths"],
     }
     flag = "inconclusive" if report.flag == "inconclusive" else "ok"
-    return ExperimentResult(rows, summary, flag)
+    disc = report.discretization
+    n_rows, n_cols = disc.shape
+    logs = [f"tau={disc.tau:.6g}", f"cells={n_rows}x{n_cols}"]
+    logs += [f"cut_row eps={e:.6g} row={disc.cut_row(e)}"
+             for e in report.eps_grid]
+    logs.append(f"jumps_per_path={report.jumps_per_path:.2f}")
+    return ExperimentResult(rows, summary, flag, logs)
 
 
 def _exp_ambit_density(cfg):

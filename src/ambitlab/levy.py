@@ -47,6 +47,8 @@ __all__ = [
     "build_cells",
     "JumpRecord",
     "default_tau",
+    "cell_factors",
+    "sample_record",
     "sample_integral",
     "replay_integral",
     "CharacteristicExponent",
@@ -398,25 +400,34 @@ class JumpRecord:
                           self.y[keep], self.z[keep], normals, self.n_draws)
 
 
-def _gaussian_cell_coeff(model, record, f_mid):
-    # signed coefficient f(mid) * sd(cell): linear in f, so replaying a
-    # different integrand against the same normals couples pathwise
-    sigma2 = model.c_sum * record.tau ** (2.0 - model.alpha) \
-        / (2.0 - model.alpha)
-    return f_mid * np.sqrt(sigma2 * record.cells.weights
-                           * record.cells.cell_vol)
+def cell_factors(model, tau, cells):
+    """Per-cell (sd, compensator) of a sampled integral: over the cells,
+    int int f dL is sum f(mid) * (normal * sd - compensator) plus the jumps.
+
+    sd matches the truncated second moment of the sub-tau jumps; the
+    compensator is the mean of the simulated (tau, 1] jumps.
+    """
+    sigma2 = model.c_sum * tau ** (2.0 - model.alpha) / (2.0 - model.alpha)
+    sd = np.sqrt(sigma2 * cells.weights * cells.cell_vol)
+    comp = model.c_diff * _compensator_k(model.alpha, tau) * cells.weights \
+        * cells.cell_vol
+    return sd, comp
 
 
-def _record_values(model, record, f):
+def _record_values(model, record, f, f_mid=None):
     """Evaluate int int f dL for the noise captured in the record."""
     f_jump = np.asarray(f(record.s, record.y), dtype=float) \
         if record.s.size else np.zeros(0)
     did = np.repeat(np.arange(record.n_draws), record.counts)
     jump_part = np.bincount(did, weights=f_jump * record.z,
                             minlength=record.n_draws)
-    f_mid = np.asarray(f(record.cells.s_mid, record.cells.y_mid), dtype=float)
-    gauss_part = record.cell_normals @ _gaussian_cell_coeff(model, record,
-                                                            f_mid)
+    if f_mid is None:
+        f_mid = np.asarray(f(record.cells.s_mid, record.cells.y_mid),
+                           dtype=float)
+    # signed coefficient f(mid) * sd(cell): linear in f, so replaying a
+    # different integrand against the same normals couples pathwise
+    sd = cell_factors(model, record.tau, record.cells)[0]
+    gauss_part = record.cell_normals @ (f_mid * sd)
     comp = model.c_diff * _compensator_k(model.alpha, record.tau) \
         * record.cells.quadrature(f_mid)
     return jump_part + gauss_part - comp
@@ -425,6 +436,71 @@ def _record_values(model, record, f):
 def replay_integral(model, record, f):
     """int int f dL against the exact noise of a recorded call."""
     return _record_values(model, record, f)
+
+
+def _check_integrand(model, cells, f_mid, tau, max_expected_jumps):
+    """Sampler preconditions on the cell values of f; returns the expected
+    jump count per draw."""
+    if tau <= 0 or not np.isfinite(tau):
+        raise ValueError("tau must be positive and finite")
+    alpha = model.alpha
+    if not np.all(np.isfinite(f_mid)):
+        raise ValueError("integrand not finite on the cell lattice")
+    # eq-style integrability audit: int int |f|^alpha dlambda must be finite
+    if not np.isfinite(cells.quadrature(np.abs(f_mid) ** alpha)):
+        raise ValueError("integrand fails the |f|^alpha integrability check")
+
+    rate_bound = model.box_volume * model.weight_bound * model.c_sum \
+        * tau ** (-alpha) / alpha
+    if not np.isfinite(rate_bound) or rate_bound > max_expected_jumps:
+        raise ValueError(
+            f"expected jump count {rate_bound:.3g} per draw exceeds the "
+            f"resolution budget {max_expected_jumps:.3g}; raise tau")
+    return rate_bound
+
+
+def sample_record(model, f_mid, rng, *, tau, cells, n_draws=1,
+                  max_expected_jumps=250_000.0) -> JumpRecord:
+    """The noise of n_draws integrals against an integrand known by its
+    cell-midpoint values f_mid, drawn as sample_integral(return_record=True)
+    draws it and checked as it checks f; the caller evaluates the integral
+    from the record."""
+    n = int(n_draws)
+    if n <= 0:
+        raise ValueError("n_draws must be positive")
+    rate_bound = _check_integrand(model, cells, f_mid, tau,
+                                  max_expected_jumps)
+    alpha = model.alpha
+    lo = np.array([iv[0] for iv in model.domain])
+    hi = np.array([iv[1] for iv in model.domain])
+    chunks = []
+    chunk = max(1, int(2e6 / max(rate_bound, 1.0)))
+    for start in range(0, n, chunk):
+        nb = min(chunk, n - start)
+        counts = rng.poisson(rate_bound, nb)
+        tot = int(counts.sum())
+        s = rng.uniform(0.0, model.T, tot)
+        y = rng.uniform(lo, hi, (tot, model.d))
+        if model.weight is not None:
+            keep = rng.uniform(0.0, 1.0, tot) * model.weight_bound \
+                <= model.weight_values(s, y)
+        else:
+            keep = np.ones(tot, dtype=bool)
+        sign = np.where(rng.uniform(0.0, 1.0, tot) * model.c_sum
+                        < model.c_plus, 1.0, -1.0)
+        mag = tau * rng.uniform(0.0, 1.0, tot) ** (-1.0 / alpha)
+        did = np.repeat(np.arange(nb), counts)
+        normals = rng.standard_normal((nb, cells.n_cells))
+        chunks.append((np.bincount(did[keep], minlength=nb), s[keep],
+                       y[keep], (sign * mag)[keep], normals))
+    return JumpRecord(
+        tau=float(tau), cells=cells,
+        counts=np.concatenate([c[0] for c in chunks]),
+        s=np.concatenate([c[1] for c in chunks]),
+        y=np.concatenate([c[2] for c in chunks]),
+        z=np.concatenate([c[3] for c in chunks]),
+        cell_normals=np.concatenate([c[4] for c in chunks]),
+        n_draws=n)
 
 
 def sample_integral(model, f, rng, *, n_draws=None, tau=None,
@@ -446,28 +522,23 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
         cells = build_cells(model, nt=nt, nx=nx)
     if tau is None:
         tau = default_tau(model, target_var_error)
-    if tau <= 0 or not np.isfinite(tau):
-        raise ValueError("tau must be positive and finite")
     alpha = model.alpha
 
     f_mid = np.asarray(f(cells.s_mid, cells.y_mid), dtype=float)
-    if not np.all(np.isfinite(f_mid)):
-        raise ValueError("integrand not finite on the cell lattice")
-    # eq-style integrability audit: int int |f|^alpha dlambda must be finite
-    if not np.isfinite(cells.quadrature(np.abs(f_mid) ** alpha)):
-        raise ValueError("integrand fails the |f|^alpha integrability check")
-
-    rate_bound = model.box_volume * model.weight_bound * model.c_sum \
-        * tau ** (-alpha) / alpha
-    if not np.isfinite(rate_bound) or rate_bound > max_expected_jumps:
-        raise ValueError(
-            f"expected jump count {rate_bound:.3g} per draw exceeds the "
-            f"resolution budget {max_expected_jumps:.3g}; raise tau")
+    if return_record:
+        record = sample_record(model, f_mid, rng, tau=tau, cells=cells,
+                               n_draws=n,
+                               max_expected_jumps=max_expected_jumps)
+        # computing the values through the record guarantees that a replay
+        # against the same integrand is bit-identical
+        values = _record_values(model, record, f, f_mid)
+        return (values[0] if scalar else values), record
+    rate_bound = _check_integrand(model, cells, f_mid, tau,
+                                  max_expected_jumps)
 
     lo = np.array([iv[0] for iv in model.domain])
     hi = np.array([iv[1] for iv in model.domain])
     values = np.empty(n)
-    rec_chunks = [] if return_record else None
     total_sd = None
     comp = model.c_diff * _compensator_k(alpha, tau) * cells.quadrature(f_mid)
 
@@ -488,12 +559,6 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
         mag = tau * rng.uniform(0.0, 1.0, tot) ** (-1.0 / alpha)
         did = np.repeat(np.arange(nb), counts)
 
-        if return_record:
-            normals = rng.standard_normal((nb, cells.n_cells))
-            rec_chunks.append((np.bincount(did[keep], minlength=nb),
-                               s[keep], y[keep], (sign * mag)[keep], normals))
-            continue
-
         z = np.where(keep, sign * mag, 0.0)
         f_jump = np.asarray(f(s, y), dtype=float) if tot else np.zeros(0)
         jump_part = np.bincount(did, weights=f_jump * z, minlength=nb)
@@ -504,19 +569,6 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
         gauss_part = total_sd * rng.standard_normal(nb)
         values[start:start + nb] = jump_part + gauss_part - comp
 
-    if return_record:
-        record = JumpRecord(
-            tau=float(tau), cells=cells,
-            counts=np.concatenate([c[0] for c in rec_chunks]),
-            s=np.concatenate([c[1] for c in rec_chunks]),
-            y=np.concatenate([c[2] for c in rec_chunks]),
-            z=np.concatenate([c[3] for c in rec_chunks]),
-            cell_normals=np.concatenate([c[4] for c in rec_chunks]),
-            n_draws=n)
-        # computing the values through the record guarantees that a replay
-        # against the same integrand is bit-identical
-        values = _record_values(model, record, f)
-        return (values[0] if scalar else values), record
     return values[0] if scalar else values
 
 

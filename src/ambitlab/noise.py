@@ -17,6 +17,7 @@ discrete mode xi_j the variance dt * S(xi_j) * (2 pi / L)^d.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -228,16 +229,36 @@ def _check_dalang(model):
             f"{d - 2})")
 
 
+# c_k = 2 (-1)^k / (2k + 3)!: int_0^t sin^2(ur)/r^2 du = t^3 sum_k c_k
+# (2tr)^(2k); for 2tr < 1/4 the first omitted term (k = 6) is below 1e-18
+# relative
+_WAVE_SERIES = tuple(2.0 * (-1.0) ** k / math.factorial(2 * k + 3)
+                     for k in range(6))
+
+
 def squared_time_integral(lam, t, r):
-    """int_0^t |F(Lambda(u))(r)|^2 du in closed form (vectorised in t, r)."""
+    """int_0^t |F(Lambda(u))(r)|^2 du in closed form (vectorised in t, r).
+
+    The wave closed form cancels for small 2tr (relative error about
+    1e-16/(2tr)^2), so below 2tr = 1/4 its Taylor series is used.
+    """
     r = np.asarray(r, dtype=float)
-    small = r < 1e-12
-    rs = np.where(small, 1.0, r)
     if lam.kind == "heat":
+        small = r < 1e-12
+        rs = np.where(small, 1.0, r)
         out = (1.0 - np.exp(-2.0 * t * rs**2)) / (2.0 * rs**2)
         return np.where(small, t, out)
-    out = (t - np.sin(2.0 * t * rs) / (2.0 * rs)) / (2.0 * rs**2)
-    return np.where(small, t**3 / 3.0, out)
+    x = 2.0 * t * r
+    small = x < 0.25
+    rs = np.where(small, 1.0, r)
+    out = (t - np.sin(x) / (2.0 * rs)) / (2.0 * rs**2)
+    if not small.any():
+        return out
+    x2 = x * x
+    series = _WAVE_SERIES[-1]
+    for c in _WAVE_SERIES[-2::-1]:
+        series = series * x2 + c
+    return np.where(small, t**3 * series, out)
 
 
 def variance_g(model, lam, eps) -> float:

@@ -5,15 +5,11 @@ which the transforms of the fundamental solutions are
 
     heat:  F(Lambda(s))(xi) = exp(-s |xi|^2)
     wave:  F(Lambda(s))(xi) = sin(s |xi|) / |xi|      (d <= 3)
-
-Both are radial; `fourier_radial` evaluates them as functions of r = |xi|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["FundamentalSolution", "heat_operator", "wave_operator"]
 
@@ -22,22 +18,6 @@ __all__ = ["FundamentalSolution", "heat_operator", "wave_operator"]
 class FundamentalSolution:
     kind: str  # "heat" | "wave"
     d: int
-
-    def fourier_radial(self, s, r):
-        """F(Lambda(s)) at radius r = |xi| (vectorised in r)."""
-        r = np.asarray(r, dtype=float)
-        if self.kind == "heat":
-            return np.exp(-s * r**2)
-        sr = s * r
-        out = np.empty_like(r)
-        small = r < 1e-12
-        out[~small] = np.sin(sr[~small]) / r[~small]
-        out[small] = s  # sin(sr)/r -> s as r -> 0
-        return out
-
-    def mass_sup(self, horizon: float) -> float:
-        """sup_{t <= T} of the total-variation mass of Lambda(t)."""
-        return 1.0 if self.kind == "heat" else float(horizon)
 
 
 def heat_operator(d: int) -> FundamentalSolution:

@@ -317,6 +317,83 @@ def test_coupling_triangle_replay(model):
                                     rel=1e-8)
 
 
+def _replayed_parts(path, eps):
+    """The coupling evaluated directly: one replay of the record against the
+    history integrand and one against the sigma-free slab integrand."""
+    disc, spec = path.disc, path.spec
+    t, x = disc.t, disc.x
+    t_cut = t - eps
+
+    def unit(s, y):
+        space = am._space(y)
+        return spec.ambit_set.indicator(t, x, s, space) \
+            * spec.kernel_g(t, s, x, space)
+
+    def hist_integrand(s, y):
+        return unit(s, y) * path.sigma_mid[disc.cell_index(s, y)] \
+            * (s <= t_cut + 1e-15)
+
+    def slab_integrand(s, y):
+        return unit(s, y) * (s > t_cut + 1e-15)
+
+    hist = lv.replay_integral(disc.box_model, path.record, hist_integrand)[0]
+    slab = lv.replay_integral(disc.box_model, path.record, slab_integrand)[0]
+    point = (np.array([t_cut]), np.array([x]))
+    sigma_frozen = path.sigma_path(*point)[0]
+    b_frozen = path.b_path(*point)[0]
+    in_hist = disc.cells.s_mid <= t_cut + 1e-15
+    drift_hist = np.sum(path.drift_cell[in_hist] * path.b_mid[in_hist])
+    drift_frozen = b_frozen * np.sum(path.drift_cell[~in_hist])
+    u_eps = spec.x0 + hist + drift_hist + drift_frozen
+    return dict(value=u_eps + sigma_frozen * slab, u_eps=u_eps,
+                slab_noise=slab, drift_history=drift_hist,
+                drift_frozen=drift_frozen)
+
+
+@pytest.mark.parametrize("spec", [
+    am.make_ambit_spec(ambit_set=am.make_cone(1.0, 1.0),
+                       kernel_g=am.power_kernel(0.5),
+                       sigma=am.weierstrass_field(),
+                       b=am.weierstrass_field(base=0.3), x0=0.2),
+    am.make_ambit_spec(ambit_set=am.make_slab(0.8),
+                       kernel_g=am.bump_kernel(0.4),
+                       sigma=am.weierstrass_field(delta1=0.3, delta2=0.7),
+                       b=am.constant_field(0.5)),
+], ids=["cone-power", "slab-bump"])
+@pytest.mark.parametrize("c_minus", [0.5, 0.2], ids=["symmetric", "skewed"])
+def test_one_pass_coupling_matches_replay(spec, c_minus):
+    """Prefix/suffix reads of the per-row integrals equal two replays of
+    the record per eps, and the separable field equals the pointwise one."""
+    model = lv.make_levy_model(1.2, 0.5, c_minus, T=1.0,
+                               domain=((-1.0, 1.0),))
+    grid = (0.03, 0.1, 0.37, 1.0)  # includes eps = t
+    disc = am.make_discretization(spec, model, 1.0, 0.0, eps_grid=grid,
+                                  nt=20, nx=16)
+    for i in range(4):
+        path = am.make_path(spec, model, 1.0, 0.0,
+                            path_rng(8, "one-pass", i), disc=disc)
+        cells = disc.cells
+        direct = path.sigma_path(cells.s_mid, cells.y_mid)
+        ulp = np.spacing(np.abs(direct))
+        assert np.all(np.abs(path.sigma_mid - direct) <= 4 * ulp)
+
+        def full(s, y):
+            space = am._space(y)
+            return spec.ambit_set.indicator(1.0, 0.0, s, space) \
+                * spec.kernel_g(1.0, s, 0.0, space) \
+                * path.sigma_mid[disc.cell_index(s, y)]
+
+        value = spec.x0 \
+            + lv.replay_integral(disc.box_model, path.record, full)[0] \
+            + np.sum(path.drift_cell * path.b_mid)
+        assert path.value == pytest.approx(value, rel=1e-10, abs=1e-12)
+        for e in grid:
+            parts = am.approx_parts(path, e)
+            for name, ref in _replayed_parts(path, e).items():
+                assert getattr(parts, name) == pytest.approx(
+                    ref, rel=1e-10, abs=1e-12), (name, e)
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------

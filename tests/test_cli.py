@@ -178,6 +178,39 @@ def test_run_writes_artifacts(tmp_path):
     assert any(line.startswith("elapsed_s=") for line in log)
 
 
+def test_ambit_decay_log_counts_the_work(tmp_path):
+    overrides = ["run.n_paths=64", "ambit.kernel_g=power",
+                 "ambit.theta_g=0.5", "ambit.sigma_field=weierstrass",
+                 "ambit.eps_min=0.05", "ambit.eps_max=1.0",
+                 "ambit.eps_points=4", "ambit.nt=12", "ambit.nx=10"]
+    runs = {}
+    for w in (1, 2):
+        out = tmp_path / f"w{w}"
+        out.mkdir()
+        assert cli.run(None, overrides, experiment="ambit-decay", seed=2,
+                       workers=w, outdir=str(out)) in (0, 2)
+        log = (out / "run.log").read_text().splitlines()
+        counters = [line for line in log
+                    if line.startswith(("tau=", "cells=", "cut_row ",
+                                        "jumps_per_path="))]
+        runs[w] = (counters, (out / "results.csv").read_bytes(),
+                   (out / "summary.json").read_bytes())
+    counters = runs[1][0]
+    assert counters == runs[2][0]
+    assert float(counters[0].removeprefix("tau=")) > 0
+    # 12 time rows, split again at t - eps for eps = 0.05, 0.136, 0.368
+    # (t - 1 = 0 is an edge already)
+    assert counters[1] == "cells=15x10"
+    cut = [line for line in counters if line.startswith("cut_row ")]
+    assert len(cut) == 4
+    assert cut[-1].endswith(" row=0")          # eps = t cuts at s = 0
+    assert float(counters[-1].removeprefix("jumps_per_path=")) > 0
+    # counters stay out of the artifacts
+    for _, csv, summary in runs.values():
+        assert b"jumps" not in csv + summary and b"tau" not in csv + summary
+    assert runs[1][1:] == runs[2][1:]
+
+
 def test_run_reports_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[run]\nexperiment = levy-check\nseed = -1\n")

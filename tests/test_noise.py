@@ -188,6 +188,28 @@ def test_squared_time_integral_closed_forms():
         assert got == pytest.approx(want, rel=1e-10)
 
 
+def test_wave_time_integral_has_no_cancellation():
+    """The wave time integral against 50-digit arithmetic, across the
+    switch from the Taylor series to the closed form at 2tr = 1/4."""
+    mpmath = pytest.importorskip("mpmath")
+    t = 0.7
+    x = np.geomspace(1e-6, 4.0, 200)   # x = 2 t r
+    r = x / (2.0 * t)
+    got = noise.squared_time_integral(WAVE, t, r)
+    with mpmath.workdps(50):
+        for rv, g in zip(r, got):
+            rm, tm = mpmath.mpf(float(rv)), mpmath.mpf(t)
+            want = float((tm - mpmath.sin(2 * tm * rm) / (2 * rm))
+                         / (2 * rm**2))
+            assert abs(g - want) <= 1e-13 * want
+    below = 0.25 / (2.0 * t) * (1.0 - 1e-12)
+    above = 0.25 / (2.0 * t) * (1.0 + 1e-12)
+    lo, hi = noise.squared_time_integral(WAVE, t, np.array([below, above]))
+    assert abs(hi - lo) <= 1e-13 * lo
+    assert noise.squared_time_integral(WAVE, np.array([0.0, t]), 0.0) \
+        == pytest.approx([0.0, t**3 / 3.0], rel=1e-15)
+
+
 def test_exponent_fits_heat():
     m = noise.make_noise_model("white", d=1, Lbox=8.0, m=64)
     ex = noise.exponent_gamma(m, HEAT, np.geomspace(1e-3, 1e-1, 5))
@@ -259,16 +281,6 @@ def test_riesz_heat_d1_is_fine():
 # ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
-
-
-def test_fundamental_solution_transforms():
-    r = np.array([0.0, 0.5, 2.0])
-    assert np.allclose(HEAT.fourier_radial(0.3, r), np.exp(-0.3 * r**2))
-    w = WAVE.fourier_radial(0.3, r)
-    assert w[0] == pytest.approx(0.3)
-    assert np.allclose(w[1:], np.sin(0.3 * r[1:]) / r[1:])
-    assert HEAT.mass_sup(3.0) == 1.0
-    assert WAVE.mass_sup(3.0) == 3.0
 
 
 def test_operator_dimension_limits():
