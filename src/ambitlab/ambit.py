@@ -64,7 +64,6 @@ __all__ = [
     "approx_parts",
     "DecayReport",
     "error_decay",
-    "AmbitDensityReport",
     "density_criterion_experiment",
 ]
 
@@ -590,7 +589,6 @@ class AmbitPath:
     sigma_mid: np.ndarray    # volatility frozen at cell midpoints
     b_mid: np.ndarray
     record: levy.JumpRecord
-    drift_cell: np.ndarray   # 1_B * h * cellvol per cell (b excluded)
     value: float             # X(t, x)
 
     @cached_property
@@ -622,8 +620,8 @@ class AmbitPath:
             hist=_prefix(per_row(g_jump * self.sigma_mid[cell],
                                  disc.g_mid * self.sigma_mid)),
             slab=_suffix(per_row(g_jump, disc.g_mid)),
-            drift_hist=_prefix(row_sums(self.drift_cell * self.b_mid)),
-            drift_slab=_suffix(row_sums(self.drift_cell)),
+            drift_hist=_prefix(row_sums(disc.drift_cell * self.b_mid)),
+            drift_slab=_suffix(row_sums(disc.drift_cell)),
             sigma_frozen=self.sigma_path.grid(edges, x)[:, 0],
             b_frozen=self.b_path.grid(edges, x)[:, 0])
 
@@ -645,7 +643,7 @@ def make_path(spec, model, t, x, rng, disc=None, *, eps_grid=(), nt=64,
     record = levy.sample_record(disc.box_model, disc.g_mid * sigma_mid, rng,
                                 tau=disc.tau, cells=disc.cells)
     path = AmbitPath(spec, disc, sigma_path, b_path, sigma_mid, b_mid,
-                     record, disc.drift_cell, value=0.0)
+                     record, value=0.0)
     table = path.coupling
     path.value = float(spec.x0 + table.hist[-1] + table.drift_hist[-1])
     return path
@@ -762,23 +760,13 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
                        target, bool(passed), flag, **counters)
 
 
-@dataclass
-class AmbitDensityReport:
-    statistics: list
-    slopes: dict
-    min_slope: float
-    holder_order: float
-    verdict: bool
-    n: int
-    n_paths: int
-
-
 def density_criterion_experiment(spec, model, t, x, n, h_grid=None,
                                  n_paths=100_000, *, master_seed=0,
                                  stream="ambit-density", workers=1,
                                  holder_order=0.5,
                                  frequencies=besov.DEFAULT_FREQUENCIES,
-                                 nt=64, nx=64, tau=None) -> AmbitDensityReport:
+                                 nt=64, nx=64, tau=None
+                                 ) -> besov.CriterionReport:
     """Criterion statistic for the law of X(t, x) with weights
     |sigma(t, x)|^n.
 
@@ -786,8 +774,8 @@ def density_criterion_experiment(spec, model, t, x, n, h_grid=None,
     integrand, n_paths draws); random volatility falls back to the
     path-parallel loop.
     """
+    disc = make_discretization(spec, model, t, x, nt=nt, nx=nx, tau=tau)
     if spec.sigma.is_constant and spec.b.is_constant:
-        disc = make_discretization(spec, model, t, x, nt=nt, nx=nx, tau=tau)
         sig0 = spec.sigma.value
         b0 = spec.b.value
 
@@ -799,17 +787,10 @@ def density_criterion_experiment(spec, model, t, x, n, h_grid=None,
         stoch = levy.sample_integral(disc.box_model, f, rng,
                                      n_draws=n_paths, tau=disc.tau,
                                      cells=disc.cells)
-        cells = disc.cells
-        ind_b = spec.drift_set.indicator(t, x, cells.s_mid,
-                                         _space(cells.y_mid))
-        h_mid = spec.kernel_h(t, cells.s_mid, x, _space(cells.y_mid))
-        drift = float(np.sum(np.where(ind_b, h_mid, 0.0) * b0
-                             * cells.cell_vol))
+        drift = float(np.sum(disc.drift_cell * b0))
         values = spec.x0 + stoch + drift
         weights = np.full(n_paths, abs(sig0) ** n if n else 1.0)
     else:
-        disc = make_discretization(spec, model, t, x, nt=nt, nx=nx, tau=tau)
-
         def block(_idx, rngs):
             out = np.empty((len(rngs), 2))
             for i, rng in enumerate(rngs):
@@ -823,15 +804,7 @@ def density_criterion_experiment(spec, model, t, x, n, h_grid=None,
                                     stream=stream, workers=workers)
         values, weights = pairs[:, 0], pairs[:, 1]
 
-    if not np.all(np.isfinite(weights)) or not np.all(np.isfinite(values)):
-        raise ValueError("criterion weights/samples must be finite")
     stats = besov.criterion_statistic(values, weights, n, h_grid=h_grid,
                                       alpha=holder_order,
                                       frequencies=frequencies)
-    slopes = {s.test_function_id: s.fitted.slope for s in stats
-              if s.fitted.flag == "ok"}
-    min_slope = min(slopes.values()) if slopes else float("nan")
-    verdict = bool(slopes) and all(v > holder_order for v in slopes.values())
-    return AmbitDensityReport(stats, slopes, float(min_slope),
-                              float(holder_order), verdict, int(n),
-                              int(n_paths))
+    return besov.criterion_report(stats, holder_order)

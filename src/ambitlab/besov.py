@@ -12,7 +12,8 @@ A law kappa on R admits a density in B^{a-alpha}_{1,inf} as soon as
 |int D_h^n phi dkappa| <= C ||phi||_{C^alpha_b} |h|^a for every test
 function phi in C^alpha_b and 0 < alpha <= a < 1.  `criterion_statistic`
 measures the left-hand side on weighted Monte-Carlo samples against an
-oscillatory test family and fits the decay exponent in h.
+oscillatory test family and fits the decay exponent in h;
+`criterion_report` turns the fits into the density verdict.
 """
 
 from __future__ import annotations
@@ -29,10 +30,12 @@ __all__ = [
     "Stencil",
     "BesovEstimate",
     "CriterionStatistic",
+    "CriterionReport",
     "make_stencil",
     "finite_difference",
     "besov_norm_estimate",
     "criterion_statistic",
+    "criterion_report",
     "default_h_grid",
     "holder_sup_constant",
     "oscillatory_norm",
@@ -219,14 +222,6 @@ class CriterionStatistic:
         return list(zip(self.h_values, self.stat_values, self.stderr_values))
 
 
-def _criterion_coefficients(n: int):
-    # n = 0 is the identity "difference": used by negative controls where no
-    # smoothing order is spent; make_stencil itself refuses n < 1.
-    if n == 0:
-        return (1,)
-    return make_stencil(n).coefficients
-
-
 def _select_window(h, stat, stderr):
     """Smallest decade of h in which every point resolves above MC noise."""
     ok = (stat > _NOISE_MULTIPLE * stderr) & (stat > 1e-300)
@@ -249,17 +244,23 @@ def criterion_statistic(samples, weights, n, h_grid=None, alpha=0.5,
                         frequencies=DEFAULT_FREQUENCIES, normalize=True):
     """Per-frequency criterion statistics for a weighted empirical law.
 
-    For each frequency k the complex pair (cos(kx), sin(kx)) is differenced
-    pointwise with the order-n stencil and the statistic is the modulus of
-    the weighted sample mean,
+    For each frequency k the statistic is the modulus of the weighted
+    sample mean of the order-n difference of e^{ik.},
 
         stat(h) = | mean_i w_i D_h^n e^{ik X_i} |,
 
-    optionally divided by the C^alpha_b norm of the pair members.  The decay
-    exponent is fitted over the smallest decade of h on which the statistic
-    stays above 3x its Monte-Carlo standard error; a fit over fewer than 4
-    qualifying points is flagged "inconclusive", and an all-zero statistic
-    is flagged "degenerate".
+    optionally divided by the C^alpha_b norm of cos(k.) / sin(k.).  The
+    difference factorises exactly, D_h^n e^{ikx} = e^{ikx} (e^{ikh} - 1)^n
+    with |e^{ikh} - 1| = |2 sin(kh/2)|, so with z_i = w_i e^{ik X_i}
+
+        stat(h) = |mean z| |2 sin(kh/2)|^n,
+
+    and the standard error is sqrt(var Re z + var Im z) / sqrt(N) times the
+    same factor (the total variance of c Z is |c|^2 that of Z); n = 0 is the
+    identity, used by negative controls.  The decay exponent is fitted over
+    the smallest decade of h on which the statistic stays above 3x its
+    standard error; a fit over fewer than 4 qualifying points is flagged
+    "inconclusive", and an all-zero statistic is flagged "degenerate".
 
     Returns one CriterionStatistic per frequency.
     """
@@ -272,6 +273,8 @@ def criterion_statistic(samples, weights, n, h_grid=None, alpha=0.5,
         w = np.asarray(weights, dtype=float)
         if w.shape != x.shape:
             raise ValueError("weights must match samples")
+    if not np.all(np.isfinite(w)) or not np.all(np.isfinite(x)):
+        raise ValueError("criterion weights/samples must be finite")
     if n < 0 or n > MAX_ORDER:
         raise ValueError("difference order out of range")
     if h_grid is None:
@@ -279,24 +282,17 @@ def criterion_statistic(samples, weights, n, h_grid=None, alpha=0.5,
     h = np.asarray(h_grid, dtype=float)
     if np.any(h <= 0):
         raise ValueError("h values must be positive")
-    coeffs = _criterion_coefficients(int(n))
     N = x.size
 
     out = []
     for k in frequencies:
         norm_c = oscillatory_norm(k, alpha) if normalize else 1.0
-        stat = np.empty(h.size)
-        err = np.empty(h.size)
-        for ih, hv in enumerate(h):
-            acc = np.zeros(N, dtype=complex)
-            for j, c in enumerate(coeffs):
-                acc += c * np.exp(1j * k * (x + j * hv))
-            acc *= w
-            mean = acc.mean()
-            v_re = acc.real.std(ddof=1) if N > 1 else 0.0
-            v_im = acc.imag.std(ddof=1) if N > 1 else 0.0
-            stat[ih] = abs(mean) / norm_c
-            err[ih] = np.sqrt(v_re**2 + v_im**2) / np.sqrt(N) / norm_c
+        z = w * np.exp(1j * k * x)
+        sd = np.sqrt(z.real.var(ddof=1) + z.imag.var(ddof=1)) if N > 1 \
+            else 0.0
+        factor = np.abs(2.0 * np.sin(k * h / 2.0)) ** n
+        stat = abs(z.mean()) * factor / norm_c
+        err = sd * factor / np.sqrt(N) / norm_c
         idx = _select_window(h, stat, err)
         if np.all(stat < 1e-14):
             fit = ScalingFit(0.0, 0.0, 0.0, np.inf, 0, "degenerate")
@@ -316,7 +312,24 @@ def criterion_statistic(samples, weights, n, h_grid=None, alpha=0.5,
     return out
 
 
-def family_min_slope(statistics) -> float:
-    """Minimum fitted decay exponent over the family (nan if none usable)."""
-    slopes = [s.fitted.slope for s in statistics if s.fitted.flag == "ok"]
-    return float(min(slopes)) if slopes else float("nan")
+@dataclass
+class CriterionReport:
+    """Density verdict over a test family: every usable ("ok") frequency
+    slope must exceed the test-function Holder order."""
+
+    statistics: list
+    slopes: dict             # test_function_id -> slope, "ok" fits only
+    min_slope: float         # nan when no fit is usable
+    holder_order: float
+    verdict: bool
+
+
+def criterion_report(statistics, holder_order) -> CriterionReport:
+    """Slopes, their minimum and the verdict of criterion_statistic's
+    output, fitted against C^holder_order test functions."""
+    slopes = {s.test_function_id: s.fitted.slope for s in statistics
+              if s.fitted.flag == "ok"}
+    min_slope = min(slopes.values()) if slopes else float("nan")
+    verdict = bool(slopes) and all(v > holder_order for v in slopes.values())
+    return CriterionReport(statistics, slopes, float(min_slope),
+                           float(holder_order), verdict)

@@ -192,7 +192,7 @@ def _exp_spde_density(cfg):
     flags = [st.fitted.flag for st in report.statistics]
     summary = {
         "slopes": report.slopes, "min_slope": report.min_slope,
-        "holder_order": report.alpha, "verdict": report.verdict,
+        "holder_order": report.holder_order, "verdict": report.verdict,
         "n": s["n"], "n_paths": run["n_paths"], "operator": lam.kind,
     }
     flag = "ok" if all(f == "ok" for f in flags) else "inconclusive"
@@ -296,7 +296,7 @@ def _exp_ambit_density(cfg):
     summary = {
         "slopes": report.slopes, "min_slope": report.min_slope,
         "holder_order": report.holder_order, "verdict": report.verdict,
-        "n": report.n, "n_paths": report.n_paths,
+        "n": a["n"], "n_paths": run["n_paths"],
     }
     flag = "ok" if all(f in ("ok", "degenerate") for f in flags) \
         else "inconclusive"
@@ -311,6 +311,7 @@ def _exp_besov_stat(cfg):
         run["n_paths"])
     stats = besov.criterion_statistic(values, None, order,
                                       alpha=run["holder"])
+    report = besov.criterion_report(stats, run["holder"])
     rows = _criterion_rows(stats)
     for st in stats:
         k = st.frequency
@@ -319,12 +320,9 @@ def _exp_besov_stat(cfg):
             / st.norm_constant
         rows.extend((f"oracle(k={k:g})", h, o, None)
                     for h, o in zip(st.h_values, oracle))
-    slopes = {st.test_function_id: st.fitted.slope for st in stats
-              if st.fitted.flag == "ok"}
     summary = {
-        "slopes": slopes,
-        "min_slope": besov.family_min_slope(stats),
-        "order": order, "holder_order": run["holder"],
+        "slopes": report.slopes, "min_slope": report.min_slope,
+        "order": order, "holder_order": report.holder_order,
         "scale": scale, "n_paths": run["n_paths"],
     }
     flag = "ok" if all(st.fitted.flag == "ok" for st in stats) \

@@ -29,8 +29,6 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from .montecarlo import ScalingFit, fit_scaling
-
 __all__ = [
     "LevyBasisModel",
     "make_levy_model",
@@ -459,21 +457,15 @@ def _check_integrand(model, cells, f_mid, tau, max_expected_jumps):
     return rate_bound
 
 
-def sample_record(model, f_mid, rng, *, tau, cells, n_draws=1,
-                  max_expected_jumps=250_000.0) -> JumpRecord:
-    """The noise of n_draws integrals against an integrand known by its
-    cell-midpoint values f_mid, drawn as sample_integral(return_record=True)
-    draws it and checked as it checks f; the caller evaluates the integral
-    from the record."""
-    n = int(n_draws)
-    if n <= 0:
-        raise ValueError("n_draws must be positive")
-    rate_bound = _check_integrand(model, cells, f_mid, tau,
-                                  max_expected_jumps)
-    alpha = model.alpha
+def _jump_chunks(model, rng, n, rate_bound, tau):
+    """The compound-Poisson jumps above tau of n draws, in chunks of about
+    2e6 expected jumps.  Per chunk the draws come in a fixed order: counts,
+    times, positions, thinning uniforms (weighted models only), signs and
+    Pareto magnitudes; a caller drawing more for the chunk (cell normals)
+    does so before asking for the next one.  Yields (start, nb, did, s, y,
+    keep, z), did being the draw index of each jump."""
     lo = np.array([iv[0] for iv in model.domain])
     hi = np.array([iv[1] for iv in model.domain])
-    chunks = []
     chunk = max(1, int(2e6 / max(rate_bound, 1.0)))
     for start in range(0, n, chunk):
         nb = min(chunk, n - start)
@@ -488,11 +480,30 @@ def sample_record(model, f_mid, rng, *, tau, cells, n_draws=1,
             keep = np.ones(tot, dtype=bool)
         sign = np.where(rng.uniform(0.0, 1.0, tot) * model.c_sum
                         < model.c_plus, 1.0, -1.0)
-        mag = tau * rng.uniform(0.0, 1.0, tot) ** (-1.0 / alpha)
+        mag = tau * rng.uniform(0.0, 1.0, tot) ** (-1.0 / model.alpha)
         did = np.repeat(np.arange(nb), counts)
+        yield start, nb, did, s, y, keep, sign * mag
+
+
+def sample_record(model, f_mid, rng, *, tau, cells, n_draws=1,
+                  max_expected_jumps=250_000.0) -> JumpRecord:
+    """The noise of n_draws integrals against an integrand known by its
+    cell-midpoint values f_mid, drawn as sample_integral(return_record=True)
+    draws it and checked as it checks f; the caller evaluates the integral
+    from the record."""
+    n = int(n_draws)
+    if n <= 0:
+        raise ValueError("n_draws must be positive")
+    rate_bound = _check_integrand(model, cells, f_mid, tau,
+                                  max_expected_jumps)
+    chunks = []
+    for _start, nb, did, s, y, keep, z in _jump_chunks(model, rng, n,
+                                                       rate_bound, tau):
         normals = rng.standard_normal((nb, cells.n_cells))
         chunks.append((np.bincount(did[keep], minlength=nb), s[keep],
-                       y[keep], (sign * mag)[keep], normals))
+                       y[keep], z[keep], normals))
+        # free this chunk before _jump_chunks draws the next one
+        del did, s, y, keep, z
     return JumpRecord(
         tau=float(tau), cells=cells,
         counts=np.concatenate([c[0] for c in chunks]),
@@ -536,31 +547,15 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
     rate_bound = _check_integrand(model, cells, f_mid, tau,
                                   max_expected_jumps)
 
-    lo = np.array([iv[0] for iv in model.domain])
-    hi = np.array([iv[1] for iv in model.domain])
     values = np.empty(n)
     total_sd = None
     comp = model.c_diff * _compensator_k(alpha, tau) * cells.quadrature(f_mid)
 
-    chunk = max(1, int(2e6 / max(rate_bound, 1.0)))
-    for start in range(0, n, chunk):
-        nb = min(chunk, n - start)
-        counts = rng.poisson(rate_bound, nb)
-        tot = int(counts.sum())
-        s = rng.uniform(0.0, model.T, tot)
-        y = rng.uniform(lo, hi, (tot, model.d))
-        if model.weight is not None:
-            keep = rng.uniform(0.0, 1.0, tot) * model.weight_bound \
-                <= model.weight_values(s, y)
-        else:
-            keep = np.ones(tot, dtype=bool)
-        sign = np.where(rng.uniform(0.0, 1.0, tot) * model.c_sum
-                        < model.c_plus, 1.0, -1.0)
-        mag = tau * rng.uniform(0.0, 1.0, tot) ** (-1.0 / alpha)
-        did = np.repeat(np.arange(nb), counts)
-
-        z = np.where(keep, sign * mag, 0.0)
-        f_jump = np.asarray(f(s, y), dtype=float) if tot else np.zeros(0)
+    for start, nb, did, s, y, keep, z in _jump_chunks(model, rng, n,
+                                                      rate_bound, tau):
+        z = np.where(keep, z, 0.0)
+        f_jump = np.asarray(f(s, y), dtype=float) if s.size \
+            else np.zeros(0)
         jump_part = np.bincount(did, weights=f_jump * z, minlength=nb)
         if total_sd is None:
             sigma2 = model.c_sum * tau ** (2.0 - alpha) / (2.0 - alpha)
@@ -568,6 +563,8 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
                 sigma2 * cells.weights * f_mid ** 2 * cells.cell_vol)))
         gauss_part = total_sd * rng.standard_normal(nb)
         values[start:start + nb] = jump_part + gauss_part - comp
+        # free this chunk before _jump_chunks draws the next one
+        del did, s, y, keep, z, f_jump
 
     return values[0] if scalar else values
 
@@ -583,9 +580,6 @@ class CharacteristicExponent:
     values: np.ndarray           # RePsi(xi)
     alpha: float
     alpha_coefficient: float     # A with RePsi = A |xi|^alpha (stable family)
-    fitted: ScalingFit
-    c_low: float
-    c_high: float
 
     def __call__(self, xi):
         return self.alpha_coefficient * np.abs(xi) ** self.alpha
@@ -610,11 +604,7 @@ def characteristic_exponent(model, f, xi_grid, *, cells=None, nt=64,
     if not np.isfinite(A):
         raise ValueError("characteristic exponent quadrature diverged")
     values = A * np.abs(xi_grid) ** a
-    pos = xi_grid > 0
-    fitted = fit_scaling(xi_grid[pos], values[pos])
-    ratios = values[pos] / xi_grid[pos] ** a
-    return CharacteristicExponent(xi_grid, values, a, float(A), fitted,
-                                  float(ratios.min()), float(ratios.max()))
+    return CharacteristicExponent(xi_grid, values, a, float(A))
 
 
 @dataclass
@@ -648,13 +638,12 @@ class SmoothedDensity:
 
 
 def smoothed_density(model, f, *, cells=None, nt=64, nx=64,
-                     grid_size=2 ** 18, xi_factor=6.0, eps=None,
-                     tail_fit_tolerance=0.1) -> SmoothedDensity:
+                     grid_size=2 ** 18, xi_factor=6.0,
+                     eps=None) -> SmoothedDensity:
     """Invert exp(-Psi) for X = int int f dL (symmetric models only).
 
     The xi-extent is set where RePsi >= 27.6 (exp(-27.6) < 1e-12) times
-    xi_factor oversampling; inversion refuses to run when the fitted tail
-    exponent of RePsi falls below alpha - tail_fit_tolerance.
+    xi_factor oversampling.
     """
     if not model.symmetric:
         raise ValueError("density inversion implemented for symmetric "
@@ -663,10 +652,6 @@ def smoothed_density(model, f, *, cells=None, nt=64, nx=64,
                                  cells=cells, nt=nt, nx=nx)
     if ce.alpha_coefficient <= 0:
         raise ValueError("degenerate integrand: RePsi vanishes")
-    if ce.fitted.slope < model.alpha - tail_fit_tolerance:
-        raise ValueError(
-            f"insufficient tail decay: fitted exponent {ce.fitted.slope:.4f}"
-            f" < alpha - {tail_fit_tolerance:g}; refusing inversion")
     A = ce.alpha_coefficient
     xi_nat = (27.6 / A) ** (1.0 / model.alpha)
     xi_max = xi_factor * xi_nat

@@ -35,7 +35,6 @@ __all__ = [
     "FieldSolution",
     "UEpsDecomposition",
     "GammaBarReport",
-    "SpdeDensityReport",
     "constant_coefficients",
     "anderson_coefficients",
     "solve",
@@ -446,19 +445,10 @@ def gammabar(gamma_exponents: GammaExponents, delta) -> GammaBarReport:
                           (0.0, max(gb - 1.0, 0.0)))
 
 
-@dataclass
-class SpdeDensityReport:
-    statistics: list
-    slopes: dict
-    min_slope: float
-    alpha: float
-    verdict: bool
-
-
 def density_criterion_experiment(point_values, coeffs, n, h_grid=None,
                                  alpha=0.5,
                                  frequencies=besov.DEFAULT_FREQUENCIES
-                                 ) -> SpdeDensityReport:
+                                 ) -> besov.CriterionReport:
     """Criterion statistic for the law of u(t, 0) weighted by |sigma(u)|^n.
 
     The target bound is |E[|sigma|^n D_h^n phi(u)]| <= C |h|^(zeta + alpha)
@@ -471,12 +461,7 @@ def density_criterion_experiment(point_values, coeffs, n, h_grid=None,
         w = np.full(u.shape, float(w))
     stats = besov.criterion_statistic(u, w, n, h_grid=h_grid, alpha=alpha,
                                       frequencies=frequencies)
-    slopes = {s.test_function_id: s.fitted.slope for s in stats
-              if s.fitted.flag == "ok"}
-    min_slope = min(slopes.values()) if slopes else float("nan")
-    verdict = bool(slopes) and all(v > alpha for v in slopes.values())
-    return SpdeDensityReport(stats, slopes, float(min_slope), float(alpha),
-                             verdict)
+    return besov.criterion_report(stats, alpha)
 
 
 def gaussian_derivative_l1(n, variance) -> float:

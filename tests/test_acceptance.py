@@ -6,6 +6,7 @@ conftest.py) prints one PASS/FAIL line per test.
 """
 
 import json
+import math
 import time
 
 import numpy as np
@@ -169,9 +170,14 @@ def test_07_characteristic_exponent_power_law():
                                  domain=((0.0, 1.0),))
         ce = levy.characteristic_exponent(m, lambda s, y: np.ones_like(s),
                                           xi)
-        assert ce.fitted.slope == pytest.approx(alpha, abs=0.03)
         if alpha == 1.0:
             assert ce.values[0] == pytest.approx(np.pi, abs=1e-6)
+            continue
+        # unit box: A = c_sum K_alpha, K_alpha = Gamma(1-a) cos(pi a/2) / a
+        want = m.c_sum * math.gamma(1.0 - alpha) \
+            * math.cos(math.pi * alpha / 2.0) / alpha
+        assert ce.alpha_coefficient == pytest.approx(want, rel=1e-8)
+        assert np.allclose(ce.values, want * xi**alpha, rtol=1e-8, atol=0)
     clock.check()
 
 

@@ -311,8 +311,8 @@ def test_coupling_triangle_replay(model):
 
         gap = lv.replay_integral(disc.box_model, path.record, gap_int)[0]
         slab = path.record.cells.s_mid > 0.75 + 1e-15
-        drift_gap = float(np.sum(path.drift_cell[slab] * path.b_mid[slab])) \
-            - parts.drift_frozen
+        drift_gap = float(np.sum(path.disc.drift_cell[slab]
+                                 * path.b_mid[slab])) - parts.drift_frozen
         assert lhs == pytest.approx(abs(gap + drift_gap), abs=1e-10,
                                     rel=1e-8)
 
@@ -342,8 +342,9 @@ def _replayed_parts(path, eps):
     sigma_frozen = path.sigma_path(*point)[0]
     b_frozen = path.b_path(*point)[0]
     in_hist = disc.cells.s_mid <= t_cut + 1e-15
-    drift_hist = np.sum(path.drift_cell[in_hist] * path.b_mid[in_hist])
-    drift_frozen = b_frozen * np.sum(path.drift_cell[~in_hist])
+    drift_hist = np.sum(path.disc.drift_cell[in_hist]
+                        * path.b_mid[in_hist])
+    drift_frozen = b_frozen * np.sum(path.disc.drift_cell[~in_hist])
     u_eps = spec.x0 + hist + drift_hist + drift_frozen
     return dict(value=u_eps + sigma_frozen * slab, u_eps=u_eps,
                 slab_noise=slab, drift_history=drift_hist,
@@ -385,7 +386,7 @@ def test_one_pass_coupling_matches_replay(spec, c_minus):
 
         value = spec.x0 \
             + lv.replay_integral(disc.box_model, path.record, full)[0] \
-            + np.sum(path.drift_cell * path.b_mid)
+            + np.sum(path.disc.drift_cell * path.b_mid)
         assert path.value == pytest.approx(value, rel=1e-10, abs=1e-12)
         for e in grid:
             parts = am.approx_parts(path, e)

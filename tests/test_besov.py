@@ -5,6 +5,8 @@ Oracles used here, all independent of the implementation:
   * moment conditions:  sum_j c_j j^p = 0 for p < n and = n! at p = n
     (classical identity for forward differences, exact in integers);
   * exponential eigenrelation:  D_h^n e^x = e^x (e^h - 1)^n;
+  * explicit stencil sum:  w sum_j c_j e^{ik(x + jh)} sample by sample, the
+    reference for the closed-form criterion statistic;
   * Gaussian statistic:  |E D_h e^{ikX}| = e^{-k^2/2} |2 sin(kh/2)| for
     X ~ N(0,1), since |E e^{ikX}| = e^{-k^2/2} and the difference factors;
   * Holder seminorm of cos(kx): k^alpha sup_u 2 sin(u/2)/u^alpha, checked
@@ -278,14 +280,52 @@ def test_criterion_input_validation():
         besov.criterion_statistic(x, None, -1)
     with pytest.raises(ValueError, match="positive"):
         besov.criterion_statistic(x, None, 1, h_grid=[0.5, -0.5])
+    with pytest.raises(ValueError, match="finite"):
+        besov.criterion_statistic(x, np.full(10, np.nan), 1)
+    with pytest.raises(ValueError, match="finite"):
+        besov.criterion_statistic(np.full(10, np.inf), None, 1)
 
 
-def test_family_min_slope_skips_unusable_fits():
+@pytest.mark.parametrize("n", range(4))
+def test_closed_form_matches_stencil_sum(n):
+    """The statistic and its standard error equal those of the explicit
+    stencil sum sum_j c_j e^{ik(x + jh)}, weighted, sample by sample."""
+    rng = path_rng(9, "besov-stencil-sum", n)
+    x = rng.standard_normal(3000)
+    w = rng.uniform(0.0, 2.0, 3000)
+    h = np.geomspace(1.0, 2.0**-6, 7)
+    freqs = (0.5, 2.0, 8.0)
+    coeffs = besov.make_stencil(n).coefficients if n else (1,)
+    stats = besov.criterion_statistic(x, w, n, h_grid=h, frequencies=freqs,
+                                      normalize=False)
+    for s, k in zip(stats, freqs):
+        for i, hv in enumerate(h):
+            acc = w * sum(c * np.exp(1j * k * (x + j * hv))
+                          for j, c in enumerate(coeffs))
+            err = np.sqrt(acc.real.var(ddof=1) + acc.imag.var(ddof=1)) \
+                / np.sqrt(x.size)
+            assert s.stat_values[i] == pytest.approx(abs(acc.mean()),
+                                                     rel=1e-8), (k, hv)
+            assert s.stderr_values[i] == pytest.approx(err, rel=1e-8), \
+                (k, hv)
+
+
+def test_criterion_report_skips_unusable_fits():
     x = 0.25 * path_rng(7, "besov-family", 0).standard_normal(20_000)
     stats = besov.criterion_statistic(x, None, 1, frequencies=(0.5, 1.0))
-    assert besov.family_min_slope(stats) == pytest.approx(
-        min(s.fitted.slope for s in stats))
-    assert np.isnan(besov.family_min_slope([]))
+    # sqrt(N) |phi(8)| << 3 on 500 standard normals: an inconclusive fit
+    weak = path_rng(5, "besov-weak", 0).standard_normal(500)
+    stats += besov.criterion_statistic(weak, None, 1, frequencies=(8.0,))
+    assert [s.fitted.flag for s in stats] == ["ok", "ok", "inconclusive"]
+    rep = besov.criterion_report(stats, 0.5)
+    assert rep.statistics is stats
+    assert rep.slopes == {s.test_function_id: s.fitted.slope
+                          for s in stats[:2]}
+    assert rep.min_slope == min(s.fitted.slope for s in stats[:2])
+    assert rep.holder_order == 0.5 and rep.verdict
+    assert not besov.criterion_report(stats, 1.5).verdict
+    empty = besov.criterion_report([], 0.5)
+    assert np.isnan(empty.min_slope) and not empty.verdict
 
 
 def test_rows_align_with_h_grid():

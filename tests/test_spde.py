@@ -402,6 +402,9 @@ def test_density_report_weights_and_verdict():
         vals, spde.constant_coefficients(0.0), n=1)
     assert not zero.verdict
     assert all(s.fitted.flag == "degenerate" for s in zero.statistics)
+    with pytest.raises(ValueError, match="finite"):
+        spde.density_criterion_experiment(
+            np.append(vals, np.nan), spde.constant_coefficients(2.0), n=1)
 
 
 # ---------------------------------------------------------------------------
