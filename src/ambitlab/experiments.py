@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ambit, besov, levy, noise, spde
-from .montecarlo import fit_scaling, path_rng, run_ensemble_blocks
+from .montecarlo import DEFAULT_BLOCK, path_rng, run_ensemble_blocks
 from .operators import heat_operator, wave_operator
 
 __all__ = ["ExperimentResult", "REGISTRY", "run_experiment",
@@ -123,7 +124,9 @@ def _exp_spde_exponents(cfg):
     s = cfg.sections["spde"]
     run = _run(cfg)
     eps = _eps_grid(s)
+    clock = time.perf_counter()
     ge = noise.exponent_gamma(model, lam, eps)
+    gamma_s = time.perf_counter() - clock
 
     dt = _spde_step(cfg, model, lam)
     t = s["t"]
@@ -137,10 +140,12 @@ def _exp_spde_exponents(cfg):
         sol = spde.solve_batch(model, lam, coeffs, s["u0"], t, dt, rngs)
         return sol.point_series
 
+    clock = time.perf_counter()
     series = run_ensemble_blocks(run["n_paths"], block,
                                  master_seed=run["seed"],
                                  stream="spde-exponents",
                                  workers=run["workers"])
+    ensemble_s = time.perf_counter() - clock
     times = np.arange(series.shape[1]) * dt
     delta_fit = spde.time_holder_delta(series, times, t0, lags)
     report = spde.gammabar(ge, delta_fit)
@@ -167,7 +172,13 @@ def _exp_spde_exponents(cfg):
         "operator": lam.kind, "dt": dt, "t": t,
     }
     flag = "ok" if all(f == "ok" for f in flags) else "inconclusive"
-    return ExperimentResult(rows, summary, flag)
+    logs = [f"exponent_gamma_s={gamma_s:.3f}", f"ensemble_s={ensemble_s:.3f}",
+            f"paths={run['n_paths']}",
+            f"blocks={math.ceil(run['n_paths'] / DEFAULT_BLOCK)}",
+            f"steps_x_modes={series.shape[1] - 1}x{model.m ** model.d}"]
+    logs += [f"g_evaluations eps={e:.6g} calls={n}"
+             for e, n in zip(eps, ge.evaluations)]
+    return ExperimentResult(rows, summary, flag, logs)
 
 
 def _exp_spde_density(cfg):

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _stats
+from scipy import special as _special
 
 __all__ = [
     "ScalingFit",
@@ -112,7 +112,7 @@ def fit_scaling(x, y, stderr=None) -> ScalingFit:
     # weighted residual variance, scaled so unit weights reduce to OLS
     s2 = np.sum(w * resid**2) / dof if dof > 0 else np.inf
     se_slope = np.sqrt(s2 / sxx)
-    tq = _stats.t.ppf(0.975, dof) if dof > 0 else np.inf
+    tq = _special.stdtrit(dof, 0.975) if dof > 0 else np.inf
     ci = float(tq * se_slope)
 
     ss_res = np.sum(w * resid**2)

@@ -239,14 +239,15 @@ _WAVE_SERIES = tuple(2.0 * (-1.0) ** k / math.factorial(2 * k + 3)
 def squared_time_integral(lam, t, r):
     """int_0^t |F(Lambda(u))(r)|^2 du in closed form (vectorised in t, r).
 
-    The wave closed form cancels for small 2tr (relative error about
-    1e-16/(2tr)^2), so below 2tr = 1/4 its Taylor series is used.
+    Heat is (1 - exp(-2tr^2))/(2r^2), with expm1 so that small 2tr^2 does
+    not cancel.  The wave closed form cancels for small 2tr (relative error
+    about 1e-16/(2tr)^2), so below 2tr = 1/4 its Taylor series is used.
     """
     r = np.asarray(r, dtype=float)
     if lam.kind == "heat":
         small = r < 1e-12
         rs = np.where(small, 1.0, r)
-        out = (1.0 - np.exp(-2.0 * t * rs**2)) / (2.0 * rs**2)
+        out = -np.expm1(-2.0 * t * rs**2) / (2.0 * rs**2)
         return np.where(small, t, out)
     x = 2.0 * t * r
     small = x < 0.25
@@ -261,26 +262,58 @@ def squared_time_integral(lam, t, r):
     return np.where(small, t**3 * series, out)
 
 
+# relative accuracy of each piece of g(eps)
+_G_EPSREL = 1e-10
+
+
+def _variance_g(model, lam, eps):
+    """variance_g and the number of integrand evaluations it took."""
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    _check_dalang(model)
+    if eps == 0:
+        return 0.0, 0
+    d = model.d
+    calls = 0
+
+    def radial(r, power):
+        nonlocal calls
+        calls += 1
+        return spectral_density_radial(model, r) * r ** power
+
+    f = lambda r: radial(r, d - 1) * squared_time_integral(lam, eps, r)
+    kw = dict(epsabs=0.0, epsrel=_G_EPSREL)
+    if lam.kind == "heat":
+        r1 = 1.0 / np.sqrt(2.0 * eps)
+        total = _quad(f, 0.0, r1, **kw) + _quad(f, r1, np.inf, **kw)
+    else:
+        r1 = 1.0 / eps
+        head = _quad(f, 0.0, r1, **kw)
+        plain = 0.5 * eps * _quad(lambda r: radial(r, d - 3), r1, np.inf,
+                                  **kw)
+        # QAWF ignores epsrel on an infinite range, so its absolute target
+        # is scaled to g: on r >= 1/eps the sine part is at most half the
+        # plain part pointwise, so g/omega_d >= (head + plain)/2 and this
+        # epsabs keeps its error below epsrel/5 of g, a margin of 5 on the
+        # error estimate that QAWF extrapolates across cycles.
+        osc = _quad(lambda r: 0.25 * radial(r, d - 4), r1, np.inf,
+                    weight="sin", wvar=2.0 * eps,
+                    epsabs=0.1 * _G_EPSREL * (head + plain))
+        total = head + plain - osc
+    return float(_SPHERE_AREA[d] * total), calls
+
+
 def variance_g(model, lam, eps) -> float:
     """g(eps) = int_0^eps ds int mu(dxi) |F(Lambda(s))(xi)|^2.
 
     Computed as one radial quadrature of the closed-form time integral,
     omega_d int_0^inf S(r) r^(d-1) squared_time_integral(lam, eps, r) dr,
     split where that integral turns over from growing like eps to decaying
-    in r (r = 1/sqrt(2 eps) for heat, r = 1/eps for wave).
+    in r (r = 1/sqrt(2 eps) for heat, r = 1/eps for wave).  The wave tail
+    is split exactly as S r^(d-3) eps/2 - S r^(d-4) sin(2 eps r)/4: the
+    first part is a plain quadrature, the second a Fourier integral (QAWF).
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    _check_dalang(model)
-    if eps == 0:
-        return 0.0
-    d = model.d
-    f = lambda r: (spectral_density_radial(model, r) * r ** (d - 1)
-                   * squared_time_integral(lam, eps, r))
-    r1 = 1.0 / np.sqrt(2.0 * eps) if lam.kind == "heat" else 1.0 / eps
-    kw = dict(epsabs=0.0, epsrel=1e-10)
-    return float(_SPHERE_AREA[d] * (_quad(f, 0.0, r1, **kw)
-                                    + _quad(f, r1, np.inf, **kw)))
+    return _variance_g(model, lam, eps)[0]
 
 
 def grid_variance_g(model, lam, eps) -> float:
@@ -302,6 +335,7 @@ class GammaExponents:
     eps_grid: np.ndarray
     g_values: np.ndarray
     zero_mode_values: np.ndarray
+    evaluations: np.ndarray = None  # integrand calls of each g(eps)
 
 
 def exponent_gamma(model, lam, eps_grid) -> GammaExponents:
@@ -315,7 +349,9 @@ def exponent_gamma(model, lam, eps_grid) -> GammaExponents:
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size < 4:
         raise ValueError("eps_grid needs at least 4 points")
-    g_vals = np.array([variance_g(model, lam, e) for e in eps_grid])
+    results = [_variance_g(model, lam, e) for e in eps_grid]
+    g_vals = np.array([g for g, _ in results])
+    calls = np.array([n for _, n in results])
     z_vals = squared_time_integral(lam, eps_grid, 0.0)
     f_g = fit_scaling(eps_grid, g_vals)
     f_z = fit_scaling(eps_grid, z_vals)
@@ -324,4 +360,5 @@ def exponent_gamma(model, lam, eps_grid) -> GammaExponents:
             f.flag = "inconclusive"
     f_gamma = ScalingFit(f_g.slope, f_g.intercept, f_g.r2, f_g.ci_halfwidth,
                          f_g.points_used, f_g.flag)
-    return GammaExponents(f_gamma, f_g, f_z, eps_grid, g_vals, z_vals)
+    return GammaExponents(f_gamma, f_g, f_z, eps_grid, g_vals, z_vals,
+                          calls)

@@ -28,7 +28,7 @@ from . import besov
 from .montecarlo import ScalingFit, fit_scaling
 from .noise import (GammaExponents, _check_dalang, _grid_density,
                     _radius_grid, grid_variance_g, squared_time_integral)
-from .operators import FundamentalSolution, heat_operator, wave_operator
+from .operators import FundamentalSolution
 
 __all__ = [
     "CoefficientPair",

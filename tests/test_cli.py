@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from ambitlab import cli
-from ambitlab.config import (ConfigError, load_config, parse_config,
-                             resolve_config)
+from ambitlab.config import ConfigError, parse_config, resolve_config
 
 
 GOOD = """\
@@ -208,6 +207,42 @@ def test_ambit_decay_log_counts_the_work(tmp_path):
     # counters stay out of the artifacts
     for _, csv, summary in runs.values():
         assert b"jumps" not in csv + summary and b"tau" not in csv + summary
+    assert runs[1][1:] == runs[2][1:]
+
+
+def test_spde_exponents_log_counts_the_work(tmp_path):
+    overrides = ["run.n_paths=300", "noise.kind=white", "noise.m=64",
+                 "spde.operator=wave", "spde.t=1.0", "spde.eps_points=5"]
+    runs = {}
+    for w in (1, 2):
+        out = tmp_path / f"w{w}"
+        out.mkdir()
+        assert cli.run(None, overrides, experiment="spde-exponents", seed=4,
+                       workers=w, outdir=str(out)) == 0
+        log = (out / "run.log").read_text().splitlines()
+        runs[w] = (log, (out / "results.csv").read_bytes(),
+                   (out / "summary.json").read_bytes())
+    log = runs[1][0]
+    timers = [line for line in log
+              if line.startswith(("exponent_gamma_s=", "ensemble_s="))]
+    assert len(timers) == 2
+    assert all(float(line.split("=")[1]) >= 0 for line in timers)
+    counters = [line for line in log
+                if line.startswith(("paths=", "blocks=", "steps_x_modes=",
+                                    "g_evaluations "))]
+    assert counters == [line for line in runs[2][0]
+                        if line.startswith(("paths=", "blocks=",
+                                            "steps_x_modes=",
+                                            "g_evaluations "))]
+    # 300 paths in blocks of 256; dt = dx/2 = 1/16 over t = 1
+    assert counters[:3] == ["paths=300", "blocks=2", "steps_x_modes=16x64"]
+    calls = [line for line in counters if line.startswith("g_evaluations ")]
+    assert len(calls) == 5
+    assert all(int(line.rsplit("calls=", 1)[1]) > 0 for line in calls)
+    # timers and counters stay out of the artifacts
+    for _, csv, summary in runs.values():
+        for word in (b"_s=", b"blocks", b"g_evaluations", b"steps_x_modes"):
+            assert word not in csv + summary
     assert runs[1][1:] == runs[2][1:]
 
 

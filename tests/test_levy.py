@@ -9,8 +9,6 @@ Oracles used here, all independent of the implementation:
     splits (stable laws are infinitely divisible).
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy import stats

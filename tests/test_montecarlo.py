@@ -1,8 +1,13 @@
 """Monte-Carlo plumbing: scaling fits, seeded ensembles, ECF, KDE."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ambitlab
 from ambitlab.montecarlo import (
     empirical_cf,
     fit_scaling,
@@ -72,6 +77,17 @@ class TestFitScaling:
         assert fit_scaling(x, clean).ci_halfwidth \
             < fit_scaling(x, noisy).ci_halfwidth
         assert np.isfinite(fit_scaling(x, noisy).ci_halfwidth)
+
+
+def test_import_leaves_out_scipy_stats():
+    # the fit's Student-t quantile comes from scipy.special, so importing
+    # the package does not pay for scipy.stats
+    src = os.path.dirname(os.path.dirname(ambitlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, ambitlab; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestPathRng:

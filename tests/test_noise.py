@@ -16,6 +16,8 @@ noted):
     scales as eps^3 q(eps r), so g(eps) = C eps^(3-beta) exactly.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -153,10 +155,22 @@ def test_heat_variance_closed_form():
 
 
 def test_wave_variance_closed_form():
+    # at small eps g is far below QAWF's default epsabs; the Fourier-weight
+    # tail's absolute target is scaled to g, so g stays exact there
     m = noise.make_noise_model("white", d=1, Lbox=8.0, m=64)
-    for eps in (0.1, 0.25):
-        assert noise.variance_g(m, WAVE, eps) \
-            == pytest.approx(np.pi * eps**2 / 2.0, rel=1e-7)
+    eps = np.append(np.geomspace(1e-4, 0.1, 12), 0.25)
+    got = [noise.variance_g(m, WAVE, e) for e in eps]
+    assert got == pytest.approx(np.pi * eps**2 / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("d,beta", [(1, 0.5), (2, 1.0)])
+def test_riesz_wave_variance_is_a_pure_power(d, beta):
+    m = noise.make_noise_model("riesz", d=d, Lbox=8.0, m=64, beta=beta)
+    lam = operators.wave_operator(d)
+    eps = np.geomspace(1e-4, 0.1, 12)
+    ratio = np.array([noise.variance_g(m, lam, e) for e in eps]) \
+        / eps ** (3.0 - beta)
+    assert ratio == pytest.approx(ratio[0], rel=1e-12)
 
 
 def test_grid_variance_converges_to_continuum():
@@ -210,6 +224,21 @@ def test_wave_time_integral_has_no_cancellation():
         == pytest.approx([0.0, t**3 / 3.0], rel=1e-15)
 
 
+def test_heat_time_integral_has_no_cancellation():
+    """The heat time integral against 50-digit arithmetic where 2tr^2 is
+    small and 1 - exp(-2tr^2) would cancel."""
+    mpmath = pytest.importorskip("mpmath")
+    t = 0.7
+    x = np.geomspace(1e-12, 1.0, 200)   # x = 2 t r^2
+    r = np.sqrt(x / (2.0 * t))
+    got = noise.squared_time_integral(HEAT, t, r)
+    with mpmath.workdps(50):
+        for rv, g in zip(r, got):
+            rm, tm = mpmath.mpf(float(rv)), mpmath.mpf(t)
+            want = float(-mpmath.expm1(-2 * tm * rm**2) / (2 * rm**2))
+            assert abs(g - want) <= 1e-13 * want
+
+
 def test_exponent_fits_heat():
     m = noise.make_noise_model("white", d=1, Lbox=8.0, m=64)
     ex = noise.exponent_gamma(m, HEAT, np.geomspace(1e-3, 1e-1, 5))
@@ -227,13 +256,16 @@ def test_exponent_fits_wave():
 
 
 def test_exponential_wave_variance_closed_form():
+    # with x = 2 eps/ell the closed form is (ell^3/4)(x^2/2 - x + 1 - e^-x);
+    # its power series sum_{k>=3} (-1)^(k+1) x^k/k! does not cancel
     ell = 0.7
     m = noise.make_noise_model("exponential", d=1, Lbox=8.0, m=64, ell=ell)
     eps = np.geomspace(1e-4, 0.1, 12)
-    want = ell * eps**2 / 2 - (ell**2 / 2) * (
-        eps + (ell / 2) * np.expm1(-2 * eps / ell))
+    x = 2 * eps / ell
+    want = ell**3 / 4 * sum((-1.0) ** (k + 1) * x**k / math.factorial(k)
+                            for k in range(3, 30))
     got = [noise.variance_g(m, WAVE, e) for e in eps]
-    assert got == pytest.approx(want, rel=1e-4)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_riesz_wave_exponent_is_exact():
