@@ -10,15 +10,17 @@ known by construction.  Everything is d = 1.
 
 The stochastic integral freezes sigma at cell midpoints of the sampling
 partition (a predictable simple-process approximation) and is driven by
-one levy.sample_record jump record per path; the record makes the coupled
-approximation
+one jump record draw per path; the record makes the coupled approximation
 
     X_eps(t, x) = U_eps(t, x) + sigma(t - eps, x) * int int_slab g dL
 
 share every jump and every sub-truncation Gaussian with the exact field.
 Cells are time-major and every t - eps is a time edge, so each path's
 record is reduced once to per-row integrals and every eps reads a prefix
-(history) and a suffix (slab) of them.
+(history) and a suffix (slab) of them.  Paths are sampled and reduced in
+stacks (sample_stack; make_path is a stack of one): each path's generator
+makes the same calls in the same order whatever the stack, so results do
+not depend on how paths are stacked.
 For time-singular kernels the sub-truncation Gaussian variance is the
 cell-midpoint quadrature, converging only in the joint cell/tau
 refinement (the slab terms of the paired gap cancel to the order of the
@@ -28,7 +30,8 @@ volatility modulus, which is what the decay experiments measure).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -58,6 +61,9 @@ __all__ = [
     "AmbitDiscretization",
     "make_discretization",
     "CouplingTable",
+    "PATHS_PER_STACK",
+    "PathStack",
+    "sample_stack",
     "AmbitPath",
     "make_path",
     "evaluate",
@@ -171,9 +177,6 @@ class _ConstantPath:
     def __call__(self, s, y):
         return np.full(np.broadcast(np.asarray(s), 0.0).shape, self.value)
 
-    def grid(self, s, y):
-        return np.full((len(s), len(y)), self.value)
-
 
 class _WeierstrassPath:
     """One realisation: base + amp * sum_j 2^(-j d1) G_j cos(2^j w0 s + ph_j)
@@ -202,15 +205,25 @@ class _WeierstrassPath:
             + self.spec.amplitude * np.cos(sx) @ self.gains_x
         return out
 
-    def grid(self, s, y):
-        """The field on the grid s x y, shape (len(s), len(y)): the time and
-        space sums are separable, so each axis is evaluated once."""
-        amp = self.spec.amplitude
-        time = self.spec.base + amp * np.cos(
-            np.multiply.outer(s, self.freqs) + self.phases_t) @ self.gains_t
-        space = amp * np.cos(
-            np.multiply.outer(y, self.freqs) + self.phases_x) @ self.gains_x
-        return time[:, None] + space
+
+def _grids(field_spec, paths, s, y):
+    """Each path's field on the grid s x y, shape (len(paths), len(s),
+    len(y)).  The time and space sums are separable, so each axis is
+    evaluated once, as one batched matmul over the stack of paths."""
+    if field_spec.is_constant:
+        return np.full((len(paths), len(s), len(y)), field_spec.value)
+    amp, freqs = field_spec.amplitude, paths[0].freqs
+
+    def axis_sum(points, phases, gains):
+        waves = amp * np.cos(np.multiply.outer(points, freqs)
+                             + np.stack(phases)[:, None, :])
+        return np.matmul(waves, np.stack(gains)[:, :, None])
+
+    time = field_spec.base + axis_sum(s, [p.phases_t for p in paths],
+                                      [p.gains_t for p in paths])
+    space = axis_sum(y, [p.phases_x for p in paths],
+                     [p.gains_x for p in paths])
+    return time + space.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -560,7 +573,9 @@ def make_discretization(spec, model, t, x, *, eps_grid=(), nt=64, nx=64,
 @dataclass
 class CouplingTable:
     """Every term of X_eps for t - eps at time edge k of the cell grid, as
-    entry k: sums over the rows below k (prefix) or from k on (suffix)."""
+    entry k: sums over the rows below k (prefix) or from k on (suffix).
+    Each field is (paths, rows + 1) for a stack of paths, (rows + 1,) for
+    one path."""
 
     hist: np.ndarray         # prefix of int 1_A g sigma dL
     slab: np.ndarray         # suffix of int 1_A g dL (sigma-free)
@@ -569,13 +584,110 @@ class CouplingTable:
     sigma_frozen: np.ndarray  # sigma(edge, x)
     b_frozen: np.ndarray     # b(edge, x)
 
+    def path(self, i) -> CouplingTable:
+        """Path i's table of a stack."""
+        return CouplingTable(*(getattr(self, f.name)[i]
+                               for f in fields(self)))
+
 
 def _prefix(rows):
-    return np.concatenate(([0.0], np.cumsum(rows)))
+    out = np.zeros(rows.shape[:-1] + (rows.shape[-1] + 1,))
+    np.cumsum(rows, axis=-1, out=out[..., 1:])
+    return out
 
 
 def _suffix(rows):
-    return np.concatenate((np.cumsum(rows[::-1])[::-1], [0.0]))
+    return _prefix(rows[..., ::-1])[..., ::-1]
+
+
+def _reduce(spec, disc, sigma_paths, b_paths, sigma_mid, b_mid, record):
+    """A stack's jump record (one draw per path) reduced once to per-row
+    integrals: cells are time-major and every t - eps is a row edge, so
+    each eps reads a prefix and a suffix.  One bincount keyed by
+    (path, row) sums the jumps of the whole stack."""
+    n_paths, (n_rows, n_cols) = record.n_draws, disc.shape
+    path = np.repeat(np.arange(n_paths), record.counts)
+    cell = disc.cell_index(record.s, record.y)
+    y = _space(record.y)
+    g_jump = spec.ambit_set.indicator(disc.t, disc.x, record.s, y) \
+        * spec.kernel_g(disc.t, record.s, disc.x, y)
+    key = path * n_rows + cell // n_cols
+    # sub-tau Gaussian minus the (tau, 1] compensator, per unit integrand
+    noise = record.cell_normals * disc.gauss_sd - disc.comp_cell
+
+    def row_sums(cell_values):
+        return cell_values.reshape(cell_values.shape[:-1]
+                                   + (n_rows, n_cols)).sum(axis=-1)
+
+    def per_row(jump_f, cell_f):
+        jumps = np.bincount(key, weights=jump_f * record.z,
+                            minlength=n_paths * n_rows)
+        return jumps.reshape(n_paths, n_rows) + row_sums(cell_f * noise)
+
+    edges, x = disc.cells.time_edges, np.array([disc.x])
+    return CouplingTable(
+        hist=_prefix(per_row(g_jump * sigma_mid[path, cell],
+                             disc.g_mid * sigma_mid)),
+        slab=_suffix(per_row(g_jump, disc.g_mid)),
+        drift_hist=_prefix(row_sums(disc.drift_cell * b_mid)),
+        drift_slab=np.broadcast_to(_suffix(row_sums(disc.drift_cell)),
+                                   (n_paths, n_rows + 1)),
+        sigma_frozen=_grids(spec.sigma, sigma_paths, edges, x)[:, :, 0],
+        b_frozen=_grids(spec.b, b_paths, edges, x)[:, :, 0])
+
+
+def _space(y):
+    yv = np.asarray(y, dtype=float)
+    return yv[..., 0] if yv.ndim == 2 else yv
+
+
+# Paths drawn and reduced together: enough to amortise NumPy's per-call
+# cost (and the GIL hand-off of each call under threads), few enough that
+# a stack's arrays stay small next to one block's.
+PATHS_PER_STACK = 8
+
+
+@dataclass
+class PathStack:
+    """Paths sampled and reduced together by sample_stack."""
+
+    sigma_paths: list
+    b_paths: list
+    sigma_mid: np.ndarray    # (paths, cells) volatility at cell midpoints
+    b_mid: np.ndarray
+    record: levy.JumpRecord  # one draw per path
+    table: CouplingTable     # (paths, rows + 1) fields
+    values: np.ndarray       # (paths,) X(t, x)
+
+
+def sample_stack(spec, disc, rngs) -> PathStack:
+    """Exact draws of X(t, x), one per generator, with their coupling
+    tables.  Each generator makes the calls of a lone path (its fields,
+    then its jump record), so a path never depends on the paths stacked
+    with it; the arithmetic runs once for the stack."""
+    sigma_paths, b_paths = [], []
+    for rng in rngs:
+        sigma_paths.append(spec.sigma.sample_path(rng))
+        b_paths.append(spec.b.sample_path(rng))
+    n_paths = len(rngs)
+    sigma_mid = _grids(spec.sigma, sigma_paths, disc.s_axis,
+                       disc.y_axis).reshape(n_paths, -1)
+    b_mid = _grids(spec.b, b_paths, disc.s_axis,
+                   disc.y_axis).reshape(n_paths, -1)
+    record = levy.sample_records(disc.box_model, disc.g_mid * sigma_mid,
+                                 rngs, tau=disc.tau, cells=disc.cells)
+    table = _reduce(spec, disc, sigma_paths, b_paths, sigma_mid, b_mid,
+                    record)
+    values = spec.x0 + table.hist[:, -1] + table.drift_hist[:, -1]
+    return PathStack(sigma_paths, b_paths, sigma_mid, b_mid, record, table,
+                     values)
+
+
+def _stacks(spec, disc, rngs):
+    """sample_stack over consecutive sub-stacks of PATHS_PER_STACK
+    generators; yields (first path index, stack)."""
+    for i in range(0, len(rngs), PATHS_PER_STACK):
+        yield i, sample_stack(spec, disc, rngs[i:i + PATHS_PER_STACK])
 
 
 @dataclass
@@ -593,59 +705,25 @@ class AmbitPath:
 
     @cached_property
     def coupling(self) -> CouplingTable:
-        """The record reduced once to per-row integrals (cells are
-        time-major and every t - eps is a row edge, so each eps reads a
-        prefix and a suffix).  A path rebuilt with another record by
-        dataclasses.replace recomputes them."""
-        disc, rec, spec = self.disc, self.record, self.spec
-        n_rows, n_cols = disc.shape
-        cell = disc.cell_index(rec.s, rec.y)
-        y = _space(rec.y)
-        g_jump = spec.ambit_set.indicator(disc.t, disc.x, rec.s, y) \
-            * spec.kernel_g(disc.t, rec.s, disc.x, y)
-        row = cell // n_cols
-        # sub-tau Gaussian minus the (tau, 1] compensator, per unit integrand
-        noise = rec.cell_normals[0] * disc.gauss_sd - disc.comp_cell
-
-        def per_row(jump_f, cell_f):
-            return np.bincount(row, weights=jump_f * rec.z,
-                               minlength=n_rows) \
-                + (cell_f * noise).reshape(n_rows, n_cols).sum(axis=1)
-
-        def row_sums(cell_values):
-            return cell_values.reshape(n_rows, n_cols).sum(axis=1)
-
-        edges, x = disc.cells.time_edges, np.array([disc.x])
-        return CouplingTable(
-            hist=_prefix(per_row(g_jump * self.sigma_mid[cell],
-                                 disc.g_mid * self.sigma_mid)),
-            slab=_suffix(per_row(g_jump, disc.g_mid)),
-            drift_hist=_prefix(row_sums(disc.drift_cell * self.b_mid)),
-            drift_slab=_suffix(row_sums(disc.drift_cell)),
-            sigma_frozen=self.sigma_path.grid(edges, x)[:, 0],
-            b_frozen=self.b_path.grid(edges, x)[:, 0])
-
-
-def _space(y):
-    yv = np.asarray(y, dtype=float)
-    return yv[..., 0] if yv.ndim == 2 else yv
+        """The record reduced to per-row integrals, as one stack of one
+        path.  make_path fills this in while sampling; a path rebuilt with
+        another record by dataclasses.replace recomputes it."""
+        return _reduce(self.spec, self.disc, [self.sigma_path],
+                       [self.b_path], self.sigma_mid[None],
+                       self.b_mid[None], self.record).path(0)
 
 
 def make_path(spec, model, t, x, rng, disc=None, *, eps_grid=(), nt=64,
               nx=64, tau=None) -> AmbitPath:
+    """One exact draw of X(t, x): a stack of one path."""
     if disc is None:
         disc = make_discretization(spec, model, t, x, eps_grid=eps_grid,
                                    nt=nt, nx=nx, tau=tau)
-    sigma_path = spec.sigma.sample_path(rng)
-    b_path = spec.b.sample_path(rng)
-    sigma_mid = sigma_path.grid(disc.s_axis, disc.y_axis).ravel()
-    b_mid = b_path.grid(disc.s_axis, disc.y_axis).ravel()
-    record = levy.sample_record(disc.box_model, disc.g_mid * sigma_mid, rng,
-                                tau=disc.tau, cells=disc.cells)
-    path = AmbitPath(spec, disc, sigma_path, b_path, sigma_mid, b_mid,
-                     record, value=0.0)
-    table = path.coupling
-    path.value = float(spec.x0 + table.hist[-1] + table.drift_hist[-1])
+    stack = sample_stack(spec, disc, [rng])
+    path = AmbitPath(spec, disc, stack.sigma_paths[0], stack.b_paths[0],
+                     stack.sigma_mid[0], stack.b_mid[0], stack.record,
+                     float(stack.values[0]))
+    vars(path)["coupling"] = stack.table.path(0)  # cached_property's slot
     return path
 
 
@@ -665,20 +743,24 @@ class ApproxParts:
     drift_frozen: float
 
 
+def _frozen_parts(table, k, x0):
+    """(X_eps, U_eps, slab noise, sigma, drift history, frozen drift) read
+    at time edge(s) k of a path's or a stack's coupling table (sigma and b
+    are frozen at the edge): X_eps = U_eps + sigma(t - eps, x) * slab."""
+    sigma_frozen, slab = table.sigma_frozen[..., k], table.slab[..., k]
+    drift_hist = table.drift_hist[..., k]
+    drift_frozen = table.b_frozen[..., k] * table.drift_slab[..., k]
+    u_eps = x0 + table.hist[..., k] + drift_hist + drift_frozen
+    return (u_eps + sigma_frozen * slab, u_eps, slab, sigma_frozen,
+            drift_hist, drift_frozen)
+
+
 def approx_parts(path: AmbitPath, eps) -> ApproxParts:
     """Decompose X_eps = U_eps + sigma(t - eps, x) * slab_noise: entry k
-    of the path's coupling table, k the time edge at t - eps (sigma and b
-    are frozen at that edge)."""
-    k = path.disc.cut_row(eps)
-    table = path.coupling
-    sigma_frozen = float(table.sigma_frozen[k])
-    hist = float(table.hist[k])
-    slab = float(table.slab[k])
-    drift_hist = float(table.drift_hist[k])
-    drift_frozen = float(table.b_frozen[k]) * float(table.drift_slab[k])
-    u_eps = path.spec.x0 + hist + drift_hist + drift_frozen
-    return ApproxParts(float(eps), u_eps + sigma_frozen * slab, u_eps,
-                       slab, sigma_frozen, drift_hist, drift_frozen)
+    of the path's coupling table, k the time edge at t - eps."""
+    parts = _frozen_parts(path.coupling, path.disc.cut_row(eps),
+                          path.spec.x0)
+    return ApproxParts(float(eps), *map(float, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +781,7 @@ class DecayReport:
     flag: str
     discretization: AmbitDiscretization
     jumps_per_path: float    # mean recorded jump count
+    seconds: dict            # wall time of the ensemble and exponent stages
 
 
 def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
@@ -717,32 +800,39 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
     eps_grid = np.asarray(sorted(eps_grid), dtype=float)
     disc = make_discretization(spec, model, t, x, eps_grid=eps_grid,
                                nt=nt, nx=nx, tau=tau)
+    cut = np.array([disc.cut_row(e) for e in eps_grid])
 
     def block(_idx, rngs):
         # after the gaps: 1 + |X|, so degenerate gaps (pure float
         # rearrangement for constant coefficients) can be told apart, and
         # the path's jump count
         out = np.empty((len(rngs), eps_grid.size + 2))
-        for i, rng in enumerate(rngs):
-            path = make_path(spec, model, t, x, rng, disc=disc)
-            for j, e in enumerate(eps_grid):
-                out[i, j] = abs(path.value - approx_parts(path, e).value)
-            out[i, -2] = 1.0 + abs(path.value)
-            out[i, -1] = path.record.s.size
+        for i, stack in _stacks(spec, disc, rngs):
+            rows = out[i:i + stack.values.size]
+            x_eps = _frozen_parts(stack.table, cut, spec.x0)[0]
+            rows[:, :-2] = np.abs(stack.values[:, None] - x_eps)
+            rows[:, -2] = 1.0 + np.abs(stack.values)
+            rows[:, -1] = stack.record.counts
         return out
 
+    clock = time.perf_counter()
     raw = run_ensemble_blocks(n_paths, block, master_seed=master_seed,
                               stream=stream, workers=workers)
+    seconds = dict(ensemble=time.perf_counter() - clock,
+                   exponent_conditions=0.0)
     abs_gaps, scale, jumps = raw[:, :-2], raw[:, -2:-1], raw[:, -1]
-    counters = dict(discretization=disc, jumps_per_path=float(jumps.mean()))
+    counters = dict(discretization=disc, jumps_per_path=float(jumps.mean()),
+                    seconds=seconds)
     gaps = abs_gaps ** beta
     degenerate = bool(np.all(abs_gaps < 1e-11 * scale))
     means = gaps.mean(axis=0)
     stderrs = gaps.std(axis=0, ddof=1) / math.sqrt(n_paths)
 
     if gammabar_value is None:
+        clock = time.perf_counter()
         bundle = exponent_conditions(spec, model, eps_grid, beta=beta,
                                      gamma=gamma, t=t, x=x)
+        seconds["exponent_conditions"] = time.perf_counter() - clock
         gammabar_value = bundle.gammabar
     target = beta * (1.0 / model.alpha + gammabar_value) - 1.0
 
@@ -771,8 +861,8 @@ def density_criterion_experiment(spec, model, t, x, n, h_grid=None,
     |sigma(t, x)|^n.
 
     Deterministic coefficient fields use the vectorised sampler (one
-    integrand, n_paths draws); random volatility falls back to the
-    path-parallel loop.
+    integrand, n_paths draws); random volatility runs the path ensemble in
+    stacks of PATHS_PER_STACK paths.
     """
     disc = make_discretization(spec, model, t, x, nt=nt, nx=nx, tau=tau)
     if spec.sigma.is_constant and spec.b.is_constant:
@@ -793,11 +883,13 @@ def density_criterion_experiment(spec, model, t, x, n, h_grid=None,
     else:
         def block(_idx, rngs):
             out = np.empty((len(rngs), 2))
-            for i, rng in enumerate(rngs):
-                path = make_path(spec, model, t, x, rng, disc=disc)
-                sig_tx = float(np.asarray(path.sigma_path(
-                    np.array([t]), np.array([x])))[0])
-                out[i] = (path.value, abs(sig_tx) ** n if n else 1.0)
+            for i, stack in _stacks(spec, disc, rngs):
+                sig_tx = _grids(spec.sigma, stack.sigma_paths, np.array([t]),
+                                np.array([x]))[:, 0, 0]
+                rows = out[i:i + sig_tx.size]
+                rows[:, 0] = stack.values
+                rows[:, 1] = [abs(float(v)) ** n if n else 1.0
+                              for v in sig_tx]
             return out
 
         pairs = run_ensemble_blocks(n_paths, block, master_seed=master_seed,

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _opt
 
 from .montecarlo import ScalingFit, fit_scaling
 
@@ -189,14 +188,42 @@ def holder_sup_constant(alpha: float) -> float:
 
     |cos(k x) - cos(k y)| = 2 |sin(k(x+y)/2)| |sin(k(x-y)/2)|, so the
     seminorm of cos(k .) in C^alpha is k^alpha times this constant.
+
+    For alpha < 1 the sup is the one interior maximum, where the derivative
+    vanishes: tan(v/2) = v / (2 alpha) with v in (0, pi).  At alpha = 1 the
+    ratio decreases in u and the sup is its u -> 0 limit, 1.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    f = lambda u: -2.0 * np.sin(u / 2.0) / u**alpha
-    # single interior maximum on (0, 2pi); beyond it the envelope decays
-    res = _opt.minimize_scalar(f, bounds=(1e-9, 2 * np.pi), method="bounded",
-                               options={"xatol": 1e-12})
-    return float(-res.fun)
+    if alpha == 1:
+        return 1.0
+    # F(v) = sin(v/2) - v cos(v/2) / (2 alpha) is < 0 on (0, v*) and > 0 on
+    # (v*, pi]: Newton steps, replaced by bisection when they leave the
+    # bracket (from a poor start plain Newton runs off to another branch)
+    lo, hi, v = 0.0, math.pi, 0.5 * math.pi
+    for _ in range(100):
+        sn, cs = math.sin(0.5 * v), math.cos(0.5 * v)
+        f = sn - v * cs / (2.0 * alpha)
+        # F is a difference of two terms of size sin(v/2): below a few of
+        # its ulps the sign is rounding noise (near alpha = 1, where the
+        # root is small, Newton would otherwise cycle there)
+        if abs(f) <= 4.0 * math.ulp(sn):
+            break
+        if f < 0.0:
+            lo = v
+        else:
+            hi = v
+        df = 0.5 * cs * (1.0 - 1.0 / alpha) + v * sn / (4.0 * alpha)
+        step = v - f / df if df else -1.0
+        new = step if lo <= step <= hi else 0.5 * (lo + hi)
+        if abs(new - v) <= 4.0 * math.ulp(v):
+            break
+        v = new
+    # the maximum is flat, so the double root is exact enough; evaluating it
+    # in extended precision (where the platform has it) rounds the constant
+    # to the nearest double instead of carrying a double evaluation's ulps
+    v = np.longdouble(v)
+    return float(2 * np.sin(v / 2) / v ** np.longdouble(alpha))
 
 
 def oscillatory_norm(k: float, alpha: float) -> float:

@@ -290,6 +290,12 @@ def _exp_ambit_decay(cfg):
     logs += [f"cut_row eps={e:.6g} row={disc.cut_row(e)}"
              for e in report.eps_grid]
     logs.append(f"jumps_per_path={report.jumps_per_path:.2f}")
+    logs += [f"exponent_conditions_s="
+             f"{report.seconds['exponent_conditions']:.3f}",
+             f"ensemble_s={report.seconds['ensemble']:.3f}",
+             f"paths={run['n_paths']}",
+             f"blocks={math.ceil(run['n_paths'] / DEFAULT_BLOCK)}",
+             f"paths_per_stack={ambit.PATHS_PER_STACK}"]
     return ExperimentResult(rows, summary, flag, logs)
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "default_tau",
     "cell_factors",
     "sample_record",
+    "sample_records",
     "sample_integral",
     "replay_integral",
     "CharacteristicExponent",
@@ -373,8 +374,9 @@ def _compensator_k(alpha, tau) -> float:
 
 @dataclass
 class JumpRecord:
-    """Every random input of a sample_integral call, replayable against a
-    different integrand (shared-noise coupling)."""
+    """Every random input of sampled integrals (sample_integral,
+    sample_record or sample_records), replayable against a different
+    integrand (shared-noise coupling)."""
 
     tau: float
     cells: CellGrid
@@ -437,15 +439,16 @@ def replay_integral(model, record, f):
 
 
 def _check_integrand(model, cells, f_mid, tau, max_expected_jumps):
-    """Sampler preconditions on the cell values of f; returns the expected
-    jump count per draw."""
+    """Sampler preconditions on the cell values of f (one integrand per row
+    of a stack (..., n_cells)); returns the expected jump count per draw."""
     if tau <= 0 or not np.isfinite(tau):
         raise ValueError("tau must be positive and finite")
     alpha = model.alpha
     if not np.all(np.isfinite(f_mid)):
         raise ValueError("integrand not finite on the cell lattice")
     # eq-style integrability audit: int int |f|^alpha dlambda must be finite
-    if not np.isfinite(cells.quadrature(np.abs(f_mid) ** alpha)):
+    if not np.all(np.isfinite(np.sum(np.abs(f_mid) ** alpha * cells.weights
+                                     * cells.cell_vol, axis=-1))):
         raise ValueError("integrand fails the |f|^alpha integrability check")
 
     rate_bound = model.box_volume * model.weight_bound * model.c_sum \
@@ -512,6 +515,49 @@ def sample_record(model, f_mid, rng, *, tau, cells, n_draws=1,
         z=np.concatenate([c[3] for c in chunks]),
         cell_normals=np.concatenate([c[4] for c in chunks]),
         n_draws=n)
+
+
+def sample_records(model, f_mid, rngs, *, tau, cells,
+                   max_expected_jumps=250_000.0) -> JumpRecord:
+    """One draw per generator, stacked as one record of len(rngs) draws.
+
+    Draw i is the record sample_record(model, f_mid[i], rngs[i]) returns:
+    the same checks, and per generator the same calls in the same order
+    (count, times, positions, thinning uniforms, sign and magnitude
+    uniforms, cell normals).  So a draw never depends on the draws stacked
+    with it; only the arithmetic on the drawn numbers runs once per stack.
+    """
+    if np.shape(f_mid) != (len(rngs), cells.n_cells):
+        raise ValueError("need one row of cell values per generator")
+    rate_bound = _check_integrand(model, cells, f_mid, tau,
+                                  max_expected_jumps)
+    lo = np.array([iv[0] for iv in model.domain])
+    hi = np.array([iv[1] for iv in model.domain])
+    weighted = model.weight is not None
+    counts = np.empty(len(rngs), dtype=np.int64)
+    normals = np.empty((len(rngs), cells.n_cells))
+    s, y, thin, u_sign, u_mag = [], [], [], [], []
+    for i, rng in enumerate(rngs):
+        tot = counts[i] = rng.poisson(rate_bound, 1)[0]
+        s.append(rng.uniform(0.0, model.T, tot))
+        y.append(rng.uniform(lo, hi, (tot, model.d)))
+        if weighted:
+            thin.append(rng.uniform(0.0, 1.0, tot))
+        u_sign.append(rng.uniform(0.0, 1.0, tot))
+        u_mag.append(rng.uniform(0.0, 1.0, tot))
+        rng.standard_normal(out=normals[i])
+    s, y = np.concatenate(s), np.concatenate(y)
+    sign = np.where(np.concatenate(u_sign) * model.c_sum < model.c_plus,
+                    1.0, -1.0)
+    z = sign * (tau * np.concatenate(u_mag) ** (-1.0 / model.alpha))
+    if weighted:
+        keep = np.concatenate(thin) * model.weight_bound \
+            <= model.weight_values(s, y)
+        did = np.repeat(np.arange(len(rngs)), counts)
+        counts = np.bincount(did[keep], minlength=len(rngs))
+        s, y, z = s[keep], y[keep], z[keep]
+    return JumpRecord(tau=float(tau), cells=cells, counts=counts, s=s, y=y,
+                      z=z, cell_normals=normals, n_draws=len(rngs))
 
 
 def sample_integral(model, f, rng, *, n_draws=None, tau=None,

@@ -329,13 +329,18 @@ def grid_variance_g(model, lam, eps) -> float:
 
 @dataclass
 class GammaExponents:
-    gamma: ScalingFit
     gamma1: ScalingFit
     gamma2: ScalingFit
     eps_grid: np.ndarray
     g_values: np.ndarray
     zero_mode_values: np.ndarray
     evaluations: np.ndarray = None  # integrand calls of each g(eps)
+
+    @property
+    def gamma(self) -> ScalingFit:
+        """The fit of g(eps) again: for these models g is a pure power, so
+        the lower exponent gamma and the upper gamma1 coincide."""
+        return self.gamma1
 
 
 def exponent_gamma(model, lam, eps_grid) -> GammaExponents:
@@ -358,7 +363,4 @@ def exponent_gamma(model, lam, eps_grid) -> GammaExponents:
     for f in (f_g, f_z):
         if f.flag == "ok" and f.r2 < 0.99:
             f.flag = "inconclusive"
-    f_gamma = ScalingFit(f_g.slope, f_g.intercept, f_g.r2, f_g.ci_halfwidth,
-                         f_g.points_used, f_g.flag)
-    return GammaExponents(f_gamma, f_g, f_z, eps_grid, g_vals, z_vals,
-                          calls)
+    return GammaExponents(f_g, f_z, eps_grid, g_vals, z_vals, calls)

@@ -351,7 +351,7 @@ def _replayed_parts(path, eps):
                 drift_frozen=drift_frozen)
 
 
-@pytest.mark.parametrize("spec", [
+COUPLING_SPECS = pytest.mark.parametrize("spec", [
     am.make_ambit_spec(ambit_set=am.make_cone(1.0, 1.0),
                        kernel_g=am.power_kernel(0.5),
                        sigma=am.weierstrass_field(),
@@ -361,7 +361,12 @@ def _replayed_parts(path, eps):
                        sigma=am.weierstrass_field(delta1=0.3, delta2=0.7),
                        b=am.constant_field(0.5)),
 ], ids=["cone-power", "slab-bump"])
-@pytest.mark.parametrize("c_minus", [0.5, 0.2], ids=["symmetric", "skewed"])
+COUPLING_SKEWS = pytest.mark.parametrize("c_minus", [0.5, 0.2],
+                                         ids=["symmetric", "skewed"])
+
+
+@COUPLING_SPECS
+@COUPLING_SKEWS
 def test_one_pass_coupling_matches_replay(spec, c_minus):
     """Prefix/suffix reads of the per-row integrals equal two replays of
     the record per eps, and the separable field equals the pointwise one."""
@@ -393,6 +398,103 @@ def test_one_pass_coupling_matches_replay(spec, c_minus):
             for name, ref in _replayed_parts(path, e).items():
                 assert getattr(parts, name) == pytest.approx(
                     ref, rel=1e-10, abs=1e-12), (name, e)
+
+
+@COUPLING_SPECS
+@COUPLING_SKEWS
+def test_stacked_paths_equal_single_paths(spec, c_minus):
+    """Stacks of PATHS_PER_STACK paths (and a short last stack) give each
+    path exactly what make_path gives it, and leave its generator where
+    make_path leaves it."""
+    model = lv.make_levy_model(1.2, 0.5, c_minus, T=1.0,
+                               domain=((-1.0, 1.0),))
+    disc = am.make_discretization(spec, model, 1.0, 0.0,
+                                  eps_grid=(0.03, 0.1, 0.37, 1.0),
+                                  nt=20, nx=16)
+    n = 37
+    assert n % am.PATHS_PER_STACK
+    rngs = [path_rng(8, "stacked", i) for i in range(n)]
+    stacks = [am.sample_stack(spec, disc,
+                              rngs[i:i + am.PATHS_PER_STACK])
+              for i in range(0, n, am.PATHS_PER_STACK)]
+    after = [rng.random() for rng in rngs]
+    i = 0
+    for stack in stacks:
+        first = np.concatenate(([0], np.cumsum(stack.record.counts)))
+        for j in range(stack.values.size):
+            rng = path_rng(8, "stacked", i)
+            path = am.make_path(spec, model, 1.0, 0.0, rng, disc=disc)
+            assert rng.random() == after[i]
+            assert path.value == stack.values[j]
+            assert np.array_equal(path.sigma_mid, stack.sigma_mid[j])
+            assert np.array_equal(path.b_mid, stack.b_mid[j])
+            jumps = slice(first[j], first[j + 1])
+            for name in ("s", "y", "z"):
+                assert np.array_equal(getattr(path.record, name),
+                                      getattr(stack.record, name)[jumps])
+            assert np.array_equal(path.record.cell_normals[0],
+                                  stack.record.cell_normals[j])
+            mine = stack.table.path(j)
+            for f in dataclasses.fields(am.CouplingTable):
+                assert np.array_equal(getattr(path.coupling, f.name),
+                                      getattr(mine, f.name)), f.name
+            i += 1
+    assert i == n
+
+
+def test_error_decay_gaps_equal_single_path_gaps(model, reference_spec):
+    eps_grid = np.geomspace(0.02, 0.4, 6)
+    n, beta = 37, 0.8
+    dec = am.error_decay(reference_spec, model, 1.0, 0.0, beta, eps_grid, n,
+                         master_seed=5, workers=2, gammabar_value=1.0,
+                         nt=20, nx=16)
+    gaps, jumps = np.empty((n, eps_grid.size)), np.empty(n)
+    for i in range(n):
+        path = am.make_path(reference_spec, model, 1.0, 0.0,
+                            path_rng(5, "ambit-decay", i),
+                            disc=dec.discretization)
+        gaps[i] = [abs(path.value - am.approx_parts(path, e).value)
+                   for e in eps_grid]
+        jumps[i] = path.record.s.size
+    gaps **= beta
+    assert np.array_equal(dec.means, gaps.mean(axis=0))
+    assert np.array_equal(dec.stderrs,
+                          gaps.std(axis=0, ddof=1) / np.sqrt(n))
+    assert dec.jumps_per_path == jumps.mean()
+
+
+class _InfiniteFirstGain:
+    """A generator whose first normal draw, the volatility's first
+    Weierstrass gain, is infinite."""
+
+    def __init__(self, rng):
+        self._rng, self._fresh = rng, True
+
+    def standard_normal(self, *args, **kwargs):
+        out = self._rng.standard_normal(*args, **kwargs)
+        if self._fresh:
+            out[0], self._fresh = np.inf, False
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_stacked_paths_check_every_integrand(model, reference_spec):
+    disc = am.make_discretization(reference_spec, model, 1.0, 0.0,
+                                  nt=12, nx=10)
+    mid = am.PATHS_PER_STACK // 2
+    rngs = [path_rng(9, "bad", i) for i in range(am.PATHS_PER_STACK)]
+    rngs[mid] = _InfiniteFirstGain(rngs[mid])
+    with np.errstate(invalid="ignore"):   # inf * 0 outside the cone
+        with pytest.raises(ValueError) as single:
+            am.make_path(reference_spec, model, 1.0, 0.0,
+                         _InfiniteFirstGain(path_rng(9, "bad", mid)),
+                         disc=disc)
+        with pytest.raises(ValueError) as stacked:
+            am.sample_stack(reference_spec, disc, rngs)
+    assert "not finite" in str(single.value)
+    assert str(stacked.value) == str(single.value)
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,38 @@ def test_ambit_decay_log_counts_the_work(tmp_path):
     assert runs[1][1:] == runs[2][1:]
 
 
+def test_ambit_decay_log_times_the_stages(tmp_path):
+    overrides = ["run.n_paths=300", "ambit.kernel_g=power",
+                 "ambit.theta_g=0.5", "ambit.sigma_field=weierstrass",
+                 "ambit.eps_min=0.05", "ambit.eps_max=1.0",
+                 "ambit.eps_points=4", "ambit.nt=12", "ambit.nx=10"]
+    stage = ("exponent_conditions_s=", "ensemble_s=")
+    work = ("paths=", "blocks=", "paths_per_stack=")
+    runs = {}
+    for w in (1, 2):
+        out = tmp_path / f"w{w}"
+        out.mkdir()
+        assert cli.run(None, overrides, experiment="ambit-decay", seed=2,
+                       workers=w, outdir=str(out)) in (0, 2)
+        log = (out / "run.log").read_text().splitlines()
+        runs[w] = (log, (out / "results.csv").read_bytes(),
+                   (out / "summary.json").read_bytes())
+    log = runs[1][0]
+    timers = [line for line in log if line.startswith(stage)]
+    assert len(timers) == 2
+    assert all(float(line.split("=")[1]) >= 0 for line in timers)
+    counters = [line for line in log if line.startswith(work)]
+    assert counters == [line for line in runs[2][0]
+                        if line.startswith(work)]
+    # 300 paths in blocks of 256, each reduced in stacks of 8
+    assert counters == ["paths=300", "blocks=2", "paths_per_stack=8"]
+    # timers and counters stay out of the artifacts
+    for _, csv, summary in runs.values():
+        for word in (b"_s=", b"blocks", b"paths_per_stack"):
+            assert word not in csv + summary
+    assert runs[1][1:] == runs[2][1:]
+
+
 def test_spde_exponents_log_counts_the_work(tmp_path):
     overrides = ["run.n_paths=300", "noise.kind=white", "noise.m=64",
                  "spde.operator=wave", "spde.t=1.0", "spde.eps_points=5"]

@@ -189,6 +189,34 @@ def test_erase_after_preserves_history():
     assert np.array_equal(h1, h2)
 
 
+@pytest.mark.parametrize("weight", [None, lambda s, y: 0.5 + 0.4 * np.cos(
+    3.0 * s + np.asarray(y)[..., 0])], ids=["unweighted", "thinned"])
+def test_stacked_records_equal_single_records(weight):
+    """Draw i of sample_records is sample_record's draw from generator i,
+    and each generator ends where sample_record leaves it."""
+    m = levy.make_levy_model(1.2, 1.0, 0.4, T=1.0, domain=((-2.0, 2.0),),
+                             tau=0.05, weight=weight, weight_bound=1.0)
+    cells = levy.build_cells(m, nt=8, nx=8)
+    f_mid = np.stack([np.cos(i + cells.s_mid) for i in range(5)])
+    rngs = [path_rng(7, "stack", i) for i in range(5)]
+    rec = levy.sample_records(m, f_mid, rngs, tau=0.05, cells=cells)
+    first = np.concatenate(([0], np.cumsum(rec.counts)))
+    for i, rng in enumerate(rngs):
+        ref_rng = path_rng(7, "stack", i)
+        ref = levy.sample_record(m, f_mid[i], ref_rng, tau=0.05, cells=cells)
+        assert rec.counts[i] == ref.counts[0]
+        for name in ("s", "y", "z"):
+            assert np.array_equal(getattr(rec, name)[first[i]:first[i + 1]],
+                                  getattr(ref, name))
+        assert np.array_equal(rec.cell_normals[i], ref.cell_normals[0])
+        assert rng.random() == ref_rng.random()
+    f_mid[3, 5] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        levy.sample_records(m, f_mid, rngs, tau=0.05, cells=cells)
+    with pytest.raises(ValueError, match="one row"):
+        levy.sample_records(m, f_mid[:4], rngs, tau=0.05, cells=cells)
+
+
 def test_default_tau_honors_model_setting():
     m = levy.make_levy_model(1.0, 1.0, 1.0, tau=0.125)
     assert levy.default_tau(m) == 0.125

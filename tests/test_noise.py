@@ -244,7 +244,10 @@ def test_exponent_fits_heat():
     ex = noise.exponent_gamma(m, HEAT, np.geomspace(1e-3, 1e-1, 5))
     assert ex.gamma.flag == "ok"
     assert ex.gamma.slope == pytest.approx(0.5, abs=1e-6)
-    assert ex.gamma1.slope == ex.gamma.slope
+    # one fit of g(eps): gamma is a read-only alias of gamma1
+    assert ex.gamma is ex.gamma1
+    with pytest.raises(AttributeError):
+        ex.gamma = ex.gamma2
     assert ex.gamma2.slope == pytest.approx(1.0, abs=1e-9)
 
 
