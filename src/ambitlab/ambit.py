@@ -69,6 +69,7 @@ __all__ = [
     "evaluate",
     "approx_parts",
     "DecayReport",
+    "DensityReport",
     "error_decay",
     "density_criterion_experiment",
 ]
@@ -101,7 +102,9 @@ class AmbitSet:
     def indicator(self, t, x, s, y):
         s = np.asarray(s, dtype=float)
         r = np.abs(np.asarray(y, dtype=float) - x)
-        return (s >= 0) & (s <= t) & (r <= self.half_width(t - s) + 1e-15)
+        # a slab's half-width is the scalar c: no per-point array to build
+        width = self.half_width(t - s) if self.zeta else self.c
+        return (s >= 0) & (s <= t) & (r <= width + 1e-15)
 
     def max_half_width(self, t):
         return self.c * t ** self.zeta if self.zeta else self.c
@@ -850,21 +853,35 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
                        target, bool(passed), flag, **counters)
 
 
+@dataclass
+class DensityReport(besov.CriterionReport):
+    """density_criterion_experiment's criterion report with the work behind
+    it (run-log counters and stage times)."""
+
+    discretization: AmbitDiscretization
+    jumps_per_draw: float    # mean jump count per sample, after thinning
+    chunks: int              # bulk sampler chunks (None for the ensemble)
+    parts: int               # most parts of a chunk (None for the ensemble)
+    seconds: dict            # wall time of the sampler and criterion stages
+
+
 def density_criterion_experiment(spec, model, t, x, n, h_grid=None,
                                  n_paths=100_000, *, master_seed=0,
                                  stream="ambit-density", workers=1,
                                  holder_order=0.5,
                                  frequencies=besov.DEFAULT_FREQUENCIES,
-                                 nt=64, nx=64, tau=None
-                                 ) -> besov.CriterionReport:
+                                 nt=64, nx=64, tau=None) -> DensityReport:
     """Criterion statistic for the law of X(t, x) with weights
     |sigma(t, x)|^n.
 
-    Deterministic coefficient fields use the vectorised sampler (one
-    integrand, n_paths draws); random volatility runs the path ensemble in
-    stacks of PATHS_PER_STACK paths.
+    Deterministic coefficient fields take one bulk sampler call (one
+    integrand, n_paths draws from one path_rng stream) whose jump chunks
+    are split across `workers` threads; random volatility runs the path
+    ensemble over `workers` in stacks of PATHS_PER_STACK paths.  Either
+    way the report is the same for any worker count.
     """
     disc = make_discretization(spec, model, t, x, nt=nt, nx=nx, tau=tau)
+    clock = time.perf_counter()
     if spec.sigma.is_constant and spec.b.is_constant:
         sig0 = spec.sigma.value
         b0 = spec.b.value
@@ -874,15 +891,19 @@ def density_criterion_experiment(spec, model, t, x, n, h_grid=None,
             return ind * spec.kernel_g(t, s, x, _space(y)) * sig0
 
         rng = path_rng(master_seed, stream, 0)
+        tally = {}
         stoch = levy.sample_integral(disc.box_model, f, rng,
                                      n_draws=n_paths, tau=disc.tau,
-                                     cells=disc.cells)
+                                     cells=disc.cells, workers=workers,
+                                     tally=tally)
         drift = float(np.sum(disc.drift_cell * b0))
         values = spec.x0 + stoch + drift
         weights = np.full(n_paths, abs(sig0) ** n if n else 1.0)
+        counters = dict(jumps_per_draw=tally["jumps"] / n_paths,
+                        chunks=tally["chunks"], parts=tally["parts"])
     else:
         def block(_idx, rngs):
-            out = np.empty((len(rngs), 2))
+            out = np.empty((len(rngs), 3))
             for i, stack in _stacks(spec, disc, rngs):
                 sig_tx = _grids(spec.sigma, stack.sigma_paths, np.array([t]),
                                 np.array([x]))[:, 0, 0]
@@ -890,13 +911,21 @@ def density_criterion_experiment(spec, model, t, x, n, h_grid=None,
                 rows[:, 0] = stack.values
                 rows[:, 1] = [abs(float(v)) ** n if n else 1.0
                               for v in sig_tx]
+                rows[:, 2] = stack.record.counts
             return out
 
-        pairs = run_ensemble_blocks(n_paths, block, master_seed=master_seed,
-                                    stream=stream, workers=workers)
-        values, weights = pairs[:, 0], pairs[:, 1]
+        raw = run_ensemble_blocks(n_paths, block, master_seed=master_seed,
+                                  stream=stream, workers=workers)
+        values, weights = raw[:, 0], raw[:, 1]
+        counters = dict(jumps_per_draw=float(raw[:, 2].mean()), chunks=None,
+                        parts=None)
+    seconds = dict(sampler=time.perf_counter() - clock)
 
+    clock = time.perf_counter()
     stats = besov.criterion_statistic(values, weights, n, h_grid=h_grid,
                                       alpha=holder_order,
                                       frequencies=frequencies)
-    return besov.criterion_report(stats, holder_order)
+    report = besov.criterion_report(stats, holder_order)
+    seconds["criterion"] = time.perf_counter() - clock
+    return DensityReport(**vars(report), discretization=disc,
+                         seconds=seconds, **counters)

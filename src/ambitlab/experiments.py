@@ -317,7 +317,15 @@ def _exp_ambit_density(cfg):
     }
     flag = "ok" if all(f in ("ok", "degenerate") for f in flags) \
         else "inconclusive"
-    return ExperimentResult(rows, summary, flag)
+    n_rows, n_cols = report.discretization.shape
+    logs = [f"tau={report.discretization.tau:.6g}",
+            f"cells={n_rows}x{n_cols}"]
+    logs.append(f"jumps_per_draw={report.jumps_per_draw:.2f}")
+    if report.chunks is not None:
+        logs += [f"chunks={report.chunks}", f"parts={report.parts}"]
+    logs += [f"sampler_s={report.seconds['sampler']:.3f}",
+             f"criterion_s={report.seconds['criterion']:.3f}"]
+    return ExperimentResult(rows, summary, flag, logs)
 
 
 def _exp_besov_stat(cfg):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -460,32 +461,124 @@ def _check_integrand(model, cells, f_mid, tau, max_expected_jumps):
     return rate_bound
 
 
-def _jump_chunks(model, rng, n, rate_bound, tau):
-    """The compound-Poisson jumps above tau of n draws, in chunks of about
-    2e6 expected jumps.  Per chunk the draws come in a fixed order: counts,
-    times, positions, thinning uniforms (weighted models only), signs and
-    Pareto magnitudes; a caller drawing more for the chunk (cell normals)
-    does so before asking for the next one.  Yields (start, nb, did, s, y,
-    keep, z), did being the draw index of each jump."""
+def _skip(rng, n):
+    """Move rng past n doubles of a chunk's stream that other parts draw
+    (one 64-bit output each); a part covering the whole chunk skips none,
+    so it draws from any Generator."""
+    if n:
+        rng.bit_generator.advance(n)
+
+
+def _draw_part(model, rng, counts, first, tot, tau, reduce):
+    """The jumps of consecutive draws of a chunk, whose Poisson counts are
+    given and whose first jump is jump `first` of the chunk's `tot`.  rng
+    stands at the start of the chunk's uniforms, which come in blocks:
+    times (tot), positions (tot * d, row-major), thinning (weighted models
+    only), signs and magnitudes (tot each).  The part draws its own slice
+    of each block and returns reduce(nb, did, s, y, keep, z), did being the
+    draw index of each jump within the part and keep None when no jump is
+    thinned."""
+    m = int(counts.sum())
+    head, tail = first, tot - first - m     # the chunk's jumps around ours
+    d = model.d
     lo = np.array([iv[0] for iv in model.domain])
     hi = np.array([iv[1] for iv in model.domain])
+    _skip(rng, head)
+    s = rng.uniform(0.0, model.T, m)
+    _skip(rng, tail + head * d)
+    y = rng.uniform(lo, hi, (m, d))
+    _skip(rng, tail * d + head)
+    keep = None
+    if model.weight is not None:
+        keep = rng.uniform(0.0, 1.0, m) * model.weight_bound \
+            <= model.weight_values(s, y)
+        _skip(rng, tail + head)
+    sign = np.where(rng.uniform(0.0, 1.0, m) * model.c_sum
+                    < model.c_plus, 1.0, -1.0)
+    _skip(rng, tail + head)
+    mag = tau * rng.uniform(0.0, 1.0, m) ** (-1.0 / model.alpha)
+    did = np.repeat(np.arange(counts.size), counts)
+    return reduce(counts.size, did, s, y, keep, sign * mag)
+
+
+def _draw_parts(model, rng, counts, tau, reduce, k, map_parts):
+    """_draw_part over k runs of a chunk's draws, cut at draw boundaries to
+    about equal jump counts.  Each run draws from a copy of rng's PCG64
+    state advanced to its slice of every block; rng is then advanced past
+    the chunk's uniforms, where drawing them all would have left it."""
+    tot = int(counts.sum())
+    cum = np.concatenate(([0], np.cumsum(counts)))
+    cuts = np.concatenate(
+        ([0], np.searchsorted(cum[1:], tot * np.arange(1, k) / k),
+         [counts.size]))
+    bit_gen = rng.bit_generator
+    state = bit_gen.state
+
+    def part(i):
+        g = np.random.Generator(type(bit_gen)(0))
+        g.bit_generator.state = state
+        a, b = cuts[i], cuts[i + 1]
+        return _draw_part(model, g, counts[a:b], int(cum[a]), tot, tau,
+                          reduce)
+
+    results = list(map_parts(part, range(k)))
+    # past every block: times, d positions, thinning (if weighted), signs
+    # and magnitudes
+    bit_gen.advance(tot * (3 + model.d + (model.weight is not None)))
+    # advance() drops the buffered 32-bit half, which drawing doubles
+    # leaves as it was
+    bit_gen.state = dict(bit_gen.state, has_uint32=state["has_uint32"],
+                         uinteger=state["uinteger"])
+    return results
+
+
+def _jump_chunks(model, rng, n, rate_bound, tau, reduce, parts=1,
+                 map_parts=map):
+    """The compound-Poisson jumps above tau of n draws, in chunks of about
+    2e6 expected jumps.  Per chunk rng draws the counts, then the uniform
+    blocks of _draw_part; a caller drawing more for the chunk (cell
+    normals) does so before asking for the next one.
+
+    Yields (start, counts, results), results[i] being the reduce of part i
+    of the chunk's draws.  One part draws from rng itself; more (at most
+    one per draw) go through _draw_parts and map_parts, e.g. a thread
+    pool's map.
+    Every draw's jumps are the serial ones, summed in the serial order, so
+    the output is the same for any part count.
+    """
     chunk = max(1, int(2e6 / max(rate_bound, 1.0)))
     for start in range(0, n, chunk):
         nb = min(chunk, n - start)
         counts = rng.poisson(rate_bound, nb)
-        tot = int(counts.sum())
-        s = rng.uniform(0.0, model.T, tot)
-        y = rng.uniform(lo, hi, (tot, model.d))
-        if model.weight is not None:
-            keep = rng.uniform(0.0, 1.0, tot) * model.weight_bound \
-                <= model.weight_values(s, y)
+        k = min(parts, nb)
+        if k == 1:
+            results = [_draw_part(model, rng, counts, 0, int(counts.sum()),
+                                  tau, reduce)]
         else:
-            keep = np.ones(tot, dtype=bool)
-        sign = np.where(rng.uniform(0.0, 1.0, tot) * model.c_sum
-                        < model.c_plus, 1.0, -1.0)
-        mag = tau * rng.uniform(0.0, 1.0, tot) ** (-1.0 / model.alpha)
-        did = np.repeat(np.arange(nb), counts)
-        yield start, nb, did, s, y, keep, sign * mag
+            results = _draw_parts(model, rng, counts, tau, reduce, k,
+                                  map_parts)
+        yield start, counts, results
+
+
+def _check_workers(rng, workers):
+    """Validate a sampler's thread count; more than one needs a PCG64
+    stream, whose advance() jumps ahead by 64-bit outputs."""
+    if int(workers) != workers or workers < 1:
+        raise ValueError("workers must be a positive integer")
+    if workers > 1 and not isinstance(
+            rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise TypeError(
+            "workers > 1 splits the jump draw by jump-ahead and needs a "
+            "PCG64 or PCG64DXSM bit generator, not "
+            f"{type(rng.bit_generator).__name__}")
+    return int(workers)
+
+
+def _record_part(nb, did, s, y, keep, z):
+    """A part's jump counts and kept jumps, as a JumpRecord holds them."""
+    if keep is not None:
+        did, s, y, z = did[keep], s[keep], y[keep], z[keep]
+    return np.bincount(did, minlength=nb), s, y, z
 
 
 def sample_record(model, f_mid, rng, *, tau, cells, n_draws=1,
@@ -500,13 +593,10 @@ def sample_record(model, f_mid, rng, *, tau, cells, n_draws=1,
     rate_bound = _check_integrand(model, cells, f_mid, tau,
                                   max_expected_jumps)
     chunks = []
-    for _start, nb, did, s, y, keep, z in _jump_chunks(model, rng, n,
-                                                       rate_bound, tau):
-        normals = rng.standard_normal((nb, cells.n_cells))
-        chunks.append((np.bincount(did[keep], minlength=nb), s[keep],
-                       y[keep], z[keep], normals))
-        # free this chunk before _jump_chunks draws the next one
-        del did, s, y, keep, z
+    for _start, counts, (part,) in _jump_chunks(model, rng, n, rate_bound,
+                                                tau, _record_part):
+        normals = rng.standard_normal((counts.size, cells.n_cells))
+        chunks.append(part + (normals,))
     return JumpRecord(
         tau=float(tau), cells=cells,
         counts=np.concatenate([c[0] for c in chunks]),
@@ -562,7 +652,8 @@ def sample_records(model, f_mid, rngs, *, tau, cells,
 
 def sample_integral(model, f, rng, *, n_draws=None, tau=None,
                     target_var_error=1e-2, cells=None, nt=32, nx=32,
-                    return_record=False, max_expected_jumps=250_000.0):
+                    return_record=False, max_expected_jumps=250_000.0,
+                    workers=1, tally=None):
     """Simulate X = int_0^T int_D f(s, y) L(ds, dy).
 
     Jumps with |z| > tau come from a compound-Poisson sampler (Pareto
@@ -570,11 +661,19 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
     replaced by a centred per-cell Gaussian matching the truncated second
     moment; the raw simulation of (tau, 1] jumps is compensated per the
     1_{[-1,1]} truncation convention of the characteristic exponent.
+
+    workers > 1 splits each chunk's jumps into that many parts, drawn and
+    summed on as many threads (see _jump_chunks; rng must then be PCG64).
+    The values, and where rng is left, are the same for any count; the
+    record branch draws in one part.  A dict passed as tally receives the
+    work done: chunks, parts (the most of any chunk) and jumps (kept
+    after thinning, over all draws).
     """
     scalar = n_draws is None
     n = 1 if scalar else int(n_draws)
     if n <= 0:
         raise ValueError("n_draws must be positive")
+    workers = _check_workers(rng, workers)
     if cells is None:
         cells = build_cells(model, nt=nt, nx=nx)
     if tau is None:
@@ -594,24 +693,35 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
                                   max_expected_jumps)
 
     values = np.empty(n)
-    total_sd = None
+    sigma2 = model.c_sum * tau ** (2.0 - alpha) / (2.0 - alpha)
+    total_sd = math.sqrt(float(np.sum(
+        sigma2 * cells.weights * f_mid ** 2 * cells.cell_vol)))
     comp = model.c_diff * _compensator_k(alpha, tau) * cells.quadrature(f_mid)
 
-    for start, nb, did, s, y, keep, z in _jump_chunks(model, rng, n,
-                                                      rate_bound, tau):
-        z = np.where(keep, z, 0.0)
+    def jump_sums(nb, did, s, y, keep, z):
+        """Per-draw jump sums of a part and its count of kept jumps."""
+        kept = did.size
+        if keep is not None:
+            z = np.where(keep, z, 0.0)
+            kept = int(np.count_nonzero(keep))
         f_jump = np.asarray(f(s, y), dtype=float) if s.size \
             else np.zeros(0)
-        jump_part = np.bincount(did, weights=f_jump * z, minlength=nb)
-        if total_sd is None:
-            sigma2 = model.c_sum * tau ** (2.0 - alpha) / (2.0 - alpha)
-            total_sd = math.sqrt(float(np.sum(
-                sigma2 * cells.weights * f_mid ** 2 * cells.cell_vol)))
-        gauss_part = total_sd * rng.standard_normal(nb)
-        values[start:start + nb] = jump_part + gauss_part - comp
-        # free this chunk before _jump_chunks draws the next one
-        del did, s, y, keep, z, f_jump
+        return np.bincount(did, weights=f_jump * z, minlength=nb), kept
 
+    work = dict(chunks=0, parts=0, jumps=0)
+    with ThreadPoolExecutor(workers) as pool:
+        for start, counts, results in _jump_chunks(
+                model, rng, n, rate_bound, tau, jump_sums, workers,
+                pool.map):
+            nb = counts.size
+            gauss_part = total_sd * rng.standard_normal(nb)
+            values[start:start + nb] = np.concatenate(
+                [sums for sums, _ in results]) + gauss_part - comp
+            work["chunks"] += 1
+            work["parts"] = max(work["parts"], len(results))
+            work["jumps"] += sum(kept for _, kept in results)
+    if tally is not None:
+        tally.update(work)
     return values[0] if scalar else values
 
 

@@ -2,8 +2,10 @@
 
 Randomness comes from `path_rng`, a pure function of (master_seed, stream,
 path_index).  Path ensembles run through `run_ensemble_blocks`, whose fixed
-blocks and per-path RNGs make results bit-identical for any worker count;
-single-draw experiments take one `path_rng` stream directly.
+blocks and per-path RNGs make results bit-identical for any worker count.
+Single-draw experiments take one `path_rng` stream directly; the bulk Levy
+sampler (`levy.sample_integral`) splits that stream across its workers by
+PCG64 jump-ahead, with the same result.
 """
 
 from __future__ import annotations

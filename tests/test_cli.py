@@ -278,6 +278,61 @@ def test_spde_exponents_log_counts_the_work(tmp_path):
     assert runs[1][1:] == runs[2][1:]
 
 
+# the benchmark's ambit-density model (a slab, constant kernel and
+# volatility) at a small grid: about 55 jumps per draw, so 40000 draws make
+# two sampler chunks, each split across the workers
+DENSITY = ["run.n_paths=40000", "ambit.c=1", "ambit.zeta=0",
+           "ambit.kernel_g=constant", "ambit.sigma_field=constant",
+           "levy.alpha=1.2", f"levy.c_plus={1 / 60!r}",
+           f"levy.c_minus={1 / 60!r}", "ambit.n=1", "ambit.holder=0.5",
+           "ambit.nt=16", "ambit.nx=16"]
+
+
+def _density_runs(tmp_path, workers):
+    runs = {}
+    for w in workers:
+        out = tmp_path / f"w{w}"
+        out.mkdir()
+        assert cli.run(None, DENSITY, experiment="ambit-density", seed=3,
+                       workers=w, outdir=str(out)) == 0
+        runs[w] = ((out / "run.log").read_text().splitlines(),
+                   (out / "results.csv").read_bytes(),
+                   (out / "summary.json").read_bytes())
+    return runs
+
+
+def test_ambit_density_is_worker_independent(tmp_path):
+    """The bulk sampler splits its jump chunks across the workers; the
+    artifacts stay byte for byte those of one worker."""
+    runs = _density_runs(tmp_path, (1, 2, 4))
+    assert json.loads(runs[1][2])["verdict"] is True
+    assert runs[1][1:] == runs[2][1:] == runs[4][1:]
+
+
+def test_ambit_density_log_counts_the_work(tmp_path):
+    runs = _density_runs(tmp_path, (1, 2))
+    keys = ("tau=", "cells=", "jumps_per_draw=", "chunks=", "parts=",
+            "sampler_s=", "criterion_s=")
+    for w, (log, csv, summary) in runs.items():
+        lines = [line for line in log if line.startswith(keys)]
+        assert [line.split("=")[0] + "=" for line in lines] == list(keys)
+        values = dict(line.split("=") for line in lines)
+        assert float(values["tau"]) > 0
+        assert values["cells"] == "16x16"
+        assert values["chunks"] == "2"
+        assert float(values["jumps_per_draw"]) > 1
+        assert values["parts"] == str(w)
+        assert float(values["sampler_s"]) > 0
+        assert float(values["criterion_s"]) > 0
+        # counters and timers stay out of the artifacts
+        for word in (b"_s=", b"chunks", b"parts", b"jumps"):
+            assert word not in csv + summary
+    counters = [[line for line in runs[w][0]
+                 if line.startswith(keys[:4])] for w in runs]
+    assert counters[0] == counters[1]
+    assert runs[1][1:] == runs[2][1:]
+
+
 def test_run_reports_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[run]\nexperiment = levy-check\nseed = -1\n")

@@ -217,6 +217,95 @@ def test_stacked_records_equal_single_records(weight):
         levy.sample_records(m, f_mid[:4], rngs, tau=0.05, cells=cells)
 
 
+def _osc2(s, y):
+    y = np.asarray(y)
+    return np.cos(s) * np.exp(-y[..., 0] ** 2 - 0.5 * y[..., 1] ** 2)
+
+
+# (model, integrand, n_draws, extra sample_integral arguments)
+SPLIT_CASES = {
+    "d1": (levy.make_levy_model(1.2, 1.0, 0.5, T=1.0,
+                                domain=((-2.0, 2.0),), tau=0.05),
+           _osc, 2001, {}),
+    "thinned": (levy.make_levy_model(
+        1.1, 0.7, 1.0, T=1.0, domain=((0.0, 1.0),), tau=0.03,
+        weight=lambda s, y: 1.0 + np.sin(3.0 * s) * np.asarray(y)[..., 0],
+        weight_bound=2.0), _osc, 1500, {}),
+    "d2": (levy.make_levy_model(0.8, 1.0, 1.0, T=0.7,
+                                domain=((-1.0, 1.0), (0.0, 2.0)), tau=0.05),
+           _osc2, 999, {}),
+    # 0.06 expected jumps per draw: most draws, and some parts, have none
+    "sparse": (levy.make_levy_model(1.5, 1.0, 1.0, T=0.1,
+                                    domain=((0.0, 0.2),), tau=0.6),
+               _osc, 1234, {}),
+    # about 5800 expected jumps per draw: chunks of 345 draws, the second
+    # one short
+    "chunks": (levy.make_levy_model(1.2, 1.0, 1.0, T=1.0,
+                                    domain=((-1.0, 1.0),), tau=0.002),
+               _osc, 400, dict(max_expected_jumps=1e6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_split_sampler_equals_serial(case):
+    """Any worker count gives the serial values and leaves the generator
+    where the serial draw leaves it."""
+    m, f, n, kw = SPLIT_CASES[case]
+    kw = dict(kw, nt=8, nx=8)
+    ref_rng = path_rng(11, case, 0)
+    ref = levy.sample_integral(m, f, ref_rng, n_draws=n, **kw)
+    ref_next = ref_rng.random()
+    for workers in (1, 2, 3, 5):
+        rng = path_rng(11, case, 0)
+        tally = {}
+        vals = levy.sample_integral(m, f, rng, n_draws=n, workers=workers,
+                                    tally=tally, **kw)
+        assert np.array_equal(vals, ref), workers
+        assert rng.random() == ref_next, workers
+        assert tally["parts"] == workers
+    if case == "chunks":
+        assert tally["chunks"] == 2
+    # the record branch draws in one part whatever the worker count
+    ref_vals, ref_rec = levy.sample_integral(m, f, path_rng(11, case, 0),
+                                             n_draws=n, return_record=True,
+                                             **kw)
+    vals, rec = levy.sample_integral(m, f, path_rng(11, case, 0), n_draws=n,
+                                     return_record=True, workers=3, **kw)
+    assert np.array_equal(vals, ref_vals)
+    for name in ("counts", "s", "y", "z", "cell_normals"):
+        assert np.array_equal(getattr(rec, name), getattr(ref_rec, name))
+    if case != "chunks":
+        # one chunk: the tally counts the jumps the record keeps
+        assert tally["jumps"] == ref_rec.counts.sum()
+
+
+def test_split_sampler_keeps_the_buffered_half():
+    """A 32-bit draw before the sampler leaves half an output buffered;
+    the jump-ahead keeps it, as drawing the doubles does."""
+    m, f, n, _ = SPLIT_CASES["d1"]
+    rngs = [path_rng(3, "half", 0) for _ in range(2)]
+    for workers, rng in zip((1, 4), rngs):
+        rng.integers(0, 2 ** 31, dtype=np.uint32)
+        levy.sample_integral(m, f, rng, n_draws=50, workers=workers, nt=4,
+                             nx=4)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_split_sampler_validates_workers():
+    m, f, _, _ = SPLIT_CASES["d1"]
+    for bad in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="workers"):
+            levy.sample_integral(m, f, path_rng(1, "w", 0), n_draws=3,
+                                 workers=bad)
+    # Philox's advance() counts 256-bit blocks, not 64-bit outputs
+    for bit_gen in (np.random.MT19937(1), np.random.Philox(1)):
+        with pytest.raises(TypeError, match="PCG64"):
+            levy.sample_integral(m, f, np.random.Generator(bit_gen),
+                                 n_draws=3, workers=2)
+        # one part draws from the generator itself
+        levy.sample_integral(m, f, np.random.Generator(bit_gen), n_draws=3)
+
+
 def test_default_tau_honors_model_setting():
     m = levy.make_levy_model(1.0, 1.0, 1.0, tau=0.125)
     assert levy.default_tau(m) == 0.125
