@@ -14,10 +14,10 @@ machinery, spectral noise, field solvers, Levy-basis samplers, ambit
 evaluators) plus Monte-Carlo plumbing and a small CLI.
 """
 
+__version__ = "0.1.0"  # before the submodules, which log it
+
 from . import (ambit, besov, config, experiments, levy, montecarlo, noise,
                operators, spde)
 
 __all__ = ["ambit", "besov", "config", "experiments", "levy", "montecarlo",
            "noise", "operators", "spde"]
-
-__version__ = "0.1.0"

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import platform
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
-from . import ambit, besov, levy, noise, spde
+from . import __version__, ambit, besov, levy, noise, spde
 from .montecarlo import DEFAULT_BLOCK, path_rng, run_ensemble_blocks
 from .operators import heat_operator, wave_operator
 
@@ -117,6 +119,17 @@ def _fitdict(fit):
 # ---------------------------------------------------------------------------
 
 
+def _solver_logs(run, model, lam, n_steps, ensemble_s):
+    """run.log lines of an ensemble of solve_batch blocks: its time and
+    work, and the generator calls of each path (one per step)."""
+    npts = model.m ** model.d
+    return [f"ensemble_s={ensemble_s:.3f}", f"paths={run['n_paths']}",
+            f"blocks={math.ceil(run['n_paths'] / DEFAULT_BLOCK)}",
+            f"steps_x_modes={n_steps}x{npts}",
+            f"calls_per_path={n_steps}",
+            f"normals_per_call={spde.noises_per_step(lam) * npts}"]
+
+
 def _exp_spde_exponents(cfg):
     model = _noise_model(cfg)
     lam = _operator(cfg)
@@ -172,10 +185,8 @@ def _exp_spde_exponents(cfg):
         "operator": lam.kind, "dt": dt, "t": t,
     }
     flag = "ok" if all(f == "ok" for f in flags) else "inconclusive"
-    logs = [f"exponent_gamma_s={gamma_s:.3f}", f"ensemble_s={ensemble_s:.3f}",
-            f"paths={run['n_paths']}",
-            f"blocks={math.ceil(run['n_paths'] / DEFAULT_BLOCK)}",
-            f"steps_x_modes={series.shape[1] - 1}x{model.m ** model.d}"]
+    logs = [f"exponent_gamma_s={gamma_s:.3f}"]
+    logs += _solver_logs(run, model, lam, series.shape[1] - 1, ensemble_s)
     logs += [f"g_evaluations eps={e:.6g} calls={n}"
              for e, n in zip(eps, ge.evaluations)]
     return ExperimentResult(rows, summary, flag, logs)
@@ -193,10 +204,12 @@ def _exp_spde_density(cfg):
         sol = spde.solve_batch(model, lam, coeffs, s["u0"], s["t"], dt, rngs)
         return sol.final_point_values()[:, None]
 
+    clock = time.perf_counter()
     values = run_ensemble_blocks(run["n_paths"], block,
                                  master_seed=run["seed"],
                                  stream="spde-density",
                                  workers=run["workers"])[:, 0]
+    ensemble_s = time.perf_counter() - clock
     report = spde.density_criterion_experiment(values, coeffs, s["n"],
                                                alpha=s["holder"])
     rows = _criterion_rows(report.statistics)
@@ -207,7 +220,8 @@ def _exp_spde_density(cfg):
         "n": s["n"], "n_paths": run["n_paths"], "operator": lam.kind,
     }
     flag = "ok" if all(f == "ok" for f in flags) else "inconclusive"
-    return ExperimentResult(rows, summary, flag)
+    logs = _solver_logs(run, model, lam, int(round(s["t"] / dt)), ensemble_s)
+    return ExperimentResult(rows, summary, flag, logs)
 
 
 def _exp_levy_check(cfg):
@@ -441,6 +455,10 @@ def write_artifacts(outdir, cfg, result, elapsed) -> dict:
         f"n_paths={run['n_paths']}",
         f"rows={len(result.rows)}",
         f"flag={result.flag}",
+        f"python={platform.python_version()}",
+        f"numpy={np.__version__}",
+        f"scipy={scipy.__version__}",
+        f"ambitlab={__version__}",
         f"elapsed_s={elapsed:.3f}",
     ] + list(result.logs)
     with open(outdir / "run.log", "w", encoding="utf-8", newline="\n") as fh:

@@ -469,36 +469,50 @@ def _skip(rng, n):
         rng.bit_generator.advance(n)
 
 
+def _domain_bounds(model):
+    """Lower and upper corners of the spatial domain, shape (d,) each."""
+    return (np.array([iv[0] for iv in model.domain]),
+            np.array([iv[1] for iv in model.domain]))
+
+
+def _jump_sizes(model, tau, u_mag, negative):
+    """Signed jump sizes +-tau * u**(-1/alpha), built in u_mag's buffer;
+    negative marks the jumps whose sign uniform fell past c_plus / c_sum."""
+    u_mag **= -1.0 / model.alpha
+    np.multiply(tau, u_mag, out=u_mag)
+    return np.negative(u_mag, out=u_mag, where=negative)
+
+
 def _draw_part(model, rng, counts, first, tot, tau, reduce):
     """The jumps of consecutive draws of a chunk, whose Poisson counts are
     given and whose first jump is jump `first` of the chunk's `tot`.  rng
     stands at the start of the chunk's uniforms, which come in blocks:
     times (tot), positions (tot * d, row-major), thinning (weighted models
     only), signs and magnitudes (tot each).  The part draws its own slice
-    of each block and returns reduce(nb, did, s, y, keep, z), did being the
-    draw index of each jump within the part and keep None when no jump is
-    thinned."""
+    of each block in one random() call, jumping over the other parts'
+    slices between blocks, and maps the doubles u as uniform() would have
+    (lo + (hi - lo) * u).  It returns reduce(nb, did, s, y, keep, z), did
+    being the draw index of each jump within the part and keep None when
+    no jump is thinned."""
     m = int(counts.sum())
     head, tail = first, tot - first - m     # the chunk's jumps around ours
     d = model.d
-    lo = np.array([iv[0] for iv in model.domain])
-    hi = np.array([iv[1] for iv in model.domain])
+    lo, hi = _domain_bounds(model)
     _skip(rng, head)
-    s = rng.uniform(0.0, model.T, m)
+    s = model.T * rng.random(m)
     _skip(rng, tail + head * d)
-    y = rng.uniform(lo, hi, (m, d))
+    y = lo + (hi - lo) * rng.random((m, d))
     _skip(rng, tail * d + head)
     keep = None
     if model.weight is not None:
-        keep = rng.uniform(0.0, 1.0, m) * model.weight_bound \
+        keep = rng.random(m) * model.weight_bound \
             <= model.weight_values(s, y)
         _skip(rng, tail + head)
-    sign = np.where(rng.uniform(0.0, 1.0, m) * model.c_sum
-                    < model.c_plus, 1.0, -1.0)
+    negative = rng.random(m) * model.c_sum >= model.c_plus
     _skip(rng, tail + head)
-    mag = tau * rng.uniform(0.0, 1.0, m) ** (-1.0 / model.alpha)
+    z = _jump_sizes(model, tau, rng.random(m), negative)
     did = np.repeat(np.arange(counts.size), counts)
-    return reduce(counts.size, did, s, y, keep, sign * mag)
+    return reduce(counts.size, did, s, y, keep, z)
 
 
 def _draw_parts(model, rng, counts, tau, reduce, k, map_parts):
@@ -612,34 +626,39 @@ def sample_records(model, f_mid, rngs, *, tau, cells,
     """One draw per generator, stacked as one record of len(rngs) draws.
 
     Draw i is the record sample_record(model, f_mid[i], rngs[i]) returns:
-    the same checks, and per generator the same calls in the same order
-    (count, times, positions, thinning uniforms, sign and magnitude
-    uniforms, cell normals).  So a draw never depends on the draws stacked
-    with it; only the arithmetic on the drawn numbers runs once per stack.
+    the same checks, and per generator the same stream.  After its Poisson
+    count tot, each generator draws all its uniforms in one random() call,
+    cut into the blocks sample_record draws (times, positions, thinning if
+    weighted, signs, magnitudes), and then its cell normals.  So a draw
+    never depends on the draws stacked with it; only the arithmetic on the
+    drawn numbers runs once per stack.
     """
     if np.shape(f_mid) != (len(rngs), cells.n_cells):
         raise ValueError("need one row of cell values per generator")
     rate_bound = _check_integrand(model, cells, f_mid, tau,
                                   max_expected_jumps)
-    lo = np.array([iv[0] for iv in model.domain])
-    hi = np.array([iv[1] for iv in model.domain])
+    d = model.d
+    lo, hi = _domain_bounds(model)
     weighted = model.weight is not None
     counts = np.empty(len(rngs), dtype=np.int64)
     normals = np.empty((len(rngs), cells.n_cells))
     s, y, thin, u_sign, u_mag = [], [], [], [], []
     for i, rng in enumerate(rngs):
         tot = counts[i] = rng.poisson(rate_bound, 1)[0]
-        s.append(rng.uniform(0.0, model.T, tot))
-        y.append(rng.uniform(lo, hi, (tot, model.d)))
+        u = rng.random(tot * (3 + d + weighted))
+        at = tot * (1 + d)
+        s.append(u[:tot])
+        y.append(u[tot:at].reshape(tot, d))
         if weighted:
-            thin.append(rng.uniform(0.0, 1.0, tot))
-        u_sign.append(rng.uniform(0.0, 1.0, tot))
-        u_mag.append(rng.uniform(0.0, 1.0, tot))
+            thin.append(u[at:at + tot])
+            at += tot
+        u_sign.append(u[at:at + tot])
+        u_mag.append(u[at + tot:at + 2 * tot])
         rng.standard_normal(out=normals[i])
-    s, y = np.concatenate(s), np.concatenate(y)
-    sign = np.where(np.concatenate(u_sign) * model.c_sum < model.c_plus,
-                    1.0, -1.0)
-    z = sign * (tau * np.concatenate(u_mag) ** (-1.0 / model.alpha))
+    s = model.T * np.concatenate(s)
+    y = lo + (hi - lo) * np.concatenate(y)
+    z = _jump_sizes(model, tau, np.concatenate(u_mag),
+                    np.concatenate(u_sign) * model.c_sum >= model.c_plus)
     if weighted:
         keep = np.concatenate(thin) * model.weight_bound \
             <= model.weight_values(s, y)

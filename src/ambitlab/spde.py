@@ -39,6 +39,7 @@ __all__ = [
     "anderson_coefficients",
     "solve",
     "solve_batch",
+    "noises_per_step",
     "approximate_u_eps",
     "time_holder_delta",
     "gammabar",
@@ -159,10 +160,22 @@ def _wave_step_covariance(dt, r):
     return l11, l21, l22
 
 
+def noises_per_step(lam):
+    """White-noise fields each path draws per solver step: w1 and w2 for
+    wave (position and velocity forcing), w1 for heat."""
+    return 2 if lam.kind == "wave" else 1
+
+
 def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *, v0=0.0,
                 store_times=None, eps_grid=None,
                 target_time=None) -> FieldSolution:
     """Integrate a batch of independent paths (one RNG per path).
+
+    Each step, path i's generator fills the step's white noise in one
+    standard_normal call of nw * m**d normals (nw = 1 for heat; 2 for wave,
+    the first m**d being w1 and the rest w2).  A path's stream therefore
+    does not depend on the batch it is solved in, and after n steps its
+    generator stands where standard_normal(n * nw * m**d) leaves it.
 
     Preconditions: dt resolves the operator (heat: dt <= 4 dx^2, wave:
     dt <= dx), the Dalang spectral condition holds, and the requested
@@ -263,21 +276,23 @@ def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *, v0=0.0,
         fields[store_idx[0]] = u0
     G = np.zeros((B, len(eps_grid))) if eps_grid is not None else None
     snapshots = [None] * len(eps_grid) if eps_grid is not None else []
-    # per-step buffers, reused: fresh arrays of this size cost page faults
-    w1, W1 = np.empty((B,) + shape_d), np.empty_like(uhat)
-    w2, W2 = (np.empty_like(w1), np.empty_like(W1)) if wave else (None, None)
+    # per-step buffers, reused: fresh arrays of this size cost page faults.
+    # Path i's nw noises lie back to back in w[i], so one call draws them.
+    nw = noises_per_step(lam)
+    w = np.empty((B, nw) + shape_d)
+    W = np.empty((B, nw) + r.shape, dtype=complex)
+    w1, W1 = w[:, 0], W[:, 0]
+    w2, W2 = (w[:, 1], W[:, 1]) if wave else (None, None)
+    noise_axes = tuple(a + 1 for a in axes)
 
     for k in range(n_steps):
         u_phys = np.fft.irfftn(uhat, s=shape_d, axes=axes) \
             if need_physical else None
-        # white spatial noise, one stream per path: w1 then w2 each step
-        for w, rng in zip(w1, rngs):
-            rng.standard_normal(out=w)
-        np.fft.rfftn(w1, axes=axes, out=W1)
-        if wave:
-            for w, rng in zip(w2, rngs):
-                rng.standard_normal(out=w)
-            np.fft.rfftn(w2, axes=axes, out=W2)
+        # white spatial noise, one stream per path and one call per step:
+        # w1, then (wave) w2
+        for w_path, rng in zip(w, rngs):
+            rng.standard_normal(out=w_path)
+        np.fft.rfftn(w, axes=noise_axes, out=W)
 
         if sigma_const is None:
             sig_u = coeffs.sigma_values(u_phys)

@@ -1,10 +1,13 @@
 """Config grammar, override resolution, artifact layout, exit codes."""
 
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
+import ambitlab
 from ambitlab import cli
 from ambitlab.config import ConfigError, parse_config, resolve_config
 
@@ -175,6 +178,16 @@ def test_run_writes_artifacts(tmp_path):
     log = (tmp_path / "run.log").read_text().splitlines()
     assert log[0] == "experiment=levy-check"
     assert any(line.startswith("elapsed_s=") for line in log)
+    versions = dict(line.split("=", 1) for line in log
+                    if line.startswith(("python=", "numpy=", "scipy=",
+                                        "ambitlab=")))
+    assert versions == {"python": platform.python_version(),
+                        "numpy": np.__version__,
+                        "scipy": scipy.__version__,
+                        "ambitlab": ambitlab.__version__}
+    # versions stay out of the artifacts
+    assert np.__version__ not in csv
+    assert "numpy" not in (tmp_path / "summary.json").read_text()
 
 
 def test_ambit_decay_log_counts_the_work(tmp_path):
@@ -259,21 +272,52 @@ def test_spde_exponents_log_counts_the_work(tmp_path):
               if line.startswith(("exponent_gamma_s=", "ensemble_s="))]
     assert len(timers) == 2
     assert all(float(line.split("=")[1]) >= 0 for line in timers)
-    counters = [line for line in log
-                if line.startswith(("paths=", "blocks=", "steps_x_modes=",
-                                    "g_evaluations "))]
+    work = ("paths=", "blocks=", "steps_x_modes=", "calls_per_path=",
+            "normals_per_call=", "g_evaluations ")
+    counters = [line for line in log if line.startswith(work)]
     assert counters == [line for line in runs[2][0]
-                        if line.startswith(("paths=", "blocks=",
-                                            "steps_x_modes=",
-                                            "g_evaluations "))]
-    # 300 paths in blocks of 256; dt = dx/2 = 1/16 over t = 1
-    assert counters[:3] == ["paths=300", "blocks=2", "steps_x_modes=16x64"]
+                        if line.startswith(work)]
+    # 300 paths in blocks of 256; dt = dx/2 = 1/16 over t = 1; each path
+    # draws the two wave noises of a step in one call
+    assert counters[:5] == ["paths=300", "blocks=2", "steps_x_modes=16x64",
+                            "calls_per_path=16", "normals_per_call=128"]
     calls = [line for line in counters if line.startswith("g_evaluations ")]
     assert len(calls) == 5
     assert all(int(line.rsplit("calls=", 1)[1]) > 0 for line in calls)
     # timers and counters stay out of the artifacts
     for _, csv, summary in runs.values():
-        for word in (b"_s=", b"blocks", b"g_evaluations", b"steps_x_modes"):
+        for word in (b"_s=", b"blocks", b"g_evaluations", b"steps_x_modes",
+                     b"calls_per_path", b"normals_per_call"):
+            assert word not in csv + summary
+    assert runs[1][1:] == runs[2][1:]
+
+
+def test_spde_density_log_counts_the_work(tmp_path):
+    overrides = ["run.n_paths=300", "noise.kind=white", "noise.m=64",
+                 "spde.operator=heat", "spde.coefficients=anderson"]
+    work = ("paths=", "blocks=", "steps_x_modes=", "calls_per_path=",
+            "normals_per_call=")
+    runs = {}
+    for w in (1, 2):
+        out = tmp_path / f"w{w}"
+        out.mkdir()
+        assert cli.run(None, overrides, experiment="spde-density", seed=4,
+                       workers=w, outdir=str(out)) in (0, 2)
+        log = (out / "run.log").read_text().splitlines()
+        runs[w] = (log, (out / "results.csv").read_bytes(),
+                   (out / "summary.json").read_bytes())
+    log = runs[1][0]
+    timers = [line for line in log if line.startswith("ensemble_s=")]
+    assert len(timers) == 1 and float(timers[0].split("=")[1]) >= 0
+    counters = [line for line in log if line.startswith(work)]
+    assert counters == [line for line in runs[2][0]
+                        if line.startswith(work)]
+    # dt = 2 dx^2 = 1/32 over t = 0.25; one heat noise per step
+    assert counters == ["paths=300", "blocks=2", "steps_x_modes=8x64",
+                        "calls_per_path=8", "normals_per_call=64"]
+    for _, csv, summary in runs.values():
+        for word in (b"_s=", b"blocks", b"steps_x_modes", b"calls_per_path",
+                     b"normals_per_call"):
             assert word not in csv + summary
     assert runs[1][1:] == runs[2][1:]
 

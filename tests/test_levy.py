@@ -189,21 +189,73 @@ def test_erase_after_preserves_history():
     assert np.array_equal(h1, h2)
 
 
-@pytest.mark.parametrize("weight", [None, lambda s, y: 0.5 + 0.4 * np.cos(
-    3.0 * s + np.asarray(y)[..., 0])], ids=["unweighted", "thinned"])
-def test_stacked_records_equal_single_records(weight):
+def _thin(s, y):
+    return 0.5 + 0.4 * np.cos(3.0 * s + np.asarray(y)[..., 0])
+
+
+# models of the stacked-record tests, each sampled at its own tau
+RECORD_CASES = {
+    "unweighted": levy.make_levy_model(1.2, 1.0, 0.4, T=1.0,
+                                       domain=((-2.0, 2.0),), tau=0.05),
+    "thinned": levy.make_levy_model(1.2, 1.0, 0.4, T=1.0,
+                                    domain=((-2.0, 2.0),), tau=0.05,
+                                    weight=_thin, weight_bound=1.0),
+    "d2": levy.make_levy_model(0.8, 1.0, 0.6, T=0.7,
+                               domain=((-1.0, 1.0), (0.0, 2.0)), tau=0.05),
+    "d2-thinned": levy.make_levy_model(1.5, 0.3, 1.0, T=0.7,
+                                       domain=((-1.0, 1.0), (0.0, 2.0)),
+                                       tau=0.05, weight=_thin,
+                                       weight_bound=1.0),
+    # about 0.73 expected jumps per draw: many draws have none
+    "sparse": levy.make_levy_model(1.5, 1.0, 1.0, T=1.0,
+                                   domain=((0.0, 1.0),), tau=1.5),
+}
+
+
+def _explicit_record(m, rng, tau, cells, n_draws):
+    """(counts, s, y, z, cell normals) of n_draws draws, rebuilt with one
+    generator call per quantity: poisson, then uniform times, positions,
+    thinning, signs and magnitudes over all draws, then the normals."""
+    rate = m.box_volume * m.weight_bound * m.c_sum * tau ** (-m.alpha) \
+        / m.alpha
+    counts = rng.poisson(rate, n_draws)
+    tot = int(counts.sum())
+    lo = np.array([iv[0] for iv in m.domain])
+    hi = np.array([iv[1] for iv in m.domain])
+    s = rng.uniform(0.0, m.T, tot)
+    y = rng.uniform(lo, hi, (tot, m.d))
+    keep = np.ones(tot, dtype=bool)
+    if m.weight is not None:
+        keep = rng.uniform(0.0, 1.0, tot) * m.weight_bound \
+            <= m.weight_values(s, y)
+    sign = np.where(rng.uniform(0.0, 1.0, tot) * m.c_sum < m.c_plus,
+                    1.0, -1.0)
+    z = sign * (tau * rng.uniform(0.0, 1.0, tot) ** (-1.0 / m.alpha))
+    normals = rng.standard_normal((n_draws, cells.n_cells))
+    did = np.repeat(np.arange(n_draws), counts)
+    return (np.bincount(did[keep], minlength=n_draws), s[keep], y[keep],
+            z[keep], normals)
+
+
+_RECORD_FIELDS = ("counts", "s", "y", "z", "cell_normals")
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+def test_stacked_records_equal_single_records(case):
     """Draw i of sample_records is sample_record's draw from generator i,
     and each generator ends where sample_record leaves it."""
-    m = levy.make_levy_model(1.2, 1.0, 0.4, T=1.0, domain=((-2.0, 2.0),),
-                             tau=0.05, weight=weight, weight_bound=1.0)
+    m = RECORD_CASES[case]
+    tau = m.tau
     cells = levy.build_cells(m, nt=8, nx=8)
-    f_mid = np.stack([np.cos(i + cells.s_mid) for i in range(5)])
-    rngs = [path_rng(7, "stack", i) for i in range(5)]
-    rec = levy.sample_records(m, f_mid, rngs, tau=0.05, cells=cells)
+    f_mid = np.stack([np.cos(i + cells.s_mid) for i in range(12)])
+    rngs = [path_rng(7, "stack", i) for i in range(12)]
+    rec = levy.sample_records(m, f_mid, rngs, tau=tau, cells=cells)
+    if case == "sparse":
+        assert 0 < np.count_nonzero(rec.counts) < len(rngs)
     first = np.concatenate(([0], np.cumsum(rec.counts)))
     for i, rng in enumerate(rngs):
         ref_rng = path_rng(7, "stack", i)
-        ref = levy.sample_record(m, f_mid[i], ref_rng, tau=0.05, cells=cells)
+        ref = levy.sample_record(m, f_mid[i], ref_rng, tau=tau, cells=cells)
         assert rec.counts[i] == ref.counts[0]
         for name in ("s", "y", "z"):
             assert np.array_equal(getattr(rec, name)[first[i]:first[i + 1]],
@@ -212,9 +264,37 @@ def test_stacked_records_equal_single_records(weight):
         assert rng.random() == ref_rng.random()
     f_mid[3, 5] = np.nan
     with pytest.raises(ValueError, match="not finite"):
-        levy.sample_records(m, f_mid, rngs, tau=0.05, cells=cells)
+        levy.sample_records(m, f_mid, rngs, tau=tau, cells=cells)
     with pytest.raises(ValueError, match="one row"):
-        levy.sample_records(m, f_mid[:4], rngs, tau=0.05, cells=cells)
+        levy.sample_records(m, f_mid[:4], rngs, tau=tau, cells=cells)
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+def test_records_equal_explicit_uniform_draws(case):
+    """Both record samplers give the jumps, normals and generator state of
+    one explicit uniform()/standard_normal() call per quantity."""
+    m = RECORD_CASES[case]
+    tau = m.tau
+    cells = levy.build_cells(m, nt=8, nx=8)
+    f_mid = np.stack([np.cos(i + cells.s_mid) for i in range(12)])
+    rngs = [path_rng(9, "explicit", i) for i in range(12)]
+    rec = levy.sample_records(m, f_mid, rngs, tau=tau, cells=cells)
+    refs = []
+    for i, rng in enumerate(rngs):
+        ref_rng = path_rng(9, "explicit", i)
+        refs.append(_explicit_record(m, ref_rng, tau, cells, 1))
+        assert rng.random() == ref_rng.random()
+    for name, ref in zip(_RECORD_FIELDS, zip(*refs)):
+        assert np.array_equal(getattr(rec, name), np.concatenate(ref)), name
+
+    rng, ref_rng = path_rng(9, "explicit-multi", 0), \
+        path_rng(9, "explicit-multi", 0)
+    rec = levy.sample_record(m, f_mid[0], rng, tau=tau, cells=cells,
+                             n_draws=5)
+    ref = _explicit_record(m, ref_rng, tau, cells, 5)
+    for name, want in zip(_RECORD_FIELDS, ref):
+        assert np.array_equal(getattr(rec, name), want), name
+    assert rng.random() == ref_rng.random()
 
 
 def _osc2(s, y):

@@ -250,6 +250,29 @@ def test_half_spectrum_matches_full_spectrum_reference(d, m, kind, coeff):
         assert np.array_equal(alone.G[0], sol.G[i])
 
 
+@pytest.mark.parametrize("coeff", ["const", "anderson"])
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_solver_draws_nw_fields_per_step_from_each_stream(d, kind, coeff):
+    """After n steps a path's generator stands where n * nw * m**d standard
+    normals leave a fresh one (nw = 2 noises per step for wave, 1 for
+    heat), whatever the batch, the coefficients or the records asked."""
+    model = noise.make_noise_model("white", d=1, Lbox=8.0, m=16) if d == 1 \
+        else noise.make_noise_model("riesz", d=2, Lbox=8.0, m=8, beta=1.0)
+    lam = operators.heat_operator(d) if kind == "heat" \
+        else operators.wave_operator(d)
+    dt = 0.9 * model.dx**2 if kind == "heat" else 0.5 * model.dx
+    n, nw = 7, 2 if kind == "wave" else 1
+    stream = f"contract-{kind}-{coeff}-{d}"
+    rngs = [path_rng(4, stream, i) for i in range(3)]
+    spde.solve_batch(model, lam, _COEFFS[coeff], 0.6, n * dt, dt, rngs,
+                     eps_grid=[2 * dt], store_times=[3 * dt, n * dt])
+    for i, rng in enumerate(rngs):
+        ref = path_rng(4, stream, i)
+        ref.standard_normal(n * nw * model.m ** d)
+        assert rng.random() == ref.random()
+
+
 # ---------------------------------------------------------------------------
 # variance targets (MC)
 # ---------------------------------------------------------------------------
