@@ -66,7 +66,6 @@ __all__ = [
     "sample_stack",
     "AmbitPath",
     "make_path",
-    "evaluate",
     "approx_parts",
     "DecayReport",
     "DensityReport",
@@ -608,7 +607,7 @@ def _reduce(spec, disc, sigma_paths, b_paths, sigma_mid, b_mid, record):
     integrals: cells are time-major and every t - eps is a row edge, so
     each eps reads a prefix and a suffix.  One bincount keyed by
     (path, row) sums the jumps of the whole stack."""
-    n_paths, (n_rows, n_cols) = record.n_draws, disc.shape
+    n_paths, (n_rows, n_cols) = record.counts.size, disc.shape
     path = np.repeat(np.arange(n_paths), record.counts)
     cell = disc.cell_index(record.s, record.y)
     y = _space(record.y)
@@ -728,11 +727,6 @@ def make_path(spec, model, t, x, rng, disc=None, *, eps_grid=(), nt=64,
                      float(stack.values[0]))
     vars(path)["coupling"] = stack.table.path(0)  # cached_property's slot
     return path
-
-
-def evaluate(spec, model, t, x, rng, discretization=None) -> float:
-    """One exact draw of X(t, x)."""
-    return make_path(spec, model, t, x, rng, disc=discretization).value
 
 
 @dataclass

@@ -4,9 +4,9 @@ The n-th forward difference with step h is
 
     D_h^n f(x) = sum_{j=0}^n (-1)^(n-j) C(n,j) f(x + j h),
 
-and the Besov B^s_{1,inf} norm estimated here is
+and the Besov B^s_{1,inf} norm is
 
-    ||f||_{L^1} + sup_{h in h_grid} |h|^(-s) ||D_h^n f||_{L^1},   n > s.
+    ||f||_{L^1} + sup_h |h|^(-s) ||D_h^n f||_{L^1},   n > s.
 
 A law kappa on R admits a density in B^{a-alpha}_{1,inf} as soon as
 |int D_h^n phi dkappa| <= C ||phi||_{C^alpha_b} |h|^a for every test
@@ -27,12 +27,10 @@ from .montecarlo import ScalingFit, fit_scaling
 
 __all__ = [
     "Stencil",
-    "BesovEstimate",
     "CriterionStatistic",
     "CriterionReport",
     "make_stencil",
     "finite_difference",
-    "besov_norm_estimate",
     "criterion_statistic",
     "criterion_report",
     "default_h_grid",
@@ -124,58 +122,6 @@ def finite_difference(f, x, h, n):
 def default_h_grid(n_points: int = 16) -> np.ndarray:
     """Geometric grid from 1 down to 2**-15 (descending)."""
     return np.geomspace(1.0, 2.0 ** -15, n_points)
-
-
-@dataclass
-class BesovEstimate:
-    l1_term: float
-    sup_term: float
-    total: float
-    s: float
-    n: int
-    h_grid: np.ndarray
-    sup_argmax_h: float
-
-
-def besov_norm_estimate(x, values, s, n, h_grid=None) -> BesovEstimate:
-    """Estimate the B^s_{1,inf} norm of a gridded function on a uniform grid.
-
-    Requires n > s > 0 and grid spacing <= min(h_grid); each h is applied by
-    index shifts (rounded to the nearest multiple of the spacing, which is
-    the effective h used in the |h|^(-s) factor).
-    """
-    x = np.asarray(x, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.shape != values.shape or x.size < 2:
-        raise ValueError("need matching 1-d grid and samples")
-    if not (0 < s < n):
-        raise ValueError("need 0 < s < n")
-    if h_grid is None:
-        h_grid = default_h_grid()
-    h_grid = np.asarray(h_grid, dtype=float)
-    if h_grid.size == 0:
-        raise ValueError("h_grid must be non-empty")
-    if np.any(h_grid <= 0):
-        raise ValueError("h values must be positive")
-    dx = x[1] - x[0]
-    if dx > np.min(h_grid) * (1 + 1e-12):
-        raise ValueError("grid spacing exceeds smallest h")
-
-    st = make_stencil(n)
-    l1 = float(np.trapezoid(np.abs(values), x))
-    sup = 0.0
-    arg = float(h_grid[0])
-    for h in h_grid:
-        shift = max(1, int(round(h / dx)))
-        h_eff = shift * dx
-        diffs = st.apply(values, shift)
-        if diffs.size == 0:
-            continue
-        term = dx * float(np.sum(np.abs(diffs))) / h_eff**s
-        if term > sup:
-            sup, arg = term, h_eff
-    return BesovEstimate(l1, sup, l1 + sup, float(s), int(n),
-                         np.array(h_grid), arg)
 
 
 # ---------------------------------------------------------------------------

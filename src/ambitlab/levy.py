@@ -12,11 +12,9 @@ measure is w * Lebesgue on [0, T] x D).  The module provides
 * the dyadic moment-lemma bound with its explicit constant,
 * simulation of X = int int f dL by compound-Poisson jumps above a
   truncation tau plus a variance-matched Gaussian for the sub-tau part
-  (with an optional jump record so a second integrand can be evaluated
-  against the *same* noise),
-* the characteristic exponent RePsi by quadrature, and
-* Fourier inversion of exp(-Psi) into a smoothed density with exact-grid
-  derivative L1 norms.
+  (sample_integral), and of jump records (sample_records) that replay a
+  second integrand against the *same* noise (replay_integral), and
+* the characteristic exponent RePsi by quadrature.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,14 +45,11 @@ __all__ = [
     "JumpRecord",
     "default_tau",
     "cell_factors",
-    "sample_record",
     "sample_records",
     "sample_integral",
     "replay_integral",
     "CharacteristicExponent",
     "characteristic_exponent",
-    "SmoothedDensity",
-    "smoothed_density",
 ]
 
 
@@ -84,10 +79,6 @@ class LevyBasisModel:
         return self.c_plus - self.c_minus
 
     @property
-    def symmetric(self):
-        return self.c_plus == self.c_minus
-
-    @property
     def box_volume(self):
         vol = self.T
         for lo, hi in self.domain:
@@ -98,12 +89,6 @@ class LevyBasisModel:
         if self.weight is None:
             return np.ones_like(np.asarray(s, dtype=float))
         return np.asarray(self.weight(s, y), dtype=float)
-
-    def levy_density(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.where(z > 0, self.c_plus, self.c_minus) \
-            * np.abs(z) ** (-self.alpha - 1.0)
-        return np.where(z == 0, np.inf, out)
 
 
 def make_levy_model(alpha, c_plus=1.0, c_minus=1.0, *, T=1.0,
@@ -180,12 +165,6 @@ class AssumptionConstants:
         if beta >= self.alpha:
             raise ValueError("tail moment requires beta < alpha")
         return self.c_sum / (self.alpha - beta)
-
-    def C_tilde(self, beta) -> float:
-        """max(C_bar, C_beta + C_1) with C_1 := 0 when alpha <= 1 (the
-        linear-compensator ingredient is vacuous there)."""
-        c1 = self.C_beta(1.0) if self.alpha > 1.0 else 0.0
-        return max(self.C_bar, self.C_beta(beta) + c1)
 
 
 def _cosine_ratio(model, xi) -> float:
@@ -375,9 +354,9 @@ def _compensator_k(alpha, tau) -> float:
 
 @dataclass
 class JumpRecord:
-    """Every random input of sampled integrals (sample_integral,
-    sample_record or sample_records), replayable against a different
-    integrand (shared-noise coupling)."""
+    """Every random input of the integrals sample_records draws (one draw
+    per generator), replayable against any integrand (shared-noise
+    coupling)."""
 
     tau: float
     cells: CellGrid
@@ -386,7 +365,6 @@ class JumpRecord:
     y: np.ndarray            # (total_jumps, d)
     z: np.ndarray            # (total_jumps,) signed jump sizes
     cell_normals: np.ndarray  # (n_draws, n_cells)
-    n_draws: int
 
     def erase_after(self, t_cut):
         """Record with all jumps in (t_cut, T] removed and slab cell
@@ -395,10 +373,10 @@ class JumpRecord:
         normals = self.cell_normals.copy()
         normals[:, self.cells.s_mid > t_cut] = 0.0
         counts = np.zeros_like(self.counts)
-        did = np.repeat(np.arange(self.n_draws), self.counts)
+        did = np.repeat(np.arange(counts.size), self.counts)
         np.add.at(counts, did[keep], 1)
         return JumpRecord(self.tau, self.cells, counts, self.s[keep],
-                          self.y[keep], self.z[keep], normals, self.n_draws)
+                          self.y[keep], self.z[keep], normals)
 
 
 def cell_factors(model, tau, cells):
@@ -415,16 +393,14 @@ def cell_factors(model, tau, cells):
     return sd, comp
 
 
-def _record_values(model, record, f, f_mid=None):
-    """Evaluate int int f dL for the noise captured in the record."""
+def replay_integral(model, record, f):
+    """int int f dL against the exact noise of a recorded call."""
     f_jump = np.asarray(f(record.s, record.y), dtype=float) \
         if record.s.size else np.zeros(0)
-    did = np.repeat(np.arange(record.n_draws), record.counts)
-    jump_part = np.bincount(did, weights=f_jump * record.z,
-                            minlength=record.n_draws)
-    if f_mid is None:
-        f_mid = np.asarray(f(record.cells.s_mid, record.cells.y_mid),
-                           dtype=float)
+    n = record.counts.size
+    did = np.repeat(np.arange(n), record.counts)
+    jump_part = np.bincount(did, weights=f_jump * record.z, minlength=n)
+    f_mid = np.asarray(f(record.cells.s_mid, record.cells.y_mid), dtype=float)
     # signed coefficient f(mid) * sd(cell): linear in f, so replaying a
     # different integrand against the same normals couples pathwise
     sd = cell_factors(model, record.tau, record.cells)[0]
@@ -432,11 +408,6 @@ def _record_values(model, record, f, f_mid=None):
     comp = model.c_diff * _compensator_k(model.alpha, record.tau) \
         * record.cells.quadrature(f_mid)
     return jump_part + gauss_part - comp
-
-
-def replay_integral(model, record, f):
-    """int int f dL against the exact noise of a recorded call."""
-    return _record_values(model, record, f)
 
 
 def _check_integrand(model, cells, f_mid, tau, max_expected_jumps):
@@ -546,12 +517,11 @@ def _draw_parts(model, rng, counts, tau, reduce, k, map_parts):
     return results
 
 
-def _jump_chunks(model, rng, n, rate_bound, tau, reduce, parts=1,
-                 map_parts=map):
+def _jump_chunks(model, rng, n, rate_bound, tau, reduce, parts, map_parts):
     """The compound-Poisson jumps above tau of n draws, in chunks of about
     2e6 expected jumps.  Per chunk rng draws the counts, then the uniform
-    blocks of _draw_part; a caller drawing more for the chunk (cell
-    normals) does so before asking for the next one.
+    blocks of _draw_part; a caller drawing more for the chunk (its
+    Gaussian parts) does so before asking for the next one.
 
     Yields (start, counts, results), results[i] being the reduce of part i
     of the chunk's draws.  One part draws from rng itself; more (at most
@@ -588,50 +558,18 @@ def _check_workers(rng, workers):
     return int(workers)
 
 
-def _record_part(nb, did, s, y, keep, z):
-    """A part's jump counts and kept jumps, as a JumpRecord holds them."""
-    if keep is not None:
-        did, s, y, z = did[keep], s[keep], y[keep], z[keep]
-    return np.bincount(did, minlength=nb), s, y, z
-
-
-def sample_record(model, f_mid, rng, *, tau, cells, n_draws=1,
-                  max_expected_jumps=250_000.0) -> JumpRecord:
-    """The noise of n_draws integrals against an integrand known by its
-    cell-midpoint values f_mid, drawn as sample_integral(return_record=True)
-    draws it and checked as it checks f; the caller evaluates the integral
-    from the record."""
-    n = int(n_draws)
-    if n <= 0:
-        raise ValueError("n_draws must be positive")
-    rate_bound = _check_integrand(model, cells, f_mid, tau,
-                                  max_expected_jumps)
-    chunks = []
-    for _start, counts, (part,) in _jump_chunks(model, rng, n, rate_bound,
-                                                tau, _record_part):
-        normals = rng.standard_normal((counts.size, cells.n_cells))
-        chunks.append(part + (normals,))
-    return JumpRecord(
-        tau=float(tau), cells=cells,
-        counts=np.concatenate([c[0] for c in chunks]),
-        s=np.concatenate([c[1] for c in chunks]),
-        y=np.concatenate([c[2] for c in chunks]),
-        z=np.concatenate([c[3] for c in chunks]),
-        cell_normals=np.concatenate([c[4] for c in chunks]),
-        n_draws=n)
-
-
 def sample_records(model, f_mid, rngs, *, tau, cells,
                    max_expected_jumps=250_000.0) -> JumpRecord:
-    """One draw per generator, stacked as one record of len(rngs) draws.
+    """The noise of one integral per generator against integrands known
+    by their cell-midpoint values (row i of f_mid for rngs[i]), checked as
+    sample_integral checks f and stacked as one record of len(rngs) draws.
 
-    Draw i is the record sample_record(model, f_mid[i], rngs[i]) returns:
-    the same checks, and per generator the same stream.  After its Poisson
-    count tot, each generator draws all its uniforms in one random() call,
-    cut into the blocks sample_record draws (times, positions, thinning if
-    weighted, signs, magnitudes), and then its cell normals.  So a draw
-    never depends on the draws stacked with it; only the arithmetic on the
-    drawn numbers runs once per stack.
+    Generator i draws poisson(rate_bound, 1) for its jump count tot, then
+    one random(tot * (3 + d + weighted)) cut into blocks (times, positions
+    row-major, thinning if weighted, signs, magnitudes), then
+    standard_normal(n_cells) for its cell normals.  So a draw never depends
+    on the draws stacked with it; only the arithmetic on the drawn numbers
+    runs once per stack.
     """
     if np.shape(f_mid) != (len(rngs), cells.n_cells):
         raise ValueError("need one row of cell values per generator")
@@ -666,13 +604,12 @@ def sample_records(model, f_mid, rngs, *, tau, cells,
         counts = np.bincount(did[keep], minlength=len(rngs))
         s, y, z = s[keep], y[keep], z[keep]
     return JumpRecord(tau=float(tau), cells=cells, counts=counts, s=s, y=y,
-                      z=z, cell_normals=normals, n_draws=len(rngs))
+                      z=z, cell_normals=normals)
 
 
 def sample_integral(model, f, rng, *, n_draws=None, tau=None,
                     target_var_error=1e-2, cells=None, nt=32, nx=32,
-                    return_record=False, max_expected_jumps=250_000.0,
-                    workers=1, tally=None):
+                    max_expected_jumps=250_000.0, workers=1, tally=None):
     """Simulate X = int_0^T int_D f(s, y) L(ds, dy).
 
     Jumps with |z| > tau come from a compound-Poisson sampler (Pareto
@@ -683,10 +620,9 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
 
     workers > 1 splits each chunk's jumps into that many parts, drawn and
     summed on as many threads (see _jump_chunks; rng must then be PCG64).
-    The values, and where rng is left, are the same for any count; the
-    record branch draws in one part.  A dict passed as tally receives the
-    work done: chunks, parts (the most of any chunk) and jumps (kept
-    after thinning, over all draws).
+    The values, and where rng is left, are the same for any count.  A
+    dict passed as tally receives the work done: chunks, parts (the most
+    of any chunk) and jumps (kept after thinning, over all draws).
     """
     scalar = n_draws is None
     n = 1 if scalar else int(n_draws)
@@ -700,14 +636,6 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
     alpha = model.alpha
 
     f_mid = np.asarray(f(cells.s_mid, cells.y_mid), dtype=float)
-    if return_record:
-        record = sample_record(model, f_mid, rng, tau=tau, cells=cells,
-                               n_draws=n,
-                               max_expected_jumps=max_expected_jumps)
-        # computing the values through the record guarantees that a replay
-        # against the same integrand is bit-identical
-        values = _record_values(model, record, f, f_mid)
-        return (values[0] if scalar else values), record
     rate_bound = _check_integrand(model, cells, f_mid, tau,
                                   max_expected_jumps)
 
@@ -745,7 +673,7 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
 
 
 # ---------------------------------------------------------------------------
-# characteristic exponent and density
+# characteristic exponent
 # ---------------------------------------------------------------------------
 
 
@@ -780,69 +708,3 @@ def characteristic_exponent(model, f, xi_grid, *, cells=None, nt=64,
         raise ValueError("characteristic exponent quadrature diverged")
     values = A * np.abs(xi_grid) ** a
     return CharacteristicExponent(xi_grid, values, a, float(A))
-
-
-@dataclass
-class SmoothedDensity:
-    """Fourier-inverted density of a symmetric infinitely divisible law."""
-
-    x: np.ndarray
-    p: np.ndarray
-    alpha: float
-    coefficient: float        # RePsi = A |xi|^alpha
-    xi_extent: float
-    mass: float
-    eps: float = None
-    _dxi: float = field(default=0.0, repr=False)
-    _xi: np.ndarray = field(default=None, repr=False)
-    _phi: np.ndarray = field(default=None, repr=False)
-
-    def density_at(self, x):
-        return np.interp(x, self.x, self.p)
-
-    def derivative_l1(self, n) -> float:
-        """L1 norm of the n-th derivative (spectral differentiation)."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if n == 0:
-            return float(np.trapezoid(np.abs(self.p), self.x))
-        spec = (-1j * self._xi) ** n * self._phi
-        deriv = np.fft.fftshift(
-            np.fft.fft(np.fft.ifftshift(spec))).real * self._dxi / (2 * np.pi)
-        return float(np.trapezoid(np.abs(deriv), self.x))
-
-
-def smoothed_density(model, f, *, cells=None, nt=64, nx=64,
-                     grid_size=2 ** 18, xi_factor=6.0,
-                     eps=None) -> SmoothedDensity:
-    """Invert exp(-Psi) for X = int int f dL (symmetric models only).
-
-    The xi-extent is set where RePsi >= 27.6 (exp(-27.6) < 1e-12) times
-    xi_factor oversampling.
-    """
-    if not model.symmetric:
-        raise ValueError("density inversion implemented for symmetric "
-                         "bases only (ImPsi == 0)")
-    ce = characteristic_exponent(model, f, np.geomspace(1.0, 100.0, 12),
-                                 cells=cells, nt=nt, nx=nx)
-    if ce.alpha_coefficient <= 0:
-        raise ValueError("degenerate integrand: RePsi vanishes")
-    A = ce.alpha_coefficient
-    xi_nat = (27.6 / A) ** (1.0 / model.alpha)
-    xi_max = xi_factor * xi_nat
-    M = int(grid_size)
-    dxi = 2.0 * xi_max / M
-    xi = (np.arange(M) - M // 2) * dxi
-    phi = np.exp(-A * np.abs(xi) ** model.alpha)
-    p = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(phi))).real \
-        * dxi / (2.0 * np.pi)
-    dx = 2.0 * np.pi / (M * dxi)
-    x = (np.arange(M) - M // 2) * dx
-    mass = float(np.trapezoid(p, x))
-    if p.min() < -1e-8:
-        raise ValueError(f"inversion produced negativity {p.min():.3e}")
-    if abs(mass - 1.0) > 1e-6:
-        raise ValueError(f"inversion mass {mass!r} deviates from 1")
-    return SmoothedDensity(x=x, p=p, alpha=model.alpha, coefficient=A,
-                           xi_extent=xi_max, mass=mass, eps=eps,
-                           _dxi=dxi, _xi=xi, _phi=phi)

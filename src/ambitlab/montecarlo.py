@@ -1,4 +1,4 @@
-"""Monte-Carlo plumbing: scaling fits, reproducible ensembles, ECF, KDE.
+"""Monte-Carlo plumbing: scaling fits, reproducible ensembles, ECF.
 
 Randomness comes from `path_rng`, a pure function of (master_seed, stream,
 path_index).  Path ensembles run through `run_ensemble_blocks`, whose fixed
@@ -23,7 +23,6 @@ __all__ = [
     "path_rng",
     "run_ensemble_blocks",
     "empirical_cf",
-    "kernel_density",
 ]
 
 # Ordinates below this are treated as exact zeros (log-log fits impossible).
@@ -194,44 +193,3 @@ def empirical_cf(values, xi_grid):
     phi = phase.mean(axis=1)
     stderr = np.full(xi.shape, 1.0 / np.sqrt(values.size))
     return phi, stderr
-
-
-def silverman_bandwidth(values) -> float:
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    sd = np.std(values, ddof=1) if n > 1 else 0.0
-    iqr = np.subtract(*np.percentile(values, [75, 25]))
-    spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-    if spread == 0:
-        return 0.0
-    return 0.9 * spread * n ** (-0.2)
-
-
-def kernel_density(values, grid=None, bandwidth=None):
-    """Gaussian KDE; returns (grid, density, flag).
-
-    flag is "degenerate" for zero-variance input (density cannot be formed);
-    otherwise "ok" and the density integrates to 1 within 1e-6 on the grid.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty sample")
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(values)
-    if bandwidth <= 0:
-        g = np.asarray(grid) if grid is not None else np.array([values[0]])
-        return g, np.full(g.shape, np.nan), "degenerate"
-    if grid is None:
-        lo = values.min() - 6.0 * bandwidth
-        hi = values.max() + 6.0 * bandwidth
-        grid = np.linspace(lo, hi, 2048)
-    grid = np.asarray(grid, dtype=float)
-    dens = np.zeros_like(grid)
-    # chunk the sample to bound the broadcast temporaries
-    norm = 1.0 / (values.size * bandwidth * np.sqrt(2.0 * np.pi))
-    for i in range(0, values.size, 4096):
-        chunk = values[i:i + 4096]
-        z = (grid[:, None] - chunk[None, :]) / bandwidth
-        dens += np.exp(-0.5 * z**2).sum(axis=1)
-    dens *= norm
-    return grid, dens, "ok"

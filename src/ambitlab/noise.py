@@ -10,9 +10,10 @@ under the Fourier convention F(phi)(xi) = int exp(-i<xi,x>) phi dx (so the
 correlation functional is <phi, psi>_H = int S(xi) F(phi) conj(F(psi)) dxi;
 for white noise this equals (2 pi)^d times the L2 pairing).
 
-Increments are synthesised on a periodic grid by filtering spatial white
-noise in Fourier space, which keeps the output exactly real and gives each
-discrete mode xi_j the variance dt * S(xi_j) * (2 pi / L)^d.
+The spectral solver (spde) synthesises increments on the periodic grid
+by filtering spatial white noise in Fourier space, which keeps them exactly
+real and gives each discrete mode xi_j the variance
+dt * S(xi_j) * (2 pi / L)^d.
 """
 
 from __future__ import annotations
@@ -29,15 +30,11 @@ from .montecarlo import ScalingFit, fit_scaling
 
 __all__ = [
     "SpectralNoiseModel",
-    "NoiseIncrementField",
     "GammaExponents",
     "DalangConditionError",
     "make_noise_model",
     "spectral_density_radial",
     "grid_frequencies",
-    "grid_points",
-    "sample_increment",
-    "inner_product_H",
     "variance_g",
     "grid_variance_g",
     "exponent_gamma",
@@ -61,10 +58,6 @@ class SpectralNoiseModel:
     @property
     def dx(self) -> float:
         return self.Lbox / self.m
-
-    @property
-    def cell_volume(self) -> float:
-        return self.dx**self.d
 
 
 def make_noise_model(kind, d, Lbox, m, beta=None, ell=None, cutoff=None):
@@ -127,66 +120,6 @@ def _grid_density(model):
     if model.kind == "riesz":
         s = np.where(r == 0, 0.0, s)
     return s
-
-
-def grid_points(model):
-    """Centered physical coordinates of the periodic grid (per axis)."""
-    x = (np.arange(model.m) - model.m // 2) * model.dx
-    return [x] * model.d
-
-
-@dataclass
-class NoiseIncrementField:
-    values: np.ndarray  # shape (m,)*d, real
-    dt: float
-    model: SpectralNoiseModel
-
-    @property
-    def cell_volume(self):
-        return self.model.cell_volume
-
-
-def _synthesis_filter(model, dt):
-    s = _grid_density(model)
-    return np.sqrt(dt * s) * (2.0 * np.pi / model.dx) ** (model.d / 2.0)
-
-
-def sample_increment(model, dt, rng) -> NoiseIncrementField:
-    """One time-increment field M((t, t+dt] x .) sampled on the grid.
-
-    Filtering FFT'd real white noise keeps the Hermitian symmetry exact, so
-    the synthesised field is real up to float roundoff.
-    """
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    shape = (model.m,) * model.d
-    if dt == 0:
-        return NoiseIncrementField(np.zeros(shape), 0.0, model)
-    w = rng.standard_normal(shape)
-    spec = np.fft.fftn(w) * _synthesis_filter(model, dt)
-    v = np.fft.ifftn(spec)
-    resid = np.max(np.abs(v.imag)) / max(np.max(np.abs(v.real)), 1e-300)
-    if resid > 1e-12:
-        raise AssertionError("spectral synthesis lost Hermitian symmetry")
-    return NoiseIncrementField(np.ascontiguousarray(v.real), float(dt), model)
-
-
-def inner_product_H(model, phi, psi) -> float:
-    """<phi, psi>_H = sum_j S(xi_j) (2pi/L)^d F(phi)_j conj(F(psi)_j).
-
-    phi and psi are sampled on the model grid; F is approximated by
-    dx^d * fftn.  The value is invariant under a common grid shift.
-    """
-    phi = np.asarray(phi, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    shape = (model.m,) * model.d
-    if phi.shape != shape or psi.shape != shape:
-        raise ValueError("test functions must be sampled on the model grid")
-    fphi = np.fft.fftn(phi) * model.cell_volume
-    fpsi = np.fft.fftn(psi) * model.cell_volume
-    weight = _grid_density(model) * (2.0 * np.pi / model.Lbox) ** model.d
-    val = np.sum(weight * fphi * np.conj(fpsi))
-    return float(val.real)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ __all__ = [
     "time_holder_delta",
     "gammabar",
     "density_criterion_experiment",
-    "gaussian_derivative_l1",
 ]
 
 HEAT_CFL = 4.0  # dt <= HEAT_CFL * dx^2
@@ -477,28 +476,3 @@ def density_criterion_experiment(point_values, coeffs, n, h_grid=None,
     stats = besov.criterion_statistic(u, w, n, h_grid=h_grid, alpha=alpha,
                                       frequencies=frequencies)
     return besov.criterion_report(stats, alpha)
-
-
-def gaussian_derivative_l1(n, variance) -> float:
-    """Exact L1 norm of the n-th derivative of the N(0, v) density.
-
-    d^n/dy^n p(y) = (-1)^n v^(-n/2) He_n(y / sqrt(v)) p(y), so the L1 norm
-    is v^(-n/2) E|He_n(Z)| with Z standard normal.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if variance <= 0:
-        raise ValueError("variance must be positive")
-    if n == 0:
-        return 1.0
-    from numpy.polynomial import hermite_e
-    # He_n(z) phi(z) = -d/dz [He_{n-1}(z) phi(z)], so integrating |He_n| phi
-    # between consecutive roots of He_n telescopes exactly:
-    # E|He_n(Z)| = sum over sign-change intervals of |F(a) - F(b)|,
-    # F(z) = He_{n-1}(z) phi(z), F(+-inf) = 0.
-    roots = hermite_e.hermegauss(n)[0]
-    f_at = hermite_e.hermeval(roots, [0.0] * (n - 1) + [1.0]) \
-        * np.exp(-0.5 * roots**2) / np.sqrt(2.0 * np.pi)
-    endpoints = np.concatenate(([0.0], f_at, [0.0]))
-    expect_abs = float(np.sum(np.abs(np.diff(endpoints))))
-    return expect_abs * variance ** (-n / 2.0)

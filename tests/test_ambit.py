@@ -196,7 +196,8 @@ def test_zero_fields_return_start_value(model):
     spec = am.make_ambit_spec(ambit_set=am.make_slab(1.0),
                               sigma=am.constant_field(0.0),
                               b=am.constant_field(0.0), x0=3.25)
-    assert am.evaluate(spec, model, 1.0, 0.0, path_rng(1, "v", 0)) == 3.25
+    assert am.make_path(spec, model, 1.0, 0.0,
+                        path_rng(1, "v", 0)).value == 3.25
 
 
 def test_pure_drift_integrates_the_set(model):
@@ -206,7 +207,7 @@ def test_pure_drift_integrates_the_set(model):
                               kernel_h=am.constant_kernel(1.0),
                               sigma=am.constant_field(1.0),
                               b=am.constant_field(1.0), x0=0.5)
-    v = am.evaluate(spec, model, 1.0, 0.0, path_rng(1, "v", 1))
+    v = am.make_path(spec, model, 1.0, 0.0, path_rng(1, "v", 1)).value
     assert v == pytest.approx(2.5, rel=1e-8)
 
 

@@ -1,4 +1,4 @@
-"""Finite-difference stencils, Besov norm estimates, criterion statistics.
+"""Finite-difference stencils and criterion statistics.
 
 Oracles used here, all independent of the implementation:
 
@@ -122,45 +122,6 @@ def test_default_h_grid_span():
     assert h[0] == 1.0
     assert h[-1] == pytest.approx(2.0**-15)
     assert np.all(np.diff(h) < 0)
-
-
-# ---------------------------------------------------------------------------
-# Besov norm estimate
-# ---------------------------------------------------------------------------
-
-
-def test_indicator_norm_estimate():
-    """For f = 1_[0,1) the L1 modulus is ||D_h f||_1 = 2h (h < 1), so the
-    sup of h^(-s) 2h over the grid sits at the largest h."""
-    dx = 1.0 / 512
-    x = np.arange(-2.0, 3.0, dx)
-    f = ((x >= 0.0) & (x < 1.0)).astype(float)
-    h_grid = np.array([2.0**-k for k in range(2, 9)])
-    est = besov.besov_norm_estimate(x, f, s=0.5, n=1, h_grid=h_grid)
-    assert est.l1_term == pytest.approx(1.0, abs=2 * dx)
-    assert est.sup_term == pytest.approx(2.0 * 0.25**0.5, abs=3 * dx)
-    assert est.sup_argmax_h == pytest.approx(0.25)
-    assert est.total == est.l1_term + est.sup_term
-
-
-def test_smooth_function_small_sup():
-    x = np.linspace(-8.0, 8.0, 2049)
-    f = np.exp(-x**2)
-    est = besov.besov_norm_estimate(x, f, s=0.9, n=2,
-                                    h_grid=np.geomspace(0.5, 0.0625, 8))
-    # C^infinity: second difference is O(h^2), sup of h^(2-0.9) stays small
-    assert est.sup_term < 2.0
-
-
-def test_norm_estimate_validation():
-    x = np.linspace(0.0, 1.0, 64)
-    f = np.ones(64)
-    with pytest.raises(ValueError, match="0 < s < n"):
-        besov.besov_norm_estimate(x, f, s=1.5, n=1)
-    with pytest.raises(ValueError, match="spacing"):
-        besov.besov_norm_estimate(x, f, s=0.5, n=1, h_grid=[1e-4])
-    with pytest.raises(ValueError):
-        besov.besov_norm_estimate(x, f, s=0.5, n=1, h_grid=[])
 
 
 # ---------------------------------------------------------------------------

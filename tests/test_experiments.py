@@ -4,10 +4,13 @@ These check config plumbing, row schemas and summary structure; the
 statistically decisive runs live in the acceptance module.
 """
 
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import ambitlab
 from ambitlab import cli
 from ambitlab.experiments import format_csv
 
@@ -87,3 +90,13 @@ def test_ambit_density_runner(tmp_path):
 def test_csv_number_formatting():
     text = format_csv("demo", [("q", 1.0 / 3.0, None, 2.5e-13)])
     assert text.splitlines()[1] == "demo,q,0.333333333333,,2.5e-13"
+
+
+def test_every_export_resolves():
+    """Every name a module exports through __all__ is defined in it."""
+    for info in pkgutil.iter_modules(ambitlab.__path__):
+        mod = importlib.import_module(f"ambitlab.{info.name}")
+        missing = [name for name in getattr(mod, "__all__", ())
+                   if not hasattr(mod, name)]
+        assert not missing, (info.name, missing)
+    assert all(hasattr(ambitlab, name) for name in ambitlab.__all__)

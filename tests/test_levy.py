@@ -1,10 +1,10 @@
-"""Stable-like basis: tail constants, sampling laws, record replay, density.
+"""Stable-like basis: tail constants, sampling laws, record replay.
 
 Oracles used here, all independent of the implementation:
 
   * kappa closed form -Gamma(-a) cos(pi a / 2), with kappa(1) = pi/2;
   * the symmetric alpha=1 unit-weight basis over a set of Lebesgue measure V
-    is Cauchy with scale V pi, giving exact CF, density and |p'| mass;
+    is Cauchy with scale V pi, giving its exact CF;
   * KS two-sample agreement between tau values and between T-additivity
     splits (stable laws are infinitely divisible).
 """
@@ -159,18 +159,17 @@ def _osc(s, y):
     return np.cos(s) * np.exp(-np.asarray(y)[..., 0] ** 2)
 
 
-def test_replay_is_bit_identical():
-    m = levy.make_levy_model(1.2, 1.0, 1.0, T=1.0, domain=((-2.0, 2.0),),
-                             tau=0.05)
-    vals, rec = levy.sample_integral(m, _osc, path_rng(7, "rec", 0),
-                                     n_draws=5, return_record=True)
-    assert np.array_equal(levy.replay_integral(m, rec, _osc), vals)
+def _osc_record(m, cells, stream, n_draws):
+    """A sample_records record of n_draws draws against _osc, one
+    generator per draw."""
+    f_mid = np.tile(_osc(cells.s_mid, cells.y_mid), (n_draws, 1))
+    rngs = [path_rng(7, stream, i) for i in range(n_draws)]
+    return levy.sample_records(m, f_mid, rngs, tau=m.tau, cells=cells)
 
 
 def test_replay_is_linear_in_the_integrand():
     m = levy.make_levy_model(1.2, 1.0, 1.0, T=1.0, tau=0.05)
-    _, rec = levy.sample_integral(m, _osc, path_rng(7, "lin", 0), n_draws=4,
-                                  return_record=True)
+    rec = _osc_record(m, levy.build_cells(m), "lin", 4)
     one = levy.replay_integral(m, rec, _osc)
     two = levy.replay_integral(m, rec, lambda s, y: 2.0 * _osc(s, y))
     assert np.allclose(two, 2.0 * one, rtol=1e-12)
@@ -181,8 +180,7 @@ def test_erase_after_preserves_history():
     m = levy.make_levy_model(1.2, 1.0, 1.0, T=1.0, domain=((-2.0, 2.0),),
                              tau=0.05)
     cells = levy.build_cells(m, nt=16, nx=16, extra_time_edges=[0.75])
-    _, rec = levy.sample_integral(m, _osc, path_rng(7, "rec", 1), n_draws=3,
-                                  cells=cells, return_record=True)
+    rec = _osc_record(m, cells, "rec", 3)
     hist = lambda s, y: _osc(s, y) * (s <= 0.75)
     h1 = levy.replay_integral(m, rec, hist)
     h2 = levy.replay_integral(m, rec.erase_after(0.75), hist)
@@ -212,10 +210,10 @@ RECORD_CASES = {
 }
 
 
-def _explicit_record(m, rng, tau, cells, n_draws):
-    """(counts, s, y, z, cell normals) of n_draws draws, rebuilt with one
-    generator call per quantity: poisson, then uniform times, positions,
-    thinning, signs and magnitudes over all draws, then the normals."""
+def _explicit_jumps(m, rng, tau, n_draws):
+    """(counts, s, y, z) of the kept jumps of n_draws draws, rebuilt with
+    one generator call per quantity: poisson, then uniform times,
+    positions, thinning, signs and magnitudes over all draws."""
     rate = m.box_volume * m.weight_bound * m.c_sum * tau ** (-m.alpha) \
         / m.alpha
     counts = rng.poisson(rate, n_draws)
@@ -231,70 +229,57 @@ def _explicit_record(m, rng, tau, cells, n_draws):
     sign = np.where(rng.uniform(0.0, 1.0, tot) * m.c_sum < m.c_plus,
                     1.0, -1.0)
     z = sign * (tau * rng.uniform(0.0, 1.0, tot) ** (-1.0 / m.alpha))
-    normals = rng.standard_normal((n_draws, cells.n_cells))
     did = np.repeat(np.arange(n_draws), counts)
-    return (np.bincount(did[keep], minlength=n_draws), s[keep], y[keep],
-            z[keep], normals)
+    return np.bincount(did[keep], minlength=n_draws), s[keep], y[keep], \
+        z[keep]
 
 
 _RECORD_FIELDS = ("counts", "s", "y", "z", "cell_normals")
 
 
 @pytest.mark.parametrize("case", sorted(RECORD_CASES))
-def test_stacked_records_equal_single_records(case):
-    """Draw i of sample_records is sample_record's draw from generator i,
-    and each generator ends where sample_record leaves it."""
-    m = RECORD_CASES[case]
-    tau = m.tau
-    cells = levy.build_cells(m, nt=8, nx=8)
-    f_mid = np.stack([np.cos(i + cells.s_mid) for i in range(12)])
-    rngs = [path_rng(7, "stack", i) for i in range(12)]
-    rec = levy.sample_records(m, f_mid, rngs, tau=tau, cells=cells)
-    if case == "sparse":
-        assert 0 < np.count_nonzero(rec.counts) < len(rngs)
-    first = np.concatenate(([0], np.cumsum(rec.counts)))
-    for i, rng in enumerate(rngs):
-        ref_rng = path_rng(7, "stack", i)
-        ref = levy.sample_record(m, f_mid[i], ref_rng, tau=tau, cells=cells)
-        assert rec.counts[i] == ref.counts[0]
-        for name in ("s", "y", "z"):
-            assert np.array_equal(getattr(rec, name)[first[i]:first[i + 1]],
-                                  getattr(ref, name))
-        assert np.array_equal(rec.cell_normals[i], ref.cell_normals[0])
-        assert rng.random() == ref_rng.random()
-    f_mid[3, 5] = np.nan
-    with pytest.raises(ValueError, match="not finite"):
-        levy.sample_records(m, f_mid, rngs, tau=tau, cells=cells)
-    with pytest.raises(ValueError, match="one row"):
-        levy.sample_records(m, f_mid[:4], rngs, tau=tau, cells=cells)
-
-
-@pytest.mark.parametrize("case", sorted(RECORD_CASES))
 def test_records_equal_explicit_uniform_draws(case):
-    """Both record samplers give the jumps, normals and generator state of
-    one explicit uniform()/standard_normal() call per quantity."""
+    """sample_records gives the jumps, cell normals and generator states,
+    and the serial sample_integral the values and generator state, of one
+    explicit uniform()/standard_normal() call per quantity."""
     m = RECORD_CASES[case]
     tau = m.tau
     cells = levy.build_cells(m, nt=8, nx=8)
     f_mid = np.stack([np.cos(i + cells.s_mid) for i in range(12)])
     rngs = [path_rng(9, "explicit", i) for i in range(12)]
     rec = levy.sample_records(m, f_mid, rngs, tau=tau, cells=cells)
+    if case == "sparse":
+        assert 0 < np.count_nonzero(rec.counts) < len(rngs)
     refs = []
     for i, rng in enumerate(rngs):
         ref_rng = path_rng(9, "explicit", i)
-        refs.append(_explicit_record(m, ref_rng, tau, cells, 1))
+        refs.append(_explicit_jumps(m, ref_rng, tau, 1)
+                    + (ref_rng.standard_normal((1, cells.n_cells)),))
         assert rng.random() == ref_rng.random()
     for name, ref in zip(_RECORD_FIELDS, zip(*refs)):
         assert np.array_equal(getattr(rec, name), np.concatenate(ref)), name
 
+    # the chunk drawer: the same blocks over all draws, then one normal
+    # per draw for the sub-tau Gaussian
+    f = lambda s, y: np.cos(s)
     rng, ref_rng = path_rng(9, "explicit-multi", 0), \
         path_rng(9, "explicit-multi", 0)
-    rec = levy.sample_record(m, f_mid[0], rng, tau=tau, cells=cells,
-                             n_draws=5)
-    ref = _explicit_record(m, ref_rng, tau, cells, 5)
-    for name, want in zip(_RECORD_FIELDS, ref):
-        assert np.array_equal(getattr(rec, name), want), name
+    vals = levy.sample_integral(m, f, rng, n_draws=5, tau=tau, cells=cells)
+    counts, s, y, z = _explicit_jumps(m, ref_rng, tau, 5)
+    jumps = np.bincount(np.repeat(np.arange(5), counts),
+                        weights=f(s, y) * z, minlength=5)
+    sd, comp = levy.cell_factors(m, tau, cells)
+    f_cell = f(cells.s_mid, cells.y_mid)
+    want = jumps + np.sqrt(np.sum((f_cell * sd) ** 2)) \
+        * ref_rng.standard_normal(5) - np.sum(f_cell * comp)
+    assert vals == pytest.approx(want, rel=1e-12)
     assert rng.random() == ref_rng.random()
+
+    f_mid[3, 5] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        levy.sample_records(m, f_mid, rngs, tau=tau, cells=cells)
+    with pytest.raises(ValueError, match="one row"):
+        levy.sample_records(m, f_mid[:4], rngs, tau=tau, cells=cells)
 
 
 def _osc2(s, y):
@@ -345,18 +330,10 @@ def test_split_sampler_equals_serial(case):
         assert tally["parts"] == workers
     if case == "chunks":
         assert tally["chunks"] == 2
-    # the record branch draws in one part whatever the worker count
-    ref_vals, ref_rec = levy.sample_integral(m, f, path_rng(11, case, 0),
-                                             n_draws=n, return_record=True,
-                                             **kw)
-    vals, rec = levy.sample_integral(m, f, path_rng(11, case, 0), n_draws=n,
-                                     return_record=True, workers=3, **kw)
-    assert np.array_equal(vals, ref_vals)
-    for name in ("counts", "s", "y", "z", "cell_normals"):
-        assert np.array_equal(getattr(rec, name), getattr(ref_rec, name))
-    if case != "chunks":
-        # one chunk: the tally counts the jumps the record keeps
-        assert tally["jumps"] == ref_rec.counts.sum()
+    else:
+        # one chunk: the tally counts the kept jumps of the explicit draw
+        counts = _explicit_jumps(m, path_rng(11, case, 0), m.tau, n)[0]
+        assert tally["jumps"] == counts.sum()
 
 
 def test_split_sampler_keeps_the_buffered_half():
@@ -394,7 +371,7 @@ def test_default_tau_honors_model_setting():
 
 
 # ---------------------------------------------------------------------------
-# characteristic exponent and smoothed density
+# characteristic exponent
 # ---------------------------------------------------------------------------
 
 
@@ -408,22 +385,3 @@ def test_characteristic_exponent_cauchy(unit_mass_model):
                                       np.geomspace(1.0, 100.0, 12))
     assert ce.values[0] == pytest.approx(np.pi, abs=1e-6)
     assert ce.alpha_coefficient == pytest.approx(np.pi, rel=1e-6)
-
-
-def test_smoothed_density_cauchy_oracle(unit_mass_model):
-    sd = levy.smoothed_density(unit_mass_model, ONE)
-    sigma_c = np.pi
-    assert sd.density_at(0.0) == pytest.approx(1.0 / (np.pi * sigma_c),
-                                               abs=1e-6)
-    # Cauchy: ||p'||_1 = 2 max p = 2 / (pi sigma)
-    assert sd.derivative_l1(1) == pytest.approx(2.0 / (np.pi * sigma_c),
-                                                rel=1e-4)
-    assert sd.p.min() > -1e-8
-    assert sd.derivative_l1(0) == pytest.approx(sd.mass, abs=1e-12)
-    assert sd.mass == pytest.approx(1.0, abs=1e-3)
-
-
-def test_density_requires_symmetry():
-    skew = levy.make_levy_model(1.0, 1.0, 0.25, T=1.0, domain=((0.0, 1.0),))
-    with pytest.raises(ValueError, match="symmetric"):
-        levy.smoothed_density(skew, ONE)

@@ -1,4 +1,4 @@
-"""Monte-Carlo plumbing: scaling fits, seeded ensembles, ECF, KDE."""
+"""Monte-Carlo plumbing: scaling fits, seeded ensembles, ECF."""
 
 import os
 import subprocess
@@ -11,10 +11,8 @@ import ambitlab
 from ambitlab.montecarlo import (
     empirical_cf,
     fit_scaling,
-    kernel_density,
     path_rng,
     run_ensemble_blocks,
-    silverman_bandwidth,
 )
 
 
@@ -160,23 +158,3 @@ class TestEmpiricalCF:
     def test_empty_sample_raises(self):
         with pytest.raises(ValueError):
             empirical_cf(np.array([]), [1.0])
-
-
-class TestKernelDensity:
-    def test_density_integrates_to_one(self):
-        vals = path_rng(1, "kde", 0).standard_normal(5000)
-        grid, dens, flag = kernel_density(vals)
-        assert flag == "ok"
-        assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-4)
-
-    def test_matches_normal_peak(self):
-        vals = path_rng(2, "kde", 0).standard_normal(20_000)
-        grid, dens, _ = kernel_density(vals, grid=np.array([0.0]))
-        assert dens[0] == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=0.05)
-
-    def test_zero_variance_degenerates(self):
-        vals = np.full(50, 3.0)
-        assert silverman_bandwidth(vals) == 0.0
-        _, dens, flag = kernel_density(vals)
-        assert flag == "degenerate"
-        assert np.all(np.isnan(dens))

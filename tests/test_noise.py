@@ -1,4 +1,4 @@
-"""Spectral noise models: densities, grid synthesis, variance functionals.
+"""Spectral noise models: densities, grid geometry, variance functionals.
 
 Closed-form oracles (computed by hand, double-checked by quadrature where
 noted):
@@ -23,7 +23,6 @@ import pytest
 from scipy import integrate
 
 from ambitlab import noise, operators
-from ambitlab.montecarlo import path_rng
 
 
 HEAT = operators.heat_operator(1)
@@ -78,67 +77,10 @@ def test_exponential_density_quadrature_oracle():
 def test_grid_geometry():
     m = noise.make_noise_model("white", d=1, Lbox=8.0, m=64)
     assert m.dx == 0.125
-    assert m.cell_volume == 0.125
     (xi,) = noise.grid_frequencies(m)
     assert xi.size == 64
     assert xi[1] == pytest.approx(2.0 * np.pi / 8.0)
-    (x,) = noise.grid_points(m)
-    assert x[0] == -4.0 and x[-1] == pytest.approx(4.0 - 0.125)
     assert m.cutoff == pytest.approx(np.pi * 64 / 8.0)
-
-
-# ---------------------------------------------------------------------------
-# increment synthesis
-# ---------------------------------------------------------------------------
-
-
-def test_white_increment_point_variance():
-    """Each mode carries dt * (2 pi / L), so one grid value has variance
-    m * dt * (2 pi / L) = 2 pi dt / dx (the delta-correlation divergence)."""
-    m = noise.make_noise_model("white", d=1, Lbox=8.0, m=64)
-    dt = 0.01
-    rng = path_rng(0, "noise-var", 0)
-    sq = np.mean([noise.sample_increment(m, dt, rng).values**2
-                  for _ in range(400)])
-    want = 2.0 * np.pi * dt / m.dx
-    assert sq == pytest.approx(want, rel=0.05)
-
-
-def test_increment_is_real_and_shaped():
-    m2 = noise.make_noise_model("white", d=2, Lbox=4.0, m=16)
-    inc = noise.sample_increment(m2, 0.1, path_rng(1, "noise-2d", 0))
-    assert inc.values.shape == (16, 16)
-    assert inc.values.dtype == np.float64
-    assert inc.cell_volume == pytest.approx(0.25**2)
-
-
-def test_zero_and_negative_dt():
-    m = noise.make_noise_model("white", d=1, Lbox=8.0, m=64)
-    assert np.all(noise.sample_increment(m, 0.0, path_rng(0, "z", 0)).values
-                  == 0.0)
-    with pytest.raises(ValueError):
-        noise.sample_increment(m, -0.1, path_rng(0, "z", 0))
-
-
-def test_inner_product_white_is_scaled_l2():
-    m = noise.make_noise_model("white", d=1, Lbox=16.0, m=256)
-    (x,) = noise.grid_points(m)
-    phi = np.exp(-(x**2))
-    # <phi, phi>_H = (2 pi)^d ||phi||_2^2 = 2 pi sqrt(pi/2)
-    want = 2.0 * np.pi * np.sqrt(np.pi / 2.0)
-    assert noise.inner_product_H(m, phi, phi) == pytest.approx(want, rel=1e-8)
-
-
-def test_inner_product_shift_invariance():
-    m = noise.make_noise_model("exponential", d=1, Lbox=16.0, m=128, ell=0.7)
-    (x,) = noise.grid_points(m)
-    phi = np.exp(-(x**2))
-    psi = np.exp(-2.0 * (x - 0.5) ** 2)
-    a = noise.inner_product_H(m, phi, psi)
-    b = noise.inner_product_H(m, np.roll(phi, 9), np.roll(psi, 9))
-    assert a == pytest.approx(b, rel=1e-10)
-    with pytest.raises(ValueError, match="grid"):
-        noise.inner_product_H(m, phi[:5], psi[:5])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from ambitlab import noise, operators, spde
 from ambitlab.montecarlo import fit_scaling, path_rng
@@ -428,40 +427,3 @@ def test_density_report_weights_and_verdict():
     with pytest.raises(ValueError, match="finite"):
         spde.density_criterion_experiment(
             np.append(vals, np.nan), spde.constant_coefficients(2.0), n=1)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian density derivatives
-# ---------------------------------------------------------------------------
-
-
-def test_gaussian_derivative_l1_closed_forms():
-    for v in (1.0, 0.25, 3.7):
-        assert spde.gaussian_derivative_l1(1, v) \
-            == pytest.approx(np.sqrt(2.0 / (np.pi * v)), rel=1e-12)
-    # ||p''||_1 = E|Z^2 - 1| = 4 phi(1); ||p'''||_1 = 8 phi(sqrt3) + 2 phi(0)
-    phi = lambda z: np.exp(-z * z / 2.0) / np.sqrt(2.0 * np.pi)
-    assert spde.gaussian_derivative_l1(2, 1.0) \
-        == pytest.approx(4.0 * phi(1.0), rel=1e-12)
-    assert spde.gaussian_derivative_l1(3, 1.0) \
-        == pytest.approx(8.0 * phi(np.sqrt(3.0)) + 2.0 * phi(0.0), rel=1e-12)
-    assert spde.gaussian_derivative_l1(0, 2.0) == 1.0
-
-
-def test_gaussian_derivative_l1_quadrature_oracle():
-    got = spde.gaussian_derivative_l1(3, 1.0)
-    want, _ = integrate.quad(
-        lambda z: abs(z**3 - 3.0 * z) * np.exp(-z * z / 2.0)
-        / np.sqrt(2.0 * np.pi), -12.0, 12.0)
-    assert got == pytest.approx(want, rel=1e-9)
-
-
-def test_gaussian_derivative_l1_variance_scaling():
-    for n in (1, 2, 4):
-        assert spde.gaussian_derivative_l1(n, 0.3) \
-            == pytest.approx(spde.gaussian_derivative_l1(n, 1.0)
-                             * 0.3 ** (-n / 2.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        spde.gaussian_derivative_l1(-1, 1.0)
-    with pytest.raises(ValueError):
-        spde.gaussian_derivative_l1(1, 0.0)
