@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -100,7 +100,8 @@ class AmbitSet:
 
     def indicator(self, t, x, s, y):
         s = np.asarray(s, dtype=float)
-        r = np.abs(np.asarray(y, dtype=float) - x)
+        r = np.asarray(np.subtract(y, x, dtype=float))
+        np.abs(r, out=r)
         # a slab's half-width is the scalar c: no per-point array to build
         width = self.half_width(t - s) if self.zeta else self.c
         return (s >= 0) & (s <= t) & (r <= width + 1e-15)
@@ -494,7 +495,6 @@ class AmbitDiscretization:
     gauss_sd: np.ndarray     # sd of the sub-tau Gaussian
     comp_cell: np.ndarray    # (tau, 1] compensator (a multiple of w * vol)
     drift_cell: np.ndarray   # 1_B * h * cellvol (b excluded)
-    cut_rows: dict = field(default_factory=dict)  # eps -> cut_row(eps)
 
     @property
     def shape(self):
@@ -516,8 +516,6 @@ class AmbitDiscretization:
         """Index of the time edge at t - eps: rows below it are the
         history, the others the slab."""
         eps = float(eps)
-        if eps in self.cut_rows:
-            return self.cut_rows[eps]
         if not (0.0 < eps <= self.t + 1e-12):
             raise ValueError("eps must lie in (0, t]")
         t_cut = self.t - eps
@@ -550,7 +548,6 @@ def make_discretization(spec, model, t, x, *, eps_grid=(), nt=64, nx=64,
                               weight=model.weight,
                               weight_bound=model.weight_bound,
                               tau=model.tau)
-    eps_grid = np.asarray(eps_grid, dtype=float)
     edges = [t - e for e in eps_grid if 0 < e <= t]
     cells = levy.build_cells(box, nt=nt, nx=nx, extra_time_edges=edges)
     tau = levy.default_tau(box, target_var_error) if tau is None else tau
@@ -563,13 +560,10 @@ def make_discretization(spec, model, t, x, *, eps_grid=(), nt=64, nx=64,
     # drift is a plain Lebesgue integral; the control weight only scales L
     drift_cell = np.where(ind_b, h_mid, 0.0) * cells.cell_vol
     gauss_sd, comp_cell = levy.cell_factors(box, tau, cells)
-    disc = AmbitDiscretization(box, cells, float(t), float(x), float(tau),
+    return AmbitDiscretization(box, cells, float(t), float(x), float(tau),
                                0.5 * (te[:-1] + te[1:]),
                                0.5 * (se[:-1] + se[1:]), g_mid, gauss_sd,
                                comp_cell, drift_cell)
-    disc.cut_rows.update((e, disc.cut_row(e)) for e in eps_grid
-                         if 0 < e <= t)
-    return disc
 
 
 @dataclass

@@ -125,15 +125,10 @@ SCHEMA = {
                         describe="in (0, 2)"),
         "c_plus": _Field("float", 0.5, check=_nonneg, describe=">= 0"),
         "c_minus": _Field("float", 0.5, check=_nonneg, describe=">= 0"),
-        "T": _Field("float", 1.0, check=_positive, describe="> 0"),
-        "x_lo": _Field("float", -1.0),
-        "x_hi": _Field("float", 1.0),
         "tau": _Field("float", None, check=_positive, describe="> 0"),
         "gamma": _Field("float", 2.0, check=lambda v: 0 < v <= 2,
                         describe="in (0, 2]"),
         "normalize": _Field("bool", False),
-        "nt": _Field("int", 64, check=_positive, describe=">= 1"),
-        "nx": _Field("int", 64, check=_positive, describe=">= 1"),
     },
     "ambit": {
         "c": _Field("float", 1.0, check=_nonneg, describe=">= 0"),
@@ -361,8 +356,6 @@ def _cross_checks(sections, path):
     levy = sections["levy"]
     if levy["c_plus"] + levy["c_minus"] == 0:
         raise ConfigError("[levy] c_plus + c_minus must be positive", path)
-    if levy["x_lo"] >= levy["x_hi"]:
-        raise ConfigError("[levy] needs x_lo < x_hi", path)
     if not (levy["alpha"] < levy["gamma"] <= 2.0):
         raise ConfigError("[levy] needs alpha < gamma <= 2", path)
     ambit = sections["ambit"]

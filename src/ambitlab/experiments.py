@@ -13,7 +13,7 @@ import json
 import math
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy
@@ -73,7 +73,6 @@ def _spde_step(cfg, model, lam):
 def _levy_model(cfg):
     s = cfg.sections["levy"]
     return levy.make_levy_model(s["alpha"], s["c_plus"], s["c_minus"],
-                                T=s["T"], domain=((s["x_lo"], s["x_hi"]),),
                                 tau=s["tau"], normalize=s["normalize"])
 
 
@@ -108,10 +107,6 @@ def _eps_grid(section):
 
 def _run(cfg):
     return cfg.sections["run"]
-
-
-def _fitdict(fit):
-    return fit.as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +174,9 @@ def _exp_spde_exponents(cfg):
         "gamma2": report.gamma2, "delta": report.delta,
         "gammabar": report.gammabar, "verdict": report.verdict,
         "besov_order_interval": list(report.beta_interval),
-        "fits": {"gamma": _fitdict(ge.gamma), "gamma1": _fitdict(ge.gamma1),
-                 "gamma2": _fitdict(ge.gamma2),
-                 "delta": _fitdict(delta_fit)},
+        "fits": {"gamma": asdict(ge.gamma), "gamma1": asdict(ge.gamma1),
+                 "gamma2": asdict(ge.gamma2),
+                 "delta": asdict(delta_fit)},
         "operator": lam.kind, "dt": dt, "t": t,
     }
     flag = "ok" if all(f == "ok" for f in flags) else "inconclusive"
@@ -212,16 +207,9 @@ def _exp_spde_density(cfg):
     ensemble_s = time.perf_counter() - clock
     report = spde.density_criterion_experiment(values, coeffs, s["n"],
                                                alpha=s["holder"])
-    rows = _criterion_rows(report.statistics)
-    flags = [st.fitted.flag for st in report.statistics]
-    summary = {
-        "slopes": report.slopes, "min_slope": report.min_slope,
-        "holder_order": report.holder_order, "verdict": report.verdict,
-        "n": s["n"], "n_paths": run["n_paths"], "operator": lam.kind,
-    }
-    flag = "ok" if all(f == "ok" for f in flags) else "inconclusive"
     logs = _solver_logs(run, model, lam, int(round(s["t"] / dt)), ensemble_s)
-    return ExperimentResult(rows, summary, flag, logs)
+    return _criterion_result(report, logs, verdict=report.verdict, n=s["n"],
+                             n_paths=run["n_paths"], operator=lam.kind)
 
 
 def _exp_levy_check(cfg):
@@ -266,7 +254,7 @@ def _exp_ambit_exponents(cfg):
             "gamma4": bundle.gamma4}
     summary = {
         "exponents": {k: f.slope for k, f in fits.items()},
-        "fits": {k: _fitdict(f) for k, f in fits.items()},
+        "fits": {k: asdict(f) for k, f in fits.items()},
         "gammabar": bundle.gammabar, "verdict": bundle.verdict,
         "beta": bundle.beta, "gamma": bundle.gamma,
         "richardson_error": bundle.richardson_error,
@@ -294,7 +282,7 @@ def _exp_ambit_decay(cfg):
     summary = {
         "beta": report.beta, "gammabar": report.gammabar,
         "target_rate": report.target_rate, "slope": report.fit.slope,
-        "fit": _fitdict(report.fit), "passed": report.passed,
+        "fit": asdict(report.fit), "passed": report.passed,
         "flag": report.flag, "n_paths": run["n_paths"],
     }
     flag = "inconclusive" if report.flag == "inconclusive" else "ok"
@@ -322,15 +310,6 @@ def _exp_ambit_density(cfg):
         spec, model, a["t"], a["x"], a["n"], n_paths=run["n_paths"],
         master_seed=run["seed"], workers=run["workers"],
         holder_order=a["holder"], nt=a["nt"], nx=a["nx"])
-    rows = _criterion_rows(report.statistics)
-    flags = [st.fitted.flag for st in report.statistics]
-    summary = {
-        "slopes": report.slopes, "min_slope": report.min_slope,
-        "holder_order": report.holder_order, "verdict": report.verdict,
-        "n": a["n"], "n_paths": run["n_paths"],
-    }
-    flag = "ok" if all(f in ("ok", "degenerate") for f in flags) \
-        else "inconclusive"
     n_rows, n_cols = report.discretization.shape
     logs = [f"tau={report.discretization.tau:.6g}",
             f"cells={n_rows}x{n_cols}"]
@@ -339,7 +318,8 @@ def _exp_ambit_density(cfg):
         logs += [f"chunks={report.chunks}", f"parts={report.parts}"]
     logs += [f"sampler_s={report.seconds['sampler']:.3f}",
              f"criterion_s={report.seconds['criterion']:.3f}"]
-    return ExperimentResult(rows, summary, flag, logs)
+    return _criterion_result(report, logs, verdict=report.verdict, n=a["n"],
+                             n_paths=run["n_paths"])
 
 
 def _exp_besov_stat(cfg):
@@ -350,31 +330,33 @@ def _exp_besov_stat(cfg):
         run["n_paths"])
     stats = besov.criterion_statistic(values, None, order,
                                       alpha=run["holder"])
-    report = besov.criterion_report(stats, run["holder"])
-    rows = _criterion_rows(stats)
+    result = _criterion_result(besov.criterion_report(stats, run["holder"]),
+                               [], order=order, scale=scale,
+                               n_paths=run["n_paths"])
     for st in stats:
         k = st.frequency
         oracle = np.exp(-0.5 * (k * scale) ** 2) \
             * np.abs(2.0 * np.sin(k * st.h_values / 2.0)) ** order \
             / st.norm_constant
-        rows.extend((f"oracle(k={k:g})", h, o, None)
-                    for h, o in zip(st.h_values, oracle))
-    summary = {
-        "slopes": report.slopes, "min_slope": report.min_slope,
-        "order": order, "holder_order": report.holder_order,
-        "scale": scale, "n_paths": run["n_paths"],
-    }
-    flag = "ok" if all(st.fitted.flag == "ok" for st in stats) \
-        else "inconclusive"
-    return ExperimentResult(rows, summary, flag)
+        result.rows.extend((f"oracle(k={k:g})", h, o, None)
+                           for h, o in zip(st.h_values, oracle))
+    return result
 
 
-def _criterion_rows(stats):
-    rows = []
-    for st in stats:
-        for h, v, e in st.rows():
-            rows.append((f"stat(k={st.frequency:g})", h, v, e))
-    return rows
+def _criterion_result(report, logs, **summary):
+    """A density experiment's result from its criterion report: one row
+    per frequency and h, the slopes, their minimum and the Hölder order
+    beside `summary`.  The flag is ok when every frequency's fit is ok or
+    degenerate: an exactly zero statistic is conclusive, since more paths
+    cannot change it."""
+    rows = [(f"stat(k={st.frequency:g})", h, v, e)
+            for st in report.statistics for h, v, e in st.rows()]
+    summary.update(slopes=report.slopes, min_slope=report.min_slope,
+                   holder_order=report.holder_order)
+    conclusive = all(st.fitted.flag in ("ok", "degenerate")
+                     for st in report.statistics)
+    return ExperimentResult(rows, summary,
+                            "ok" if conclusive else "inconclusive", logs)
 
 
 REGISTRY = {

@@ -440,58 +440,83 @@ def _skip(rng, n):
         rng.bit_generator.advance(n)
 
 
-def _domain_bounds(model):
-    """Lower and upper corners of the spatial domain, shape (d,) each."""
-    return (np.array([iv[0] for iv in model.domain]),
-            np.array([iv[1] for iv in model.domain]))
+def _widths(model):
+    """Uniforms per jump of each block of the jump stream, in stream order:
+    times, positions (d, row-major), thinning (weighted models only), signs
+    and magnitudes."""
+    return (1, model.d) + (1,) * (2 + (model.weight is not None))
 
 
-def _jump_sizes(model, tau, u_mag, negative):
-    """Signed jump sizes +-tau * u**(-1/alpha), built in u_mag's buffer;
-    negative marks the jumps whose sign uniform fell past c_plus / c_sum."""
-    u_mag **= -1.0 / model.alpha
-    np.multiply(tau, u_mag, out=u_mag)
-    return np.negative(u_mag, out=u_mag, where=negative)
-
-
-def _draw_part(model, rng, counts, first, tot, tau, reduce):
-    """The jumps of consecutive draws of a chunk, whose Poisson counts are
-    given and whose first jump is jump `first` of the chunk's `tot`.  rng
-    stands at the start of the chunk's uniforms, which come in blocks:
-    times (tot), positions (tot * d, row-major), thinning (weighted models
-    only), signs and magnitudes (tot each).  The part draws its own slice
-    of each block in one random() call, jumping over the other parts'
-    slices between blocks, and maps the doubles u as uniform() would have
-    (lo + (hi - lo) * u).  It returns reduce(nb, did, s, y, keep, z), did
-    being the draw index of each jump within the part and keep None when
-    no jump is thinned."""
-    m = int(counts.sum())
-    head, tail = first, tot - first - m     # the chunk's jumps around ours
-    d = model.d
-    lo, hi = _domain_bounds(model)
-    _skip(rng, head)
-    s = model.T * rng.random(m)
-    _skip(rng, tail + head * d)
-    y = lo + (hi - lo) * rng.random((m, d))
-    _skip(rng, tail * d + head)
+def _map_jumps(model, tau, blocks):
+    """Times, positions, thinning mask (None when no jump is thinned) and
+    signed sizes of the jumps whose uniform blocks `blocks` yields in the
+    order of _widths.  Each block is mapped in its own buffer as uniform()
+    maps doubles (lo + (hi - lo) * u); sizes are +-tau * u**(-1/alpha),
+    negative where the sign uniform falls past c_plus / c_sum."""
+    s = next(blocks)
+    s *= model.T
+    y = next(blocks).reshape(s.size, model.d)
+    lo, hi = (np.array(b) for b in zip(*model.domain))
+    y *= hi - lo
+    y += lo
     keep = None
     if model.weight is not None:
-        keep = rng.random(m) * model.weight_bound \
-            <= model.weight_values(s, y)
-        _skip(rng, tail + head)
-    negative = rng.random(m) * model.c_sum >= model.c_plus
-    _skip(rng, tail + head)
-    z = _jump_sizes(model, tau, rng.random(m), negative)
+        keep = next(blocks)
+        keep *= model.weight_bound
+        keep = keep <= model.weight_values(s, y)
+    negative = next(blocks)
+    negative *= model.c_sum
+    negative = negative >= model.c_plus
+    z = next(blocks)
+    z **= -1.0 / model.alpha
+    np.multiply(tau, z, out=z)
+    return s, y, keep, np.negative(z, out=z, where=negative)
+
+
+def _draw_part(model, rng, counts, first, tot, tau, f):
+    """Per-draw jump sums of f and the kept jump count of consecutive draws
+    of a chunk, whose Poisson counts are given and whose first jump is jump
+    `first` of the chunk's `tot`.  rng stands at the start of the chunk's
+    uniform blocks (_widths); the part draws its own slice of each block in
+    one random() call, jumping over the other parts' slices between
+    blocks."""
+    m = int(counts.sum())
+    head, tail = first, tot - first - m     # the chunk's jumps around ours
+
+    def blocks():
+        for w in _widths(model):
+            _skip(rng, head * w)
+            yield rng.random(m * w)
+            _skip(rng, tail * w)
+
+    s, y, keep, z = _map_jumps(model, tau, blocks())
+    kept = m
+    if keep is not None:
+        np.copyto(z, 0.0, where=~keep)
+        kept = int(np.count_nonzero(keep))
+    f_jump = np.asarray(f(s, y), dtype=float) if m else np.zeros(0)
     did = np.repeat(np.arange(counts.size), counts)
-    return reduce(counts.size, did, s, y, keep, z)
+    z *= f_jump
+    return np.bincount(did, weights=z, minlength=counts.size), kept
 
 
-def _draw_parts(model, rng, counts, tau, reduce, k, map_parts):
-    """_draw_part over k runs of a chunk's draws, cut at draw boundaries to
-    about equal jump counts.  Each run draws from a copy of rng's PCG64
-    state advanced to its slice of every block; rng is then advanced past
-    the chunk's uniforms, where drawing them all would have left it."""
+def _draw_parts(model, rng, nb, rate_bound, tau, f, k, map_parts):
+    """The (jump sums, kept count) of k runs of a chunk of nb draws, whose
+    Poisson counts rng draws first, cut at draw boundaries to about equal
+    jump counts (see _draw_part).  One run draws from rng itself; more (at
+    most one per draw) each draw from a copy of rng's PCG64 state advanced
+    to its slice of every block, through map_parts (a thread pool's map),
+    and rng is then advanced past the chunk's uniforms, where drawing them
+    all would have left it."""
+    # drawn here, the counts outlive the chunk's big arrays until the sums
+    # exist, so the sums do not land in the hole the last chunk's counts
+    # left at the bottom of the heap; there they let malloc trim the freed
+    # arrays, and each chunk page-faults them in again
+    counts = rng.poisson(rate_bound, nb)
     tot = int(counts.sum())
+    k = min(k, nb)
+    if k == 1:
+        return [_draw_part(model, rng, counts, 0, tot, tau, f)]
     cum = np.concatenate(([0], np.cumsum(counts)))
     cuts = np.concatenate(
         ([0], np.searchsorted(cum[1:], tot * np.arange(1, k) / k),
@@ -503,45 +528,15 @@ def _draw_parts(model, rng, counts, tau, reduce, k, map_parts):
         g = np.random.Generator(type(bit_gen)(0))
         g.bit_generator.state = state
         a, b = cuts[i], cuts[i + 1]
-        return _draw_part(model, g, counts[a:b], int(cum[a]), tot, tau,
-                          reduce)
+        return _draw_part(model, g, counts[a:b], int(cum[a]), tot, tau, f)
 
     results = list(map_parts(part, range(k)))
-    # past every block: times, d positions, thinning (if weighted), signs
-    # and magnitudes
-    bit_gen.advance(tot * (3 + model.d + (model.weight is not None)))
+    bit_gen.advance(tot * sum(_widths(model)))
     # advance() drops the buffered 32-bit half, which drawing doubles
     # leaves as it was
     bit_gen.state = dict(bit_gen.state, has_uint32=state["has_uint32"],
                          uinteger=state["uinteger"])
     return results
-
-
-def _jump_chunks(model, rng, n, rate_bound, tau, reduce, parts, map_parts):
-    """The compound-Poisson jumps above tau of n draws, in chunks of about
-    2e6 expected jumps.  Per chunk rng draws the counts, then the uniform
-    blocks of _draw_part; a caller drawing more for the chunk (its
-    Gaussian parts) does so before asking for the next one.
-
-    Yields (start, counts, results), results[i] being the reduce of part i
-    of the chunk's draws.  One part draws from rng itself; more (at most
-    one per draw) go through _draw_parts and map_parts, e.g. a thread
-    pool's map.
-    Every draw's jumps are the serial ones, summed in the serial order, so
-    the output is the same for any part count.
-    """
-    chunk = max(1, int(2e6 / max(rate_bound, 1.0)))
-    for start in range(0, n, chunk):
-        nb = min(chunk, n - start)
-        counts = rng.poisson(rate_bound, nb)
-        k = min(parts, nb)
-        if k == 1:
-            results = [_draw_part(model, rng, counts, 0, int(counts.sum()),
-                                  tau, reduce)]
-        else:
-            results = _draw_parts(model, rng, counts, tau, reduce, k,
-                                  map_parts)
-        yield start, counts, results
 
 
 def _check_workers(rng, workers):
@@ -565,8 +560,7 @@ def sample_records(model, f_mid, rngs, *, tau, cells,
     sample_integral checks f and stacked as one record of len(rngs) draws.
 
     Generator i draws poisson(rate_bound, 1) for its jump count tot, then
-    one random(tot * (3 + d + weighted)) cut into blocks (times, positions
-    row-major, thinning if weighted, signs, magnitudes), then
+    one random(tot * sum(_widths)) cut into the blocks of _widths, then
     standard_normal(n_cells) for its cell normals.  So a draw never depends
     on the draws stacked with it; only the arithmetic on the drawn numbers
     runs once per stack.
@@ -575,31 +569,18 @@ def sample_records(model, f_mid, rngs, *, tau, cells,
         raise ValueError("need one row of cell values per generator")
     rate_bound = _check_integrand(model, cells, f_mid, tau,
                                   max_expected_jumps)
-    d = model.d
-    lo, hi = _domain_bounds(model)
-    weighted = model.weight is not None
+    widths = _widths(model)
     counts = np.empty(len(rngs), dtype=np.int64)
     normals = np.empty((len(rngs), cells.n_cells))
-    s, y, thin, u_sign, u_mag = [], [], [], [], []
+    drawn = []
     for i, rng in enumerate(rngs):
         tot = counts[i] = rng.poisson(rate_bound, 1)[0]
-        u = rng.random(tot * (3 + d + weighted))
-        at = tot * (1 + d)
-        s.append(u[:tot])
-        y.append(u[tot:at].reshape(tot, d))
-        if weighted:
-            thin.append(u[at:at + tot])
-            at += tot
-        u_sign.append(u[at:at + tot])
-        u_mag.append(u[at + tot:at + 2 * tot])
+        drawn.append(np.split(rng.random(tot * sum(widths)),
+                              tot * np.cumsum(widths[:-1])))
         rng.standard_normal(out=normals[i])
-    s = model.T * np.concatenate(s)
-    y = lo + (hi - lo) * np.concatenate(y)
-    z = _jump_sizes(model, tau, np.concatenate(u_mag),
-                    np.concatenate(u_sign) * model.c_sum >= model.c_plus)
-    if weighted:
-        keep = np.concatenate(thin) * model.weight_bound \
-            <= model.weight_values(s, y)
+    s, y, keep, z = _map_jumps(model, tau,
+                               (np.concatenate(b) for b in zip(*drawn)))
+    if keep is not None:
         did = np.repeat(np.arange(len(rngs)), counts)
         counts = np.bincount(did[keep], minlength=len(rngs))
         s, y, z = s[keep], y[keep], z[keep]
@@ -618,11 +599,15 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
     moment; the raw simulation of (tau, 1] jumps is compensated per the
     1_{[-1,1]} truncation convention of the characteristic exponent.
 
-    workers > 1 splits each chunk's jumps into that many parts, drawn and
-    summed on as many threads (see _jump_chunks; rng must then be PCG64).
-    The values, and where rng is left, are the same for any count.  A
-    dict passed as tally receives the work done: chunks, parts (the most
-    of any chunk) and jumps (kept after thinning, over all draws).
+    The draws come in chunks of about 2e6 expected jumps.  Per chunk rng
+    draws the counts, the uniform blocks of the jumps, then one normal per
+    draw for the sub-tau Gaussian.  workers > 1 splits each chunk's jumps
+    into that many parts, drawn and summed on as many threads (see
+    _draw_parts; rng must then be PCG64).  Every draw's jumps are the
+    serial ones, summed in the serial order, so the values, and where rng
+    is left, are the same for any count.  A dict passed as tally receives
+    the work done: chunks, parts (the most of any chunk) and jumps (kept
+    after thinning, over all draws).
     """
     scalar = n_draws is None
     n = 1 if scalar else int(n_draws)
@@ -645,22 +630,13 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
         sigma2 * cells.weights * f_mid ** 2 * cells.cell_vol)))
     comp = model.c_diff * _compensator_k(alpha, tau) * cells.quadrature(f_mid)
 
-    def jump_sums(nb, did, s, y, keep, z):
-        """Per-draw jump sums of a part and its count of kept jumps."""
-        kept = did.size
-        if keep is not None:
-            z = np.where(keep, z, 0.0)
-            kept = int(np.count_nonzero(keep))
-        f_jump = np.asarray(f(s, y), dtype=float) if s.size \
-            else np.zeros(0)
-        return np.bincount(did, weights=f_jump * z, minlength=nb), kept
-
+    chunk = max(1, int(2e6 / max(rate_bound, 1.0)))
     work = dict(chunks=0, parts=0, jumps=0)
     with ThreadPoolExecutor(workers) as pool:
-        for start, counts, results in _jump_chunks(
-                model, rng, n, rate_bound, tau, jump_sums, workers,
-                pool.map):
-            nb = counts.size
+        for start in range(0, n, chunk):
+            nb = min(chunk, n - start)
+            results = _draw_parts(model, rng, nb, rate_bound, tau, f,
+                                  workers, pool.map)
             gauss_part = total_sd * rng.standard_normal(nb)
             values[start:start + nb] = np.concatenate(
                 [sums for sums, _ in results]) + gauss_part - comp

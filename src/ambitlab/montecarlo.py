@@ -44,16 +44,6 @@ class ScalingFit:
     points_used: int
     flag: str  # "ok" | "inconclusive" | "degenerate"
 
-    def as_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r2": self.r2,
-            "ci_halfwidth": self.ci_halfwidth,
-            "points_used": self.points_used,
-            "flag": self.flag,
-        }
-
 
 def fit_scaling(x, y, stderr=None) -> ScalingFit:
     """Fit y ~ C * x**slope by weighted least squares in log-log space.

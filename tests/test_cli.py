@@ -54,6 +54,8 @@ def test_comments_sections_and_types():
     ("[run]\nexperiment = dance\n", ":2:", "must be one of"),
     ("[mystery]\nx = 1\n", ":2:", "unknown section"),
     ("[run]\nexperiment = levy-check\nbogus = 1\n", ":3:", "unknown key"),
+    ("[run]\nexperiment = levy-check\n[levy]\nnt = 8\n", ":4:",
+     "unknown key"),
 ])
 def test_errors_carry_file_and_line(text, loc, reason):
     with pytest.raises(ConfigError) as err:
@@ -78,8 +80,6 @@ def test_missing_experiment_is_required():
      "eps_max = 0.1\n", "eps_min < eps_max"),
     ("[run]\nexperiment = levy-check\n[levy]\nalpha = 1.9\ngamma = 1.5\n",
      "alpha < gamma"),
-    ("[run]\nexperiment = levy-check\n[levy]\nx_lo = 2\nx_hi = 1\n",
-     "x_lo < x_hi"),
     ("[run]\nexperiment = levy-check\n[ambit]\nt = 0.25\neps_max = 0.5\n",
      "eps_max <= t"),
     ("[run]\nexperiment = levy-check\n[ambit]\nbeta = 1.4\n",
@@ -134,7 +134,7 @@ def test_digest_tracks_result_defining_keys():
     assert _load(GOOD, overrides=["run.seed=12"]).digest != base.digest
     assert _load(GOOD, overrides=["levy.alpha=1.3"]).digest != base.digest
     # defaults spelled out explicitly hash the same
-    spelled = _load(GOOD + "T = 1.0\n")
+    spelled = _load(GOOD + "gamma = 2.0\n")
     assert spelled.digest == base.digest
 
 
@@ -401,6 +401,19 @@ def test_run_flags_inconclusive_statistics(tmp_path):
     assert code == 2
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["flag"] == "inconclusive"
+
+
+def test_zero_statistic_is_conclusive(tmp_path, capsys):
+    """sigma = 0 makes every weight, so every statistic, exactly zero: more
+    paths cannot change that, so the run ends ok with a negative verdict."""
+    code = cli.run(None, ["spde.sigma0=0", "run.n_paths=256", "noise.m=32",
+                          "spde.t=0.05"],
+                   experiment="spde-density", outdir=str(tmp_path))
+    assert code == 0
+    assert "flag=ok" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["flag"] == "ok"
+    assert summary["verdict"] is False
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):
