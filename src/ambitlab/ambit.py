@@ -199,8 +199,6 @@ class _WeierstrassPath:
     def __call__(self, s, y):
         s = np.asarray(s, dtype=float)
         y = np.asarray(y, dtype=float)
-        if y.ndim == s.ndim + 1:       # (k, d) points
-            y = y[..., 0]
         st = s[..., None] * self.freqs + self.phases_t
         sx = y[..., None] * self.freqs + self.phases_x
         out = self.spec.base \
@@ -405,9 +403,6 @@ def exponent_conditions(spec, model, eps_grid, beta=None, gamma=None, *,
     reported as degenerate and excluded from gammabar.
     """
     alpha = model.alpha
-    if model.weight is not None:
-        raise ValueError("exponent quadratures assume the constant-1 "
-                         "control weight")
     db, dg = default_beta_gamma(alpha)
     beta = db if beta is None else float(beta)
     gamma = dg if gamma is None else float(gamma)
@@ -493,7 +488,7 @@ class AmbitDiscretization:
     y_axis: np.ndarray       # (cols,) space midpoints
     g_mid: np.ndarray        # 1_A * g at the midpoints
     gauss_sd: np.ndarray     # sd of the sub-tau Gaussian
-    comp_cell: np.ndarray    # (tau, 1] compensator (a multiple of w * vol)
+    comp_cell: np.ndarray    # (tau, 1] compensator (a multiple of vol)
     drift_cell: np.ndarray   # 1_B * h * cellvol (b excluded)
 
     @property
@@ -504,11 +499,8 @@ class AmbitDiscretization:
         te = self.cells.time_edges
         it = np.clip(np.searchsorted(te, s, side="right") - 1, 0,
                      te.size - 2)
-        se = self.cells.space_edges[0]
-        yv = np.asarray(y, dtype=float)
-        if yv.ndim == np.asarray(s).ndim + 1:
-            yv = yv[..., 0]
-        ix = np.clip(np.searchsorted(se, yv, side="right") - 1, 0,
+        se = self.cells.space_edges
+        ix = np.clip(np.searchsorted(se, y, side="right") - 1, 0,
                      se.size - 2)
         return it * (se.size - 1) + ix
 
@@ -535,8 +527,6 @@ def make_discretization(spec, model, t, x, *, eps_grid=(), nt=64, nx=64,
     cones; time edges include every t - eps so approximation slabs never
     straddle a cell.
     """
-    if model.d != 1:
-        raise ValueError("ambit sampling is implemented for d = 1")
     if t <= 0:
         raise ValueError("t must be positive")
     W = max(spec.ambit_set.max_half_width(t),
@@ -544,20 +534,16 @@ def make_discretization(spec, model, t, x, *, eps_grid=(), nt=64, nx=64,
     if W <= 0:
         W = 1.0   # degenerate sets: keep a nonempty box
     box = levy.LevyBasisModel(model.alpha, model.c_plus, model.c_minus,
-                              T=t, domain=((x - W, x + W),),
-                              weight=model.weight,
-                              weight_bound=model.weight_bound,
-                              tau=model.tau)
+                              T=t, domain=(x - W, x + W), tau=model.tau)
     edges = [t - e for e in eps_grid if 0 < e <= t]
     cells = levy.build_cells(box, nt=nt, nx=nx, extra_time_edges=edges)
     tau = levy.default_tau(box, target_var_error) if tau is None else tau
-    te, se = cells.time_edges, cells.space_edges[0]
-    s_mid, y_mid = cells.s_mid, _space(cells.y_mid)
+    te, se = cells.time_edges, cells.space_edges
+    s_mid, y_mid = cells.s_mid, cells.y_mid
     g_mid = spec.ambit_set.indicator(t, x, s_mid, y_mid) \
         * spec.kernel_g(t, s_mid, x, y_mid)
     ind_b = spec.drift_set.indicator(t, x, s_mid, y_mid)
     h_mid = spec.kernel_h(t, s_mid, x, y_mid)
-    # drift is a plain Lebesgue integral; the control weight only scales L
     drift_cell = np.where(ind_b, h_mid, 0.0) * cells.cell_vol
     gauss_sd, comp_cell = levy.cell_factors(box, tau, cells)
     return AmbitDiscretization(box, cells, float(t), float(x), float(tau),
@@ -604,9 +590,8 @@ def _reduce(spec, disc, sigma_paths, b_paths, sigma_mid, b_mid, record):
     n_paths, (n_rows, n_cols) = record.counts.size, disc.shape
     path = np.repeat(np.arange(n_paths), record.counts)
     cell = disc.cell_index(record.s, record.y)
-    y = _space(record.y)
-    g_jump = spec.ambit_set.indicator(disc.t, disc.x, record.s, y) \
-        * spec.kernel_g(disc.t, record.s, disc.x, y)
+    g_jump = spec.ambit_set.indicator(disc.t, disc.x, record.s, record.y) \
+        * spec.kernel_g(disc.t, record.s, disc.x, record.y)
     key = path * n_rows + cell // n_cols
     # sub-tau Gaussian minus the (tau, 1] compensator, per unit integrand
     noise = record.cell_normals * disc.gauss_sd - disc.comp_cell
@@ -630,11 +615,6 @@ def _reduce(spec, disc, sigma_paths, b_paths, sigma_mid, b_mid, record):
                                    (n_paths, n_rows + 1)),
         sigma_frozen=_grids(spec.sigma, sigma_paths, edges, x)[:, :, 0],
         b_frozen=_grids(spec.b, b_paths, edges, x)[:, :, 0])
-
-
-def _space(y):
-    yv = np.asarray(y, dtype=float)
-    return yv[..., 0] if yv.ndim == 2 else yv
 
 
 # Paths drawn and reduced together: enough to amortise NumPy's per-call
@@ -847,7 +827,7 @@ class DensityReport(besov.CriterionReport):
     it (run-log counters and stage times)."""
 
     discretization: AmbitDiscretization
-    jumps_per_draw: float    # mean jump count per sample, after thinning
+    jumps_per_draw: float    # mean jump count per sample
     chunks: int              # bulk sampler chunks (None for the ensemble)
     parts: int               # most parts of a chunk (None for the ensemble)
     seconds: dict            # wall time of the sampler and criterion stages
@@ -875,8 +855,8 @@ def density_criterion_experiment(spec, model, t, x, n, h_grid=None,
         b0 = spec.b.value
 
         def f(s, y):
-            ind = spec.ambit_set.indicator(t, x, s, _space(y))
-            return ind * spec.kernel_g(t, s, x, _space(y)) * sig0
+            ind = spec.ambit_set.indicator(t, x, s, y)
+            return ind * spec.kernel_g(t, s, x, y) * sig0
 
         rng = path_rng(master_seed, stream, 0)
         tally = {}
@@ -893,12 +873,10 @@ def density_criterion_experiment(spec, model, t, x, n, h_grid=None,
         def block(_idx, rngs):
             out = np.empty((len(rngs), 3))
             for i, stack in _stacks(spec, disc, rngs):
-                sig_tx = _grids(spec.sigma, stack.sigma_paths, np.array([t]),
-                                np.array([x]))[:, 0, 0]
-                rows = out[i:i + sig_tx.size]
+                rows = out[i:i + stack.values.size]
                 rows[:, 0] = stack.values
-                rows[:, 1] = [abs(float(v)) ** n if n else 1.0
-                              for v in sig_tx]
+                # sigma(t, x): the last time edge is t
+                rows[:, 1] = np.abs(stack.table.sigma_frozen[:, -1]) ** n
                 rows[:, 2] = stack.record.counts
             return out
 

@@ -292,7 +292,7 @@ class CriterionReport:
 
     statistics: list
     slopes: dict             # test_function_id -> slope, "ok" fits only
-    min_slope: float         # nan when no fit is usable
+    min_slope: float         # None when no fit is usable
     holder_order: float
     verdict: bool
 
@@ -302,7 +302,7 @@ def criterion_report(statistics, holder_order) -> CriterionReport:
     output, fitted against C^holder_order test functions."""
     slopes = {s.test_function_id: s.fitted.slope for s in statistics
               if s.fitted.flag == "ok"}
-    min_slope = min(slopes.values()) if slopes else float("nan")
+    min_slope = float(min(slopes.values())) if slopes else None
     verdict = bool(slopes) and all(v > holder_order for v in slopes.values())
-    return CriterionReport(statistics, slopes, float(min_slope),
+    return CriterionReport(statistics, slopes, min_slope,
                            float(holder_order), verdict)

@@ -1,11 +1,11 @@
-"""Stable-like Lévy bases on a space-time box.
+"""Stable-like Lévy bases on a 1-d space-time box, Lebesgue control.
 
 The Lévy measure family is the two-sided power law
 
     rho(dz) = c_plus 1_{z>0} z^(-alpha-1) dz + c_minus 1_{z<0} |z|^(-alpha-1) dz,
 
-optionally modulated by a nonnegative control weight w(s, y) (the control
-measure is w * Lebesgue on [0, T] x D).  The module provides
+and the control measure is Lebesgue measure on the box [0, T] x [lo, hi].
+The module provides
 
 * the sharp assumption constants of the family (tail moments, truncated
   second moment, cosine lower bound) and their lattice re-verification,
@@ -55,20 +55,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LevyBasisModel:
-    """Stable-like basis: index alpha, one-sided weights, space-time box."""
+    """Stable-like basis: index alpha, one-sided weights, and the box
+    [0, T] x [lo, hi] with Lebesgue control."""
 
     alpha: float
     c_plus: float
     c_minus: float
     T: float
-    domain: tuple            # ((lo, hi),) * d
-    weight: object = None    # control-measure weight w(s, y) -> >= 0
-    weight_bound: float = 1.0
+    domain: tuple            # (lo, hi)
     tau: float = None        # small-jump truncation override
-
-    @property
-    def d(self):
-        return len(self.domain)
 
     @property
     def c_sum(self):
@@ -80,33 +75,25 @@ class LevyBasisModel:
 
     @property
     def box_volume(self):
-        vol = self.T
-        for lo, hi in self.domain:
-            vol *= hi - lo
-        return vol
-
-    def weight_values(self, s, y):
-        if self.weight is None:
-            return np.ones_like(np.asarray(s, dtype=float))
-        return np.asarray(self.weight(s, y), dtype=float)
+        lo, hi = self.domain
+        return self.T * (hi - lo)
 
 
 def make_levy_model(alpha, c_plus=1.0, c_minus=1.0, *, T=1.0,
-                    domain=((-1.0, 1.0),), weight=None, weight_bound=None,
-                    tau=None, normalize=False) -> LevyBasisModel:
+                    domain=(-1.0, 1.0), tau=None,
+                    normalize=False) -> LevyBasisModel:
     if not (0.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (0, 2)")
     if c_plus < 0 or c_minus < 0 or c_plus + c_minus == 0:
         raise ValueError("one-sided weights must be nonnegative, not both 0")
     if T <= 0:
         raise ValueError("T must be positive")
-    domain = tuple((float(lo), float(hi)) for lo, hi in domain)
-    if not domain or any(hi <= lo for lo, hi in domain):
-        raise ValueError("domain axes must be nonempty intervals")
-    if weight is not None:
-        if weight_bound is None or weight_bound <= 0:
-            raise ValueError("a positive weight_bound is required with a "
-                             "weight function")
+    try:
+        lo, hi = map(float, domain)
+    except (TypeError, ValueError):
+        raise ValueError("domain must be one interval (lo, hi)") from None
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError("domain must be a finite interval lo < hi")
     if tau is not None and tau <= 0:
         raise ValueError("tau must be positive")
     if normalize:
@@ -114,9 +101,7 @@ def make_levy_model(alpha, c_plus=1.0, c_minus=1.0, *, T=1.0,
         z_mass = (c_plus + c_minus) * (1.0 / (2.0 - alpha) + 1.0 / alpha)
         c_plus, c_minus = c_plus / z_mass, c_minus / z_mass
     return LevyBasisModel(float(alpha), float(c_plus), float(c_minus),
-                          float(T), domain, weight,
-                          1.0 if weight_bound is None else float(weight_bound),
-                          tau)
+                          float(T), (lo, hi), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -298,19 +283,18 @@ class CellGrid:
     compensators and all outer quadratures."""
 
     time_edges: np.ndarray
-    space_edges: list
-    s_mid: np.ndarray        # (n_cells,)
-    y_mid: np.ndarray        # (n_cells, d)
+    space_edges: np.ndarray
+    s_mid: np.ndarray        # (n_cells,), time-major
+    y_mid: np.ndarray        # (n_cells,)
     cell_vol: np.ndarray     # (n_cells,)
-    weights: np.ndarray      # control weight at midpoints
 
     @property
     def n_cells(self):
         return self.s_mid.size
 
     def quadrature(self, values):
-        """Midpoint quadrature of a per-cell sample against w * lambda."""
-        return float(np.sum(values * self.weights * self.cell_vol))
+        """Midpoint quadrature of a per-cell sample against Lebesgue."""
+        return float(np.sum(values * self.cell_vol))
 
 
 def build_cells(model, nt=32, nx=32, extra_time_edges=()) -> CellGrid:
@@ -320,26 +304,17 @@ def build_cells(model, nt=32, nx=32, extra_time_edges=()) -> CellGrid:
             [t_edges, np.asarray(extra_time_edges, dtype=float)]))
         if t_edges[0] < -1e-12 or t_edges[-1] > model.T + 1e-12:
             raise ValueError("extra time edges outside [0, T]")
-    space_edges = [np.linspace(lo, hi, nx + 1) for lo, hi in model.domain]
-    s_mid_1d = 0.5 * (t_edges[:-1] + t_edges[1:])
-    mids = [0.5 * (e[:-1] + e[1:]) for e in space_edges]
-    mesh = np.meshgrid(s_mid_1d, *mids, indexing="ij")
-    s_mid = mesh[0].ravel()
-    y_mid = np.stack([m.ravel() for m in mesh[1:]], axis=-1)
-    dt = np.diff(t_edges)
-    widths = np.ones(1)
-    for e in space_edges:
-        widths = np.outer(widths, np.diff(e)).ravel()
-    cell_vol = np.outer(dt, widths).ravel()
-    w = model.weight_values(s_mid, y_mid)
-    if np.any(w < 0) or np.any(w > model.weight_bound * (1 + 1e-9)):
-        raise ValueError("control weight escapes [0, weight_bound]")
-    return CellGrid(t_edges, space_edges, s_mid, y_mid, cell_vol, w)
+    space_edges = np.linspace(*model.domain, nx + 1)
+    s_mid, y_mid = (m.ravel() for m in np.meshgrid(
+        0.5 * (t_edges[:-1] + t_edges[1:]),
+        0.5 * (space_edges[:-1] + space_edges[1:]), indexing="ij"))
+    cell_vol = np.outer(np.diff(t_edges), np.diff(space_edges)).ravel()
+    return CellGrid(t_edges, space_edges, s_mid, y_mid, cell_vol)
 
 
 def default_tau(model, target_var_error=1e-2) -> float:
     """tau = (target variance error)^(1/(2-alpha)); the Gaussian that
-    replaces the sub-tau jumps then has variance C_bar * err * int w f^2."""
+    replaces the sub-tau jumps then has variance C_bar * err * int f^2."""
     if model.tau is not None:
         return model.tau
     return float(target_var_error) ** (1.0 / (2.0 - model.alpha))
@@ -362,7 +337,7 @@ class JumpRecord:
     cells: CellGrid
     counts: np.ndarray       # (n_draws,) jump counts
     s: np.ndarray            # (total_jumps,)
-    y: np.ndarray            # (total_jumps, d)
+    y: np.ndarray            # (total_jumps,)
     z: np.ndarray            # (total_jumps,) signed jump sizes
     cell_normals: np.ndarray  # (n_draws, n_cells)
 
@@ -387,9 +362,8 @@ def cell_factors(model, tau, cells):
     compensator is the mean of the simulated (tau, 1] jumps.
     """
     sigma2 = model.c_sum * tau ** (2.0 - model.alpha) / (2.0 - model.alpha)
-    sd = np.sqrt(sigma2 * cells.weights * cells.cell_vol)
-    comp = model.c_diff * _compensator_k(model.alpha, tau) * cells.weights \
-        * cells.cell_vol
+    sd = np.sqrt(sigma2 * cells.cell_vol)
+    comp = model.c_diff * _compensator_k(model.alpha, tau) * cells.cell_vol
     return sd, comp
 
 
@@ -419,12 +393,11 @@ def _check_integrand(model, cells, f_mid, tau, max_expected_jumps):
     if not np.all(np.isfinite(f_mid)):
         raise ValueError("integrand not finite on the cell lattice")
     # eq-style integrability audit: int int |f|^alpha dlambda must be finite
-    if not np.all(np.isfinite(np.sum(np.abs(f_mid) ** alpha * cells.weights
-                                     * cells.cell_vol, axis=-1))):
+    if not np.all(np.isfinite(np.sum(np.abs(f_mid) ** alpha * cells.cell_vol,
+                                     axis=-1))):
         raise ValueError("integrand fails the |f|^alpha integrability check")
 
-    rate_bound = model.box_volume * model.weight_bound * model.c_sum \
-        * tau ** (-alpha) / alpha
+    rate_bound = model.box_volume * model.c_sum * tau ** (-alpha) / alpha
     if not np.isfinite(rate_bound) or rate_bound > max_expected_jumps:
         raise ValueError(
             f"expected jump count {rate_bound:.3g} per draw exceeds the "
@@ -440,74 +413,62 @@ def _skip(rng, n):
         rng.bit_generator.advance(n)
 
 
-def _widths(model):
-    """Uniforms per jump of each block of the jump stream, in stream order:
-    times, positions (d, row-major), thinning (weighted models only), signs
-    and magnitudes."""
-    return (1, model.d) + (1,) * (2 + (model.weight is not None))
+# Uniform blocks of the jump stream, one uniform per jump each, in stream
+# order: times, positions, signs and magnitudes.
+_BLOCKS = 4
 
 
 def _map_jumps(model, tau, blocks):
-    """Times, positions, thinning mask (None when no jump is thinned) and
-    signed sizes of the jumps whose uniform blocks `blocks` yields in the
-    order of _widths.  Each block is mapped in its own buffer as uniform()
-    maps doubles (lo + (hi - lo) * u); sizes are +-tau * u**(-1/alpha),
-    negative where the sign uniform falls past c_plus / c_sum."""
+    """Times, positions and signed sizes of the jumps whose _BLOCKS uniform
+    blocks `blocks` yields in stream order.  Each block is mapped in its own
+    buffer as uniform() maps doubles (lo + (hi - lo) * u); sizes are
+    +-tau * u**(-1/alpha), negative where the sign uniform falls past
+    c_plus / c_sum."""
     s = next(blocks)
     s *= model.T
-    y = next(blocks).reshape(s.size, model.d)
-    lo, hi = (np.array(b) for b in zip(*model.domain))
+    y = next(blocks)
+    lo, hi = model.domain
     y *= hi - lo
     y += lo
-    keep = None
-    if model.weight is not None:
-        keep = next(blocks)
-        keep *= model.weight_bound
-        keep = keep <= model.weight_values(s, y)
     negative = next(blocks)
     negative *= model.c_sum
     negative = negative >= model.c_plus
     z = next(blocks)
     z **= -1.0 / model.alpha
     np.multiply(tau, z, out=z)
-    return s, y, keep, np.negative(z, out=z, where=negative)
+    return s, y, np.negative(z, out=z, where=negative)
 
 
 def _draw_part(model, rng, counts, first, tot, tau, f):
-    """Per-draw jump sums of f and the kept jump count of consecutive draws
-    of a chunk, whose Poisson counts are given and whose first jump is jump
-    `first` of the chunk's `tot`.  rng stands at the start of the chunk's
-    uniform blocks (_widths); the part draws its own slice of each block in
-    one random() call, jumping over the other parts' slices between
-    blocks."""
+    """Per-draw jump sums of f over consecutive draws of a chunk, whose
+    Poisson counts are given and whose first jump is jump `first` of the
+    chunk's `tot`.  rng stands at the start of the chunk's _BLOCKS uniform
+    blocks; the part draws its own slice of each block in one random()
+    call, jumping over the other parts' slices between blocks."""
     m = int(counts.sum())
     head, tail = first, tot - first - m     # the chunk's jumps around ours
 
     def blocks():
-        for w in _widths(model):
-            _skip(rng, head * w)
-            yield rng.random(m * w)
-            _skip(rng, tail * w)
+        for _ in range(_BLOCKS):
+            _skip(rng, head)
+            yield rng.random(m)
+            _skip(rng, tail)
 
-    s, y, keep, z = _map_jumps(model, tau, blocks())
-    kept = m
-    if keep is not None:
-        np.copyto(z, 0.0, where=~keep)
-        kept = int(np.count_nonzero(keep))
+    s, y, z = _map_jumps(model, tau, blocks())
     f_jump = np.asarray(f(s, y), dtype=float) if m else np.zeros(0)
     did = np.repeat(np.arange(counts.size), counts)
     z *= f_jump
-    return np.bincount(did, weights=z, minlength=counts.size), kept
+    return np.bincount(did, weights=z, minlength=counts.size)
 
 
 def _draw_parts(model, rng, nb, rate_bound, tau, f, k, map_parts):
-    """The (jump sums, kept count) of k runs of a chunk of nb draws, whose
-    Poisson counts rng draws first, cut at draw boundaries to about equal
-    jump counts (see _draw_part).  One run draws from rng itself; more (at
-    most one per draw) each draw from a copy of rng's PCG64 state advanced
-    to its slice of every block, through map_parts (a thread pool's map),
-    and rng is then advanced past the chunk's uniforms, where drawing them
-    all would have left it."""
+    """The per-draw jump sums of k runs of a chunk of nb draws, and the
+    chunk's jump count.  rng draws the Poisson counts first; the runs are
+    cut at draw boundaries to about equal jump counts (see _draw_part).
+    One run draws from rng itself; more (at most one per draw) each draw
+    from a copy of rng's PCG64 state advanced to its slice of every block,
+    through map_parts (a thread pool's map), and rng is then advanced past
+    the chunk's uniforms, where drawing them all would have left it."""
     # drawn here, the counts outlive the chunk's big arrays until the sums
     # exist, so the sums do not land in the hole the last chunk's counts
     # left at the bottom of the heap; there they let malloc trim the freed
@@ -516,7 +477,7 @@ def _draw_parts(model, rng, nb, rate_bound, tau, f, k, map_parts):
     tot = int(counts.sum())
     k = min(k, nb)
     if k == 1:
-        return [_draw_part(model, rng, counts, 0, tot, tau, f)]
+        return [_draw_part(model, rng, counts, 0, tot, tau, f)], tot
     cum = np.concatenate(([0], np.cumsum(counts)))
     cuts = np.concatenate(
         ([0], np.searchsorted(cum[1:], tot * np.arange(1, k) / k),
@@ -531,12 +492,12 @@ def _draw_parts(model, rng, nb, rate_bound, tau, f, k, map_parts):
         return _draw_part(model, g, counts[a:b], int(cum[a]), tot, tau, f)
 
     results = list(map_parts(part, range(k)))
-    bit_gen.advance(tot * sum(_widths(model)))
+    bit_gen.advance(tot * _BLOCKS)
     # advance() drops the buffered 32-bit half, which drawing doubles
     # leaves as it was
     bit_gen.state = dict(bit_gen.state, has_uint32=state["has_uint32"],
                          uinteger=state["uinteger"])
-    return results
+    return results, tot
 
 
 def _check_workers(rng, workers):
@@ -560,7 +521,7 @@ def sample_records(model, f_mid, rngs, *, tau, cells,
     sample_integral checks f and stacked as one record of len(rngs) draws.
 
     Generator i draws poisson(rate_bound, 1) for its jump count tot, then
-    one random(tot * sum(_widths)) cut into the blocks of _widths, then
+    one random((_BLOCKS, tot)), a row per block, then
     standard_normal(n_cells) for its cell normals.  So a draw never depends
     on the draws stacked with it; only the arithmetic on the drawn numbers
     runs once per stack.
@@ -569,21 +530,14 @@ def sample_records(model, f_mid, rngs, *, tau, cells,
         raise ValueError("need one row of cell values per generator")
     rate_bound = _check_integrand(model, cells, f_mid, tau,
                                   max_expected_jumps)
-    widths = _widths(model)
     counts = np.empty(len(rngs), dtype=np.int64)
     normals = np.empty((len(rngs), cells.n_cells))
     drawn = []
     for i, rng in enumerate(rngs):
         tot = counts[i] = rng.poisson(rate_bound, 1)[0]
-        drawn.append(np.split(rng.random(tot * sum(widths)),
-                              tot * np.cumsum(widths[:-1])))
+        drawn.append(rng.random((_BLOCKS, tot)))
         rng.standard_normal(out=normals[i])
-    s, y, keep, z = _map_jumps(model, tau,
-                               (np.concatenate(b) for b in zip(*drawn)))
-    if keep is not None:
-        did = np.repeat(np.arange(len(rngs)), counts)
-        counts = np.bincount(did[keep], minlength=len(rngs))
-        s, y, z = s[keep], y[keep], z[keep]
+    s, y, z = _map_jumps(model, tau, iter(np.concatenate(drawn, axis=1)))
     return JumpRecord(tau=float(tau), cells=cells, counts=counts, s=s, y=y,
                       z=z, cell_normals=normals)
 
@@ -593,8 +547,8 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
                     max_expected_jumps=250_000.0, workers=1, tally=None):
     """Simulate X = int_0^T int_D f(s, y) L(ds, dy).
 
-    Jumps with |z| > tau come from a compound-Poisson sampler (Pareto
-    magnitudes, thinned by the control weight); jumps below tau are
+    Jumps with |z| > tau come from a compound-Poisson sampler (uniform
+    times and positions on the box, Pareto magnitudes); jumps below tau are
     replaced by a centred per-cell Gaussian matching the truncated second
     moment; the raw simulation of (tau, 1] jumps is compensated per the
     1_{[-1,1]} truncation convention of the characteristic exponent.
@@ -606,8 +560,8 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
     _draw_parts; rng must then be PCG64).  Every draw's jumps are the
     serial ones, summed in the serial order, so the values, and where rng
     is left, are the same for any count.  A dict passed as tally receives
-    the work done: chunks, parts (the most of any chunk) and jumps (kept
-    after thinning, over all draws).
+    the work done: chunks, parts (the most of any chunk) and jumps (over
+    all draws).
     """
     scalar = n_draws is None
     n = 1 if scalar else int(n_draws)
@@ -626,8 +580,7 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
 
     values = np.empty(n)
     sigma2 = model.c_sum * tau ** (2.0 - alpha) / (2.0 - alpha)
-    total_sd = math.sqrt(float(np.sum(
-        sigma2 * cells.weights * f_mid ** 2 * cells.cell_vol)))
+    total_sd = math.sqrt(float(np.sum(sigma2 * f_mid ** 2 * cells.cell_vol)))
     comp = model.c_diff * _compensator_k(alpha, tau) * cells.quadrature(f_mid)
 
     chunk = max(1, int(2e6 / max(rate_bound, 1.0)))
@@ -635,14 +588,14 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
     with ThreadPoolExecutor(workers) as pool:
         for start in range(0, n, chunk):
             nb = min(chunk, n - start)
-            results = _draw_parts(model, rng, nb, rate_bound, tau, f,
-                                  workers, pool.map)
+            sums, jumps = _draw_parts(model, rng, nb, rate_bound, tau, f,
+                                      workers, pool.map)
             gauss_part = total_sd * rng.standard_normal(nb)
-            values[start:start + nb] = np.concatenate(
-                [sums for sums, _ in results]) + gauss_part - comp
+            values[start:start + nb] = np.concatenate(sums) + gauss_part \
+                - comp
             work["chunks"] += 1
-            work["parts"] = max(work["parts"], len(results))
-            work["jumps"] += sum(kept for _, kept in results)
+            work["parts"] = max(work["parts"], len(sums))
+            work["jumps"] += jumps
     if tally is not None:
         tally.update(work)
     return values[0] if scalar else values
@@ -670,7 +623,7 @@ def characteristic_exponent(model, f, xi_grid, *, cells=None, nt=64,
 
     The inner integral over the stable measure is closed-form,
     int (1 - cos(xi z u)) rho(dz) = c_sum K_alpha |xi u|^alpha, so the
-    exponent reduces to A |xi|^alpha with A = K_alpha int int c_sum w
+    exponent reduces to A |xi|^alpha with A = K_alpha int int c_sum
     |f|^alpha; the outer integral is midpoint quadrature on the cell grid.
     """
     if cells is None:

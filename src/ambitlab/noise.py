@@ -53,14 +53,13 @@ class SpectralNoiseModel:
     m: int
     beta: float = None
     ell: float = None
-    cutoff: float = None  # spectral truncation radius used by grid sums
 
     @property
     def dx(self) -> float:
         return self.Lbox / self.m
 
 
-def make_noise_model(kind, d, Lbox, m, beta=None, ell=None, cutoff=None):
+def make_noise_model(kind, d, Lbox, m, beta=None, ell=None):
     if kind not in ("white", "riesz", "exponential"):
         raise ValueError(f"unknown noise kind {kind!r}")
     if d < 1:
@@ -75,12 +74,9 @@ def make_noise_model(kind, d, Lbox, m, beta=None, ell=None, cutoff=None):
     if kind == "exponential":
         if ell is None or ell <= 0:
             raise ValueError("exponential covariance requires ell > 0")
-    if cutoff is None:
-        cutoff = np.pi * m / Lbox  # grid Nyquist radius
     return SpectralNoiseModel(kind, int(d), float(Lbox), int(m),
                               None if beta is None else float(beta),
-                              None if ell is None else float(ell),
-                              float(cutoff))
+                              None if ell is None else float(ell))
 
 
 def spectral_density_radial(model, r):

@@ -58,7 +58,6 @@ class CoefficientPair:
     b: object
     sigma_constant: float = None  # set when sigma is constant (fast path)
     b_constant: float = None
-    label: str = ""
 
     def sigma_values(self, u):
         if self.sigma_constant is not None:
@@ -73,14 +72,13 @@ class CoefficientPair:
 
 def constant_coefficients(sigma0=1.0, b0=0.0) -> CoefficientPair:
     return CoefficientPair(sigma=None, b=None, sigma_constant=float(sigma0),
-                           b_constant=float(b0),
-                           label=f"const(sigma={sigma0:g},b={b0:g})")
+                           b_constant=float(b0))
 
 
 def anderson_coefficients(lam=1.0, b0=0.0) -> CoefficientPair:
     """Multiplicative (Anderson) coefficients sigma(u) = lam * u."""
     return CoefficientPair(sigma=lambda u: lam * u, b=None,
-                           b_constant=float(b0), label=f"anderson({lam:g})")
+                           b_constant=float(b0))
 
 
 @dataclass

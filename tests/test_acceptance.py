@@ -167,7 +167,7 @@ def test_07_characteristic_exponent_power_law():
     xi = np.geomspace(1.0, 100.0, 12)
     for alpha in (0.7, 1.0, 1.5):
         m = levy.make_levy_model(alpha, 1.0, 1.0, T=1.0,
-                                 domain=((0.0, 1.0),))
+                                 domain=(0.0, 1.0))
         ce = levy.characteristic_exponent(m, lambda s, y: np.ones_like(s),
                                           xi)
         if alpha == 1.0:
@@ -199,7 +199,7 @@ def test_08_sampler_matches_quadrature_cf():
 
 def test_09_ambit_exponent_quadratures():
     clock = _Clock(30.0)
-    model = levy.make_levy_model(1.2, 0.5, 0.5, T=1.0, domain=((-1.0, 1.0),))
+    model = levy.make_levy_model(1.2, 0.5, 0.5, T=1.0, domain=(-1.0, 1.0))
     eps = np.geomspace(1e-3, 0.5, 10)
     cone = am.make_ambit_spec(ambit_set=am.make_cone(1.0, 1.0),
                               kernel_g=am.constant_kernel(1.0),
@@ -224,7 +224,7 @@ def test_09_ambit_exponent_quadratures():
 
 def test_10_coupling_error_decay_rate():
     clock = _Clock(900.0)
-    model = levy.make_levy_model(1.2, 0.5, 0.5, T=1.0, domain=((-1.0, 1.0),))
+    model = levy.make_levy_model(1.2, 0.5, 0.5, T=1.0, domain=(-1.0, 1.0))
     ref = am.make_ambit_spec(ambit_set=am.make_cone(1.0, 1.0),
                              kernel_g=am.power_kernel(0.5),
                              sigma=am.weierstrass_field(delta1=0.5,
@@ -246,7 +246,7 @@ def test_10_coupling_error_decay_rate():
 def test_11_density_criterion_and_dirac_control():
     clock = _Clock(300.0)
     lite = levy.make_levy_model(1.2, 1.0 / 60, 1.0 / 60, T=1.0,
-                                domain=((-1.0, 1.0),))
+                                domain=(-1.0, 1.0))
     slab = am.make_ambit_spec(ambit_set=am.make_slab(1.0),
                               kernel_g=am.constant_kernel(1.0),
                               sigma=am.constant_field(1.0),
@@ -257,7 +257,7 @@ def test_11_density_criterion_and_dirac_control():
     assert len(rep.slopes) == 5
     assert all(s > 0.5 for s in rep.slopes.values())
 
-    model = levy.make_levy_model(1.2, 0.5, 0.5, T=1.0, domain=((-1.0, 1.0),))
+    model = levy.make_levy_model(1.2, 0.5, 0.5, T=1.0, domain=(-1.0, 1.0))
     dirac = am.make_ambit_spec(ambit_set=am.make_slab(1.0),
                                kernel_g=am.constant_kernel(0.0),
                                sigma=am.constant_field(1.0),

@@ -26,7 +26,7 @@ EPS = np.geomspace(1e-3, 0.5, 10)
 
 @pytest.fixture(scope="module")
 def model():
-    return lv.make_levy_model(1.2, 0.5, 0.5, T=1.0, domain=((-1.0, 1.0),))
+    return lv.make_levy_model(1.2, 0.5, 0.5, T=1.0, domain=(-1.0, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -180,11 +180,6 @@ def test_exponent_validation(model, cone_spec):
     with pytest.raises(ValueError, match="beta"):
         am.exponent_conditions(cone_spec, model, EPS, beta=1.3, gamma=2.0,
                                t=1.0)
-    weighted = lv.make_levy_model(1.2, 0.5, 0.5,
-                                  weight=lambda s, y: np.ones_like(s),
-                                  weight_bound=1.0)
-    with pytest.raises(ValueError, match="weight"):
-        am.exponent_conditions(cone_spec, weighted, EPS, t=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,18 +206,10 @@ def test_pure_drift_integrates_the_set(model):
     assert v == pytest.approx(2.5, rel=1e-8)
 
 
-def test_sampling_is_one_dimensional_only():
-    m2 = lv.make_levy_model(1.2, 0.5, 0.5,
-                            domain=((-1.0, 1.0), (-1.0, 1.0)))
-    spec = am.make_ambit_spec(ambit_set=am.make_slab(1.0))
-    with pytest.raises(ValueError, match="d = 1"):
-        am.make_discretization(spec, m2, 1.0, 0.0)
-
-
 def test_slab_field_matches_stable_cf(model):
     """Constant-kernel slab value is stable(alpha) with A = c_sum K 2t."""
     lite = lv.make_levy_model(1.2, 1 / 60, 1 / 60, T=1.0,
-                              domain=((-1.0, 1.0),))
+                              domain=(-1.0, 1.0))
     spec = am.make_ambit_spec(ambit_set=am.make_slab(1.0),
                               kernel_g=am.constant_kernel(1.0),
                               sigma=am.constant_field(1.0),
@@ -305,9 +292,8 @@ def test_coupling_triangle_replay(model):
 
         def gap_int(s, y):
             sig = path.sigma_mid[disc.cell_index(s, y)]
-            space = am._space(y)
-            ind = spec.ambit_set.indicator(1.0, 0.0, s, space)
-            gv = spec.kernel_g(1.0, s, 0.0, space)
+            ind = spec.ambit_set.indicator(1.0, 0.0, s, y)
+            gv = spec.kernel_g(1.0, s, 0.0, y)
             return ind * gv * (sig - parts.sigma_frozen) * (s > 0.75 + 1e-15)
 
         gap = lv.replay_integral(disc.box_model, path.record, gap_int)[0]
@@ -326,9 +312,8 @@ def _replayed_parts(path, eps):
     t_cut = t - eps
 
     def unit(s, y):
-        space = am._space(y)
-        return spec.ambit_set.indicator(t, x, s, space) \
-            * spec.kernel_g(t, s, x, space)
+        return spec.ambit_set.indicator(t, x, s, y) \
+            * spec.kernel_g(t, s, x, y)
 
     def hist_integrand(s, y):
         return unit(s, y) * path.sigma_mid[disc.cell_index(s, y)] \
@@ -372,7 +357,7 @@ def test_one_pass_coupling_matches_replay(spec, c_minus):
     """Prefix/suffix reads of the per-row integrals equal two replays of
     the record per eps, and the separable field equals the pointwise one."""
     model = lv.make_levy_model(1.2, 0.5, c_minus, T=1.0,
-                               domain=((-1.0, 1.0),))
+                               domain=(-1.0, 1.0))
     grid = (0.03, 0.1, 0.37, 1.0)  # includes eps = t
     disc = am.make_discretization(spec, model, 1.0, 0.0, eps_grid=grid,
                                   nt=20, nx=16)
@@ -385,9 +370,8 @@ def test_one_pass_coupling_matches_replay(spec, c_minus):
         assert np.all(np.abs(path.sigma_mid - direct) <= 4 * ulp)
 
         def full(s, y):
-            space = am._space(y)
-            return spec.ambit_set.indicator(1.0, 0.0, s, space) \
-                * spec.kernel_g(1.0, s, 0.0, space) \
+            return spec.ambit_set.indicator(1.0, 0.0, s, y) \
+                * spec.kernel_g(1.0, s, 0.0, y) \
                 * path.sigma_mid[disc.cell_index(s, y)]
 
         value = spec.x0 \
@@ -408,7 +392,7 @@ def test_stacked_paths_equal_single_paths(spec, c_minus):
     path exactly what make_path gives it, and leave its generator where
     make_path leaves it."""
     model = lv.make_levy_model(1.2, 0.5, c_minus, T=1.0,
-                               domain=((-1.0, 1.0),))
+                               domain=(-1.0, 1.0))
     disc = am.make_discretization(spec, model, 1.0, 0.0,
                                   eps_grid=(0.03, 0.1, 0.37, 1.0),
                                   nt=20, nx=16)

@@ -288,7 +288,7 @@ def test_criterion_report_skips_unusable_fits():
     assert rep.holder_order == 0.5 and rep.verdict
     assert not besov.criterion_report(stats, 1.5).verdict
     empty = besov.criterion_report([], 0.5)
-    assert np.isnan(empty.min_slope) and not empty.verdict
+    assert empty.min_slope is None and not empty.verdict
 
 
 def test_rows_align_with_h_grid():

@@ -414,6 +414,7 @@ def test_zero_statistic_is_conclusive(tmp_path, capsys):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["flag"] == "ok"
     assert summary["verdict"] is False
+    assert summary["min_slope"] is None
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

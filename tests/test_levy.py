@@ -49,9 +49,11 @@ def test_normalization_mass():
     (dict(alpha=1.0, c_plus=0.0, c_minus=0.0), "weights"),
     (dict(alpha=1.0, c_plus=-1.0), "weights"),
     (dict(alpha=1.0, T=0.0), "T must"),
-    (dict(alpha=1.0, domain=((1.0, 1.0),)), "domain"),
-    (dict(alpha=1.0, weight=lambda s, y: 1.0), "weight_bound"),
+    (dict(alpha=1.0, domain=(1.0, 1.0)), "domain"),
+    (dict(alpha=1.0, domain=((-1.0, 1.0),)), "domain"),
     (dict(alpha=1.0, tau=-0.1), "tau"),
+    (dict(alpha=1.0, domain=((-1.0, 1.0), (0.0, 2.0))), "domain"),
+    (dict(alpha=1.0, domain=(0.0, np.inf)), "domain"),
 ])
 def test_model_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -117,7 +119,7 @@ def test_draw_shapes_and_budget():
 
 def test_tau_insensitivity_ks():
     """Halving the jump cutoff must not move the sampled law."""
-    m = levy.make_levy_model(1.2, 1.0, 1.0, T=1.0, domain=((-1.0, 1.0),))
+    m = levy.make_levy_model(1.2, 1.0, 1.0, T=1.0, domain=(-1.0, 1.0))
     a = levy.sample_integral(m, ONE, path_rng(3, "tau", 0), n_draws=4000,
                              tau=0.05)
     b = levy.sample_integral(m, ONE, path_rng(3, "tau", 1), n_draws=4000,
@@ -135,28 +137,13 @@ def test_infinite_divisibility_ks():
     assert stats.ks_2samp(x, y).pvalue > 1e-3
 
 
-def test_weight_doubles_like_coefficients():
-    base = levy.make_levy_model(1.0, 1.0, 1.0, T=1.0, domain=((0.0, 1.0),))
-    weighted = levy.make_levy_model(1.0, 1.0, 1.0, T=1.0,
-                                    domain=((0.0, 1.0),),
-                                    weight=lambda s, y: 2.0 * np.ones_like(s),
-                                    weight_bound=2.0)
-    doubled = levy.make_levy_model(1.0, 2.0, 2.0, T=1.0, domain=((0.0, 1.0),))
-    xi = np.geomspace(1.0, 50.0, 8)
-    cw = levy.characteristic_exponent(weighted, ONE, xi)
-    cd = levy.characteristic_exponent(doubled, ONE, xi)
-    cb = levy.characteristic_exponent(base, ONE, xi)
-    assert np.allclose(cw.values, cd.values, rtol=1e-12)
-    assert np.allclose(cw.values, 2.0 * cb.values, rtol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # record / replay
 # ---------------------------------------------------------------------------
 
 
 def _osc(s, y):
-    return np.cos(s) * np.exp(-np.asarray(y)[..., 0] ** 2)
+    return np.cos(s) * np.exp(-np.asarray(y) ** 2)
 
 
 def _osc_record(m, cells, stream, n_draws):
@@ -177,7 +164,7 @@ def test_replay_is_linear_in_the_integrand():
 
 def test_erase_after_preserves_history():
     """Erasing the record beyond a cut cannot change history integrals."""
-    m = levy.make_levy_model(1.2, 1.0, 1.0, T=1.0, domain=((-2.0, 2.0),),
+    m = levy.make_levy_model(1.2, 1.0, 1.0, T=1.0, domain=(-2.0, 2.0),
                              tau=0.05)
     cells = levy.build_cells(m, nt=16, nx=16, extra_time_edges=[0.75])
     rec = _osc_record(m, cells, "rec", 3)
@@ -187,51 +174,29 @@ def test_erase_after_preserves_history():
     assert np.array_equal(h1, h2)
 
 
-def _thin(s, y):
-    return 0.5 + 0.4 * np.cos(3.0 * s + np.asarray(y)[..., 0])
-
-
 # models of the stacked-record tests, each sampled at its own tau
 RECORD_CASES = {
     "unweighted": levy.make_levy_model(1.2, 1.0, 0.4, T=1.0,
-                                       domain=((-2.0, 2.0),), tau=0.05),
-    "thinned": levy.make_levy_model(1.2, 1.0, 0.4, T=1.0,
-                                    domain=((-2.0, 2.0),), tau=0.05,
-                                    weight=_thin, weight_bound=1.0),
-    "d2": levy.make_levy_model(0.8, 1.0, 0.6, T=0.7,
-                               domain=((-1.0, 1.0), (0.0, 2.0)), tau=0.05),
-    "d2-thinned": levy.make_levy_model(1.5, 0.3, 1.0, T=0.7,
-                                       domain=((-1.0, 1.0), (0.0, 2.0)),
-                                       tau=0.05, weight=_thin,
-                                       weight_bound=1.0),
+                                       domain=(-2.0, 2.0), tau=0.05),
     # about 0.73 expected jumps per draw: many draws have none
     "sparse": levy.make_levy_model(1.5, 1.0, 1.0, T=1.0,
-                                   domain=((0.0, 1.0),), tau=1.5),
+                                   domain=(0.0, 1.0), tau=1.5),
 }
 
 
 def _explicit_jumps(m, rng, tau, n_draws):
-    """(counts, s, y, z) of the kept jumps of n_draws draws, rebuilt with
-    one generator call per quantity: poisson, then uniform times,
-    positions, thinning, signs and magnitudes over all draws."""
-    rate = m.box_volume * m.weight_bound * m.c_sum * tau ** (-m.alpha) \
-        / m.alpha
+    """(counts, s, y, z) of the jumps of n_draws draws, rebuilt with one
+    generator call per quantity: poisson, then uniform times, positions,
+    signs and magnitudes over all draws."""
+    rate = m.box_volume * m.c_sum * tau ** (-m.alpha) / m.alpha
     counts = rng.poisson(rate, n_draws)
     tot = int(counts.sum())
-    lo = np.array([iv[0] for iv in m.domain])
-    hi = np.array([iv[1] for iv in m.domain])
     s = rng.uniform(0.0, m.T, tot)
-    y = rng.uniform(lo, hi, (tot, m.d))
-    keep = np.ones(tot, dtype=bool)
-    if m.weight is not None:
-        keep = rng.uniform(0.0, 1.0, tot) * m.weight_bound \
-            <= m.weight_values(s, y)
+    y = rng.uniform(*m.domain, tot)
     sign = np.where(rng.uniform(0.0, 1.0, tot) * m.c_sum < m.c_plus,
                     1.0, -1.0)
     z = sign * (tau * rng.uniform(0.0, 1.0, tot) ** (-1.0 / m.alpha))
-    did = np.repeat(np.arange(n_draws), counts)
-    return np.bincount(did[keep], minlength=n_draws), s[keep], y[keep], \
-        z[keep]
+    return counts, s, y, z
 
 
 _RECORD_FIELDS = ("counts", "s", "y", "z", "cell_normals")
@@ -282,31 +247,19 @@ def test_records_equal_explicit_uniform_draws(case):
         levy.sample_records(m, f_mid[:4], rngs, tau=tau, cells=cells)
 
 
-def _osc2(s, y):
-    y = np.asarray(y)
-    return np.cos(s) * np.exp(-y[..., 0] ** 2 - 0.5 * y[..., 1] ** 2)
-
-
 # (model, integrand, n_draws, extra sample_integral arguments)
 SPLIT_CASES = {
     "d1": (levy.make_levy_model(1.2, 1.0, 0.5, T=1.0,
-                                domain=((-2.0, 2.0),), tau=0.05),
+                                domain=(-2.0, 2.0), tau=0.05),
            _osc, 2001, {}),
-    "thinned": (levy.make_levy_model(
-        1.1, 0.7, 1.0, T=1.0, domain=((0.0, 1.0),), tau=0.03,
-        weight=lambda s, y: 1.0 + np.sin(3.0 * s) * np.asarray(y)[..., 0],
-        weight_bound=2.0), _osc, 1500, {}),
-    "d2": (levy.make_levy_model(0.8, 1.0, 1.0, T=0.7,
-                                domain=((-1.0, 1.0), (0.0, 2.0)), tau=0.05),
-           _osc2, 999, {}),
     # 0.06 expected jumps per draw: most draws, and some parts, have none
     "sparse": (levy.make_levy_model(1.5, 1.0, 1.0, T=0.1,
-                                    domain=((0.0, 0.2),), tau=0.6),
+                                    domain=(0.0, 0.2), tau=0.6),
                _osc, 1234, {}),
     # about 5800 expected jumps per draw: chunks of 345 draws, the second
     # one short
     "chunks": (levy.make_levy_model(1.2, 1.0, 1.0, T=1.0,
-                                    domain=((-1.0, 1.0),), tau=0.002),
+                                    domain=(-1.0, 1.0), tau=0.002),
                _osc, 400, dict(max_expected_jumps=1e6)),
 }
 
@@ -331,7 +284,7 @@ def test_split_sampler_equals_serial(case):
     if case == "chunks":
         assert tally["chunks"] == 2
     else:
-        # one chunk: the tally counts the kept jumps of the explicit draw
+        # one chunk: the tally counts the jumps of the explicit draw
         counts = _explicit_jumps(m, path_rng(11, case, 0), m.tau, n)[0]
         assert tally["jumps"] == counts.sum()
 
@@ -377,7 +330,7 @@ def test_default_tau_honors_model_setting():
 
 @pytest.fixture(scope="module")
 def unit_mass_model():
-    return levy.make_levy_model(1.0, 1.0, 1.0, T=1.0, domain=((0.0, 1.0),))
+    return levy.make_levy_model(1.0, 1.0, 1.0, T=1.0, domain=(0.0, 1.0))
 
 
 def test_characteristic_exponent_cauchy(unit_mass_model):
