@@ -335,6 +335,11 @@ def default_beta_gamma(alpha):
 # ---------------------------------------------------------------------------
 
 
+# Gauss-Jacobi nodes of the exponent quadratures (checked against twice as
+# many)
+_JACOBI_NODES = 48
+
+
 def _slab_condition_integral(eps, kernel, aset, q, time_holder, space_holder,
                              nodes):
     """int_0^eps v^time_holder * S(u) dv with v = s - (t - eps), u = eps - v,
@@ -391,7 +396,7 @@ class ExponentBundle:
 
 
 def exponent_conditions(spec, model, eps_grid, beta=None, gamma=None, *,
-                        t=1.0, x=0.0, nodes=48) -> ExponentBundle:
+                        t=1.0, x=0.0) -> ExponentBundle:
     """Quadrature of the five slab exponent conditions and their log-log
     fits.
 
@@ -429,10 +434,10 @@ def exponent_conditions(spec, model, eps_grid, beta=None, gamma=None, *,
     for name, (kern, aset, q, th, sh) in conds.items():
         try:
             vals = np.array([_slab_condition_integral(e, kern, aset, q, th,
-                                                      sh, nodes)
+                                                      sh, _JACOBI_NODES)
                              for e in eps_grid])
             fine = np.array([_slab_condition_integral(e, kern, aset, q, th,
-                                                      sh, 2 * nodes)
+                                                      sh, 2 * _JACOBI_NODES)
                              for e in eps_grid])
         except ValueError as exc:
             raise ValueError(f"(H4) condition {name} diverges for this "
@@ -519,8 +524,8 @@ class AmbitDiscretization:
         return k
 
 
-def make_discretization(spec, model, t, x, *, eps_grid=(), nt=64, nx=64,
-                        tau=None, target_var_error=1e-2) -> AmbitDiscretization:
+def make_discretization(spec, model, t, x, *, eps_grid=(), nt=64,
+                        nx=64) -> AmbitDiscretization:
     """Sampling box and aligned cell partition for X(t, x).
 
     The spatial box covers the widest section of both the ambit and drift
@@ -537,7 +542,7 @@ def make_discretization(spec, model, t, x, *, eps_grid=(), nt=64, nx=64,
                               T=t, domain=(x - W, x + W), tau=model.tau)
     edges = [t - e for e in eps_grid if 0 < e <= t]
     cells = levy.build_cells(box, nt=nt, nx=nx, extra_time_edges=edges)
-    tau = levy.default_tau(box, target_var_error) if tau is None else tau
+    tau = levy.default_tau(box)
     te, se = cells.time_edges, cells.space_edges
     s_mid, y_mid = cells.s_mid, cells.y_mid
     g_mid = spec.ambit_set.indicator(t, x, s_mid, y_mid) \
@@ -690,11 +695,11 @@ class AmbitPath:
 
 
 def make_path(spec, model, t, x, rng, disc=None, *, eps_grid=(), nt=64,
-              nx=64, tau=None) -> AmbitPath:
+              nx=64) -> AmbitPath:
     """One exact draw of X(t, x): a stack of one path."""
     if disc is None:
         disc = make_discretization(spec, model, t, x, eps_grid=eps_grid,
-                                   nt=nt, nx=nx, tau=tau)
+                                   nt=nt, nx=nx)
     stack = sample_stack(spec, disc, [rng])
     path = AmbitPath(spec, disc, stack.sigma_paths[0], stack.b_paths[0],
                      stack.sigma_mid[0], stack.b_mid[0], stack.record,
@@ -756,9 +761,8 @@ class DecayReport:
 
 
 def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
-                master_seed=0, stream="ambit-decay", workers=1,
-                gamma=None, gammabar_value=None, nt=64, nx=64,
-                tau=None) -> DecayReport:
+                master_seed=0, workers=1, gamma=None, gammabar_value=None,
+                nt=64, nx=64) -> DecayReport:
     """Paired-coupling MC of E|X - X_eps|^beta against the lemma's rate
     beta (1/alpha + gammabar) - 1.
 
@@ -770,7 +774,7 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
         raise ValueError("need 0 < beta < alpha")
     eps_grid = np.asarray(sorted(eps_grid), dtype=float)
     disc = make_discretization(spec, model, t, x, eps_grid=eps_grid,
-                               nt=nt, nx=nx, tau=tau)
+                               nt=nt, nx=nx)
     cut = np.array([disc.cut_row(e) for e in eps_grid])
 
     def block(_idx, rngs):
@@ -788,7 +792,7 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
 
     clock = time.perf_counter()
     raw = run_ensemble_blocks(n_paths, block, master_seed=master_seed,
-                              stream=stream, workers=workers)
+                              stream="ambit-decay", workers=workers)
     seconds = dict(ensemble=time.perf_counter() - clock,
                    exponent_conditions=0.0)
     abs_gaps, scale, jumps = raw[:, :-2], raw[:, -2:-1], raw[:, -1]
@@ -829,26 +833,23 @@ class DensityReport(besov.CriterionReport):
     discretization: AmbitDiscretization
     jumps_per_draw: float    # mean jump count per sample
     chunks: int              # bulk sampler chunks (None for the ensemble)
-    parts: int               # most parts of a chunk (None for the ensemble)
     seconds: dict            # wall time of the sampler and criterion stages
 
 
-def density_criterion_experiment(spec, model, t, x, n, h_grid=None,
-                                 n_paths=100_000, *, master_seed=0,
-                                 stream="ambit-density", workers=1,
-                                 holder_order=0.5,
-                                 frequencies=besov.DEFAULT_FREQUENCIES,
-                                 nt=64, nx=64, tau=None) -> DensityReport:
+def density_criterion_experiment(spec, model, t, x, n, n_paths=100_000, *,
+                                 master_seed=0, workers=1, holder_order=0.5,
+                                 nt=64, nx=64) -> DensityReport:
     """Criterion statistic for the law of X(t, x) with weights
-    |sigma(t, x)|^n.
+    |sigma(t, x)|^n, at the default h grid and frequencies.
 
     Deterministic coefficient fields take one bulk sampler call (one
-    integrand, n_paths draws from one path_rng stream) whose jump chunks
-    are split across `workers` threads; random volatility runs the path
-    ensemble over `workers` in stacks of PATHS_PER_STACK paths.  Either
-    way the report is the same for any worker count.
+    integrand, n_paths draws, chunk c drawn from child c of the
+    "ambit-density" path_rng stream) whose whole chunks run on `workers`
+    threads; random volatility runs the path ensemble over `workers` in
+    stacks of PATHS_PER_STACK paths.  Either way the report is the same
+    for any worker count.
     """
-    disc = make_discretization(spec, model, t, x, nt=nt, nx=nx, tau=tau)
+    disc = make_discretization(spec, model, t, x, nt=nt, nx=nx)
     clock = time.perf_counter()
     if spec.sigma.is_constant and spec.b.is_constant:
         sig0 = spec.sigma.value
@@ -858,7 +859,7 @@ def density_criterion_experiment(spec, model, t, x, n, h_grid=None,
             ind = spec.ambit_set.indicator(t, x, s, y)
             return ind * spec.kernel_g(t, s, x, y) * sig0
 
-        rng = path_rng(master_seed, stream, 0)
+        rng = path_rng(master_seed, "ambit-density", 0)
         tally = {}
         stoch = levy.sample_integral(disc.box_model, f, rng,
                                      n_draws=n_paths, tau=disc.tau,
@@ -868,7 +869,7 @@ def density_criterion_experiment(spec, model, t, x, n, h_grid=None,
         values = spec.x0 + stoch + drift
         weights = np.full(n_paths, abs(sig0) ** n if n else 1.0)
         counters = dict(jumps_per_draw=tally["jumps"] / n_paths,
-                        chunks=tally["chunks"], parts=tally["parts"])
+                        chunks=tally["chunks"])
     else:
         def block(_idx, rngs):
             out = np.empty((len(rngs), 3))
@@ -881,16 +882,13 @@ def density_criterion_experiment(spec, model, t, x, n, h_grid=None,
             return out
 
         raw = run_ensemble_blocks(n_paths, block, master_seed=master_seed,
-                                  stream=stream, workers=workers)
+                                  stream="ambit-density", workers=workers)
         values, weights = raw[:, 0], raw[:, 1]
-        counters = dict(jumps_per_draw=float(raw[:, 2].mean()), chunks=None,
-                        parts=None)
+        counters = dict(jumps_per_draw=float(raw[:, 2].mean()), chunks=None)
     seconds = dict(sampler=time.perf_counter() - clock)
 
     clock = time.perf_counter()
-    stats = besov.criterion_statistic(values, weights, n, h_grid=h_grid,
-                                      alpha=holder_order,
-                                      frequencies=frequencies)
+    stats = besov.criterion_statistic(values, weights, n, alpha=holder_order)
     report = besov.criterion_report(stats, holder_order)
     seconds["criterion"] = time.perf_counter() - clock
     return DensityReport(**vars(report), discretization=disc,

@@ -315,7 +315,7 @@ def _exp_ambit_density(cfg):
             f"cells={n_rows}x{n_cols}"]
     logs.append(f"jumps_per_draw={report.jumps_per_draw:.2f}")
     if report.chunks is not None:
-        logs += [f"chunks={report.chunks}", f"parts={report.parts}"]
+        logs.append(f"chunks={report.chunks}")
     logs += [f"sampler_s={report.seconds['sampler']:.3f}",
              f"criterion_s={report.seconds['criterion']:.3f}"]
     return _criterion_result(report, logs, verdict=report.verdict, n=a["n"],

@@ -312,12 +312,13 @@ def build_cells(model, nt=32, nx=32, extra_time_edges=()) -> CellGrid:
     return CellGrid(t_edges, space_edges, s_mid, y_mid, cell_vol)
 
 
-def default_tau(model, target_var_error=1e-2) -> float:
-    """tau = (target variance error)^(1/(2-alpha)); the Gaussian that
-    replaces the sub-tau jumps then has variance C_bar * err * int f^2."""
+def default_tau(model) -> float:
+    """The model's tau, else tau = err^(1/(2-alpha)) for the target variance
+    error err = 1e-2; the Gaussian that replaces the sub-tau jumps then has
+    variance C_bar * err * int f^2."""
     if model.tau is not None:
         return model.tau
-    return float(target_var_error) ** (1.0 / (2.0 - model.alpha))
+    return 1e-2 ** (1.0 / (2.0 - model.alpha))
 
 
 def _compensator_k(alpha, tau) -> float:
@@ -405,113 +406,33 @@ def _check_integrand(model, cells, f_mid, tau, max_expected_jumps):
     return rate_bound
 
 
-def _skip(rng, n):
-    """Move rng past n doubles of a chunk's stream that other parts draw
-    (one 64-bit output each); a part covering the whole chunk skips none,
-    so it draws from any Generator."""
-    if n:
-        rng.bit_generator.advance(n)
-
-
 # Uniform blocks of the jump stream, one uniform per jump each, in stream
 # order: times, positions, signs and magnitudes.
 _BLOCKS = 4
 
+# Expected jumps per chunk of sample_integral's draws.  A chunk peaks at
+# about 40 bytes per jump, some 10 MB, on each thread.  Measured on the
+# ambit-density benchmark: wall time is flat from 1.25e5 to 5e5, and peak
+# RSS grows with the chunk while page faults are fewest near 2.5e5.
+_JUMPS_PER_CHUNK = 250_000.0
 
-def _map_jumps(model, tau, blocks):
+
+def _map_jumps(model, tau, u):
     """Times, positions and signed sizes of the jumps whose _BLOCKS uniform
-    blocks `blocks` yields in stream order.  Each block is mapped in its own
-    buffer as uniform() maps doubles (lo + (hi - lo) * u); sizes are
+    blocks are the rows of u, in stream order.  Each block is mapped in
+    place as uniform() maps doubles (lo + (hi - lo) * u); sizes are
     +-tau * u**(-1/alpha), negative where the sign uniform falls past
     c_plus / c_sum."""
-    s = next(blocks)
+    s, y, negative, z = u
     s *= model.T
-    y = next(blocks)
     lo, hi = model.domain
     y *= hi - lo
     y += lo
-    negative = next(blocks)
     negative *= model.c_sum
     negative = negative >= model.c_plus
-    z = next(blocks)
     z **= -1.0 / model.alpha
     np.multiply(tau, z, out=z)
     return s, y, np.negative(z, out=z, where=negative)
-
-
-def _draw_part(model, rng, counts, first, tot, tau, f):
-    """Per-draw jump sums of f over consecutive draws of a chunk, whose
-    Poisson counts are given and whose first jump is jump `first` of the
-    chunk's `tot`.  rng stands at the start of the chunk's _BLOCKS uniform
-    blocks; the part draws its own slice of each block in one random()
-    call, jumping over the other parts' slices between blocks."""
-    m = int(counts.sum())
-    head, tail = first, tot - first - m     # the chunk's jumps around ours
-
-    def blocks():
-        for _ in range(_BLOCKS):
-            _skip(rng, head)
-            yield rng.random(m)
-            _skip(rng, tail)
-
-    s, y, z = _map_jumps(model, tau, blocks())
-    f_jump = np.asarray(f(s, y), dtype=float) if m else np.zeros(0)
-    did = np.repeat(np.arange(counts.size), counts)
-    z *= f_jump
-    return np.bincount(did, weights=z, minlength=counts.size)
-
-
-def _draw_parts(model, rng, nb, rate_bound, tau, f, k, map_parts):
-    """The per-draw jump sums of k runs of a chunk of nb draws, and the
-    chunk's jump count.  rng draws the Poisson counts first; the runs are
-    cut at draw boundaries to about equal jump counts (see _draw_part).
-    One run draws from rng itself; more (at most one per draw) each draw
-    from a copy of rng's PCG64 state advanced to its slice of every block,
-    through map_parts (a thread pool's map), and rng is then advanced past
-    the chunk's uniforms, where drawing them all would have left it."""
-    # drawn here, the counts outlive the chunk's big arrays until the sums
-    # exist, so the sums do not land in the hole the last chunk's counts
-    # left at the bottom of the heap; there they let malloc trim the freed
-    # arrays, and each chunk page-faults them in again
-    counts = rng.poisson(rate_bound, nb)
-    tot = int(counts.sum())
-    k = min(k, nb)
-    if k == 1:
-        return [_draw_part(model, rng, counts, 0, tot, tau, f)], tot
-    cum = np.concatenate(([0], np.cumsum(counts)))
-    cuts = np.concatenate(
-        ([0], np.searchsorted(cum[1:], tot * np.arange(1, k) / k),
-         [counts.size]))
-    bit_gen = rng.bit_generator
-    state = bit_gen.state
-
-    def part(i):
-        g = np.random.Generator(type(bit_gen)(0))
-        g.bit_generator.state = state
-        a, b = cuts[i], cuts[i + 1]
-        return _draw_part(model, g, counts[a:b], int(cum[a]), tot, tau, f)
-
-    results = list(map_parts(part, range(k)))
-    bit_gen.advance(tot * _BLOCKS)
-    # advance() drops the buffered 32-bit half, which drawing doubles
-    # leaves as it was
-    bit_gen.state = dict(bit_gen.state, has_uint32=state["has_uint32"],
-                         uinteger=state["uinteger"])
-    return results, tot
-
-
-def _check_workers(rng, workers):
-    """Validate a sampler's thread count; more than one needs a PCG64
-    stream, whose advance() jumps ahead by 64-bit outputs."""
-    if int(workers) != workers or workers < 1:
-        raise ValueError("workers must be a positive integer")
-    if workers > 1 and not isinstance(
-            rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
-        raise TypeError(
-            "workers > 1 splits the jump draw by jump-ahead and needs a "
-            "PCG64 or PCG64DXSM bit generator, not "
-            f"{type(rng.bit_generator).__name__}")
-    return int(workers)
 
 
 def sample_records(model, f_mid, rngs, *, tau, cells,
@@ -537,14 +458,14 @@ def sample_records(model, f_mid, rngs, *, tau, cells,
         tot = counts[i] = rng.poisson(rate_bound, 1)[0]
         drawn.append(rng.random((_BLOCKS, tot)))
         rng.standard_normal(out=normals[i])
-    s, y, z = _map_jumps(model, tau, iter(np.concatenate(drawn, axis=1)))
+    s, y, z = _map_jumps(model, tau, np.concatenate(drawn, axis=1))
     return JumpRecord(tau=float(tau), cells=cells, counts=counts, s=s, y=y,
                       z=z, cell_normals=normals)
 
 
-def sample_integral(model, f, rng, *, n_draws=None, tau=None,
-                    target_var_error=1e-2, cells=None, nt=32, nx=32,
-                    max_expected_jumps=250_000.0, workers=1, tally=None):
+def sample_integral(model, f, rng, *, n_draws=None, tau=None, cells=None,
+                    nt=32, nx=32, max_expected_jumps=250_000.0, workers=1,
+                    tally=None):
     """Simulate X = int_0^T int_D f(s, y) L(ds, dy).
 
     Jumps with |z| > tau come from a compound-Poisson sampler (uniform
@@ -553,25 +474,24 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
     moment; the raw simulation of (tau, 1] jumps is compensated per the
     1_{[-1,1]} truncation convention of the characteristic exponent.
 
-    The draws come in chunks of about 2e6 expected jumps.  Per chunk rng
-    draws the counts, the uniform blocks of the jumps, then one normal per
-    draw for the sub-tau Gaussian.  workers > 1 splits each chunk's jumps
-    into that many parts, drawn and summed on as many threads (see
-    _draw_parts; rng must then be PCG64).  Every draw's jumps are the
-    serial ones, summed in the serial order, so the values, and where rng
-    is left, are the same for any count.  A dict passed as tally receives
-    the work done: chunks, parts (the most of any chunk) and jumps (over
-    all draws).
+    The draws come in chunks of about _JUMPS_PER_CHUNK expected jumps, so
+    the chunk count depends on n_draws and the jump rate only.  Chunk c
+    draws from its own generator rng.spawn(n_chunks)[c] and rng itself
+    draws nothing; each call spawns new children, so two calls on one rng
+    give independent values.  The `workers` threads draw whole chunks, so
+    the values are the same for any count.  A dict passed as tally
+    receives the work done: chunks and jumps (over all draws).
     """
     scalar = n_draws is None
     n = 1 if scalar else int(n_draws)
     if n <= 0:
         raise ValueError("n_draws must be positive")
-    workers = _check_workers(rng, workers)
+    if int(workers) != workers or workers < 1:
+        raise ValueError("workers must be a positive integer")
     if cells is None:
         cells = build_cells(model, nt=nt, nx=nx)
     if tau is None:
-        tau = default_tau(model, target_var_error)
+        tau = default_tau(model)
     alpha = model.alpha
 
     f_mid = np.asarray(f(cells.s_mid, cells.y_mid), dtype=float)
@@ -583,21 +503,29 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None,
     total_sd = math.sqrt(float(np.sum(sigma2 * f_mid ** 2 * cells.cell_vol)))
     comp = model.c_diff * _compensator_k(alpha, tau) * cells.quadrature(f_mid)
 
-    chunk = max(1, int(2e6 / max(rate_bound, 1.0)))
-    work = dict(chunks=0, parts=0, jumps=0)
-    with ThreadPoolExecutor(workers) as pool:
-        for start in range(0, n, chunk):
-            nb = min(chunk, n - start)
-            sums, jumps = _draw_parts(model, rng, nb, rate_bound, tau, f,
-                                      workers, pool.map)
-            gauss_part = total_sd * rng.standard_normal(nb)
-            values[start:start + nb] = np.concatenate(sums) + gauss_part \
-                - comp
-            work["chunks"] += 1
-            work["parts"] = max(work["parts"], len(sums))
-            work["jumps"] += jumps
+    size = max(1, int(_JUMPS_PER_CHUNK / max(rate_bound, 1.0)))
+    starts = range(0, n, size)
+    rngs = rng.spawn(len(starts))
+
+    def chunk(start, chunk_rng):
+        # poisson(rate_bound, nb) for the counts, then one
+        # random((_BLOCKS, tot)) for the jumps, then standard_normal(nb)
+        nb = min(size, n - start)
+        counts = chunk_rng.poisson(rate_bound, nb)
+        tot = int(counts.sum())
+        s, y, z = _map_jumps(model, tau, chunk_rng.random((_BLOCKS, tot)))
+        if tot:
+            z *= f(s, y)
+        sums = np.bincount(np.repeat(np.arange(nb), counts), weights=z,
+                           minlength=nb)
+        values[start:start + nb] = \
+            sums + total_sd * chunk_rng.standard_normal(nb) - comp
+        return tot
+
+    with ThreadPoolExecutor(int(workers)) as pool:
+        jumps = sum(pool.map(chunk, starts, rngs))
     if tally is not None:
-        tally.update(work)
+        tally.update(chunks=len(rngs), jumps=jumps)
     return values[0] if scalar else values
 
 

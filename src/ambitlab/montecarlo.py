@@ -4,8 +4,9 @@ Randomness comes from `path_rng`, a pure function of (master_seed, stream,
 path_index).  Path ensembles run through `run_ensemble_blocks`, whose fixed
 blocks and per-path RNGs make results bit-identical for any worker count.
 Single-draw experiments take one `path_rng` stream directly; the bulk Levy
-sampler (`levy.sample_integral`) splits that stream across its workers by
-PCG64 jump-ahead, with the same result.
+sampler (`levy.sample_integral`) draws each chunk from its own child of
+that stream (`Generator.spawn`) and runs whole chunks on its workers, with
+the same result for any worker count.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def run_ensemble_blocks(n_paths, block_fn, *, master_seed, stream,
 
 
 # ---------------------------------------------------------------------------
-# empirical characteristic function, kernel density
+# empirical characteristic function
 # ---------------------------------------------------------------------------
 
 

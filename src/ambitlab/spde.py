@@ -91,7 +91,6 @@ class FieldSolution:
     dt: float
     t_end: float
     n_paths: int
-    series_times: np.ndarray          # every step boundary 0..t_end
     point_series: np.ndarray          # (n_paths, n_steps+1): u(t, 0)
     store_times: np.ndarray
     fields: np.ndarray                # (n_store, n_paths, m**d) physical
@@ -346,9 +345,9 @@ def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *, v0=0.0,
 
     return FieldSolution(
         model=model, lam=lam, coeffs=coeffs, dt=dt, t_end=t_end, n_paths=B,
-        series_times=np.arange(n_steps + 1) * dt, point_series=point_series,
-        store_times=store_times, fields=fields, eps_grid=eps_grid,
-        target_time=target_time, G=G, _snapshots=snapshots)
+        point_series=point_series, store_times=store_times, fields=fields,
+        eps_grid=eps_grid, target_time=target_time, G=G,
+        _snapshots=snapshots)
 
 
 def solve(model, lam, coeffs, u0, t_end, dt, rng, **kw) -> FieldSolution:
@@ -457,10 +456,8 @@ def gammabar(gamma_exponents: GammaExponents, delta) -> GammaBarReport:
                           (0.0, max(gb - 1.0, 0.0)))
 
 
-def density_criterion_experiment(point_values, coeffs, n, h_grid=None,
-                                 alpha=0.5,
-                                 frequencies=besov.DEFAULT_FREQUENCIES
-                                 ) -> besov.CriterionReport:
+def density_criterion_experiment(point_values, coeffs, n,
+                                 alpha=0.5) -> besov.CriterionReport:
     """Criterion statistic for the law of u(t, 0) weighted by |sigma(u)|^n.
 
     The target bound is |E[|sigma|^n D_h^n phi(u)]| <= C |h|^(zeta + alpha)
@@ -471,6 +468,5 @@ def density_criterion_experiment(point_values, coeffs, n, h_grid=None,
     w = np.abs(np.asarray(coeffs.sigma_values(u))) ** n
     if np.isscalar(w) or w.ndim == 0:
         w = np.full(u.shape, float(w))
-    stats = besov.criterion_statistic(u, w, n, h_grid=h_grid, alpha=alpha,
-                                      frequencies=frequencies)
+    stats = besov.criterion_statistic(u, w, n, alpha=alpha)
     return besov.criterion_report(stats, alpha)

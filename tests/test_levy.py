@@ -199,14 +199,27 @@ def _explicit_jumps(m, rng, tau, n_draws):
     return counts, s, y, z
 
 
+def _explicit_integral(m, f, rng, tau, cells, n_draws):
+    """(values, jump count) of n_draws sample_integral draws in one chunk,
+    rebuilt from _explicit_jumps and then standard_normal(n_draws) on rng."""
+    counts, s, y, z = _explicit_jumps(m, rng, tau, n_draws)
+    jumps = np.bincount(np.repeat(np.arange(n_draws), counts),
+                        weights=f(s, y) * z, minlength=n_draws)
+    sd, comp = levy.cell_factors(m, tau, cells)
+    f_cell = f(cells.s_mid, cells.y_mid)
+    values = jumps + np.sqrt(np.sum((f_cell * sd) ** 2)) \
+        * rng.standard_normal(n_draws) - np.sum(f_cell * comp)
+    return values, counts.sum()
+
+
 _RECORD_FIELDS = ("counts", "s", "y", "z", "cell_normals")
 
 
 @pytest.mark.parametrize("case", sorted(RECORD_CASES))
 def test_records_equal_explicit_uniform_draws(case):
     """sample_records gives the jumps, cell normals and generator states,
-    and the serial sample_integral the values and generator state, of one
-    explicit uniform()/standard_normal() call per quantity."""
+    and a one-chunk sample_integral the values, of one explicit
+    uniform()/standard_normal() call per quantity."""
     m = RECORD_CASES[case]
     tau = m.tau
     cells = levy.build_cells(m, nt=8, nx=8)
@@ -224,21 +237,14 @@ def test_records_equal_explicit_uniform_draws(case):
     for name, ref in zip(_RECORD_FIELDS, zip(*refs)):
         assert np.array_equal(getattr(rec, name), np.concatenate(ref)), name
 
-    # the chunk drawer: the same blocks over all draws, then one normal
-    # per draw for the sub-tau Gaussian
+    # the chunk drawer, on the chunk's child generator: the same blocks
+    # over all draws, then one normal per draw for the sub-tau Gaussian
     f = lambda s, y: np.cos(s)
-    rng, ref_rng = path_rng(9, "explicit-multi", 0), \
-        path_rng(9, "explicit-multi", 0)
-    vals = levy.sample_integral(m, f, rng, n_draws=5, tau=tau, cells=cells)
-    counts, s, y, z = _explicit_jumps(m, ref_rng, tau, 5)
-    jumps = np.bincount(np.repeat(np.arange(5), counts),
-                        weights=f(s, y) * z, minlength=5)
-    sd, comp = levy.cell_factors(m, tau, cells)
-    f_cell = f(cells.s_mid, cells.y_mid)
-    want = jumps + np.sqrt(np.sum((f_cell * sd) ** 2)) \
-        * ref_rng.standard_normal(5) - np.sum(f_cell * comp)
+    vals = levy.sample_integral(m, f, path_rng(9, "explicit-multi", 0),
+                                n_draws=5, tau=tau, cells=cells)
+    child = path_rng(9, "explicit-multi", 0).spawn(1)[0]
+    want = _explicit_integral(m, f, child, tau, cells, 5)[0]
     assert vals == pytest.approx(want, rel=1e-12)
-    assert rng.random() == ref_rng.random()
 
     f_mid[3, 5] = np.nan
     with pytest.raises(ValueError, match="not finite"):
@@ -252,12 +258,12 @@ SPLIT_CASES = {
     "d1": (levy.make_levy_model(1.2, 1.0, 0.5, T=1.0,
                                 domain=(-2.0, 2.0), tau=0.05),
            _osc, 2001, {}),
-    # 0.06 expected jumps per draw: most draws, and some parts, have none
+    # 0.06 expected jumps per draw: most draws have none
     "sparse": (levy.make_levy_model(1.5, 1.0, 1.0, T=0.1,
                                     domain=(0.0, 0.2), tau=0.6),
                _osc, 1234, {}),
-    # about 5800 expected jumps per draw: chunks of 345 draws, the second
-    # one short
+    # about 5800 expected jumps per draw: chunks of 43 draws, the tenth
+    # one of 13
     "chunks": (levy.make_levy_model(1.2, 1.0, 1.0, T=1.0,
                                     domain=(-1.0, 1.0), tau=0.002),
                _osc, 400, dict(max_expected_jumps=1e6)),
@@ -266,39 +272,49 @@ SPLIT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_split_sampler_equals_serial(case):
-    """Any worker count gives the serial values and leaves the generator
-    where the serial draw leaves it."""
+    """Any worker count gives the one-thread values and jump tally, and
+    the generator passed in draws nothing."""
     m, f, n, kw = SPLIT_CASES[case]
     kw = dict(kw, nt=8, nx=8)
-    ref_rng = path_rng(11, case, 0)
-    ref = levy.sample_integral(m, f, ref_rng, n_draws=n, **kw)
-    ref_next = ref_rng.random()
+    ref_tally = {}
+    ref = levy.sample_integral(m, f, path_rng(11, case, 0), n_draws=n,
+                               tally=ref_tally, **kw)
     for workers in (1, 2, 3, 5):
         rng = path_rng(11, case, 0)
+        state = rng.bit_generator.state
         tally = {}
         vals = levy.sample_integral(m, f, rng, n_draws=n, workers=workers,
                                     tally=tally, **kw)
         assert np.array_equal(vals, ref), workers
-        assert rng.random() == ref_next, workers
-        assert tally["parts"] == workers
-    if case == "chunks":
-        assert tally["chunks"] == 2
-    else:
-        # one chunk: the tally counts the jumps of the explicit draw
-        counts = _explicit_jumps(m, path_rng(11, case, 0), m.tau, n)[0]
+        assert tally == ref_tally, workers
+        assert rng.bit_generator.state == state, workers
+    if tally["chunks"] == 1:
+        # the tally counts the jumps of the chunk's explicit draw
+        child = path_rng(11, case, 0).spawn(1)[0]
+        counts = _explicit_jumps(m, child, m.tau, n)[0]
         assert tally["jumps"] == counts.sum()
 
 
-def test_split_sampler_keeps_the_buffered_half():
-    """A 32-bit draw before the sampler leaves half an output buffered;
-    the jump-ahead keeps it, as drawing the doubles does."""
-    m, f, n, _ = SPLIT_CASES["d1"]
-    rngs = [path_rng(3, "half", 0) for _ in range(2)]
-    for workers, rng in zip((1, 4), rngs):
-        rng.integers(0, 2 ** 31, dtype=np.uint32)
-        levy.sample_integral(m, f, rng, n_draws=50, workers=workers, nt=4,
-                             nx=4)
-    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+def test_chunks_draw_from_spawned_generators():
+    """Chunk c of sample_integral is explicit poisson/uniform/
+    standard_normal calls on child c of the generator passed in, and a
+    second call on that generator draws new values."""
+    m, f, n, kw = SPLIT_CASES["chunks"]
+    cells = levy.build_cells(m, nt=8, nx=8)
+    rng = path_rng(11, "chunks", 0)
+    tally = {}
+    vals = levy.sample_integral(m, f, rng, n_draws=n, cells=cells,
+                                tally=tally, **kw)
+    assert tally["chunks"] == 10
+    jumps = 0
+    for c, child in enumerate(path_rng(11, "chunks", 0).spawn(10)):
+        nb = min(43, n - 43 * c)
+        want, tot = _explicit_integral(m, f, child, m.tau, cells, nb)
+        assert vals[43 * c:43 * c + nb] == pytest.approx(want, rel=1e-12), c
+        jumps += tot
+    assert tally["jumps"] == jumps
+    again = levy.sample_integral(m, f, rng, n_draws=n, cells=cells, **kw)
+    assert not np.any(again == vals)
 
 
 def test_split_sampler_validates_workers():
@@ -307,13 +323,6 @@ def test_split_sampler_validates_workers():
         with pytest.raises(ValueError, match="workers"):
             levy.sample_integral(m, f, path_rng(1, "w", 0), n_draws=3,
                                  workers=bad)
-    # Philox's advance() counts 256-bit blocks, not 64-bit outputs
-    for bit_gen in (np.random.MT19937(1), np.random.Philox(1)):
-        with pytest.raises(TypeError, match="PCG64"):
-            levy.sample_integral(m, f, np.random.Generator(bit_gen),
-                                 n_draws=3, workers=2)
-        # one part draws from the generator itself
-        levy.sample_integral(m, f, np.random.Generator(bit_gen), n_draws=3)
 
 
 def test_default_tau_honors_model_setting():
