@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -64,7 +63,6 @@ __all__ = [
     "PATHS_PER_STACK",
     "PathStack",
     "sample_stack",
-    "AmbitPath",
     "make_path",
     "approx_parts",
     "DecayReport",
@@ -396,7 +394,7 @@ class ExponentBundle:
 
 
 def exponent_conditions(spec, model, eps_grid, beta=None, gamma=None, *,
-                        t=1.0, x=0.0) -> ExponentBundle:
+                        t=1.0) -> ExponentBundle:
     """Quadrature of the five slab exponent conditions and their log-log
     fits.
 
@@ -561,8 +559,7 @@ def make_discretization(spec, model, t, x, *, eps_grid=(), nt=64,
 class CouplingTable:
     """Every term of X_eps for t - eps at time edge k of the cell grid, as
     entry k: sums over the rows below k (prefix) or from k on (suffix).
-    Each field is (paths, rows + 1) for a stack of paths, (rows + 1,) for
-    one path."""
+    Each field is (paths, rows + 1)."""
 
     hist: np.ndarray         # prefix of int 1_A g sigma dL
     slab: np.ndarray         # suffix of int 1_A g dL (sigma-free)
@@ -570,11 +567,6 @@ class CouplingTable:
     drift_slab: np.ndarray   # suffix of int 1_B h (b-free)
     sigma_frozen: np.ndarray  # sigma(edge, x)
     b_frozen: np.ndarray     # b(edge, x)
-
-    def path(self, i) -> CouplingTable:
-        """Path i's table of a stack."""
-        return CouplingTable(*(getattr(self, f.name)[i]
-                               for f in fields(self)))
 
 
 def _prefix(rows):
@@ -587,11 +579,12 @@ def _suffix(rows):
     return _prefix(rows[..., ::-1])[..., ::-1]
 
 
-def _reduce(spec, disc, sigma_paths, b_paths, sigma_mid, b_mid, record):
+def _reduce(stack) -> CouplingTable:
     """A stack's jump record (one draw per path) reduced once to per-row
     integrals: cells are time-major and every t - eps is a row edge, so
     each eps reads a prefix and a suffix.  One bincount keyed by
     (path, row) sums the jumps of the whole stack."""
+    spec, disc, record = stack.spec, stack.disc, stack.record
     n_paths, (n_rows, n_cols) = record.counts.size, disc.shape
     path = np.repeat(np.arange(n_paths), record.counts)
     cell = disc.cell_index(record.s, record.y)
@@ -612,14 +605,14 @@ def _reduce(spec, disc, sigma_paths, b_paths, sigma_mid, b_mid, record):
 
     edges, x = disc.cells.time_edges, np.array([disc.x])
     return CouplingTable(
-        hist=_prefix(per_row(g_jump * sigma_mid[path, cell],
-                             disc.g_mid * sigma_mid)),
+        hist=_prefix(per_row(g_jump * stack.sigma_mid[path, cell],
+                             disc.g_mid * stack.sigma_mid)),
         slab=_suffix(per_row(g_jump, disc.g_mid)),
-        drift_hist=_prefix(row_sums(disc.drift_cell * b_mid)),
+        drift_hist=_prefix(row_sums(disc.drift_cell * stack.b_mid)),
         drift_slab=np.broadcast_to(_suffix(row_sums(disc.drift_cell)),
                                    (n_paths, n_rows + 1)),
-        sigma_frozen=_grids(spec.sigma, sigma_paths, edges, x)[:, :, 0],
-        b_frozen=_grids(spec.b, b_paths, edges, x)[:, :, 0])
+        sigma_frozen=_grids(spec.sigma, stack.sigma_paths, edges, x)[:, :, 0],
+        b_frozen=_grids(spec.b, stack.b_paths, edges, x)[:, :, 0])
 
 
 # Paths drawn and reduced together: enough to amortise NumPy's per-call
@@ -630,22 +623,37 @@ PATHS_PER_STACK = 8
 
 @dataclass
 class PathStack:
-    """Paths sampled and reduced together by sample_stack."""
+    """Paths sampled together by sample_stack.  The record is reduced to
+    the coupling table on first read, so a stack rebuilt by
+    dataclasses.replace with another record reduces that record."""
 
+    spec: AmbitSpec
+    disc: AmbitDiscretization
     sigma_paths: list
     b_paths: list
     sigma_mid: np.ndarray    # (paths, cells) volatility at cell midpoints
     b_mid: np.ndarray
     record: levy.JumpRecord  # one draw per path
-    table: CouplingTable     # (paths, rows + 1) fields
-    values: np.ndarray       # (paths,) X(t, x)
+    _table: CouplingTable = field(default=None, init=False, repr=False)
+
+    @property
+    def table(self) -> CouplingTable:
+        if self._table is None:
+            self._table = _reduce(self)
+        return self._table
+
+    @property
+    def values(self) -> np.ndarray:
+        """(paths,) X(t, x)."""
+        table = self.table
+        return self.spec.x0 + table.hist[:, -1] + table.drift_hist[:, -1]
 
 
 def sample_stack(spec, disc, rngs) -> PathStack:
-    """Exact draws of X(t, x), one per generator, with their coupling
-    tables.  Each generator makes the calls of a lone path (its fields,
-    then its jump record), so a path never depends on the paths stacked
-    with it; the arithmetic runs once for the stack."""
+    """Exact draws of X(t, x), one per generator.  Each generator makes
+    the calls of a lone path (its fields, then its jump record), so a path
+    never depends on the paths stacked with it; the arithmetic runs once
+    for the stack."""
     sigma_paths, b_paths = [], []
     for rng in rngs:
         sigma_paths.append(spec.sigma.sample_path(rng))
@@ -657,11 +665,8 @@ def sample_stack(spec, disc, rngs) -> PathStack:
                    disc.y_axis).reshape(n_paths, -1)
     record = levy.sample_records(disc.box_model, disc.g_mid * sigma_mid,
                                  rngs, tau=disc.tau, cells=disc.cells)
-    table = _reduce(spec, disc, sigma_paths, b_paths, sigma_mid, b_mid,
-                    record)
-    values = spec.x0 + table.hist[:, -1] + table.drift_hist[:, -1]
-    return PathStack(sigma_paths, b_paths, sigma_mid, b_mid, record, table,
-                     values)
+    return PathStack(spec, disc, sigma_paths, b_paths, sigma_mid, b_mid,
+                     record)
 
 
 def _stacks(spec, disc, rngs):
@@ -671,58 +676,26 @@ def _stacks(spec, disc, rngs):
         yield i, sample_stack(spec, disc, rngs[i:i + PATHS_PER_STACK])
 
 
-@dataclass
-class AmbitPath:
-    """Shared-noise handle of one exact evaluation."""
-
-    spec: AmbitSpec
-    disc: AmbitDiscretization
-    sigma_path: object
-    b_path: object
-    sigma_mid: np.ndarray    # volatility frozen at cell midpoints
-    b_mid: np.ndarray
-    record: levy.JumpRecord
-    value: float             # X(t, x)
-
-    @cached_property
-    def coupling(self) -> CouplingTable:
-        """The record reduced to per-row integrals, as one stack of one
-        path.  make_path fills this in while sampling; a path rebuilt with
-        another record by dataclasses.replace recomputes it."""
-        return _reduce(self.spec, self.disc, [self.sigma_path],
-                       [self.b_path], self.sigma_mid[None],
-                       self.b_mid[None], self.record).path(0)
-
-
-def make_path(spec, model, t, x, rng, disc=None, *, eps_grid=(), nt=64,
-              nx=64) -> AmbitPath:
+def make_path(spec, disc, rng) -> PathStack:
     """One exact draw of X(t, x): a stack of one path."""
-    if disc is None:
-        disc = make_discretization(spec, model, t, x, eps_grid=eps_grid,
-                                   nt=nt, nx=nx)
-    stack = sample_stack(spec, disc, [rng])
-    path = AmbitPath(spec, disc, stack.sigma_paths[0], stack.b_paths[0],
-                     stack.sigma_mid[0], stack.b_mid[0], stack.record,
-                     float(stack.values[0]))
-    vars(path)["coupling"] = stack.table.path(0)  # cached_property's slot
-    return path
+    return sample_stack(spec, disc, [rng])
 
 
 @dataclass
 class ApproxParts:
-    eps: float
-    value: float             # X_eps
-    u_eps: float             # history + frozen drift (F_{t-eps} surrogate)
-    slab_noise: float        # int int_slab 1_A g dL (sigma-free)
-    sigma_frozen: float
-    drift_history: float
-    drift_frozen: float
+    eps: float               # the rest have one entry per path of a stack
+    value: np.ndarray        # X_eps
+    u_eps: np.ndarray        # history + frozen drift (F_{t-eps} surrogate)
+    slab_noise: np.ndarray   # int int_slab 1_A g dL (sigma-free)
+    sigma_frozen: np.ndarray
+    drift_history: np.ndarray
+    drift_frozen: np.ndarray
 
 
 def _frozen_parts(table, k, x0):
     """(X_eps, U_eps, slab noise, sigma, drift history, frozen drift) read
-    at time edge(s) k of a path's or a stack's coupling table (sigma and b
-    are frozen at the edge): X_eps = U_eps + sigma(t - eps, x) * slab."""
+    at time edge(s) k of a stack's coupling table (sigma and b are frozen
+    at the edge): X_eps = U_eps + sigma(t - eps, x) * slab."""
     sigma_frozen, slab = table.sigma_frozen[..., k], table.slab[..., k]
     drift_hist = table.drift_hist[..., k]
     drift_frozen = table.b_frozen[..., k] * table.drift_slab[..., k]
@@ -731,12 +704,11 @@ def _frozen_parts(table, k, x0):
             drift_hist, drift_frozen)
 
 
-def approx_parts(path: AmbitPath, eps) -> ApproxParts:
+def approx_parts(stack: PathStack, eps) -> ApproxParts:
     """Decompose X_eps = U_eps + sigma(t - eps, x) * slab_noise: entry k
-    of the path's coupling table, k the time edge at t - eps."""
-    parts = _frozen_parts(path.coupling, path.disc.cut_row(eps),
-                          path.spec.x0)
-    return ApproxParts(float(eps), *map(float, parts))
+    of the stack's coupling table, k the time edge at t - eps."""
+    return ApproxParts(float(eps), *_frozen_parts(
+        stack.table, stack.disc.cut_row(eps), stack.spec.x0))
 
 
 # ---------------------------------------------------------------------------
@@ -783,10 +755,11 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
         # the path's jump count
         out = np.empty((len(rngs), eps_grid.size + 2))
         for i, stack in _stacks(spec, disc, rngs):
-            rows = out[i:i + stack.values.size]
+            values = stack.values
+            rows = out[i:i + values.size]
             x_eps = _frozen_parts(stack.table, cut, spec.x0)[0]
-            rows[:, :-2] = np.abs(stack.values[:, None] - x_eps)
-            rows[:, -2] = 1.0 + np.abs(stack.values)
+            rows[:, :-2] = np.abs(values[:, None] - x_eps)
+            rows[:, -2] = 1.0 + np.abs(values)
             rows[:, -1] = stack.record.counts
         return out
 
@@ -806,7 +779,7 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
     if gammabar_value is None:
         clock = time.perf_counter()
         bundle = exponent_conditions(spec, model, eps_grid, beta=beta,
-                                     gamma=gamma, t=t, x=x)
+                                     gamma=gamma, t=t)
         seconds["exponent_conditions"] = time.perf_counter() - clock
         gammabar_value = bundle.gammabar
     target = beta * (1.0 / model.alpha + gammabar_value) - 1.0
@@ -874,8 +847,9 @@ def density_criterion_experiment(spec, model, t, x, n, n_paths=100_000, *,
         def block(_idx, rngs):
             out = np.empty((len(rngs), 3))
             for i, stack in _stacks(spec, disc, rngs):
-                rows = out[i:i + stack.values.size]
-                rows[:, 0] = stack.values
+                values = stack.values
+                rows = out[i:i + values.size]
+                rows[:, 0] = values
                 # sigma(t, x): the last time edge is t
                 rows[:, 1] = np.abs(stack.table.sigma_frozen[:, -1]) ** n
                 rows[:, 2] = stack.record.counts

@@ -20,6 +20,8 @@ import math
 import re
 from dataclasses import dataclass
 
+from .besov import MAX_ORDER
+
 __all__ = [
     "ConfigError",
     "Config",
@@ -63,6 +65,10 @@ def _power_of_two(v):
     return v >= 2 and (v & (v - 1)) == 0
 
 
+def _order(v):
+    return 0 <= v <= MAX_ORDER  # as besov.criterion_statistic requires
+
+
 @dataclass(frozen=True)
 class _Field:
     kind: str                # int | float | str | bool | choice
@@ -82,8 +88,8 @@ SCHEMA = {
         "n_paths": _Field("int", 2000, check=_positive, describe=">= 1"),
         "workers": _Field("int", 1, check=_positive, describe=">= 1"),
         "outdir": _Field("str", "out"),
-        "order": _Field("int", 1, check=_nonneg,
-                        describe=">= 0 (besov-stat difference order)"),
+        "order": _Field("int", 1, check=_order,
+                        describe=f"in [0, {MAX_ORDER}] (besov-stat order)"),
         "holder": _Field("float", 0.5,
                          check=lambda v: 0 < v <= 1,
                          describe="in (0, 1]"),
@@ -116,7 +122,7 @@ SCHEMA = {
         "eps_points": _Field("int", 12, check=lambda v: v >= 4,
                              describe=">= 4"),
         "n_lags": _Field("int", 8, check=lambda v: v >= 4, describe=">= 4"),
-        "n": _Field("int", 1, check=_nonneg, describe=">= 0"),
+        "n": _Field("int", 1, check=_order, describe=f"in [0, {MAX_ORDER}]"),
         "holder": _Field("float", 0.5, check=lambda v: 0 < v <= 1,
                          describe="in (0, 1]"),
     },
@@ -173,7 +179,7 @@ SCHEMA = {
         "eps_max": _Field("float", 0.5, check=_positive, describe="> 0"),
         "eps_points": _Field("int", 8, check=lambda v: v >= 4,
                              describe=">= 4"),
-        "n": _Field("int", 1, check=_nonneg, describe=">= 0"),
+        "n": _Field("int", 1, check=_order, describe=f"in [0, {MAX_ORDER}]"),
         "holder": _Field("float", 0.5, check=lambda v: 0 < v <= 1,
                          describe="in (0, 1]"),
         "nt": _Field("int", 64, check=_positive, describe=">= 1"),
@@ -363,6 +369,8 @@ def _cross_checks(sections, path):
         raise ConfigError("[ambit] needs eps_max <= t", path)
     if ambit["beta"] is not None and not (ambit["beta"] < levy["alpha"]):
         raise ConfigError("[ambit] needs beta < [levy] alpha", path)
+    if ambit["gamma"] is not None and not (ambit["gamma"] > levy["alpha"]):
+        raise ConfigError("[ambit] needs gamma > [levy] alpha", path)
 
 
 def load_config(path, overrides=()) -> Config:

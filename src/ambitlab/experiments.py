@@ -244,7 +244,7 @@ def _exp_ambit_exponents(cfg):
     a = cfg.sections["ambit"]
     bundle = ambit.exponent_conditions(spec, model, _eps_grid(a),
                                        beta=a["beta"], gamma=a["gamma"],
-                                       t=a["t"], x=a["x"])
+                                       t=a["t"])
     rows = []
     for name, vals in sorted(bundle.integrals.items()):
         for e, v in zip(bundle.eps_grid, vals):

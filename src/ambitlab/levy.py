@@ -463,10 +463,10 @@ def sample_records(model, f_mid, rngs, *, tau, cells,
                       z=z, cell_normals=normals)
 
 
-def sample_integral(model, f, rng, *, n_draws=None, tau=None, cells=None,
+def sample_integral(model, f, rng, *, n_draws, tau=None, cells=None,
                     nt=32, nx=32, max_expected_jumps=250_000.0, workers=1,
                     tally=None):
-    """Simulate X = int_0^T int_D f(s, y) L(ds, dy).
+    """(n_draws,) draws of X = int_0^T int_D f(s, y) L(ds, dy).
 
     Jumps with |z| > tau come from a compound-Poisson sampler (uniform
     times and positions on the box, Pareto magnitudes); jumps below tau are
@@ -482,8 +482,7 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None, cells=None,
     the values are the same for any count.  A dict passed as tally
     receives the work done: chunks and jumps (over all draws).
     """
-    scalar = n_draws is None
-    n = 1 if scalar else int(n_draws)
+    n = int(n_draws)
     if n <= 0:
         raise ValueError("n_draws must be positive")
     if int(workers) != workers or workers < 1:
@@ -526,7 +525,7 @@ def sample_integral(model, f, rng, *, n_draws=None, tau=None, cells=None,
         jumps = sum(pool.map(chunk, starts, rngs))
     if tally is not None:
         tally.update(chunks=len(rngs), jumps=jumps)
-    return values[0] if scalar else values
+    return values
 
 
 # ---------------------------------------------------------------------------

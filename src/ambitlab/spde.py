@@ -37,7 +37,6 @@ __all__ = [
     "GammaBarReport",
     "constant_coefficients",
     "anderson_coefficients",
-    "solve",
     "solve_batch",
     "noises_per_step",
     "approximate_u_eps",
@@ -89,13 +88,10 @@ class FieldSolution:
     lam: FundamentalSolution
     coeffs: CoefficientPair
     dt: float
-    t_end: float
     n_paths: int
     point_series: np.ndarray          # (n_paths, n_steps+1): u(t, 0)
-    store_times: np.ndarray
     fields: np.ndarray                # (n_store, n_paths, m**d) physical
     eps_grid: np.ndarray = None
-    target_time: float = None
     G: np.ndarray = None              # (n_paths, n_eps) slab noise at x=0
     # per eps: (uhat, vhat) rfftn half spectra at target_time - eps
     _snapshots: list = field(default_factory=list, repr=False)
@@ -344,15 +340,9 @@ def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *, v0=0.0,
                 uhat, s=shape_d, axes=axes).reshape(B, npts)
 
     return FieldSolution(
-        model=model, lam=lam, coeffs=coeffs, dt=dt, t_end=t_end, n_paths=B,
-        point_series=point_series, store_times=store_times, fields=fields,
-        eps_grid=eps_grid, target_time=target_time, G=G,
+        model=model, lam=lam, coeffs=coeffs, dt=dt, n_paths=B,
+        point_series=point_series, fields=fields, eps_grid=eps_grid, G=G,
         _snapshots=snapshots)
-
-
-def solve(model, lam, coeffs, u0, t_end, dt, rng, **kw) -> FieldSolution:
-    """Single-path convenience wrapper around solve_batch."""
-    return solve_batch(model, lam, coeffs, u0, t_end, dt, [rng], **kw)
 
 
 @dataclass
@@ -374,7 +364,7 @@ def approximate_u_eps(solution: FieldSolution, eps: float) -> UEpsDecomposition:
     recorded during the solve (independent of the history by construction).
     """
     if solution.eps_grid is None:
-        raise ValueError("solve() was not asked to record approximation data")
+        raise ValueError("solve_batch recorded no approximation data")
     match = np.nonzero(np.abs(solution.eps_grid - eps)
                        < 1e-9 * max(eps, solution.dt))[0]
     if match.size != 1:

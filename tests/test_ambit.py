@@ -191,8 +191,8 @@ def test_zero_fields_return_start_value(model):
     spec = am.make_ambit_spec(ambit_set=am.make_slab(1.0),
                               sigma=am.constant_field(0.0),
                               b=am.constant_field(0.0), x0=3.25)
-    assert am.make_path(spec, model, 1.0, 0.0,
-                        path_rng(1, "v", 0)).value == 3.25
+    disc = am.make_discretization(spec, model, 1.0, 0.0)
+    assert am.make_path(spec, disc, path_rng(1, "v", 0)).values[0] == 3.25
 
 
 def test_pure_drift_integrates_the_set(model):
@@ -202,7 +202,8 @@ def test_pure_drift_integrates_the_set(model):
                               kernel_h=am.constant_kernel(1.0),
                               sigma=am.constant_field(1.0),
                               b=am.constant_field(1.0), x0=0.5)
-    v = am.make_path(spec, model, 1.0, 0.0, path_rng(1, "v", 1)).value
+    disc = am.make_discretization(spec, model, 1.0, 0.0)
+    v = am.make_path(spec, disc, path_rng(1, "v", 1)).values[0]
     assert v == pytest.approx(2.5, rel=1e-8)
 
 
@@ -237,19 +238,17 @@ def test_constant_coefficients_freeze_exactly(model):
     grid = (0.125, 0.25, 0.5, 1.0)
     disc = am.make_discretization(spec, model, 1.0, 0.0, eps_grid=grid)
     for i in range(5):
-        path = am.make_path(spec, model, 1.0, 0.0, path_rng(3, "c", i),
-                            disc=disc)
+        path = am.make_path(spec, disc, path_rng(3, "c", i))
         for e in grid:  # includes eps = t
             parts = am.approx_parts(path, e)
-            assert parts.value == pytest.approx(path.value, abs=1e-10,
-                                                rel=1e-10)
+            assert parts.value[0] == pytest.approx(path.values[0], abs=1e-10,
+                                                   rel=1e-10)
 
 
 def test_approx_parts_validation(model, reference_spec):
     disc = am.make_discretization(reference_spec, model, 1.0, 0.0,
                                   eps_grid=(0.25,))
-    path = am.make_path(reference_spec, model, 1.0, 0.0,
-                        path_rng(4, "w", 5), disc=disc)
+    path = am.make_path(reference_spec, disc, path_rng(4, "w", 5))
     with pytest.raises(ValueError, match="eps"):
         am.approx_parts(path, 2.0)
     with pytest.raises(ValueError, match="eps_grid"):
@@ -263,18 +262,17 @@ def test_erased_record_keeps_surrogate(model):
                               sigma=am.weierstrass_field(),
                               b=am.weierstrass_field(base=0.3))
     disc = am.make_discretization(spec, model, 1.0, 0.0, eps_grid=(0.25,))
-    path = am.make_path(spec, model, 1.0, 0.0, path_rng(4, "w", 0),
-                        disc=disc)
+    path = am.make_path(spec, disc, path_rng(4, "w", 0))
     parts = am.approx_parts(path, 0.25)
     erased = dataclasses.replace(path,
                                  record=path.record.erase_after(0.75))
     parts_e = am.approx_parts(erased, 0.25)
-    assert parts.u_eps == parts_e.u_eps
-    assert parts_e.slab_noise == 0.0
+    assert parts.u_eps[0] == parts_e.u_eps[0]
+    assert parts_e.slab_noise[0] == 0.0
     # u_eps already folds in the frozen drift; the slab adds the noise term
-    assert parts.value == pytest.approx(parts.u_eps
-                                        + parts.sigma_frozen
-                                        * parts.slab_noise, rel=1e-12)
+    assert parts.value[0] == pytest.approx(parts.u_eps[0]
+                                           + parts.sigma_frozen[0]
+                                           * parts.slab_noise[0], rel=1e-12)
 
 
 def test_coupling_triangle_replay(model):
@@ -285,28 +283,30 @@ def test_coupling_triangle_replay(model):
                               b=am.weierstrass_field(base=0.3))
     disc = am.make_discretization(spec, model, 1.0, 0.0, eps_grid=(0.25,))
     for i in range(10):
-        path = am.make_path(spec, model, 1.0, 0.0, path_rng(5, "tri", i),
-                            disc=disc)
+        path = am.make_path(spec, disc, path_rng(5, "tri", i))
         parts = am.approx_parts(path, 0.25)
-        lhs = abs(path.value - parts.value)
+        lhs = abs(path.values[0] - parts.value[0])
 
         def gap_int(s, y):
-            sig = path.sigma_mid[disc.cell_index(s, y)]
+            sig = path.sigma_mid[0][disc.cell_index(s, y)]
             ind = spec.ambit_set.indicator(1.0, 0.0, s, y)
             gv = spec.kernel_g(1.0, s, 0.0, y)
-            return ind * gv * (sig - parts.sigma_frozen) * (s > 0.75 + 1e-15)
+            return ind * gv * (sig - parts.sigma_frozen[0]) \
+                * (s > 0.75 + 1e-15)
 
         gap = lv.replay_integral(disc.box_model, path.record, gap_int)[0]
         slab = path.record.cells.s_mid > 0.75 + 1e-15
         drift_gap = float(np.sum(path.disc.drift_cell[slab]
-                                 * path.b_mid[slab])) - parts.drift_frozen
+                                 * path.b_mid[0][slab])) \
+            - parts.drift_frozen[0]
         assert lhs == pytest.approx(abs(gap + drift_gap), abs=1e-10,
                                     rel=1e-8)
 
 
 def _replayed_parts(path, eps):
-    """The coupling evaluated directly: one replay of the record against the
-    history integrand and one against the sigma-free slab integrand."""
+    """The coupling of a stack of one path evaluated directly: one replay of
+    the record against the history integrand and one against the sigma-free
+    slab integrand."""
     disc, spec = path.disc, path.spec
     t, x = disc.t, disc.x
     t_cut = t - eps
@@ -316,7 +316,7 @@ def _replayed_parts(path, eps):
             * spec.kernel_g(t, s, x, y)
 
     def hist_integrand(s, y):
-        return unit(s, y) * path.sigma_mid[disc.cell_index(s, y)] \
+        return unit(s, y) * path.sigma_mid[0][disc.cell_index(s, y)] \
             * (s <= t_cut + 1e-15)
 
     def slab_integrand(s, y):
@@ -325,11 +325,11 @@ def _replayed_parts(path, eps):
     hist = lv.replay_integral(disc.box_model, path.record, hist_integrand)[0]
     slab = lv.replay_integral(disc.box_model, path.record, slab_integrand)[0]
     point = (np.array([t_cut]), np.array([x]))
-    sigma_frozen = path.sigma_path(*point)[0]
-    b_frozen = path.b_path(*point)[0]
+    sigma_frozen = path.sigma_paths[0](*point)[0]
+    b_frozen = path.b_paths[0](*point)[0]
     in_hist = disc.cells.s_mid <= t_cut + 1e-15
     drift_hist = np.sum(path.disc.drift_cell[in_hist]
-                        * path.b_mid[in_hist])
+                        * path.b_mid[0][in_hist])
     drift_frozen = b_frozen * np.sum(path.disc.drift_cell[~in_hist])
     u_eps = spec.x0 + hist + drift_hist + drift_frozen
     return dict(value=u_eps + sigma_frozen * slab, u_eps=u_eps,
@@ -362,26 +362,25 @@ def test_one_pass_coupling_matches_replay(spec, c_minus):
     disc = am.make_discretization(spec, model, 1.0, 0.0, eps_grid=grid,
                                   nt=20, nx=16)
     for i in range(4):
-        path = am.make_path(spec, model, 1.0, 0.0,
-                            path_rng(8, "one-pass", i), disc=disc)
+        path = am.make_path(spec, disc, path_rng(8, "one-pass", i))
         cells = disc.cells
-        direct = path.sigma_path(cells.s_mid, cells.y_mid)
+        direct = path.sigma_paths[0](cells.s_mid, cells.y_mid)
         ulp = np.spacing(np.abs(direct))
-        assert np.all(np.abs(path.sigma_mid - direct) <= 4 * ulp)
+        assert np.all(np.abs(path.sigma_mid[0] - direct) <= 4 * ulp)
 
         def full(s, y):
             return spec.ambit_set.indicator(1.0, 0.0, s, y) \
                 * spec.kernel_g(1.0, s, 0.0, y) \
-                * path.sigma_mid[disc.cell_index(s, y)]
+                * path.sigma_mid[0][disc.cell_index(s, y)]
 
         value = spec.x0 \
             + lv.replay_integral(disc.box_model, path.record, full)[0] \
-            + np.sum(path.disc.drift_cell * path.b_mid)
-        assert path.value == pytest.approx(value, rel=1e-10, abs=1e-12)
+            + np.sum(path.disc.drift_cell * path.b_mid[0])
+        assert path.values[0] == pytest.approx(value, rel=1e-10, abs=1e-12)
         for e in grid:
             parts = am.approx_parts(path, e)
             for name, ref in _replayed_parts(path, e).items():
-                assert getattr(parts, name) == pytest.approx(
+                assert getattr(parts, name)[0] == pytest.approx(
                     ref, rel=1e-10, abs=1e-12), (name, e)
 
 
@@ -389,8 +388,8 @@ def test_one_pass_coupling_matches_replay(spec, c_minus):
 @COUPLING_SKEWS
 def test_stacked_paths_equal_single_paths(spec, c_minus):
     """Stacks of PATHS_PER_STACK paths (and a short last stack) give each
-    path exactly what make_path gives it, and leave its generator where
-    make_path leaves it."""
+    path exactly what make_path, a stack of one, gives it, and leave its
+    generator where make_path leaves it."""
     model = lv.make_levy_model(1.2, 0.5, c_minus, T=1.0,
                                domain=(-1.0, 1.0))
     disc = am.make_discretization(spec, model, 1.0, 0.0,
@@ -408,21 +407,23 @@ def test_stacked_paths_equal_single_paths(spec, c_minus):
         first = np.concatenate(([0], np.cumsum(stack.record.counts)))
         for j in range(stack.values.size):
             rng = path_rng(8, "stacked", i)
-            path = am.make_path(spec, model, 1.0, 0.0, rng, disc=disc)
+            path = am.make_path(spec, disc, rng)
             assert rng.random() == after[i]
-            assert path.value == stack.values[j]
-            assert np.array_equal(path.sigma_mid, stack.sigma_mid[j])
-            assert np.array_equal(path.b_mid, stack.b_mid[j])
+            assert path.values[0] == stack.values[j]
+            assert np.array_equal(path.sigma_mid[0], stack.sigma_mid[j])
+            assert np.array_equal(path.b_mid[0], stack.b_mid[j])
             jumps = slice(first[j], first[j + 1])
             for name in ("s", "y", "z"):
                 assert np.array_equal(getattr(path.record, name),
                                       getattr(stack.record, name)[jumps])
             assert np.array_equal(path.record.cell_normals[0],
                                   stack.record.cell_normals[j])
-            mine = stack.table.path(j)
             for f in dataclasses.fields(am.CouplingTable):
-                assert np.array_equal(getattr(path.coupling, f.name),
-                                      getattr(mine, f.name)), f.name
+                assert np.array_equal(getattr(path.table, f.name)[0],
+                                      getattr(stack.table, f.name)[j]), \
+                    f.name
+            assert am.approx_parts(path, 0.37).value[0] \
+                == am.approx_parts(stack, 0.37).value[j]
             i += 1
     assert i == n
 
@@ -435,10 +436,9 @@ def test_error_decay_gaps_equal_single_path_gaps(model, reference_spec):
                          nt=20, nx=16)
     gaps, jumps = np.empty((n, eps_grid.size)), np.empty(n)
     for i in range(n):
-        path = am.make_path(reference_spec, model, 1.0, 0.0,
-                            path_rng(5, "ambit-decay", i),
-                            disc=dec.discretization)
-        gaps[i] = [abs(path.value - am.approx_parts(path, e).value)
+        path = am.make_path(reference_spec, dec.discretization,
+                            path_rng(5, "ambit-decay", i))
+        gaps[i] = [abs(path.values[0] - am.approx_parts(path, e).value[0])
                    for e in eps_grid]
         jumps[i] = path.record.s.size
     gaps **= beta
@@ -473,9 +473,8 @@ def test_stacked_paths_check_every_integrand(model, reference_spec):
     rngs[mid] = _InfiniteFirstGain(rngs[mid])
     with np.errstate(invalid="ignore"):   # inf * 0 outside the cone
         with pytest.raises(ValueError) as single:
-            am.make_path(reference_spec, model, 1.0, 0.0,
-                         _InfiniteFirstGain(path_rng(9, "bad", mid)),
-                         disc=disc)
+            am.make_path(reference_spec, disc,
+                         _InfiniteFirstGain(path_rng(9, "bad", mid)))
         with pytest.raises(ValueError) as stacked:
             am.sample_stack(reference_spec, disc, rngs)
     assert "not finite" in str(single.value)

@@ -9,6 +9,7 @@ import scipy
 
 import ambitlab
 from ambitlab import cli
+from ambitlab.besov import MAX_ORDER
 from ambitlab.config import ConfigError, parse_config, resolve_config
 
 
@@ -54,6 +55,13 @@ def test_comments_sections_and_types():
     ("[run]\nexperiment = dance\n", ":2:", "must be one of"),
     ("[mystery]\nx = 1\n", ":2:", "unknown section"),
     ("[run]\nexperiment = levy-check\nbogus = 1\n", ":3:", "unknown key"),
+    # difference orders past besov.MAX_ORDER, which the criterion rejects
+    ("[run]\nexperiment = besov-stat\norder = 21\n", ":3:",
+     "[run] order: value '21' out of range"),
+    ("[run]\nexperiment = spde-density\n[spde]\nn = 21\n", ":4:",
+     "[spde] n: value '21' out of range"),
+    ("[run]\nexperiment = ambit-density\n[ambit]\nn = 21\n", ":4:",
+     "[ambit] n: value '21' out of range"),
     ("[run]\nexperiment = levy-check\n[levy]\nnt = 8\n", ":4:",
      "unknown key"),
 ])
@@ -84,6 +92,10 @@ def test_missing_experiment_is_required():
      "eps_max <= t"),
     ("[run]\nexperiment = levy-check\n[ambit]\nbeta = 1.4\n",
      "beta < \\[levy\\] alpha"),
+    ("[run]\nexperiment = ambit-decay\n[levy]\nalpha = 1.2\n[ambit]\n"
+     "gamma = 1.0\n", "\\[ambit\\] needs gamma > \\[levy\\] alpha"),
+    ("[run]\nexperiment = ambit-decay\n[levy]\nalpha = 1.2\n[ambit]\n"
+     "gamma = 1.2\n", "\\[ambit\\] needs gamma > \\[levy\\] alpha"),
 ])
 def test_cross_checks(text, reason):
     with pytest.raises(ConfigError, match=reason):
@@ -109,6 +121,10 @@ def test_override_forms():
         _load(GOOD, overrides=["justakey"])
     with pytest.raises(ConfigError, match="out of range"):
         _load(GOOD, overrides=["levy.alpha=7"])
+    top = _load(GOOD, overrides=[f"run.order={MAX_ORDER}",
+                                 f"spde.n={MAX_ORDER}",
+                                 f"ambit.n={MAX_ORDER}"])
+    assert top.get("run", "order") == top.get("ambit", "n") == MAX_ORDER
 
 
 def test_overrides_win_over_file_values():

@@ -107,12 +107,13 @@ def test_sample_matches_cauchy_cf():
 
 def test_draw_shapes_and_budget():
     m = levy.make_levy_model(1.0, 1.0, 1.0, T=0.5, tau=0.05)
-    one = levy.sample_integral(m, ONE, path_rng(1, "s", 0))
-    assert np.isscalar(one) or np.ndim(one) == 0
+    one = levy.sample_integral(m, ONE, path_rng(1, "s", 0), n_draws=1)
+    assert one.shape == (1,)
     seven = levy.sample_integral(m, ONE, path_rng(1, "s", 1), n_draws=7)
     assert seven.shape == (7,)
     with pytest.raises(ValueError, match="budget"):
-        levy.sample_integral(m, ONE, path_rng(1, "s", 2), tau=1e-9)
+        levy.sample_integral(m, ONE, path_rng(1, "s", 2), n_draws=1,
+                             tau=1e-9)
     with pytest.raises(ValueError, match="n_draws"):
         levy.sample_integral(m, ONE, path_rng(1, "s", 3), n_draws=0)
 

@@ -33,8 +33,9 @@ def white(m=64, L=8.0):
 def test_heat_pure_drift_is_exact():
     model = white()
     dt = 4.0 * model.dx**2
-    sol = spde.solve(model, HEAT, spde.constant_coefficients(0.0, 0.7),
-                     u0=0.25, t_end=40 * dt, dt=dt, rng=path_rng(0, "d", 0))
+    sol = spde.solve_batch(model, HEAT, spde.constant_coefficients(0.0, 0.7),
+                           u0=0.25, t_end=40 * dt, dt=dt,
+                           rngs=[path_rng(0, "d", 0)])
     # zero-mode drift integrates exactly: u = u0 + b t
     assert sol.final_point_values()[0] == pytest.approx(0.25 + 0.7 * 40 * dt,
                                                         rel=1e-12)
@@ -44,9 +45,9 @@ def test_wave_pure_drift_is_exact():
     model = white()
     dt = 0.5 * model.dx
     n = 32
-    sol = spde.solve(model, WAVE, spde.constant_coefficients(0.0, 0.7),
-                     u0=0.25, t_end=n * dt, dt=dt, rng=path_rng(0, "d", 1),
-                     v0=1.5)
+    sol = spde.solve_batch(model, WAVE, spde.constant_coefficients(0.0, 0.7),
+                           u0=0.25, t_end=n * dt, dt=dt,
+                           rngs=[path_rng(0, "d", 1)], v0=1.5)
     t = n * dt
     # discrete constant-acceleration integration is exact:
     # u = u0 + v0 t + b t^2/2
@@ -96,12 +97,13 @@ def test_decomposition_bookkeeping():
 def test_unrecorded_eps_raises():
     model = white()
     dt = 4 * model.dx**2
-    sol = spde.solve(model, HEAT, spde.constant_coefficients(), 0.0,
-                     16 * dt, dt, path_rng(0, "e", 0), eps_grid=[4 * dt])
+    sol = spde.solve_batch(model, HEAT, spde.constant_coefficients(), 0.0,
+                           16 * dt, dt, [path_rng(0, "e", 0)],
+                           eps_grid=[4 * dt])
     with pytest.raises(ValueError, match="not recorded"):
         spde.approximate_u_eps(sol, 2 * dt)
-    plain = spde.solve(model, HEAT, spde.constant_coefficients(), 0.0,
-                       16 * dt, dt, path_rng(0, "e", 1))
+    plain = spde.solve_batch(model, HEAT, spde.constant_coefficients(), 0.0,
+                             16 * dt, dt, [path_rng(0, "e", 1)])
     with pytest.raises(ValueError, match="approximation"):
         spde.approximate_u_eps(plain, 4 * dt)
 
@@ -242,8 +244,8 @@ def test_half_spectrum_matches_full_spectrum_reference(d, m, kind, coeff):
 
     # each path keeps its own draw order: a batch row is the lone solve
     for i in range(3):
-        alone = spde.solve(model, lam, coeffs, 0.6, n * dt, dt,
-                           path_rng(3, stream, i), **kw)
+        alone = spde.solve_batch(model, lam, coeffs, 0.6, n * dt, dt,
+                                 [path_rng(3, stream, i)], **kw)
         assert np.array_equal(alone.point_series[0], sol.point_series[i])
         assert np.array_equal(alone.fields[:, 0], sol.fields[:, i])
         assert np.array_equal(alone.G[0], sol.G[i])
@@ -321,11 +323,11 @@ def test_cfl_guards():
     model = white()
     c = spde.constant_coefficients()
     with pytest.raises(ValueError, match="heat step"):
-        spde.solve(model, HEAT, c, 0.0, 1.0, 5.0 * model.dx**2,
-                   path_rng(0, "c", 0))
+        spde.solve_batch(model, HEAT, c, 0.0, 1.0, 5.0 * model.dx**2,
+                         [path_rng(0, "c", 0)])
     with pytest.raises(ValueError, match="wave step"):
-        spde.solve(model, WAVE, c, 0.0, 1.0, 2.0 * model.dx,
-                   path_rng(0, "c", 1))
+        spde.solve_batch(model, WAVE, c, 0.0, 1.0, 2.0 * model.dx,
+                         [path_rng(0, "c", 1)])
 
 
 def test_time_grid_validation():
@@ -333,30 +335,32 @@ def test_time_grid_validation():
     dt = model.dx**2
     c = spde.constant_coefficients()
     with pytest.raises(ValueError, match="multiple"):
-        spde.solve(model, HEAT, c, 0.0, 10.5 * dt, dt, path_rng(0, "t", 0))
+        spde.solve_batch(model, HEAT, c, 0.0, 10.5 * dt, dt,
+                         [path_rng(0, "t", 0)])
     with pytest.raises(ValueError, match="eps"):
-        spde.solve(model, HEAT, c, 0.0, 16 * dt, dt, path_rng(0, "t", 1),
-                   eps_grid=[3.1 * dt])
+        spde.solve_batch(model, HEAT, c, 0.0, 16 * dt, dt,
+                         [path_rng(0, "t", 1)], eps_grid=[3.1 * dt])
     with pytest.raises(ValueError, match="eps"):
-        spde.solve(model, HEAT, c, 0.0, 16 * dt, dt, path_rng(0, "t", 2),
-                   eps_grid=[32 * dt])
+        spde.solve_batch(model, HEAT, c, 0.0, 16 * dt, dt,
+                         [path_rng(0, "t", 2)], eps_grid=[32 * dt])
     with pytest.raises(ValueError):
-        spde.solve(model, HEAT, c, 0.0, 1.0, -0.1, path_rng(0, "t", 3))
+        spde.solve_batch(model, HEAT, c, 0.0, 1.0, -0.1,
+                         [path_rng(0, "t", 3)])
 
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
-        spde.solve(white(), operators.heat_operator(2),
-                   spde.constant_coefficients(), 0.0, 0.1, 0.001,
-                   path_rng(0, "d", 0))
+        spde.solve_batch(white(), operators.heat_operator(2),
+                         spde.constant_coefficients(), 0.0, 0.1, 0.001,
+                         [path_rng(0, "d", 0)])
 
 
 def test_dalang_guard_in_solver():
     bad = noise.make_noise_model("riesz", d=3, Lbox=8.0, m=4, beta=2.5)
     with pytest.raises(noise.DalangConditionError):
-        spde.solve(bad, operators.heat_operator(3),
-                   spde.constant_coefficients(), 0.0, 0.5, 0.5,
-                   path_rng(0, "dal", 0))
+        spde.solve_batch(bad, operators.heat_operator(3),
+                         spde.constant_coefficients(), 0.0, 0.5, 0.5,
+                         [path_rng(0, "dal", 0)])
 
 
 # ---------------------------------------------------------------------------
