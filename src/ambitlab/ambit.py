@@ -805,8 +805,26 @@ class DensityReport(besov.CriterionReport):
 
     discretization: AmbitDiscretization
     jumps_per_draw: float    # mean jump count per sample
-    chunks: int              # bulk sampler chunks (None for the ensemble)
+    tally: dict              # bulk sampler's tally (None for the ensemble)
+    integrand: str           # bulk jump integrand: "constant" or "callable"
     seconds: dict            # wall time of the sampler and criterion stages
+
+
+def _box_constant(spec, disc):
+    """g's value if 1_A g is that one number at every jump the bulk
+    sampler can draw, else None.  That needs a slab, a constant kernel and
+    the slab's indicator true at both extreme jump corners; as the jump
+    maps are monotone, every jump, and every cell midpoint, then lies
+    inside the slab.  So a cone, a power or bump kernel, a slab narrower
+    than the drift set, or a box edge that rounds out of the slab keeps
+    the per-jump callable."""
+    g = spec.kernel_g
+    if spec.ambit_set.zeta or g.kind != "constant":
+        return None
+    s, y = levy.jump_bounds(disc.box_model)
+    if not np.all(spec.ambit_set.indicator(disc.t, disc.x, s, y)):
+        return None
+    return g.value
 
 
 def density_criterion_experiment(spec, model, t, x, n, n_paths=100_000, *,
@@ -827,10 +845,18 @@ def density_criterion_experiment(spec, model, t, x, n, n_paths=100_000, *,
     if spec.sigma.is_constant and spec.b.is_constant:
         sig0 = spec.sigma.value
         b0 = spec.b.value
+        g0 = _box_constant(spec, disc)
 
-        def f(s, y):
-            ind = spec.ambit_set.indicator(t, x, s, y)
-            return ind * spec.kernel_g(t, s, x, y) * sig0
+        if g0 is None:
+            def f(s, y):
+                ind = spec.ambit_set.indicator(t, x, s, y)
+                return ind * spec.kernel_g(t, s, x, y) * sig0
+        else:
+            # (1_A g)(s, y) * sig0 is g0 * sig0 on the whole box
+            scale = g0 * sig0
+
+            def f(s, y):
+                return scale
 
         rng = path_rng(master_seed, "ambit-density", 0)
         tally = {}
@@ -841,8 +867,8 @@ def density_criterion_experiment(spec, model, t, x, n, n_paths=100_000, *,
         drift = float(np.sum(disc.drift_cell * b0))
         values = spec.x0 + stoch + drift
         weights = np.full(n_paths, abs(sig0) ** n if n else 1.0)
-        counters = dict(jumps_per_draw=tally["jumps"] / n_paths,
-                        chunks=tally["chunks"])
+        counters = dict(jumps_per_draw=tally["jumps"] / n_paths, tally=tally,
+                        integrand="callable" if g0 is None else "constant")
     else:
         def block(_idx, rngs):
             out = np.empty((len(rngs), 3))
@@ -858,7 +884,8 @@ def density_criterion_experiment(spec, model, t, x, n, n_paths=100_000, *,
         raw = run_ensemble_blocks(n_paths, block, master_seed=master_seed,
                                   stream="ambit-density", workers=workers)
         values, weights = raw[:, 0], raw[:, 1]
-        counters = dict(jumps_per_draw=float(raw[:, 2].mean()), chunks=None)
+        counters = dict(jumps_per_draw=float(raw[:, 2].mean()), tally=None,
+                        integrand=None)
     seconds = dict(sampler=time.perf_counter() - clock)
 
     clock = time.perf_counter()

@@ -314,8 +314,15 @@ def _exp_ambit_density(cfg):
     logs = [f"tau={report.discretization.tau:.6g}",
             f"cells={n_rows}x{n_cols}"]
     logs.append(f"jumps_per_draw={report.jumps_per_draw:.2f}")
-    if report.chunks is not None:
-        logs.append(f"chunks={report.chunks}")
+    tally = report.tally
+    if tally is not None:
+        chunk_s = tally["chunk_s"]
+        logs += [f"chunks={tally['chunks']}",
+                 f"draws_per_chunk={tally['draws_per_chunk']}",
+                 f"integrand={report.integrand}",
+                 f"chunk_s_min={min(chunk_s):.4f}",
+                 f"chunk_s_median={np.median(chunk_s):.4f}",
+                 f"chunk_s_max={max(chunk_s):.4f}"]
     logs += [f"sampler_s={report.seconds['sampler']:.3f}",
              f"criterion_s={report.seconds['criterion']:.3f}"]
     return _criterion_result(report, logs, verdict=report.verdict, n=a["n"],

@@ -20,6 +20,7 @@ The module provides
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ __all__ = [
     "JumpRecord",
     "default_tau",
     "cell_factors",
+    "jump_bounds",
     "sample_records",
     "sample_integral",
     "replay_integral",
@@ -423,16 +425,28 @@ def _map_jumps(model, tau, u):
     place as uniform() maps doubles (lo + (hi - lo) * u); sizes are
     +-tau * u**(-1/alpha), negative where the sign uniform falls past
     c_plus / c_sum."""
-    s, y, negative, z = u
+    s, y, sign, z = u
     s *= model.T
     lo, hi = model.domain
     y *= hi - lo
     y += lo
-    negative *= model.c_sum
-    negative = negative >= model.c_plus
+    # the sign row becomes +-0.5 in place: copysign needs no mask, and
+    # flips nothing else since the sizes are positive
+    sign *= model.c_sum
+    np.subtract(0.5, sign >= model.c_plus, out=sign)
     z **= -1.0 / model.alpha
     np.multiply(tau, z, out=z)
-    return s, y, np.negative(z, out=z, where=negative)
+    return s, y, np.copysign(z, sign, out=z)
+
+
+def jump_bounds(model):
+    """(s, y): the least and greatest time and position a sampled jump
+    can take, as _map_jumps maps the least and greatest double random()
+    returns, 0 and 1 - 2**-53.  The maps are monotone, so every jump time
+    and position lies between the two, rounding included."""
+    u = np.array([0.0, 1.0 - 2.0 ** -53])
+    s, y, _ = _map_jumps(model, 1.0, np.stack([u, u, u, np.ones(2)]))
+    return s, y
 
 
 def sample_records(model, f_mid, rngs, *, tau, cells,
@@ -480,7 +494,11 @@ def sample_integral(model, f, rng, *, n_draws, tau=None, cells=None,
     draws nothing; each call spawns new children, so two calls on one rng
     give independent values.  The `workers` threads draw whole chunks, so
     the values are the same for any count.  A dict passed as tally
-    receives the work done: chunks and jumps (over all draws).
+    receives the work done: chunks, draws_per_chunk (of every chunk but
+    the last), jumps (over all draws) and chunk_s, the wall time of each
+    chunk in chunk order.  Where f is one number c on the whole box it may
+    return c itself, which scales the jumps and cells as the array of c
+    would.
     """
     n = int(n_draws)
     if n <= 0:
@@ -509,6 +527,7 @@ def sample_integral(model, f, rng, *, n_draws, tau=None, cells=None,
     def chunk(start, chunk_rng):
         # poisson(rate_bound, nb) for the counts, then one
         # random((_BLOCKS, tot)) for the jumps, then standard_normal(nb)
+        clock = time.perf_counter()
         nb = min(size, n - start)
         counts = chunk_rng.poisson(rate_bound, nb)
         tot = int(counts.sum())
@@ -519,12 +538,13 @@ def sample_integral(model, f, rng, *, n_draws, tau=None, cells=None,
                            minlength=nb)
         values[start:start + nb] = \
             sums + total_sd * chunk_rng.standard_normal(nb) - comp
-        return tot
+        return tot, time.perf_counter() - clock
 
     with ThreadPoolExecutor(int(workers)) as pool:
-        jumps = sum(pool.map(chunk, starts, rngs))
+        jumps, seconds = zip(*pool.map(chunk, starts, rngs))
     if tally is not None:
-        tally.update(chunks=len(rngs), jumps=jumps)
+        tally.update(chunks=len(rngs), draws_per_chunk=size,
+                     jumps=sum(jumps), chunk_s=seconds)
     return values
 
 

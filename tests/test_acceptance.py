@@ -109,8 +109,9 @@ def test_04_wave_white_noise_exponents():
                                0.0, t_end, dt, rngs)
         return sol.point_series
 
+    # per-block streams: two workers give the one-worker series
     series = run_ensemble_blocks(10_000, block, master_seed=2,
-                                 stream="accept-wave", workers=1)
+                                 stream="accept-wave", workers=2)
     times = np.arange(series.shape[1]) * dt
     fit = spde.time_holder_delta(series, times, t0, lags)
     report = spde.gammabar(ge, fit)

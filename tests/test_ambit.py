@@ -520,6 +520,61 @@ def test_density_criterion_dirac_control(model):
     assert not rep.verdict
 
 
+def _bulk_spec(ambit_set, kernel_g, drift_set=None):
+    return am.make_ambit_spec(ambit_set=ambit_set, drift_set=drift_set,
+                              kernel_g=kernel_g, sigma=am.constant_field(0.8),
+                              b=am.constant_field(0.4), x0=0.1)
+
+
+# (spec, x, integrand) of the bulk sampler: 1_A g sigma0 is one number on
+# the sampling box only for a slab that covers it and a constant kernel
+INTEGRAND_CASES = {
+    "slab": (_bulk_spec(am.make_slab(0.75), am.constant_kernel(1.7)), 0.3,
+             "constant"),
+    "cone": (_bulk_spec(am.make_cone(0.75), am.constant_kernel(1.7)), 0.3,
+             "callable"),
+    "power": (_bulk_spec(am.make_slab(0.75), am.power_kernel(0.5, 1.7)),
+              0.3, "callable"),
+    "narrow": (_bulk_spec(am.make_slab(0.75), am.constant_kernel(1.7),
+                          drift_set=am.make_slab(1.0)), 0.3, "callable"),
+    # the box's last position x + 0.35 rounds to more than 0.35 from x
+    "edge": (_bulk_spec(am.make_slab(0.35), am.constant_kernel(1.7)),
+             -23.021, "callable"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGRAND_CASES))
+def test_bulk_integrand_draws_the_per_jump_values(case, monkeypatch):
+    """density_criterion_experiment applies 1_A g sigma0 as one number
+    only where it is that number on the whole sampling box, and either way
+    draws, bit for bit, the values of the per-jump callable."""
+    spec, x, kind = INTEGRAND_CASES[case]
+    lite = lv.make_levy_model(1.2, 1 / 60, 1 / 60)
+    sample = lv.sample_integral
+    drawn = []
+
+    def spy(*args, **kwargs):
+        drawn.append(sample(*args, **kwargs))
+        return drawn[-1]
+
+    def f(s, y):
+        return spec.ambit_set.indicator(1.0, x, s, y) \
+            * spec.kernel_g(1.0, s, x, y) * 0.8
+
+    monkeypatch.setattr(lv, "sample_integral", spy)
+    for workers in (1, 2):
+        rep = am.density_criterion_experiment(spec, lite, 1.0, x, n=1,
+                                              n_paths=13_000, master_seed=5,
+                                              workers=workers, nt=8, nx=8)
+        assert rep.integrand == kind
+        assert rep.tally["chunks"] > 1
+        disc = rep.discretization
+        want = sample(disc.box_model, f, path_rng(5, "ambit-density", 0),
+                      n_draws=13_000, tau=disc.tau, cells=disc.cells,
+                      workers=workers)
+        assert np.array_equal(drawn[-1], want), workers
+
+
 def test_weierstrass_holder_fit():
     fit = am.field_holder_fit(am.weierstrass_field(delta1=0.5, delta2=0.5),
                               np.geomspace(1e-4, 1e-2, 8), 400,

@@ -340,7 +340,7 @@ def test_spde_density_log_counts_the_work(tmp_path):
 
 # the benchmark's ambit-density model (a slab, constant kernel and
 # volatility) at a small grid: about 55 jumps per draw, so 40000 draws make
-# two sampler chunks, each split across the workers
+# nine sampler chunks, run whole on the workers
 DENSITY = ["run.n_paths=40000", "ambit.c=1", "ambit.zeta=0",
            "ambit.kernel_g=constant", "ambit.sigma_field=constant",
            "levy.alpha=1.2", f"levy.c_plus={1 / 60!r}",
@@ -371,8 +371,9 @@ def test_ambit_density_is_worker_independent(tmp_path):
 
 def test_ambit_density_log_counts_the_work(tmp_path):
     runs = _density_runs(tmp_path, (1, 2))
-    keys = ("tau=", "cells=", "jumps_per_draw=", "chunks=", "sampler_s=",
-            "criterion_s=")
+    keys = ("tau=", "cells=", "jumps_per_draw=", "chunks=",
+            "draws_per_chunk=", "integrand=", "chunk_s_min=",
+            "chunk_s_median=", "chunk_s_max=", "sampler_s=", "criterion_s=")
     for log, csv, summary in runs.values():
         lines = [line for line in log if line.startswith(keys)]
         assert [line.split("=")[0] + "=" for line in lines] == list(keys)
@@ -381,14 +382,20 @@ def test_ambit_density_log_counts_the_work(tmp_path):
         assert values["cells"] == "16x16"
         # 40,000 draws of about 56 expected jumps: about 4,500 per chunk
         assert values["chunks"] == "9"
+        assert values["draws_per_chunk"] == "4500"
+        # the slab covers the sampling box and g is constant
+        assert values["integrand"] == "constant"
         assert float(values["jumps_per_draw"]) > 1
+        assert 0 <= float(values["chunk_s_min"]) \
+            <= float(values["chunk_s_median"]) \
+            <= float(values["chunk_s_max"])
         assert float(values["sampler_s"]) > 0
         assert float(values["criterion_s"]) > 0
         # counters and timers stay out of the artifacts
-        for word in (b"_s=", b"chunks", b"jumps"):
+        for word in (b"_s=", b"chunk", b"jumps", b"integrand"):
             assert word not in csv + summary
     counters = [[line for line in runs[w][0]
-                 if line.startswith(keys[:4])] for w in runs]
+                 if line.startswith(keys[:6])] for w in runs]
     assert counters[0] == counters[1]
     assert runs[1][1:] == runs[2][1:]
 

@@ -182,6 +182,11 @@ RECORD_CASES = {
     # about 0.73 expected jumps per draw: many draws have none
     "sparse": levy.make_levy_model(1.5, 1.0, 1.0, T=1.0,
                                    domain=(0.0, 1.0), tau=1.5),
+    # one-sided: the sign map flips every jump or none
+    "positive": levy.make_levy_model(0.8, 1.3, 0.0, T=1.0,
+                                     domain=(-1.0, 1.0), tau=0.1),
+    "negative": levy.make_levy_model(1.7, 0.0, 0.6, T=1.0,
+                                     domain=(-1.0, 1.0), tau=0.1),
 }
 
 
@@ -229,6 +234,13 @@ def test_records_equal_explicit_uniform_draws(case):
     rec = levy.sample_records(m, f_mid, rngs, tau=tau, cells=cells)
     if case == "sparse":
         assert 0 < np.count_nonzero(rec.counts) < len(rngs)
+    if case in ("positive", "negative"):
+        assert rec.z.size and np.all((rec.z > 0) == (case == "positive"))
+    (s0, s1), (y0, y1) = levy.jump_bounds(m)
+    assert s0 == 0.0 and s1 < m.T and y0 == m.domain[0] and y1 <= m.domain[1]
+    if rec.s.size:
+        assert s0 <= rec.s.min() and rec.s.max() <= s1
+        assert y0 <= rec.y.min() and rec.y.max() <= y1
     refs = []
     for i, rng in enumerate(rngs):
         ref_rng = path_rng(9, "explicit", i)
@@ -273,13 +285,14 @@ SPLIT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_split_sampler_equals_serial(case):
-    """Any worker count gives the one-thread values and jump tally, and
-    the generator passed in draws nothing."""
+    """Any worker count gives the one-thread values and work tally (all
+    but the chunk times), and the generator passed in draws nothing."""
     m, f, n, kw = SPLIT_CASES[case]
     kw = dict(kw, nt=8, nx=8)
     ref_tally = {}
     ref = levy.sample_integral(m, f, path_rng(11, case, 0), n_draws=n,
                                tally=ref_tally, **kw)
+    ref_tally.pop("chunk_s")
     for workers in (1, 2, 3, 5):
         rng = path_rng(11, case, 0)
         state = rng.bit_generator.state
@@ -287,6 +300,8 @@ def test_split_sampler_equals_serial(case):
         vals = levy.sample_integral(m, f, rng, n_draws=n, workers=workers,
                                     tally=tally, **kw)
         assert np.array_equal(vals, ref), workers
+        chunk_s = tally.pop("chunk_s")
+        assert len(chunk_s) == tally["chunks"] and min(chunk_s) > 0
         assert tally == ref_tally, workers
         assert rng.bit_generator.state == state, workers
     if tally["chunks"] == 1:
@@ -306,7 +321,7 @@ def test_chunks_draw_from_spawned_generators():
     tally = {}
     vals = levy.sample_integral(m, f, rng, n_draws=n, cells=cells,
                                 tally=tally, **kw)
-    assert tally["chunks"] == 10
+    assert tally["chunks"] == 10 and tally["draws_per_chunk"] == 43
     jumps = 0
     for c, child in enumerate(path_rng(11, "chunks", 0).spawn(10)):
         nb = min(43, n - 43 * c)
