@@ -333,20 +333,29 @@ def default_beta_gamma(alpha):
 # ---------------------------------------------------------------------------
 
 
-# Gauss-Jacobi nodes of the exponent quadratures (checked against twice as
-# many)
+# Gauss-Jacobi nodes of the exponent quadratures
 _JACOBI_NODES = 48
 
 
+def _condition_exponent(kernel, aset, q, time_holder, space_holder):
+    """Exponent of a slab condition integral, 1 + a + q k + zeta (1 + p),
+    with time weight a, space weight p and k the kernel's time power.
+    Raises when the integral diverges (a <= -1 or q k + zeta (1 + p) <= -1).
+    """
+    b_u = q * kernel.time_power + aset.zeta * (1.0 + space_holder)
+    if time_holder <= -1.0 or b_u <= -1.0:
+        raise ValueError("divergent")
+    return 1.0 + time_holder + b_u
+
+
 def _slab_condition_integral(eps, kernel, aset, q, time_holder, space_holder,
-                             nodes):
+                             nodes=_JACOBI_NODES):
     """int_0^eps v^time_holder * S(u) dv with v = s - (t - eps), u = eps - v,
     S(u) = int_{|y'| <= c u^zeta} |kernel|^q |y'|^space_holder dy'.
 
     All pure powers of u and v are folded into a Gauss-Jacobi weight; the
     remaining factor is smooth (constant, or an incomplete-Gamma bump
-    profile).  Returns (value, jacobi exponent of u) and raises when the
-    u-exponent is not integrable.
+    profile).  The integral must converge (see _condition_exponent).
     """
     a_v = time_holder
     p = space_holder
@@ -368,9 +377,6 @@ def _slab_condition_integral(eps, kernel, aset, q, time_holder, space_holder,
             w = aset.half_width(u)
             return norm * special.gammainc(half_p, bump_c * w * w)
 
-    if a_v <= -1.0 or b_u <= -1.0:
-        raise ValueError("divergent")
-
     xj, wj = special.roots_jacobi(nodes, b_u, a_v)
     u_nodes = eps * (1.0 - xj) / 2.0
     vals = const if smooth is None else const * smooth(u_nodes)
@@ -379,31 +385,32 @@ def _slab_condition_integral(eps, kernel, aset, q, time_holder, space_holder,
 
 @dataclass
 class ExponentBundle:
-    gamma0: ScalingFit
-    gamma1: ScalingFit
-    gamma2: ScalingFit
-    gamma3: ScalingFit
-    gamma4: ScalingFit
-    gammabar: float          # min of the present gamma_1..gamma_4 slopes
-    verdict: bool            # min(gamma_1..4) / gamma_0 > 1 / alpha
+    gamma0: float
+    gamma1: float            # gamma1, gamma2: None for constant sigma
+    gamma2: float
+    gamma3: float            # gamma3, gamma4: None for constant b
+    gamma4: float
+    gammabar: float          # min of the present gamma_1..gamma_4
+    verdict: bool            # gammabar / gamma_0 > 1 / alpha
     eps_grid: np.ndarray
     integrals: dict
     beta: float
     gamma: float
-    richardson_error: float
 
 
 def exponent_conditions(spec, model, eps_grid, beta=None, gamma=None, *,
                         t=1.0) -> ExponentBundle:
-    """Quadrature of the five slab exponent conditions and their log-log
-    fits.
+    """The five slab exponent conditions in closed form, with their
+    quadratures on eps_grid.
 
     gamma0: slab mass of |g|^alpha over the ambit cone; gamma1/gamma2: the
     same with the volatility time/space Hölder weights and exponent gamma
-    (fitted slope divided by gamma); gamma3/gamma4: drift analogues with
-    kernel h (linear, slopes reported directly).  Constant sigma (resp. b)
-    makes the corresponding gaps vanish identically and the conditions are
-    reported as degenerate and excluded from gammabar.
+    (the exponent divided by gamma); gamma3/gamma4: drift analogues with
+    kernel h (linear, exponents reported directly).  Each exponent is
+    _condition_exponent's, for every kernel: the bump profile is flat at
+    small eps.  Constant sigma (resp. b) makes the corresponding gaps
+    vanish identically; those conditions are None and excluded from
+    gammabar.
     """
     alpha = model.alpha
     db, dg = default_beta_gamma(alpha)
@@ -427,49 +434,26 @@ def exponent_conditions(spec, model, eps_grid, beta=None, gamma=None, *,
         conds["gamma4"] = (spec.kernel_h, spec.drift_set, 1.0, 0.0,
                            spec.b.delta2)
 
-    integrals, fits = {}, {}
-    richardson = 0.0
-    for name, (kern, aset, q, th, sh) in conds.items():
+    exponents = dict.fromkeys(f"gamma{i}" for i in range(5))
+    integrals = {}
+    for name, cond in conds.items():
         try:
-            vals = np.array([_slab_condition_integral(e, kern, aset, q, th,
-                                                      sh, _JACOBI_NODES)
-                             for e in eps_grid])
-            fine = np.array([_slab_condition_integral(e, kern, aset, q, th,
-                                                      sh, 2 * _JACOBI_NODES)
-                             for e in eps_grid])
+            exponent = _condition_exponent(*cond)
         except ValueError as exc:
             raise ValueError(f"(H4) condition {name} diverges for this "
                              f"kernel/cone combination") from exc
-        rel = float(np.max(np.abs(vals - fine)
-                           / np.maximum(np.abs(fine), 1e-300)))
-        richardson = max(richardson, rel)
-        if rel > 0.01:
-            raise ValueError(f"(H4) quadrature for {name} fails the "
-                             f"node-doubling self-check ({rel:.2%})")
-        integrals[name] = vals
-        fit = fit_scaling(eps_grid, vals)
-        if fit.flag == "ok" and fit.r2 < 0.99:
-            fit.flag = "inconclusive"
-        fits[name] = fit
+        if name in ("gamma1", "gamma2"):
+            exponent /= gamma
+        exponents[name] = exponent
+        integrals[name] = np.array([_slab_condition_integral(e, *cond)
+                                    for e in eps_grid])
 
-    def scaled(name, divisor):
-        f = fits.get(name)
-        if f is None:
-            return ScalingFit(float("nan"), 0.0, 0.0, float("inf"), 0,
-                              "degenerate")
-        return ScalingFit(f.slope / divisor, f.intercept, f.r2,
-                          f.ci_halfwidth / divisor, f.points_used, f.flag)
-
-    g0 = fits["gamma0"]
-    g1 = scaled("gamma1", gamma)
-    g2 = scaled("gamma2", gamma)
-    g3 = scaled("gamma3", 1.0)
-    g4 = scaled("gamma4", 1.0)
-    present = [g.slope for g in (g1, g2, g3, g4) if g.flag != "degenerate"]
+    present = [v for v in list(exponents.values())[1:] if v is not None]
     gammabar = float(min(present)) if present else float("inf")
-    verdict = bool(gammabar / g0.slope > 1.0 / alpha)
-    return ExponentBundle(g0, g1, g2, g3, g4, gammabar, verdict, eps_grid,
-                          integrals, beta, gamma, richardson)
+    verdict = bool(gammabar / exponents["gamma0"] > 1.0 / alpha)
+    return ExponentBundle(**exponents, gammabar=gammabar, verdict=verdict,
+                          eps_grid=eps_grid, integrals=integrals, beta=beta,
+                          gamma=gamma)
 
 
 # ---------------------------------------------------------------------------

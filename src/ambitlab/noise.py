@@ -26,8 +26,6 @@ import numpy as np
 from scipy import integrate as _integrate
 from scipy import special as _special
 
-from .montecarlo import ScalingFit, fit_scaling
-
 __all__ = [
     "SpectralNoiseModel",
     "GammaExponents",
@@ -258,27 +256,26 @@ def grid_variance_g(model, lam, eps) -> float:
 
 @dataclass
 class GammaExponents:
-    gamma1: ScalingFit
-    gamma2: ScalingFit
+    gamma1: float
+    gamma2: float
     eps_grid: np.ndarray
     g_values: np.ndarray
     zero_mode_values: np.ndarray
     evaluations: np.ndarray = None  # integrand calls of each g(eps)
 
-    @property
-    def gamma(self) -> ScalingFit:
-        """The fit of g(eps) again: for these models g is a pure power, so
-        the lower exponent gamma and the upper gamma1 coincide."""
-        return self.gamma1
-
 
 def exponent_gamma(model, lam, eps_grid) -> GammaExponents:
-    """Fit the scaling exponents of the variance functional.
+    """The exponents of the variance functional in closed form, and the
+    quadrature values behind them.
 
-    gamma / gamma1: slope of g(eps) (for these models g is a pure power, so
-    the lower and upper exponents coincide); gamma2: slope of the zero-mode
-    integral int_0^eps |F(Lambda(s))(0)|^2 ds.  Fits with R^2 < 0.99 are
-    flagged "inconclusive".
+    gamma1 is the small-eps exponent of g(eps) by scaling on R^d:
+    1 - beta/2 for heat and 3 - beta for wave, where the noise scales like
+    a covariance |x|^-beta: beta = d for white noise, the Riesz beta, and 0
+    for the exponential covariance, whose spectral measure is finite.
+    For white and Riesz noise g is a pure power, so the lower exponent
+    gamma equals gamma1.  gamma2 is the exponent of the zero-mode integral
+    int_0^eps |F(Lambda(s))(0)|^2 ds: 1 for heat, 3 for wave.  g(eps) and
+    the zero-mode integral are evaluated on eps_grid (the results rows).
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size < 4:
@@ -287,9 +284,9 @@ def exponent_gamma(model, lam, eps_grid) -> GammaExponents:
     g_vals = np.array([g for g, _ in results])
     calls = np.array([n for _, n in results])
     z_vals = squared_time_integral(lam, eps_grid, 0.0)
-    f_g = fit_scaling(eps_grid, g_vals)
-    f_z = fit_scaling(eps_grid, z_vals)
-    for f in (f_g, f_z):
-        if f.flag == "ok" and f.r2 < 0.99:
-            f.flag = "inconclusive"
-    return GammaExponents(f_g, f_z, eps_grid, g_vals, z_vals, calls)
+    beta = {"white": model.d, "riesz": model.beta}.get(model.kind, 0.0)
+    if lam.kind == "heat":
+        gamma1, gamma2 = 1.0 - beta / 2.0, 1.0
+    else:
+        gamma1, gamma2 = 3.0 - beta, 3.0
+    return GammaExponents(gamma1, gamma2, eps_grid, g_vals, z_vals, calls)

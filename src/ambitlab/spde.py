@@ -425,8 +425,7 @@ def time_holder_delta(point_series, series_times, t0, lags) -> ScalingFit:
 @dataclass
 class GammaBarReport:
     gammabar: float
-    gamma: float
-    gamma1: float
+    gamma1: float            # also the lower exponent gamma of g
     gamma2: float
     delta: float
     verdict: bool            # gammabar > 1: density criterion applies
@@ -434,15 +433,15 @@ class GammaBarReport:
 
 
 def gammabar(gamma_exponents: GammaExponents, delta) -> GammaBarReport:
-    """gammabar = (min(gamma1, gamma2) + delta) / gamma."""
-    g = gamma_exponents.gamma.slope
-    g1 = gamma_exponents.gamma1.slope
-    g2 = gamma_exponents.gamma2.slope
+    """gammabar = (min(gamma1, gamma2) + delta) / gamma, where gamma, the
+    lower exponent of g, equals gamma1 for these noise models."""
+    g1 = gamma_exponents.gamma1
+    g2 = gamma_exponents.gamma2
     d = delta.slope if isinstance(delta, ScalingFit) else float(delta)
-    if g <= 0:
+    if g1 <= 0:
         raise ValueError("gamma must be positive")
-    gb = (min(g1, g2) + d) / g
-    return GammaBarReport(gb, g, g1, g2, d, bool(gb > 1.0),
+    gb = (min(g1, g2) + d) / g1
+    return GammaBarReport(gb, g1, g2, d, bool(gb > 1.0),
                           (0.0, max(gb - 1.0, 0.0)))
 
 

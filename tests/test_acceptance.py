@@ -94,8 +94,13 @@ def test_04_wave_white_noise_exponents():
     model = noise.make_noise_model("white", d=1, Lbox=8.0, m=512)
     lam = operators.wave_operator(1)
     ge = noise.exponent_gamma(model, lam, np.geomspace(1e-4, 0.1, 12))
-    assert ge.gamma.slope == pytest.approx(2.0, abs=0.05)
-    assert ge.gamma2.slope == pytest.approx(3.0, abs=0.05)
+    assert ge.gamma1 == pytest.approx(2.0, abs=0.05)
+    assert ge.gamma2 == pytest.approx(3.0, abs=0.05)
+    # the quadrature rows agree with the closed forms
+    assert fit_scaling(ge.eps_grid, ge.g_values).slope \
+        == pytest.approx(2.0, abs=0.05)
+    assert fit_scaling(ge.eps_grid, ge.zero_mode_values).slope \
+        == pytest.approx(3.0, abs=0.05)
 
     # time regularity needs lags well inside [1/cutoff, t0]
     dt = 0.5 * model.dx
@@ -118,7 +123,7 @@ def test_04_wave_white_noise_exponents():
     assert fit.slope == pytest.approx(1.0, abs=0.1)
     assert report.gammabar == pytest.approx(1.5, abs=0.15)
     assert report.gammabar > 1.0
-    print(f"wave: gamma={ge.gamma.slope:.4f} gamma2={ge.gamma2.slope:.4f} "
+    print(f"wave: gamma={ge.gamma1:.4f} gamma2={ge.gamma2:.4f} "
           f"delta={fit.slope:.4f}+-{fit.ci_halfwidth:.4f} "
           f"gammabar={report.gammabar:.4f} ({clock.check():.0f}s)")
 
@@ -207,7 +212,9 @@ def test_09_ambit_exponent_quadratures():
                               sigma=am.constant_field(1.0),
                               b=am.constant_field(0.0))
     b0 = am.exponent_conditions(cone, model, eps, t=1.0)
-    assert b0.gamma0.slope == pytest.approx(2.0, abs=0.01)
+    assert b0.gamma0 == pytest.approx(2.0, abs=0.01)
+    assert fit_scaling(eps, b0.integrals["gamma0"]).slope \
+        == pytest.approx(2.0, abs=0.01)
 
     ref = am.make_ambit_spec(ambit_set=am.make_cone(1.0, 1.0),
                              kernel_g=am.power_kernel(0.5),
@@ -216,10 +223,14 @@ def test_09_ambit_exponent_quadratures():
                              b=am.constant_field(0.0))
     b2 = am.exponent_conditions(ref, model, eps, beta=0.8, gamma=2.0, t=1.0)
     gb1 = (1.0 + 1.0 - 0.5 * 2.0) / 2.0      # (1 + zeta - theta gamma)/gamma
-    assert b2.gamma1.slope == pytest.approx(gb1 + 0.5, abs=0.02)
-    assert b2.gamma2.slope == pytest.approx(gb1 + 0.5 * 1.0, abs=0.02)
-    print(f"gamma0={b0.gamma0.slope:.5f} gamma1={b2.gamma1.slope:.5f} "
-          f"gamma2={b2.gamma2.slope:.5f}")
+    assert b2.gamma1 == pytest.approx(gb1 + 0.5, abs=0.02)
+    assert b2.gamma2 == pytest.approx(gb1 + 0.5 * 1.0, abs=0.02)
+    # the quadrature rows agree with the closed forms (times gamma = 2)
+    for name, want in (("gamma1", gb1 + 0.5), ("gamma2", gb1 + 0.5 * 1.0)):
+        assert fit_scaling(eps, b2.integrals[name]).slope / 2.0 \
+            == pytest.approx(want, abs=0.02)
+    print(f"gamma0={b0.gamma0:.5f} gamma1={b2.gamma1:.5f} "
+          f"gamma2={b2.gamma2:.5f}")
     clock.check()
 
 

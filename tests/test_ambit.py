@@ -18,7 +18,7 @@ import pytest
 
 import ambitlab.ambit as am
 import ambitlab.levy as lv
-from ambitlab.montecarlo import empirical_cf, path_rng
+from ambitlab.montecarlo import empirical_cf, fit_scaling, path_rng
 
 
 EPS = np.geomspace(1e-3, 0.5, 10)
@@ -116,8 +116,12 @@ def test_default_beta_gamma_ordering():
 
 def test_cone_quadrature_closed_form(model, cone_spec):
     bundle = am.exponent_conditions(cone_spec, model, EPS, t=1.0)
-    assert bundle.gamma0.slope == pytest.approx(2.0, abs=1e-8)
+    assert bundle.gamma0 == 2.0
     assert np.allclose(bundle.integrals["gamma0"], EPS**2, rtol=1e-12)
+    # constant sigma and b: no condition beyond gamma0 applies
+    assert bundle.gamma1 is bundle.gamma2 is bundle.gamma3 \
+        is bundle.gamma4 is None
+    assert set(bundle.integrals) == {"gamma0"}
     assert bundle.gammabar == float("inf")
     assert bundle.verdict
 
@@ -127,12 +131,13 @@ def test_reference_spec_remark_rules(model, reference_spec):
                                 beta=0.8, gamma=2.0, t=1.0)
     # gammabar1 = (1 + zeta - theta gamma)/gamma = 0.5 here, so
     # gamma1 = gammabar1 + delta1 and gamma2 = gammabar1 + delta2 * zeta
-    assert b2.gamma1.slope == pytest.approx(1.0, abs=1e-6)
-    assert b2.gamma2.slope == pytest.approx(1.0, abs=1e-6)
-    assert b2.gamma0.slope == pytest.approx(1.4, abs=1e-6)
-    assert b2.gammabar == pytest.approx(1.0, abs=1e-6)
-    assert b2.gamma3.flag == "degenerate"
-    assert b2.gamma4.flag == "degenerate"
+    assert b2.gamma1 == b2.gamma2 == b2.gammabar == 1.0
+    assert b2.gamma0 == pytest.approx(1.4, abs=1e-15)
+    assert b2.gamma3 is None and b2.gamma4 is None
+    # the quadrature rows are pure powers with these exponents
+    for name, want in (("gamma0", 1.4), ("gamma1", 2.0), ("gamma2", 2.0)):
+        assert fit_scaling(EPS, b2.integrals[name]).slope \
+            == pytest.approx(want, abs=1e-6)
     assert not b2.verdict  # 1.0 / 1.4 < 1 / alpha = 1 / 1.2
 
 
@@ -144,10 +149,41 @@ def test_five_condition_bundle(model):
         sigma=am.weierstrass_field(delta1=0.4, delta2=0.6),
         b=am.weierstrass_field(delta1=0.3, delta2=0.7))
     b5 = am.exponent_conditions(spec5, model, EPS, t=1.0)
-    for name in ("gamma1", "gamma2", "gamma3", "gamma4"):
-        assert getattr(b5, name).flag == "ok"
-    assert b5.gamma3.slope == pytest.approx(2.0, abs=1e-6)
-    assert b5.gamma4.slope == pytest.approx(2.4, abs=1e-6)
+    _, gamma = am.default_beta_gamma(1.2)
+    # 1 + a + q theta + zeta (1 + p), divided by gamma for gamma1/gamma2
+    assert b5.gamma0 == 2.0
+    assert b5.gamma1 == pytest.approx(2.0 / gamma + 0.4, abs=1e-12)
+    assert b5.gamma2 == pytest.approx(2.0 / gamma + 0.6, abs=1e-12)
+    assert b5.gamma3 == pytest.approx(2.0, abs=1e-12)
+    assert b5.gamma4 == pytest.approx(2.4, abs=1e-12)
+    assert b5.gammabar == b5.gamma1
+    for name in ("gamma3", "gamma4"):
+        assert fit_scaling(EPS, b5.integrals[name]).slope \
+            == pytest.approx(getattr(b5, name), abs=1e-6)
+
+
+def test_bump_quadrature_is_flat_at_small_eps(model):
+    """The bump kernel is the one family the quadrature does more than
+    scale: its local slope tends to the closed-form exponent as eps
+    shrinks, and 48 Gauss-Jacobi nodes agree with 96."""
+    spec = am.make_ambit_spec(
+        ambit_set=am.make_cone(1.0, 1.0), kernel_g=am.bump_kernel(0.7),
+        sigma=am.weierstrass_field(delta1=0.4, delta2=0.6))
+    small = np.geomspace(1e-5, 1e-3, 5)
+    bundle = am.exponent_conditions(spec, model, np.append(small, EPS[1:]),
+                                    t=1.0)
+    _, gamma = am.default_beta_gamma(1.2)
+    conds = {"gamma0": (1.2, 0.0, 0.0), "gamma1": (gamma, 0.4 * gamma, 0.0),
+             "gamma2": (gamma, 0.0, 0.6 * gamma)}
+    for name, (q, a, p) in conds.items():
+        want = getattr(bundle, name) * (1.0 if name == "gamma0" else gamma)
+        rows = bundle.integrals[name][:small.size]
+        local = np.diff(np.log(rows)) / np.diff(np.log(small))
+        assert np.abs(local - want).max() <= 1e-4, name
+        for e, v in zip(bundle.eps_grid, bundle.integrals[name]):
+            fine = am._slab_condition_integral(e, spec.kernel_g,
+                                               spec.ambit_set, q, a, p, 96)
+            assert v == pytest.approx(fine, rel=1e-8, abs=0.0)
 
 
 def test_cone_aperture_homogeneity(model, cone_spec):
@@ -159,7 +195,7 @@ def test_cone_aperture_homogeneity(model, cone_spec):
     b2 = am.exponent_conditions(wide, model, EPS, t=1.0)
     assert np.allclose(b2.integrals["gamma0"] / b1.integrals["gamma0"],
                        2.0, rtol=1e-12)
-    assert b2.gamma0.slope == pytest.approx(b1.gamma0.slope, abs=1e-10)
+    assert b2.gamma0 == b1.gamma0 == 2.0
 
 
 def test_divergent_kernel_names_the_condition(model):

@@ -194,6 +194,14 @@ def test_run_writes_artifacts(tmp_path):
     log = (tmp_path / "run.log").read_text().splitlines()
     assert log[0] == "experiment=levy-check"
     assert any(line.startswith("elapsed_s=") for line in log)
+    # one timer per stage, kept out of the artifacts
+    timers = [line for line in log
+              if line.startswith(("assumptions_s=", "moment_lemma_s="))]
+    assert [line.split("=")[0] for line in timers] \
+        == ["assumptions_s", "moment_lemma_s"]
+    assert all(float(line.split("=")[1]) >= 0 for line in timers)
+    assert "_s=" not in csv
+    assert "_s=" not in (tmp_path / "summary.json").read_text()
     versions = dict(line.split("=", 1) for line in log
                     if line.startswith(("python=", "numpy=", "scipy=",
                                         "ambitlab=")))
@@ -204,6 +212,42 @@ def test_run_writes_artifacts(tmp_path):
     # versions stay out of the artifacts
     assert np.__version__ not in csv
     assert "numpy" not in (tmp_path / "summary.json").read_text()
+
+
+def _non_finite(value):
+    """Every non-finite number in a parsed summary, as JSON or as text."""
+    if isinstance(value, dict):
+        return [v for x in value.values() for v in _non_finite(x)]
+    if isinstance(value, list):
+        return [v for x in value for v in _non_finite(x)]
+    if isinstance(value, float) and not np.isfinite(value):
+        return [value]
+    if isinstance(value, str) and value.lower().lstrip("+-") in ("nan",
+                                                                  "inf"):
+        return [value]
+    return []
+
+
+@pytest.mark.parametrize("experiment,overrides", [
+    ("ambit-exponents", []),
+    ("ambit-decay", ["ambit.sigma_field=constant", "run.n_paths=64",
+                     "ambit.nt=8", "ambit.nx=8"]),
+])
+def test_summary_holds_no_non_finite_number(tmp_path, experiment,
+                                            overrides):
+    """An absent condition (constant sigma and b) is null, not NaN; an
+    infinite gammabar is null too."""
+    assert cli.run(None, overrides, experiment=experiment,
+                   outdir=str(tmp_path)) == 0
+    text = (tmp_path / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=lambda c: float(c))
+    assert _non_finite(summary) == []
+    assert summary["gammabar"] is None
+    # both time their exponent conditions, in run.log only
+    log = (tmp_path / "run.log").read_text().splitlines()
+    assert sum(line.startswith("exponent_conditions_s=") for line in log) \
+        == 1
+    assert "exponent_conditions_s" not in text
 
 
 def test_ambit_decay_log_counts_the_work(tmp_path):
@@ -446,6 +490,10 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     for out in (a, b):
         assert cli.run(None, ["run.n_paths=20000"], experiment="besov-stat",
                        seed=5, outdir=str(out)) == 0
+        # the criterion's wall time goes to run.log only
+        log = (out / "run.log").read_text().splitlines()
+        assert sum(line.startswith("criterion_s=") for line in log) == 1
+        assert b"criterion_s" not in (out / "summary.json").read_bytes()
     assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
     assert (a / "summary.json").read_bytes() \
         == (b / "summary.json").read_bytes()

@@ -23,6 +23,7 @@ import pytest
 from scipy import integrate
 
 from ambitlab import noise, operators
+from ambitlab.montecarlo import fit_scaling
 
 
 HEAT = operators.heat_operator(1)
@@ -183,20 +184,54 @@ def test_heat_time_integral_has_no_cancellation():
 def test_exponent_fits_heat():
     m = noise.make_noise_model("white", d=1, Lbox=8.0, m=64)
     ex = noise.exponent_gamma(m, HEAT, np.geomspace(1e-3, 1e-1, 5))
-    assert ex.gamma.flag == "ok"
-    assert ex.gamma.slope == pytest.approx(0.5, abs=1e-6)
-    # one fit of g(eps): gamma is a read-only alias of gamma1
-    assert ex.gamma is ex.gamma1
-    with pytest.raises(AttributeError):
-        ex.gamma = ex.gamma2
-    assert ex.gamma2.slope == pytest.approx(1.0, abs=1e-9)
+    # closed forms, not fits: no alias or fit object is left
+    assert (ex.gamma1, ex.gamma2) == (0.5, 1.0)
+    assert not hasattr(ex, "gamma")
+    assert fit_scaling(ex.eps_grid, ex.g_values).slope \
+        == pytest.approx(0.5, abs=1e-6)
 
 
 def test_exponent_fits_wave():
     m = noise.make_noise_model("white", d=1, Lbox=8.0, m=64)
     ex = noise.exponent_gamma(m, WAVE, np.geomspace(1e-3, 1e-1, 5))
-    assert ex.gamma.slope == pytest.approx(2.0, abs=1e-4)
-    assert ex.gamma2.slope == pytest.approx(3.0, abs=1e-9)
+    assert (ex.gamma1, ex.gamma2) == (2.0, 3.0)
+    assert fit_scaling(ex.eps_grid, ex.g_values).slope \
+        == pytest.approx(2.0, abs=1e-4)
+
+
+_ORACLE_MODELS = [dict(kind="white", d=1)] \
+    + [dict(kind="riesz", d=d, beta=b) for d, b in ((1, 0.5), (2, 1.0),
+                                                   (3, 1.5))] \
+    + [dict(kind="exponential", d=d, ell=0.7) for d in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("op", ["heat", "wave"])
+@pytest.mark.parametrize("kw", _ORACLE_MODELS, ids=lambda kw: "-".join(
+    str(v) for v in kw.values()))
+def test_quadrature_recovers_closed_form_exponents(kw, op):
+    """The quadrature of g(eps) is the oracle of the closed-form exponents:
+    a pure power for white and Riesz noise, and for the exponential
+    covariance (not a power) a local slope that tends to gamma1 as eps
+    shrinks."""
+    lam = (operators.heat_operator if op == "heat"
+           else operators.wave_operator)(kw["d"])
+    m = noise.make_noise_model(Lbox=8.0, m=16, **kw)
+    eps = np.geomspace(1e-4, 0.1, 12)
+    ex = noise.exponent_gamma(m, lam, eps)
+    beta = {"white": kw["d"], "riesz": kw.get("beta"), "exponential": 0.0}
+    want = 1.0 - beta[kw["kind"]] / 2.0 if op == "heat" \
+        else 3.0 - beta[kw["kind"]]
+    assert ex.gamma1 == pytest.approx(want, abs=1e-12)
+    assert ex.gamma2 == (1.0 if op == "heat" else 3.0)
+    assert fit_scaling(eps, ex.zero_mode_values).slope \
+        == pytest.approx(ex.gamma2, abs=1e-9)
+    if kw["kind"] == "exponential":
+        local = np.log(ex.g_values[1] / ex.g_values[0]) \
+            / np.log(eps[1] / eps[0])
+        assert local == pytest.approx(ex.gamma1, abs=0.02)
+    else:
+        assert fit_scaling(eps, ex.g_values).slope \
+            == pytest.approx(ex.gamma1, abs=1e-4)
 
 
 def test_exponential_wave_variance_closed_form():
@@ -216,7 +251,9 @@ def test_riesz_wave_exponent_is_exact():
     beta = 0.5
     m = noise.make_noise_model("riesz", d=1, Lbox=8.0, m=64, beta=beta)
     ex = noise.exponent_gamma(m, WAVE, np.geomspace(1e-4, 0.1, 12))
-    assert ex.gamma.slope == pytest.approx(3.0 - beta, abs=1e-6)
+    assert ex.gamma1 == 3.0 - beta
+    assert fit_scaling(ex.eps_grid, ex.g_values).slope \
+        == pytest.approx(3.0 - beta, abs=1e-6)
 
 
 def test_exponent_grid_needs_four_points():

@@ -395,24 +395,21 @@ def _fit(slope):
 
 
 def test_gammabar_combination():
-    ex = noise.GammaExponents(_fit(0.5), _fit(1.0),
-                              np.geomspace(0.01, 1, 5), None, None)
+    ex = noise.GammaExponents(0.5, 1.0, np.geomspace(0.01, 1, 5), None, None)
     rep = spde.gammabar(ex, 0.5)
     assert rep.gammabar == pytest.approx(2.0, abs=1e-10)
     assert rep.verdict
     assert rep.beta_interval == (0.0, pytest.approx(1.0))
     # ScalingFit delta is accepted too
     assert spde.gammabar(ex, _fit(0.5)).gammabar == pytest.approx(2.0)
-    steep = noise.GammaExponents(_fit(2.0), _fit(0.5),
-                                 np.geomspace(0.01, 1, 5), None, None)
+    steep = noise.GammaExponents(2.0, 0.5, np.geomspace(0.01, 1, 5), None,
+                                 None)
     low = spde.gammabar(steep, 0.1)  # (0.5 + 0.1) / 2 = 0.3
     assert not low.verdict and low.beta_interval == (0.0, 0.0)
 
 
 def test_gammabar_needs_positive_gamma():
-    ex = noise.GammaExponents(_fit(0.5), _fit(1.0),
-                              np.geomspace(0.01, 1, 5), None, None)
-    ex.gamma.slope = 0.0
+    ex = noise.GammaExponents(0.0, 1.0, np.geomspace(0.01, 1, 5), None, None)
     with pytest.raises(ValueError):
         spde.gammabar(ex, 0.5)
 
