@@ -717,8 +717,8 @@ class DecayReport:
 
 
 def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
-                master_seed=0, workers=1, gamma=None, gammabar_value=None,
-                nt=64, nx=64) -> DecayReport:
+                master_seed=0, workers=1, gamma=None, nt=64,
+                nx=64) -> DecayReport:
     """Paired-coupling MC of E|X - X_eps|^beta against the lemma's rate
     beta (1/alpha + gammabar) - 1.
 
@@ -750,8 +750,7 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
     clock = time.perf_counter()
     raw = run_ensemble_blocks(n_paths, block, master_seed=master_seed,
                               stream="ambit-decay", workers=workers)
-    seconds = dict(ensemble=time.perf_counter() - clock,
-                   exponent_conditions=0.0)
+    seconds = dict(ensemble=time.perf_counter() - clock)
     abs_gaps, scale, jumps = raw[:, :-2], raw[:, -2:-1], raw[:, -1]
     counters = dict(discretization=disc, jumps_per_path=float(jumps.mean()),
                     seconds=seconds)
@@ -760,26 +759,23 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
     means = gaps.mean(axis=0)
     stderrs = gaps.std(axis=0, ddof=1) / math.sqrt(n_paths)
 
-    if gammabar_value is None:
-        clock = time.perf_counter()
-        bundle = exponent_conditions(spec, model, eps_grid, beta=beta,
-                                     gamma=gamma, t=t)
-        seconds["exponent_conditions"] = time.perf_counter() - clock
-        gammabar_value = bundle.gammabar
-    target = beta * (1.0 / model.alpha + gammabar_value) - 1.0
+    clock = time.perf_counter()
+    gammabar = exponent_conditions(spec, model, eps_grid, beta=beta,
+                                   gamma=gamma, t=t).gammabar
+    seconds["exponent_conditions"] = time.perf_counter() - clock
+    target = beta * (1.0 / model.alpha + gammabar) - 1.0
 
     if degenerate:
         fit = ScalingFit(0.0, 0.0, 0.0, float("inf"), 0, "degenerate")
-        return DecayReport(fit, eps_grid, means, stderrs, beta,
-                           gammabar_value, target, True, "degenerate",
-                           **counters)
+        return DecayReport(fit, eps_grid, means, stderrs, beta, gammabar,
+                           target, True, "degenerate", **counters)
     fit = fit_scaling(eps_grid, means, stderrs)
     flag = fit.flag
     if flag == "ok" and fit.ci_halfwidth > 0.3:
         flag = "inconclusive"
     passed = flag != "inconclusive" and fit.slope >= target - 0.15
-    return DecayReport(fit, eps_grid, means, stderrs, beta, gammabar_value,
-                       target, bool(passed), flag, **counters)
+    return DecayReport(fit, eps_grid, means, stderrs, beta, gammabar, target,
+                       bool(passed), flag, **counters)
 
 
 @dataclass

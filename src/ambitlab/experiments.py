@@ -31,7 +31,7 @@ __all__ = ["ExperimentResult", "REGISTRY", "run_experiment",
 class ExperimentResult:
     rows: list                       # (quantity, x, value, stderr|None)
     summary: dict
-    flag: str = "ok"                 # "ok" | "inconclusive"
+    flag: str = "ok"                 # "ok" | "inconclusive" | "degenerate"
     logs: list = field(default_factory=list)
 
 
@@ -214,7 +214,7 @@ def _exp_levy_check(cfg):
     model = _levy_model(cfg)
     s = cfg.sections["levy"]
     clock = time.perf_counter()
-    report = levy.verify_assumptions(model)
+    c = levy.assumption_constants(model)
     assumptions_s = time.perf_counter() - clock
     clock = time.perf_counter()
     lemma = levy.moment_lemma_check(model, s["gamma"])
@@ -224,18 +224,13 @@ def _exp_levy_check(cfg):
                                   lemma.bounds):
         rows.append(("moment_integral", a, integral, None))
         rows.append(("moment_bound", a, bound, None))
-    c = report.constants
     summary = {
         "alpha": c.alpha, "c_sum": c.c_sum, "kappa": c.kappa,
         "C_bar": c.C_bar, "c_lower": c.c_lower,
-        "tail_violation": report.tail_violation,
-        "small_jump_violation": report.small_jump_violation,
-        "cosine_violation": report.cosine_violation,
-        "assumptions_passed": report.passed,
         "moment_lemma": {"gamma": lemma.gamma, "constant": lemma.constant,
                          "max_violation": lemma.max_violation,
                          "passed": lemma.passed},
-        "verdict": bool(report.passed and lemma.passed),
+        "verdict": lemma.passed,
     }
     return ExperimentResult(rows, summary, "ok",
                             [f"assumptions_s={assumptions_s:.3f}",
@@ -284,9 +279,8 @@ def _exp_ambit_decay(cfg):
         "beta": report.beta, "gammabar": report.gammabar,
         "target_rate": report.target_rate, "slope": report.fit.slope,
         "fit": asdict(report.fit), "passed": report.passed,
-        "flag": report.flag, "n_paths": run["n_paths"],
+        "n_paths": run["n_paths"],
     }
-    flag = "inconclusive" if report.flag == "inconclusive" else "ok"
     disc = report.discretization
     n_rows, n_cols = disc.shape
     logs = [f"tau={disc.tau:.6g}", f"cells={n_rows}x{n_cols}"]
@@ -299,7 +293,7 @@ def _exp_ambit_decay(cfg):
              f"paths={run['n_paths']}",
              f"blocks={math.ceil(run['n_paths'] / DEFAULT_BLOCK)}",
              f"paths_per_stack={ambit.PATHS_PER_STACK}"]
-    return ExperimentResult(rows, summary, flag, logs)
+    return ExperimentResult(rows, summary, report.flag, logs)
 
 
 def _exp_ambit_density(cfg):

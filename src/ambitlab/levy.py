@@ -8,36 +8,32 @@ and the control measure is Lebesgue measure on the box [0, T] x [lo, hi].
 The module provides
 
 * the sharp assumption constants of the family (tail moments, truncated
-  second moment, cosine lower bound) and their lattice re-verification,
-* the dyadic moment-lemma bound with its explicit constant,
+  second moment, cosine lower bound), each in closed form,
+* the dyadic moment-lemma bound with its explicit constant, against the
+  closed-form truncated moments,
 * simulation of X = int int f dL by compound-Poisson jumps above a
   truncation tau plus a variance-matched Gaussian for the sub-tau part
   (sample_integral), and of jump records (sample_records) that replay a
   second integrand against the *same* noise (replay_integral), and
-* the characteristic exponent RePsi by quadrature.
+* the characteristic exponent RePsi = A |xi|^alpha, A by midpoint
+  quadrature of |f|^alpha on the cell grid.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "LevyBasisModel",
     "make_levy_model",
     "kappa_alpha",
-    "normalization_mass",
     "AssumptionConstants",
     "assumption_constants",
-    "AssumptionReport",
-    "verify_assumptions",
     "moment_lemma_constant",
     "MomentLemmaReport",
     "moment_lemma_check",
@@ -111,40 +107,28 @@ def make_levy_model(alpha, c_plus=1.0, c_minus=1.0, *, T=1.0,
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
 def kappa_alpha(alpha) -> float:
-    """K_alpha = int_0^inf (1 - cos u) u^(-1-alpha) du.
+    """K_alpha = int_0^inf (1 - cos u) u^(-1-alpha) du
+    = pi / (2 Gamma(1+alpha) sin(pi alpha / 2)) (Sato 1999, section 14).
 
-    Head [0,1]: termwise integration of the cosine series (alternating,
-    factorially convergent); tail: 1/alpha minus an oscillatory quadrature.
+    The reflection form of -Gamma(-alpha) cos(pi alpha / 2): no pole at
+    alpha = 1, where it is pi / 2 exactly.
     """
     if not (0.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (0, 2)")
-    head = sum((-1.0) ** (k + 1) / (math.factorial(2 * k) * (2 * k - alpha))
-               for k in range(1, 18))
-    osc = integrate.quad(lambda u: u ** (-1.0 - alpha), 1.0, np.inf,
-                         weight="cos", wvar=1.0)[0]
-    return head + 1.0 / alpha - osc
-
-
-def normalization_mass(model) -> float:
-    """Quadrature of int min(1, z^2) rho(dz) (closed form exists; this is
-    the independent check)."""
-    a = model.alpha
-    inner = integrate.quad(lambda z: z ** (1.0 - a), 0.0, 1.0)[0]
-    outer = integrate.quad(lambda z: z ** (-1.0 - a), 1.0, np.inf)[0]
-    return model.c_sum * (inner + outer)
+    return math.pi / (2.0 * math.gamma(1.0 + alpha)
+                      * math.sin(math.pi * alpha / 2.0))
 
 
 @dataclass
 class AssumptionConstants:
-    """Sharp constants for the tail, small-jump and cosine inequalities."""
+    """Sharp constants for the tail, small-jump and cosine inequalities,
+    each an identity of the power-law family."""
 
     alpha: float
     c_sum: float
     C_bar: float             # int_{|z|<=a} z^2 rho = C_bar a^(2-alpha)
-    c_lower: float           # inf RePsi_rho(xi)/|xi|^alpha over [r, 100r]
-    r: float
+    c_lower: float           # RePsi_rho(xi) = c_lower |xi|^alpha
     kappa: float             # K_alpha
 
     def C_beta(self, beta) -> float:
@@ -154,82 +138,22 @@ class AssumptionConstants:
         return self.c_sum / (self.alpha - beta)
 
 
-def _cosine_ratio(model, xi) -> float:
-    """RePsi_rho(xi) / |xi|^alpha for a point mass integrand, by quadrature."""
+def assumption_constants(model) -> AssumptionConstants:
+    # u = xi z turns int (1 - cos(xi z)) rho(dz) into c_sum K_alpha |xi|^alpha
     a = model.alpha
-
-    def head(z):
-        return (1.0 - math.cos(xi * z)) * z ** (-1.0 - a)
-
-    with warnings.catch_warnings():
-        # tolerance sits below quad's roundoff floor at large xi on purpose;
-        # the returned best value is accurate enough for the 1e-7 checks
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        h = integrate.quad(head, 0.0, 1.0 / xi, epsabs=1e-13,
-                           epsrel=1e-12)[0]
-    osc = integrate.quad(lambda z: z ** (-1.0 - a), 1.0 / xi, np.inf,
-                         weight="cos", wvar=xi)[0]
-    flat = (1.0 / xi) ** (-a) / a
-    return model.c_sum * (h + flat - osc) / xi ** a
-
-
-def assumption_constants(model, r=1.0, n_lattice=16) -> AssumptionConstants:
-    a = model.alpha
-    ratios = [_cosine_ratio(model, xi)
-              for xi in np.geomspace(r, 100.0 * r, n_lattice)]
+    kappa = kappa_alpha(a)
     return AssumptionConstants(
         alpha=a, c_sum=model.c_sum, C_bar=model.c_sum / (2.0 - a),
-        c_lower=float(min(ratios)), r=float(r), kappa=kappa_alpha(a))
-
-
-@dataclass
-class AssumptionReport:
-    constants: AssumptionConstants
-    tail_violation: float
-    small_jump_violation: float
-    cosine_violation: float
-    passed: bool
-
-
-def verify_assumptions(model, *, a_grid=None, betas=None, xi_grid=None,
-                       rtol=1e-8) -> AssumptionReport:
-    """Re-verify the three assumption inequalities on an (a, beta, xi)
-    lattice at quadrature precision.  Violations are signed relative
-    errors (positive = inequality broken)."""
-    consts = assumption_constants(model)
-    a = model.alpha
-    if a_grid is None:
-        a_grid = np.geomspace(0.01, 10.0, 7)
-    if betas is None:
-        betas = [b for b in (0.0, 0.25 * a, 0.5 * a, 0.9 * a)]
-    if xi_grid is None:
-        xi_grid = np.geomspace(consts.r, 100.0 * consts.r, 9)
-
-    tail_v = -np.inf
-    for beta in betas:
-        for av in a_grid:
-            integral = model.c_sum * integrate.quad(
-                lambda z: z ** (beta - a - 1.0), av, np.inf)[0]
-            bound = consts.C_beta(beta) * av ** (beta - a)
-            tail_v = max(tail_v, (integral - bound) / bound)
-    small_v = -np.inf
-    for av in a_grid:
-        integral = model.c_sum * integrate.quad(
-            lambda z: z ** (1.0 - a), 0.0, av)[0]
-        bound = consts.C_bar * av ** (2.0 - a)
-        small_v = max(small_v, (integral - bound) / bound)
-    cos_v = -np.inf
-    for xi in xi_grid:
-        ratio = _cosine_ratio(model, xi)
-        cos_v = max(cos_v, (consts.c_lower - ratio) / consts.c_lower)
-    passed = max(tail_v, small_v, cos_v) <= rtol
-    return AssumptionReport(consts, float(tail_v), float(small_v),
-                            float(cos_v), bool(passed))
+        c_lower=model.c_sum * kappa, kappa=kappa)
 
 
 # ---------------------------------------------------------------------------
 # moment lemma
 # ---------------------------------------------------------------------------
+
+
+# truncation levels a of moment_lemma_check
+_MOMENT_A_GRID = np.geomspace(1e-3, 1.0, 20)
 
 
 def moment_lemma_constant(gamma, alpha) -> float:
@@ -252,25 +176,26 @@ class MomentLemmaReport:
     passed: bool
 
 
-def moment_lemma_check(model, gamma, a_grid=None) -> MomentLemmaReport:
-    """Quadrature of int_{|z|<=a} |z|^gamma rho against the dyadic bound
-    C_{gamma,alpha} * C_bar * a^(gamma-alpha)."""
+def moment_lemma_check(model, gamma) -> MomentLemmaReport:
+    """int_{|z|<=a} |z|^gamma rho = c_sum a^(gamma-alpha) / (gamma-alpha)
+    against the dyadic bound C_{gamma,alpha} * C_bar * a^(gamma-alpha).
+
+    Both sides are the one power of a, so the check compares two
+    constants: bound/integral exceeds its infimum 4/3 (alpha -> 0,
+    gamma = 2) over the whole range alpha < gamma <= 2, and the check
+    passes for every valid (alpha, gamma).
+    """
     a = model.alpha
     if not (a < gamma <= 2.0):
         raise ValueError("moment lemma needs alpha < gamma <= 2")
-    if a_grid is None:
-        a_grid = np.geomspace(1e-3, 1.0, 20)
-    a_grid = np.asarray(a_grid, dtype=float)
     const = moment_lemma_constant(gamma, a)
     c_bar = model.c_sum / (2.0 - a)
-    integrals = np.array([
-        model.c_sum * integrate.quad(lambda z: z ** (gamma - a - 1.0),
-                                     0.0, av)[0]
-        for av in a_grid])
-    bounds = const * c_bar * a_grid ** (gamma - a)
+    powers = _MOMENT_A_GRID ** (gamma - a)
+    integrals = model.c_sum * powers / (gamma - a)
+    bounds = const * c_bar * powers
     viol = float(np.max(integrals - bounds))
-    return MomentLemmaReport(float(gamma), a, const, a_grid, integrals,
-                             bounds, viol,
+    return MomentLemmaReport(float(gamma), a, const, _MOMENT_A_GRID.copy(),
+                             integrals, bounds, viol,
                              bool(viol <= 1e-9 * float(np.max(bounds))))
 
 

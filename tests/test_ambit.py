@@ -468,8 +468,7 @@ def test_error_decay_gaps_equal_single_path_gaps(model, reference_spec):
     eps_grid = np.geomspace(0.02, 0.4, 6)
     n, beta = 37, 0.8
     dec = am.error_decay(reference_spec, model, 1.0, 0.0, beta, eps_grid, n,
-                         master_seed=5, workers=2, gammabar_value=1.0,
-                         nt=20, nx=16)
+                         master_seed=5, workers=2, nt=20, nx=16)
     gaps, jumps = np.empty((n, eps_grid.size)), np.empty(n)
     for i in range(n):
         path = am.make_path(reference_spec, dec.discretization,

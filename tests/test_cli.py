@@ -233,18 +233,24 @@ def _non_finite(value):
     ("ambit-decay", ["ambit.sigma_field=constant", "run.n_paths=64",
                      "ambit.nt=8", "ambit.nx=8"]),
 ])
-def test_summary_holds_no_non_finite_number(tmp_path, experiment,
+def test_summary_holds_no_non_finite_number(tmp_path, capsys, experiment,
                                             overrides):
     """An absent condition (constant sigma and b) is null, not NaN; an
-    infinite gammabar is null too."""
+    infinite gammabar is null too.  The constant-sigma decay run is
+    degenerate: it exits 0 and says so alike on stdout, in run.log and in
+    summary.json."""
+    flag = "degenerate" if experiment == "ambit-decay" else "ok"
     assert cli.run(None, overrides, experiment=experiment,
                    outdir=str(tmp_path)) == 0
+    assert f"flag={flag}" in capsys.readouterr().out.split()
     text = (tmp_path / "summary.json").read_text()
     summary = json.loads(text, parse_constant=lambda c: float(c))
     assert _non_finite(summary) == []
     assert summary["gammabar"] is None
+    assert summary["flag"] == flag
     # both time their exponent conditions, in run.log only
     log = (tmp_path / "run.log").read_text().splitlines()
+    assert f"flag={flag}" in log
     assert sum(line.startswith("exponent_conditions_s=") for line in log) \
         == 1
     assert "exponent_conditions_s" not in text

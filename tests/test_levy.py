@@ -3,15 +3,19 @@
 Oracles used here, all independent of the implementation:
 
   * kappa closed form -Gamma(-a) cos(pi a / 2), with kappa(1) = pi/2;
+  * QUADPACK quadrature of the defining integrals of kappa, the tail,
+    small-jump and cosine constants and the moment-lemma integrals;
   * the symmetric alpha=1 unit-weight basis over a set of Lebesgue measure V
     is Cauchy with scale V pi, giving its exact CF;
   * KS two-sample agreement between tau values and between T-additivity
     splits (stable laws are infinitely divisible).
 """
 
+import math
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 from scipy.special import gamma as gamma_fn
 
 from ambitlab import levy
@@ -21,26 +25,49 @@ from ambitlab.montecarlo import empirical_cf, path_rng
 ONE = lambda s, y: np.ones_like(s)
 
 
+def _quad(f, lo, hi, **kw):
+    """QUADPACK with no absolute tolerance, so that an integral of 1e-5
+    still gets its 1e-12 relative accuracy."""
+    return integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, **kw)[0]
+
+
+def _cosine_integral(alpha, xi):
+    """int_0^inf (1 - cos(xi z)) z^(-1-alpha) dz: the head [0, 1/xi] with
+    1 - cos written as 2 sin^2 (no cancellation near 0), the tail as
+    int z^(-1-alpha) minus QUADPACK's Fourier integral QAWF.  QAWF refuses
+    epsabs=0, so its tolerance is 1e-12 of the integral's size xi^alpha."""
+    head = _quad(lambda z: 2.0 * np.sin(xi * z / 2.0) ** 2
+                 * z ** (-1.0 - alpha), 0.0, 1.0 / xi)
+    osc = integrate.quad(lambda z: z ** (-1.0 - alpha), 1.0 / xi, np.inf,
+                         weight="cos", wvar=xi, epsabs=1e-12 * xi ** alpha)[0]
+    return head + xi ** alpha / alpha - osc
+
+
 def test_kappa_closed_form():
-    assert levy.kappa_alpha(1.0) == pytest.approx(np.pi / 2.0, abs=1e-9)
-    for a in (0.3, 0.5, 0.8, 1.2, 1.5, 1.9):
-        want = -gamma_fn(-a) * np.cos(np.pi * a / 2.0)
-        assert levy.kappa_alpha(a) == pytest.approx(want, rel=1e-8)
-    assert levy.kappa_alpha(1.2) == pytest.approx(1.4990281954058275)
-    assert levy.kappa_alpha(0.7) == pytest.approx(1.9402055710365986)
-    with pytest.raises(ValueError):
-        levy.kappa_alpha(2.0)
+    assert levy.kappa_alpha(1.0) == math.pi / 2.0
+    for a in (0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 1.9):
+        assert levy.kappa_alpha(a) == pytest.approx(_cosine_integral(a, 1.0),
+                                                    rel=1e-11)
+        if a != 1.0:
+            want = -gamma_fn(-a) * np.cos(np.pi * a / 2.0)
+            assert levy.kappa_alpha(a) == pytest.approx(want, rel=1e-13)
+    for a in (0.0, 2.0):
+        with pytest.raises(ValueError):
+            levy.kappa_alpha(a)
 
 
 def test_normalization_mass():
     m = levy.make_levy_model(1.3, 2.0, 0.5)
     # int min(1, z^2) rho(dz) = (c+ + c-) (1/(2-a) + 1/a)
-    assert levy.normalization_mass(m) \
-        == pytest.approx(2.5 * (1 / 0.7 + 1 / 1.3), rel=1e-9)
-    mn = levy.make_levy_model(1.3, 2.0, 0.5, normalize=True)
-    assert levy.normalization_mass(mn) == pytest.approx(1.0, abs=1e-9)
-    # normalization rescales both sides by the same factor
-    assert mn.c_plus / mn.c_minus == pytest.approx(4.0, rel=1e-12)
+    mass = m.c_sum * (_quad(lambda z: z ** (1.0 - m.alpha), 0.0, 1.0)
+                      + _quad(lambda z: z ** (-1.0 - m.alpha), 1.0, np.inf))
+    assert mass == pytest.approx(2.5 * (1 / 0.7 + 1 / 1.3), rel=1e-12)
+    for a in (0.4, 1.0, 1.3, 1.9):
+        mn = levy.make_levy_model(a, 2.0, 0.5, normalize=True)
+        assert mn.c_sum * (1.0 / (2.0 - a) + 1.0 / a) \
+            == pytest.approx(1.0, rel=1e-14)
+        # normalization rescales both sides by the same factor
+        assert mn.c_plus / mn.c_minus == pytest.approx(4.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("kwargs,match", [
@@ -61,17 +88,33 @@ def test_model_validation(kwargs, match):
 
 
 def test_assumption_constants_symmetric_cauchy():
-    m1 = levy.make_levy_model(1.0, 1.0, 1.0)
-    ac = levy.assumption_constants(m1)
-    assert ac.C_beta(0.0) == pytest.approx(2.0, abs=1e-12)
-    assert ac.C_bar == pytest.approx(2.0, abs=1e-12)
+    ac = levy.assumption_constants(levy.make_levy_model(1.0, 1.0, 1.0))
+    assert ac.C_beta(0.0) == 2.0
+    assert ac.C_bar == 2.0
     # lower cosine constant: 2 kappa(1) = pi for the symmetric unit basis
-    assert ac.c_lower == pytest.approx(np.pi, abs=1e-7)
-    rep = levy.verify_assumptions(m1)
-    assert rep.passed
-    assert rep.tail_violation <= 1e-9
-    assert rep.small_jump_violation <= 1e-9
-    assert rep.cosine_violation <= 1e-9
+    assert ac.c_lower == math.pi
+    with pytest.raises(ValueError, match="beta < alpha"):
+        ac.C_beta(1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_assumption_constants_match_their_integrals(alpha):
+    m = levy.make_levy_model(alpha, 0.7, 0.2)
+    ac = levy.assumption_constants(m)
+    assert ac.kappa == levy.kappa_alpha(alpha)
+    for av in (0.01, 1.0, 10.0):
+        for beta in (0.0, 0.5 * alpha, 0.9 * alpha):
+            tail = m.c_sum * _quad(lambda z: z ** (beta - alpha - 1.0), av,
+                                   np.inf)
+            assert tail == pytest.approx(ac.C_beta(beta)
+                                         * av ** (beta - alpha), rel=1e-10)
+        small = m.c_sum * _quad(lambda z: z ** (1.0 - alpha), 0.0, av)
+        assert small == pytest.approx(ac.C_bar * av ** (2.0 - alpha),
+                                      rel=1e-10)
+    # RePsi_rho(xi) = c_lower |xi|^alpha at every scale, not a lower bound
+    for xi in (0.3, 1.0, 7.0, 100.0):
+        repsi = m.c_sum * _cosine_integral(alpha, xi)
+        assert repsi == pytest.approx(ac.c_lower * xi ** alpha, rel=1e-11)
 
 
 def test_moment_lemma_constant_and_check():
@@ -87,6 +130,13 @@ def test_moment_lemma_constant_and_check():
             rep = levy.moment_lemma_check(mm, g)
             assert rep.passed, (a, g, rep.max_violation)
             assert len(rep.a_grid) == 20
+    # the closed-form integrals against quadrature; at alpha = 0.5 they are
+    # near 2e-5 at a = 1e-3, below quad's default absolute tolerance
+    mm = levy.make_levy_model(0.5, 1.0, 1.0)
+    rep = levy.moment_lemma_check(mm, 2.0)
+    want = [mm.c_sum * _quad(lambda z: z ** 0.5, 0.0, av)
+            for av in rep.a_grid]
+    assert np.allclose(rep.integrals, want, rtol=1e-10, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
