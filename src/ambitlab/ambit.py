@@ -51,7 +51,6 @@ __all__ = [
     "FieldSpec",
     "constant_field",
     "weierstrass_field",
-    "field_holder_fit",
     "AmbitSpec",
     "make_ambit_spec",
     "ExponentBundle",
@@ -268,28 +267,6 @@ def weierstrass_field(base=1.0, amplitude=0.25, delta1=0.5, delta2=0.5,
                      amplitude=float(amplitude), delta1=float(delta1),
                      delta2=float(delta2), omega0=float(omega0),
                      levels=int(levels))
-
-
-def field_holder_fit(field_spec, lag_grid, n_paths, rng, *, p=2.0,
-                     axis="time", base_point=(0.3, 0.2)) -> ScalingFit:
-    """MC regression of E|field increment|^p against the lag: the fitted
-    slope estimates p * delta for the chosen axis (the (H2) check)."""
-    if field_spec.is_constant:
-        raise ValueError("constant fields have no Hölder modulus")
-    lag_grid = np.asarray(sorted(lag_grid), dtype=float)
-    s0, y0 = base_point
-    acc = np.zeros((n_paths, lag_grid.size))
-    for i in range(n_paths):
-        path = field_spec.sample_path(rng)
-        v0 = path(np.array([s0]), np.array([y0]))[0]
-        if axis == "time":
-            vals = path(s0 + lag_grid, np.full(lag_grid.size, y0))
-        else:
-            vals = path(np.full(lag_grid.size, s0), y0 + lag_grid)
-        acc[i] = np.abs(vals - v0) ** p
-    means = acc.mean(axis=0)
-    errs = acc.std(axis=0, ddof=1) / math.sqrt(n_paths)
-    return fit_scaling(lag_grid, means, errs)
 
 
 # ---------------------------------------------------------------------------

@@ -54,18 +54,6 @@ class Stencil:
     n: int
     coefficients: tuple
 
-    def apply(self, samples: np.ndarray, shift: int) -> np.ndarray:
-        """Apply by index shifts on gridded samples; out-of-range base points
-        are dropped (one-sided truncation)."""
-        m = samples.shape[-1]
-        reach = self.n * shift
-        if reach >= m:
-            return np.zeros(samples.shape[:-1] + (0,))
-        out = np.zeros(samples.shape[:-1] + (m - reach,))
-        for j, c in enumerate(self.coefficients):
-            out += c * samples[..., j * shift: m - reach + j * shift]
-        return out
-
 
 def _coefficients(n: int) -> tuple:
     return tuple((-1) ** (n - j) * math.comb(n, j) for j in range(n + 1))
@@ -91,37 +79,20 @@ def compose(a: Stencil, b: Stencil) -> Stencil:
 
 
 def finite_difference(f, x, h, n):
-    """n-th forward difference of f at x with step h.
-
-    f may be a callable (evaluated at x + j*h) or an array of samples on the
-    uniform grid x, in which case h must be an integer multiple of the grid
-    spacing and the base points whose stencil leaves the grid are dropped;
-    the returned pair is (valid_base_points, differences).
-    """
-    st = make_stencil(n)
-    if callable(f):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=complex)
-        for j, c in enumerate(st.coefficients):
-            out = out + c * np.asarray(f(x + j * h))
-        if np.all(np.abs(out.imag) == 0.0):
-            return out.real
-        return out
-    samples = np.asarray(f, dtype=float)
-    grid = np.asarray(x, dtype=float)
-    if grid.shape != samples.shape:
-        raise ValueError("grid and samples must have the same shape")
-    dx = grid[1] - grid[0]
-    shift = int(round(h / dx))
-    if shift < 1 or abs(shift * dx - h) > 1e-8 * max(abs(h), dx):
-        raise ValueError("h must be a positive integer multiple of the grid spacing")
-    diffs = st.apply(samples, shift)
-    return grid[: diffs.shape[-1]], diffs
+    """n-th forward difference of the callable f at x with step h, f being
+    evaluated at x + j*h."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x, dtype=complex)
+    for j, c in enumerate(make_stencil(n).coefficients):
+        out = out + c * np.asarray(f(x + j * h))
+    if np.all(np.abs(out.imag) == 0.0):
+        return out.real
+    return out
 
 
-def default_h_grid(n_points: int = 16) -> np.ndarray:
-    """Geometric grid from 1 down to 2**-15 (descending)."""
-    return np.geomspace(1.0, 2.0 ** -15, n_points)
+def default_h_grid() -> np.ndarray:
+    """Geometric grid of 16 steps from 1 down to 2**-15 (descending)."""
+    return np.geomspace(1.0, 2.0 ** -15, 16)
 
 
 # ---------------------------------------------------------------------------

@@ -86,10 +86,11 @@ def run(config_path, overrides=(), experiment=None, seed=None, workers=None,
         return 1
     summary = write_artifacts(out, cfg, result, time.perf_counter() - start)
 
-    verdict = summary.get("verdict")
     bits = [f"experiment={cfg.experiment}", f"flag={result.flag}"]
-    if verdict is not None:
-        bits.append(f"verdict={verdict}")
+    # most experiments give a verdict; ambit-decay passes or fails
+    for key in ("verdict", "passed"):
+        if summary.get(key) is not None:
+            bits.append(f"{key}={summary[key]}")
     bits.append(f"outdir={out}")
     print("  ".join(bits))
     return 2 if result.flag == "inconclusive" else 0

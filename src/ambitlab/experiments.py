@@ -2,8 +2,10 @@
 module operation, and emit deterministic artifacts.
 
 results.csv is long-format (experiment, quantity, x, value, stderr) with
-%.12g floats; all Monte-Carlo work goes through the fixed-block ensemble
-runner, so the bytes never depend on the worker count.  summary.json holds
+%.12g floats.  The path ensembles run through the fixed-block ensemble
+runner; ambit-density's bulk sampler and besov-stat draw from one path_rng
+stream directly.  Either way the bytes never depend on the worker count.
+summary.json holds
 the exponents, Monte-Carlo fits and verdicts plus the config hash and seed;
 a non-finite number in it is null.
 """

@@ -312,7 +312,12 @@ def replay_integral(model, record, f):
     return jump_part + gauss_part - comp
 
 
-def _check_integrand(model, cells, f_mid, tau, max_expected_jumps):
+# Most expected jumps per draw the samplers accept: a tau that asks for
+# more is taken for a resolution error rather than a costly draw.
+_MAX_EXPECTED_JUMPS = 250_000.0
+
+
+def _check_integrand(model, cells, f_mid, tau):
     """Sampler preconditions on the cell values of f (one integrand per row
     of a stack (..., n_cells)); returns the expected jump count per draw."""
     if tau <= 0 or not np.isfinite(tau):
@@ -326,10 +331,10 @@ def _check_integrand(model, cells, f_mid, tau, max_expected_jumps):
         raise ValueError("integrand fails the |f|^alpha integrability check")
 
     rate_bound = model.box_volume * model.c_sum * tau ** (-alpha) / alpha
-    if not np.isfinite(rate_bound) or rate_bound > max_expected_jumps:
+    if not np.isfinite(rate_bound) or rate_bound > _MAX_EXPECTED_JUMPS:
         raise ValueError(
             f"expected jump count {rate_bound:.3g} per draw exceeds the "
-            f"resolution budget {max_expected_jumps:.3g}; raise tau")
+            f"resolution budget {_MAX_EXPECTED_JUMPS:.3g}; raise tau")
     return rate_bound
 
 
@@ -374,8 +379,7 @@ def jump_bounds(model):
     return s, y
 
 
-def sample_records(model, f_mid, rngs, *, tau, cells,
-                   max_expected_jumps=250_000.0) -> JumpRecord:
+def sample_records(model, f_mid, rngs, *, tau, cells) -> JumpRecord:
     """The noise of one integral per generator against integrands known
     by their cell-midpoint values (row i of f_mid for rngs[i]), checked as
     sample_integral checks f and stacked as one record of len(rngs) draws.
@@ -388,8 +392,7 @@ def sample_records(model, f_mid, rngs, *, tau, cells,
     """
     if np.shape(f_mid) != (len(rngs), cells.n_cells):
         raise ValueError("need one row of cell values per generator")
-    rate_bound = _check_integrand(model, cells, f_mid, tau,
-                                  max_expected_jumps)
+    rate_bound = _check_integrand(model, cells, f_mid, tau)
     counts = np.empty(len(rngs), dtype=np.int64)
     normals = np.empty((len(rngs), cells.n_cells))
     drawn = []
@@ -403,8 +406,7 @@ def sample_records(model, f_mid, rngs, *, tau, cells,
 
 
 def sample_integral(model, f, rng, *, n_draws, tau=None, cells=None,
-                    nt=32, nx=32, max_expected_jumps=250_000.0, workers=1,
-                    tally=None):
+                    nt=32, nx=32, workers=1, tally=None):
     """(n_draws,) draws of X = int_0^T int_D f(s, y) L(ds, dy).
 
     Jumps with |z| > tau come from a compound-Poisson sampler (uniform
@@ -437,8 +439,7 @@ def sample_integral(model, f, rng, *, n_draws, tau=None, cells=None,
     alpha = model.alpha
 
     f_mid = np.asarray(f(cells.s_mid, cells.y_mid), dtype=float)
-    rate_bound = _check_integrand(model, cells, f_mid, tau,
-                                  max_expected_jumps)
+    rate_bound = _check_integrand(model, cells, f_mid, tau)
 
     values = np.empty(n)
     sigma2 = model.c_sum * tau ** (2.0 - alpha) / (2.0 - alpha)
@@ -480,16 +481,12 @@ def sample_integral(model, f, rng, *, n_draws, tau=None, cells=None,
 
 @dataclass
 class CharacteristicExponent:
-    xi_grid: np.ndarray
-    values: np.ndarray           # RePsi(xi)
+    values: np.ndarray           # RePsi(xi) at the xi asked for
     alpha: float
     alpha_coefficient: float     # A with RePsi = A |xi|^alpha (stable family)
 
-    def __call__(self, xi):
-        return self.alpha_coefficient * np.abs(xi) ** self.alpha
 
-
-def characteristic_exponent(model, f, xi_grid, *, cells=None, nt=64,
+def characteristic_exponent(model, f, xi, *, cells=None, nt=64,
                             nx=64) -> CharacteristicExponent:
     """RePsi_X(xi) for X = int int f dL.
 
@@ -500,12 +497,11 @@ def characteristic_exponent(model, f, xi_grid, *, cells=None, nt=64,
     """
     if cells is None:
         cells = build_cells(model, nt=nt, nx=nx)
-    xi_grid = np.asarray(xi_grid, dtype=float)
     a = model.alpha
     f_mid = np.asarray(f(cells.s_mid, cells.y_mid), dtype=float)
     A = model.c_sum * kappa_alpha(a) \
         * cells.quadrature(np.abs(f_mid) ** a)
     if not np.isfinite(A):
         raise ValueError("characteristic exponent quadrature diverged")
-    values = A * np.abs(xi_grid) ** a
-    return CharacteristicExponent(xi_grid, values, a, float(A))
+    values = A * np.abs(np.asarray(xi, dtype=float)) ** a
+    return CharacteristicExponent(values, a, float(A))

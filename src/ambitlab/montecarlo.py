@@ -154,15 +154,15 @@ def run_ensemble_blocks(n_paths, block_fn, *, master_seed, stream,
         out = np.asarray(block_fn(idx, rngs))
         if out.shape[0] != i1 - i0:
             raise ValueError("block_fn returned wrong leading dimension")
-        return i0, out
+        return out
 
+    # both the list and pool.map give the blocks in span order
     if workers == 1:
         results = [do_block(s) for s in spans]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(do_block, spans))
-    by_start = dict(results)
-    return np.concatenate([by_start[i0] for i0, _ in spans], axis=0)
+    return np.concatenate(results, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +170,14 @@ def run_ensemble_blocks(n_paths, block_fn, *, master_seed, stream,
 # ---------------------------------------------------------------------------
 
 
-def empirical_cf(values, xi_grid):
+def empirical_cf(values, xi):
     """Empirical characteristic function: mean of exp(i xi X).
 
     Returns (phi, stderr) where stderr is the universal 1/sqrt(n) bound on
     the complex-mean fluctuation (|e^{i xi X}| = 1).
     """
     values = np.asarray(values, dtype=float)
-    xi = np.atleast_1d(np.asarray(xi_grid, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if values.size == 0:
         raise ValueError("empty sample")
     phase = np.exp(1j * np.outer(xi, values))

@@ -27,7 +27,7 @@ import numpy as np
 from . import besov
 from .montecarlo import ScalingFit, fit_scaling
 from .noise import (GammaExponents, _check_dalang, _grid_density,
-                    _radius_grid, grid_variance_g, squared_time_integral)
+                    _radius_grid, squared_time_integral)
 from .operators import FundamentalSolution
 
 __all__ = [
@@ -90,10 +90,9 @@ class FieldSolution:
     dt: float
     n_paths: int
     point_series: np.ndarray          # (n_paths, n_steps+1): u(t, 0)
-    fields: np.ndarray                # (n_store, n_paths, m**d) physical
     eps_grid: np.ndarray = None
     G: np.ndarray = None              # (n_paths, n_eps) slab noise at x=0
-    # per eps: (uhat, vhat) rfftn half spectra at target_time - eps
+    # per eps: (uhat, vhat) rfftn half spectra at t_end - eps
     _snapshots: list = field(default_factory=list, repr=False)
 
     def final_point_values(self):
@@ -158,10 +157,10 @@ def noises_per_step(lam):
     return 2 if lam.kind == "wave" else 1
 
 
-def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *, v0=0.0,
-                store_times=None, eps_grid=None,
-                target_time=None) -> FieldSolution:
-    """Integrate a batch of independent paths (one RNG per path).
+def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *,
+                eps_grid=None) -> FieldSolution:
+    """Integrate a batch of independent paths (one RNG per path), started
+    at rest (wave: zero initial velocity).
 
     Each step, path i's generator fills the step's white noise in one
     standard_normal call of nw * m**d normals (nw = 1 for heat; 2 for wave,
@@ -170,8 +169,8 @@ def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *, v0=0.0,
     generator stands where standard_normal(n * nw * m**d) leaves it.
 
     Preconditions: dt resolves the operator (heat: dt <= 4 dx^2, wave:
-    dt <= dx), the Dalang spectral condition holds, and the requested
-    store/approximation times are multiples of dt.
+    dt <= dx), the Dalang spectral condition holds, and the eps values
+    lie in (0, t_end) and are multiples of dt.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
@@ -191,29 +190,20 @@ def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *, v0=0.0,
     if abs(n_steps * dt - t_end) > 1e-9 * t_end:
         raise ValueError("t_end must be a multiple of dt")
 
-    def step_index(t, what):
-        k = int(round(t / dt))
-        if not (0 <= k <= n_steps) or abs(k * dt - t) > 1e-9 * max(t, dt):
-            raise ValueError(f"{what} = {t!r} is not a step multiple of dt")
-        return k
-
-    store_times = np.array([t_end] if store_times is None
-                           else sorted(store_times), dtype=float)
-    store_idx = {step_index(t, "store time"): i
-                 for i, t in enumerate(store_times)}
-
+    # step k + 1 = n_steps - eps/dt records the snapshot of eps; the slab
+    # noise G accumulates from the step of the largest eps on
     snap_idx = {}
-    slab_start = k_target = None
+    slab_start = None
     if eps_grid is not None:
         eps_grid = np.asarray(sorted(eps_grid), dtype=float)
-        if target_time is None:
-            target_time = t_end
-        k_target = step_index(target_time, "target time")
         for i, e in enumerate(eps_grid):
-            if not (0 < e < target_time):
-                raise ValueError("eps values must lie in (0, target_time)")
-            snap_idx[k_target - step_index(e, "eps")] = i
-        slab_start = k_target - step_index(float(eps_grid.max()), "eps")
+            if not (0 < e < t_end):
+                raise ValueError("eps values must lie in (0, t_end)")
+            k = int(round(e / dt))
+            if abs(k * dt - e) > 1e-9 * max(e, dt):
+                raise ValueError(f"eps = {e!r} is not a step multiple of dt")
+            snap_idx[n_steps - k] = i
+        slab_start = min(snap_idx)
 
     B = len(rngs)
     m = model.m
@@ -257,15 +247,11 @@ def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *, v0=0.0,
     uhat[zero] = u0 * npts
     if wave:
         vhat = np.zeros_like(uhat)
-        vhat[zero] = v0 * npts
         tmp_v = np.empty_like(uhat)
     tmp_u = np.empty_like(uhat)
 
     point_series = np.empty((B, n_steps + 1))
     point_series[:, 0] = u0
-    fields = np.empty((len(store_times), B, npts))
-    if 0 in store_idx:
-        fields[store_idx[0]] = u0
     G = np.zeros((B, len(eps_grid))) if eps_grid is not None else None
     snapshots = [None] * len(eps_grid) if eps_grid is not None else []
     # per-step buffers, reused: fresh arrays of this size cost page faults.
@@ -319,29 +305,26 @@ def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *, v0=0.0,
                 if wave:
                     vhat += drift_v * bhat
 
-        # sigma-free smoothed slab noise, propagated to the target time and
-        # evaluated at x = 0
-        if eps_grid is not None and slab_start <= k < k_target:
-            tau = target_time - (k + 1) * dt
+        # sigma-free smoothed slab noise, propagated to t_end and evaluated
+        # at x = 0
+        if eps_grid is not None and k >= slab_start:
+            tau = t_end - (k + 1) * dt
             if wave:
                 ck = (np.cos(tau * r) * (K1u * W1)
                       + _sin_over_r(tau, r) * (K1v * W1 + K2v * W2))
             else:
                 ck = np.exp(-tau * r**2) * (K1u * W1)
-            add_to = eps_grid >= (target_time - k * dt) - 1e-9 * dt
+            add_to = eps_grid >= (t_end - k * dt) - 1e-9 * dt
             G[:, add_to] += _origin_value(ck, m)[:, None]
 
         point_series[:, k + 1] = _origin_value(uhat, m)
         if (k + 1) in snap_idx:
             i = snap_idx[k + 1]
             snapshots[i] = (uhat.copy(), vhat.copy() if wave else None)
-        if (k + 1) in store_idx:
-            fields[store_idx[k + 1]] = np.fft.irfftn(
-                uhat, s=shape_d, axes=axes).reshape(B, npts)
 
     return FieldSolution(
         model=model, lam=lam, coeffs=coeffs, dt=dt, n_paths=B,
-        point_series=point_series, fields=fields, eps_grid=eps_grid, G=G,
+        point_series=point_series, eps_grid=eps_grid, G=G,
         _snapshots=snapshots)
 
 
@@ -353,7 +336,6 @@ class UEpsDecomposition:
     G: np.ndarray
     sigma_frozen: np.ndarray
     u_at_cut: np.ndarray
-    g_eps: float            # grid-spectral variance of G
 
 
 def approximate_u_eps(solution: FieldSolution, eps: float) -> UEpsDecomposition:
@@ -390,9 +372,8 @@ def approximate_u_eps(solution: FieldSolution, eps: float) -> UEpsDecomposition:
         sigma_frozen = np.full(B, float(sigma_frozen))
     G = solution.G[:, i]
     u_eps = U_eps + sigma_frozen * G
-    g_eps = grid_variance_g(model, lam, eps)
     return UEpsDecomposition(float(eps), u_eps, U_eps, G, sigma_frozen,
-                             u_at_cut, float(g_eps))
+                             u_at_cut)
 
 
 # ---------------------------------------------------------------------------

@@ -97,10 +97,6 @@ def test_field_specs():
         am.weierstrass_field(delta1=1.5)
     with pytest.raises(ValueError, match="levels"):
         am.weierstrass_field(levels=1)
-    with pytest.raises(ValueError, match="constant"):
-        am.field_holder_fit(am.constant_field(1.0),
-                            np.geomspace(1e-3, 1e-2, 4), 8,
-                            path_rng(0, "h", 0))
 
 
 def test_default_beta_gamma_ordering():
@@ -611,8 +607,21 @@ def test_bulk_integrand_draws_the_per_jump_values(case, monkeypatch):
 
 
 def test_weierstrass_holder_fit():
-    fit = am.field_holder_fit(am.weierstrass_field(delta1=0.5, delta2=0.5),
-                              np.geomspace(1e-4, 1e-2, 8), 400,
-                              path_rng(6, "h2", 0), p=2.0, axis="time")
-    # E|f(t+h)-f(t)|^2 ~ h^{2 delta1}: slope 1 in the lag
-    assert fit.slope == pytest.approx(1.0, abs=0.2)
+    # (H2) by construction: E|f(s+h, y) - f(s, y)|^2 ~ h^(2 delta1) on the
+    # time axis and E|f(s, y+h) - f(s, y)|^2 ~ h^(2 delta2) on the space
+    # axis; unequal deltas catch a swap of the two gains
+    spec = am.weierstrass_field(delta1=0.3, delta2=0.7)
+    rng = path_rng(6, "h2", 0)
+    lags = np.geomspace(1e-4, 1e-2, 8)
+    s0, y0 = 0.3, 0.2
+    d2 = {"time": [], "space": []}
+    for _ in range(400):
+        path = spec.sample_path(rng)
+        v0 = path(np.array([s0]), np.array([y0]))[0]
+        d2["time"].append((path(s0 + lags, np.full(lags.size, y0)) - v0)**2)
+        d2["space"].append((path(np.full(lags.size, s0), y0 + lags) - v0)**2)
+    for axis, delta in (("time", 0.3), ("space", 0.7)):
+        acc = np.array(d2[axis])
+        fit = fit_scaling(lags, acc.mean(axis=0),
+                          acc.std(axis=0, ddof=1) / np.sqrt(acc.shape[0]))
+        assert fit.slope == pytest.approx(2.0 * delta, abs=0.2), axis

@@ -70,13 +70,6 @@ def test_make_stencil_rejects_bad_orders(bad):
         besov.make_stencil(bad)
 
 
-def test_stencil_apply_truncates_one_sided():
-    st3 = besov.make_stencil(1)
-    out = st3.apply(np.arange(5.0), shift=2)
-    assert np.array_equal(out, np.array([2.0, 2.0, 2.0]))
-    assert st3.apply(np.arange(3.0), shift=5).shape == (0,)
-
-
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
@@ -98,22 +91,6 @@ def test_polynomial_annihilation():
     assert np.allclose(got, 0.0, atol=1e-12)
     got = besov.finite_difference(lambda t: t**3, x, 0.25, 3)
     assert np.allclose(got, 6.0 * 0.25**3, rtol=1e-12)
-
-
-def test_gridded_samples_match_callable():
-    grid = np.linspace(0.0, 4.0, 129)
-    f = np.sin(grid)
-    base, diffs = besov.finite_difference(f, grid, h=4.0 / 128 * 8, n=2)
-    direct = besov.finite_difference(np.sin, base, 4.0 / 128 * 8, 2)
-    assert np.allclose(diffs, direct, atol=1e-12)
-
-
-def test_gridded_h_must_align():
-    grid = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ValueError, match="multiple"):
-        besov.finite_difference(np.ones(11), grid, h=0.15, n=1)
-    with pytest.raises(ValueError, match="shape"):
-        besov.finite_difference(np.ones(10), grid, h=0.1, n=1)
 
 
 def test_default_h_grid_span():

@@ -289,6 +289,20 @@ def test_ambit_decay_log_counts_the_work(tmp_path):
     assert runs[1][1:] == runs[2][1:]
 
 
+@pytest.mark.parametrize("sigma_field", ["constant", "weierstrass"])
+def test_ambit_decay_prints_its_pass_fail(tmp_path, capsys, sigma_field):
+    """ambit-decay has no verdict: stdout carries its passed flag, the one
+    summary.json holds, whether the rate check passes or fails."""
+    overrides = [f"ambit.sigma_field={sigma_field}", "run.n_paths=64",
+                 "ambit.eps_points=4", "ambit.nt=8", "ambit.nx=8"]
+    assert cli.run(None, overrides, experiment="ambit-decay", seed=2,
+                   outdir=str(tmp_path)) in (0, 2)
+    out = capsys.readouterr().out.split()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert f"passed={summary['passed']}" in out
+    assert not any(bit.startswith("verdict=") for bit in out)
+
+
 def test_ambit_decay_log_times_the_stages(tmp_path):
     overrides = ["run.n_paths=300", "ambit.kernel_g=power",
                  "ambit.theta_g=0.5", "ambit.sigma_field=weierstrass",

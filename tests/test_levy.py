@@ -320,16 +320,16 @@ def test_records_equal_explicit_uniform_draws(case):
 SPLIT_CASES = {
     "d1": (levy.make_levy_model(1.2, 1.0, 0.5, T=1.0,
                                 domain=(-2.0, 2.0), tau=0.05),
-           _osc, 2001, {}),
+           _osc, 2001),
     # 0.06 expected jumps per draw: most draws have none
     "sparse": (levy.make_levy_model(1.5, 1.0, 1.0, T=0.1,
                                     domain=(0.0, 0.2), tau=0.6),
-               _osc, 1234, {}),
+               _osc, 1234),
     # about 5800 expected jumps per draw: chunks of 43 draws, the tenth
     # one of 13
     "chunks": (levy.make_levy_model(1.2, 1.0, 1.0, T=1.0,
                                     domain=(-1.0, 1.0), tau=0.002),
-               _osc, 400, dict(max_expected_jumps=1e6)),
+               _osc, 400),
 }
 
 
@@ -337,8 +337,8 @@ SPLIT_CASES = {
 def test_split_sampler_equals_serial(case):
     """Any worker count gives the one-thread values and work tally (all
     but the chunk times), and the generator passed in draws nothing."""
-    m, f, n, kw = SPLIT_CASES[case]
-    kw = dict(kw, nt=8, nx=8)
+    m, f, n = SPLIT_CASES[case]
+    kw = dict(nt=8, nx=8)
     ref_tally = {}
     ref = levy.sample_integral(m, f, path_rng(11, case, 0), n_draws=n,
                                tally=ref_tally, **kw)
@@ -365,12 +365,12 @@ def test_chunks_draw_from_spawned_generators():
     """Chunk c of sample_integral is explicit poisson/uniform/
     standard_normal calls on child c of the generator passed in, and a
     second call on that generator draws new values."""
-    m, f, n, kw = SPLIT_CASES["chunks"]
+    m, f, n = SPLIT_CASES["chunks"]
     cells = levy.build_cells(m, nt=8, nx=8)
     rng = path_rng(11, "chunks", 0)
     tally = {}
     vals = levy.sample_integral(m, f, rng, n_draws=n, cells=cells,
-                                tally=tally, **kw)
+                                tally=tally)
     assert tally["chunks"] == 10 and tally["draws_per_chunk"] == 43
     jumps = 0
     for c, child in enumerate(path_rng(11, "chunks", 0).spawn(10)):
@@ -379,12 +379,12 @@ def test_chunks_draw_from_spawned_generators():
         assert vals[43 * c:43 * c + nb] == pytest.approx(want, rel=1e-12), c
         jumps += tot
     assert tally["jumps"] == jumps
-    again = levy.sample_integral(m, f, rng, n_draws=n, cells=cells, **kw)
+    again = levy.sample_integral(m, f, rng, n_draws=n, cells=cells)
     assert not np.any(again == vals)
 
 
 def test_split_sampler_validates_workers():
-    m, f, _, _ = SPLIT_CASES["d1"]
+    m, f, _ = SPLIT_CASES["d1"]
     for bad in (0, -1, 1.5):
         with pytest.raises(ValueError, match="workers"):
             levy.sample_integral(m, f, path_rng(1, "w", 0), n_draws=3,

@@ -47,12 +47,12 @@ def test_wave_pure_drift_is_exact():
     n = 32
     sol = spde.solve_batch(model, WAVE, spde.constant_coefficients(0.0, 0.7),
                            u0=0.25, t_end=n * dt, dt=dt,
-                           rngs=[path_rng(0, "d", 1)], v0=1.5)
+                           rngs=[path_rng(0, "d", 1)])
     t = n * dt
-    # discrete constant-acceleration integration is exact:
-    # u = u0 + v0 t + b t^2/2
+    # discrete constant-acceleration integration from rest is exact:
+    # u = u0 + b t^2/2
     assert sol.final_point_values()[0] \
-        == pytest.approx(0.25 + 1.5 * t + 0.7 * t**2 / 2.0, rel=1e-10)
+        == pytest.approx(0.25 + 0.7 * t**2 / 2.0, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +90,6 @@ def test_decomposition_bookkeeping():
     cut_col = int(round((32 * dt - eps) / dt))
     assert np.allclose(dec.u_at_cut, sol.point_series[:, cut_col], rtol=1e-12)
     assert np.allclose(dec.sigma_frozen, 0.5 * dec.u_at_cut, rtol=1e-12)
-    assert dec.g_eps == pytest.approx(noise.grid_variance_g(model, HEAT, eps))
     assert np.allclose(dec.u_eps, dec.U_eps + dec.sigma_frozen * dec.G)
 
 
@@ -113,13 +112,13 @@ def test_unrecorded_eps_raises():
 # ---------------------------------------------------------------------------
 
 
-def _full_spectrum_reference(model, lam, coeffs, u0, v0, n, dt, rngs,
-                             store_k, eps_k, k_target):
-    """The solver's recurrence on the full np.fft.fftn spectrum.
+def _full_spectrum_reference(model, lam, coeffs, u0, n, dt, rngs, eps_k):
+    """The solver's recurrence on the full np.fft.fftn spectrum, started at
+    rest and run for n steps.
 
     Noise is drawn in the solver's order (w1, then w2, per step and path).
     Values at x = 0 are read off the inverse transform, not a spectral sum.
-    Returns point series, stored fields, G and u_eps for each eps (in steps).
+    Returns the point series, G and u_eps for each eps (in steps).
     """
     d, m, B = model.d, model.m, len(rngs)
     shape = (m,) * d
@@ -138,11 +137,9 @@ def _full_spectrum_reference(model, lam, coeffs, u0, v0, n, dt, rngs,
         q1 = np.sqrt(noise.squared_time_integral(lam, dt, r))
 
     uhat = np.fft.fftn(np.full((B,) + shape, u0), axes=axes)
-    vhat = np.fft.fftn(np.full((B,) + shape, v0), axes=axes)
-    series, fields, snaps = [np.full(B, u0)], {}, {}
+    vhat = np.zeros_like(uhat)
+    series, snaps = [np.full(B, u0)], {}
     G = np.zeros((B, len(eps_k)))
-    if 0 in store_k:
-        fields[0] = phys(uhat)
     for k in range(n):
         u = phys(uhat)
         w1 = np.stack([rng.standard_normal(shape) for rng in rngs])
@@ -166,24 +163,22 @@ def _full_spectrum_reference(model, lam, coeffs, u0, v0, n, dt, rngs,
             drift_u = np.where(r < 1e-12, dt, -np.expm1(-dt * r**2) / rs**2)
             uhat = np.exp(-dt * r**2) * uhat + base * q1 * S1 \
                 + drift_u * bhat
-        if k_target - max(eps_k) <= k < k_target:
-            tau = (k_target - k - 1) * dt
+        if k >= n - max(eps_k):
+            tau = (n - k - 1) * dt
             if wave:
                 ck = np.cos(tau * r) * base * l11 * W1 \
                     + sinc(tau) * base * (l21 * W1 + l22 * W2)
             else:
                 ck = np.exp(-tau * r**2) * base * q1 * W1
             for j, e in enumerate(eps_k):
-                if k >= k_target - e:
+                if k >= n - e:
                     G[:, j] += phys(ck)[origin]
         series.append(phys(uhat)[origin])
-        if k + 1 in store_k:
-            fields[k + 1] = phys(uhat)
         snaps[k + 1] = (uhat, vhat)
 
     u_eps = []
     for j, e in enumerate(eps_k):
-        uh, vh = snaps[k_target - e]
+        uh, vh = snaps[n - e]
         eps = e * dt
         if wave:
             hist = np.cos(eps * r) * uh + sinc(eps) * vh
@@ -194,9 +189,7 @@ def _full_spectrum_reference(model, lam, coeffs, u0, v0, n, dt, rngs,
         cut = phys(uh)[origin]
         u_eps.append(phys(hist)[origin] + coeffs.b_values(cut) * drift
                      + coeffs.sigma_values(cut) * G[:, j])
-    return (np.stack(series, axis=1),
-            np.stack([fields[k].reshape(B, -1) for k in sorted(store_k)]),
-            G, np.stack(u_eps, axis=1))
+    return np.stack(series, axis=1), G, np.stack(u_eps, axis=1)
 
 
 def _rel_err(got, want):
@@ -226,17 +219,15 @@ def test_half_spectrum_matches_full_spectrum_reference(d, m, kind, coeff):
         else operators.wave_operator(d)
     dt = 0.9 * model.dx**2 if kind == "heat" else 0.5 * model.dx
     coeffs = _COEFFS[coeff]
-    n, k_target, eps_k, store_k = 12, 10, [2, 3, 5], [0, 4, 12]
+    n, eps_k = 12, [2, 3, 5]
     stream = f"half-{kind}-{coeff}-{d}-{m}"
-    kw = dict(v0=0.2, store_times=[k * dt for k in store_k],
-              eps_grid=[e * dt for e in eps_k], target_time=k_target * dt)
+    kw = dict(eps_grid=[e * dt for e in eps_k])
     sol = spde.solve_batch(model, lam, coeffs, 0.6, n * dt, dt,
                            [path_rng(3, stream, i) for i in range(3)], **kw)
-    series, fields, G, u_eps = _full_spectrum_reference(
-        model, lam, coeffs, 0.6, 0.2, n, dt,
-        [path_rng(3, stream, i) for i in range(3)], store_k, eps_k, k_target)
+    series, G, u_eps = _full_spectrum_reference(
+        model, lam, coeffs, 0.6, n, dt,
+        [path_rng(3, stream, i) for i in range(3)], eps_k)
     assert _rel_err(sol.point_series, series) < 1e-10
-    assert _rel_err(sol.fields, fields) < 1e-10
     assert _rel_err(sol.G, G) < 1e-10
     for j, e in enumerate(eps_k):
         got = spde.approximate_u_eps(sol, e * dt).u_eps
@@ -247,7 +238,6 @@ def test_half_spectrum_matches_full_spectrum_reference(d, m, kind, coeff):
         alone = spde.solve_batch(model, lam, coeffs, 0.6, n * dt, dt,
                                  [path_rng(3, stream, i)], **kw)
         assert np.array_equal(alone.point_series[0], sol.point_series[i])
-        assert np.array_equal(alone.fields[:, 0], sol.fields[:, i])
         assert np.array_equal(alone.G[0], sol.G[i])
 
 
@@ -267,7 +257,7 @@ def test_solver_draws_nw_fields_per_step_from_each_stream(d, kind, coeff):
     stream = f"contract-{kind}-{coeff}-{d}"
     rngs = [path_rng(4, stream, i) for i in range(3)]
     spde.solve_batch(model, lam, _COEFFS[coeff], 0.6, n * dt, dt, rngs,
-                     eps_grid=[2 * dt], store_times=[3 * dt, n * dt])
+                     eps_grid=[2 * dt])
     for i, rng in enumerate(rngs):
         ref = path_rng(4, stream, i)
         ref.standard_normal(n * nw * model.m ** d)
@@ -293,8 +283,9 @@ def test_heat_variance_matches_grid_functional():
     for eps in (8 * dt, 16 * dt):
         dec = spde.approximate_u_eps(sol, eps)
         # slab noise G is sigma-free: variance g(eps), independent of history
-        assert abs(dec.G.var(ddof=1) - dec.g_eps) \
-            < 4.0 * dec.g_eps * np.sqrt(2.0 / (B - 1))
+        g_eps = noise.grid_variance_g(model, HEAT, eps)
+        assert abs(dec.G.var(ddof=1) - g_eps) \
+            < 4.0 * g_eps * np.sqrt(2.0 / (B - 1))
 
 
 def test_wave_variance_matches_grid_functional():
@@ -310,8 +301,9 @@ def test_wave_variance_matches_grid_functional():
     want = noise.grid_variance_g(model, WAVE, t_end)
     assert abs(v - want) < 4.0 * want * np.sqrt(2.0 / (B - 1))
     dec = spde.approximate_u_eps(sol, 4 * dt)
-    assert abs(dec.G.var(ddof=1) - dec.g_eps) \
-        < 4.0 * dec.g_eps * np.sqrt(2.0 / (B - 1))
+    g_eps = noise.grid_variance_g(model, WAVE, 4 * dt)
+    assert abs(dec.G.var(ddof=1) - g_eps) \
+        < 4.0 * g_eps * np.sqrt(2.0 / (B - 1))
 
 
 # ---------------------------------------------------------------------------
