@@ -34,7 +34,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import besov, levy
 from .montecarlo import (ScalingFit, fit_scaling, path_rng,
@@ -306,11 +305,11 @@ def default_beta_gamma(alpha):
 
 
 # ---------------------------------------------------------------------------
-# (H4) exponent quadratures
+# (H4) exponent conditions
 # ---------------------------------------------------------------------------
 
 
-# Gauss-Jacobi nodes of the exponent quadratures
+# Gauss-Jacobi nodes of the bump kernel's slab integral
 _JACOBI_NODES = 48
 
 
@@ -330,9 +329,11 @@ def _slab_condition_integral(eps, kernel, aset, q, time_holder, space_holder,
     """int_0^eps v^time_holder * S(u) dv with v = s - (t - eps), u = eps - v,
     S(u) = int_{|y'| <= c u^zeta} |kernel|^q |y'|^space_holder dy'.
 
-    All pure powers of u and v are folded into a Gauss-Jacobi weight; the
-    remaining factor is smooth (constant, or an incomplete-Gamma bump
-    profile).  The integral must converge (see _condition_exponent).
+    For the flat profile (constant and power kernels) the integrand is
+    const v^a u^b, so the integral is const eps^(a+b+1) B(a+1, b+1) in
+    closed form.  The bump kernel's incomplete-Gamma profile is integrated
+    by Gauss-Jacobi quadrature with the pure powers of u and v folded into
+    the weight.  The integral must converge (see _condition_exponent).
     """
     a_v = time_holder
     p = space_holder
@@ -344,19 +345,18 @@ def _slab_condition_integral(eps, kernel, aset, q, time_holder, space_holder,
         # flat profile: S(u) = 2 (c u^zeta)^(1+p) / (1+p)
         b_u += aset.zeta * (1.0 + p)
         const = scale * 2.0 * aset.c ** (1.0 + p) / (1.0 + p)
-        smooth = None
-    else:
-        const = scale * 2.0
-        half_p = 0.5 * (p + 1.0)
-        norm = special.gamma(half_p) / (2.0 * bump_c ** half_p)
+        log_beta = (math.lgamma(a_v + 1.0) + math.lgamma(b_u + 1.0)
+                    - math.lgamma(a_v + b_u + 2.0))
+        return const * eps ** (a_v + b_u + 1.0) * math.exp(log_beta)
+    # imported here: only the bump kernel needs scipy.special
+    from scipy import special
 
-        def smooth(u):
-            w = aset.half_width(u)
-            return norm * special.gammainc(half_p, bump_c * w * w)
-
+    const = scale * 2.0
+    half_p = 0.5 * (p + 1.0)
+    norm = special.gamma(half_p) / (2.0 * bump_c ** half_p)
     xj, wj = special.roots_jacobi(nodes, b_u, a_v)
-    u_nodes = eps * (1.0 - xj) / 2.0
-    vals = const if smooth is None else const * smooth(u_nodes)
+    w = aset.half_width(eps * (1.0 - xj) / 2.0)
+    vals = const * (norm * special.gammainc(half_p, bump_c * w * w))
     return (eps / 2.0) ** (a_v + b_u + 1.0) * float(np.sum(wj * vals))
 
 
@@ -377,8 +377,8 @@ class ExponentBundle:
 
 def exponent_conditions(spec, model, eps_grid, beta=None, gamma=None, *,
                         t=1.0) -> ExponentBundle:
-    """The five slab exponent conditions in closed form, with their
-    quadratures on eps_grid.
+    """The five slab exponent conditions in closed form, with their slab
+    integrals on eps_grid (closed forms too, except for the bump kernel).
 
     gamma0: slab mass of |g|^alpha over the ambit cone; gamma1/gamma2: the
     same with the volatility time/space Hölder weights and exponent gamma

@@ -182,8 +182,11 @@ def _exp_spde_exponents(cfg):
     flag = "ok" if delta_fit.flag == "ok" else "inconclusive"
     logs = [f"exponent_gamma_s={gamma_s:.3f}"]
     logs += _solver_logs(run, model, lam, series.shape[1] - 1, ensemble_s)
-    logs += [f"g_evaluations eps={e:.6g} calls={n}"
-             for e, n in zip(eps, ge.evaluations)]
+    if ge.evaluations is None:
+        logs.append("variance_g=closed_form")
+    else:
+        logs += [f"g_evaluations eps={e:.6g} calls={n}"
+                 for e, n in zip(eps, ge.evaluations)]
     return ExperimentResult(rows, summary, flag, logs)
 
 

@@ -1,5 +1,8 @@
 """Monte-Carlo plumbing: scaling fits, reproducible ensembles, ECF.
 
+The slope's confidence halfwidth uses an own Student-t quantile (the exact
+integer-dof CDF solved by Newton's method), so the module needs no SciPy.
+
 Randomness comes from `path_rng`, a pure function of (master_seed, stream,
 path_index).  Path ensembles run through `run_ensemble_blocks`, whose fixed
 blocks and per-path RNGs make results bit-identical for any worker count.
@@ -11,12 +14,12 @@ the same result for any worker count.
 
 from __future__ import annotations
 
+import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
 __all__ = [
     "ScalingFit",
@@ -32,6 +35,38 @@ DEGENERATE_FLOOR = 1e-14
 # Paths are always grouped in fixed-size blocks so that batched numerics do
 # not depend on the worker count.
 DEFAULT_BLOCK = 256
+
+
+def _t_quantile_975(dof: int) -> float:
+    """The 0.975 quantile of Student's t with an integer dof >= 2.
+
+    The exact CDF of Abramowitz-Stegun 26.7.3/26.7.4 with theta =
+    atan(t/sqrt(dof)) gives P(|T| <= t) = sin(theta) S (even dof) or
+    (2/pi)(theta + sin(theta) S) (odd dof), S a finite series in
+    cos(theta)^2.  P is concave in t > 0 and the normal quantile lies below
+    the root, so Newton's steps from it rise monotonically to the root; the
+    error after a step of relative size 1e-12 is far below rounding.
+    """
+    nu = float(dof)
+    log_pdf0 = (math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)
+                - 0.5 * math.log(nu * math.pi))
+    t = 1.959963984540054
+    while True:
+        theta = math.atan(t / math.sqrt(nu))
+        c2 = math.cos(theta) ** 2
+        term = 1.0 if dof % 2 == 0 else math.cos(theta)
+        series = term
+        for j in range(2 if dof % 2 == 0 else 3, dof - 1, 2):
+            term *= c2 * (j - 1) / j
+            series += term
+        p = math.sin(theta) * series
+        if dof % 2:
+            p = (theta + p) * 2.0 / math.pi
+        pdf = math.exp(log_pdf0 - 0.5 * (nu + 1.0) * math.log1p(t * t / nu))
+        step = (0.95 - p) / (2.0 * pdf)
+        t += step
+        if abs(step) <= 1e-12 * t:
+            return t
 
 
 @dataclass
@@ -102,10 +137,9 @@ def fit_scaling(x, y, stderr=None) -> ScalingFit:
     npts = x.size
     dof = npts - 2
     # weighted residual variance, scaled so unit weights reduce to OLS
-    s2 = np.sum(w * resid**2) / dof if dof > 0 else np.inf
+    s2 = np.sum(w * resid**2) / dof
     se_slope = np.sqrt(s2 / sxx)
-    tq = _special.stdtrit(dof, 0.975) if dof > 0 else np.inf
-    ci = float(tq * se_slope)
+    ci = float(_t_quantile_975(dof) * se_slope)
 
     ss_res = np.sum(w * resid**2)
     ss_tot = np.sum(w * (ly - my) ** 2)

@@ -23,8 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _integrate
-from scipy import special as _special
 
 __all__ = [
     "SpectralNoiseModel",
@@ -88,7 +86,7 @@ def spectral_density_radial(model, r):
         return out
     # Fourier dual of exp(-|x|/ell): multivariate Cauchy profile
     d, ell = model.d, model.ell
-    c_d = _special.gamma((d + 1) / 2.0) / np.pi ** ((d + 1) / 2.0)
+    c_d = math.gamma((d + 1) / 2.0) / np.pi ** ((d + 1) / 2.0)
     return c_d * ell**d * (1.0 + (ell * r) ** 2) ** (-(d + 1) / 2.0)
 
 
@@ -124,6 +122,10 @@ _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
 
 def _quad(f, a, b, **kw):
+    # imported here: only the exponential covariance integrates numerically,
+    # so importing the package does not load scipy.integrate
+    from scipy import integrate as _integrate
+
     kw.setdefault("limit", 300)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", _integrate.IntegrationWarning)
@@ -189,18 +191,36 @@ def squared_time_integral(lam, t, r):
     return np.where(small, t**3 * series, out)
 
 
-# relative accuracy of each piece of g(eps)
+# relative accuracy of each piece of the exponential covariance's g(eps)
 _G_EPSREL = 1e-10
 
 
+def _noise_beta(model):
+    """The covariance scaling |x|^-beta of the noise: beta = d for white
+    noise, the Riesz beta, and 0 for the exponential covariance, whose
+    spectral measure is finite."""
+    return {"white": model.d, "riesz": model.beta}.get(model.kind, 0.0)
+
+
 def _variance_g(model, lam, eps):
-    """variance_g and the number of integrand evaluations it took."""
+    """variance_g and the number of integrand evaluations it took (0 for
+    the closed forms)."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     _check_dalang(model)
     if eps == 0:
         return 0.0, 0
     d = model.d
+    if model.kind != "exponential":
+        # S(r) r^(d-1) = r^(beta-1); Dalang's condition gives 0 < beta < 2
+        beta = _noise_beta(model)
+        if lam.kind == "heat":
+            g = 0.25 * (2.0 * eps) ** (1.0 - beta / 2.0) \
+                * -math.gamma(beta / 2.0 - 1.0)
+        else:
+            g = math.pi * eps ** (3.0 - beta) * 2.0 ** -beta \
+                / (math.gamma(4.0 - beta) * math.sin(math.pi * beta / 2.0))
+        return float(_SPHERE_AREA[d] * g), 0
     calls = 0
 
     def radial(r, power):
@@ -233,12 +253,20 @@ def _variance_g(model, lam, eps):
 def variance_g(model, lam, eps) -> float:
     """g(eps) = int_0^eps ds int mu(dxi) |F(Lambda(s))(xi)|^2.
 
-    Computed as one radial quadrature of the closed-form time integral,
-    omega_d int_0^inf S(r) r^(d-1) squared_time_integral(lam, eps, r) dr,
-    split where that integral turns over from growing like eps to decaying
-    in r (r = 1/sqrt(2 eps) for heat, r = 1/eps for wave).  The wave tail
-    is split exactly as S r^(d-3) eps/2 - S r^(d-4) sin(2 eps r)/4: the
-    first part is a plain quadrature, the second a Fourier integral (QAWF).
+    In polar form g = omega_d int_0^inf S(r) r^(d-1)
+    squared_time_integral(lam, eps, r) dr.  For white and Riesz noise
+    S(r) r^(d-1) = r^(beta-1) and g is a pure power in closed form:
+
+        heat:  omega_d (1/4) (2 eps)^(1 - beta/2) (-Gamma(beta/2 - 1))
+        wave:  omega_d pi eps^(3 - beta) 2^-beta
+               / (Gamma(4 - beta) sin(pi beta / 2))
+
+    (sqrt(2 pi eps) and pi eps^2/2 for white noise in d=1).  The
+    exponential covariance takes one radial quadrature, split where the
+    time integral turns over from growing like eps to decaying in r
+    (r = 1/sqrt(2 eps) for heat, r = 1/eps for wave).  Its wave tail is
+    split exactly as S r^(d-3) eps/2 - S r^(d-4) sin(2 eps r)/4: the first
+    part is a plain quadrature, the second a Fourier integral (QAWF).
     """
     return _variance_g(model, lam, eps)[0]
 
@@ -261,19 +289,20 @@ class GammaExponents:
     eps_grid: np.ndarray
     g_values: np.ndarray
     zero_mode_values: np.ndarray
-    evaluations: np.ndarray = None  # integrand calls of each g(eps)
+    # integrand calls of each g(eps); None when g is in closed form
+    evaluations: np.ndarray = None
 
 
 def exponent_gamma(model, lam, eps_grid) -> GammaExponents:
     """The exponents of the variance functional in closed form, and the
-    quadrature values behind them.
+    values of g behind them.
 
     gamma1 is the small-eps exponent of g(eps) by scaling on R^d:
     1 - beta/2 for heat and 3 - beta for wave, where the noise scales like
-    a covariance |x|^-beta: beta = d for white noise, the Riesz beta, and 0
-    for the exponential covariance, whose spectral measure is finite.
-    For white and Riesz noise g is a pure power, so the lower exponent
-    gamma equals gamma1.  gamma2 is the exponent of the zero-mode integral
+    a covariance |x|^-beta (see _noise_beta).  For white and Riesz noise g
+    is a pure power, so the lower exponent gamma equals gamma1; for the
+    exponential covariance gamma1 is the small-eps limit of its local
+    slope.  gamma2 is the exponent of the zero-mode integral
     int_0^eps |F(Lambda(s))(0)|^2 ds: 1 for heat, 3 for wave.  g(eps) and
     the zero-mode integral are evaluated on eps_grid (the results rows).
     """
@@ -282,9 +311,10 @@ def exponent_gamma(model, lam, eps_grid) -> GammaExponents:
         raise ValueError("eps_grid needs at least 4 points")
     results = [_variance_g(model, lam, e) for e in eps_grid]
     g_vals = np.array([g for g, _ in results])
-    calls = np.array([n for _, n in results])
+    calls = None if model.kind != "exponential" \
+        else np.array([n for _, n in results])
     z_vals = squared_time_integral(lam, eps_grid, 0.0)
-    beta = {"white": model.d, "riesz": model.beta}.get(model.kind, 0.0)
+    beta = _noise_beta(model)
     if lam.kind == "heat":
         gamma1, gamma2 = 1.0 - beta / 2.0, 1.0
     else:

@@ -182,6 +182,26 @@ def test_bump_quadrature_is_flat_at_small_eps(model):
             assert v == pytest.approx(fine, rel=1e-8, abs=0.0)
 
 
+@pytest.mark.parametrize("aset", [am.make_cone(1.3, 0.7), am.make_slab(0.8)],
+                         ids=["cone", "slab"])
+@pytest.mark.parametrize("kernel", [am.constant_kernel(1.3),
+                                    am.power_kernel(0.5, -0.8)],
+                         ids=["constant", "power"])
+def test_flat_slab_integral_matches_gauss_jacobi(kernel, aset):
+    """The 48-node Gauss-Jacobi sum that computed the flat profile's slab
+    integral before its closed form is its oracle."""
+    from scipy.special import roots_jacobi
+
+    for q, a, p in ((1.2, 0.0, 0.0), (1.7, 0.68, 0.0), (1.7, 0.0, 1.02)):
+        b = q * kernel.time_power + aset.zeta * (1.0 + p)
+        const = abs(kernel.value) ** q * 2.0 * aset.c ** (1.0 + p) / (1.0 + p)
+        _, wj = roots_jacobi(48, b, a)
+        for eps in EPS:
+            want = const * (eps / 2.0) ** (a + b + 1.0) * wj.sum()
+            got = am._slab_condition_integral(eps, kernel, aset, q, a, p)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_cone_aperture_homogeneity(model, cone_spec):
     wide = am.make_ambit_spec(ambit_set=am.make_cone(2.0, 1.0),
                               kernel_g=am.constant_kernel(1.0),

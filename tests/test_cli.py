@@ -361,15 +361,30 @@ def test_spde_exponents_log_counts_the_work(tmp_path):
     # draws the two wave noises of a step in one call
     assert counters[:5] == ["paths=300", "blocks=2", "steps_x_modes=16x64",
                             "calls_per_path=16", "normals_per_call=128"]
-    calls = [line for line in counters if line.startswith("g_evaluations ")]
-    assert len(calls) == 5
-    assert all(int(line.rsplit("calls=", 1)[1]) > 0 for line in calls)
+    # white noise: g(eps) is a closed form, so no quadrature ran
+    assert not any(line.startswith("g_evaluations ") for line in log)
+    assert log.count("variance_g=closed_form") == 1
     # timers and counters stay out of the artifacts
     for _, csv, summary in runs.values():
         for word in (b"_s=", b"blocks", b"g_evaluations", b"steps_x_modes",
                      b"calls_per_path", b"normals_per_call"):
             assert word not in csv + summary
     assert runs[1][1:] == runs[2][1:]
+
+
+def test_spde_exponents_log_counts_the_quadrature(tmp_path):
+    # the exponential covariance is the one noise whose g(eps) is a
+    # quadrature: run.log gives its integrand calls per eps
+    overrides = ["run.n_paths=300", "noise.kind=exponential", "noise.ell=0.5",
+                 "noise.m=64", "spde.operator=wave", "spde.t=1.0",
+                 "spde.eps_points=5"]
+    assert cli.run(None, overrides, experiment="spde-exponents", seed=4,
+                   outdir=str(tmp_path)) == 0
+    log = (tmp_path / "run.log").read_text().splitlines()
+    calls = [line for line in log if line.startswith("g_evaluations ")]
+    assert len(calls) == 5
+    assert all(int(line.rsplit("calls=", 1)[1]) > 0 for line in calls)
+    assert "variance_g=closed_form" not in log
 
 
 def test_spde_density_log_counts_the_work(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 
 import ambitlab
 from ambitlab.montecarlo import (
+    _t_quantile_975,
     empirical_cf,
     fit_scaling,
     path_rng,
@@ -77,15 +78,82 @@ class TestFitScaling:
         assert np.isfinite(fit_scaling(x, noisy).ci_halfwidth)
 
 
-def test_import_leaves_out_scipy_stats():
-    # the fit's Student-t quantile comes from scipy.special, so importing
-    # the package does not pay for scipy.stats
+def test_t_quantile_matches_scipy():
+    # the own Student-t quantile against the scipy.special one it replaced
+    from scipy.special import stdtrit
+
+    dof = np.arange(2, 2001)
+    got = np.array([_t_quantile_975(int(k)) for k in dof])
+    np.testing.assert_allclose(got, stdtrit(dof, 0.975), rtol=1e-12, atol=0)
+
+
+_HEAVY_SCIPY = ("scipy.stats", "scipy.special", "scipy.integrate")
+
+
+def _python(code):
+    """Run `code` in a fresh interpreter on this checkout; its stdout."""
     src = os.path.dirname(os.path.dirname(ambitlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, ambitlab; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_leaves_out_scipy_stats():
+    # the fit's Student-t quantile, g(eps) and the flat slab integrals are
+    # closed forms, so importing the package loads no heavy scipy module
+    code = ("import sys, ambitlab; "
+            f"print([m for m in {_HEAVY_SCIPY!r} if m in sys.modules])")
+    assert _python(code).strip() == "[]"
+
+
+# small copies of the three benchmark workloads' configs
+_WORKLOAD_RUNS = {
+    "spde-exponents": [
+        "noise.kind=white", "noise.d=1", "noise.L=8", "noise.m=64",
+        "spde.operator=wave", "spde.coefficients=constant", "spde.sigma0=1",
+        "spde.b0=0", "spde.t=1.0", "spde.eps_points=4", "run.n_paths=64"],
+    "ambit-decay": [
+        "levy.alpha=1.2", "levy.c_plus=0.5", "levy.c_minus=0.5",
+        "ambit.kernel_g=power", "ambit.theta_g=0.5",
+        "ambit.sigma_field=weierstrass", "ambit.beta=0.8", "ambit.gamma=2.0",
+        "ambit.eps_min=0.02", "ambit.eps_max=0.4", "ambit.eps_points=4",
+        "ambit.nt=12", "ambit.nx=12", "run.n_paths=512"],
+    "ambit-density": [
+        "ambit.c=1", "ambit.zeta=0", "ambit.kernel_g=constant",
+        "ambit.sigma_field=constant", "levy.alpha=1.2",
+        f"levy.c_plus={1 / 60!r}", f"levy.c_minus={1 / 60!r}", "ambit.n=1",
+        "ambit.holder=0.5", "ambit.nt=16", "ambit.nx=16",
+        "run.n_paths=5000"],
+}
+
+# the two users of scipy left: the exponential covariance's quadrature and
+# the bump kernel's Gauss-Jacobi sum
+_SCIPY_RUNS = {
+    "spde-exponents": ["noise.kind=exponential", "noise.ell=0.5",
+                       "noise.m=64", "spde.operator=wave", "spde.t=1.0",
+                       "run.n_paths=64"],
+    "ambit-exponents": ["ambit.kernel_g=bump",
+                        "ambit.sigma_field=weierstrass"],
+}
+
+
+def test_workload_runs_leave_out_scipy(tmp_path):
+    code = f"""
+import contextlib, io, sys
+from ambitlab import cli
+
+def run(experiment, overrides, outdir):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.run(None, overrides, experiment=experiment, seed=0,
+                       workers=2, outdir=outdir)
+
+outdir = {str(tmp_path)!r}
+codes = [run(e, o, outdir) for e, o in {_WORKLOAD_RUNS!r}.items()]
+loaded = [m for m in {_HEAVY_SCIPY!r} if m in sys.modules]
+codes += [run(e, o, outdir) for e, o in {_SCIPY_RUNS!r}.items()]
+print(codes, loaded)
+"""
+    assert _python(code).strip() == "[0, 0, 0, 0, 0] []"
 
 
 class TestPathRng:

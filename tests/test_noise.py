@@ -115,6 +115,49 @@ def test_riesz_wave_variance_is_a_pure_power(d, beta):
     assert ratio == pytest.approx(ratio[0], rel=1e-12)
 
 
+def _quadrature_g(d, beta, lam, eps):
+    """g(eps) of noise with S(r) r^(d-1) = r^(beta-1) by quadrature of the
+    radial integrand, split where the time integral turns over; the wave
+    tail splits into a plain part and a Fourier integral (QAWF)."""
+    f = lambda r: r ** (beta - 1.0) * noise.squared_time_integral(lam, eps, r)
+    kw = dict(epsabs=0.0, epsrel=1e-13, limit=300)
+    if lam.kind == "heat":
+        r1 = 1.0 / math.sqrt(2.0 * eps)
+        total = integrate.quad(f, 0.0, r1, **kw)[0] \
+            + integrate.quad(f, r1, np.inf, **kw)[0]
+    else:
+        r1 = 1.0 / eps
+        head = integrate.quad(f, 0.0, r1, **kw)[0]
+        plain = 0.5 * eps * integrate.quad(lambda r: r ** (beta - 3.0), r1,
+                                           np.inf, **kw)[0]
+        osc = integrate.quad(lambda r: 0.25 * r ** (beta - 4.0), r1, np.inf,
+                             weight="sin", wvar=2.0 * eps,
+                             epsabs=1e-13 * (head + plain), limit=300)[0]
+        total = head + plain - osc
+    return noise._SPHERE_AREA[d] * total
+
+
+# every white and Riesz noise with beta < 2 (Dalang) in d = 1, 2, 3
+_POWER_MODELS = [dict(kind="white", d=1)] + [
+    dict(kind="riesz", d=d, beta=b) for d in (1, 2, 3)
+    for b in (0.3, 0.7, 1.0, 1.5, 1.9) if b < d]
+
+
+@pytest.mark.parametrize("op", ["heat", "wave"])
+@pytest.mark.parametrize("kw", _POWER_MODELS, ids=lambda kw: "-".join(
+    str(v) for v in kw.values()))
+def test_closed_form_g_matches_quadrature(kw, op):
+    """The quadrature that computed g before its closed form is its
+    oracle."""
+    lam = (operators.heat_operator if op == "heat"
+           else operators.wave_operator)(kw["d"])
+    m = noise.make_noise_model(Lbox=8.0, m=16, **kw)
+    beta = kw.get("beta", kw["d"])
+    for eps in (1e-3, 0.02, 0.3, 1.0):
+        assert noise.variance_g(m, lam, eps) == pytest.approx(
+            _quadrature_g(kw["d"], beta, lam, eps), rel=1e-11, abs=0.0)
+
+
 def test_grid_variance_converges_to_continuum():
     """The summand decays like 1/(2 r^2), so truncating at the Nyquist
     radius R loses 2 * int_R^inf dr/(2 r^2) = 1/R; check that law."""
