@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,16 +92,23 @@ class AmbitSet:
     def half_width(self, lag):
         """Spatial half-width at time lag u = t - s >= 0."""
         lag = np.asarray(lag, dtype=float)
-        return self.c * lag ** self.zeta if self.zeta else \
-            np.full_like(lag, self.c)
+        if not self.zeta:
+            return np.full_like(lag, self.c)
+        width = lag ** self.zeta
+        width *= self.c
+        return width
 
     def indicator(self, t, x, s, y):
         s = np.asarray(s, dtype=float)
         r = np.asarray(np.subtract(y, x, dtype=float))
         np.abs(r, out=r)
         # a slab's half-width is the scalar c: no per-point array to build
-        width = self.half_width(t - s) if self.zeta else self.c
-        return (s >= 0) & (s <= t) & (r <= width + 1e-15)
+        if self.zeta:
+            width = self.half_width(t - s)
+            width += 1e-15
+        else:
+            width = self.c + 1e-15
+        return (s >= 0) & (s <= t) & (r <= width)
 
     def max_half_width(self, t):
         return self.c * t ** self.zeta if self.zeta else self.c
@@ -184,13 +192,11 @@ class _WeierstrassPath:
     def __init__(self, spec, rng):
         lv = spec.levels
         self.spec = spec
-        self.gains_t = rng.standard_normal(lv) * 2.0 ** (
-            -spec.delta1 * np.arange(lv))
-        self.gains_x = rng.standard_normal(lv) * 2.0 ** (
-            -spec.delta2 * np.arange(lv))
+        self.freqs, decay_t, decay_x = spec.dyadic_scales
+        self.gains_t = rng.standard_normal(lv) * decay_t
+        self.gains_x = rng.standard_normal(lv) * decay_x
         self.phases_t = rng.uniform(0.0, 2.0 * np.pi, lv)
         self.phases_x = rng.uniform(0.0, 2.0 * np.pi, lv)
-        self.freqs = spec.omega0 * 2.0 ** np.arange(lv)
 
     def __call__(self, s, y):
         s = np.asarray(s, dtype=float)
@@ -208,7 +214,9 @@ def _grids(field_spec, paths, s, y):
     len(y)).  The time and space sums are separable, so each axis is
     evaluated once, as one batched matmul over the stack of paths."""
     if field_spec.is_constant:
-        return np.full((len(paths), len(s), len(y)), field_spec.value)
+        # one read-only number for every path and point
+        return np.broadcast_to(field_spec.value,
+                               (len(paths), len(s), len(y)))
     amp, freqs = field_spec.amplitude, paths[0].freqs
 
     def axis_sum(points, phases, gains):
@@ -249,6 +257,18 @@ class FieldSpec:
     @property
     def is_constant(self):
         return self.kind == "constant"
+
+    @cached_property
+    def dyadic_scales(self):
+        """(frequencies omega0 2^j, time gains 2^(-j delta1), space gains
+        2^(-j delta2)) of the Weierstrass levels j, shared read-only by
+        every path of the family."""
+        j = np.arange(self.levels)
+        scales = (self.omega0 * 2.0 ** j, 2.0 ** (-self.delta1 * j),
+                  2.0 ** (-self.delta2 * j))
+        for a in scales:
+            a.flags.writeable = False
+        return scales
 
     def sample_path(self, rng):
         if self.is_constant:
@@ -438,6 +458,50 @@ def exponent_conditions(spec, model, eps_grid, beta=None, gamma=None, *,
 # ---------------------------------------------------------------------------
 
 
+# Uniform bins per cell of an _EdgeLookup: enough that two edges rarely
+# share a bin, so one compare mostly settles a value.
+_BINS_PER_CELL = 4
+
+
+class _EdgeLookup:
+    """The cell of each value along one axis of sorted edges in O(1) per
+    value: clip(searchsorted(edges, v, "right") - 1, 0, n - 1) with n
+    cells, exactly, for every value but NaN.
+
+    An arithmetic guess puts v, clipped to the edges' span, in one of
+    about _BINS_PER_CELL * n uniform bins.  The bin map is monotone, so
+    the interior edges that it sends below v's bin lie at or below v and
+    those that it sends above lie above v.  A bin's first cell (the count
+    of interior edges below it) is thus never past v's cell, and at most
+    `steps` edges, the most that share one bin, lie between the two: as
+    many compares against the next edge make the index exact, the edges
+    sharing a bin included.
+    """
+
+    def __init__(self, edges):
+        self.lo, self.hi = edges[0], edges[-1]
+        bins = _BINS_PER_CELL * (edges.size - 1)
+        self.scale = bins / (self.hi - self.lo)
+        # hi maps to bins, give or take rounding: one more bin holds it
+        per_bin = np.bincount(self._bin(edges[1:-1]), minlength=bins + 1)
+        self.first = np.cumsum(per_bin) - per_bin
+        self.steps = int(per_bin.max())
+        # the edge above each cell; none above the last
+        self.upper = np.append(edges[1:-1], np.inf)
+
+    def _bin(self, v):
+        b = np.clip(v, self.lo, self.hi, out=np.empty(np.shape(v)))
+        b -= self.lo
+        b *= self.scale
+        return b.astype(np.intp)
+
+    def __call__(self, v):
+        index = self.first[self._bin(v)]
+        for _ in range(self.steps):
+            index += v >= self.upper[index]
+        return index
+
+
 @dataclass
 class AmbitDiscretization:
     """Sampling box and time-major cell grid of X(t, x), with the
@@ -455,18 +519,18 @@ class AmbitDiscretization:
     comp_cell: np.ndarray    # (tau, 1] compensator (a multiple of vol)
     drift_cell: np.ndarray   # 1_B * h * cellvol (b excluded)
 
+    def __post_init__(self):
+        self._rows = _EdgeLookup(self.cells.time_edges)
+        self._cols = _EdgeLookup(self.cells.space_edges)
+
     @property
     def shape(self):
         return self.s_axis.size, self.y_axis.size
 
     def cell_index(self, s, y):
-        te = self.cells.time_edges
-        it = np.clip(np.searchsorted(te, s, side="right") - 1, 0,
-                     te.size - 2)
-        se = self.cells.space_edges
-        ix = np.clip(np.searchsorted(se, y, side="right") - 1, 0,
-                     se.size - 2)
-        return it * (se.size - 1) + ix
+        """Time-major index of the cell holding each point (s, y); points
+        outside the box go to the nearest cell."""
+        return self._rows(s) * self.y_axis.size + self._cols(y)
 
     def cut_row(self, eps):
         """Index of the time edge at t - eps: rows below it are the
@@ -547,27 +611,33 @@ def _reduce(stack) -> CouplingTable:
     (path, row) sums the jumps of the whole stack."""
     spec, disc, record = stack.spec, stack.disc, stack.record
     n_paths, (n_rows, n_cols) = record.counts.size, disc.shape
-    path = np.repeat(np.arange(n_paths), record.counts)
-    cell = disc.cell_index(record.s, record.y)
-    g_jump = spec.ambit_set.indicator(disc.t, disc.x, record.s, record.y) \
-        * spec.kernel_g(disc.t, record.s, disc.x, record.y)
-    key = path * n_rows + cell // n_cols
+    # each jump's (path, row) key, and its flat (path, cell) index
+    key = np.repeat(np.arange(n_paths) * n_rows, record.counts)
+    key += disc._rows(record.s)
+    at = key * n_cols
+    at += disc._cols(record.y)
+    # 1_A g, scaled in place: the kernel returns a new array
+    g_jump = spec.kernel_g(disc.t, record.s, disc.x, record.y)
+    g_jump *= spec.ambit_set.indicator(disc.t, disc.x, record.s, record.y)
+    hist_jump = stack.sigma_mid.ravel()[at]
+    del at
+    hist_jump *= g_jump
     # sub-tau Gaussian minus the (tau, 1] compensator, per unit integrand
-    noise = record.cell_normals * disc.gauss_sd - disc.comp_cell
+    noise = record.cell_normals * disc.gauss_sd
+    noise -= disc.comp_cell
 
     def row_sums(cell_values):
         return cell_values.reshape(cell_values.shape[:-1]
                                    + (n_rows, n_cols)).sum(axis=-1)
 
     def per_row(jump_f, cell_f):
-        jumps = np.bincount(key, weights=jump_f * record.z,
-                            minlength=n_paths * n_rows)
+        jump_f *= record.z
+        jumps = np.bincount(key, weights=jump_f, minlength=n_paths * n_rows)
         return jumps.reshape(n_paths, n_rows) + row_sums(cell_f * noise)
 
     edges, x = disc.cells.time_edges, np.array([disc.x])
     return CouplingTable(
-        hist=_prefix(per_row(g_jump * stack.sigma_mid[path, cell],
-                             disc.g_mid * stack.sigma_mid)),
+        hist=_prefix(per_row(hist_jump, stack.g_sigma_mid)),
         slab=_suffix(per_row(g_jump, disc.g_mid)),
         drift_hist=_prefix(row_sums(disc.drift_cell * stack.b_mid)),
         drift_slab=np.broadcast_to(_suffix(row_sums(disc.drift_cell)),
@@ -578,8 +648,13 @@ def _reduce(stack) -> CouplingTable:
 
 # Paths drawn and reduced together: enough to amortise NumPy's per-call
 # cost (and the GIL hand-off of each call under threads), few enough that
-# a stack's arrays stay small next to one block's.
-PATHS_PER_STACK = 8
+# a stack's arrays stay small next to one block's.  Measured on the
+# ambit-decay benchmark (2 workers, 2-vCPU Xeon, 24 runs each), median
+# wall_s / peak_rss_mb at 8, 12, 16, 24 and 32 paths per stack:
+# 0.383/45.1, 0.345/47.0, 0.326/49.2, 0.311/54.6 and 0.314/58.6, against
+# 0.463/45.8 before the O(1) cell lookup.  16 is the largest size within
+# +10% of that peak RSS.
+PATHS_PER_STACK = 16
 
 
 @dataclass
@@ -594,6 +669,7 @@ class PathStack:
     b_paths: list
     sigma_mid: np.ndarray    # (paths, cells) volatility at cell midpoints
     b_mid: np.ndarray
+    g_sigma_mid: np.ndarray  # (paths, cells) 1_A g sigma at cell midpoints
     record: levy.JumpRecord  # one draw per path
     _table: CouplingTable = field(default=None, init=False, repr=False)
 
@@ -624,10 +700,11 @@ def sample_stack(spec, disc, rngs) -> PathStack:
                        disc.y_axis).reshape(n_paths, -1)
     b_mid = _grids(spec.b, b_paths, disc.s_axis,
                    disc.y_axis).reshape(n_paths, -1)
-    record = levy.sample_records(disc.box_model, disc.g_mid * sigma_mid,
-                                 rngs, tau=disc.tau, cells=disc.cells)
+    g_sigma_mid = disc.g_mid * sigma_mid
+    record = levy.sample_records(disc.box_model, g_sigma_mid, rngs,
+                                 tau=disc.tau, cells=disc.cells)
     return PathStack(spec, disc, sigma_paths, b_paths, sigma_mid, b_mid,
-                     record)
+                     g_sigma_mid, record)
 
 
 def _stacks(spec, disc, rngs):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import platform
+import statistics
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -321,7 +322,8 @@ def _exp_ambit_density(cfg):
                  f"draws_per_chunk={tally['draws_per_chunk']}",
                  f"integrand={report.integrand}",
                  f"chunk_s_min={min(chunk_s):.4f}",
-                 f"chunk_s_median={np.median(chunk_s):.4f}",
+                 # not np.median, which would import numpy.ma in the run
+                 f"chunk_s_median={statistics.median(chunk_s):.4f}",
                  f"chunk_s_max={max(chunk_s):.4f}"]
     logs += [f"sampler_s={report.seconds['sampler']:.3f}",
              f"criterion_s={report.seconds['criterion']:.3f}"]

@@ -227,8 +227,11 @@ class CellGrid:
 def build_cells(model, nt=32, nx=32, extra_time_edges=()) -> CellGrid:
     t_edges = np.linspace(0.0, model.T, nt + 1)
     if len(extra_time_edges):
-        t_edges = np.unique(np.concatenate(
-            [t_edges, np.asarray(extra_time_edges, dtype=float)]))
+        # sorted and deduplicated by hand: np.unique would import numpy.ma
+        t_edges = np.concatenate(
+            [t_edges, np.asarray(extra_time_edges, dtype=float)])
+        t_edges.sort()
+        t_edges = t_edges[np.append(True, t_edges[1:] != t_edges[:-1])]
         if t_edges[0] < -1e-12 or t_edges[-1] > model.T + 1e-12:
             raise ValueError("extra time edges outside [0, T]")
     space_edges = np.linspace(*model.domain, nx + 1)
@@ -326,8 +329,10 @@ def _check_integrand(model, cells, f_mid, tau):
     if not np.all(np.isfinite(f_mid)):
         raise ValueError("integrand not finite on the cell lattice")
     # eq-style integrability audit: int int |f|^alpha dlambda must be finite
-    if not np.all(np.isfinite(np.sum(np.abs(f_mid) ** alpha * cells.cell_vol,
-                                     axis=-1))):
+    mass = np.abs(f_mid, dtype=float)
+    mass **= alpha
+    mass *= cells.cell_vol
+    if not np.all(np.isfinite(np.sum(mass, axis=-1))):
         raise ValueError("integrand fails the |f|^alpha integrability check")
 
     rate_bound = model.box_volume * model.c_sum * tau ** (-alpha) / alpha
@@ -385,22 +390,26 @@ def sample_records(model, f_mid, rngs, *, tau, cells) -> JumpRecord:
     sample_integral checks f and stacked as one record of len(rngs) draws.
 
     Generator i draws poisson(rate_bound, 1) for its jump count tot, then
-    one random((_BLOCKS, tot)), a row per block, then
+    the uniforms of random((_BLOCKS, tot)), a row per block, then
     standard_normal(n_cells) for its cell normals.  So a draw never depends
     on the draws stacked with it; only the arithmetic on the drawn numbers
-    runs once per stack.
+    runs once per stack.  Every count is drawn first, so the uniforms go
+    straight into the stack's blocks: random(out=) fills a row in the
+    order random((_BLOCKS, tot)) would.
     """
     if np.shape(f_mid) != (len(rngs), cells.n_cells):
         raise ValueError("need one row of cell values per generator")
     rate_bound = _check_integrand(model, cells, f_mid, tau)
-    counts = np.empty(len(rngs), dtype=np.int64)
+    counts = np.array([rng.poisson(rate_bound, 1)[0] for rng in rngs],
+                      dtype=np.int64)
+    ends = np.cumsum(counts)
+    u = np.empty((_BLOCKS, counts.sum()))
     normals = np.empty((len(rngs), cells.n_cells))
-    drawn = []
-    for i, rng in enumerate(rngs):
-        tot = counts[i] = rng.poisson(rate_bound, 1)[0]
-        drawn.append(rng.random((_BLOCKS, tot)))
-        rng.standard_normal(out=normals[i])
-    s, y, z = _map_jumps(model, tau, np.concatenate(drawn, axis=1))
+    for rng, start, end, out in zip(rngs, ends - counts, ends, normals):
+        for row in u[:, start:end]:
+            rng.random(out=row)
+        rng.standard_normal(out=out)
+    s, y, z = _map_jumps(model, tau, u)
     return JumpRecord(tau=float(tau), cells=cells, counts=counts, s=s, y=y,
                       z=z, cell_normals=normals)
 

@@ -436,67 +436,142 @@ def test_one_pass_coupling_matches_replay(spec, c_minus):
                     ref, rel=1e-10, abs=1e-12), (name, e)
 
 
+def _searchsorted_cells(edges, v):
+    """The cell lookup's oracle: the binary search it replaces."""
+    return np.clip(np.searchsorted(edges, v, side="right") - 1, 0,
+                   edges.size - 2)
+
+
+_UNIFORM = np.linspace(0.0, 1.0, 49)
+LOOKUP_EDGES = {
+    "uniform": np.linspace(-1.0, 1.0, 49),
+    # the benchmark's time axis: 48 cells and the edges t - eps of six eps
+    "eps-edges": np.unique(np.concatenate(
+        [_UNIFORM, 1.0 - np.geomspace(0.02, 0.4, 6)])),
+    # eps edges an ulp above one uniform edge and an ulp below another
+    "ulp-apart": np.unique(np.concatenate(
+        [_UNIFORM, [np.nextafter(0.5, 1.0), np.nextafter(0.75, 0.0)]])),
+    # five edges inside one uniform bin
+    "shared-bin": np.unique(np.concatenate(
+        [_UNIFORM, 0.3 + 1e-5 * np.arange(1, 6)])),
+    "irregular": np.concatenate(
+        ([-2.0], np.sort(np.random.default_rng(3).uniform(-2.0, 3.0, 30)),
+         [3.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_EDGES))
+def test_cell_lookup_equals_searchsorted(name):
+    """The O(1) lookup gives the binary search's cell for random points,
+    every edge and both float neighbours of each, and points outside the
+    box, out to the largest finite doubles."""
+    edges = LOOKUP_EDGES[name]
+    lookup = am._EdgeLookup(edges)
+    if name in ("ulp-apart", "shared-bin"):
+        assert lookup.steps >= 2    # the correction runs more than once
+    lo, hi = edges[0], edges[-1]
+    big = np.finfo(float).max
+    v = np.concatenate([
+        np.random.default_rng(4).uniform(lo, hi, 20_000),
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [lo - 1.0, hi + 1.0, lo - 1e-300, 2 * hi - lo, -1e300, 1e300,
+         -big, big]])
+    assert np.array_equal(lookup(v), _searchsorted_cells(edges, v))
+
+
+def test_cell_index_is_time_major(model, reference_spec):
+    disc = am.make_discretization(reference_spec, model, 1.0, 0.0,
+                                  eps_grid=np.geomspace(0.02, 0.4, 6),
+                                  nt=48, nx=40)
+    rng = np.random.default_rng(5)
+    s, y = rng.uniform(-0.1, 1.1, 5000), rng.uniform(-1.1, 1.1, 5000)
+    cells = disc.cells
+    want = _searchsorted_cells(cells.time_edges, s) * 40 \
+        + _searchsorted_cells(cells.space_edges, y)
+    assert np.array_equal(disc.cell_index(s, y), want)
+    # each cell's midpoint lies in that cell
+    assert np.array_equal(disc.cell_index(cells.s_mid, cells.y_mid),
+                          np.arange(cells.n_cells))
+
+
+# stack sizes the ensembles are checked at: single paths, a size that
+# leaves a short last stack, and the default
+STACK_SIZES = (1, 5, am.PATHS_PER_STACK)
+
+
 @COUPLING_SPECS
 @COUPLING_SKEWS
-def test_stacked_paths_equal_single_paths(spec, c_minus):
-    """Stacks of PATHS_PER_STACK paths (and a short last stack) give each
-    path exactly what make_path, a stack of one, gives it, and leave its
-    generator where make_path leaves it."""
+def test_stacked_paths_equal_single_paths(spec, c_minus, monkeypatch):
+    """Stacks of every size in STACK_SIZES, as the ensembles draw them (a
+    short last stack included), give each path exactly what make_path, a
+    stack of one, gives it, and leave its generator where make_path
+    leaves it."""
     model = lv.make_levy_model(1.2, 0.5, c_minus, T=1.0,
                                domain=(-1.0, 1.0))
     disc = am.make_discretization(spec, model, 1.0, 0.0,
                                   eps_grid=(0.03, 0.1, 0.37, 1.0),
                                   nt=20, nx=16)
     n = 37
-    assert n % am.PATHS_PER_STACK
-    rngs = [path_rng(8, "stacked", i) for i in range(n)]
-    stacks = [am.sample_stack(spec, disc,
-                              rngs[i:i + am.PATHS_PER_STACK])
-              for i in range(0, n, am.PATHS_PER_STACK)]
-    after = [rng.random() for rng in rngs]
-    i = 0
-    for stack in stacks:
-        first = np.concatenate(([0], np.cumsum(stack.record.counts)))
-        for j in range(stack.values.size):
-            rng = path_rng(8, "stacked", i)
-            path = am.make_path(spec, disc, rng)
-            assert rng.random() == after[i]
-            assert path.values[0] == stack.values[j]
-            assert np.array_equal(path.sigma_mid[0], stack.sigma_mid[j])
-            assert np.array_equal(path.b_mid[0], stack.b_mid[j])
-            jumps = slice(first[j], first[j + 1])
-            for name in ("s", "y", "z"):
-                assert np.array_equal(getattr(path.record, name),
-                                      getattr(stack.record, name)[jumps])
-            assert np.array_equal(path.record.cell_normals[0],
-                                  stack.record.cell_normals[j])
-            for f in dataclasses.fields(am.CouplingTable):
-                assert np.array_equal(getattr(path.table, f.name)[0],
-                                      getattr(stack.table, f.name)[j]), \
-                    f.name
-            assert am.approx_parts(path, 0.37).value[0] \
-                == am.approx_parts(stack, 0.37).value[j]
-            i += 1
-    assert i == n
+    paths, after = [], []
+    for i in range(n):
+        rng = path_rng(8, "stacked", i)
+        paths.append(am.make_path(spec, disc, rng))
+        after.append(rng.random())
+    for size in STACK_SIZES:
+        monkeypatch.setattr(am, "PATHS_PER_STACK", size)
+        rngs = [path_rng(8, "stacked", i) for i in range(n)]
+        stacks = [stack for _, stack in am._stacks(spec, disc, rngs)]
+        assert [stack.values.size for stack in stacks] \
+            == [size] * (n // size) + [n % size] * bool(n % size)
+        assert [rng.random() for rng in rngs] == after
+        i = 0
+        for stack in stacks:
+            first = np.concatenate(([0], np.cumsum(stack.record.counts)))
+            for j in range(stack.values.size):
+                path = paths[i]
+                assert path.values[0] == stack.values[j]
+                assert np.array_equal(path.sigma_mid[0], stack.sigma_mid[j])
+                assert np.array_equal(path.b_mid[0], stack.b_mid[j])
+                jumps = slice(first[j], first[j + 1])
+                for name in ("s", "y", "z"):
+                    assert np.array_equal(getattr(path.record, name),
+                                          getattr(stack.record, name)[jumps])
+                assert np.array_equal(path.record.cell_normals[0],
+                                      stack.record.cell_normals[j])
+                for f in dataclasses.fields(am.CouplingTable):
+                    assert np.array_equal(getattr(path.table, f.name)[0],
+                                          getattr(stack.table, f.name)[j]), \
+                        (size, f.name)
+                assert am.approx_parts(path, 0.37).value[0] \
+                    == am.approx_parts(stack, 0.37).value[j]
+                i += 1
+        assert i == n
 
 
-def test_error_decay_gaps_equal_single_path_gaps(model, reference_spec):
+def test_error_decay_gaps_equal_single_path_gaps(model, reference_spec,
+                                                  monkeypatch):
     eps_grid = np.geomspace(0.02, 0.4, 6)
     n, beta = 37, 0.8
-    dec = am.error_decay(reference_spec, model, 1.0, 0.0, beta, eps_grid, n,
-                         master_seed=5, workers=2, nt=20, nx=16)
+    reports = []
+    for size in STACK_SIZES:
+        monkeypatch.setattr(am, "PATHS_PER_STACK", size)
+        reports.append(am.error_decay(reference_spec, model, 1.0, 0.0, beta,
+                                      eps_grid, n, master_seed=5, workers=2,
+                                      nt=20, nx=16))
+    disc = reports[0].discretization
     gaps, jumps = np.empty((n, eps_grid.size)), np.empty(n)
     for i in range(n):
-        path = am.make_path(reference_spec, dec.discretization,
+        path = am.make_path(reference_spec, disc,
                             path_rng(5, "ambit-decay", i))
         gaps[i] = [abs(path.values[0] - am.approx_parts(path, e).value[0])
                    for e in eps_grid]
         jumps[i] = path.record.s.size
     gaps **= beta
-    assert np.array_equal(dec.means, gaps.mean(axis=0))
-    assert np.array_equal(dec.stderrs,
-                          gaps.std(axis=0, ddof=1) / np.sqrt(n))
-    assert dec.jumps_per_path == jumps.mean()
+    for dec in reports:
+        assert np.array_equal(dec.means, gaps.mean(axis=0))
+        assert np.array_equal(dec.stderrs,
+                              gaps.std(axis=0, ddof=1) / np.sqrt(n))
+        assert dec.jumps_per_path == jumps.mean()
 
 
 class _InfiniteFirstGain:

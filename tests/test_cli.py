@@ -326,8 +326,8 @@ def test_ambit_decay_log_times_the_stages(tmp_path):
     counters = [line for line in log if line.startswith(work)]
     assert counters == [line for line in runs[2][0]
                         if line.startswith(work)]
-    # 300 paths in blocks of 256, each reduced in stacks of 8
-    assert counters == ["paths=300", "blocks=2", "paths_per_stack=8"]
+    # 300 paths in blocks of 256, each reduced in stacks of 16
+    assert counters == ["paths=300", "blocks=2", "paths_per_stack=16"]
     # timers and counters stay out of the artifacts
     for _, csv, summary in runs.values():
         for word in (b"_s=", b"blocks", b"paths_per_stack"):

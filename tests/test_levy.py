@@ -213,6 +213,18 @@ def test_replay_is_linear_in_the_integrand():
     assert np.allclose(two, 2.0 * one, rtol=1e-12)
 
 
+def test_extra_time_edges_equal_np_unique():
+    """build_cells merges extra time edges as np.unique would (its oracle):
+    sorted, duplicates of the uniform edges and of each other dropped,
+    neighbours an ulp apart kept."""
+    m = levy.make_levy_model(1.2, T=2.0)
+    extra = [1.5, 0.0, 0.75, np.nextafter(0.5, 1.0), 1.5, 2.0, 0.3]
+    cells = levy.build_cells(m, nt=8, nx=4, extra_time_edges=extra)
+    want = np.unique(np.concatenate([np.linspace(0.0, 2.0, 9), extra]))
+    assert np.array_equal(cells.time_edges, want)
+    assert cells.n_cells == 4 * (want.size - 1)
+
+
 def test_erase_after_preserves_history():
     """Erasing the record beyond a cut cannot change history integrals."""
     m = levy.make_levy_model(1.2, 1.0, 1.0, T=1.0, domain=(-2.0, 2.0),
