@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import besov, levy
+from . import levy
 from .montecarlo import (ScalingFit, fit_scaling, path_rng,
                          run_ensemble_blocks)
 
@@ -65,9 +65,9 @@ __all__ = [
     "make_path",
     "approx_parts",
     "DecayReport",
-    "DensityReport",
+    "DensitySample",
     "error_decay",
-    "density_criterion_experiment",
+    "density_sample",
 ]
 
 
@@ -833,15 +833,18 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
 
 
 @dataclass
-class DensityReport(besov.CriterionReport):
-    """density_criterion_experiment's criterion report with the work behind
-    it (run-log counters and stage times)."""
+class DensitySample:
+    """density_sample's draws of X(t, x), their weights |sigma(t, x)|^n
+    (one number for deterministic coefficients) and the work behind them
+    (run-log counters and the sampler's wall time)."""
 
+    values: np.ndarray
+    weights: object          # per-draw array, or one float for every draw
     discretization: AmbitDiscretization
     jumps_per_draw: float    # mean jump count per sample
     tally: dict              # bulk sampler's tally (None for the ensemble)
     integrand: str           # bulk jump integrand: "constant" or "callable"
-    seconds: dict            # wall time of the sampler and criterion stages
+    sampler_s: float
 
 
 def _box_constant(spec, disc):
@@ -861,17 +864,16 @@ def _box_constant(spec, disc):
     return g.value
 
 
-def density_criterion_experiment(spec, model, t, x, n, n_paths=100_000, *,
-                                 master_seed=0, workers=1, holder_order=0.5,
-                                 nt=64, nx=64) -> DensityReport:
-    """Criterion statistic for the law of X(t, x) with weights
-    |sigma(t, x)|^n, at the default h grid and frequencies.
+def density_sample(spec, model, t, x, n, n_paths, *, master_seed=0,
+                   workers=1, nt=64, nx=64) -> DensitySample:
+    """n_paths draws of X(t, x) with their weights |sigma(t, x)|^n, the
+    sample besov.criterion_report judges.
 
     Deterministic coefficient fields take one bulk sampler call (one
     integrand, n_paths draws, chunk c drawn from child c of the
     "ambit-density" path_rng stream) whose whole chunks run on `workers`
     threads; random volatility runs the path ensemble over `workers` in
-    stacks of PATHS_PER_STACK paths.  Either way the report is the same
+    stacks of PATHS_PER_STACK paths.  Either way the sample is the same
     for any worker count.
     """
     disc = make_discretization(spec, model, t, x, nt=nt, nx=nx)
@@ -900,7 +902,7 @@ def density_criterion_experiment(spec, model, t, x, n, n_paths=100_000, *,
                                      tally=tally)
         drift = float(np.sum(disc.drift_cell * b0))
         values = spec.x0 + stoch + drift
-        weights = np.full(n_paths, abs(sig0) ** n if n else 1.0)
+        weights = abs(sig0) ** n
         counters = dict(jumps_per_draw=tally["jumps"] / n_paths, tally=tally,
                         integrand="callable" if g0 is None else "constant")
     else:
@@ -920,11 +922,5 @@ def density_criterion_experiment(spec, model, t, x, n, n_paths=100_000, *,
         values, weights = raw[:, 0], raw[:, 1]
         counters = dict(jumps_per_draw=float(raw[:, 2].mean()), tally=None,
                         integrand=None)
-    seconds = dict(sampler=time.perf_counter() - clock)
-
-    clock = time.perf_counter()
-    stats = besov.criterion_statistic(values, weights, n, alpha=holder_order)
-    report = besov.criterion_report(stats, holder_order)
-    seconds["criterion"] = time.perf_counter() - clock
-    return DensityReport(**vars(report), discretization=disc,
-                         seconds=seconds, **counters)
+    return DensitySample(values, weights, disc,
+                         sampler_s=time.perf_counter() - clock, **counters)

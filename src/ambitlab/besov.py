@@ -12,8 +12,12 @@ A law kappa on R admits a density in B^{a-alpha}_{1,inf} as soon as
 |int D_h^n phi dkappa| <= C ||phi||_{C^alpha_b} |h|^a for every test
 function phi in C^alpha_b and 0 < alpha <= a < 1.  `criterion_statistic`
 measures the left-hand side on weighted Monte-Carlo samples against an
-oscillatory test family and fits the decay exponent in h;
-`criterion_report` turns the fits into the density verdict.
+oscillatory test family and fits the decay exponent in h.
+
+`criterion_report` is where every density verdict is decided: the SPDE and
+ambit experiments only draw the sample and its weights |sigma|^n, and it
+runs the statistic and turns the fits into the slopes, the verdict and the
+run's flag.
 """
 
 from __future__ import annotations
@@ -265,15 +269,33 @@ class CriterionReport:
     slopes: dict             # test_function_id -> slope, "ok" fits only
     min_slope: float         # None when no fit is usable
     holder_order: float
-    verdict: bool
+    verdict: bool            # None when every weight is zero
+    flag: str                # "ok" | "inconclusive" | "degenerate"
 
 
-def criterion_report(statistics, holder_order) -> CriterionReport:
-    """Slopes, their minimum and the verdict of criterion_statistic's
-    output, fitted against C^holder_order test functions."""
+def criterion_report(samples, weights, n, holder_order) -> CriterionReport:
+    """The density verdict of a weighted sample: criterion_statistic at the
+    default h grid and frequencies against C^holder_order test functions.
+
+    A scalar weight applies to every sample; None means unit weights.  The
+    flag is ok when every frequency's fit is ok or degenerate: an exactly
+    zero statistic is conclusive, since more paths cannot change it.  When
+    every weight is zero the weighted measure is zero and says nothing
+    about the law, so the verdict is None and the flag degenerate.
+    """
+    if weights is not None and np.ndim(weights) == 0:
+        weights = np.full(np.shape(samples), float(weights))
+    statistics = criterion_statistic(samples, weights, n, alpha=holder_order)
     slopes = {s.test_function_id: s.fitted.slope for s in statistics
               if s.fitted.flag == "ok"}
     min_slope = float(min(slopes.values())) if slopes else None
-    verdict = bool(slopes) and all(v > holder_order for v in slopes.values())
+    if weights is not None and not np.any(weights):
+        verdict, flag = None, "degenerate"
+    else:
+        verdict = bool(slopes) and all(v > holder_order
+                                       for v in slopes.values())
+        conclusive = all(s.fitted.flag in ("ok", "degenerate")
+                         for s in statistics)
+        flag = "ok" if conclusive else "inconclusive"
     return CriterionReport(statistics, slopes, min_slope,
-                           float(holder_order), verdict)
+                           float(holder_order), verdict, flag)

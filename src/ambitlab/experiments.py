@@ -209,11 +209,12 @@ def _exp_spde_density(cfg):
                                  stream="spde-density",
                                  workers=run["workers"])[:, 0]
     ensemble_s = time.perf_counter() - clock
-    report = spde.density_criterion_experiment(values, coeffs, s["n"],
-                                               alpha=s["holder"])
+    # the density of u(t, 0) on {sigma != 0}: weights |sigma(u)|^n
+    weights = np.abs(coeffs.sigma_values(values)) ** s["n"]
     logs = _solver_logs(run, model, lam, int(round(s["t"] / dt)), ensemble_s)
-    return _criterion_result(report, logs, verdict=report.verdict, n=s["n"],
-                             n_paths=run["n_paths"], operator=lam.kind)
+    return _criterion_result(values, weights, s["n"], s["holder"], logs,
+                             n=s["n"], n_paths=run["n_paths"],
+                             operator=lam.kind)
 
 
 def _exp_levy_check(cfg):
@@ -307,27 +308,27 @@ def _exp_ambit_density(cfg):
     model = _levy_model(cfg)
     a = cfg.sections["ambit"]
     run = _run(cfg)
-    report = ambit.density_criterion_experiment(
-        spec, model, a["t"], a["x"], a["n"], n_paths=run["n_paths"],
-        master_seed=run["seed"], workers=run["workers"],
-        holder_order=a["holder"], nt=a["nt"], nx=a["nx"])
-    n_rows, n_cols = report.discretization.shape
-    logs = [f"tau={report.discretization.tau:.6g}",
+    sample = ambit.density_sample(spec, model, a["t"], a["x"], a["n"],
+                                  run["n_paths"], master_seed=run["seed"],
+                                  workers=run["workers"], nt=a["nt"],
+                                  nx=a["nx"])
+    n_rows, n_cols = sample.discretization.shape
+    logs = [f"tau={sample.discretization.tau:.6g}",
             f"cells={n_rows}x{n_cols}"]
-    logs.append(f"jumps_per_draw={report.jumps_per_draw:.2f}")
-    tally = report.tally
+    logs.append(f"jumps_per_draw={sample.jumps_per_draw:.2f}")
+    tally = sample.tally
     if tally is not None:
         chunk_s = tally["chunk_s"]
         logs += [f"chunks={tally['chunks']}",
                  f"draws_per_chunk={tally['draws_per_chunk']}",
-                 f"integrand={report.integrand}",
+                 f"integrand={sample.integrand}",
                  f"chunk_s_min={min(chunk_s):.4f}",
                  # not np.median, which would import numpy.ma in the run
                  f"chunk_s_median={statistics.median(chunk_s):.4f}",
                  f"chunk_s_max={max(chunk_s):.4f}"]
-    logs += [f"sampler_s={report.seconds['sampler']:.3f}",
-             f"criterion_s={report.seconds['criterion']:.3f}"]
-    return _criterion_result(report, logs, verdict=report.verdict, n=a["n"],
+    logs.append(f"sampler_s={sample.sampler_s:.3f}")
+    return _criterion_result(sample.values, sample.weights, a["n"],
+                             a["holder"], logs, n=a["n"],
                              n_paths=run["n_paths"])
 
 
@@ -337,38 +338,35 @@ def _exp_besov_stat(cfg):
     scale = run["scale"]
     values = scale * path_rng(run["seed"], "besov-stat", 0).standard_normal(
         run["n_paths"])
-    clock = time.perf_counter()
-    stats = besov.criterion_statistic(values, None, order,
-                                      alpha=run["holder"])
-    report = besov.criterion_report(stats, run["holder"])
-    criterion_s = time.perf_counter() - clock
-    result = _criterion_result(report, [f"criterion_s={criterion_s:.3f}"],
+    result = _criterion_result(values, None, order, run["holder"], [],
                                order=order, scale=scale,
                                n_paths=run["n_paths"])
-    for st in stats:
-        k = st.frequency
+    # a known law's statistic beside its oracle, not a verdict
+    del result.summary["verdict"]
+    h_grid = besov.default_h_grid()
+    for k in besov.DEFAULT_FREQUENCIES:
         oracle = np.exp(-0.5 * (k * scale) ** 2) \
-            * np.abs(2.0 * np.sin(k * st.h_values / 2.0)) ** order \
-            / st.norm_constant
+            * np.abs(2.0 * np.sin(k * h_grid / 2.0)) ** order \
+            / besov.oscillatory_norm(k, run["holder"])
         result.rows.extend((f"oracle(k={k:g})", h, o, None)
-                           for h, o in zip(st.h_values, oracle))
+                           for h, o in zip(h_grid, oracle))
     return result
 
 
-def _criterion_result(report, logs, **summary):
-    """A density experiment's result from its criterion report: one row
-    per frequency and h, the slopes, their minimum and the Hölder order
-    beside `summary`.  The flag is ok when every frequency's fit is ok or
-    degenerate: an exactly zero statistic is conclusive, since more paths
-    cannot change it."""
+def _criterion_result(values, weights, n, holder, logs, /, **summary):
+    """A density experiment's result from besov.criterion_report on its
+    weighted sample: one row per frequency and h, the verdict, slopes,
+    their minimum and the Hölder order beside `summary`, the report's flag,
+    and the criterion's wall time appended to `logs`."""
+    clock = time.perf_counter()
+    report = besov.criterion_report(values, weights, n, holder)
+    logs.append(f"criterion_s={time.perf_counter() - clock:.3f}")
     rows = [(f"stat(k={st.frequency:g})", h, v, e)
             for st in report.statistics for h, v, e in st.rows()]
-    summary.update(slopes=report.slopes, min_slope=report.min_slope,
+    summary.update(verdict=report.verdict, slopes=report.slopes,
+                   min_slope=report.min_slope,
                    holder_order=report.holder_order)
-    conclusive = all(st.fitted.flag in ("ok", "degenerate")
-                     for st in report.statistics)
-    return ExperimentResult(rows, summary,
-                            "ok" if conclusive else "inconclusive", logs)
+    return ExperimentResult(rows, summary, report.flag, logs)
 
 
 REGISTRY = {

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import besov
 from .montecarlo import ScalingFit, fit_scaling
 from .noise import (GammaExponents, _check_dalang, _grid_density,
                     _radius_grid, squared_time_integral)
@@ -42,7 +41,6 @@ __all__ = [
     "approximate_u_eps",
     "time_holder_delta",
     "gammabar",
-    "density_criterion_experiment",
 ]
 
 HEAT_CFL = 4.0  # dt <= HEAT_CFL * dx^2
@@ -377,7 +375,7 @@ def approximate_u_eps(solution: FieldSolution, eps: float) -> UEpsDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# exponents and density reports
+# exponents
 # ---------------------------------------------------------------------------
 
 
@@ -425,18 +423,3 @@ def gammabar(gamma_exponents: GammaExponents, delta) -> GammaBarReport:
     return GammaBarReport(gb, g1, g2, d, bool(gb > 1.0),
                           (0.0, max(gb - 1.0, 0.0)))
 
-
-def density_criterion_experiment(point_values, coeffs, n,
-                                 alpha=0.5) -> besov.CriterionReport:
-    """Criterion statistic for the law of u(t, 0) weighted by |sigma(u)|^n.
-
-    The target bound is |E[|sigma|^n D_h^n phi(u)]| <= C |h|^(zeta + alpha)
-    for every zeta < gammabar - 1; the numerical verdict is that every
-    fitted frequency slope exceeds the test-function Holder order alpha.
-    """
-    u = np.asarray(point_values, dtype=float)
-    w = np.abs(np.asarray(coeffs.sigma_values(u))) ** n
-    if np.isscalar(w) or w.ndim == 0:
-        w = np.full(u.shape, float(w))
-    stats = besov.criterion_statistic(u, w, n, alpha=alpha)
-    return besov.criterion_report(stats, alpha)

@@ -263,8 +263,9 @@ def test_11_density_criterion_and_dirac_control():
                               kernel_g=am.constant_kernel(1.0),
                               sigma=am.constant_field(1.0),
                               b=am.constant_field(0.0))
-    rep = am.density_criterion_experiment(slab, lite, 1.0, 0.0, n=1,
-                                          n_paths=100_000, master_seed=7)
+    sample = am.density_sample(slab, lite, 1.0, 0.0, 1, 100_000,
+                               master_seed=7)
+    rep = besov.criterion_report(sample.values, sample.weights, 1, 0.5)
     assert rep.verdict
     assert len(rep.slopes) == 5
     assert all(s > 0.5 for s in rep.slopes.values())
@@ -274,8 +275,9 @@ def test_11_density_criterion_and_dirac_control():
                                kernel_g=am.constant_kernel(0.0),
                                sigma=am.constant_field(1.0),
                                b=am.constant_field(0.0))
-    control = am.density_criterion_experiment(dirac, model, 1.0, 0.0, n=0,
-                                              n_paths=2000, master_seed=7)
+    sample = am.density_sample(dirac, model, 1.0, 0.0, 0, 2000,
+                               master_seed=7)
+    control = besov.criterion_report(sample.values, sample.weights, 0, 0.5)
     assert not control.verdict
     print("criterion slopes:",
           " ".join(f"{k}:{v:.2f}" for k, v in rep.slopes.items()),

@@ -18,6 +18,7 @@ import pytest
 
 import ambitlab.ambit as am
 import ambitlab.levy as lv
+from ambitlab import besov
 from ambitlab.montecarlo import empirical_cf, fit_scaling, path_rng
 
 
@@ -641,9 +642,11 @@ def test_density_criterion_dirac_control(model):
                                kernel_g=am.constant_kernel(0.0),
                                sigma=am.constant_field(1.0),
                                b=am.constant_field(0.0))
-    rep = am.density_criterion_experiment(dirac, model, 1.0, 0.0, n=0,
-                                          n_paths=2000, master_seed=7)
-    assert not rep.verdict
+    sample = am.density_sample(dirac, model, 1.0, 0.0, 0, 2000,
+                               master_seed=7)
+    assert sample.weights == 1.0
+    rep = besov.criterion_report(sample.values, sample.weights, 0, 0.5)
+    assert rep.verdict is False
 
 
 def _bulk_spec(ambit_set, kernel_g, drift_set=None):
@@ -671,7 +674,7 @@ INTEGRAND_CASES = {
 
 @pytest.mark.parametrize("case", sorted(INTEGRAND_CASES))
 def test_bulk_integrand_draws_the_per_jump_values(case, monkeypatch):
-    """density_criterion_experiment applies 1_A g sigma0 as one number
+    """density_sample applies 1_A g sigma0 as one number
     only where it is that number on the whole sampling box, and either way
     draws, bit for bit, the values of the per-jump callable."""
     spec, x, kind = INTEGRAND_CASES[case]
@@ -689,16 +692,17 @@ def test_bulk_integrand_draws_the_per_jump_values(case, monkeypatch):
 
     monkeypatch.setattr(lv, "sample_integral", spy)
     for workers in (1, 2):
-        rep = am.density_criterion_experiment(spec, lite, 1.0, x, n=1,
-                                              n_paths=13_000, master_seed=5,
-                                              workers=workers, nt=8, nx=8)
-        assert rep.integrand == kind
-        assert rep.tally["chunks"] > 1
-        disc = rep.discretization
+        got = am.density_sample(spec, lite, 1.0, x, 1, 13_000,
+                                master_seed=5, workers=workers, nt=8, nx=8)
+        assert got.integrand == kind
+        assert got.tally["chunks"] > 1
+        disc = got.discretization
         want = sample(disc.box_model, f, path_rng(5, "ambit-density", 0),
                       n_draws=13_000, tau=disc.tau, cells=disc.cells,
                       workers=workers)
         assert np.array_equal(drawn[-1], want), workers
+        # one weight |sigma0|^n for every draw
+        assert got.values.shape == (13_000,) and got.weights == 0.8
 
 
 def test_weierstrass_holder_fit():

@@ -251,21 +251,28 @@ def test_closed_form_matches_stencil_sum(n):
 
 
 def test_criterion_report_skips_unusable_fits():
-    x = 0.25 * path_rng(7, "besov-family", 0).standard_normal(20_000)
-    stats = besov.criterion_statistic(x, None, 1, frequencies=(0.5, 1.0))
-    # sqrt(N) |phi(8)| << 3 on 500 standard normals: an inconclusive fit
-    weak = path_rng(5, "besov-weak", 0).standard_normal(500)
-    stats += besov.criterion_statistic(weak, None, 1, frequencies=(8.0,))
-    assert [s.fitted.flag for s in stats] == ["ok", "ok", "inconclusive"]
-    rep = besov.criterion_report(stats, 0.5)
-    assert rep.statistics is stats
+    # sqrt(N) |phi(k)| << 3 at k = 4, 8 on 20,000 standard normals: the
+    # two high frequencies are inconclusive at the default frequencies
+    x = path_rng(7, "besov-family", 0).standard_normal(20_000)
+    rep = besov.criterion_report(x, None, 1, 0.5)
+    stats = rep.statistics
+    assert [s.frequency for s in stats] == list(besov.DEFAULT_FREQUENCIES)
+    assert [s.fitted.flag for s in stats] == ["ok"] * 3 + ["inconclusive"] * 2
     assert rep.slopes == {s.test_function_id: s.fitted.slope
-                          for s in stats[:2]}
-    assert rep.min_slope == min(s.fitted.slope for s in stats[:2])
+                          for s in stats[:3]}
+    assert rep.min_slope == min(s.fitted.slope for s in stats[:3])
     assert rep.holder_order == 0.5 and rep.verdict
-    assert not besov.criterion_report(stats, 1.5).verdict
-    empty = besov.criterion_report([], 0.5)
-    assert empty.min_slope is None and not empty.verdict
+    assert rep.flag == "inconclusive"
+    assert besov.criterion_report(x, None, 1, 1.0).verdict is False
+    # at scale 100 no frequency resolves: no slope, a negative verdict
+    wide = 100.0 * path_rng(5, "besov-weak", 0).standard_normal(500)
+    empty = besov.criterion_report(wide, None, 1, 0.5)
+    assert empty.slopes == {} and empty.min_slope is None
+    assert empty.verdict is False and empty.flag == "inconclusive"
+    # at scale 0.25 every frequency resolves: a conclusive run
+    narrow = besov.criterion_report(0.25 * x, None, 1, 0.5)
+    assert [s.fitted.flag for s in narrow.statistics] == ["ok"] * 5
+    assert narrow.flag == "ok" and narrow.verdict
 
 
 def test_rows_align_with_h_grid():

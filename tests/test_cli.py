@@ -402,8 +402,9 @@ def test_spde_density_log_counts_the_work(tmp_path):
         runs[w] = (log, (out / "results.csv").read_bytes(),
                    (out / "summary.json").read_bytes())
     log = runs[1][0]
-    timers = [line for line in log if line.startswith("ensemble_s=")]
-    assert len(timers) == 1 and float(timers[0].split("=")[1]) >= 0
+    for timer in ("ensemble_s=", "criterion_s="):
+        lines = [line for line in log if line.startswith(timer)]
+        assert len(lines) == 1 and float(lines[0].split("=")[1]) >= 0
     counters = [line for line in log if line.startswith(work)]
     assert counters == [line for line in runs[2][0]
                         if line.startswith(work)]
@@ -411,8 +412,8 @@ def test_spde_density_log_counts_the_work(tmp_path):
     assert counters == ["paths=300", "blocks=2", "steps_x_modes=8x64",
                         "calls_per_path=8", "normals_per_call=64"]
     for _, csv, summary in runs.values():
-        for word in (b"_s=", b"blocks", b"steps_x_modes", b"calls_per_path",
-                     b"normals_per_call"):
+        for word in (b"_s=", b"criterion_s", b"blocks", b"steps_x_modes",
+                     b"calls_per_path", b"normals_per_call"):
             assert word not in csv + summary
     assert runs[1][1:] == runs[2][1:]
 
@@ -507,16 +508,19 @@ def test_run_flags_inconclusive_statistics(tmp_path):
 
 def test_zero_statistic_is_conclusive(tmp_path, capsys):
     """sigma = 0 makes every weight, so every statistic, exactly zero: more
-    paths cannot change that, so the run ends ok with a negative verdict."""
+    paths cannot change that, so the run exits 0, but a zero measure says
+    nothing about the law, so it is degenerate with no verdict (False
+    would read as "no density")."""
     code = cli.run(None, ["spde.sigma0=0", "run.n_paths=256", "noise.m=32",
                           "spde.t=0.05"],
                    experiment="spde-density", outdir=str(tmp_path))
     assert code == 0
-    assert "flag=ok" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "flag=degenerate" in out and "verdict=" not in out
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["flag"] == "ok"
-    assert summary["verdict"] is False
-    assert summary["min_slope"] is None
+    assert summary["flag"] == "degenerate"
+    assert summary["verdict"] is None
+    assert summary["min_slope"] is None and summary["slopes"] == {}
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

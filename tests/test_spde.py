@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ambitlab import noise, operators, spde
+from ambitlab import besov, noise, operators, spde
 from ambitlab.montecarlo import fit_scaling, path_rng
 
 
@@ -407,16 +407,25 @@ def test_gammabar_needs_positive_gamma():
 
 
 def test_density_report_weights_and_verdict():
+    """spde-density's weights |sigma(u)|^n go to besov.criterion_report: a
+    constant sigma is one number for every sample, sigma = 0 leaves a zero
+    measure, and a non-finite sample is an error."""
     vals = 0.25 * path_rng(13, "dens", 0).standard_normal(40_000)
-    rep = spde.density_criterion_experiment(
-        vals, spde.constant_coefficients(2.0), n=1)
-    assert rep.verdict
+
+    def report(sigma0, values=vals):
+        w = np.abs(spde.constant_coefficients(sigma0).sigma_values(values))
+        return besov.criterion_report(values, w, 1, 0.5)
+
+    rep = report(2.0)
+    assert rep.verdict and rep.flag == "ok"
     assert len(rep.slopes) == 5
     assert rep.min_slope > 0.5
-    zero = spde.density_criterion_experiment(
-        vals, spde.constant_coefficients(0.0), n=1)
-    assert not zero.verdict
+    full = besov.criterion_report(vals, np.full(vals.size, 2.0), 1, 0.5)
+    assert [s.stat_values.tolist() for s in rep.statistics] \
+        == [s.stat_values.tolist() for s in full.statistics]
+    zero = report(0.0)
+    assert zero.verdict is None and zero.flag == "degenerate"
+    assert zero.min_slope is None
     assert all(s.fitted.flag == "degenerate" for s in zero.statistics)
     with pytest.raises(ValueError, match="finite"):
-        spde.density_criterion_experiment(
-            np.append(vals, np.nan), spde.constant_coefficients(2.0), n=1)
+        report(2.0, np.append(vals, np.nan))
