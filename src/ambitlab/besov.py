@@ -210,17 +210,15 @@ def criterion_statistic(samples, weights, n, h_grid=None, alpha=0.5,
     standard error; a fit over fewer than 4 qualifying points is flagged
     "inconclusive", and an all-zero statistic is flagged "degenerate".
 
-    Returns one CriterionStatistic per frequency.
+    weights holds one weight per sample, or one number for every sample;
+    None means unit weights.  Returns one CriterionStatistic per frequency.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("samples must be a non-empty 1-d array")
-    if weights is None:
-        w = np.ones_like(x)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != x.shape:
-            raise ValueError("weights must match samples")
+    w = np.asarray(1.0 if weights is None else weights, dtype=float)
+    if w.ndim and w.shape != x.shape:
+        raise ValueError("weights must match samples")
     if not np.all(np.isfinite(w)) or not np.all(np.isfinite(x)):
         raise ValueError("criterion weights/samples must be finite")
     if n < 0 or n > MAX_ORDER:
@@ -233,9 +231,13 @@ def criterion_statistic(samples, weights, n, h_grid=None, alpha=0.5,
     N = x.size
 
     out = []
+    z = np.empty(N, dtype=complex)
     for k in frequencies:
         norm_c = oscillatory_norm(k, alpha) if normalize else 1.0
-        z = w * np.exp(1j * k * x)
+        # z = w e^{ikX}, filled in place in one buffer for every frequency
+        np.multiply(1j * k, x, out=z)
+        np.exp(z, out=z)
+        z *= w
         sd = np.sqrt(z.real.var(ddof=1) + z.imag.var(ddof=1)) if N > 1 \
             else 0.0
         factor = np.abs(2.0 * np.sin(k * h / 2.0)) ** n
@@ -283,8 +285,6 @@ def criterion_report(samples, weights, n, holder_order) -> CriterionReport:
     every weight is zero the weighted measure is zero and says nothing
     about the law, so the verdict is None and the flag degenerate.
     """
-    if weights is not None and np.ndim(weights) == 0:
-        weights = np.full(np.shape(samples), float(weights))
     statistics = criterion_statistic(samples, weights, n, alpha=holder_order)
     slopes = {s.test_function_id: s.fitted.slope for s in statistics
               if s.fitted.flag == "ok"}

@@ -322,6 +322,7 @@ def _exp_ambit_density(cfg):
         logs += [f"chunks={tally['chunks']}",
                  f"draws_per_chunk={tally['draws_per_chunk']}",
                  f"integrand={sample.integrand}",
+                 f"uniforms_per_jump={tally['uniforms_per_jump']}",
                  f"chunk_s_min={min(chunk_s):.4f}",
                  # not np.median, which would import numpy.ma in the run
                  f"chunk_s_median={statistics.median(chunk_s):.4f}",

@@ -344,34 +344,43 @@ def _check_integrand(model, cells, f_mid, tau):
 
 
 # Uniform blocks of the jump stream, one uniform per jump each, in stream
-# order: times, positions, signs and magnitudes.
+# order: times, positions, signs and magnitudes.  A one-number integrand
+# reads only the last two.
 _BLOCKS = 4
+_SIZE_BLOCKS = 2
 
 # Expected jumps per chunk of sample_integral's draws.  A chunk peaks at
-# about 40 bytes per jump, some 10 MB, on each thread.  Measured on the
-# ambit-density benchmark: wall time is flat from 1.25e5 to 5e5, and peak
-# RSS grows with the chunk while page faults are fewest near 2.5e5.
+# about 40 bytes per jump, some 10 MB, on each thread (about 24 bytes for
+# a one-number integrand).  Measured on the ambit-density benchmark: wall
+# time is flat from 1.25e5 to 5e5, and peak RSS grows with the chunk while
+# page faults are fewest near 2.5e5.
 _JUMPS_PER_CHUNK = 250_000.0
 
 
-def _map_jumps(model, tau, u):
-    """Times, positions and signed sizes of the jumps whose _BLOCKS uniform
-    blocks are the rows of u, in stream order.  Each block is mapped in
-    place as uniform() maps doubles (lo + (hi - lo) * u); sizes are
-    +-tau * u**(-1/alpha), negative where the sign uniform falls past
-    c_plus / c_sum."""
-    s, y, sign, z = u
-    s *= model.T
-    lo, hi = model.domain
-    y *= hi - lo
-    y += lo
+def _map_sizes(model, tau, sign, z):
+    """Signed sizes of the jumps whose sign and magnitude uniform blocks
+    are sign and z, mapped in place into z: +-tau * z**(-1/alpha),
+    negative where the sign uniform falls past c_plus / c_sum."""
     # the sign row becomes +-0.5 in place: copysign needs no mask, and
     # flips nothing else since the sizes are positive
     sign *= model.c_sum
     np.subtract(0.5, sign >= model.c_plus, out=sign)
     z **= -1.0 / model.alpha
     np.multiply(tau, z, out=z)
-    return s, y, np.copysign(z, sign, out=z)
+    return np.copysign(z, sign, out=z)
+
+
+def _map_jumps(model, tau, u):
+    """Times, positions and signed sizes of the jumps whose _BLOCKS uniform
+    blocks are the rows of u, in stream order.  Times and positions are
+    mapped in place as uniform() maps doubles (lo + (hi - lo) * u), sizes
+    by _map_sizes."""
+    s, y, sign, z = u
+    s *= model.T
+    lo, hi = model.domain
+    y *= hi - lo
+    y += lo
+    return s, y, _map_sizes(model, tau, sign, z)
 
 
 def jump_bounds(model):
@@ -431,10 +440,18 @@ def sample_integral(model, f, rng, *, n_draws, tau=None, cells=None,
     give independent values.  The `workers` threads draw whole chunks, so
     the values are the same for any count.  A dict passed as tally
     receives the work done: chunks, draws_per_chunk (of every chunk but
-    the last), jumps (over all draws) and chunk_s, the wall time of each
-    chunk in chunk order.  Where f is one number c on the whole box it may
-    return c itself, which scales the jumps and cells as the array of c
-    would.
+    the last), jumps (over all draws), chunk_s (the wall time of each
+    chunk, in chunk order) and uniforms_per_jump (the uniforms each jump
+    reads: 2 or _BLOCKS).
+
+    Chunk c's stream is poisson(rate_bound, nb) for its jump counts, tot
+    in all, then random((_BLOCKS, tot)), a row per block, then
+    standard_normal(nb) for the sub-tau Gaussian.  Where f is one number c
+    on the whole box it may return c itself, which scales the jumps and
+    cells as the array of c would: then only the sign and magnitude blocks
+    are read, and the chunk advances its generator past blocks 0 and 1
+    instead of drawing them, which leaves the stream where the full draw
+    would (so rng must be a PCG64 or PCG64DXSM generator).
     """
     n = int(n_draws)
     if n <= 0:
@@ -455,20 +472,36 @@ def sample_integral(model, f, rng, *, n_draws, tau=None, cells=None,
     total_sd = math.sqrt(float(np.sum(sigma2 * f_mid ** 2 * cells.cell_vol)))
     comp = model.c_diff * _compensator_k(alpha, tau) * cells.quadrature(f_mid)
 
+    constant = f_mid.ndim == 0
+    # advance() moves past exactly one random() double per step only for
+    # the PCG64 family
+    bit_generator = type(rng.bit_generator)
+    if constant and bit_generator not in (np.random.PCG64,
+                                          np.random.PCG64DXSM):
+        raise ValueError(
+            "a one-number integrand needs a PCG64 or PCG64DXSM generator, "
+            "whose advance() skips one random() double per step; got "
+            f"{bit_generator.__name__}")
     size = max(1, int(_JUMPS_PER_CHUNK / max(rate_bound, 1.0)))
     starts = range(0, n, size)
     rngs = rng.spawn(len(starts))
 
     def chunk(start, chunk_rng):
-        # poisson(rate_bound, nb) for the counts, then one
-        # random((_BLOCKS, tot)) for the jumps, then standard_normal(nb)
         clock = time.perf_counter()
         nb = min(size, n - start)
         counts = chunk_rng.poisson(rate_bound, nb)
         tot = int(counts.sum())
-        s, y, z = _map_jumps(model, tau, chunk_rng.random((_BLOCKS, tot)))
-        if tot:
-            z *= f(s, y)
+        if constant:
+            # random() takes one 64-bit output per double
+            chunk_rng.bit_generator.advance((_BLOCKS - _SIZE_BLOCKS) * tot)
+            z = _map_sizes(model, tau,
+                           *chunk_rng.random((_SIZE_BLOCKS, tot)))
+            z *= f_mid
+        else:
+            s, y, z = _map_jumps(model, tau,
+                                 chunk_rng.random((_BLOCKS, tot)))
+            if tot:
+                z *= f(s, y)
         sums = np.bincount(np.repeat(np.arange(nb), counts), weights=z,
                            minlength=nb)
         values[start:start + nb] = \
@@ -479,7 +512,8 @@ def sample_integral(model, f, rng, *, n_draws, tau=None, cells=None,
         jumps, seconds = zip(*pool.map(chunk, starts, rngs))
     if tally is not None:
         tally.update(chunks=len(rngs), draws_per_chunk=size,
-                     jumps=sum(jumps), chunk_s=seconds)
+                     jumps=sum(jumps), chunk_s=seconds,
+                     uniforms_per_jump=_SIZE_BLOCKS if constant else _BLOCKS)
     return values
 
 

@@ -187,6 +187,25 @@ def test_zero_weights_degenerate():
     assert s.window == ()
 
 
+@pytest.mark.parametrize("w", [1.0, 0.7])
+def test_scalar_weight_equals_its_full_array(w):
+    """One weight for every sample, None for unit weights and the array of
+    that weight give the same statistic and standard error, bit for bit."""
+    x = path_rng(10, "besov-scalar", 0).standard_normal(3000)
+    full = besov.criterion_statistic(x, np.full(x.size, w), 2)
+    forms = [w] + ([None] if w == 1.0 else [])
+    for weights in forms:
+        got = besov.criterion_statistic(x, weights, 2)
+        for a, b in zip(got, full):
+            assert np.array_equal(a.stat_values, b.stat_values), weights
+            assert np.array_equal(a.stderr_values, b.stderr_values), weights
+    # and the weight scales the statistic and its error
+    for a, b in zip(full, besov.criterion_statistic(x, None, 2)):
+        assert a.stat_values == pytest.approx(w * b.stat_values, rel=1e-12)
+        assert a.stderr_values == pytest.approx(w * b.stderr_values,
+                                                rel=1e-12)
+
+
 def test_unresolvable_frequency_inconclusive():
     # sqrt(N) |phi(k)| << 3 for k = 8 on a standard normal: no window
     x = path_rng(5, "besov-weak", 0).standard_normal(500)

@@ -452,8 +452,9 @@ def test_ambit_density_is_worker_independent(tmp_path):
 def test_ambit_density_log_counts_the_work(tmp_path):
     runs = _density_runs(tmp_path, (1, 2))
     keys = ("tau=", "cells=", "jumps_per_draw=", "chunks=",
-            "draws_per_chunk=", "integrand=", "chunk_s_min=",
-            "chunk_s_median=", "chunk_s_max=", "sampler_s=", "criterion_s=")
+            "draws_per_chunk=", "integrand=", "uniforms_per_jump=",
+            "chunk_s_min=", "chunk_s_median=", "chunk_s_max=", "sampler_s=",
+            "criterion_s=")
     for log, csv, summary in runs.values():
         lines = [line for line in log if line.startswith(keys)]
         assert [line.split("=")[0] + "=" for line in lines] == list(keys)
@@ -465,6 +466,8 @@ def test_ambit_density_log_counts_the_work(tmp_path):
         assert values["draws_per_chunk"] == "4500"
         # the slab covers the sampling box and g is constant
         assert values["integrand"] == "constant"
+        # so the jumps read only their sign and size uniforms
+        assert values["uniforms_per_jump"] == "2"
         assert float(values["jumps_per_draw"]) > 1
         assert 0 <= float(values["chunk_s_min"]) \
             <= float(values["chunk_s_median"]) \
@@ -472,10 +475,10 @@ def test_ambit_density_log_counts_the_work(tmp_path):
         assert float(values["sampler_s"]) > 0
         assert float(values["criterion_s"]) > 0
         # counters and timers stay out of the artifacts
-        for word in (b"_s=", b"chunk", b"jumps", b"integrand"):
+        for word in (b"_s=", b"chunk", b"jumps", b"integrand", b"uniforms"):
             assert word not in csv + summary
     counters = [[line for line in runs[w][0]
-                 if line.startswith(keys[:6])] for w in runs]
+                 if line.startswith(keys[:7])] for w in runs]
     assert counters[0] == counters[1]
     assert runs[1][1:] == runs[2][1:]
 

@@ -395,6 +395,63 @@ def test_chunks_draw_from_spawned_generators():
     assert not np.any(again == vals)
 
 
+# (model, n_draws) of the one-number integrand tests
+SKIP_CASES = {
+    # c_plus != c_minus: the sign map draws both signs
+    "signs": (levy.make_levy_model(1.3, 1.0, 0.3, T=1.0,
+                                   domain=(-1.0, 1.0), tau=0.05), 3001),
+    "sparse": SPLIT_CASES["sparse"][0::2],
+    # the sparse model's five draws hold no jump: advance(0), random((2, 0))
+    "empty": (SPLIT_CASES["sparse"][0], 5),
+    "chunks": SPLIT_CASES["chunks"][0::2],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SKIP_CASES))
+def test_constant_integrand_skips_unread_uniforms(case):
+    """A one-number integrand advances past the time and position blocks
+    instead of drawing them: the values and work tally (all but chunk_s
+    and uniforms_per_jump) of that number returned per jump, bit for bit,
+    at any worker count and on either PCG64 generator."""
+    m, n = SKIP_CASES[case]
+    c = -0.7
+    kw = dict(n_draws=n, nt=8, nx=8)
+    rngs = {"PCG64": lambda: path_rng(13, case, 0),
+            "PCG64DXSM": lambda: np.random.Generator(np.random.PCG64DXSM(13))}
+    for name, make_rng in rngs.items():
+        for workers in (1, 2, 3):
+            one, per_jump = {}, {}
+            got = levy.sample_integral(m, lambda s, y: c, make_rng(),
+                                       workers=workers, tally=one, **kw)
+            want = levy.sample_integral(
+                m, lambda s, y: np.full(np.shape(s), c), make_rng(),
+                workers=workers, tally=per_jump, **kw)
+            assert np.array_equal(got, want), (name, workers)
+            del one["chunk_s"], per_jump["chunk_s"]
+            assert one.pop("uniforms_per_jump") == 2
+            assert per_jump.pop("uniforms_per_jump") == 4
+            assert one == per_jump, (name, workers)
+            if name == "PCG64" and case == "empty":
+                assert one["jumps"] == 0
+    if case == "chunks":
+        assert one["chunks"] == 10
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox,
+                                           np.random.MT19937])
+def test_constant_integrand_needs_a_pcg64_generator(bit_generator):
+    """advance() skips one random() double per step only on PCG64 and
+    PCG64DXSM, so a one-number integrand refuses any other generator; a
+    per-jump integrand draws every block and takes any."""
+    m, f, _ = SPLIT_CASES["d1"]
+    rng = np.random.Generator(bit_generator(1))
+    with pytest.raises(ValueError, match="PCG64 or PCG64DXSM"):
+        levy.sample_integral(m, lambda s, y: 0.5, rng, n_draws=3,
+                             nt=4, nx=4)
+    assert levy.sample_integral(m, f, rng, n_draws=3, nt=4,
+                                nx=4).shape == (3,)
+
+
 def test_split_sampler_validates_workers():
     m, f, _ = SPLIT_CASES["d1"]
     for bad in (0, -1, 1.5):
