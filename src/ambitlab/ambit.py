@@ -15,9 +15,10 @@ one jump record draw per path; the record makes the coupled approximation
     X_eps(t, x) = U_eps(t, x) + sigma(t - eps, x) * int int_slab g dL
 
 share every jump and every sub-truncation Gaussian with the exact field.
-Cells are time-major and every t - eps is a time edge, so each path's
-record is reduced once to per-row integrals and every eps reads a prefix
-(history) and a suffix (slab) of them.  Paths are sampled and reduced in
+Cells are time-major and every t - eps is a time edge, so one reduction
+of a stack's records to per-row integrals gives X_eps at every edge asked
+for, as a prefix (history) and a suffix (slab) of them; at the last edge,
+t, the slab is empty and X_eps is X.  Paths are sampled and reduced in
 stacks (sample_stack; make_path is a stack of one): each path's generator
 makes the same calls in the same order whatever the stack, so results do
 not depend on how paths are stacked.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,7 +59,6 @@ __all__ = [
     "default_beta_gamma",
     "AmbitDiscretization",
     "make_discretization",
-    "CouplingTable",
     "PATHS_PER_STACK",
     "PathStack",
     "sample_stack",
@@ -580,20 +580,6 @@ def make_discretization(spec, model, t, x, *, eps_grid=(), nt=64,
                                comp_cell, drift_cell)
 
 
-@dataclass
-class CouplingTable:
-    """Every term of X_eps for t - eps at time edge k of the cell grid, as
-    entry k: sums over the rows below k (prefix) or from k on (suffix).
-    Each field is (paths, rows + 1)."""
-
-    hist: np.ndarray         # prefix of int 1_A g sigma dL
-    slab: np.ndarray         # suffix of int 1_A g dL (sigma-free)
-    drift_hist: np.ndarray   # prefix of int 1_B h b
-    drift_slab: np.ndarray   # suffix of int 1_B h (b-free)
-    sigma_frozen: np.ndarray  # sigma(edge, x)
-    b_frozen: np.ndarray     # b(edge, x)
-
-
 def _prefix(rows):
     out = np.zeros(rows.shape[:-1] + (rows.shape[-1] + 1,))
     np.cumsum(rows, axis=-1, out=out[..., 1:])
@@ -604,11 +590,14 @@ def _suffix(rows):
     return _prefix(rows[..., ::-1])[..., ::-1]
 
 
-def _reduce(stack) -> CouplingTable:
-    """A stack's jump record (one draw per path) reduced once to per-row
+def _parts(stack, k) -> ApproxParts:
+    """X_eps = U_eps + sigma(t - eps, x) * slab_noise at time edge(s) k of
+    the cell grid, sigma and b frozen at the edge, one entry (or one row
+    over k) per path.  The stack's jump record is reduced once to per-row
     integrals: cells are time-major and every t - eps is a row edge, so
-    each eps reads a prefix and a suffix.  One bincount keyed by
-    (path, row) sums the jumps of the whole stack."""
+    the history is a prefix of the rows and the slab a suffix.  One
+    bincount keyed by (path, row) sums the jumps of the whole stack.  At
+    the last edge, t, the slab is empty and X_eps is X."""
     spec, disc, record = stack.spec, stack.disc, stack.record
     n_paths, (n_rows, n_cols) = record.counts.size, disc.shape
     # each jump's (path, row) key, and its flat (path, cell) index
@@ -635,15 +624,18 @@ def _reduce(stack) -> CouplingTable:
         jumps = np.bincount(key, weights=jump_f, minlength=n_paths * n_rows)
         return jumps.reshape(n_paths, n_rows) + row_sums(cell_f * noise)
 
+    hist = _prefix(per_row(hist_jump, stack.g_sigma_mid))[:, k]
+    slab = _suffix(per_row(g_jump, disc.g_mid))[:, k]
+    drift_history = _prefix(row_sums(disc.drift_cell * stack.b_mid))[:, k]
+    # sigma and b at every edge, then indexed: matmul's rounding depends on
+    # the point count, so fewer edges would move the frozen values an ulp
     edges, x = disc.cells.time_edges, np.array([disc.x])
-    return CouplingTable(
-        hist=_prefix(per_row(hist_jump, stack.g_sigma_mid)),
-        slab=_suffix(per_row(g_jump, disc.g_mid)),
-        drift_hist=_prefix(row_sums(disc.drift_cell * stack.b_mid)),
-        drift_slab=np.broadcast_to(_suffix(row_sums(disc.drift_cell)),
-                                   (n_paths, n_rows + 1)),
-        sigma_frozen=_grids(spec.sigma, stack.sigma_paths, edges, x)[:, :, 0],
-        b_frozen=_grids(spec.b, stack.b_paths, edges, x)[:, :, 0])
+    sigma_frozen = _grids(spec.sigma, stack.sigma_paths, edges, x)[:, k, 0]
+    drift_frozen = _grids(spec.b, stack.b_paths, edges, x)[:, k, 0] \
+        * _suffix(row_sums(disc.drift_cell))[k]
+    u_eps = spec.x0 + hist + drift_history + drift_frozen
+    return ApproxParts(disc.t - edges[k], u_eps + sigma_frozen * slab, u_eps,
+                       slab, sigma_frozen, drift_history, drift_frozen)
 
 
 # Paths drawn and reduced together: enough to amortise NumPy's per-call
@@ -659,9 +651,7 @@ PATHS_PER_STACK = 16
 
 @dataclass
 class PathStack:
-    """Paths sampled together by sample_stack.  The record is reduced to
-    the coupling table on first read, so a stack rebuilt by
-    dataclasses.replace with another record reduces that record."""
+    """Paths sampled together by sample_stack."""
 
     spec: AmbitSpec
     disc: AmbitDiscretization
@@ -671,19 +661,11 @@ class PathStack:
     b_mid: np.ndarray
     g_sigma_mid: np.ndarray  # (paths, cells) 1_A g sigma at cell midpoints
     record: levy.JumpRecord  # one draw per path
-    _table: CouplingTable = field(default=None, init=False, repr=False)
-
-    @property
-    def table(self) -> CouplingTable:
-        if self._table is None:
-            self._table = _reduce(self)
-        return self._table
 
     @property
     def values(self) -> np.ndarray:
-        """(paths,) X(t, x)."""
-        table = self.table
-        return self.spec.x0 + table.hist[:, -1] + table.drift_hist[:, -1]
+        """(paths,) X(t, x): X_eps at the last time edge, t."""
+        return _parts(self, -1).value
 
 
 def sample_stack(spec, disc, rngs) -> PathStack:
@@ -721,7 +703,10 @@ def make_path(spec, disc, rng) -> PathStack:
 
 @dataclass
 class ApproxParts:
-    eps: float               # the rest have one entry per path of a stack
+    """X_eps and its terms at a time edge: eps is t minus the edge, and the
+    rest have one entry per path of a stack (a row over several edges)."""
+
+    eps: float
     value: np.ndarray        # X_eps
     u_eps: np.ndarray        # history + frozen drift (F_{t-eps} surrogate)
     slab_noise: np.ndarray   # int int_slab 1_A g dL (sigma-free)
@@ -730,23 +715,10 @@ class ApproxParts:
     drift_frozen: np.ndarray
 
 
-def _frozen_parts(table, k, x0):
-    """(X_eps, U_eps, slab noise, sigma, drift history, frozen drift) read
-    at time edge(s) k of a stack's coupling table (sigma and b are frozen
-    at the edge): X_eps = U_eps + sigma(t - eps, x) * slab."""
-    sigma_frozen, slab = table.sigma_frozen[..., k], table.slab[..., k]
-    drift_hist = table.drift_hist[..., k]
-    drift_frozen = table.b_frozen[..., k] * table.drift_slab[..., k]
-    u_eps = x0 + table.hist[..., k] + drift_hist + drift_frozen
-    return (u_eps + sigma_frozen * slab, u_eps, slab, sigma_frozen,
-            drift_hist, drift_frozen)
-
-
 def approx_parts(stack: PathStack, eps) -> ApproxParts:
-    """Decompose X_eps = U_eps + sigma(t - eps, x) * slab_noise: entry k
-    of the stack's coupling table, k the time edge at t - eps."""
-    return ApproxParts(float(eps), *_frozen_parts(
-        stack.table, stack.disc.cut_row(eps), stack.spec.x0))
+    """Decompose X_eps = U_eps + sigma(t - eps, x) * slab_noise at the
+    time edge t - eps."""
+    return _parts(stack, stack.disc.cut_row(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +757,7 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
     eps_grid = np.asarray(sorted(eps_grid), dtype=float)
     disc = make_discretization(spec, model, t, x, eps_grid=eps_grid,
                                nt=nt, nx=nx)
-    cut = np.array([disc.cut_row(e) for e in eps_grid])
+    k = np.array([disc.cut_row(e) for e in eps_grid] + [-1])
 
     def block(_idx, rngs):
         # after the gaps: 1 + |X|, so degenerate gaps (pure float
@@ -793,10 +765,11 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
         # the path's jump count
         out = np.empty((len(rngs), eps_grid.size + 2))
         for i, stack in _stacks(spec, disc, rngs):
-            values = stack.values
+            # X_eps at the cut rows, then X at the last edge
+            x_eps = _parts(stack, k).value
+            values = x_eps[:, -1]
             rows = out[i:i + values.size]
-            x_eps = _frozen_parts(stack.table, cut, spec.x0)[0]
-            rows[:, :-2] = np.abs(values[:, None] - x_eps)
+            rows[:, :-2] = np.abs(values[:, None] - x_eps[:, :-1])
             rows[:, -2] = 1.0 + np.abs(values)
             rows[:, -1] = stack.record.counts
         return out
@@ -909,11 +882,11 @@ def density_sample(spec, model, t, x, n, n_paths, *, master_seed=0,
         def block(_idx, rngs):
             out = np.empty((len(rngs), 3))
             for i, stack in _stacks(spec, disc, rngs):
-                values = stack.values
-                rows = out[i:i + values.size]
-                rows[:, 0] = values
-                # sigma(t, x): the last time edge is t
-                rows[:, 1] = np.abs(stack.table.sigma_frozen[:, -1]) ** n
+                # X and sigma(t, x): the last time edge is t
+                parts = _parts(stack, -1)
+                rows = out[i:i + parts.value.size]
+                rows[:, 0] = parts.value
+                rows[:, 1] = np.abs(parts.sigma_frozen) ** n
                 rows[:, 2] = stack.record.counts
             return out
 

@@ -32,7 +32,6 @@ from .operators import FundamentalSolution
 __all__ = [
     "CoefficientPair",
     "FieldSolution",
-    "UEpsDecomposition",
     "GammaBarReport",
     "constant_coefficients",
     "anderson_coefficients",
@@ -326,18 +325,9 @@ def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *,
         _snapshots=snapshots)
 
 
-@dataclass
-class UEpsDecomposition:
-    eps: float
-    u_eps: np.ndarray       # (n_paths,)
-    U_eps: np.ndarray
-    G: np.ndarray
-    sigma_frozen: np.ndarray
-    u_at_cut: np.ndarray
-
-
-def approximate_u_eps(solution: FieldSolution, eps: float) -> UEpsDecomposition:
-    """Decompose u(t,0) ~ U_eps + sigma(u(t-eps,0)) G on a solved batch.
+def approximate_u_eps(solution: FieldSolution, eps: float) -> np.ndarray:
+    """(n_paths,) u_eps(t, 0) = U_eps + sigma(u(t-eps, 0)) G on a solved
+    batch.
 
     U_eps propagates the time-(t-eps) state to t with the noiseless flow and
     adds the slab drift frozen at u(t-eps, 0); G is the slab noise integral
@@ -353,7 +343,6 @@ def approximate_u_eps(solution: FieldSolution, eps: float) -> UEpsDecomposition:
     i = int(match[0])
     uhat, vhat = solution._snapshots[i]
     model, lam = solution.model, solution.lam
-    B = solution.n_paths
     r = _half_spectrum(model, _radius_grid(model))
 
     u_at_cut = _origin_value(uhat, model.m)
@@ -365,13 +354,7 @@ def approximate_u_eps(solution: FieldSolution, eps: float) -> UEpsDecomposition:
 
     b_frozen = solution.coeffs.b_values(u_at_cut)
     U_eps = U_hist + np.asarray(b_frozen) * _zero_mode_time_integral(lam, eps)
-    sigma_frozen = np.asarray(solution.coeffs.sigma_values(u_at_cut))
-    if sigma_frozen.ndim == 0:
-        sigma_frozen = np.full(B, float(sigma_frozen))
-    G = solution.G[:, i]
-    u_eps = U_eps + sigma_frozen * G
-    return UEpsDecomposition(float(eps), u_eps, U_eps, G, sigma_frozen,
-                             u_at_cut)
+    return U_eps + solution.coeffs.sigma_values(u_at_cut) * solution.G[:, i]
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_05_multiplicative_noise_approximation_rate():
         sol = spde.solve_batch(model, lam, spde.anderson_coefficients(0.5),
                                1.0, 0.25, dt, rngs, eps_grid=eps_grid)
         u = sol.final_point_values()
-        return np.stack([(spde.approximate_u_eps(sol, e).u_eps - u) ** 2
+        return np.stack([(spde.approximate_u_eps(sol, e) - u) ** 2
                          for e in eps_grid], axis=1)
 
     gaps = run_ensemble_blocks(4000, block, master_seed=1,

@@ -509,14 +509,17 @@ def test_stacked_paths_equal_single_paths(spec, c_minus, monkeypatch):
     leaves it."""
     model = lv.make_levy_model(1.2, 0.5, c_minus, T=1.0,
                                domain=(-1.0, 1.0))
-    disc = am.make_discretization(spec, model, 1.0, 0.0,
-                                  eps_grid=(0.03, 0.1, 0.37, 1.0),
+    grid = (0.03, 0.1, 0.37, 1.0)
+    disc = am.make_discretization(spec, model, 1.0, 0.0, eps_grid=grid,
                                   nt=20, nx=16)
+    terms = [f.name for f in dataclasses.fields(am.ApproxParts)
+             if f.name != "eps"]
     n = 37
-    paths, after = [], []
+    paths, path_parts, after = [], [], []
     for i in range(n):
         rng = path_rng(8, "stacked", i)
         paths.append(am.make_path(spec, disc, rng))
+        path_parts.append([am.approx_parts(paths[-1], e) for e in grid])
         after.append(rng.random())
     for size in STACK_SIZES:
         monkeypatch.setattr(am, "PATHS_PER_STACK", size)
@@ -528,9 +531,11 @@ def test_stacked_paths_equal_single_paths(spec, c_minus, monkeypatch):
         i = 0
         for stack in stacks:
             first = np.concatenate(([0], np.cumsum(stack.record.counts)))
-            for j in range(stack.values.size):
+            values = stack.values
+            stack_parts = [am.approx_parts(stack, e) for e in grid]
+            for j in range(values.size):
                 path = paths[i]
-                assert path.values[0] == stack.values[j]
+                assert path.values[0] == values[j]
                 assert np.array_equal(path.sigma_mid[0], stack.sigma_mid[j])
                 assert np.array_equal(path.b_mid[0], stack.b_mid[j])
                 jumps = slice(first[j], first[j + 1])
@@ -539,12 +544,11 @@ def test_stacked_paths_equal_single_paths(spec, c_minus, monkeypatch):
                                           getattr(stack.record, name)[jumps])
                 assert np.array_equal(path.record.cell_normals[0],
                                       stack.record.cell_normals[j])
-                for f in dataclasses.fields(am.CouplingTable):
-                    assert np.array_equal(getattr(path.table, f.name)[0],
-                                          getattr(stack.table, f.name)[j]), \
-                        (size, f.name)
-                assert am.approx_parts(path, 0.37).value[0] \
-                    == am.approx_parts(stack, 0.37).value[j]
+                for one, many in zip(path_parts[i], stack_parts):
+                    assert one.eps == many.eps
+                    for name in terms:
+                        assert getattr(one, name)[0] \
+                            == getattr(many, name)[j], (size, many.eps, name)
                 i += 1
         assert i == n
 
@@ -647,6 +651,29 @@ def test_density_criterion_dirac_control(model):
     assert sample.weights == 1.0
     rep = besov.criterion_report(sample.values, sample.weights, 0, 0.5)
     assert rep.verdict is False
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_random_volatility_density_sample_reads_each_path(model, workers):
+    """Random volatility runs the path ensemble: draw i is make_path's X on
+    the i-th "ambit-density" generator, weighted by |sigma_i(t, x)|^n with
+    sigma_i that path's own field."""
+    spec = am.make_ambit_spec(ambit_set=am.make_cone(1.0, 1.0),
+                              kernel_g=am.power_kernel(0.5),
+                              sigma=am.weierstrass_field(),
+                              b=am.weierstrass_field(base=0.3), x0=0.2)
+    n, n_paths, seed = 2, 40, 4
+    sample = am.density_sample(spec, model, 1.0, 0.0, n, n_paths,
+                               master_seed=seed, workers=workers, nt=16,
+                               nx=12)
+    assert sample.values.shape == sample.weights.shape == (n_paths,)
+    point = (np.array([1.0]), np.array([0.0]))
+    for i in range(n_paths):
+        path = am.make_path(spec, sample.discretization,
+                            path_rng(seed, "ambit-density", i))
+        assert sample.values[i] == path.values[0]
+        want = abs(path.sigma_paths[0](*point)[0]) ** n
+        assert abs(sample.weights[i] - want) <= 8 * np.spacing(want)
 
 
 def _bulk_spec(ambit_set, kernel_g, drift_set=None):

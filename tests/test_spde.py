@@ -73,24 +73,8 @@ def test_constant_coefficients_freeze_exactly(kind):
                            eps_grid=eps_grid)
     u = sol.final_point_values()
     for eps in eps_grid:
-        dec = spde.approximate_u_eps(sol, eps)
-        assert np.max(np.abs(dec.u_eps - u)) < 1e-9
-        assert np.all(dec.sigma_frozen == 1.3)
-
-
-def test_decomposition_bookkeeping():
-    model = white()
-    dt = 4 * model.dx**2
-    eps = 8 * dt
-    sol = spde.solve_batch(model, HEAT, spde.anderson_coefficients(0.5),
-                           u0=1.0, t_end=32 * dt, dt=dt,
-                           rngs=[path_rng(5, "book", i) for i in range(4)],
-                           eps_grid=[eps])
-    dec = spde.approximate_u_eps(sol, eps)
-    cut_col = int(round((32 * dt - eps) / dt))
-    assert np.allclose(dec.u_at_cut, sol.point_series[:, cut_col], rtol=1e-12)
-    assert np.allclose(dec.sigma_frozen, 0.5 * dec.u_at_cut, rtol=1e-12)
-    assert np.allclose(dec.u_eps, dec.U_eps + dec.sigma_frozen * dec.G)
+        u_eps = spde.approximate_u_eps(sol, eps)
+        assert np.max(np.abs(u_eps - u)) < 1e-9
 
 
 def test_unrecorded_eps_raises():
@@ -230,7 +214,7 @@ def test_half_spectrum_matches_full_spectrum_reference(d, m, kind, coeff):
     assert _rel_err(sol.point_series, series) < 1e-10
     assert _rel_err(sol.G, G) < 1e-10
     for j, e in enumerate(eps_k):
-        got = spde.approximate_u_eps(sol, e * dt).u_eps
+        got = spde.approximate_u_eps(sol, e * dt)
         assert _rel_err(got, u_eps[:, j]) < 1e-10
 
     # each path keeps its own draw order: a batch row is the lone solve
@@ -280,11 +264,10 @@ def test_heat_variance_matches_grid_functional():
     v = sol.final_point_values().var(ddof=1)
     want = noise.grid_variance_g(model, HEAT, 0.05)
     assert abs(v - want) < 4.0 * want * np.sqrt(2.0 / (B - 1))
-    for eps in (8 * dt, 16 * dt):
-        dec = spde.approximate_u_eps(sol, eps)
+    for j, eps in enumerate((8 * dt, 16 * dt)):
         # slab noise G is sigma-free: variance g(eps), independent of history
         g_eps = noise.grid_variance_g(model, HEAT, eps)
-        assert abs(dec.G.var(ddof=1) - g_eps) \
+        assert abs(sol.G[:, j].var(ddof=1) - g_eps) \
             < 4.0 * g_eps * np.sqrt(2.0 / (B - 1))
 
 
@@ -300,9 +283,8 @@ def test_wave_variance_matches_grid_functional():
     v = sol.final_point_values().var(ddof=1)
     want = noise.grid_variance_g(model, WAVE, t_end)
     assert abs(v - want) < 4.0 * want * np.sqrt(2.0 / (B - 1))
-    dec = spde.approximate_u_eps(sol, 4 * dt)
     g_eps = noise.grid_variance_g(model, WAVE, 4 * dt)
-    assert abs(dec.G.var(ddof=1) - g_eps) \
+    assert abs(sol.G[:, 0].var(ddof=1) - g_eps) \
         < 4.0 * g_eps * np.sqrt(2.0 / (B - 1))
 
 
