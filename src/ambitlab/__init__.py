@@ -17,7 +17,7 @@ evaluators) plus Monte-Carlo plumbing and a small CLI.
 __version__ = "0.1.0"  # before the submodules, which log it
 
 from . import (ambit, besov, config, experiments, levy, montecarlo, noise,
-               operators, spde)
+               spde)
 
 __all__ = ["ambit", "besov", "config", "experiments", "levy", "montecarlo",
-           "noise", "operators", "spde"]
+           "noise", "spde"]

@@ -31,8 +31,6 @@ def _parser():
     r.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
                    help="config overrides (section.key=value, or bare key "
                         "when unambiguous)")
-    r.add_argument("--set", dest="sets", action="append", default=[],
-                   metavar="KEY=VALUE", help="same as a positional override")
     r.add_argument("--experiment", default=None,
                    help="shorthand for run.experiment=NAME")
     r.add_argument("--seed", type=int, default=None,
@@ -107,13 +105,12 @@ def main(argv=None) -> int:
     if args.config is None and args.experiment is None \
             and not any(o.startswith("run.experiment=") or
                         o.startswith("experiment=")
-                        for o in args.overrides + args.sets):
+                        for o in args.overrides):
         print("error: no config file and no --experiment given",
               file=sys.stderr)
         return 1
-    return run(args.config, args.overrides + args.sets,
-               experiment=args.experiment, seed=args.seed,
-               workers=args.workers, outdir=args.outdir)
+    return run(args.config, args.overrides, experiment=args.experiment,
+               seed=args.seed, workers=args.workers, outdir=args.outdir)
 
 
 if __name__ == "__main__":

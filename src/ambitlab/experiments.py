@@ -24,7 +24,6 @@ import scipy
 
 from . import __version__, ambit, besov, levy, noise, spde
 from .montecarlo import DEFAULT_BLOCK, path_rng, run_ensemble_blocks
-from .operators import heat_operator, wave_operator
 
 __all__ = ["ExperimentResult", "REGISTRY", "run_experiment",
            "write_artifacts", "format_csv"]
@@ -49,12 +48,6 @@ def _noise_model(cfg):
                                   beta=n["beta"], ell=n["ell"])
 
 
-def _operator(cfg):
-    d = cfg.sections["noise"]["d"]
-    kind = cfg.sections["spde"]["operator"]
-    return heat_operator(d) if kind == "heat" else wave_operator(d)
-
-
 def _spde_coeffs(cfg):
     s = cfg.sections["spde"]
     if s["coefficients"] == "constant":
@@ -62,14 +55,14 @@ def _spde_coeffs(cfg):
     return spde.anderson_coefficients(s["anderson_lam"], s["b0"])
 
 
-def _spde_step(cfg, model, lam):
+def _spde_step(cfg, model):
     """dt honoring the CFL bound, adjusted to divide t exactly."""
     s = cfg.sections["spde"]
     t = s["t"]
     dt = s["dt"]
     if dt is None:
         dx = model.dx
-        dt = 2.0 * dx * dx if lam.kind == "heat" else 0.5 * dx
+        dt = 2.0 * dx * dx if s["operator"] == "heat" else 0.5 * dx
     n_steps = max(1, int(math.ceil(t / dt - 1e-9)))
     return t / n_steps
 
@@ -118,7 +111,7 @@ def _run(cfg):
 # ---------------------------------------------------------------------------
 
 
-def _solver_logs(run, model, lam, n_steps, ensemble_s):
+def _solver_logs(run, model, operator, n_steps, ensemble_s):
     """run.log lines of an ensemble of solve_batch blocks: its time and
     work, and the generator calls of each path (one per step)."""
     npts = model.m ** model.d
@@ -126,21 +119,21 @@ def _solver_logs(run, model, lam, n_steps, ensemble_s):
             f"blocks={math.ceil(run['n_paths'] / DEFAULT_BLOCK)}",
             f"steps_x_modes={n_steps}x{npts}",
             f"calls_per_path={n_steps}",
-            f"normals_per_call={spde.noises_per_step(lam) * npts}"]
+            f"normals_per_call={spde.noises_per_step(operator) * npts}"]
 
 
 def _exp_spde_exponents(cfg):
     model = _noise_model(cfg)
-    lam = _operator(cfg)
     coeffs = _spde_coeffs(cfg)
     s = cfg.sections["spde"]
+    operator = s["operator"]
     run = _run(cfg)
     eps = _eps_grid(s)
     clock = time.perf_counter()
-    ge = noise.exponent_gamma(model, lam, eps)
+    ge = noise.exponent_gamma(model, operator, eps)
     gamma_s = time.perf_counter() - clock
 
-    dt = _spde_step(cfg, model, lam)
+    dt = _spde_step(cfg, model)
     t = s["t"]
     t0 = round(t / (2.0 * dt)) * dt
     lags = [dt * 2 ** j for j in range(s["n_lags"])]
@@ -149,7 +142,7 @@ def _exp_spde_exponents(cfg):
         raise ValueError("fewer than 4 usable lags; increase t or shrink dt")
 
     def block(_idx, rngs):
-        sol = spde.solve_batch(model, lam, coeffs, s["u0"], t, dt, rngs)
+        sol = spde.solve_batch(model, operator, coeffs, s["u0"], t, dt, rngs)
         return sol.point_series
 
     clock = time.perf_counter()
@@ -159,18 +152,15 @@ def _exp_spde_exponents(cfg):
                                  workers=run["workers"])
     ensemble_s = time.perf_counter() - clock
     times = np.arange(series.shape[1]) * dt
-    delta_fit = spde.time_holder_delta(series, times, t0, lags)
+    delta_fit, msq, msq_err = spde.time_holder_delta(series, times, t0, lags)
     report = spde.gammabar(ge, delta_fit)
 
     rows = []
     for e, g, z in zip(eps, ge.g_values, ge.zero_mode_values):
         rows.append(("variance_g", e, g, None))
         rows.append(("zero_mode_integral", e, z, None))
-    i0 = int(round(t0 / dt))
-    for lag in lags:
-        d2 = (series[:, i0 + int(round(lag / dt))] - series[:, i0]) ** 2
-        rows.append(("time_increment_msq", lag, float(d2.mean()),
-                     float(d2.std(ddof=1) / math.sqrt(d2.shape[0]))))
+    rows += [("time_increment_msq", lag, m, err)
+             for lag, m, err in zip(lags, msq, msq_err)]
 
     summary = {
         "gamma": report.gamma1, "gamma1": report.gamma1,
@@ -178,29 +168,35 @@ def _exp_spde_exponents(cfg):
         "gammabar": report.gammabar, "verdict": report.verdict,
         "besov_order_interval": list(report.beta_interval),
         "fits": {"delta": asdict(delta_fit)},
-        "operator": lam.kind, "dt": dt, "t": t,
+        "operator": operator, "dt": dt, "t": t,
     }
-    flag = "ok" if delta_fit.flag == "ok" else "inconclusive"
+    if delta_fit.flag == "degenerate":
+        # exactly zero increments: delta's slope is a placeholder, and more
+        # paths cannot change that
+        summary.update(delta=None, gammabar=None, verdict=None,
+                       besov_order_interval=None)
     logs = [f"exponent_gamma_s={gamma_s:.3f}"]
-    logs += _solver_logs(run, model, lam, series.shape[1] - 1, ensemble_s)
+    logs += _solver_logs(run, model, operator, series.shape[1] - 1,
+                         ensemble_s)
     if ge.evaluations is None:
         logs.append("variance_g=closed_form")
     else:
         logs += [f"g_evaluations eps={e:.6g} calls={n}"
                  for e, n in zip(eps, ge.evaluations)]
-    return ExperimentResult(rows, summary, flag, logs)
+    return ExperimentResult(rows, summary, delta_fit.flag, logs)
 
 
 def _exp_spde_density(cfg):
     model = _noise_model(cfg)
-    lam = _operator(cfg)
     coeffs = _spde_coeffs(cfg)
     s = cfg.sections["spde"]
+    operator = s["operator"]
     run = _run(cfg)
-    dt = _spde_step(cfg, model, lam)
+    dt = _spde_step(cfg, model)
 
     def block(_idx, rngs):
-        sol = spde.solve_batch(model, lam, coeffs, s["u0"], s["t"], dt, rngs)
+        sol = spde.solve_batch(model, operator, coeffs, s["u0"], s["t"], dt,
+                               rngs)
         return sol.final_point_values()[:, None]
 
     clock = time.perf_counter()
@@ -211,10 +207,11 @@ def _exp_spde_density(cfg):
     ensemble_s = time.perf_counter() - clock
     # the density of u(t, 0) on {sigma != 0}: weights |sigma(u)|^n
     weights = np.abs(coeffs.sigma_values(values)) ** s["n"]
-    logs = _solver_logs(run, model, lam, int(round(s["t"] / dt)), ensemble_s)
+    logs = _solver_logs(run, model, operator, int(round(s["t"] / dt)),
+                        ensemble_s)
     return _criterion_result(values, weights, s["n"], s["holder"], logs,
                              n=s["n"], n_paths=run["n_paths"],
-                             operator=lam.kind)
+                             operator=operator)
 
 
 def _exp_levy_check(cfg):

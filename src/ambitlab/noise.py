@@ -10,6 +10,14 @@ under the Fourier convention F(phi)(xi) = int exp(-i<xi,x>) phi dx (so the
 correlation functional is <phi, psi>_H = int S(xi) F(phi) conj(F(psi)) dxi;
 for white noise this equals (2 pi)^d times the L2 pairing).
 
+The operator is named "heat" or "wave", on R^d with d in {1, 2, 3}.  Its
+fundamental solution Lambda enters only through its Fourier transform
+
+    heat:  F(Lambda(s))(xi) = exp(-s |xi|^2)
+    wave:  F(Lambda(s))(xi) = sin(s |xi|) / |xi|      (d <= 3)
+
+(the wave Lambda is a nonnegative measure only for d <= 3).
+
 The spectral solver (spde) synthesises increments on the periodic grid
 by filtering spatial white noise in Fourier space, which keeps them exactly
 real and gives each discrete mode xi_j the variance
@@ -58,8 +66,8 @@ class SpectralNoiseModel:
 def make_noise_model(kind, d, Lbox, m, beta=None, ell=None):
     if kind not in ("white", "riesz", "exponential"):
         raise ValueError(f"unknown noise kind {kind!r}")
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    if d not in (1, 2, 3):
+        raise ValueError(f"dimension must be 1, 2 or 3, got {d!r}")
     if Lbox <= 0:
         raise ValueError("Lbox must be positive")
     if m < 2 or (m & (m - 1)) != 0:
@@ -165,15 +173,22 @@ _WAVE_SERIES = tuple(2.0 * (-1.0) ** k / math.factorial(2 * k + 3)
                      for k in range(6))
 
 
-def squared_time_integral(lam, t, r):
+def _check_operator(operator):
+    if operator not in ("heat", "wave"):
+        raise ValueError(f"unknown operator {operator!r}: need 'heat' or "
+                         "'wave'")
+
+
+def squared_time_integral(operator, t, r):
     """int_0^t |F(Lambda(u))(r)|^2 du in closed form (vectorised in t, r).
 
     Heat is (1 - exp(-2tr^2))/(2r^2), with expm1 so that small 2tr^2 does
     not cancel.  The wave closed form cancels for small 2tr (relative error
     about 1e-16/(2tr)^2), so below 2tr = 1/4 its Taylor series is used.
     """
+    _check_operator(operator)
     r = np.asarray(r, dtype=float)
-    if lam.kind == "heat":
+    if operator == "heat":
         small = r < 1e-12
         rs = np.where(small, 1.0, r)
         out = -np.expm1(-2.0 * t * rs**2) / (2.0 * rs**2)
@@ -202,9 +217,10 @@ def _noise_beta(model):
     return {"white": model.d, "riesz": model.beta}.get(model.kind, 0.0)
 
 
-def _variance_g(model, lam, eps):
+def _variance_g(model, operator, eps):
     """variance_g and the number of integrand evaluations it took (0 for
     the closed forms)."""
+    _check_operator(operator)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     _check_dalang(model)
@@ -214,7 +230,7 @@ def _variance_g(model, lam, eps):
     if model.kind != "exponential":
         # S(r) r^(d-1) = r^(beta-1); Dalang's condition gives 0 < beta < 2
         beta = _noise_beta(model)
-        if lam.kind == "heat":
+        if operator == "heat":
             g = 0.25 * (2.0 * eps) ** (1.0 - beta / 2.0) \
                 * -math.gamma(beta / 2.0 - 1.0)
         else:
@@ -228,9 +244,9 @@ def _variance_g(model, lam, eps):
         calls += 1
         return spectral_density_radial(model, r) * r ** power
 
-    f = lambda r: radial(r, d - 1) * squared_time_integral(lam, eps, r)
+    f = lambda r: radial(r, d - 1) * squared_time_integral(operator, eps, r)
     kw = dict(epsabs=0.0, epsrel=_G_EPSREL)
-    if lam.kind == "heat":
+    if operator == "heat":
         r1 = 1.0 / np.sqrt(2.0 * eps)
         total = _quad(f, 0.0, r1, **kw) + _quad(f, r1, np.inf, **kw)
     else:
@@ -250,11 +266,11 @@ def _variance_g(model, lam, eps):
     return float(_SPHERE_AREA[d] * total), calls
 
 
-def variance_g(model, lam, eps) -> float:
+def variance_g(model, operator, eps) -> float:
     """g(eps) = int_0^eps ds int mu(dxi) |F(Lambda(s))(xi)|^2.
 
     In polar form g = omega_d int_0^inf S(r) r^(d-1)
-    squared_time_integral(lam, eps, r) dr.  For white and Riesz noise
+    squared_time_integral(operator, eps, r) dr.  For white and Riesz noise
     S(r) r^(d-1) = r^(beta-1) and g is a pure power in closed form:
 
         heat:  omega_d (1/4) (2 eps)^(1 - beta/2) (-Gamma(beta/2 - 1))
@@ -268,10 +284,10 @@ def variance_g(model, lam, eps) -> float:
     split exactly as S r^(d-3) eps/2 - S r^(d-4) sin(2 eps r)/4: the first
     part is a plain quadrature, the second a Fourier integral (QAWF).
     """
-    return _variance_g(model, lam, eps)[0]
+    return _variance_g(model, operator, eps)[0]
 
 
-def grid_variance_g(model, lam, eps) -> float:
+def grid_variance_g(model, operator, eps) -> float:
     """g(eps) restricted to the grid's discrete spectrum (mode sum).
 
     This is the exact variance target of the spectral field solver; it
@@ -279,7 +295,7 @@ def grid_variance_g(model, lam, eps) -> float:
     """
     r = _radius_grid(model)
     weight = _grid_density(model) * (2.0 * np.pi / model.Lbox) ** model.d
-    return float(np.sum(weight * squared_time_integral(lam, eps, r)))
+    return float(np.sum(weight * squared_time_integral(operator, eps, r)))
 
 
 @dataclass
@@ -293,7 +309,7 @@ class GammaExponents:
     evaluations: np.ndarray = None
 
 
-def exponent_gamma(model, lam, eps_grid) -> GammaExponents:
+def exponent_gamma(model, operator, eps_grid) -> GammaExponents:
     """The exponents of the variance functional in closed form, and the
     values of g behind them.
 
@@ -309,13 +325,13 @@ def exponent_gamma(model, lam, eps_grid) -> GammaExponents:
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size < 4:
         raise ValueError("eps_grid needs at least 4 points")
-    results = [_variance_g(model, lam, e) for e in eps_grid]
+    results = [_variance_g(model, operator, e) for e in eps_grid]
     g_vals = np.array([g for g, _ in results])
     calls = None if model.kind != "exponential" \
         else np.array([n for _, n in results])
-    z_vals = squared_time_integral(lam, eps_grid, 0.0)
+    z_vals = squared_time_integral(operator, eps_grid, 0.0)
     beta = _noise_beta(model)
-    if lam.kind == "heat":
+    if operator == "heat":
         gamma1, gamma2 = 1.0 - beta / 2.0, 1.0
     else:
         gamma1, gamma2 = 3.0 - beta, 3.0

@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .montecarlo import ScalingFit, fit_scaling
-from .noise import (GammaExponents, _check_dalang, _grid_density,
-                    _radius_grid, squared_time_integral)
-from .operators import FundamentalSolution
+from .noise import (GammaExponents, _check_dalang, _check_operator,
+                    _grid_density, _radius_grid, squared_time_integral)
 
 __all__ = [
     "CoefficientPair",
@@ -82,10 +81,9 @@ class FieldSolution:
     """Batch of solution paths plus the records used by the experiments."""
 
     model: object
-    lam: FundamentalSolution
+    operator: str                     # "heat" | "wave"
     coeffs: CoefficientPair
     dt: float
-    n_paths: int
     point_series: np.ndarray          # (n_paths, n_steps+1): u(t, 0)
     eps_grid: np.ndarray = None
     G: np.ndarray = None              # (n_paths, n_eps) slab noise at x=0
@@ -96,9 +94,9 @@ class FieldSolution:
         return self.point_series[:, -1]
 
 
-def _zero_mode_time_integral(lam, eps):
+def _zero_mode_time_integral(operator, eps):
     # int_0^eps F(Lambda(s))(0) ds
-    return eps if lam.kind == "heat" else 0.5 * eps * eps
+    return eps if operator == "heat" else 0.5 * eps * eps
 
 
 def _sin_over_r(t, r):
@@ -138,7 +136,7 @@ def _wave_step_covariance(dt, r):
     """Covariance of (int sin((dt-u)r)/r dM, int cos((dt-u)r) dM) per mode."""
     a = dt * r
     sinc = _sin_over_r(dt, r)
-    c11 = squared_time_integral(FundamentalSolution("wave", 1), dt, r)
+    c11 = squared_time_integral("wave", dt, r)
     c12 = 0.5 * sinc**2
     c22 = np.where(r < 1e-12, dt,
                    0.5 * (dt + np.sin(2.0 * a) / np.where(r < 1e-12, 1.0, 2.0 * r)))
@@ -148,13 +146,13 @@ def _wave_step_covariance(dt, r):
     return l11, l21, l22
 
 
-def noises_per_step(lam):
+def noises_per_step(operator):
     """White-noise fields each path draws per solver step: w1 and w2 for
     wave (position and velocity forcing), w1 for heat."""
-    return 2 if lam.kind == "wave" else 1
+    return 2 if operator == "wave" else 1
 
 
-def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *,
+def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
                 eps_grid=None) -> FieldSolution:
     """Integrate a batch of independent paths (one RNG per path), started
     at rest (wave: zero initial velocity).
@@ -165,22 +163,21 @@ def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *,
     does not depend on the batch it is solved in, and after n steps its
     generator stands where standard_normal(n * nw * m**d) leaves it.
 
-    Preconditions: dt resolves the operator (heat: dt <= 4 dx^2, wave:
-    dt <= dx), the Dalang spectral condition holds, and the eps values
-    lie in (0, t_end) and are multiples of dt.
+    Preconditions: operator is "heat" or "wave", dt resolves it (heat:
+    dt <= 4 dx^2, wave: dt <= dx), the Dalang spectral condition holds,
+    and the eps values lie in (0, t_end) and are multiples of dt.
     """
+    _check_operator(operator)
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
     dx = model.dx
-    if lam.kind == "heat":
+    if operator == "heat":
         if dt > HEAT_CFL * dx * dx * (1 + 1e-9):
             raise ValueError(f"heat step too large: need dt <= {HEAT_CFL:g}*dx^2"
                              f" = {HEAT_CFL * dx * dx:.3e}, got {dt:.3e}")
     else:
         if dt > WAVE_CFL * dx * (1 + 1e-9):
             raise ValueError(f"wave step too large: need dt <= dx = {dx:.3e}")
-    if lam.d != model.d:
-        raise ValueError("operator and noise dimension mismatch")
     _check_dalang(model)
 
     n_steps = int(round(t_end / dt))
@@ -214,7 +211,7 @@ def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *,
     r = _half_spectrum(model, _radius_grid(model))
     base = _half_spectrum(model, np.sqrt(_grid_density(model))) \
         * (2.0 * np.pi / dx) ** (model.d / 2.0)
-    wave = lam.kind == "wave"
+    wave = operator == "wave"
     if wave:
         cosP = np.cos(dt * r)
         sincP = _sin_over_r(dt, r)
@@ -229,7 +226,7 @@ def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *,
         prop = np.exp(-dt * r**2)
         drift_u = np.where(r < 1e-12, dt,
                            -np.expm1(-dt * r**2) / np.where(r < 1e-12, 1.0, r**2))
-        K1u = base * np.sqrt(squared_time_integral(lam, dt, r))
+        K1u = base * np.sqrt(squared_time_integral(operator, dt, r))
 
     sigma_const = coeffs.sigma_constant
     b_const = coeffs.b_constant
@@ -253,7 +250,7 @@ def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *,
     snapshots = [None] * len(eps_grid) if eps_grid is not None else []
     # per-step buffers, reused: fresh arrays of this size cost page faults.
     # Path i's nw noises lie back to back in w[i], so one call draws them.
-    nw = noises_per_step(lam)
+    nw = noises_per_step(operator)
     w = np.empty((B, nw) + shape_d)
     W = np.empty((B, nw) + r.shape, dtype=complex)
     w1, W1 = w[:, 0], W[:, 0]
@@ -320,7 +317,7 @@ def solve_batch(model, lam, coeffs, u0, t_end, dt, rngs, *,
             snapshots[i] = (uhat.copy(), vhat.copy() if wave else None)
 
     return FieldSolution(
-        model=model, lam=lam, coeffs=coeffs, dt=dt, n_paths=B,
+        model=model, operator=operator, coeffs=coeffs, dt=dt,
         point_series=point_series, eps_grid=eps_grid, G=G,
         _snapshots=snapshots)
 
@@ -342,18 +339,19 @@ def approximate_u_eps(solution: FieldSolution, eps: float) -> np.ndarray:
                          f"{solution.eps_grid!r})")
     i = int(match[0])
     uhat, vhat = solution._snapshots[i]
-    model, lam = solution.model, solution.lam
+    model, operator = solution.model, solution.operator
     r = _half_spectrum(model, _radius_grid(model))
 
     u_at_cut = _origin_value(uhat, model.m)
-    if lam.kind == "heat":
+    if operator == "heat":
         hist = np.exp(-eps * r**2) * uhat
     else:
         hist = np.cos(eps * r) * uhat + _sin_over_r(eps, r) * vhat
     U_hist = _origin_value(hist, model.m)
 
     b_frozen = solution.coeffs.b_values(u_at_cut)
-    U_eps = U_hist + np.asarray(b_frozen) * _zero_mode_time_integral(lam, eps)
+    U_eps = U_hist \
+        + np.asarray(b_frozen) * _zero_mode_time_integral(operator, eps)
     return U_eps + solution.coeffs.sigma_values(u_at_cut) * solution.G[:, i]
 
 
@@ -362,8 +360,12 @@ def approximate_u_eps(solution: FieldSolution, eps: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def time_holder_delta(point_series, series_times, t0, lags) -> ScalingFit:
-    """Fit E|u(t0 + tau, 0) - u(t0, 0)|^2 ~ tau^delta from stored paths."""
+def time_holder_delta(point_series, series_times, t0, lags):
+    """Fit E|u(t0 + tau, 0) - u(t0, 0)|^2 ~ tau^delta from stored paths.
+
+    Returns the ScalingFit and, per lag in ascending order, the Monte-Carlo
+    mean of the squared increment and its standard error.
+    """
     times = np.asarray(series_times, dtype=float)
     lags = np.asarray(sorted(lags), dtype=float)
     dt = times[1] - times[0]
@@ -381,7 +383,7 @@ def time_holder_delta(point_series, series_times, t0, lags) -> ScalingFit:
         d2 = (point_series[:, idx(t0 + tau)] - point_series[:, i0]) ** 2
         means[j] = d2.mean()
         errs[j] = d2.std(ddof=1) / np.sqrt(d2.shape[0])
-    return fit_scaling(lags, means, errs)
+    return fit_scaling(lags, means, errs), means, errs
 
 
 @dataclass

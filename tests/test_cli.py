@@ -510,20 +510,31 @@ def test_run_flags_inconclusive_statistics(tmp_path):
 
 
 def test_zero_statistic_is_conclusive(tmp_path, capsys):
-    """sigma = 0 makes every weight, so every statistic, exactly zero: more
-    paths cannot change that, so the run exits 0, but a zero measure says
+    """sigma = 0 makes every weight and every increment, so every statistic
+    and the delta fit's data, exactly zero: more paths cannot change that,
+    so the run exits 0, but a zero measure or a placeholder slope says
     nothing about the law, so it is degenerate with no verdict (False
     would read as "no density")."""
-    code = cli.run(None, ["spde.sigma0=0", "run.n_paths=256", "noise.m=32",
+    cases = {
+        "spde-density": (["spde.sigma0=0", "run.n_paths=256", "noise.m=32",
                           "spde.t=0.05"],
-                   experiment="spde-density", outdir=str(tmp_path))
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "flag=degenerate" in out and "verdict=" not in out
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["flag"] == "degenerate"
-    assert summary["verdict"] is None
-    assert summary["min_slope"] is None and summary["slopes"] == {}
+                         {"verdict": None, "min_slope": None, "slopes": {}}),
+        "spde-exponents": (["spde.sigma0=0", "run.n_paths=64",
+                            "noise.m=128"],
+                           {"verdict": None, "delta": None, "gammabar": None,
+                            "besov_order_interval": None}),
+    }
+    for experiment, (overrides, want) in cases.items():
+        out_dir = tmp_path / experiment
+        out_dir.mkdir()
+        code = cli.run(None, overrides, experiment=experiment,
+                       outdir=str(out_dir))
+        assert code == 0, experiment
+        out = capsys.readouterr().out
+        assert "flag=degenerate" in out and "verdict=" not in out
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["flag"] == "degenerate"
+        assert {key: summary[key] for key in want} == want
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

@@ -22,12 +22,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ambitlab import noise, operators
+from ambitlab import noise
 from ambitlab.montecarlo import fit_scaling
 
 
-HEAT = operators.heat_operator(1)
-WAVE = operators.wave_operator(1)
+HEAT = "heat"
+WAVE = "wave"
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +45,7 @@ WAVE = operators.wave_operator(1)
     (dict(kind="riesz", d=1, Lbox=8.0, m=64, beta=1.5), "riesz"),
     (dict(kind="exponential", d=1, Lbox=8.0, m=64), "ell"),
     (dict(kind="exponential", d=1, Lbox=8.0, m=64, ell=-2.0), "ell"),
+    (dict(kind="riesz", d=4, Lbox=8.0, m=64, beta=1.0), "dimension"),
 ])
 def test_model_validation(kwargs, msg):
     with pytest.raises(ValueError, match=msg):
@@ -108,20 +109,20 @@ def test_wave_variance_closed_form():
 @pytest.mark.parametrize("d,beta", [(1, 0.5), (2, 1.0)])
 def test_riesz_wave_variance_is_a_pure_power(d, beta):
     m = noise.make_noise_model("riesz", d=d, Lbox=8.0, m=64, beta=beta)
-    lam = operators.wave_operator(d)
     eps = np.geomspace(1e-4, 0.1, 12)
-    ratio = np.array([noise.variance_g(m, lam, e) for e in eps]) \
+    ratio = np.array([noise.variance_g(m, WAVE, e) for e in eps]) \
         / eps ** (3.0 - beta)
     assert ratio == pytest.approx(ratio[0], rel=1e-12)
 
 
-def _quadrature_g(d, beta, lam, eps):
+def _quadrature_g(d, beta, operator, eps):
     """g(eps) of noise with S(r) r^(d-1) = r^(beta-1) by quadrature of the
     radial integrand, split where the time integral turns over; the wave
     tail splits into a plain part and a Fourier integral (QAWF)."""
-    f = lambda r: r ** (beta - 1.0) * noise.squared_time_integral(lam, eps, r)
+    f = lambda r: r ** (beta - 1.0) \
+        * noise.squared_time_integral(operator, eps, r)
     kw = dict(epsabs=0.0, epsrel=1e-13, limit=300)
-    if lam.kind == "heat":
+    if operator == "heat":
         r1 = 1.0 / math.sqrt(2.0 * eps)
         total = integrate.quad(f, 0.0, r1, **kw)[0] \
             + integrate.quad(f, r1, np.inf, **kw)[0]
@@ -149,13 +150,11 @@ _POWER_MODELS = [dict(kind="white", d=1)] + [
 def test_closed_form_g_matches_quadrature(kw, op):
     """The quadrature that computed g before its closed form is its
     oracle."""
-    lam = (operators.heat_operator if op == "heat"
-           else operators.wave_operator)(kw["d"])
     m = noise.make_noise_model(Lbox=8.0, m=16, **kw)
     beta = kw.get("beta", kw["d"])
     for eps in (1e-3, 0.02, 0.3, 1.0):
-        assert noise.variance_g(m, lam, eps) == pytest.approx(
-            _quadrature_g(kw["d"], beta, lam, eps), rel=1e-11, abs=0.0)
+        assert noise.variance_g(m, op, eps) == pytest.approx(
+            _quadrature_g(kw["d"], beta, op, eps), rel=1e-11, abs=0.0)
 
 
 def test_grid_variance_converges_to_continuum():
@@ -252,11 +251,9 @@ def test_quadrature_recovers_closed_form_exponents(kw, op):
     g is a pure power, checked against its quadrature oracle by
     test_closed_form_g_matches_quadrature; for the exponential covariance
     (not a power) the local slope of g tends to gamma1 as eps shrinks."""
-    lam = (operators.heat_operator if op == "heat"
-           else operators.wave_operator)(kw["d"])
     m = noise.make_noise_model(Lbox=8.0, m=16, **kw)
     eps = np.geomspace(1e-4, 0.1, 12)
-    ex = noise.exponent_gamma(m, lam, eps)
+    ex = noise.exponent_gamma(m, op, eps)
     beta = {"white": kw["d"], "riesz": kw.get("beta"), "exponential": 0.0}
     want = 1.0 - beta[kw["kind"]] / 2.0 if op == "heat" \
         else 3.0 - beta[kw["kind"]]
@@ -309,13 +306,12 @@ def test_dalang_failure_detected(kwargs, diverges):
     # int mu(dxi)/(1+|xi|^2) is finite iff S(r) ~ r^-p has p > d - 2;
     # e.g. riesz in d=3 needs beta < 2 (I(s) ~ s^{-beta/2} near s = 0)
     model = noise.make_noise_model(Lbox=8.0, m=16, **kwargs)
-    d = kwargs["d"]
-    for lam in (operators.heat_operator(d), operators.wave_operator(d)):
+    for op in (HEAT, WAVE):
         if diverges:
             with pytest.raises(noise.DalangConditionError):
-                noise.variance_g(model, lam, 0.1)
+                noise.variance_g(model, op, 0.1)
         else:
-            g = noise.variance_g(model, lam, 0.1)
+            g = noise.variance_g(model, op, 0.1)
             assert np.isfinite(g) and g > 0
 
 
@@ -326,12 +322,22 @@ def test_riesz_heat_d1_is_fine():
 
 
 # ---------------------------------------------------------------------------
-# operators
+# the operator and the dimension
 # ---------------------------------------------------------------------------
 
 
 def test_operator_dimension_limits():
-    with pytest.raises(ValueError):
-        operators.heat_operator(0)
-    with pytest.raises(ValueError):
-        operators.wave_operator(4)
+    """Dalang's setting: heat or wave on R^d with d in {1, 2, 3}; the
+    exponential model takes the same limit as the power laws."""
+    for d in (0, 4):
+        with pytest.raises(ValueError, match="dimension"):
+            noise.make_noise_model("exponential", d=d, Lbox=8.0, m=16,
+                                   ell=0.5)
+    white = noise.make_noise_model("white", d=1, Lbox=8.0, m=16)
+    # white noise takes the closed form, which never reaches the time
+    # integral
+    for call in (lambda: noise.squared_time_integral("hat", 0.1, 1.0),
+                 lambda: noise.variance_g(white, "hat", 0.1),
+                 lambda: noise.grid_variance_g(white, "hat", 0.1)):
+        with pytest.raises(ValueError, match="operator 'hat'"):
+            call()

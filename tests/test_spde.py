@@ -13,12 +13,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ambitlab import besov, noise, operators, spde
+from ambitlab import besov, noise, spde
 from ambitlab.montecarlo import fit_scaling, path_rng
 
 
-HEAT = operators.heat_operator(1)
-WAVE = operators.wave_operator(1)
+HEAT = "heat"
+WAVE = "wave"
 
 
 def white(m=64, L=8.0):
@@ -63,10 +63,9 @@ def test_wave_pure_drift_is_exact():
 @pytest.mark.parametrize("kind", ["heat", "wave"])
 def test_constant_coefficients_freeze_exactly(kind):
     model = white()
-    lam = HEAT if kind == "heat" else WAVE
     dt = 4 * model.dx**2 if kind == "heat" else 0.5 * model.dx
     eps_grid = [4 * dt, 8 * dt, 16 * dt]
-    sol = spde.solve_batch(model, lam,
+    sol = spde.solve_batch(model, kind,
                            spde.constant_coefficients(1.3, 0.7),
                            u0=0.5, t_end=40 * dt, dt=dt,
                            rngs=[path_rng(123, "freeze", i) for i in range(8)],
@@ -96,7 +95,7 @@ def test_unrecorded_eps_raises():
 # ---------------------------------------------------------------------------
 
 
-def _full_spectrum_reference(model, lam, coeffs, u0, n, dt, rngs, eps_k):
+def _full_spectrum_reference(model, operator, coeffs, u0, n, dt, rngs, eps_k):
     """The solver's recurrence on the full np.fft.fftn spectrum, started at
     rest and run for n steps.
 
@@ -114,11 +113,11 @@ def _full_spectrum_reference(model, lam, coeffs, u0, n, dt, rngs, eps_k):
     rs = np.where(r < 1e-12, 1.0, r)
     sinc = lambda t: np.where(r < 1e-12, t, np.sin(t * r) / rs)
     phys = lambda spec: np.fft.ifftn(spec, axes=axes).real
-    wave = lam.kind == "wave"
+    wave = operator == "wave"
     if wave:
         l11, l21, l22 = spde._wave_step_covariance(dt, r)
     else:
-        q1 = np.sqrt(noise.squared_time_integral(lam, dt, r))
+        q1 = np.sqrt(noise.squared_time_integral(operator, dt, r))
 
     uhat = np.fft.fftn(np.full((B,) + shape, u0), axes=axes)
     vhat = np.zeros_like(uhat)
@@ -199,17 +198,15 @@ def test_half_spectrum_matches_full_spectrum_reference(d, m, kind, coeff):
         noise.make_noise_model("white", d=1, Lbox=8.0, m=16) if d == 1
         else noise.make_noise_model("riesz", d=2, Lbox=8.0, m=8, beta=1.0),
         m=m)
-    lam = operators.heat_operator(d) if kind == "heat" \
-        else operators.wave_operator(d)
     dt = 0.9 * model.dx**2 if kind == "heat" else 0.5 * model.dx
     coeffs = _COEFFS[coeff]
     n, eps_k = 12, [2, 3, 5]
     stream = f"half-{kind}-{coeff}-{d}-{m}"
     kw = dict(eps_grid=[e * dt for e in eps_k])
-    sol = spde.solve_batch(model, lam, coeffs, 0.6, n * dt, dt,
+    sol = spde.solve_batch(model, kind, coeffs, 0.6, n * dt, dt,
                            [path_rng(3, stream, i) for i in range(3)], **kw)
     series, G, u_eps = _full_spectrum_reference(
-        model, lam, coeffs, 0.6, n, dt,
+        model, kind, coeffs, 0.6, n, dt,
         [path_rng(3, stream, i) for i in range(3)], eps_k)
     assert _rel_err(sol.point_series, series) < 1e-10
     assert _rel_err(sol.G, G) < 1e-10
@@ -219,7 +216,7 @@ def test_half_spectrum_matches_full_spectrum_reference(d, m, kind, coeff):
 
     # each path keeps its own draw order: a batch row is the lone solve
     for i in range(3):
-        alone = spde.solve_batch(model, lam, coeffs, 0.6, n * dt, dt,
+        alone = spde.solve_batch(model, kind, coeffs, 0.6, n * dt, dt,
                                  [path_rng(3, stream, i)], **kw)
         assert np.array_equal(alone.point_series[0], sol.point_series[i])
         assert np.array_equal(alone.G[0], sol.G[i])
@@ -234,13 +231,11 @@ def test_solver_draws_nw_fields_per_step_from_each_stream(d, kind, coeff):
     heat), whatever the batch, the coefficients or the records asked."""
     model = noise.make_noise_model("white", d=1, Lbox=8.0, m=16) if d == 1 \
         else noise.make_noise_model("riesz", d=2, Lbox=8.0, m=8, beta=1.0)
-    lam = operators.heat_operator(d) if kind == "heat" \
-        else operators.wave_operator(d)
     dt = 0.9 * model.dx**2 if kind == "heat" else 0.5 * model.dx
     n, nw = 7, 2 if kind == "wave" else 1
     stream = f"contract-{kind}-{coeff}-{d}"
     rngs = [path_rng(4, stream, i) for i in range(3)]
-    spde.solve_batch(model, lam, _COEFFS[coeff], 0.6, n * dt, dt, rngs,
+    spde.solve_batch(model, kind, _COEFFS[coeff], 0.6, n * dt, dt, rngs,
                      eps_grid=[2 * dt])
     for i, rng in enumerate(rngs):
         ref = path_rng(4, stream, i)
@@ -322,17 +317,18 @@ def test_time_grid_validation():
                          [path_rng(0, "t", 3)])
 
 
-def test_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension"):
-        spde.solve_batch(white(), operators.heat_operator(2),
-                         spde.constant_coefficients(), 0.0, 0.1, 0.001,
-                         [path_rng(0, "d", 0)])
+def test_unknown_operator_is_named():
+    # checked before the CFL bound, whose branch would take it for wave:
+    # dt = 1 exceeds both bounds
+    with pytest.raises(ValueError, match="operator 'hat'"):
+        spde.solve_batch(white(), "hat", spde.constant_coefficients(), 0.0,
+                         1.0, 1.0, [path_rng(0, "op", 0)])
 
 
 def test_dalang_guard_in_solver():
     bad = noise.make_noise_model("riesz", d=3, Lbox=8.0, m=4, beta=2.5)
     with pytest.raises(noise.DalangConditionError):
-        spde.solve_batch(bad, operators.heat_operator(3),
+        spde.solve_batch(bad, HEAT,
                          spde.constant_coefficients(), 0.0, 0.5, 0.5,
                          [path_rng(0, "dal", 0)])
 
@@ -350,10 +346,12 @@ def test_time_holder_fit_on_brownian_paths():
     series = np.concatenate([np.zeros((4000, 1)), np.cumsum(steps, axis=1)],
                             axis=1)
     times = np.arange(129) * dt
-    fit = spde.time_holder_delta(series, times, 64 * dt,
-                                 dt * np.array([4, 8, 16, 32]))
+    lags = dt * np.array([4, 8, 16, 32])
+    fit, means, errs = spde.time_holder_delta(series, times, 64 * dt, lags)
     assert fit.flag == "ok"
     assert abs(fit.slope - 1.0) < 0.05
+    # the fitted points: each lag's mean within 4 standard errors of tau
+    assert np.all(np.abs(means - lags) < 4.0 * errs)
 
 
 def test_time_holder_rejects_off_grid_times():
