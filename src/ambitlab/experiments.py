@@ -3,11 +3,11 @@ module operation, and emit deterministic artifacts.
 
 results.csv is long-format (experiment, quantity, x, value, stderr) with
 %.12g floats.  The path ensembles run through the fixed-block ensemble
-runner; ambit-density's bulk sampler and besov-stat draw from one path_rng
-stream directly.  Either way the bytes never depend on the worker count.
-summary.json holds
-the exponents, Monte-Carlo fits and verdicts plus the config hash and seed;
-a non-finite number in it is null.
+runner, the SPDE ones in blocks of spde.paths_per_block(model) paths;
+ambit-density's bulk sampler and besov-stat draw from one path_rng stream
+directly.  Either way the bytes never depend on the worker count.
+summary.json holds the exponents, Monte-Carlo fits and verdicts plus the
+config hash and seed; a non-finite number in it is null.
 """
 
 from __future__ import annotations
@@ -115,8 +115,9 @@ def _solver_logs(run, model, operator, n_steps, ensemble_s):
     """run.log lines of an ensemble of solve_batch blocks: its time and
     work, and the generator calls of each path (one per step)."""
     npts = model.m ** model.d
+    blocks = math.ceil(run["n_paths"] / spde.paths_per_block(model))
     return [f"ensemble_s={ensemble_s:.3f}", f"paths={run['n_paths']}",
-            f"blocks={math.ceil(run['n_paths'] / DEFAULT_BLOCK)}",
+            f"blocks={blocks}",
             f"steps_x_modes={n_steps}x{npts}",
             f"calls_per_path={n_steps}",
             f"normals_per_call={spde.noises_per_step(operator) * npts}"]
@@ -149,7 +150,8 @@ def _exp_spde_exponents(cfg):
     series = run_ensemble_blocks(run["n_paths"], block,
                                  master_seed=run["seed"],
                                  stream="spde-exponents",
-                                 workers=run["workers"])
+                                 workers=run["workers"],
+                                 block_size=spde.paths_per_block(model))
     ensemble_s = time.perf_counter() - clock
     times = np.arange(series.shape[1]) * dt
     delta_fit, msq, msq_err = spde.time_holder_delta(series, times, t0, lags)
@@ -166,15 +168,10 @@ def _exp_spde_exponents(cfg):
         "gamma": report.gamma1, "gamma1": report.gamma1,
         "gamma2": report.gamma2, "delta": report.delta,
         "gammabar": report.gammabar, "verdict": report.verdict,
-        "besov_order_interval": list(report.beta_interval),
+        "besov_order_interval": report.beta_interval,
         "fits": {"delta": asdict(delta_fit)},
         "operator": operator, "dt": dt, "t": t,
     }
-    if delta_fit.flag == "degenerate":
-        # exactly zero increments: delta's slope is a placeholder, and more
-        # paths cannot change that
-        summary.update(delta=None, gammabar=None, verdict=None,
-                       besov_order_interval=None)
     logs = [f"exponent_gamma_s={gamma_s:.3f}"]
     logs += _solver_logs(run, model, operator, series.shape[1] - 1,
                          ensemble_s)
@@ -203,7 +200,8 @@ def _exp_spde_density(cfg):
     values = run_ensemble_blocks(run["n_paths"], block,
                                  master_seed=run["seed"],
                                  stream="spde-density",
-                                 workers=run["workers"])[:, 0]
+                                 workers=run["workers"],
+                                 block_size=spde.paths_per_block(model))[:, 0]
     ensemble_s = time.perf_counter() - clock
     # the density of u(t, 0) on {sigma != 0}: weights |sigma(u)|^n
     weights = np.abs(coeffs.sigma_values(values)) ** s["n"]

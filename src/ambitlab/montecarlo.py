@@ -33,7 +33,8 @@ __all__ = [
 DEGENERATE_FLOOR = 1e-14
 
 # Paths are always grouped in fixed-size blocks so that batched numerics do
-# not depend on the worker count.
+# not depend on the worker count: this many paths each, unless the caller
+# sizes its blocks (spde.paths_per_block).
 DEFAULT_BLOCK = 256
 
 
@@ -78,7 +79,9 @@ class ScalingFit:
     r2: float
     ci_halfwidth: float
     points_used: int
-    flag: str  # "ok" | "inconclusive" | "degenerate"
+    # fit_scaling returns "ok" or "degenerate"; callers that judge the fit
+    # (besov's window rule, ambit.error_decay's CI rule) set "inconclusive"
+    flag: str
 
 
 def fit_scaling(x, y, stderr=None) -> ScalingFit:

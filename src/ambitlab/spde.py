@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .montecarlo import ScalingFit, fit_scaling
+from .montecarlo import DEFAULT_BLOCK, ScalingFit, fit_scaling
 from .noise import (GammaExponents, _check_dalang, _check_operator,
                     _grid_density, _radius_grid, squared_time_integral)
 
@@ -36,6 +36,7 @@ __all__ = [
     "anderson_coefficients",
     "solve_batch",
     "noises_per_step",
+    "paths_per_block",
     "approximate_u_eps",
     "time_holder_delta",
     "gammabar",
@@ -43,6 +44,21 @@ __all__ = [
 
 HEAT_CFL = 4.0  # dt <= HEAT_CFL * dx^2
 WAVE_CFL = 1.0  # dt <= WAVE_CFL * dx
+
+# Grid points of one ensemble block of solve_batch paths.  The per-step
+# buffers (w, W, uhat, tmp_u and, for wave, vhat, tmp_v) hold about 64 bytes
+# per path and grid point, so a block keeps about 2 MB live per worker.
+# spde-wave benchmark (wave, m=512, 512 paths, 2 workers; 2-vCPU Xeon,
+# NumPy 2.4.6), medians of five runs per block size:
+#   paths per block   256     128     64      32
+#   peak RSS (MB)     57.5    48.7    44.4    42.4
+#   wall (s)          1.10    1.14    1.13    +10 to +30%
+# Fixed 64-path blocks slow small grids at 2 workers (wave m=128: 0.61 ->
+# 0.79 s for 2048 paths), so the budget is in grid points and grids of
+# m**d <= 128 keep DEFAULT_BLOCK paths.  Heat, with less work per path and
+# step, pays more at m=512: 1024 paths, 128 steps, 2 workers took 1.13 s in
+# 256-path blocks, 1.12 s in 128 and 1.30 s in 64 (medians of eight).
+POINTS_PER_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -152,6 +168,14 @@ def noises_per_step(operator):
     return 2 if operator == "wave" else 1
 
 
+def paths_per_block(model):
+    """Paths per ensemble block of solve_batch on model's grid: about
+    POINTS_PER_BLOCK grid points, at most DEFAULT_BLOCK paths.  Every
+    solver operation acts on each path alone, so the values do not depend
+    on the block."""
+    return min(DEFAULT_BLOCK, max(1, POINTS_PER_BLOCK // model.m ** model.d))
+
+
 def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
                 eps_grid=None) -> FieldSolution:
     """Integrate a batch of independent paths (one RNG per path), started
@@ -252,9 +276,13 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
     # Path i's nw noises lie back to back in w[i], so one call draws them.
     nw = noises_per_step(operator)
     w = np.empty((B, nw) + shape_d)
-    W = np.empty((B, nw) + r.shape, dtype=complex)
-    w1, W1 = w[:, 0], W[:, 0]
-    w2, W2 = (w[:, 1], W[:, 1]) if wave else (None, None)
+    w1, w2 = w[:, 0], (w[:, 1] if wave else None)
+    # the noise's own transform W is read by a constant sigma's forcing and
+    # by the slab noise G; an Anderson solve without eps_grid never reads it
+    W = None
+    if sigma_const is not None or eps_grid is not None:
+        W = np.empty((B, nw) + r.shape, dtype=complex)
+        W1, W2 = W[:, 0], (W[:, 1] if wave else None)
     noise_axes = tuple(a + 1 for a in axes)
 
     for k in range(n_steps):
@@ -264,7 +292,8 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
         # w1, then (wave) w2
         for w_path, rng in zip(w, rngs):
             rng.standard_normal(out=w_path)
-        np.fft.rfftn(w, axes=noise_axes, out=W)
+        if W is not None:
+            np.fft.rfftn(w, axes=noise_axes, out=W)
 
         if sigma_const is None:
             sig_u = coeffs.sigma_values(u_phys)
@@ -388,6 +417,9 @@ def time_holder_delta(point_series, series_times, t0, lags):
 
 @dataclass
 class GammaBarReport:
+    """None in delta, gammabar, verdict and beta_interval: the delta fit
+    was degenerate and carries no slope."""
+
     gammabar: float
     gamma1: float            # also the lower exponent gamma of g
     gamma2: float
@@ -398,12 +430,18 @@ class GammaBarReport:
 
 def gammabar(gamma_exponents: GammaExponents, delta) -> GammaBarReport:
     """gammabar = (min(gamma1, gamma2) + delta) / gamma, where gamma, the
-    lower exponent of g, equals gamma1 for these noise models."""
+    lower exponent of g, equals gamma1 for these noise models.  A
+    degenerate ScalingFit for delta gives a report without delta and the
+    numbers built on it."""
     g1 = gamma_exponents.gamma1
     g2 = gamma_exponents.gamma2
-    d = delta.slope if isinstance(delta, ScalingFit) else float(delta)
     if g1 <= 0:
         raise ValueError("gamma must be positive")
+    if isinstance(delta, ScalingFit):
+        if delta.flag == "degenerate":
+            return GammaBarReport(None, g1, g2, None, None, None)
+        delta = delta.slope
+    d = float(delta)
     gb = (min(g1, g2) + d) / g1
     return GammaBarReport(gb, g1, g2, d, bool(gb > 1.0),
                           (0.0, max(gb - 1.0, 0.0)))

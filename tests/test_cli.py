@@ -8,7 +8,7 @@ import pytest
 import scipy
 
 import ambitlab
-from ambitlab import cli
+from ambitlab import cli, spde
 from ambitlab.besov import MAX_ORDER
 from ambitlab.config import ConfigError, parse_config, resolve_config
 
@@ -370,6 +370,29 @@ def test_spde_exponents_log_counts_the_work(tmp_path):
                      b"calls_per_path", b"normals_per_call"):
             assert word not in csv + summary
     assert runs[1][1:] == runs[2][1:]
+
+
+def test_spde_blocks_follow_the_grid_and_move_no_byte(tmp_path,
+                                                       monkeypatch):
+    """At m=512 an SPDE block holds 2**15 // 512 = 64 paths, so 300 paths
+    make 5 blocks; with a points budget of 256 such paths they make 2, and
+    the artifacts are the same bytes."""
+    overrides = ["run.n_paths=300", "noise.kind=white", "noise.m=512",
+                 "spde.operator=wave", "spde.t=0.25"]
+    runs = {}
+    for budget in (spde.POINTS_PER_BLOCK, 256 * 512):
+        monkeypatch.setattr(spde, "POINTS_PER_BLOCK", budget)
+        out = tmp_path / f"b{budget}"
+        out.mkdir()
+        assert cli.run(None, overrides, experiment="spde-exponents", seed=2,
+                       workers=2, outdir=str(out)) == 0
+        log = (out / "run.log").read_text().splitlines()
+        runs[budget] = ([line for line in log if line.startswith("blocks=")],
+                        (out / "results.csv").read_bytes(),
+                        (out / "summary.json").read_bytes())
+    assert runs[2**15][0] == ["blocks=5"]
+    assert runs[256 * 512][0] == ["blocks=2"]
+    assert runs[2**15][1:] == runs[256 * 512][1:]
 
 
 def test_spde_exponents_log_counts_the_quadrature(tmp_path):

@@ -168,6 +168,30 @@ def test_draw_shapes_and_budget():
         levy.sample_integral(m, ONE, path_rng(1, "s", 3), n_draws=0)
 
 
+def test_integrability_audit_catches_overflow():
+    """Finite cell values whose sum of |f|^alpha vol overflows still fail
+    the audit; values whose cheap bound max|f|^alpha max(vol) n_cells is
+    not below 1e300 but whose sum is finite still pass it."""
+    m = levy.make_levy_model(1.2, 1.0, 1.0, T=4.0, domain=(0.0, 4.0),
+                             tau=0.05)
+    cells = levy.build_cells(m, nt=4, nx=4)
+    assert np.all(cells.cell_vol == 1.0)
+    # |f|^alpha vol is a finite 1e308 per unit cell; 16 cells overflow
+    edge = 1e308 ** (1.0 / m.alpha)
+    with pytest.raises(ValueError, match="integrability"):
+        levy.sample_integral(m, lambda s, y: np.full_like(s, edge),
+                             path_rng(1, "audit", 0), n_draws=1,
+                             cells=cells)
+    with pytest.raises(ValueError, match="integrability"):
+        levy.sample_records(m, np.full((2, cells.n_cells), -edge),
+                            [path_rng(1, "audit", i) for i in range(2)],
+                            tau=0.05, cells=cells)
+    # one such cell in a row: the bound fails, the exact sum does not
+    one = np.zeros((1, cells.n_cells))
+    one[0, 3] = edge
+    assert levy._check_integrand(m, cells, one, 0.05) > 0
+
+
 def test_tau_insensitivity_ks():
     """Halving the jump cutoff must not move the sampled law."""
     m = levy.make_levy_model(1.2, 1.0, 1.0, T=1.0, domain=(-1.0, 1.0))

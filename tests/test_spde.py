@@ -243,6 +243,53 @@ def test_solver_draws_nw_fields_per_step_from_each_stream(d, kind, coeff):
         assert rng.random() == ref.random()
 
 
+@pytest.mark.parametrize("coeff", ["const", "anderson"])
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_blocks_cannot_move_a_number(d, kind, coeff):
+    """Every solver operation acts on each path alone, so solving a batch
+    at once or in uneven slices gives the same bytes: the point series,
+    the slab noise G and the snapshots.  An Anderson solve without eps
+    records skips the noise's own transform, and its series stays too."""
+    model = noise.make_noise_model("white", d=1, Lbox=8.0, m=16) if d == 1 \
+        else noise.make_noise_model("riesz", d=2, Lbox=8.0, m=8, beta=1.0)
+    dt = 0.9 * model.dx**2 if kind == "heat" else 0.5 * model.dx
+    n, eps_grid = 12, [2 * dt, 5 * dt]
+    stream = f"blocks-{kind}-{coeff}-{d}"
+
+    def solve(lo, hi, **kw):
+        rngs = [path_rng(8, stream, i) for i in range(lo, hi)]
+        return spde.solve_batch(model, kind, _COEFFS[coeff], 0.6, n * dt, dt,
+                                rngs, **kw)
+
+    whole = solve(0, 7, eps_grid=eps_grid)
+    parts = [solve(lo, hi, eps_grid=eps_grid)
+             for lo, hi in ((0, 1), (1, 4), (4, 6), (6, 7))]
+
+    def joined(get):
+        return np.concatenate([get(p) for p in parts]).tobytes()
+
+    assert joined(lambda p: p.point_series) == whole.point_series.tobytes()
+    assert joined(lambda p: p.G) == whole.G.tobytes()
+    for j in range(len(eps_grid)):
+        for half in range(2 if kind == "wave" else 1):
+            assert joined(lambda p: p._snapshots[j][half]) \
+                == whole._snapshots[j][half].tobytes()
+    assert solve(0, 7).point_series.tobytes() == whole.point_series.tobytes()
+
+
+def test_paths_per_block_fixes_the_grid_points():
+    def model(d, m):
+        return noise.make_noise_model("white", d=d, Lbox=8.0, m=m)
+
+    # m**d <= 128 keeps the default 256 paths; larger grids hold about
+    # 2**15 points, and a grid larger than that takes one path per block
+    assert [spde.paths_per_block(model(1, m)) for m in (64, 128, 256, 512)] \
+        == [256, 256, 128, 64]
+    assert spde.paths_per_block(model(2, 64)) == 8
+    assert spde.paths_per_block(model(3, 64)) == 1
+
+
 # ---------------------------------------------------------------------------
 # variance targets (MC)
 # ---------------------------------------------------------------------------
@@ -378,6 +425,21 @@ def test_gammabar_combination():
                                  None)
     low = spde.gammabar(steep, 0.1)  # (0.5 + 0.1) / 2 = 0.3
     assert not low.verdict and low.beta_interval == (0.0, 0.0)
+
+
+def test_gammabar_of_a_degenerate_fit_has_no_verdict():
+    """A degenerate delta fit (exactly zero increments) carries a
+    placeholder slope: the report says nothing built on it, where the
+    slope 0.0 would read as "no density"."""
+    ex = noise.GammaExponents(1.0, 2.0, np.geomspace(0.01, 1, 5), None, None)
+    flat = fit_scaling(np.geomspace(0.01, 1, 5), np.zeros(5))
+    assert flat.flag == "degenerate"
+    rep = spde.gammabar(ex, flat)
+    assert (rep.gammabar, rep.delta, rep.verdict, rep.beta_interval) \
+        == (None, None, None, None)
+    assert (rep.gamma1, rep.gamma2) == (1.0, 2.0)
+    # a slope of 0.0 given as a number is still a measured delta
+    assert spde.gammabar(ex, 0.0).verdict is False
 
 
 def test_gammabar_needs_positive_gamma():
