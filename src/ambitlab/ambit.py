@@ -732,10 +732,9 @@ class DecayReport:
     eps_grid: np.ndarray
     means: np.ndarray
     stderrs: np.ndarray
-    beta: float
-    gammabar: float
+    exponents: ExponentBundle  # the (H4) conditions behind target_rate
     target_rate: float
-    passed: bool
+    passed: bool             # None when the run is degenerate
     flag: str
     discretization: AmbitDiscretization
     jumps_per_path: float    # mean recorded jump count
@@ -750,7 +749,8 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
 
     PASS when the fitted slope is >= rate - 0.15; flagged inconclusive
     when the slope CI halfwidth exceeds 0.3, degenerate when the gap
-    vanishes (constant coefficients).
+    vanishes (constant coefficients), and then passed is None: a zero gap
+    has no slope to check.
     """
     if not (0.0 < beta < model.alpha):
         raise ValueError("need 0 < beta < alpha")
@@ -787,21 +787,21 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
     stderrs = gaps.std(axis=0, ddof=1) / math.sqrt(n_paths)
 
     clock = time.perf_counter()
-    gammabar = exponent_conditions(spec, model, eps_grid, beta=beta,
-                                   gamma=gamma, t=t).gammabar
+    bundle = exponent_conditions(spec, model, eps_grid, beta=beta,
+                                 gamma=gamma, t=t)
     seconds["exponent_conditions"] = time.perf_counter() - clock
-    target = beta * (1.0 / model.alpha + gammabar) - 1.0
+    target = beta * (1.0 / model.alpha + bundle.gammabar) - 1.0
 
     if degenerate:
         fit = ScalingFit(0.0, 0.0, 0.0, float("inf"), 0, "degenerate")
-        return DecayReport(fit, eps_grid, means, stderrs, beta, gammabar,
-                           target, True, "degenerate", **counters)
+        return DecayReport(fit, eps_grid, means, stderrs, bundle, target,
+                           None, "degenerate", **counters)
     fit = fit_scaling(eps_grid, means, stderrs)
     flag = fit.flag
     if flag == "ok" and fit.ci_halfwidth > 0.3:
         flag = "inconclusive"
     passed = flag != "inconclusive" and fit.slope >= target - 0.15
-    return DecayReport(fit, eps_grid, means, stderrs, beta, gammabar, target,
+    return DecayReport(fit, eps_grid, means, stderrs, bundle, target,
                        bool(passed), flag, **counters)
 
 

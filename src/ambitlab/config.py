@@ -35,8 +35,6 @@ __all__ = [
 EXPERIMENTS = (
     "spde-exponents",
     "spde-density",
-    "levy-check",
-    "ambit-exponents",
     "ambit-decay",
     "ambit-density",
     "besov-stat",
@@ -71,7 +69,7 @@ def _order(v):
 
 @dataclass(frozen=True)
 class _Field:
-    kind: str                # int | float | str | bool | choice
+    kind: str                # int | float | str | choice
     default: object = None   # None and required=False -> optional key
     choices: tuple = ()
     check: object = None
@@ -132,9 +130,6 @@ SCHEMA = {
         "c_plus": _Field("float", 0.5, check=_nonneg, describe=">= 0"),
         "c_minus": _Field("float", 0.5, check=_nonneg, describe=">= 0"),
         "tau": _Field("float", None, check=_positive, describe="> 0"),
-        "gamma": _Field("float", 2.0, check=lambda v: 0 < v <= 2,
-                        describe="in (0, 2]"),
-        "normalize": _Field("bool", False),
     },
     "ambit": {
         "c": _Field("float", 1.0, check=_nonneg, describe=">= 0"),
@@ -228,11 +223,6 @@ def _convert(section, key, value, field, path, line):
             out = float(value)
             if not math.isfinite(out):
                 raise ValueError
-        elif field.kind == "bool":
-            lowered = value.lower()
-            if lowered not in ("true", "false"):
-                raise ValueError
-            out = lowered == "true"
         else:
             out = value
     except ValueError:
@@ -276,9 +266,7 @@ class Config:
                 value = self.sections[section][key]
                 if value is None:
                     continue
-                if isinstance(value, bool):
-                    value = "true" if value else "false"
-                elif isinstance(value, float):
+                if isinstance(value, float):
                     value = repr(value)
                 lines.append(f"{section}.{key}={value}")
         return "\n".join(lines) + "\n"
@@ -362,8 +350,6 @@ def _cross_checks(sections, path):
     levy = sections["levy"]
     if levy["c_plus"] + levy["c_minus"] == 0:
         raise ConfigError("[levy] c_plus + c_minus must be positive", path)
-    if not (levy["alpha"] < levy["gamma"] <= 2.0):
-        raise ConfigError("[levy] needs alpha < gamma <= 2", path)
     ambit = sections["ambit"]
     if ambit["eps_max"] > ambit["t"]:
         raise ConfigError("[ambit] needs eps_max <= t", path)

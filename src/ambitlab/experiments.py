@@ -70,7 +70,7 @@ def _spde_step(cfg, model):
 def _levy_model(cfg):
     s = cfg.sections["levy"]
     return levy.make_levy_model(s["alpha"], s["c_plus"], s["c_minus"],
-                                tau=s["tau"], normalize=s["normalize"])
+                                tau=s["tau"])
 
 
 def _ambit_kernel(a, which):
@@ -212,56 +212,6 @@ def _exp_spde_density(cfg):
                              operator=operator)
 
 
-def _exp_levy_check(cfg):
-    model = _levy_model(cfg)
-    s = cfg.sections["levy"]
-    clock = time.perf_counter()
-    c = levy.assumption_constants(model)
-    assumptions_s = time.perf_counter() - clock
-    clock = time.perf_counter()
-    lemma = levy.moment_lemma_check(model, s["gamma"])
-    moment_lemma_s = time.perf_counter() - clock
-    rows = []
-    for a, integral, bound in zip(lemma.a_grid, lemma.integrals,
-                                  lemma.bounds):
-        rows.append(("moment_integral", a, integral, None))
-        rows.append(("moment_bound", a, bound, None))
-    summary = {
-        "alpha": c.alpha, "c_sum": c.c_sum, "kappa": c.kappa,
-        "C_bar": c.C_bar, "c_lower": c.c_lower,
-        "moment_lemma": {"gamma": lemma.gamma, "constant": lemma.constant,
-                         "max_violation": lemma.max_violation,
-                         "passed": lemma.passed},
-        "verdict": lemma.passed,
-    }
-    return ExperimentResult(rows, summary, "ok",
-                            [f"assumptions_s={assumptions_s:.3f}",
-                             f"moment_lemma_s={moment_lemma_s:.3f}"])
-
-
-def _exp_ambit_exponents(cfg):
-    spec = _ambit_spec(cfg)
-    model = _levy_model(cfg)
-    a = cfg.sections["ambit"]
-    clock = time.perf_counter()
-    bundle = ambit.exponent_conditions(spec, model, _eps_grid(a),
-                                       beta=a["beta"], gamma=a["gamma"],
-                                       t=a["t"])
-    conditions_s = time.perf_counter() - clock
-    rows = []
-    for name, vals in sorted(bundle.integrals.items()):
-        for e, v in zip(bundle.eps_grid, vals):
-            rows.append((f"slab_integral_{name}", e, v, None))
-    summary = {
-        "exponents": {f"gamma{i}": getattr(bundle, f"gamma{i}")
-                      for i in range(5)},
-        "gammabar": bundle.gammabar, "verdict": bundle.verdict,
-        "beta": bundle.beta, "gamma": bundle.gamma,
-    }
-    return ExperimentResult(rows, summary, "ok",
-                            [f"exponent_conditions_s={conditions_s:.3f}"])
-
-
 def _exp_ambit_decay(cfg):
     spec = _ambit_spec(cfg)
     model = _levy_model(cfg)
@@ -277,11 +227,20 @@ def _exp_ambit_decay(cfg):
                                nx=a["nx"])
     rows = [("gap_moment", e, m, s) for e, m, s in
             zip(report.eps_grid, report.means, report.stderrs)]
+    bundle = report.exponents
+    constants = levy.assumption_constants(model)
+    # the theorem's hypotheses on this spec: the basis's constants, the
+    # (H4) exponents and whether gammabar / gamma0 > 1 / alpha holds
+    hypotheses = {name: getattr(bundle, name) for name in
+                  ("beta", "gamma", "gamma0", "gamma1", "gamma2", "gamma3",
+                   "gamma4", "gammabar")}
+    hypotheses.update(kappa=constants.kappa, C_bar=constants.C_bar,
+                      c_lower=constants.c_lower, hold=bundle.verdict)
     summary = {
-        "beta": report.beta, "gammabar": report.gammabar,
+        "beta": bundle.beta, "gammabar": bundle.gammabar,
         "target_rate": report.target_rate, "slope": report.fit.slope,
         "fit": asdict(report.fit), "passed": report.passed,
-        "n_paths": run["n_paths"],
+        "n_paths": run["n_paths"], "hypotheses": hypotheses,
     }
     disc = report.discretization
     n_rows, n_cols = disc.shape
@@ -368,8 +327,6 @@ def _criterion_result(values, weights, n, holder, logs, /, **summary):
 REGISTRY = {
     "spde-exponents": _exp_spde_exponents,
     "spde-density": _exp_spde_density,
-    "levy-check": _exp_levy_check,
-    "ambit-exponents": _exp_ambit_exponents,
     "ambit-decay": _exp_ambit_decay,
     "ambit-density": _exp_ambit_density,
     "besov-stat": _exp_besov_stat,

@@ -244,7 +244,7 @@ def test_10_coupling_error_decay_rate():
                          np.geomspace(0.02, 0.4, 6), 10_000,
                          master_seed=11, gamma=2.0)
     target = 0.8 * (1.0 / 1.2 + 1.0) - 1.0
-    assert dec.gammabar == pytest.approx(1.0, abs=1e-9)
+    assert dec.exponents.gammabar == pytest.approx(1.0, abs=1e-9)
     assert dec.target_rate == pytest.approx(target, abs=1e-9)
     assert dec.flag == "ok"
     assert dec.fit.slope >= target - 0.15

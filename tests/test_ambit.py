@@ -621,7 +621,7 @@ def test_error_decay_reference_spec(model, reference_spec):
     dec = am.error_decay(reference_spec, model, 1.0, 0.0, 0.8,
                          np.geomspace(0.02, 0.4, 6), 400, master_seed=11,
                          gamma=2.0)
-    assert dec.gammabar == pytest.approx(1.0, abs=1e-9)
+    assert dec.exponents.gammabar == pytest.approx(1.0, abs=1e-9)
     # target rate beta (1/alpha + gammabar) - 1
     assert dec.target_rate == pytest.approx(0.8 * (1 / 1.2 + 1.0) - 1.0,
                                             abs=1e-9)
@@ -638,7 +638,7 @@ def test_error_decay_degenerate_for_constant_fields(model):
     dc = am.error_decay(spec, model, 1.0, 0.0, 0.8,
                         np.geomspace(0.05, 0.4, 4), 50, master_seed=11)
     assert dc.flag == "degenerate"
-    assert dc.passed
+    assert dc.passed is None
 
 
 def test_density_criterion_dirac_control(model):

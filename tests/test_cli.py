@@ -16,7 +16,7 @@ from ambitlab.config import ConfigError, parse_config, resolve_config
 GOOD = """\
 # demo run
 [run]
-experiment = levy-check
+experiment = besov-stat
 seed = 11
 
 [levy]
@@ -37,7 +37,7 @@ def _load(text, overrides=(), path="demo.cfg"):
 
 def test_comments_sections_and_types():
     cfg = _load(GOOD)
-    assert cfg.experiment == "levy-check"
+    assert cfg.experiment == "besov-stat"
     assert cfg.get("run", "seed") == 11
     assert cfg.get("levy", "alpha") == 1.1
     # untouched sections are pure defaults
@@ -47,14 +47,14 @@ def test_comments_sections_and_types():
 
 @pytest.mark.parametrize("text,loc,reason", [
     ("key = 1\n", ":1:", "outside any"),
-    ("[run]\nexperiment levy-check\n", ":2:", "expected 'key = value'"),
+    ("[run]\nexperiment besov-stat\n", ":2:", "expected 'key = value'"),
     ("[run]\n2bad = 1\n", ":2:", "malformed key"),
     ("[run]\nseed = 1\nseed = 2\n", ":3:", "duplicate"),
-    ("[run]\nexperiment = levy-check\nseed = -3\n", ":3:", "out of range"),
-    ("[run]\nexperiment = levy-check\nseed = two\n", ":3:", "expected int"),
+    ("[run]\nexperiment = besov-stat\nseed = -3\n", ":3:", "out of range"),
+    ("[run]\nexperiment = besov-stat\nseed = two\n", ":3:", "expected int"),
     ("[run]\nexperiment = dance\n", ":2:", "must be one of"),
     ("[mystery]\nx = 1\n", ":2:", "unknown section"),
-    ("[run]\nexperiment = levy-check\nbogus = 1\n", ":3:", "unknown key"),
+    ("[run]\nexperiment = besov-stat\nbogus = 1\n", ":3:", "unknown key"),
     # difference orders past besov.MAX_ORDER, which the criterion rejects
     ("[run]\nexperiment = besov-stat\norder = 21\n", ":3:",
      "[run] order: value '21' out of range"),
@@ -62,7 +62,15 @@ def test_comments_sections_and_types():
      "[spde] n: value '21' out of range"),
     ("[run]\nexperiment = ambit-density\n[ambit]\nn = 21\n", ":4:",
      "[ambit] n: value '21' out of range"),
-    ("[run]\nexperiment = levy-check\n[levy]\nnt = 8\n", ":4:",
+    ("[run]\nexperiment = besov-stat\n[levy]\nnt = 8\n", ":4:",
+     "unknown key"),
+    # the Levy constants and the (H4) exponents are ambit-decay's
+    # hypotheses block, not experiments of their own
+    ("[run]\nexperiment = levy-check\n", ":2:", "must be one of"),
+    ("[run]\nexperiment = ambit-exponents\n", ":2:", "must be one of"),
+    ("[run]\nexperiment = besov-stat\n[levy]\ngamma = 2.0\n", ":4:",
+     "unknown key"),
+    ("[run]\nexperiment = besov-stat\n[levy]\nnormalize = true\n", ":4:",
      "unknown key"),
 ])
 def test_errors_carry_file_and_line(text, loc, reason):
@@ -80,17 +88,15 @@ def test_missing_experiment_is_required():
 
 
 @pytest.mark.parametrize("text,reason", [
-    ("[run]\nexperiment = levy-check\n[noise]\nkind = riesz\n",
+    ("[run]\nexperiment = besov-stat\n[noise]\nkind = riesz\n",
      "0 < beta < d"),
-    ("[run]\nexperiment = levy-check\n[noise]\nkind = exponential\n",
+    ("[run]\nexperiment = besov-stat\n[noise]\nkind = exponential\n",
      "needs ell"),
-    ("[run]\nexperiment = levy-check\n[spde]\neps_min = 0.5\n"
+    ("[run]\nexperiment = besov-stat\n[spde]\neps_min = 0.5\n"
      "eps_max = 0.1\n", "eps_min < eps_max"),
-    ("[run]\nexperiment = levy-check\n[levy]\nalpha = 1.9\ngamma = 1.5\n",
-     "alpha < gamma"),
-    ("[run]\nexperiment = levy-check\n[ambit]\nt = 0.25\neps_max = 0.5\n",
+    ("[run]\nexperiment = besov-stat\n[ambit]\nt = 0.25\neps_max = 0.5\n",
      "eps_max <= t"),
-    ("[run]\nexperiment = levy-check\n[ambit]\nbeta = 1.4\n",
+    ("[run]\nexperiment = besov-stat\n[ambit]\nbeta = 1.4\n",
      "beta < \\[levy\\] alpha"),
     ("[run]\nexperiment = ambit-decay\n[levy]\nalpha = 1.2\n[ambit]\n"
      "gamma = 1.0\n", "\\[ambit\\] needs gamma > \\[levy\\] alpha"),
@@ -150,7 +156,7 @@ def test_digest_tracks_result_defining_keys():
     assert _load(GOOD, overrides=["run.seed=12"]).digest != base.digest
     assert _load(GOOD, overrides=["levy.alpha=1.3"]).digest != base.digest
     # defaults spelled out explicitly hash the same
-    spelled = _load(GOOD + "gamma = 2.0\n")
+    spelled = _load(GOOD + "\n[ambit]\nt = 1.0\n")
     assert spelled.digest == base.digest
 
 
@@ -159,7 +165,7 @@ def test_canonical_is_sorted_and_total():
     lines = canon.strip().splitlines()
     pairs = [tuple(line.split("=", 1)[0].split(".", 1)) for line in lines]
     assert pairs == sorted(pairs)
-    assert "run.experiment=levy-check" in lines
+    assert "run.experiment=besov-stat" in lines
     assert canon.endswith("\n")
 
 
@@ -169,14 +175,14 @@ def test_canonical_is_sorted_and_total():
 
 
 def test_run_writes_artifacts(tmp_path):
-    code = cli.run(None, [], experiment="levy-check", seed=3,
+    code = cli.run(None, [], experiment="besov-stat", seed=3,
                    outdir=str(tmp_path))
     assert code == 0
     csv = (tmp_path / "results.csv").read_text()
     lines = csv.splitlines()
     assert lines[0] == "experiment,quantity,x,value,stderr"
     assert csv.endswith("\n")
-    assert all(line.startswith("levy-check,") for line in lines[1:])
+    assert all(line.startswith("besov-stat,") for line in lines[1:])
     # numeric cells are %.12g: reparse exactly
     for line in lines[1:]:
         _, _, x, value, stderr = line.split(",")
@@ -184,7 +190,7 @@ def test_run_writes_artifacts(tmp_path):
             assert cell == "" or np.isfinite(float(cell))
 
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["experiment"] == "levy-check"
+    assert summary["experiment"] == "besov-stat"
     assert summary["seed"] == 3
     assert summary["flag"] == "ok"
     assert len(summary["config_hash"]) == 64
@@ -192,14 +198,11 @@ def test_run_writes_artifacts(tmp_path):
     assert keys == sorted(keys)
 
     log = (tmp_path / "run.log").read_text().splitlines()
-    assert log[0] == "experiment=levy-check"
+    assert log[0] == "experiment=besov-stat"
     assert any(line.startswith("elapsed_s=") for line in log)
     # one timer per stage, kept out of the artifacts
-    timers = [line for line in log
-              if line.startswith(("assumptions_s=", "moment_lemma_s="))]
-    assert [line.split("=")[0] for line in timers] \
-        == ["assumptions_s", "moment_lemma_s"]
-    assert all(float(line.split("=")[1]) >= 0 for line in timers)
+    timers = [line for line in log if line.startswith("criterion_s=")]
+    assert len(timers) == 1 and float(timers[0].split("=")[1]) >= 0
     assert "_s=" not in csv
     assert "_s=" not in (tmp_path / "summary.json").read_text()
     versions = dict(line.split("=", 1) for line in log
@@ -229,28 +232,31 @@ def _non_finite(value):
 
 
 @pytest.mark.parametrize("experiment,overrides", [
-    ("ambit-exponents", []),
+    ("ambit-decay", []),
     ("ambit-decay", ["ambit.sigma_field=constant", "run.n_paths=64",
                      "ambit.nt=8", "ambit.nx=8"]),
 ])
 def test_summary_holds_no_non_finite_number(tmp_path, capsys, experiment,
                                             overrides):
-    """An absent condition (constant sigma and b) is null, not NaN; an
-    infinite gammabar is null too.  The constant-sigma decay run is
+    """An absent condition (constant sigma and b, as at the defaults) is
+    null, not NaN; an infinite gammabar is null too.  The decay run is
     degenerate: it exits 0 and says so alike on stdout, in run.log and in
-    summary.json."""
-    flag = "degenerate" if experiment == "ambit-decay" else "ok"
+    summary.json, and its rate check has no answer."""
     assert cli.run(None, overrides, experiment=experiment,
                    outdir=str(tmp_path)) == 0
-    assert f"flag={flag}" in capsys.readouterr().out.split()
+    assert "flag=degenerate" in capsys.readouterr().out.split()
     text = (tmp_path / "summary.json").read_text()
     summary = json.loads(text, parse_constant=lambda c: float(c))
     assert _non_finite(summary) == []
     assert summary["gammabar"] is None
-    assert summary["flag"] == flag
-    # both time their exponent conditions, in run.log only
+    assert summary["hypotheses"]["gammabar"] is None
+    assert [summary["hypotheses"][f"gamma{i}"] for i in range(1, 5)] \
+        == [None] * 4
+    assert summary["passed"] is None
+    assert summary["flag"] == "degenerate"
+    # the exponent conditions are timed in run.log only
     log = (tmp_path / "run.log").read_text().splitlines()
-    assert f"flag={flag}" in log
+    assert "flag=degenerate" in log
     assert sum(line.startswith("exponent_conditions_s=") for line in log) \
         == 1
     assert "exponent_conditions_s" not in text
@@ -292,14 +298,19 @@ def test_ambit_decay_log_counts_the_work(tmp_path):
 @pytest.mark.parametrize("sigma_field", ["constant", "weierstrass"])
 def test_ambit_decay_prints_its_pass_fail(tmp_path, capsys, sigma_field):
     """ambit-decay has no verdict: stdout carries its passed flag, the one
-    summary.json holds, whether the rate check passes or fails."""
+    summary.json holds, whether the rate check passes or fails.  Constant
+    sigma makes the run degenerate: passed is null and stdout omits it."""
     overrides = [f"ambit.sigma_field={sigma_field}", "run.n_paths=64",
                  "ambit.eps_points=4", "ambit.nt=8", "ambit.nx=8"]
     assert cli.run(None, overrides, experiment="ambit-decay", seed=2,
                    outdir=str(tmp_path)) in (0, 2)
     out = capsys.readouterr().out.split()
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert f"passed={summary['passed']}" in out
+    if sigma_field == "constant":
+        assert summary["passed"] is None
+        assert not any(bit.startswith("passed=") for bit in out)
+    else:
+        assert f"passed={summary['passed']}" in out
     assert not any(bit.startswith("verdict=") for bit in out)
 
 
@@ -508,7 +519,7 @@ def test_ambit_density_log_counts_the_work(tmp_path):
 
 def test_run_reports_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("[run]\nexperiment = levy-check\nseed = -1\n")
+    bad.write_text("[run]\nexperiment = besov-stat\nseed = -1\n")
     assert cli.run(str(bad), [], outdir=str(tmp_path)) == 1
     assert "out of range" in capsys.readouterr().err
     assert cli.run(str(tmp_path / "void.cfg"), [],
@@ -517,7 +528,7 @@ def test_run_reports_config_errors(tmp_path, capsys):
 
 
 def test_run_requires_existing_outdir(tmp_path, capsys):
-    code = cli.run(None, [], experiment="levy-check",
+    code = cli.run(None, [], experiment="besov-stat",
                    outdir=str(tmp_path / "missing"))
     assert code == 1
     assert "does not exist" in capsys.readouterr().err
@@ -593,8 +604,8 @@ def test_main_needs_an_experiment(capsys):
 
 def test_main_env_worker_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("AMBITLAB_WORKERS", "not-a-number")
-    assert cli.run(None, [], experiment="levy-check",
+    assert cli.run(None, [], experiment="besov-stat",
                    outdir=str(tmp_path)) == 1
     monkeypatch.setenv("AMBITLAB_WORKERS", "2")
-    assert cli.run(None, [], experiment="levy-check",
+    assert cli.run(None, [], experiment="besov-stat",
                    outdir=str(tmp_path)) == 0

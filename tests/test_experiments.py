@@ -11,7 +11,7 @@ import pkgutil
 import pytest
 
 import ambitlab
-from ambitlab import cli
+from ambitlab import cli, levy
 from ambitlab.experiments import format_csv
 
 
@@ -54,19 +54,32 @@ def test_spde_density_runner(tmp_path):
     assert all(s > 0.5 for s in summary["slopes"].values())
 
 
-def test_ambit_exponents_runner(tmp_path):
+@pytest.mark.parametrize("delta,hold,gammabar", [(0.5, False, 1.0),
+                                                  (0.7, True, 1.2)])
+def test_ambit_decay_hypotheses(tmp_path, delta, hold, gammabar):
+    """The reference decay spec (cone, power kernel theta = 0.5,
+    Weierstrass sigma, alpha = 1.2, beta = 0.8, gamma = 2) is inside the
+    theorem only when gammabar / gamma0 > 1 / alpha: 1.0 / 1.4 is not,
+    1.2 / 1.4 is."""
     code, summary, _ = _run(
-        tmp_path, "ambit-exponents",
-        ["ambit.kernel_g=power", "ambit.sigma_field=weierstrass",
-         "ambit.beta=0.8", "ambit.gamma=2.0"])
-    assert code == 0
-    # reference decay spec: gammabar = 1.0 but 1/1.4 < 1/alpha, no verdict
-    assert summary["verdict"] is False
-    assert summary["gammabar"] == pytest.approx(1.0, abs=1e-6)
-    assert summary["exponents"]["gamma0"] == pytest.approx(1.4, abs=1e-6)
-    # constant b: the drift conditions do not apply; no fit is reported
-    assert summary["exponents"]["gamma3"] is None
-    assert "fits" not in summary
+        tmp_path, "ambit-decay",
+        ["ambit.kernel_g=power", "ambit.theta_g=0.5",
+         "ambit.sigma_field=weierstrass", f"ambit.sigma_delta1={delta}",
+         f"ambit.sigma_delta2={delta}", "levy.alpha=1.2", "ambit.beta=0.8",
+         "ambit.gamma=2.0", "run.n_paths=64", "ambit.nt=8", "ambit.nx=8",
+         "ambit.eps_points=4"])
+    assert code in (0, 2)
+    hyp = summary["hypotheses"]
+    assert hyp["hold"] is hold
+    assert hyp["gammabar"] == pytest.approx(gammabar, abs=1e-9)
+    assert hyp["gamma0"] == pytest.approx(1.4, abs=1e-9)
+    assert (hyp["beta"], hyp["gamma"]) == (0.8, 2.0)
+    # constant b: the drift conditions do not apply
+    assert hyp["gamma3"] is hyp["gamma4"] is None
+    constants = levy.assumption_constants(levy.make_levy_model(1.2, 0.5, 0.5))
+    assert (hyp["kappa"], hyp["C_bar"], hyp["c_lower"]) \
+        == (constants.kappa, constants.C_bar, constants.c_lower)
+    assert summary["gammabar"] == hyp["gammabar"]
 
 
 def test_ambit_decay_runner(tmp_path):
