@@ -873,8 +873,10 @@ def density_sample(spec, model, t, x, n, n_paths, *, master_seed=0,
                                      n_draws=n_paths, tau=disc.tau,
                                      cells=disc.cells, workers=workers,
                                      tally=tally)
-        drift = float(np.sum(disc.drift_cell * b0))
-        values = spec.x0 + stoch + drift
+        # spec.x0 + stoch + drift in that order, the second sum in place
+        # (stoch itself stays the sampler's draws)
+        values = spec.x0 + stoch
+        values += float(np.sum(disc.drift_cell * b0))
         weights = abs(sig0) ** n
         counters = dict(jumps_per_draw=tally["jumps"] / n_paths, tally=tally,
                         integrand="callable" if g0 is None else "constant")

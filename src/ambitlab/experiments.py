@@ -273,10 +273,15 @@ def _exp_ambit_density(cfg):
     tally = sample.tally
     if tally is not None:
         chunk_s = tally["chunk_s"]
+        # the most bytes one worker's reused uniform buffer held
+        scratch = 8 * tally["uniforms_per_jump"] \
+            * max(tally["buffer_jumps"], tally["max_chunk_jumps"])
         logs += [f"chunks={tally['chunks']}",
                  f"draws_per_chunk={tally['draws_per_chunk']}",
                  f"integrand={sample.integrand}",
                  f"uniforms_per_jump={tally['uniforms_per_jump']}",
+                 f"max_chunk_jumps={tally['max_chunk_jumps']}",
+                 f"scratch_bytes_per_worker={scratch}",
                  f"chunk_s_min={min(chunk_s):.4f}",
                  # not np.median, which would import numpy.ma in the run
                  f"chunk_s_median={statistics.median(chunk_s):.4f}",

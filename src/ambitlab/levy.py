@@ -22,6 +22,7 @@ The module provides
 from __future__ import annotations
 
 import math
+import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -356,12 +357,18 @@ def _check_integrand(model, cells, f_mid, tau):
 _BLOCKS = 4
 _SIZE_BLOCKS = 2
 
-# Expected jumps per chunk of sample_integral's draws.  A chunk peaks at
-# about 40 bytes per jump, some 10 MB, on each thread (about 24 bytes for
-# a one-number integrand).  Measured on the ambit-density benchmark: wall
-# time is flat from 1.25e5 to 5e5, and peak RSS grows with the chunk while
-# page faults are fewest near 2.5e5.
+# Expected jumps per chunk of sample_integral's draws.  Each worker reuses
+# one uniform buffer of 16 bytes per jump, some 4 MB (32 bytes, 8 MB, for
+# a callable integrand), and a chunk allocates about 8.5 bytes per jump
+# besides (the draw index and the sign test; tracemalloc at 2.5e5 jumps).
+# Measured on the ambit-density benchmark: wall time is flat from 1.25e5
+# to 5e5, and peak RSS grows with the chunk while page faults are fewest
+# near 2.5e5.
 _JUMPS_PER_CHUNK = 250_000.0
+
+# Poisson standard deviations above a chunk's expected jump total that each
+# worker's reused uniform buffer holds; a chunk past it gets a larger one.
+_MARGIN_SD = 6.0
 
 
 def _map_sizes(model, tau, sign, z):
@@ -447,16 +454,21 @@ def sample_integral(model, f, rng, *, n_draws, tau=None, cells=None,
     give independent values.  The `workers` threads draw whole chunks, so
     the values are the same for any count.  A dict passed as tally
     receives the work done: chunks, draws_per_chunk (of every chunk but
-    the last), jumps (over all draws), chunk_s (the wall time of each
-    chunk, in chunk order) and uniforms_per_jump (the uniforms each jump
-    reads: 2 or _BLOCKS).
+    the last), jumps (over all draws), max_chunk_jumps (of the largest
+    chunk), buffer_jumps (the jumps each worker's uniform buffer starts
+    with room for), chunk_s (the wall time of each chunk, in chunk order)
+    and uniforms_per_jump (the uniforms each jump reads: 2 or _BLOCKS).
 
     Chunk c's stream is poisson(rate_bound, nb) for its jump counts, tot
-    in all, then random((_BLOCKS, tot)), a row per block, then
-    standard_normal(nb) for the sub-tau Gaussian.  Where f is one number c
-    on the whole box it may return c itself, which scales the jumps and
-    cells as the array of c would: then only the sign and magnitude blocks
-    are read, and the chunk advances its generator past blocks 0 and 1
+    in all, then the uniforms of random((_BLOCKS, tot)), a row per block,
+    then standard_normal(nb) for the sub-tau Gaussian.  The uniforms go
+    by random(out=) into the first uniforms_per_jump * tot doubles of the
+    one buffer its worker reuses for the whole call, which fills them in
+    the order random((uniforms_per_jump, tot)) would; a chunk past the
+    buffer replaces it with a larger one.  Where f is one number c on the
+    whole box it may return c itself, which scales the jumps and cells as
+    the array of c would: then only the sign and magnitude blocks are
+    read, and the chunk advances its generator past blocks 0 and 1
     instead of drawing them, which leaves the stream where the full draw
     would (so rng must be a PCG64 or PCG64DXSM generator).
     """
@@ -493,24 +505,40 @@ def sample_integral(model, f, rng, *, n_draws, tau=None, cells=None,
     starts = range(0, n, size)
     rngs = rng.spawn(len(starts))
 
+    # one uniform buffer per worker, reused by every chunk it runs: fresh
+    # blocks drawn in a worker thread would stay resident in its arena
+    k = _SIZE_BLOCKS if constant else _BLOCKS
+    mean = min(size, n) * rate_bound
+    buffer_jumps = max(0, math.ceil(mean + _MARGIN_SD * math.sqrt(mean)))
+    buffers = queue.SimpleQueue()
+    for _ in range(min(int(workers), len(starts))):
+        buffers.put(np.empty(k * buffer_jumps))
+
     def chunk(start, chunk_rng):
         clock = time.perf_counter()
         nb = min(size, n - start)
         counts = chunk_rng.poisson(rate_bound, nb)
         tot = int(counts.sum())
-        if constant:
-            # random() takes one 64-bit output per double
-            chunk_rng.bit_generator.advance((_BLOCKS - _SIZE_BLOCKS) * tot)
-            z = _map_sizes(model, tau,
-                           *chunk_rng.random((_SIZE_BLOCKS, tot)))
-            z *= f_mid
-        else:
-            s, y, z = _map_jumps(model, tau,
-                                 chunk_rng.random((_BLOCKS, tot)))
-            if tot:
-                z *= f(s, y)
-        sums = np.bincount(np.repeat(np.arange(nb), counts), weights=z,
-                           minlength=nb)
+        buf = buffers.get()
+        try:
+            if buf.size < k * tot:
+                buf = np.empty(k * tot)
+            u = buf[:k * tot].reshape(k, tot)
+            if constant:
+                # random() takes one 64-bit output per double
+                chunk_rng.bit_generator.advance(
+                    (_BLOCKS - _SIZE_BLOCKS) * tot)
+                z = _map_sizes(model, tau, *chunk_rng.random(out=u))
+                z *= f_mid
+            else:
+                s, y, z = _map_jumps(model, tau, chunk_rng.random(out=u))
+                if tot:
+                    z *= f(s, y)
+            sums = np.bincount(np.repeat(np.arange(nb), counts), weights=z,
+                               minlength=nb)
+        finally:
+            # a chunk that raises still hands its buffer on
+            buffers.put(buf)
         values[start:start + nb] = \
             sums + total_sd * chunk_rng.standard_normal(nb) - comp
         return tot, time.perf_counter() - clock
@@ -519,8 +547,9 @@ def sample_integral(model, f, rng, *, n_draws, tau=None, cells=None,
         jumps, seconds = zip(*pool.map(chunk, starts, rngs))
     if tally is not None:
         tally.update(chunks=len(rngs), draws_per_chunk=size,
-                     jumps=sum(jumps), chunk_s=seconds,
-                     uniforms_per_jump=_SIZE_BLOCKS if constant else _BLOCKS)
+                     jumps=sum(jumps), max_chunk_jumps=max(jumps),
+                     buffer_jumps=buffer_jumps, chunk_s=seconds,
+                     uniforms_per_jump=k)
     return values
 
 

@@ -487,6 +487,7 @@ def test_ambit_density_log_counts_the_work(tmp_path):
     runs = _density_runs(tmp_path, (1, 2))
     keys = ("tau=", "cells=", "jumps_per_draw=", "chunks=",
             "draws_per_chunk=", "integrand=", "uniforms_per_jump=",
+            "max_chunk_jumps=", "scratch_bytes_per_worker=",
             "chunk_s_min=", "chunk_s_median=", "chunk_s_max=", "sampler_s=",
             "criterion_s=")
     for log, csv, summary in runs.values():
@@ -503,16 +504,25 @@ def test_ambit_density_log_counts_the_work(tmp_path):
         # so the jumps read only their sign and size uniforms
         assert values["uniforms_per_jump"] == "2"
         assert float(values["jumps_per_draw"]) > 1
+        # the largest chunk: about 4,500 draws times jumps_per_draw
+        most = int(values["max_chunk_jumps"])
+        assert 0.99 * 4500 * float(values["jumps_per_draw"]) < most \
+            < 260_000
+        # one buffer of two uniform rows per worker, holding the largest
+        # chunk with a margin of a few Poisson standard deviations
+        scratch = int(values["scratch_bytes_per_worker"])
+        assert 16 * most <= scratch < 16 * (most + 5000)
         assert 0 <= float(values["chunk_s_min"]) \
             <= float(values["chunk_s_median"]) \
             <= float(values["chunk_s_max"])
         assert float(values["sampler_s"]) > 0
         assert float(values["criterion_s"]) > 0
         # counters and timers stay out of the artifacts
-        for word in (b"_s=", b"chunk", b"jumps", b"integrand", b"uniforms"):
+        for word in (b"_s=", b"chunk", b"jumps", b"integrand", b"uniforms",
+                     b"scratch"):
             assert word not in csv + summary
     counters = [[line for line in runs[w][0]
-                 if line.startswith(keys[:7])] for w in runs]
+                 if line.startswith(keys[:9])] for w in runs]
     assert counters[0] == counters[1]
     assert runs[1][1:] == runs[2][1:]
 

@@ -461,6 +461,55 @@ def test_constant_integrand_skips_unread_uniforms(case):
         assert one["chunks"] == 10
 
 
+@pytest.mark.parametrize("case", ["d1", "chunks"])
+@pytest.mark.parametrize("branch", ["callable", "constant"])
+def test_chunk_past_its_worker_buffer_grows_it(case, branch, monkeypatch):
+    """A chunk whose jump total exceeds its worker's reused uniform buffer
+    draws into a larger one: the values of buffers that hold every chunk,
+    and the one-thread values and tally (all but chunk_s) at any worker
+    count, on both integrand branches."""
+    m, f, n = SPLIT_CASES[case]
+    if branch == "constant":
+        f = lambda s, y: -0.7  # noqa: E731
+    kw = dict(n_draws=n, nt=8, nx=8)
+    roomy_tally = {}
+    roomy = levy.sample_integral(m, f, path_rng(17, case, 0),
+                                 tally=roomy_tally, **kw)
+    assert roomy_tally["max_chunk_jumps"] < roomy_tally["buffer_jumps"]
+    # buffers three Poisson standard deviations short of a chunk's mean
+    monkeypatch.setattr(levy, "_MARGIN_SD", -3.0)
+    ref_tally = {}
+    ref = levy.sample_integral(m, f, path_rng(17, case, 0),
+                               tally=ref_tally, **kw)
+    del ref_tally["chunk_s"]
+    assert ref_tally["max_chunk_jumps"] > ref_tally["buffer_jumps"]
+    assert np.array_equal(ref, roomy)
+    for workers in (1, 2, 3):
+        tally = {}
+        vals = levy.sample_integral(m, f, path_rng(17, case, 0),
+                                    workers=workers, tally=tally, **kw)
+        assert np.array_equal(vals, ref), workers
+        del tally["chunk_s"]
+        assert tally == ref_tally, workers
+
+
+def test_chunk_error_hands_its_buffer_on():
+    """An integrand that raises on a chunk's jumps surfaces its error; the
+    chunk still returns its worker's buffer, so the chunks queued behind it
+    run and the call ends."""
+    m, _, n = SPLIT_CASES["chunks"]
+    cells = levy.build_cells(m, nt=8, nx=8)
+
+    def f(s, y):
+        if s.size != cells.n_cells:
+            raise RuntimeError("jump integrand failed")
+        return np.cos(s)
+
+    with pytest.raises(RuntimeError, match="jump integrand"):
+        levy.sample_integral(m, f, path_rng(19, "chunks", 0), n_draws=n,
+                             cells=cells, workers=1)
+
+
 @pytest.mark.parametrize("bit_generator", [np.random.Philox,
                                            np.random.MT19937])
 def test_constant_integrand_needs_a_pcg64_generator(bit_generator):
