@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import levy
-from .montecarlo import (ScalingFit, fit_scaling, path_rng,
+from .montecarlo import (ScalingFit, decide, fit_scaling, path_rng,
                          run_ensemble_blocks)
 
 __all__ = [
@@ -734,7 +734,7 @@ class DecayReport:
     stderrs: np.ndarray
     exponents: ExponentBundle  # the (H4) conditions behind target_rate
     target_rate: float
-    passed: bool             # None when the run is degenerate
+    passed: bool             # None unless flag is "ok"
     flag: str
     discretization: AmbitDiscretization
     jumps_per_path: float    # mean recorded jump count
@@ -747,10 +747,8 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
     """Paired-coupling MC of E|X - X_eps|^beta against the lemma's rate
     beta (1/alpha + gammabar) - 1.
 
-    PASS when the fitted slope is >= rate - 0.15; flagged inconclusive
-    when the slope CI halfwidth exceeds 0.3, degenerate when the gap
-    vanishes (constant coefficients), and then passed is None: a zero gap
-    has no slope to check.
+    passed and flag are montecarlo.decide's on "slope > rate"; a vanishing
+    gap (constant coefficients) has no slope: None and "degenerate".
     """
     if not (0.0 < beta < model.alpha):
         raise ValueError("need 0 < beta < alpha")
@@ -779,8 +777,6 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
                               stream="ambit-decay", workers=workers)
     seconds = dict(ensemble=time.perf_counter() - clock)
     abs_gaps, scale, jumps = raw[:, :-2], raw[:, -2:-1], raw[:, -1]
-    counters = dict(discretization=disc, jumps_per_path=float(jumps.mean()),
-                    seconds=seconds)
     gaps = abs_gaps ** beta
     degenerate = bool(np.all(abs_gaps < 1e-11 * scale))
     means = gaps.mean(axis=0)
@@ -792,17 +788,11 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
     seconds["exponent_conditions"] = time.perf_counter() - clock
     target = beta * (1.0 / model.alpha + bundle.gammabar) - 1.0
 
-    if degenerate:
-        fit = ScalingFit(0.0, 0.0, 0.0, float("inf"), 0, "degenerate")
-        return DecayReport(fit, eps_grid, means, stderrs, bundle, target,
-                           None, "degenerate", **counters)
-    fit = fit_scaling(eps_grid, means, stderrs)
-    flag = fit.flag
-    if flag == "ok" and fit.ci_halfwidth > 0.3:
-        flag = "inconclusive"
-    passed = flag != "inconclusive" and fit.slope >= target - 0.15
+    fit = ScalingFit(0.0, 0.0, 0.0, float("inf"), 0, "degenerate") \
+        if degenerate else fit_scaling(eps_grid, means, stderrs)
+    passed, flag = decide(fit, target)
     return DecayReport(fit, eps_grid, means, stderrs, bundle, target,
-                       bool(passed), flag, **counters)
+                       passed, flag, disc, float(jumps.mean()), seconds)
 
 
 @dataclass

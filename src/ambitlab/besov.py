@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .montecarlo import ScalingFit, fit_scaling
+from .montecarlo import ScalingFit, decide, fit_scaling
 
 __all__ = [
     "Stencil",
@@ -49,6 +49,11 @@ DEFAULT_FREQUENCIES = (0.5, 1.0, 2.0, 4.0, 8.0)
 # MC quality gate for the log-log regression window: a point qualifies when
 # the statistic exceeds 3x its standard error (relative error < 33%).
 _NOISE_MULTIPLE = 3.0
+
+# A test family's (verdict, flag): the first of montecarlo.decide's
+# outcomes in this list that one of its frequencies gives
+_PRECEDENCE = [(False, "ok"), (None, "inconclusive"), (True, "ok"),
+               (None, "degenerate")]
 
 
 @dataclass(frozen=True)
@@ -248,9 +253,8 @@ def criterion_statistic(samples, weights, n, h_grid=None, alpha=0.5,
             fit = ScalingFit(0.0, 0.0, 0.0, np.inf, 0, "degenerate")
             idx = np.array([], dtype=int)
         elif idx.size >= 4:
-            fit = fit_scaling(h[idx][np.argsort(h[idx])],
-                              stat[idx][np.argsort(h[idx])],
-                              err[idx][np.argsort(h[idx])])
+            up = idx[np.argsort(h[idx])]         # the window, h ascending
+            fit = fit_scaling(h[up], stat[up], err[up])
         else:
             fit = ScalingFit(np.nan, np.nan, 0.0, np.inf, int(idx.size),
                              "inconclusive")
@@ -264,14 +268,14 @@ def criterion_statistic(samples, weights, n, h_grid=None, alpha=0.5,
 
 @dataclass
 class CriterionReport:
-    """Density verdict over a test family: every usable ("ok") frequency
-    slope must exceed the test-function Holder order."""
+    """Density verdict over a test family: every frequency's decay slope
+    must exceed the test-function Holder order."""
 
     statistics: list
     slopes: dict             # test_function_id -> slope, "ok" fits only
     min_slope: float         # None when no fit is usable
     holder_order: float
-    verdict: bool            # None when every weight is zero
+    verdict: bool            # None unless flag is "ok"
     flag: str                # "ok" | "inconclusive" | "degenerate"
 
 
@@ -279,23 +283,18 @@ def criterion_report(samples, weights, n, holder_order) -> CriterionReport:
     """The density verdict of a weighted sample: criterion_statistic at the
     default h grid and frequencies against C^holder_order test functions.
 
-    A scalar weight applies to every sample; None means unit weights.  The
-    flag is ok when every frequency's fit is ok or degenerate: an exactly
-    zero statistic is conclusive, since more paths cannot change it.  When
-    every weight is zero the weighted measure is zero and says nothing
-    about the law, so the verdict is None and the flag degenerate.
+    A scalar weight applies to every sample; None means unit weights.  Each
+    frequency's fit is decided on "slope > holder_order"; the run takes the
+    first in _PRECEDENCE that a frequency gives.  An exactly zero statistic
+    (degenerate) is conclusive, since more paths cannot change it; if every
+    one is zero (say every weight is), the zero measure says nothing about
+    the law, so the verdict is None.
     """
     statistics = criterion_statistic(samples, weights, n, alpha=holder_order)
     slopes = {s.test_function_id: s.fitted.slope for s in statistics
               if s.fitted.flag == "ok"}
     min_slope = float(min(slopes.values())) if slopes else None
-    if weights is not None and not np.any(weights):
-        verdict, flag = None, "degenerate"
-    else:
-        verdict = bool(slopes) and all(v > holder_order
-                                       for v in slopes.values())
-        conclusive = all(s.fitted.flag in ("ok", "degenerate")
-                         for s in statistics)
-        flag = "ok" if conclusive else "inconclusive"
+    verdict, flag = min((decide(s.fitted, holder_order) for s in statistics),
+                        key=_PRECEDENCE.index)
     return CriterionReport(statistics, slopes, min_slope,
                            float(holder_order), verdict, flag)

@@ -1,7 +1,8 @@
 """Batch runner: `ambitlab run <config> [overrides...]`.
 
-Exit codes: 0 success, 2 statistically inconclusive (needs more paths),
-1 error (invalid config, missing output directory, runtime failure).
+Exit codes: 0 success, 2 inconclusive (the verdict is null: a slope's CI
+holds its threshold, see montecarlo.decide), 1 error (invalid config,
+missing output directory, runtime failure).
 """
 
 from __future__ import annotations

@@ -180,7 +180,7 @@ def _exp_spde_exponents(cfg):
     else:
         logs += [f"g_evaluations eps={e:.6g} calls={n}"
                  for e, n in zip(eps, ge.evaluations)]
-    return ExperimentResult(rows, summary, delta_fit.flag, logs)
+    return ExperimentResult(rows, summary, report.flag, logs)
 
 
 def _exp_spde_density(cfg):

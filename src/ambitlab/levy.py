@@ -79,8 +79,7 @@ class LevyBasisModel:
 
 
 def make_levy_model(alpha, c_plus=1.0, c_minus=1.0, *, T=1.0,
-                    domain=(-1.0, 1.0), tau=None,
-                    normalize=False) -> LevyBasisModel:
+                    domain=(-1.0, 1.0), tau=None) -> LevyBasisModel:
     if not (0.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (0, 2)")
     if c_plus < 0 or c_minus < 0 or c_plus + c_minus == 0:
@@ -95,10 +94,6 @@ def make_levy_model(alpha, c_plus=1.0, c_minus=1.0, *, T=1.0,
         raise ValueError("domain must be a finite interval lo < hi")
     if tau is not None and tau <= 0:
         raise ValueError("tau must be positive")
-    if normalize:
-        # unit-mass convention: int min(1, z^2) rho(dz) = 1
-        z_mass = (c_plus + c_minus) * (1.0 / (2.0 - alpha) + 1.0 / alpha)
-        c_plus, c_minus = c_plus / z_mass, c_minus / z_mass
     return LevyBasisModel(float(alpha), float(c_plus), float(c_minus),
                           float(T), (lo, hi), tau)
 

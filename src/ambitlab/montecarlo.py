@@ -1,4 +1,4 @@
-"""Monte-Carlo plumbing: scaling fits, reproducible ensembles, ECF.
+"""Monte-Carlo plumbing: scaling fits, verdicts, reproducible ensembles, ECF.
 
 The slope's confidence halfwidth uses an own Student-t quantile (the exact
 integer-dof CDF solved by Newton's method), so the module needs no SciPy.
@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "ScalingFit",
     "fit_scaling",
+    "decide",
     "path_rng",
     "run_ensemble_blocks",
     "empirical_cf",
@@ -79,8 +80,8 @@ class ScalingFit:
     r2: float
     ci_halfwidth: float
     points_used: int
-    # fit_scaling returns "ok" or "degenerate"; callers that judge the fit
-    # (besov's window rule, ambit.error_decay's CI rule) set "inconclusive"
+    # fit_scaling returns "ok" or "degenerate"; besov's window rule sets
+    # "inconclusive" (too few resolved points).  A run's flag is decide's.
     flag: str
 
 
@@ -148,6 +149,21 @@ def fit_scaling(x, y, stderr=None) -> ScalingFit:
     ss_tot = np.sum(w * (ly - my) ** 2)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return ScalingFit(float(slope), float(intercept), float(r2), ci, int(npts), "ok")
+
+
+def decide(fit: ScalingFit, threshold: float):
+    """(verdict, flag) of the claim "slope > threshold" on the fit's 95% CI:
+    True or False, flagged "ok", when the CI lies above or below the
+    threshold, else None, "inconclusive".  A fit without a usable slope
+    ("degenerate", or besov's window-rule "inconclusive") gives None and
+    its own flag."""
+    if fit.flag != "ok":
+        return None, fit.flag
+    if fit.slope - fit.ci_halfwidth > threshold:
+        return True, "ok"
+    if fit.slope + fit.ci_halfwidth < threshold:
+        return False, "ok"
+    return None, "inconclusive"
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .montecarlo import DEFAULT_BLOCK, ScalingFit, fit_scaling
+from .montecarlo import DEFAULT_BLOCK, ScalingFit, decide, fit_scaling
 from .noise import (GammaExponents, _check_dalang, _check_operator,
                     _grid_density, _radius_grid, squared_time_integral)
 
@@ -417,32 +417,30 @@ def time_holder_delta(point_series, series_times, t0, lags):
 
 @dataclass
 class GammaBarReport:
-    """None in delta, gammabar, verdict and beta_interval: the delta fit
-    was degenerate and carries no slope."""
+    """None in delta, gammabar and beta_interval: the delta fit was
+    degenerate and carries no slope."""
 
     gammabar: float
     gamma1: float            # also the lower exponent gamma of g
     gamma2: float
     delta: float
-    verdict: bool            # gammabar > 1: density criterion applies
+    verdict: bool            # gammabar > 1; None unless flag is "ok"
     beta_interval: tuple     # admissible Besov orders (0, gammabar - 1)
+    flag: str                # montecarlo.decide's, the run's flag
 
 
-def gammabar(gamma_exponents: GammaExponents, delta) -> GammaBarReport:
+def gammabar(gamma_exponents: GammaExponents,
+             delta: ScalingFit) -> GammaBarReport:
     """gammabar = (min(gamma1, gamma2) + delta) / gamma, where gamma, the
-    lower exponent of g, equals gamma1 for these noise models.  A
-    degenerate ScalingFit for delta gives a report without delta and the
-    numbers built on it."""
-    g1 = gamma_exponents.gamma1
-    g2 = gamma_exponents.gamma2
+    lower exponent of g, equals gamma1 for these noise models.  The verdict
+    gammabar > 1, i.e. delta > gamma1 - min(gamma1, gamma2), is decided on
+    the delta fit's CI; the numbers are its point values."""
+    g1, g2 = gamma_exponents.gamma1, gamma_exponents.gamma2
     if g1 <= 0:
         raise ValueError("gamma must be positive")
-    if isinstance(delta, ScalingFit):
-        if delta.flag == "degenerate":
-            return GammaBarReport(None, g1, g2, None, None, None)
-        delta = delta.slope
-    d = float(delta)
-    gb = (min(g1, g2) + d) / g1
-    return GammaBarReport(gb, g1, g2, d, bool(gb > 1.0),
-                          (0.0, max(gb - 1.0, 0.0)))
-
+    verdict, flag = decide(delta, g1 - min(g1, g2))
+    if flag == "degenerate":
+        return GammaBarReport(None, g1, g2, None, None, None, flag)
+    gb = (min(g1, g2) + delta.slope) / g1
+    return GammaBarReport(gb, g1, g2, delta.slope, verdict,
+                          (0.0, max(gb - 1.0, 0.0)), flag)

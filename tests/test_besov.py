@@ -280,14 +280,22 @@ def test_criterion_report_skips_unusable_fits():
     assert rep.slopes == {s.test_function_id: s.fitted.slope
                           for s in stats[:3]}
     assert rep.min_slope == min(s.fitted.slope for s in stats[:3])
-    assert rep.holder_order == 0.5 and rep.verdict
-    assert rep.flag == "inconclusive"
-    assert besov.criterion_report(x, None, 1, 1.0).verdict is False
-    # at scale 100 no frequency resolves: no slope, a negative verdict
+    # the three resolved slopes clear 0.5, but two frequencies are undecided
+    assert rep.holder_order == 0.5
+    assert rep.verdict is None and rep.flag == "inconclusive"
+    # slope 1 against Hölder order 1: each CI holds the threshold
+    at_one = besov.criterion_report(x, None, 1, 1.0)
+    assert at_one.verdict is None and at_one.flag == "inconclusive"
+    # one frequency decided False decides the run: n = 0 gives slope 0
+    flat = besov.criterion_report(x, None, 0, 0.5)
+    assert [s.fitted.flag for s in flat.statistics] \
+        == ["ok"] * 3 + ["inconclusive"] * 2
+    assert flat.verdict is False and flat.flag == "ok"
+    # at scale 100 no frequency resolves: no slope and no verdict
     wide = 100.0 * path_rng(5, "besov-weak", 0).standard_normal(500)
     empty = besov.criterion_report(wide, None, 1, 0.5)
     assert empty.slopes == {} and empty.min_slope is None
-    assert empty.verdict is False and empty.flag == "inconclusive"
+    assert empty.verdict is None and empty.flag == "inconclusive"
     # at scale 0.25 every frequency resolves: a conclusive run
     narrow = besov.criterion_report(0.25 * x, None, 1, 0.5)
     assert [s.fitted.flag for s in narrow.statistics] == ["ok"] * 5

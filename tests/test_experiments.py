@@ -46,12 +46,13 @@ def test_spde_density_runner(tmp_path):
         tmp_path, "spde-density",
         ["noise.m=128", "spde.coefficients=anderson",
          "spde.anderson_lam=0.5", "run.n_paths=500"])
-    assert code in (0, 2)
-    assert summary["verdict"] is True
     assert any(q.startswith("stat(k=") for q in quantities)
     # only frequencies with a resolvable window report a slope
     assert summary["slopes"]
     assert all(s > 0.5 for s in summary["slopes"].values())
+    # the others leave the verdict undecided at 500 paths
+    assert code == 2
+    assert summary["verdict"] is None and summary["flag"] == "inconclusive"
 
 
 @pytest.mark.parametrize("delta,hold,gammabar", [(0.5, False, 1.0),

@@ -1,4 +1,4 @@
-"""Monte-Carlo plumbing: scaling fits, seeded ensembles, ECF."""
+"""Monte-Carlo plumbing: scaling fits, verdicts, seeded ensembles, ECF."""
 
 import os
 import subprocess
@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import ambitlab
+from ambitlab import ambit, besov, levy
 from ambitlab.montecarlo import (
+    ScalingFit,
     _t_quantile_975,
+    decide,
     empirical_cf,
     fit_scaling,
     path_rng,
@@ -156,6 +159,52 @@ codes += [run(e, o, outdir) for e, o in {_SCIPY_RUNS!r}.items()]
 print(codes, loaded)
 """
     assert _python(code).strip() == "[0, 0, 0, 0, 2] []"
+
+
+def _slope(slope, ci):
+    return ScalingFit(slope, 0.0, 1.0, ci, 6, "ok")
+
+
+class TestDecide:
+    """decide(fit, c) judges the one-sided claim "slope > c" on the CI."""
+
+    @pytest.mark.parametrize("fit,threshold,expected", [
+        (_slope(1.2, 0.1), 1.0, (True, "ok")),            # lower end clears
+        (_slope(0.8, 0.1), 1.0, (False, "ok")),           # upper end below
+        (_slope(1.05, 0.1), 1.0, (None, "inconclusive")),
+        (_slope(0.95, 0.1), 1.0, (None, "inconclusive")),
+        (_slope(1.25, 0.25), 1.0, (None, "inconclusive")),  # lower end on c
+        (_slope(0.75, 0.25), 1.0, (None, "inconclusive")),  # upper end on c
+        (_slope(1.0, 0.0), 1.0, (None, "inconclusive")),  # exact, on c
+        (_slope(1.0, 0.0), 0.5, (True, "ok")),            # exact slopes
+        (_slope(0.0, 0.0), 0.5, (False, "ok")),
+        (_slope(-2.0, 0.5), 0.0, (False, "ok")),
+        (_slope(5.0, np.inf), 0.0, (None, "inconclusive")),
+        # fits without a usable slope pass their flag through
+        (ScalingFit(0.0, 0.0, 0.0, np.inf, 0, "degenerate"), -1.0,
+         (None, "degenerate")),
+        (ScalingFit(np.nan, np.nan, 0.0, np.inf, 2, "inconclusive"), 0.5,
+         (None, "inconclusive")),
+    ])
+    def test_table(self, fit, threshold, expected):
+        assert decide(fit, threshold) == expected
+
+    def test_dirac_control_is_decided_false(self):
+        """The n = 0 statistic of a point mass (test_11's control) is flat
+        in h: slope 0 with a zero-width CI, decided False against the
+        Hölder order, not left undecided."""
+        model = levy.make_levy_model(1.2, 0.5, 0.5, T=1.0,
+                                     domain=(-1.0, 1.0))
+        dirac = ambit.make_ambit_spec(ambit_set=ambit.make_slab(1.0),
+                                      kernel_g=ambit.constant_kernel(0.0),
+                                      sigma=ambit.constant_field(1.0),
+                                      b=ambit.constant_field(0.0))
+        sample = ambit.density_sample(dirac, model, 1.0, 0.0, 0, 2000,
+                                      master_seed=7)
+        rep = besov.criterion_report(sample.values, sample.weights, 0, 0.5)
+        assert [decide(s.fitted, 0.5) for s in rep.statistics] \
+            == [(False, "ok")] * 5
+        assert rep.verdict is False and rep.flag == "ok"
 
 
 class TestPathRng:

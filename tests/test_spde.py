@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ambitlab import besov, noise, spde
-from ambitlab.montecarlo import fit_scaling, path_rng
+from ambitlab.montecarlo import ScalingFit, fit_scaling, path_rng
 
 
 HEAT = "heat"
@@ -415,16 +415,34 @@ def _fit(slope):
 
 def test_gammabar_combination():
     ex = noise.GammaExponents(0.5, 1.0, np.geomspace(0.01, 1, 5), None, None)
-    rep = spde.gammabar(ex, 0.5)
+    rep = spde.gammabar(ex, _fit(0.5))
     assert rep.gammabar == pytest.approx(2.0, abs=1e-10)
-    assert rep.verdict
+    assert rep.verdict is True and rep.flag == "ok"
     assert rep.beta_interval == (0.0, pytest.approx(1.0))
-    # ScalingFit delta is accepted too
-    assert spde.gammabar(ex, _fit(0.5)).gammabar == pytest.approx(2.0)
     steep = noise.GammaExponents(2.0, 0.5, np.geomspace(0.01, 1, 5), None,
                                  None)
-    low = spde.gammabar(steep, 0.1)  # (0.5 + 0.1) / 2 = 0.3
-    assert not low.verdict and low.beta_interval == (0.0, 0.0)
+    low = spde.gammabar(steep, _fit(0.1))  # (0.5 + 0.1) / 2 = 0.3
+    assert low.verdict is False and low.flag == "ok"
+    assert low.beta_interval == (0.0, 0.0)
+
+
+def test_gammabar_verdict_is_decided_on_the_delta_ci():
+    """gammabar > 1 iff delta > gamma1 - min(gamma1, gamma2): a delta CI
+    holding that threshold leaves the verdict undecided, with the point
+    values still reported."""
+    ex = noise.GammaExponents(1.0, 2.0, np.geomspace(0.01, 1, 5), None, None)
+    wide = ScalingFit(0.5, 0.0, 0.9, 0.6, 5, "ok")   # 0.5 +- 0.6 vs 0
+    rep = spde.gammabar(ex, wide)
+    assert (rep.gammabar, rep.delta, rep.verdict, rep.flag) \
+        == (1.5, 0.5, None, "inconclusive")
+    narrow = ScalingFit(0.5, 0.0, 0.9, 0.4, 5, "ok")
+    assert spde.gammabar(ex, narrow).verdict is True
+    # wave-like ordering gamma2 < gamma1: the threshold is gamma1 - gamma2
+    wave = noise.GammaExponents(2.0, 1.5, np.geomspace(0.01, 1, 5), None,
+                                None)
+    assert spde.gammabar(wave, _fit(0.8)).verdict is True
+    assert spde.gammabar(wave, _fit(0.4)).verdict is False
+    assert spde.gammabar(wave, narrow).verdict is None       # 0.5 +- 0.4
 
 
 def test_gammabar_of_a_degenerate_fit_has_no_verdict():
@@ -437,15 +455,17 @@ def test_gammabar_of_a_degenerate_fit_has_no_verdict():
     rep = spde.gammabar(ex, flat)
     assert (rep.gammabar, rep.delta, rep.verdict, rep.beta_interval) \
         == (None, None, None, None)
-    assert (rep.gamma1, rep.gamma2) == (1.0, 2.0)
-    # a slope of 0.0 given as a number is still a measured delta
-    assert spde.gammabar(ex, 0.0).verdict is False
+    assert (rep.gamma1, rep.gamma2, rep.flag) == (1.0, 2.0, "degenerate")
+    # a fitted slope of exactly 0.0 is a measured delta, at the threshold
+    zero = spde.gammabar(ex, _fit(0.0))
+    assert (zero.gammabar, zero.verdict, zero.flag) \
+        == (1.0, None, "inconclusive")
 
 
 def test_gammabar_needs_positive_gamma():
     ex = noise.GammaExponents(0.0, 1.0, np.geomspace(0.01, 1, 5), None, None)
     with pytest.raises(ValueError):
-        spde.gammabar(ex, 0.5)
+        spde.gammabar(ex, _fit(0.5))
 
 
 def test_density_report_weights_and_verdict():
