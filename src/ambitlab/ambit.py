@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -347,7 +347,9 @@ def _condition_exponent(kernel, aset, q, time_holder, space_holder):
 def _slab_condition_integral(eps, kernel, aset, q, time_holder, space_holder,
                              nodes=_JACOBI_NODES):
     """int_0^eps v^time_holder * S(u) dv with v = s - (t - eps), u = eps - v,
-    S(u) = int_{|y'| <= c u^zeta} |kernel|^q |y'|^space_holder dy'.
+    S(u) = int_{|y'| <= c u^zeta} |kernel|^q |y'|^space_holder dy': the
+    slab integral whose power of eps _condition_exponent gives in closed
+    form, kept as the oracle of that exponent.
 
     For the flat profile (constant and power kernels) the integrand is
     const v^a u^b, so the integral is const eps^(a+b+1) B(a+1, b+1) in
@@ -389,16 +391,30 @@ class ExponentBundle:
     gamma4: float
     gammabar: float          # min of the present gamma_1..gamma_4
     verdict: bool            # gammabar / gamma_0 > 1 / alpha
-    eps_grid: np.ndarray
-    integrals: dict
     beta: float
     gamma: float
 
 
-def exponent_conditions(spec, model, eps_grid, beta=None, gamma=None, *,
-                        t=1.0) -> ExponentBundle:
-    """The five slab exponent conditions in closed form, with their slab
-    integrals on eps_grid (closed forms too, except for the bump kernel).
+def _conditions(spec, alpha, gamma):
+    """{name: (kernel, set, q, time weight, space weight)} of the (H4)
+    conditions that apply to spec: the arguments of _condition_exponent and
+    _slab_condition_integral after eps."""
+    conds = {"gamma0": (spec.kernel_g, spec.ambit_set, alpha, 0.0, 0.0)}
+    if not spec.sigma.is_constant:
+        conds["gamma1"] = (spec.kernel_g, spec.ambit_set, gamma,
+                           spec.sigma.delta1 * gamma, 0.0)
+        conds["gamma2"] = (spec.kernel_g, spec.ambit_set, gamma, 0.0,
+                           spec.sigma.delta2 * gamma)
+    if not (spec.b.is_constant):
+        conds["gamma3"] = (spec.kernel_h, spec.drift_set, 1.0,
+                           spec.b.delta1, 0.0)
+        conds["gamma4"] = (spec.kernel_h, spec.drift_set, 1.0, 0.0,
+                           spec.b.delta2)
+    return conds
+
+
+def exponent_conditions(spec, model, beta=None, gamma=None) -> ExponentBundle:
+    """The five slab exponent conditions in closed form.
 
     gamma0: slab mass of |g|^alpha over the ambit cone; gamma1/gamma2: the
     same with the volatility time/space Hölder weights and exponent gamma
@@ -415,25 +431,9 @@ def exponent_conditions(spec, model, eps_grid, beta=None, gamma=None, *,
     gamma = dg if gamma is None else float(gamma)
     if not (0 < beta < alpha < gamma <= 2.0):
         raise ValueError("need 0 < beta < alpha < gamma <= 2")
-    eps_grid = np.asarray(sorted(eps_grid), dtype=float)
-    if eps_grid.size < 4 or eps_grid[0] <= 0 or eps_grid[-1] > t:
-        raise ValueError("eps_grid must hold >= 4 values in (0, t]")
-
-    conds = {"gamma0": (spec.kernel_g, spec.ambit_set, alpha, 0.0, 0.0)}
-    if not spec.sigma.is_constant:
-        conds["gamma1"] = (spec.kernel_g, spec.ambit_set, gamma,
-                           spec.sigma.delta1 * gamma, 0.0)
-        conds["gamma2"] = (spec.kernel_g, spec.ambit_set, gamma, 0.0,
-                           spec.sigma.delta2 * gamma)
-    if not (spec.b.is_constant):
-        conds["gamma3"] = (spec.kernel_h, spec.drift_set, 1.0,
-                           spec.b.delta1, 0.0)
-        conds["gamma4"] = (spec.kernel_h, spec.drift_set, 1.0, 0.0,
-                           spec.b.delta2)
 
     exponents = dict.fromkeys(f"gamma{i}" for i in range(5))
-    integrals = {}
-    for name, cond in conds.items():
+    for name, cond in _conditions(spec, alpha, gamma).items():
         try:
             exponent = _condition_exponent(*cond)
         except ValueError as exc:
@@ -442,15 +442,12 @@ def exponent_conditions(spec, model, eps_grid, beta=None, gamma=None, *,
         if name in ("gamma1", "gamma2"):
             exponent /= gamma
         exponents[name] = exponent
-        integrals[name] = np.array([_slab_condition_integral(e, *cond)
-                                    for e in eps_grid])
 
     present = [v for v in list(exponents.values())[1:] if v is not None]
     gammabar = float(min(present)) if present else float("inf")
     verdict = bool(gammabar / exponents["gamma0"] > 1.0 / alpha)
     return ExponentBundle(**exponents, gammabar=gammabar, verdict=verdict,
-                          eps_grid=eps_grid, integrals=integrals, beta=beta,
-                          gamma=gamma)
+                          beta=beta, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +508,6 @@ class AmbitDiscretization:
     cells: levy.CellGrid
     t: float
     x: float
-    tau: float
     s_axis: np.ndarray       # (rows,) time midpoints
     y_axis: np.ndarray       # (cols,) space midpoints
     g_mid: np.ndarray        # 1_A * g at the midpoints
@@ -561,11 +557,9 @@ def make_discretization(spec, model, t, x, *, eps_grid=(), nt=64,
             spec.drift_set.max_half_width(t))
     if W <= 0:
         W = 1.0   # degenerate sets: keep a nonempty box
-    box = levy.LevyBasisModel(model.alpha, model.c_plus, model.c_minus,
-                              T=t, domain=(x - W, x + W), tau=model.tau)
+    box = replace(model, T=t, domain=(x - W, x + W))
     edges = [t - e for e in eps_grid if 0 < e <= t]
     cells = levy.build_cells(box, nt=nt, nx=nx, extra_time_edges=edges)
-    tau = levy.default_tau(box)
     te, se = cells.time_edges, cells.space_edges
     s_mid, y_mid = cells.s_mid, cells.y_mid
     g_mid = spec.ambit_set.indicator(t, x, s_mid, y_mid) \
@@ -573,8 +567,8 @@ def make_discretization(spec, model, t, x, *, eps_grid=(), nt=64,
     ind_b = spec.drift_set.indicator(t, x, s_mid, y_mid)
     h_mid = spec.kernel_h(t, s_mid, x, y_mid)
     drift_cell = np.where(ind_b, h_mid, 0.0) * cells.cell_vol
-    gauss_sd, comp_cell = levy.cell_factors(box, tau, cells)
-    return AmbitDiscretization(box, cells, float(t), float(x), float(tau),
+    gauss_sd, comp_cell = levy.cell_factors(box, cells)
+    return AmbitDiscretization(box, cells, float(t), float(x),
                                0.5 * (te[:-1] + te[1:]),
                                0.5 * (se[:-1] + se[1:]), g_mid, gauss_sd,
                                comp_cell, drift_cell)
@@ -684,7 +678,7 @@ def sample_stack(spec, disc, rngs) -> PathStack:
                    disc.y_axis).reshape(n_paths, -1)
     g_sigma_mid = disc.g_mid * sigma_mid
     record = levy.sample_records(disc.box_model, g_sigma_mid, rngs,
-                                 tau=disc.tau, cells=disc.cells)
+                                 cells=disc.cells)
     return PathStack(spec, disc, sigma_paths, b_paths, sigma_mid, b_mid,
                      g_sigma_mid, record)
 
@@ -753,6 +747,8 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
     if not (0.0 < beta < model.alpha):
         raise ValueError("need 0 < beta < alpha")
     eps_grid = np.asarray(sorted(eps_grid), dtype=float)
+    if eps_grid.size < 4 or eps_grid[0] <= 0 or eps_grid[-1] > t:
+        raise ValueError("eps_grid must hold >= 4 values in (0, t]")
     disc = make_discretization(spec, model, t, x, eps_grid=eps_grid,
                                nt=nt, nx=nx)
     k = np.array([disc.cut_row(e) for e in eps_grid] + [-1])
@@ -783,8 +779,7 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
     stderrs = gaps.std(axis=0, ddof=1) / math.sqrt(n_paths)
 
     clock = time.perf_counter()
-    bundle = exponent_conditions(spec, model, eps_grid, beta=beta,
-                                 gamma=gamma, t=t)
+    bundle = exponent_conditions(spec, model, beta=beta, gamma=gamma)
     seconds["exponent_conditions"] = time.perf_counter() - clock
     target = beta * (1.0 / model.alpha + bundle.gammabar) - 1.0
 
@@ -860,9 +855,8 @@ def density_sample(spec, model, t, x, n, n_paths, *, master_seed=0,
         rng = path_rng(master_seed, "ambit-density", 0)
         tally = {}
         stoch = levy.sample_integral(disc.box_model, f, rng,
-                                     n_draws=n_paths, tau=disc.tau,
-                                     cells=disc.cells, workers=workers,
-                                     tally=tally)
+                                     n_draws=n_paths, cells=disc.cells,
+                                     workers=workers, tally=tally)
         # spec.x0 + stoch + drift in that order, the second sum in place
         # (stoch itself stays the sampler's draws)
         values = spec.x0 + stoch

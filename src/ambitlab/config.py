@@ -347,6 +347,10 @@ def _cross_checks(sections, path):
         s = sections[section]
         if s["eps_min"] >= s["eps_max"]:
             raise ConfigError(f"[{section}] needs eps_min < eps_max", path)
+        # every frequency slope is n - O(h^2): no path count decides it
+        if s["holder"] == s["n"]:
+            raise ConfigError(f"[{section}] needs holder != n: at holder = n "
+                              f"the density verdict is undecidable", path)
     levy = sections["levy"]
     if levy["c_plus"] + levy["c_minus"] == 0:
         raise ConfigError("[levy] c_plus + c_minus must be positive", path)

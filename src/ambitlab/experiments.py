@@ -244,7 +244,7 @@ def _exp_ambit_decay(cfg):
     }
     disc = report.discretization
     n_rows, n_cols = disc.shape
-    logs = [f"tau={disc.tau:.6g}", f"cells={n_rows}x{n_cols}"]
+    logs = [f"tau={disc.box_model.tau:.6g}", f"cells={n_rows}x{n_cols}"]
     logs += [f"cut_row eps={e:.6g} row={disc.cut_row(e)}"
              for e in report.eps_grid]
     logs.append(f"jumps_per_path={report.jumps_per_path:.2f}")
@@ -267,7 +267,7 @@ def _exp_ambit_density(cfg):
                                   workers=run["workers"], nt=a["nt"],
                                   nx=a["nx"])
     n_rows, n_cols = sample.discretization.shape
-    logs = [f"tau={sample.discretization.tau:.6g}",
+    logs = [f"tau={sample.discretization.box_model.tau:.6g}",
             f"cells={n_rows}x{n_cols}"]
     logs.append(f"jumps_per_draw={sample.jumps_per_draw:.2f}")
     tally = sample.tally

@@ -11,10 +11,10 @@ The module provides
   second moment, cosine lower bound), each in closed form,
 * the dyadic moment-lemma bound with its explicit constant, against the
   closed-form truncated moments,
-* simulation of X = int int f dL by compound-Poisson jumps above a
-  truncation tau plus a variance-matched Gaussian for the sub-tau part
-  (sample_integral), and of jump records (sample_records) that replay a
-  second integrand against the *same* noise (replay_integral), and
+* simulation of X = int int f dL by compound-Poisson jumps above the
+  model's truncation tau plus a variance-matched Gaussian for the sub-tau
+  part (sample_integral), and of jump records (sample_records) that replay
+  a second integrand against the *same* noise (replay_integral), and
 * the characteristic exponent RePsi = A |xi|^alpha, A by midpoint
   quadrature of |f|^alpha on the cell grid.
 """
@@ -41,7 +41,6 @@ __all__ = [
     "CellGrid",
     "build_cells",
     "JumpRecord",
-    "default_tau",
     "cell_factors",
     "jump_bounds",
     "sample_records",
@@ -54,15 +53,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LevyBasisModel:
-    """Stable-like basis: index alpha, one-sided weights, and the box
-    [0, T] x [lo, hi] with Lebesgue control."""
+    """Stable-like basis: index alpha, one-sided weights, the box
+    [0, T] x [lo, hi] with Lebesgue control, and the small-jump truncation
+    tau, below which the samplers draw a matched Gaussian."""
 
     alpha: float
     c_plus: float
     c_minus: float
     T: float
     domain: tuple            # (lo, hi)
-    tau: float = None        # small-jump truncation override
+    tau: float
+
+    def __post_init__(self):
+        # checked here, so that dataclasses.replace(model, tau=...) is too
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
 
     @property
     def c_sum(self):
@@ -80,6 +85,8 @@ class LevyBasisModel:
 
 def make_levy_model(alpha, c_plus=1.0, c_minus=1.0, *, T=1.0,
                     domain=(-1.0, 1.0), tau=None) -> LevyBasisModel:
+    """tau defaults to err^(1/(2-alpha)), err = 1e-2: the Gaussian that
+    replaces the sub-tau jumps then has variance C_bar * err * int f^2."""
     if not (0.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (0, 2)")
     if c_plus < 0 or c_minus < 0 or c_plus + c_minus == 0:
@@ -92,10 +99,10 @@ def make_levy_model(alpha, c_plus=1.0, c_minus=1.0, *, T=1.0,
         raise ValueError("domain must be one interval (lo, hi)") from None
     if not -math.inf < lo < hi < math.inf:
         raise ValueError("domain must be a finite interval lo < hi")
-    if tau is not None and tau <= 0:
-        raise ValueError("tau must be positive")
+    if tau is None:
+        tau = 1e-2 ** (1.0 / (2.0 - alpha))
     return LevyBasisModel(float(alpha), float(c_plus), float(c_minus),
-                          float(T), (lo, hi), tau)
+                          float(T), (lo, hi), float(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -238,29 +245,22 @@ def build_cells(model, nt=32, nx=32, extra_time_edges=()) -> CellGrid:
     return CellGrid(t_edges, space_edges, s_mid, y_mid, cell_vol)
 
 
-def default_tau(model) -> float:
-    """The model's tau, else tau = err^(1/(2-alpha)) for the target variance
-    error err = 1e-2; the Gaussian that replaces the sub-tau jumps then has
-    variance C_bar * err * int f^2."""
-    if model.tau is not None:
-        return model.tau
-    return 1e-2 ** (1.0 / (2.0 - model.alpha))
-
-
-def _compensator_k(alpha, tau) -> float:
-    # int_tau^1 z^(-alpha) dz, signed (negative when tau > 1)
-    if alpha == 1.0:
-        return -math.log(tau)
-    return (1.0 - tau ** (1.0 - alpha)) / (1.0 - alpha)
+def _sub_tau_law(model):
+    """(variance, compensator) per unit integrand and volume: the second
+    moment c_sum tau^(2-alpha) / (2-alpha) of the jumps below tau, and the
+    mean c_diff int_tau^1 z^(-alpha) dz of the simulated (tau, 1] jumps
+    (negative when tau > 1)."""
+    a, tau = model.alpha, model.tau
+    k = -math.log(tau) if a == 1.0 else (1.0 - tau ** (1.0 - a)) / (1.0 - a)
+    return model.c_sum * tau ** (2.0 - a) / (2.0 - a), model.c_diff * k
 
 
 @dataclass
 class JumpRecord:
     """Every random input of the integrals sample_records draws (one draw
     per generator), replayable against any integrand (shared-noise
-    coupling)."""
+    coupling) by replay_integral with the model that drew it."""
 
-    tau: float
     cells: CellGrid
     counts: np.ndarray       # (n_draws,) jump counts
     s: np.ndarray            # (total_jumps,)
@@ -277,21 +277,19 @@ class JumpRecord:
         counts = np.zeros_like(self.counts)
         did = np.repeat(np.arange(counts.size), self.counts)
         np.add.at(counts, did[keep], 1)
-        return JumpRecord(self.tau, self.cells, counts, self.s[keep],
+        return JumpRecord(self.cells, counts, self.s[keep],
                           self.y[keep], self.z[keep], normals)
 
 
-def cell_factors(model, tau, cells):
+def cell_factors(model, cells):
     """Per-cell (sd, compensator) of a sampled integral: over the cells,
     int int f dL is sum f(mid) * (normal * sd - compensator) plus the jumps.
 
-    sd matches the truncated second moment of the sub-tau jumps; the
-    compensator is the mean of the simulated (tau, 1] jumps.
+    sd matches the truncated second moment of the jumps below the model's
+    tau; the compensator is the mean of the simulated (tau, 1] jumps.
     """
-    sigma2 = model.c_sum * tau ** (2.0 - model.alpha) / (2.0 - model.alpha)
-    sd = np.sqrt(sigma2 * cells.cell_vol)
-    comp = model.c_diff * _compensator_k(model.alpha, tau) * cells.cell_vol
-    return sd, comp
+    sigma2, comp = _sub_tau_law(model)
+    return np.sqrt(sigma2 * cells.cell_vol), comp * cells.cell_vol
 
 
 def replay_integral(model, record, f):
@@ -304,23 +302,20 @@ def replay_integral(model, record, f):
     f_mid = np.asarray(f(record.cells.s_mid, record.cells.y_mid), dtype=float)
     # signed coefficient f(mid) * sd(cell): linear in f, so replaying a
     # different integrand against the same normals couples pathwise
-    sd = cell_factors(model, record.tau, record.cells)[0]
+    sd = cell_factors(model, record.cells)[0]
     gauss_part = record.cell_normals @ (f_mid * sd)
-    comp = model.c_diff * _compensator_k(model.alpha, record.tau) \
-        * record.cells.quadrature(f_mid)
+    comp = _sub_tau_law(model)[1] * record.cells.quadrature(f_mid)
     return jump_part + gauss_part - comp
 
 
-# Most expected jumps per draw the samplers accept: a tau that asks for
-# more is taken for a resolution error rather than a costly draw.
+# Most expected jumps per draw the samplers accept: a model whose tau asks
+# for more is taken for a resolution error rather than a costly draw.
 _MAX_EXPECTED_JUMPS = 250_000.0
 
 
-def _check_integrand(model, cells, f_mid, tau):
+def _check_integrand(model, cells, f_mid):
     """Sampler preconditions on the cell values of f (one integrand per row
     of a stack (..., n_cells)); returns the expected jump count per draw."""
-    if tau <= 0 or not np.isfinite(tau):
-        raise ValueError("tau must be positive and finite")
     alpha = model.alpha
     if not np.all(np.isfinite(f_mid)):
         raise ValueError("integrand not finite on the cell lattice")
@@ -338,7 +333,7 @@ def _check_integrand(model, cells, f_mid, tau):
                 raise ValueError(
                     "integrand fails the |f|^alpha integrability check")
 
-    rate_bound = model.box_volume * model.c_sum * tau ** (-alpha) / alpha
+    rate_bound = model.box_volume * model.c_sum * model.tau ** -alpha / alpha
     if not np.isfinite(rate_bound) or rate_bound > _MAX_EXPECTED_JUMPS:
         raise ValueError(
             f"expected jump count {rate_bound:.3g} per draw exceeds the "
@@ -366,7 +361,7 @@ _JUMPS_PER_CHUNK = 250_000.0
 _MARGIN_SD = 6.0
 
 
-def _map_sizes(model, tau, sign, z):
+def _map_sizes(model, sign, z):
     """Signed sizes of the jumps whose sign and magnitude uniform blocks
     are sign and z, mapped in place into z: +-tau * z**(-1/alpha),
     negative where the sign uniform falls past c_plus / c_sum."""
@@ -375,11 +370,11 @@ def _map_sizes(model, tau, sign, z):
     sign *= model.c_sum
     np.subtract(0.5, sign >= model.c_plus, out=sign)
     z **= -1.0 / model.alpha
-    np.multiply(tau, z, out=z)
+    np.multiply(model.tau, z, out=z)
     return np.copysign(z, sign, out=z)
 
 
-def _map_jumps(model, tau, u):
+def _map_jumps(model, u):
     """Times, positions and signed sizes of the jumps whose _BLOCKS uniform
     blocks are the rows of u, in stream order.  Times and positions are
     mapped in place as uniform() maps doubles (lo + (hi - lo) * u), sizes
@@ -389,7 +384,7 @@ def _map_jumps(model, tau, u):
     lo, hi = model.domain
     y *= hi - lo
     y += lo
-    return s, y, _map_sizes(model, tau, sign, z)
+    return s, y, _map_sizes(model, sign, z)
 
 
 def jump_bounds(model):
@@ -398,14 +393,16 @@ def jump_bounds(model):
     returns, 0 and 1 - 2**-53.  The maps are monotone, so every jump time
     and position lies between the two, rounding included."""
     u = np.array([0.0, 1.0 - 2.0 ** -53])
-    s, y, _ = _map_jumps(model, 1.0, np.stack([u, u, u, np.ones(2)]))
+    s, y, _ = _map_jumps(model, np.stack([u, u, u, np.ones(2)]))
     return s, y
 
 
-def sample_records(model, f_mid, rngs, *, tau, cells) -> JumpRecord:
-    """The noise of one integral per generator against integrands known
-    by their cell-midpoint values (row i of f_mid for rngs[i]), checked as
-    sample_integral checks f and stacked as one record of len(rngs) draws.
+def sample_records(model, f_mid, rngs, *, cells) -> JumpRecord:
+    """The noise of one integral per generator (the jumps above the
+    model's tau and the cell normals of the Gaussian below it) against
+    integrands known by their cell-midpoint values (row i of f_mid for
+    rngs[i]), checked as sample_integral checks f and stacked as one
+    record of len(rngs) draws.
 
     Generator i draws poisson(rate_bound, 1) for its jump count tot, then
     the uniforms of random((_BLOCKS, tot)), a row per block, then
@@ -417,7 +414,7 @@ def sample_records(model, f_mid, rngs, *, tau, cells) -> JumpRecord:
     """
     if np.shape(f_mid) != (len(rngs), cells.n_cells):
         raise ValueError("need one row of cell values per generator")
-    rate_bound = _check_integrand(model, cells, f_mid, tau)
+    rate_bound = _check_integrand(model, cells, f_mid)
     counts = np.array([rng.poisson(rate_bound, 1)[0] for rng in rngs],
                       dtype=np.int64)
     ends = np.cumsum(counts)
@@ -427,20 +424,22 @@ def sample_records(model, f_mid, rngs, *, tau, cells) -> JumpRecord:
         for row in u[:, start:end]:
             rng.random(out=row)
         rng.standard_normal(out=out)
-    s, y, z = _map_jumps(model, tau, u)
-    return JumpRecord(tau=float(tau), cells=cells, counts=counts, s=s, y=y,
-                      z=z, cell_normals=normals)
+    s, y, z = _map_jumps(model, u)
+    return JumpRecord(cells=cells, counts=counts, s=s, y=y, z=z,
+                      cell_normals=normals)
 
 
-def sample_integral(model, f, rng, *, n_draws, tau=None, cells=None,
-                    nt=32, nx=32, workers=1, tally=None):
-    """(n_draws,) draws of X = int_0^T int_D f(s, y) L(ds, dy).
+def sample_integral(model, f, rng, *, n_draws, cells=None, workers=1,
+                    tally=None):
+    """(n_draws,) draws of X = int_0^T int_D f(s, y) L(ds, dy), on the
+    cells given or else on build_cells(model).
 
-    Jumps with |z| > tau come from a compound-Poisson sampler (uniform
-    times and positions on the box, Pareto magnitudes); jumps below tau are
-    replaced by a centred per-cell Gaussian matching the truncated second
-    moment; the raw simulation of (tau, 1] jumps is compensated per the
-    1_{[-1,1]} truncation convention of the characteristic exponent.
+    Jumps with |z| above the model's tau come from a compound-Poisson
+    sampler (uniform times and positions on the box, Pareto magnitudes);
+    jumps below tau are replaced by a centred per-cell Gaussian matching
+    the truncated second moment; the raw simulation of (tau, 1] jumps is
+    compensated per the 1_{[-1,1]} truncation convention of the
+    characteristic exponent.
 
     The draws come in chunks of about _JUMPS_PER_CHUNK expected jumps, so
     the chunk count depends on n_draws and the jump rate only.  Chunk c
@@ -473,18 +472,15 @@ def sample_integral(model, f, rng, *, n_draws, tau=None, cells=None,
     if int(workers) != workers or workers < 1:
         raise ValueError("workers must be a positive integer")
     if cells is None:
-        cells = build_cells(model, nt=nt, nx=nx)
-    if tau is None:
-        tau = default_tau(model)
-    alpha = model.alpha
+        cells = build_cells(model)
 
     f_mid = np.asarray(f(cells.s_mid, cells.y_mid), dtype=float)
-    rate_bound = _check_integrand(model, cells, f_mid, tau)
+    rate_bound = _check_integrand(model, cells, f_mid)
 
     values = np.empty(n)
-    sigma2 = model.c_sum * tau ** (2.0 - alpha) / (2.0 - alpha)
+    sigma2, comp = _sub_tau_law(model)
     total_sd = math.sqrt(float(np.sum(sigma2 * f_mid ** 2 * cells.cell_vol)))
-    comp = model.c_diff * _compensator_k(alpha, tau) * cells.quadrature(f_mid)
+    comp *= cells.quadrature(f_mid)
 
     constant = f_mid.ndim == 0
     # advance() moves past exactly one random() double per step only for
@@ -523,10 +519,10 @@ def sample_integral(model, f, rng, *, n_draws, tau=None, cells=None,
                 # random() takes one 64-bit output per double
                 chunk_rng.bit_generator.advance(
                     (_BLOCKS - _SIZE_BLOCKS) * tot)
-                z = _map_sizes(model, tau, *chunk_rng.random(out=u))
+                z = _map_sizes(model, *chunk_rng.random(out=u))
                 z *= f_mid
             else:
-                s, y, z = _map_jumps(model, tau, chunk_rng.random(out=u))
+                s, y, z = _map_jumps(model, chunk_rng.random(out=u))
                 if tot:
                     z *= f(s, y)
             sums = np.bincount(np.repeat(np.arange(nb), counts), weights=z,
@@ -560,9 +556,10 @@ class CharacteristicExponent:
     alpha_coefficient: float     # A with RePsi = A |xi|^alpha (stable family)
 
 
-def characteristic_exponent(model, f, xi, *, cells=None, nt=64,
-                            nx=64) -> CharacteristicExponent:
-    """RePsi_X(xi) for X = int int f dL.
+def characteristic_exponent(model, f, xi, *,
+                            cells=None) -> CharacteristicExponent:
+    """RePsi_X(xi) for X = int int f dL, on the cells given or else on
+    build_cells(model).
 
     The inner integral over the stable measure is closed-form,
     int (1 - cos(xi z u)) rho(dz) = c_sum K_alpha |xi u|^alpha, so the
@@ -570,7 +567,7 @@ def characteristic_exponent(model, f, xi, *, cells=None, nt=64,
     |f|^alpha; the outer integral is midpoint quadrature on the cell grid.
     """
     if cells is None:
-        cells = build_cells(model, nt=nt, nx=nx)
+        cells = build_cells(model)
     a = model.alpha
     f_mid = np.asarray(f(cells.s_mid, cells.y_mid), dtype=float)
     A = model.c_sum * kappa_alpha(a) \

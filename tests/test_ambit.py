@@ -111,21 +111,30 @@ def test_default_beta_gamma_ordering():
 # ---------------------------------------------------------------------------
 
 
+def _integrals(spec, model, bundle, eps):
+    """The slab integrals on eps of the (H4) conditions behind bundle, by
+    the quadrature oracle _slab_condition_integral."""
+    conds = am._conditions(spec, model.alpha, bundle.gamma)
+    return {name: np.array([am._slab_condition_integral(e, *cond)
+                            for e in eps]) for name, cond in conds.items()}
+
+
 def test_cone_quadrature_closed_form(model, cone_spec):
-    bundle = am.exponent_conditions(cone_spec, model, EPS, t=1.0)
+    bundle = am.exponent_conditions(cone_spec, model)
+    integrals = _integrals(cone_spec, model, bundle, EPS)
     assert bundle.gamma0 == 2.0
-    assert np.allclose(bundle.integrals["gamma0"], EPS**2, rtol=1e-12)
+    assert np.allclose(integrals["gamma0"], EPS**2, rtol=1e-12)
     # constant sigma and b: no condition beyond gamma0 applies
     assert bundle.gamma1 is bundle.gamma2 is bundle.gamma3 \
         is bundle.gamma4 is None
-    assert set(bundle.integrals) == {"gamma0"}
+    assert set(integrals) == {"gamma0"}
     assert bundle.gammabar == float("inf")
     assert bundle.verdict
 
 
 def test_reference_spec_remark_rules(model, reference_spec):
-    b2 = am.exponent_conditions(reference_spec, model, EPS,
-                                beta=0.8, gamma=2.0, t=1.0)
+    b2 = am.exponent_conditions(reference_spec, model, beta=0.8, gamma=2.0)
+    integrals = _integrals(reference_spec, model, b2, EPS)
     # gammabar1 = (1 + zeta - theta gamma)/gamma = 0.5 here, so
     # gamma1 = gammabar1 + delta1 and gamma2 = gammabar1 + delta2 * zeta
     assert b2.gamma1 == b2.gamma2 == b2.gammabar == 1.0
@@ -133,7 +142,7 @@ def test_reference_spec_remark_rules(model, reference_spec):
     assert b2.gamma3 is None and b2.gamma4 is None
     # the quadrature rows are pure powers with these exponents
     for name, want in (("gamma0", 1.4), ("gamma1", 2.0), ("gamma2", 2.0)):
-        assert fit_scaling(EPS, b2.integrals[name]).slope \
+        assert fit_scaling(EPS, integrals[name]).slope \
             == pytest.approx(want, abs=1e-6)
     assert not b2.verdict  # 1.0 / 1.4 < 1 / alpha = 1 / 1.2
 
@@ -145,7 +154,8 @@ def test_five_condition_bundle(model):
         kernel_h=am.power_kernel(0.3),
         sigma=am.weierstrass_field(delta1=0.4, delta2=0.6),
         b=am.weierstrass_field(delta1=0.3, delta2=0.7))
-    b5 = am.exponent_conditions(spec5, model, EPS, t=1.0)
+    b5 = am.exponent_conditions(spec5, model)
+    integrals = _integrals(spec5, model, b5, EPS)
     _, gamma = am.default_beta_gamma(1.2)
     # 1 + a + q theta + zeta (1 + p), divided by gamma for gamma1/gamma2
     assert b5.gamma0 == 2.0
@@ -155,7 +165,7 @@ def test_five_condition_bundle(model):
     assert b5.gamma4 == pytest.approx(2.4, abs=1e-12)
     assert b5.gammabar == b5.gamma1
     for name in ("gamma3", "gamma4"):
-        assert fit_scaling(EPS, b5.integrals[name]).slope \
+        assert fit_scaling(EPS, integrals[name]).slope \
             == pytest.approx(getattr(b5, name), abs=1e-6)
 
 
@@ -167,17 +177,18 @@ def test_bump_quadrature_is_flat_at_small_eps(model):
         ambit_set=am.make_cone(1.0, 1.0), kernel_g=am.bump_kernel(0.7),
         sigma=am.weierstrass_field(delta1=0.4, delta2=0.6))
     small = np.geomspace(1e-5, 1e-3, 5)
-    bundle = am.exponent_conditions(spec, model, np.append(small, EPS[1:]),
-                                    t=1.0)
+    grid = np.append(small, EPS[1:])
+    bundle = am.exponent_conditions(spec, model)
+    integrals = _integrals(spec, model, bundle, grid)
     _, gamma = am.default_beta_gamma(1.2)
     conds = {"gamma0": (1.2, 0.0, 0.0), "gamma1": (gamma, 0.4 * gamma, 0.0),
              "gamma2": (gamma, 0.0, 0.6 * gamma)}
     for name, (q, a, p) in conds.items():
         want = getattr(bundle, name) * (1.0 if name == "gamma0" else gamma)
-        rows = bundle.integrals[name][:small.size]
+        rows = integrals[name][:small.size]
         local = np.diff(np.log(rows)) / np.diff(np.log(small))
         assert np.abs(local - want).max() <= 1e-4, name
-        for e, v in zip(bundle.eps_grid, bundle.integrals[name]):
+        for e, v in zip(grid, integrals[name]):
             fine = am._slab_condition_integral(e, spec.kernel_g,
                                                spec.ambit_set, q, a, p, 96)
             assert v == pytest.approx(fine, rel=1e-8, abs=0.0)
@@ -208,9 +219,10 @@ def test_cone_aperture_homogeneity(model, cone_spec):
                               kernel_g=am.constant_kernel(1.0),
                               sigma=am.constant_field(1.0),
                               b=am.constant_field(0.0))
-    b1 = am.exponent_conditions(cone_spec, model, EPS, t=1.0)
-    b2 = am.exponent_conditions(wide, model, EPS, t=1.0)
-    assert np.allclose(b2.integrals["gamma0"] / b1.integrals["gamma0"],
+    b1 = am.exponent_conditions(cone_spec, model)
+    b2 = am.exponent_conditions(wide, model)
+    assert np.allclose(_integrals(wide, model, b2, EPS)["gamma0"]
+                       / _integrals(cone_spec, model, b1, EPS)["gamma0"],
                        2.0, rtol=1e-12)
     assert b2.gamma0 == b1.gamma0 == 2.0
 
@@ -221,18 +233,18 @@ def test_divergent_kernel_names_the_condition(model):
                              sigma=am.constant_field(1.0),
                              b=am.constant_field(0.0))
     with pytest.raises(ValueError, match="gamma0"):
-        am.exponent_conditions(hot, model, EPS, t=1.0)
+        am.exponent_conditions(hot, model)
 
 
 def test_exponent_validation(model, cone_spec):
+    # error_decay, the one reader of an eps grid, checks it before sampling
     with pytest.raises(ValueError, match=">= 4"):
-        am.exponent_conditions(cone_spec, model, EPS[:3], t=1.0)
+        am.error_decay(cone_spec, model, 1.0, 0.0, 0.8, EPS[:3], 16)
     with pytest.raises(ValueError, match="in \\(0, t\\]"):
-        am.exponent_conditions(cone_spec, model, np.geomspace(0.01, 2.0, 6),
-                               t=1.0)
+        am.error_decay(cone_spec, model, 1.0, 0.0, 0.8,
+                       np.geomspace(0.01, 2.0, 6), 16)
     with pytest.raises(ValueError, match="beta"):
-        am.exponent_conditions(cone_spec, model, EPS, beta=1.3, gamma=2.0,
-                               t=1.0)
+        am.exponent_conditions(cone_spec, model, beta=1.3, gamma=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +283,7 @@ def test_slab_field_matches_stable_cf(model):
     disc = am.make_discretization(spec, lite, 1.0, 0.0)
     vals = lv.sample_integral(disc.box_model, lambda s, y: np.ones_like(s),
                               path_rng(7, "cfx", 0), n_draws=40_000,
-                              tau=disc.tau, cells=disc.cells)
+                              cells=disc.cells)
     A = lite.c_sum * lv.kappa_alpha(lite.alpha) * 2.0
     for xi in (0.5, 1.0, 2.0, 8.0):
         phi, se = empirical_cf(vals, np.array([xi]))
@@ -725,7 +737,7 @@ def test_bulk_integrand_draws_the_per_jump_values(case, monkeypatch):
         assert got.tally["chunks"] > 1
         disc = got.discretization
         want = sample(disc.box_model, f, path_rng(5, "ambit-density", 0),
-                      n_draws=13_000, tau=disc.tau, cells=disc.cells,
+                      n_draws=13_000, cells=disc.cells,
                       workers=workers)
         assert np.array_equal(drawn[-1], want), workers
         # one weight |sigma0|^n for every draw

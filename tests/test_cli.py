@@ -8,7 +8,7 @@ import pytest
 import scipy
 
 import ambitlab
-from ambitlab import cli, spde
+from ambitlab import ambit, cli, levy, spde
 from ambitlab.besov import MAX_ORDER
 from ambitlab.config import ConfigError, parse_config, resolve_config
 
@@ -102,6 +102,11 @@ def test_missing_experiment_is_required():
      "gamma = 1.0\n", "\\[ambit\\] needs gamma > \\[levy\\] alpha"),
     ("[run]\nexperiment = ambit-decay\n[levy]\nalpha = 1.2\n[ambit]\n"
      "gamma = 1.2\n", "\\[ambit\\] needs gamma > \\[levy\\] alpha"),
+    # every frequency slope is n - O(h^2) at holder = n: no verdict
+    ("[run]\nexperiment = spde-density\n[spde]\nn = 1\nholder = 1.0\n",
+     "\\[spde\\] needs holder != n: .* undecidable"),
+    ("[run]\nexperiment = ambit-density\n[ambit]\nn = 1\nholder = 1.0\n",
+     "\\[ambit\\] needs holder != n: .* undecidable"),
 ])
 def test_cross_checks(text, reason):
     with pytest.raises(ConfigError, match=reason):
@@ -293,6 +298,32 @@ def test_ambit_decay_log_counts_the_work(tmp_path):
     for _, csv, summary in runs.values():
         assert b"jumps" not in csv + summary and b"tau" not in csv + summary
     assert runs[1][1:] == runs[2][1:]
+
+
+@pytest.mark.parametrize("experiment,overrides", [
+    ("ambit-decay", ["ambit.eps_points=4", "run.n_paths=64"]),
+    ("ambit-density", ["run.n_paths=2000"]),
+])
+def test_levy_tau_override_reaches_the_discretization(tmp_path, monkeypatch,
+                                                      experiment, overrides):
+    """levy.tau is the model's tau: the run logs it, and the box model and
+    the sub-tau cell factors of the run's discretization are built at it."""
+    discs, make = [], ambit.make_discretization
+
+    def spy(*args, **kwargs):
+        discs.append(make(*args, **kwargs))
+        return discs[-1]
+
+    monkeypatch.setattr(ambit, "make_discretization", spy)
+    overrides = [*overrides, "levy.tau=0.05", "ambit.nt=8", "ambit.nx=8"]
+    assert cli.run(None, overrides, experiment=experiment, seed=1,
+                   outdir=str(tmp_path)) in (0, 2)
+    assert "tau=0.05" in (tmp_path / "run.log").read_text().splitlines()
+    (disc,) = discs
+    assert disc.box_model.tau == 0.05
+    gauss_sd, comp_cell = levy.cell_factors(disc.box_model, disc.cells)
+    assert np.array_equal(disc.gauss_sd, gauss_sd)
+    assert np.array_equal(disc.comp_cell, comp_cell)
 
 
 @pytest.mark.parametrize("sigma_field", ["constant", "weierstrass"])

@@ -11,6 +11,7 @@ Oracles used here, all independent of the implementation:
     splits (stable laws are infinitely divisible).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -75,6 +76,8 @@ def test_normalization_mass():
     (dict(alpha=1.0, tau=-0.1), "tau"),
     (dict(alpha=1.0, domain=((-1.0, 1.0), (0.0, 2.0))), "domain"),
     (dict(alpha=1.0, domain=(0.0, np.inf)), "domain"),
+    (dict(alpha=1.2, tau=float("nan")), "tau must be positive and finite"),
+    (dict(alpha=1.2, tau=float("inf")), "tau must be positive and finite"),
 ])
 def test_model_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -156,8 +159,8 @@ def test_draw_shapes_and_budget():
     seven = levy.sample_integral(m, ONE, path_rng(1, "s", 1), n_draws=7)
     assert seven.shape == (7,)
     with pytest.raises(ValueError, match="budget"):
-        levy.sample_integral(m, ONE, path_rng(1, "s", 2), n_draws=1,
-                             tau=1e-9)
+        levy.sample_integral(dataclasses.replace(m, tau=1e-9), ONE,
+                             path_rng(1, "s", 2), n_draws=1)
     with pytest.raises(ValueError, match="n_draws"):
         levy.sample_integral(m, ONE, path_rng(1, "s", 3), n_draws=0)
 
@@ -179,20 +182,20 @@ def test_integrability_audit_catches_overflow():
     with pytest.raises(ValueError, match="integrability"):
         levy.sample_records(m, np.full((2, cells.n_cells), -edge),
                             [path_rng(1, "audit", i) for i in range(2)],
-                            tau=0.05, cells=cells)
+                            cells=cells)
     # one such cell in a row: the bound fails, the exact sum does not
     one = np.zeros((1, cells.n_cells))
     one[0, 3] = edge
-    assert levy._check_integrand(m, cells, one, 0.05) > 0
+    assert levy._check_integrand(m, cells, one) > 0
 
 
 def test_tau_insensitivity_ks():
     """Halving the jump cutoff must not move the sampled law."""
     m = levy.make_levy_model(1.2, 1.0, 1.0, T=1.0, domain=(-1.0, 1.0))
-    a = levy.sample_integral(m, ONE, path_rng(3, "tau", 0), n_draws=4000,
-                             tau=0.05)
-    b = levy.sample_integral(m, ONE, path_rng(3, "tau", 1), n_draws=4000,
-                             tau=0.025)
+    a = levy.sample_integral(dataclasses.replace(m, tau=0.05), ONE,
+                             path_rng(3, "tau", 0), n_draws=4000)
+    b = levy.sample_integral(dataclasses.replace(m, tau=0.025), ONE,
+                             path_rng(3, "tau", 1), n_draws=4000)
     assert stats.ks_2samp(a, b).pvalue > 1e-3
 
 
@@ -220,7 +223,7 @@ def _osc_record(m, cells, stream, n_draws):
     generator per draw."""
     f_mid = np.tile(_osc(cells.s_mid, cells.y_mid), (n_draws, 1))
     rngs = [path_rng(7, stream, i) for i in range(n_draws)]
-    return levy.sample_records(m, f_mid, rngs, tau=m.tau, cells=cells)
+    return levy.sample_records(m, f_mid, rngs, cells=cells)
 
 
 def test_replay_is_linear_in_the_integrand():
@@ -291,7 +294,7 @@ def _explicit_integral(m, f, rng, tau, cells, n_draws):
     counts, s, y, z = _explicit_jumps(m, rng, tau, n_draws)
     jumps = np.bincount(np.repeat(np.arange(n_draws), counts),
                         weights=f(s, y) * z, minlength=n_draws)
-    sd, comp = levy.cell_factors(m, tau, cells)
+    sd, comp = levy.cell_factors(m, cells)
     f_cell = f(cells.s_mid, cells.y_mid)
     values = jumps + np.sqrt(np.sum((f_cell * sd) ** 2)) \
         * rng.standard_normal(n_draws) - np.sum(f_cell * comp)
@@ -311,7 +314,7 @@ def test_records_equal_explicit_uniform_draws(case):
     cells = levy.build_cells(m, nt=8, nx=8)
     f_mid = np.stack([np.cos(i + cells.s_mid) for i in range(12)])
     rngs = [path_rng(9, "explicit", i) for i in range(12)]
-    rec = levy.sample_records(m, f_mid, rngs, tau=tau, cells=cells)
+    rec = levy.sample_records(m, f_mid, rngs, cells=cells)
     if case == "sparse":
         assert 0 < np.count_nonzero(rec.counts) < len(rngs)
     if case in ("positive", "negative"):
@@ -334,16 +337,16 @@ def test_records_equal_explicit_uniform_draws(case):
     # over all draws, then one normal per draw for the sub-tau Gaussian
     f = lambda s, y: np.cos(s)
     vals = levy.sample_integral(m, f, path_rng(9, "explicit-multi", 0),
-                                n_draws=5, tau=tau, cells=cells)
+                                n_draws=5, cells=cells)
     child = path_rng(9, "explicit-multi", 0).spawn(1)[0]
     want = _explicit_integral(m, f, child, tau, cells, 5)[0]
     assert vals == pytest.approx(want, rel=1e-12)
 
     f_mid[3, 5] = np.nan
     with pytest.raises(ValueError, match="not finite"):
-        levy.sample_records(m, f_mid, rngs, tau=tau, cells=cells)
+        levy.sample_records(m, f_mid, rngs, cells=cells)
     with pytest.raises(ValueError, match="one row"):
-        levy.sample_records(m, f_mid[:4], rngs, tau=tau, cells=cells)
+        levy.sample_records(m, f_mid[:4], rngs, cells=cells)
 
 
 # (model, integrand, n_draws, extra sample_integral arguments)
@@ -368,7 +371,7 @@ def test_split_sampler_equals_serial(case):
     """Any worker count gives the one-thread values and work tally (all
     but the chunk times), and the generator passed in draws nothing."""
     m, f, n = SPLIT_CASES[case]
-    kw = dict(nt=8, nx=8)
+    kw = dict(cells=levy.build_cells(m, nt=8, nx=8))
     ref_tally = {}
     ref = levy.sample_integral(m, f, path_rng(11, case, 0), n_draws=n,
                                tally=ref_tally, **kw)
@@ -433,7 +436,7 @@ def test_constant_integrand_skips_unread_uniforms(case):
     at any worker count and on either PCG64 generator."""
     m, n = SKIP_CASES[case]
     c = -0.7
-    kw = dict(n_draws=n, nt=8, nx=8)
+    kw = dict(n_draws=n, cells=levy.build_cells(m, nt=8, nx=8))
     rngs = {"PCG64": lambda: path_rng(13, case, 0),
             "PCG64DXSM": lambda: np.random.Generator(np.random.PCG64DXSM(13))}
     for name, make_rng in rngs.items():
@@ -465,7 +468,7 @@ def test_chunk_past_its_worker_buffer_grows_it(case, branch, monkeypatch):
     m, f, n = SPLIT_CASES[case]
     if branch == "constant":
         f = lambda s, y: -0.7  # noqa: E731
-    kw = dict(n_draws=n, nt=8, nx=8)
+    kw = dict(n_draws=n, cells=levy.build_cells(m, nt=8, nx=8))
     roomy_tally = {}
     roomy = levy.sample_integral(m, f, path_rng(17, case, 0),
                                  tally=roomy_tally, **kw)
@@ -514,9 +517,10 @@ def test_constant_integrand_needs_a_pcg64_generator(bit_generator):
     rng = np.random.Generator(bit_generator(1))
     with pytest.raises(ValueError, match="PCG64 or PCG64DXSM"):
         levy.sample_integral(m, lambda s, y: 0.5, rng, n_draws=3,
-                             nt=4, nx=4)
-    assert levy.sample_integral(m, f, rng, n_draws=3, nt=4,
-                                nx=4).shape == (3,)
+                             cells=levy.build_cells(m, nt=4, nx=4))
+    assert levy.sample_integral(m, f, rng, n_draws=3,
+                                cells=levy.build_cells(m, nt=4,
+                                                       nx=4)).shape == (3,)
 
 
 def test_split_sampler_validates_workers():
@@ -529,8 +533,8 @@ def test_split_sampler_validates_workers():
 
 def test_default_tau_honors_model_setting():
     m = levy.make_levy_model(1.0, 1.0, 1.0, tau=0.125)
-    assert levy.default_tau(m) == 0.125
-    auto = levy.default_tau(levy.make_levy_model(1.0, 1.0, 1.0))
+    assert m.tau == 0.125
+    auto = levy.make_levy_model(1.0, 1.0, 1.0).tau
     assert auto > 0
 
 
