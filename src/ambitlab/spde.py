@@ -1,26 +1,24 @@
 """Mild-solution solver for heat/wave SPDEs with correlated Gaussian noise.
 
-    Lu = b(u) + sigma(u) dM/dtdx,   u(0,.) = const,
+    Lu = b0 + sigma(u) dM/dtdx,   u(0,.) = const,
 
 on a periodic box, discretised spectrally.  The linear propagation over a
-step is exact, and the stochastic forcing of each step carries the exact
-per-mode variance int_0^dt |F(Lambda(r))(xi)|^2 dr (coefficients frozen at
-the step's left endpoint), so for sigma == 1 the solution variance equals
-the grid-spectral variance functional g exactly, for every dt.
-
-The solver can additionally record everything needed for the one-step
-approximation
+step is exact (`_flow`), and the stochastic forcing of each step carries
+the exact per-mode variance int_0^dt |F(Lambda(r))(xi)|^2 dr (coefficients
+frozen at the step's left endpoint), so for sigma == 1 the solution
+variance equals the grid-spectral variance functional g exactly, for every
+dt.  For an eps grid the step loop also records the one-step approximation
 
     u_eps(t, 0) = U_eps(t, 0) + sigma(u(t-eps, 0)) * G(eps),
 
 where G(eps) is the sigma-free noise functional of the last slab (a
 centred Gaussian with variance g(eps) independent of the past) and U_eps
-collects the propagated history plus the frozen drift of the slab.
+is the time-(t-eps) state flowed to t plus the slab's constant drift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,61 +61,62 @@ POINTS_PER_BLOCK = 2**15
 
 @dataclass(frozen=True)
 class CoefficientPair:
-    """Lipschitz coefficient fields sigma, b acting pointwise on u."""
+    """A Lipschitz sigma acting pointwise on u (sigma_constant is set when
+    sigma is constant: no physical field is formed), and a constant drift."""
 
     sigma: object
-    b: object
-    sigma_constant: float = None  # set when sigma is constant (fast path)
-    b_constant: float = None
+    sigma_constant: float = None
+    b_constant: float = 0.0
 
     def sigma_values(self, u):
         if self.sigma_constant is not None:
             return self.sigma_constant
         return self.sigma(u)
 
-    def b_values(self, u):
-        if self.b_constant is not None:
-            return self.b_constant
-        return self.b(u)
-
 
 def constant_coefficients(sigma0=1.0, b0=0.0) -> CoefficientPair:
-    return CoefficientPair(sigma=None, b=None, sigma_constant=float(sigma0),
+    return CoefficientPair(sigma=None, sigma_constant=float(sigma0),
                            b_constant=float(b0))
 
 
 def anderson_coefficients(lam=1.0, b0=0.0) -> CoefficientPair:
     """Multiplicative (Anderson) coefficients sigma(u) = lam * u."""
-    return CoefficientPair(sigma=lambda u: lam * u, b=None,
-                           b_constant=float(b0))
+    return CoefficientPair(sigma=lambda u: lam * u, b_constant=float(b0))
 
 
 @dataclass
 class FieldSolution:
-    """Batch of solution paths plus the records used by the experiments."""
+    """A solved batch: u(t, 0) on every step and, for an eps grid, the slab
+    noise G and the one-step approximation u_eps, one column per eps."""
 
-    model: object
-    operator: str                     # "heat" | "wave"
-    coeffs: CoefficientPair
     dt: float
     point_series: np.ndarray          # (n_paths, n_steps+1): u(t, 0)
-    eps_grid: np.ndarray = None
+    eps_grid: np.ndarray = None       # sorted
     G: np.ndarray = None              # (n_paths, n_eps) slab noise at x=0
-    # per eps: (uhat, vhat) rfftn half spectra at t_end - eps
-    _snapshots: list = field(default_factory=list, repr=False)
+    u_eps: np.ndarray = None          # (n_paths, n_eps) U_eps + sigma G
 
     def final_point_values(self):
         return self.point_series[:, -1]
 
 
-def _zero_mode_time_integral(operator, eps):
-    # int_0^eps F(Lambda(s))(0) ds
-    return eps if operator == "heat" else 0.5 * eps * eps
-
-
 def _sin_over_r(t, r):
     """sin(t r) / r per mode, with its limit t at r = 0."""
     return np.where(r < 1e-12, t, np.sin(t * r) / np.where(r < 1e-12, 1.0, r))
+
+
+def _flow(operator, t, r):
+    """(rows, drift): the noiseless flow over time t per mode, and its
+    integral of a unit constant drift.  heat: rows = [[u<-u]], drift = [u];
+    wave, on (u, v = du/dt): rows = [[u<-u, u<-v], [v<-u, v<-v]], drift =
+    [u, v].  At r = 0 the u drift is t (heat) or t^2/2 (wave)."""
+    small = r < 1e-12
+    r2 = np.where(small, 1.0, r**2)
+    if operator == "heat":
+        return ([[np.exp(-t * r**2)]],
+                [np.where(small, t, -np.expm1(-t * r**2) / r2)])
+    cos, sinc = np.cos(t * r), _sin_over_r(t, r)
+    return ([[cos, sinc], [-r * np.sin(t * r), cos]],
+            [np.where(small, 0.5 * t * t, (1.0 - cos) / r2), sinc])
 
 
 def _half_spectrum(model, grid_values):
@@ -176,6 +175,12 @@ def paths_per_block(model):
     return min(DEFAULT_BLOCK, max(1, POINTS_PER_BLOCK // model.m ** model.d))
 
 
+def _flowed_origin(row, states, m):
+    """x = 0 values of a flow's u row applied to (u[, v]) half spectra."""
+    terms = [a * s for a, s in zip(row, states)]
+    return _origin_value(sum(terms[1:], terms[0]), m)
+
+
 def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
                 eps_grid=None) -> FieldSolution:
     """Integrate a batch of independent paths (one RNG per path), started
@@ -187,9 +192,14 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
     does not depend on the batch it is solved in, and after n steps its
     generator stands where standard_normal(n * nw * m**d) leaves it.
 
+    For an eps_grid, the step ending at t_end - eps records U_eps (that
+    state flowed to t_end, plus the drift's zero-mode integral) and the
+    slab noise G accumulates from the largest eps on; the solution carries
+    G and u_eps = U_eps + sigma(u(t_end - eps, 0)) G, a column per eps.
+
     Preconditions: operator is "heat" or "wave", dt resolves it (heat:
     dt <= 4 dx^2, wave: dt <= dx), the Dalang spectral condition holds,
-    and the eps values lie in (0, t_end) and are multiples of dt.
+    and a non-empty eps_grid holds distinct multiples of dt in (0, t_end).
     """
     _check_operator(operator)
     if dt <= 0 or t_end <= 0:
@@ -208,27 +218,30 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
     if abs(n_steps * dt - t_end) > 1e-9 * t_end:
         raise ValueError("t_end must be a multiple of dt")
 
-    # step k + 1 = n_steps - eps/dt records the snapshot of eps; the slab
-    # noise G accumulates from the step of the largest eps on
-    snap_idx = {}
-    slab_start = None
+    # the state after step k + 1 = n_steps - eps/dt is the cut of eps
+    cut_of = {}
     if eps_grid is not None:
         eps_grid = np.asarray(sorted(eps_grid), dtype=float)
+        if eps_grid.size == 0:
+            raise ValueError("eps_grid is empty")
         for i, e in enumerate(eps_grid):
             if not (0 < e < t_end):
                 raise ValueError("eps values must lie in (0, t_end)")
             k = int(round(e / dt))
             if abs(k * dt - e) > 1e-9 * max(e, dt):
                 raise ValueError(f"eps = {e!r} is not a step multiple of dt")
-            snap_idx[n_steps - k] = i
-        slab_start = min(snap_idx)
+            if n_steps - k in cut_of:
+                raise ValueError(f"eps_grid holds {e!r} twice on one step")
+            cut_of[n_steps - k] = i
+        slab_start = min(cut_of)
 
     B = len(rngs)
     m = model.m
     shape_d = (m,) * model.d
     npts = m**model.d
     axes = tuple(range(1, model.d + 1))
-    zero = (slice(None),) + (0,) * model.d
+    origin = (0,) * model.d
+    zero = (slice(None),) + origin
 
     # The noise and the fields are real and every multiplier depends on |xi|
     # only, so the state lives on the rfftn half spectrum.
@@ -236,25 +249,20 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
     base = _half_spectrum(model, np.sqrt(_grid_density(model))) \
         * (2.0 * np.pi / dx) ** (model.d / 2.0)
     wave = operator == "wave"
+    rows, drift = _flow(operator, dt, r)
     if wave:
-        cosP = np.cos(dt * r)
-        sincP = _sin_over_r(dt, r)
+        (uu, uv), (vu, vv) = rows
         l11, l21, l22 = _wave_step_covariance(dt, r)
-        drift_u = np.where(r < 1e-12, 0.5 * dt * dt,
-                           (1.0 - np.cos(dt * r)) / np.where(r < 1e-12, 1.0, r**2))
-        drift_v = sincP
-        msin = -r * np.sin(dt * r)
         # sigma-free forcing of (u, v) by the two noise draws
         K1u, K1v, K2v = base * l11, base * l21, base * l22
     else:
-        prop = np.exp(-dt * r**2)
-        drift_u = np.where(r < 1e-12, dt,
-                           -np.expm1(-dt * r**2) / np.where(r < 1e-12, 1.0, r**2))
+        (uu,), = rows
         K1u = base * np.sqrt(squared_time_integral(operator, dt, r))
 
     sigma_const = coeffs.sigma_constant
-    b_const = coeffs.b_constant
-    need_physical = sigma_const is None or b_const is None
+    b0 = coeffs.b_constant
+    # a constant drift forces the zero mode only
+    kick = [dr[origin] * (b0 * npts) for dr in drift]
     # a constant sigma is folded into the forcing factors once
     sig = 1.0 if sigma_const is None else sigma_const
     F1u = sig * K1u
@@ -267,11 +275,13 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
         vhat = np.zeros_like(uhat)
         tmp_v = np.empty_like(uhat)
     tmp_u = np.empty_like(uhat)
+    state = (uhat, vhat) if wave else (uhat,)
 
     point_series = np.empty((B, n_steps + 1))
     point_series[:, 0] = u0
-    G = np.zeros((B, len(eps_grid))) if eps_grid is not None else None
-    snapshots = [None] * len(eps_grid) if eps_grid is not None else []
+    if eps_grid is not None:
+        G = np.zeros((B, len(eps_grid)))
+        U = np.empty((B, len(eps_grid)))
     # per-step buffers, reused: fresh arrays of this size cost page faults.
     # Path i's nw noises lie back to back in w[i], so one call draws them.
     nw = noises_per_step(operator)
@@ -286,8 +296,6 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
     noise_axes = tuple(a + 1 for a in axes)
 
     for k in range(n_steps):
-        u_phys = np.fft.irfftn(uhat, s=shape_d, axes=axes) \
-            if need_physical else None
         # white spatial noise, one stream per path and one call per step:
         # w1, then (wave) w2
         for w_path, rng in zip(w, rngs):
@@ -296,69 +304,58 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
             np.fft.rfftn(w, axes=noise_axes, out=W)
 
         if sigma_const is None:
-            sig_u = coeffs.sigma_values(u_phys)
+            sig_u = coeffs.sigma(np.fft.irfftn(uhat, s=shape_d, axes=axes))
             S1 = np.fft.rfftn(sig_u * w1, axes=axes)
             S2 = np.fft.rfftn(sig_u * w2, axes=axes) if wave else None
         else:
             S1, S2 = W1, W2
 
         if wave:
-            np.multiply(msin, uhat, out=tmp_v)       # needs the old uhat
-            uhat *= cosP
-            _add_product(uhat, sincP, vhat, tmp_u)
+            np.multiply(vu, uhat, out=tmp_v)         # needs the old uhat
+            uhat *= uu
+            _add_product(uhat, uv, vhat, tmp_u)
             _add_product(uhat, F1u, S1, tmp_u)
-            vhat *= cosP
+            vhat *= vv
             vhat += tmp_v
             _add_product(vhat, F1v, S1, tmp_v)
             _add_product(vhat, F2v, S2, tmp_v)
         else:
-            uhat *= prop
+            uhat *= uu
             _add_product(uhat, F1u, S1, tmp_u)
 
-        if b_const is None or b_const != 0.0:
-            bval = coeffs.b_values(u_phys)
-            if np.isscalar(bval):
-                # a constant drift forces the zero mode only
-                uhat[zero] += drift_u[(0,) * model.d] * (bval * npts)
-                if wave:
-                    vhat[zero] += drift_v[(0,) * model.d] * (bval * npts)
-            else:
-                bhat = np.fft.rfftn(bval, axes=axes)
-                uhat += drift_u * bhat
-                if wave:
-                    vhat += drift_v * bhat
-
-        # sigma-free smoothed slab noise, propagated to t_end and evaluated
-        # at x = 0
-        if eps_grid is not None and k >= slab_start:
-            tau = t_end - (k + 1) * dt
+        if b0 != 0.0:
+            uhat[zero] += kick[0]
             if wave:
-                ck = (np.cos(tau * r) * (K1u * W1)
-                      + _sin_over_r(tau, r) * (K1v * W1 + K2v * W2))
-            else:
-                ck = np.exp(-tau * r**2) * (K1u * W1)
+                vhat[zero] += kick[1]
+
+        # sigma-free smoothed slab noise, flowed to t_end and evaluated at
+        # x = 0
+        if eps_grid is not None and k >= slab_start:
+            (row, *_), _ = _flow(operator, t_end - (k + 1) * dt, r)
+            forcing = (K1u * W1, K1v * W1 + K2v * W2) if wave \
+                else (K1u * W1,)
             add_to = eps_grid >= (t_end - k * dt) - 1e-9 * dt
-            G[:, add_to] += _origin_value(ck, m)[:, None]
+            G[:, add_to] += _flowed_origin(row, forcing, m)[:, None]
 
         point_series[:, k + 1] = _origin_value(uhat, m)
-        if (k + 1) in snap_idx:
-            i = snap_idx[k + 1]
-            snapshots[i] = (uhat.copy(), vhat.copy() if wave else None)
+        i = cut_of.get(k + 1)
+        if i is not None:
+            (row, *_), drift_eps = _flow(operator, eps_grid[i], r)
+            U[:, i] = _flowed_origin(row, state, m) \
+                + b0 * drift_eps[0][origin]
 
-    return FieldSolution(
-        model=model, operator=operator, coeffs=coeffs, dt=dt,
-        point_series=point_series, eps_grid=eps_grid, G=G,
-        _snapshots=snapshots)
+    if eps_grid is None:
+        return FieldSolution(dt, point_series)
+    cuts = sorted(cut_of, reverse=True)    # eps ascending
+    u_eps = U + coeffs.sigma_values(point_series[:, cuts]) * G
+    return FieldSolution(dt, point_series, eps_grid, G, u_eps)
 
 
 def approximate_u_eps(solution: FieldSolution, eps: float) -> np.ndarray:
-    """(n_paths,) u_eps(t, 0) = U_eps + sigma(u(t-eps, 0)) G on a solved
-    batch.
-
-    U_eps propagates the time-(t-eps) state to t with the noiseless flow and
-    adds the slab drift frozen at u(t-eps, 0); G is the slab noise integral
-    recorded during the solve (independent of the history by construction).
-    """
+    """(n_paths,) u_eps(t, 0) = U_eps + sigma(u(t-eps, 0)) G of a solved
+    batch, as solve_batch recorded it for eps (a C-contiguous copy): U_eps
+    is the time-(t-eps) state flowed to t plus the slab's constant drift,
+    G the slab noise, independent of the history by construction."""
     if solution.eps_grid is None:
         raise ValueError("solve_batch recorded no approximation data")
     match = np.nonzero(np.abs(solution.eps_grid - eps)
@@ -366,22 +363,7 @@ def approximate_u_eps(solution: FieldSolution, eps: float) -> np.ndarray:
     if match.size != 1:
         raise ValueError(f"eps = {eps!r} was not recorded (grid: "
                          f"{solution.eps_grid!r})")
-    i = int(match[0])
-    uhat, vhat = solution._snapshots[i]
-    model, operator = solution.model, solution.operator
-    r = _half_spectrum(model, _radius_grid(model))
-
-    u_at_cut = _origin_value(uhat, model.m)
-    if operator == "heat":
-        hist = np.exp(-eps * r**2) * uhat
-    else:
-        hist = np.cos(eps * r) * uhat + _sin_over_r(eps, r) * vhat
-    U_hist = _origin_value(hist, model.m)
-
-    b_frozen = solution.coeffs.b_values(u_at_cut)
-    U_eps = U_hist \
-        + np.asarray(b_frozen) * _zero_mode_time_integral(operator, eps)
-    return U_eps + solution.coeffs.sigma_values(u_at_cut) * solution.G[:, i]
+    return np.ascontiguousarray(solution.u_eps[:, int(match[0])])
 
 
 # ---------------------------------------------------------------------------

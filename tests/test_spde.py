@@ -129,7 +129,7 @@ def _full_spectrum_reference(model, operator, coeffs, u0, n, dt, rngs, eps_k):
         w2 = np.stack([rng.standard_normal(shape) for rng in rngs]) \
             if wave else None
         sig = coeffs.sigma_values(u)
-        bhat = np.fft.fftn(coeffs.b_values(u) * np.ones_like(u), axes=axes)
+        bhat = np.fft.fftn(coeffs.b_constant * np.ones_like(u), axes=axes)
         S1 = np.fft.fftn(sig * w1, axes=axes)
         W1 = np.fft.fftn(w1, axes=axes)
         if wave:
@@ -170,7 +170,7 @@ def _full_spectrum_reference(model, operator, coeffs, u0, n, dt, rngs, eps_k):
             hist = np.exp(-eps * r**2) * uh
             drift = eps
         cut = phys(uh)[origin]
-        u_eps.append(phys(hist)[origin] + coeffs.b_values(cut) * drift
+        u_eps.append(phys(hist)[origin] + coeffs.b_constant * drift
                      + coeffs.sigma_values(cut) * G[:, j])
     return np.stack(series, axis=1), G, np.stack(u_eps, axis=1)
 
@@ -182,10 +182,28 @@ def _rel_err(got, want):
 _COEFFS = {
     "const": spde.constant_coefficients(1.3, 0.7),
     "anderson": spde.anderson_coefficients(0.5, 0.3),
-    # a field-valued drift exercises the transformed-drift branch
-    "callable-b": spde.CoefficientPair(sigma=lambda u: 0.5 * u,
-                                       b=lambda u: 0.4 - 0.3 * u),
 }
+
+
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+def test_flow_is_a_semigroup_and_its_drift_composes(kind):
+    """flow(s) flow(t) = flow(s + t) per mode, and the drift integral
+    composes as drift(s + t) = flow(t) drift(s) + drift(t); at r = 0 the
+    u drift is t (heat) or t^2/2 (wave)."""
+    r = 2.0 * np.pi / 8.0 * np.arange(9.0)
+    s, t = 0.3, 0.45
+    (rows_s, drift_s), (rows_t, drift_t), (rows_st, drift_st) = (
+        spde._flow(kind, h, r) for h in (s, t, s + t))
+    n = len(rows_s)
+    for i in range(n):
+        for j in range(n):
+            product = sum(rows_t[i][k] * rows_s[k][j] for k in range(n))
+            assert _rel_err(product, rows_st[i][j]) < 1e-12
+        composed = sum(rows_t[i][k] * drift_s[k] for k in range(n)) \
+            + drift_t[i]
+        assert _rel_err(composed, drift_st[i]) < 1e-12
+    limit = t if kind == "heat" else t * t / 2.0
+    assert drift_t[0][0] == pytest.approx(limit, rel=1e-12)
 
 
 @pytest.mark.parametrize("coeff", sorted(_COEFFS))
@@ -249,7 +267,7 @@ def test_solver_draws_nw_fields_per_step_from_each_stream(d, kind, coeff):
 def test_blocks_cannot_move_a_number(d, kind, coeff):
     """Every solver operation acts on each path alone, so solving a batch
     at once or in uneven slices gives the same bytes: the point series,
-    the slab noise G and the snapshots.  An Anderson solve without eps
+    the slab noise G and the recorded u_eps.  An Anderson solve without eps
     records skips the noise's own transform, and its series stays too."""
     model = noise.make_noise_model("white", d=1, Lbox=8.0, m=16) if d == 1 \
         else noise.make_noise_model("riesz", d=2, Lbox=8.0, m=8, beta=1.0)
@@ -271,10 +289,7 @@ def test_blocks_cannot_move_a_number(d, kind, coeff):
 
     assert joined(lambda p: p.point_series) == whole.point_series.tobytes()
     assert joined(lambda p: p.G) == whole.G.tobytes()
-    for j in range(len(eps_grid)):
-        for half in range(2 if kind == "wave" else 1):
-            assert joined(lambda p: p._snapshots[j][half]) \
-                == whole._snapshots[j][half].tobytes()
+    assert joined(lambda p: p.u_eps) == whole.u_eps.tobytes()
     assert solve(0, 7).point_series.tobytes() == whole.point_series.tobytes()
 
 
@@ -362,6 +377,14 @@ def test_time_grid_validation():
     with pytest.raises(ValueError):
         spde.solve_batch(model, HEAT, c, 0.0, 1.0, -0.1,
                          [path_rng(0, "t", 3)])
+    # the eps record has one column per step: none, or two on one step,
+    # is refused before any draw
+    for bad in ([], [2 * dt, 2 * dt, 4 * dt]):
+        rng = path_rng(0, "t", 4)
+        with pytest.raises(ValueError, match="eps_grid"):
+            spde.solve_batch(model, HEAT, c, 0.0, 16 * dt, dt, [rng],
+                             eps_grid=bad)
+        assert rng.random() == path_rng(0, "t", 4).random()
 
 
 def test_unknown_operator_is_named():
