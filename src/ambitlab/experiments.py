@@ -111,16 +111,22 @@ def _run(cfg):
 # ---------------------------------------------------------------------------
 
 
-def _solver_logs(run, model, operator, n_steps, ensemble_s):
+def _solver_logs(run, model, operator, coeffs, n_steps, ensemble_s):
     """run.log lines of an ensemble of solve_batch blocks: its time and
-    work, and the generator calls of each path (one per step)."""
-    npts = model.m ** model.d
+    work, and the generator calls of each path (one per step).  A
+    constant-sigma solve works on S radius shells (a shells=S line), an
+    Anderson one on the m**d grid points."""
     blocks = math.ceil(run["n_paths"] / spde.paths_per_block(model))
-    return [f"ensemble_s={ensemble_s:.3f}", f"paths={run['n_paths']}",
-            f"blocks={blocks}",
-            f"steps_x_modes={n_steps}x{npts}",
-            f"calls_per_path={n_steps}",
-            f"normals_per_call={spde.noises_per_step(operator) * npts}"]
+    logs = [f"ensemble_s={ensemble_s:.3f}", f"paths={run['n_paths']}",
+            f"blocks={blocks}"]
+    if coeffs.sigma_constant is None:
+        modes = model.m ** model.d
+    else:
+        modes = spde.radius_shells(model)[1].size
+        logs.append(f"shells={modes}")
+    return logs + [f"steps_x_modes={n_steps}x{modes}",
+                   f"calls_per_path={n_steps}",
+                   f"normals_per_call={spde.noises_per_step(operator) * modes}"]
 
 
 def _exp_spde_exponents(cfg):
@@ -173,7 +179,7 @@ def _exp_spde_exponents(cfg):
         "operator": operator, "dt": dt, "t": t,
     }
     logs = [f"exponent_gamma_s={gamma_s:.3f}"]
-    logs += _solver_logs(run, model, operator, series.shape[1] - 1,
+    logs += _solver_logs(run, model, operator, coeffs, series.shape[1] - 1,
                          ensemble_s)
     if ge.evaluations is None:
         logs.append("variance_g=closed_form")
@@ -205,8 +211,8 @@ def _exp_spde_density(cfg):
     ensemble_s = time.perf_counter() - clock
     # the density of u(t, 0) on {sigma != 0}: weights |sigma(u)|^n
     weights = np.abs(coeffs.sigma_values(values)) ** s["n"]
-    logs = _solver_logs(run, model, operator, int(round(s["t"] / dt)),
-                        ensemble_s)
+    logs = _solver_logs(run, model, operator, coeffs,
+                        int(round(s["t"] / dt)), ensemble_s)
     return _criterion_result(values, weights, s["n"], s["holder"], logs,
                              n=s["n"], n_paths=run["n_paths"],
                              operator=operator)

@@ -14,6 +14,17 @@ dt.  For an eps grid the step loop also records the one-step approximation
 where G(eps) is the sigma-free noise functional of the last slab (a
 centred Gaussian with variance g(eps) independent of the past) and U_eps
 is the time-(t-eps) state flowed to t plus the slab's constant drift.
+
+With a constant sigma the solver works on radius shells.  u(t, 0) is the
+mean of the full spectrum, so it reads each mode through Re u_hat(xi)
+only: u(t, 0) = m^-d sum_s U_s, where U_s sums Re u_hat over the n_s modes
+of shell s (one |xi|).  Every multiplier depends on |xi| only, so U_s
+follows its radius's one-step map, driven by the shell sum Z_s of the
+noise's Re W_hat; the cosine sums of distinct shells are orthogonal, so
+Z_s ~ N(0, m^d n_s), independent across shells and steps.  A step then
+draws one normal per shell and noise (257 shells for 512 points in d=1)
+and runs no FFT.  An Anderson sigma(u) needs the physical field and runs
+on the rfftn half spectrum.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ __all__ = [
     "anderson_coefficients",
     "solve_batch",
     "noises_per_step",
+    "radius_shells",
     "paths_per_block",
     "approximate_u_eps",
     "time_holder_delta",
@@ -43,11 +55,12 @@ __all__ = [
 HEAT_CFL = 4.0  # dt <= HEAT_CFL * dx^2
 WAVE_CFL = 1.0  # dt <= WAVE_CFL * dx
 
-# Grid points of one ensemble block of solve_batch paths.  The per-step
-# buffers (w, W, uhat, tmp_u and, for wave, vhat, tmp_v) hold about 64 bytes
-# per path and grid point, so a block keeps about 2 MB live per worker.
-# spde-wave benchmark (wave, m=512, 512 paths, 2 workers; 2-vCPU Xeon,
-# NumPy 2.4.6), medians of five runs per block size:
+# Grid points of one ensemble block of solve_batch paths.  The table below
+# measured the full-spectrum branch, which only an Anderson sigma runs now:
+# its per-step buffers (w, W, uhat, tmp_u and, for wave, vhat, tmp_v) hold
+# about 64 bytes per path and grid point, so a block keeps about 2 MB live
+# per worker.  spde-wave benchmark (wave, m=512, 512 paths, 2 workers;
+# 2-vCPU Xeon, NumPy 2.4.6), medians of five runs per block size:
 #   paths per block   256     128     64      32
 #   peak RSS (MB)     57.5    48.7    44.4    42.4
 #   wall (s)          1.10    1.14    1.13    +10 to +30%
@@ -141,6 +154,20 @@ def _origin_value(spec, m):
         / m ** (spec.ndim - 1)
 
 
+def radius_shells(model):
+    """(first, counts): the modes of model's grid grouped into shells of
+    one radius, in ascending radius.  first[s] is the flat fft-layout index
+    of shell s's first mode and counts[s] its mode count n_s.  Modes are
+    grouped by the exact integer key sum_i j_i**2 of their fft indices j_i,
+    never by a float radius, so shell 0 is the zero mode."""
+    k = np.arange(model.m)
+    j2 = np.minimum(k, model.m - k) ** 2
+    key = sum(np.ix_(*[j2] * model.d))
+    _, first, counts = np.unique(key.ravel(), return_index=True,
+                                 return_counts=True)
+    return first, counts
+
+
 def _add_product(acc, a, b, scratch):
     """acc += a * b, with the product written to scratch first."""
     np.multiply(a, b, out=scratch)
@@ -162,8 +189,10 @@ def _wave_step_covariance(dt, r):
 
 
 def noises_per_step(operator):
-    """White-noise fields each path draws per solver step: w1 and w2 for
-    wave (position and velocity forcing), w1 for heat."""
+    """Noises each path draws per solver step: w1 and w2 for wave (position
+    and velocity forcing), w1 for heat.  A noise is S normals for a
+    constant sigma (one per radius shell) and m**d for an Anderson sigma
+    (white noise on the grid); see solve_batch."""
     return 2 if operator == "wave" else 1
 
 
@@ -175,10 +204,10 @@ def paths_per_block(model):
     return min(DEFAULT_BLOCK, max(1, POINTS_PER_BLOCK // model.m ** model.d))
 
 
-def _flowed_origin(row, states, m):
-    """x = 0 values of a flow's u row applied to (u[, v]) half spectra."""
+def _flowed_origin(row, states, read):
+    """x = 0 values of a flow's u row applied to (u[, v]) states."""
     terms = [a * s for a, s in zip(row, states)]
-    return _origin_value(sum(terms[1:], terms[0]), m)
+    return read(sum(terms[1:], terms[0]))
 
 
 def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
@@ -186,11 +215,16 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
     """Integrate a batch of independent paths (one RNG per path), started
     at rest (wave: zero initial velocity).
 
-    Each step, path i's generator fills the step's white noise in one
-    standard_normal call of nw * m**d normals (nw = 1 for heat; 2 for wave,
-    the first m**d being w1 and the rest w2).  A path's stream therefore
-    does not depend on the batch it is solved in, and after n steps its
-    generator stands where standard_normal(n * nw * m**d) leaves it.
+    Each step, path i's generator draws the step's nw = noises_per_step
+    noises in one standard_normal call, w1 first and (wave) w2 after it.
+    A constant sigma solves on the S shells of radius_shells(model): a
+    noise is S normals, shell s's forcing Z_s divided by its standard
+    deviation sqrt(m**d n_s), so a step draws nw * S normals and runs no
+    FFT.  An Anderson sigma reads the physical field: a noise is white
+    noise on the grid, and a step draws nw * m**d normals.  A path's stream
+    therefore does not depend on the batch it is solved in, and after n
+    steps its generator stands where standard_normal(n * nw * S), or
+    n * nw * m**d for Anderson, leaves it.
 
     For an eps_grid, the step ending at t_end - eps records U_eps (that
     state flowed to t_end, plus the drift's zero-mode integral) and the
@@ -236,40 +270,68 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
         slab_start = min(cut_of)
 
     B = len(rngs)
-    m = model.m
-    shape_d = (m,) * model.d
-    npts = m**model.d
-    axes = tuple(range(1, model.d + 1))
-    origin = (0,) * model.d
+    m, d = model.m, model.d
+    npts = m**d
+    wave = operator == "wave"
+    nw = noises_per_step(operator)
+    sigma_const = coeffs.sigma_constant
+    shells = sigma_const is not None
+    if shells:
+        first, counts = radius_shells(model)
+        r = _radius_grid(model).ravel()[first]
+        # the standard deviation sqrt(npts n_s) of the shell forcing Z_s
+        base = np.sqrt(_grid_density(model).ravel()[first] * (npts * counts))
+        origin = (0,)
+    else:
+        # the noise and the fields are real and every multiplier depends
+        # on |xi| only, so the state lives on the rfftn half spectrum
+        r = _half_spectrum(model, _radius_grid(model))
+        base = _half_spectrum(model, np.sqrt(_grid_density(model)))
+        origin = (0,) * d
+    base = base * (2.0 * np.pi / dx) ** (d / 2.0)
     zero = (slice(None),) + origin
 
-    # The noise and the fields are real and every multiplier depends on |xi|
-    # only, so the state lives on the rfftn half spectrum.
-    r = _half_spectrum(model, _radius_grid(model))
-    base = _half_spectrum(model, np.sqrt(_grid_density(model))) \
-        * (2.0 * np.pi / dx) ** (model.d / 2.0)
-    wave = operator == "wave"
     rows, drift = _flow(operator, dt, r)
     if wave:
         (uu, uv), (vu, vv) = rows
         l11, l21, l22 = _wave_step_covariance(dt, r)
-        # sigma-free forcing of (u, v) by the two noise draws
-        K1u, K1v, K2v = base * l11, base * l21, base * l22
+        # sigma-free forcing: u by K[0] w1, v by K[1] w1 + K[2] w2
+        K = (base * l11, base * l21, base * l22)
     else:
         (uu,), = rows
-        K1u = base * np.sqrt(squared_time_integral(operator, dt, r))
-
-    sigma_const = coeffs.sigma_constant
+        K = (base * np.sqrt(squared_time_integral(operator, dt, r)),)
     b0 = coeffs.b_constant
     # a constant drift forces the zero mode only
     kick = [dr[origin] * (b0 * npts) for dr in drift]
-    # a constant sigma is folded into the forcing factors once
-    sig = 1.0 if sigma_const is None else sigma_const
-    F1u = sig * K1u
-    if wave:
-        F1v, F2v = sig * K1v, sig * K2v
 
-    uhat = np.zeros((B,) + r.shape, dtype=complex)
+    # path i's nw noises lie back to back in noise[i], so one call draws them
+    if shells:
+        # the state is U_s, the sum of Re u_hat over shell s; a constant
+        # sigma scales the forcing once
+        F = tuple(sigma_const * f for f in K)
+        noise = W = np.empty((B, nw, r.size))
+
+        def read(spec):
+            return spec.sum(axis=1) / npts
+    else:
+        F = K
+        noise = np.empty((B, nw) + (m,) * d)
+        # the noise's own transform is read by the slab noise G only
+        W = None if eps_grid is None \
+            else np.empty((B, nw) + r.shape, dtype=complex)
+        shape_d = (m,) * d
+        axes = tuple(range(1, d + 1))
+        noise_axes = tuple(a + 1 for a in axes)
+
+        def read(spec):
+            return _origin_value(spec, m)
+    if W is not None:
+        W1, W2 = W[:, 0], (W[:, 1] if wave else None)
+    if shells:
+        S1, S2 = W1, W2        # the drawn normals force the shells
+
+    # per-step buffers, reused: fresh arrays of this size cost page faults
+    uhat = np.zeros((B,) + r.shape, dtype=float if shells else complex)
     uhat[zero] = u0 * npts
     if wave:
         vhat = np.zeros_like(uhat)
@@ -282,46 +344,31 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
     if eps_grid is not None:
         G = np.zeros((B, len(eps_grid)))
         U = np.empty((B, len(eps_grid)))
-    # per-step buffers, reused: fresh arrays of this size cost page faults.
-    # Path i's nw noises lie back to back in w[i], so one call draws them.
-    nw = noises_per_step(operator)
-    w = np.empty((B, nw) + shape_d)
-    w1, w2 = w[:, 0], (w[:, 1] if wave else None)
-    # the noise's own transform W is read by a constant sigma's forcing and
-    # by the slab noise G; an Anderson solve without eps_grid never reads it
-    W = None
-    if sigma_const is not None or eps_grid is not None:
-        W = np.empty((B, nw) + r.shape, dtype=complex)
-        W1, W2 = W[:, 0], (W[:, 1] if wave else None)
-    noise_axes = tuple(a + 1 for a in axes)
 
     for k in range(n_steps):
-        # white spatial noise, one stream per path and one call per step:
-        # w1, then (wave) w2
-        for w_path, rng in zip(w, rngs):
-            rng.standard_normal(out=w_path)
-        if W is not None:
-            np.fft.rfftn(w, axes=noise_axes, out=W)
-
-        if sigma_const is None:
+        # one stream per path and one call per step: w1, then (wave) w2
+        for draw, rng in zip(noise, rngs):
+            rng.standard_normal(out=draw)
+        if not shells:
+            if W is not None:
+                np.fft.rfftn(noise, axes=noise_axes, out=W)
             sig_u = coeffs.sigma(np.fft.irfftn(uhat, s=shape_d, axes=axes))
-            S1 = np.fft.rfftn(sig_u * w1, axes=axes)
-            S2 = np.fft.rfftn(sig_u * w2, axes=axes) if wave else None
-        else:
-            S1, S2 = W1, W2
+            S1 = np.fft.rfftn(sig_u * noise[:, 0], axes=axes)
+            S2 = np.fft.rfftn(sig_u * noise[:, 1], axes=axes) if wave \
+                else None
 
         if wave:
             np.multiply(vu, uhat, out=tmp_v)         # needs the old uhat
             uhat *= uu
             _add_product(uhat, uv, vhat, tmp_u)
-            _add_product(uhat, F1u, S1, tmp_u)
+            _add_product(uhat, F[0], S1, tmp_u)
             vhat *= vv
             vhat += tmp_v
-            _add_product(vhat, F1v, S1, tmp_v)
-            _add_product(vhat, F2v, S2, tmp_v)
+            _add_product(vhat, F[1], S1, tmp_v)
+            _add_product(vhat, F[2], S2, tmp_v)
         else:
             uhat *= uu
-            _add_product(uhat, F1u, S1, tmp_u)
+            _add_product(uhat, F[0], S1, tmp_u)
 
         if b0 != 0.0:
             uhat[zero] += kick[0]
@@ -332,16 +379,16 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
         # x = 0
         if eps_grid is not None and k >= slab_start:
             (row, *_), _ = _flow(operator, t_end - (k + 1) * dt, r)
-            forcing = (K1u * W1, K1v * W1 + K2v * W2) if wave \
-                else (K1u * W1,)
+            forcing = (K[0] * W1, K[1] * W1 + K[2] * W2) if wave \
+                else (K[0] * W1,)
             add_to = eps_grid >= (t_end - k * dt) - 1e-9 * dt
-            G[:, add_to] += _flowed_origin(row, forcing, m)[:, None]
+            G[:, add_to] += _flowed_origin(row, forcing, read)[:, None]
 
-        point_series[:, k + 1] = _origin_value(uhat, m)
+        point_series[:, k + 1] = read(uhat)
         i = cut_of.get(k + 1)
         if i is not None:
             (row, *_), drift_eps = _flow(operator, eps_grid[i], r)
-            U[:, i] = _flowed_origin(row, state, m) \
+            U[:, i] = _flowed_origin(row, state, read) \
                 + b0 * drift_eps[0][origin]
 
     if eps_grid is None:

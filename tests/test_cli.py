@@ -398,22 +398,24 @@ def test_spde_exponents_log_counts_the_work(tmp_path):
               if line.startswith(("exponent_gamma_s=", "ensemble_s="))]
     assert len(timers) == 2
     assert all(float(line.split("=")[1]) >= 0 for line in timers)
-    work = ("paths=", "blocks=", "steps_x_modes=", "calls_per_path=",
-            "normals_per_call=", "g_evaluations ")
+    work = ("paths=", "blocks=", "shells=", "steps_x_modes=",
+            "calls_per_path=", "normals_per_call=", "g_evaluations ")
     counters = [line for line in log if line.startswith(work)]
     assert counters == [line for line in runs[2][0]
                         if line.startswith(work)]
-    # 300 paths in blocks of 256; dt = dx/2 = 1/16 over t = 1; each path
-    # draws the two wave noises of a step in one call
-    assert counters[:5] == ["paths=300", "blocks=2", "steps_x_modes=16x64",
-                            "calls_per_path=16", "normals_per_call=128"]
+    # 300 paths in blocks of 256; dt = dx/2 = 1/16 over t = 1; sigma is
+    # constant, so the 64 points solve on 33 radius shells, and each path
+    # draws the two wave noises of a step, 33 normals each, in one call
+    assert counters[:6] == ["paths=300", "blocks=2", "shells=33",
+                            "steps_x_modes=16x33", "calls_per_path=16",
+                            "normals_per_call=66"]
     # white noise: g(eps) is a closed form, so no quadrature ran
     assert not any(line.startswith("g_evaluations ") for line in log)
     assert log.count("variance_g=closed_form") == 1
     # timers and counters stay out of the artifacts
     for _, csv, summary in runs.values():
-        for word in (b"_s=", b"blocks", b"g_evaluations", b"steps_x_modes",
-                     b"calls_per_path", b"normals_per_call"):
+        for word in (b"_s=", b"blocks", b"g_evaluations", b"shells",
+                     b"steps_x_modes", b"calls_per_path", b"normals_per_call"):
             assert word not in csv + summary
     assert runs[1][1:] == runs[2][1:]
 
@@ -459,8 +461,8 @@ def test_spde_exponents_log_counts_the_quadrature(tmp_path):
 def test_spde_density_log_counts_the_work(tmp_path):
     overrides = ["run.n_paths=300", "noise.kind=white", "noise.m=64",
                  "spde.operator=heat", "spde.coefficients=anderson"]
-    work = ("paths=", "blocks=", "steps_x_modes=", "calls_per_path=",
-            "normals_per_call=")
+    work = ("paths=", "blocks=", "shells=", "steps_x_modes=",
+            "calls_per_path=", "normals_per_call=")
     runs = {}
     for w in (1, 2):
         out = tmp_path / f"w{w}"
@@ -477,7 +479,8 @@ def test_spde_density_log_counts_the_work(tmp_path):
     counters = [line for line in log if line.startswith(work)]
     assert counters == [line for line in runs[2][0]
                         if line.startswith(work)]
-    # dt = 2 dx^2 = 1/32 over t = 0.25; one heat noise per step
+    # dt = 2 dx^2 = 1/32 over t = 0.25; one heat noise per step, white
+    # noise on all 64 points for an Anderson sigma (no shells line)
     assert counters == ["paths=300", "blocks=2", "steps_x_modes=8x64",
                         "calls_per_path=8", "normals_per_call=64"]
     for _, csv, summary in runs.values():
@@ -598,7 +601,7 @@ def test_run_flags_inconclusive_statistics(tmp_path):
 def test_undecided_verdicts_exit_2_with_null(tmp_path, capsys, experiment,
                                              overrides):
     """A CI that holds the threshold leaves the verdict null and the run
-    inconclusive.  Four heat paths fit delta = 0.55 +- 1.60 against the
+    inconclusive.  Four heat paths fit delta = 1.10 +- 1.53 against the
     threshold 0: exit 2 with the point gammabar still reported.  The
     64-path bump-kernel decay fit, 2.16 +- 1.23 against the rate 1.635,
     neither passes nor fails, so stdout carries no passed=."""
@@ -611,7 +614,7 @@ def test_undecided_verdicts_exit_2_with_null(tmp_path, capsys, experiment,
     assert summary["flag"] == "inconclusive"
     if experiment == "spde-exponents":
         assert summary["verdict"] is None
-        assert summary["gammabar"] == pytest.approx(2.107, abs=1e-3)
+        assert summary["gammabar"] == pytest.approx(3.195, abs=1e-3)
         assert summary["fits"]["delta"]["flag"] == "ok"
     else:
         assert summary["passed"] is None

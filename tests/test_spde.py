@@ -206,10 +206,83 @@ def test_flow_is_a_semigroup_and_its_drift_composes(kind):
     assert drift_t[0][0] == pytest.approx(limit, rel=1e-12)
 
 
+class _FoldedNoise:
+    """A generator stand-in for a constant-sigma solve on shells.  Each
+    standard_normal(out=) call draws the step's white noises on the full
+    grid from rng, w1 then (wave) w2, as _full_spectrum_reference draws
+    them, and writes each noise's shell sums of Re fftn divided by
+    sqrt(m**d n_s): the unit-variance shell forcings of that same noise."""
+
+    def __init__(self, model, rng):
+        self.rng = rng
+        self.shape = (model.m,) * model.d
+        self.shell = _shell_of_modes(model)
+        self.scale = np.sqrt(model.m ** model.d * spde.radius_shells(model)[1])
+
+    def standard_normal(self, out):
+        for row in out:
+            w = self.rng.standard_normal(self.shape)
+            row[:] = np.bincount(self.shell, weights=np.fft.fftn(w).real.ravel(),
+                                 minlength=row.size) / self.scale
+
+
+def _shell_of_modes(model):
+    """Each mode's shell in radius_shells(model), flat fft layout, found by
+    its integer key sum_i j_i**2 from np.fft.fftfreq; the shells' keys must
+    ascend strictly, and every mode's key must be its shell's."""
+    j = np.rint(np.fft.fftfreq(model.m) * model.m).astype(np.int64)
+    key = sum(a**2 for a in np.meshgrid(*[j] * model.d, indexing="ij"))
+    key = key.ravel()
+    first, counts = spde.radius_shells(model)
+    shell_keys = key[first]
+    assert np.all(np.diff(shell_keys) > 0)
+    shell = np.searchsorted(shell_keys, key)
+    assert np.array_equal(shell_keys[shell], key)
+    assert np.array_equal(np.bincount(shell, minlength=counts.size), counts)
+    return shell
+
+
+def _streams(model, coeffs, seed, stream, paths):
+    """The solver's generators: plain path_rng streams for an Anderson
+    sigma, folded onto shells for a constant one."""
+    rngs = [path_rng(seed, stream, i) for i in paths]
+    if coeffs.sigma_constant is None:
+        return rngs
+    return [_FoldedNoise(model, rng) for rng in rngs]
+
+
+def _check_against_reference(model, kind, coeffs, u0, dt, stream, tol):
+    """point_series, G and every u_eps column of a 3-path solve against
+    _full_spectrum_reference on the same white noise, and each path alone
+    against its batch row."""
+    n, eps_k = 12, [2, 3, 5]
+    kw = dict(eps_grid=[e * dt for e in eps_k])
+    sol = spde.solve_batch(model, kind, coeffs, u0, n * dt, dt,
+                           _streams(model, coeffs, 3, stream, range(3)), **kw)
+    series, G, u_eps = _full_spectrum_reference(
+        model, kind, coeffs, u0, n, dt,
+        [path_rng(3, stream, i) for i in range(3)], eps_k)
+    assert _rel_err(sol.point_series, series) < tol
+    assert _rel_err(sol.G, G) < tol
+    for j, e in enumerate(eps_k):
+        got = spde.approximate_u_eps(sol, e * dt)
+        assert _rel_err(got, u_eps[:, j]) < tol
+
+    # each path keeps its own draw order: a batch row is the lone solve
+    for i in range(3):
+        alone = spde.solve_batch(model, kind, coeffs, u0, n * dt, dt,
+                                 _streams(model, coeffs, 3, stream, [i]), **kw)
+        assert np.array_equal(alone.point_series[0], sol.point_series[i])
+        assert np.array_equal(alone.G[0], sol.G[i])
+
+
 @pytest.mark.parametrize("coeff", sorted(_COEFFS))
 @pytest.mark.parametrize("kind", ["heat", "wave"])
 @pytest.mark.parametrize("d,m", [(1, 16), (1, 15), (2, 8), (2, 7)])
 def test_half_spectrum_matches_full_spectrum_reference(d, m, kind, coeff):
+    """Anderson solves on the rfftn half spectrum; constant-sigma ones, on
+    radius shells, take the reference's noise folded onto shells (see
+    test_shells_match_full_spectrum_reference_on_the_same_noise)."""
     # make_noise_model asks for a power of two; the solver itself does not,
     # and odd m has no self-conjugate Nyquist plane on the last axis
     model = dataclasses.replace(
@@ -217,47 +290,92 @@ def test_half_spectrum_matches_full_spectrum_reference(d, m, kind, coeff):
         else noise.make_noise_model("riesz", d=2, Lbox=8.0, m=8, beta=1.0),
         m=m)
     dt = 0.9 * model.dx**2 if kind == "heat" else 0.5 * model.dx
-    coeffs = _COEFFS[coeff]
-    n, eps_k = 12, [2, 3, 5]
-    stream = f"half-{kind}-{coeff}-{d}-{m}"
-    kw = dict(eps_grid=[e * dt for e in eps_k])
-    sol = spde.solve_batch(model, kind, coeffs, 0.6, n * dt, dt,
-                           [path_rng(3, stream, i) for i in range(3)], **kw)
-    series, G, u_eps = _full_spectrum_reference(
-        model, kind, coeffs, 0.6, n, dt,
-        [path_rng(3, stream, i) for i in range(3)], eps_k)
-    assert _rel_err(sol.point_series, series) < 1e-10
-    assert _rel_err(sol.G, G) < 1e-10
-    for j, e in enumerate(eps_k):
-        got = spde.approximate_u_eps(sol, e * dt)
-        assert _rel_err(got, u_eps[:, j]) < 1e-10
+    _check_against_reference(model, kind, _COEFFS[coeff], 0.6, dt,
+                             f"half-{kind}-{coeff}-{d}-{m}", 1e-10)
 
-    # each path keeps its own draw order: a batch row is the lone solve
-    for i in range(3):
-        alone = spde.solve_batch(model, kind, coeffs, 0.6, n * dt, dt,
-                                 [path_rng(3, stream, i)], **kw)
-        assert np.array_equal(alone.point_series[0], sol.point_series[i])
-        assert np.array_equal(alone.G[0], sol.G[i])
+
+_SHELL_MODELS = {
+    "white-1-64": ("white", 1, 64, None),
+    "white-1-512": ("white", 1, 512, None),
+    "riesz-2-16": ("riesz", 2, 16, 1.0),
+    "riesz-3-8": ("riesz", 3, 8, 1.5),
+}
+
+
+@pytest.mark.parametrize("b0", [0.0, 0.7])
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+@pytest.mark.parametrize("grid", sorted(_SHELL_MODELS))
+def test_shells_match_full_spectrum_reference_on_the_same_noise(grid, kind,
+                                                                b0):
+    """A constant-sigma solve on radius shells, fed the shell sums of the
+    reference's own white noise, gives the full-spectrum point series, slab
+    noise G and u_eps to 1e-12, in d = 1, 2 and 3, with and without drift."""
+    kind_, d, m, beta = _SHELL_MODELS[grid]
+    model = noise.make_noise_model(kind_, d=d, Lbox=8.0, m=m, beta=beta)
+    dt = 0.9 * model.dx**2 if kind == "heat" else 0.5 * model.dx
+    _check_against_reference(model, kind, spde.constant_coefficients(0.7, b0),
+                             0.3, dt, f"shells-{grid}-{kind}-{b0}", 1e-12)
+
+
+@pytest.mark.parametrize("kind,d,m,shells", [
+    ("white", 1, 512, 257), ("white", 1, 64, 33), ("riesz", 2, 16, 42),
+    ("riesz", 2, 64, 457), ("riesz", 3, 16, 116), ("riesz", 3, 32, 464)])
+def test_radius_shells_group_modes_by_their_integer_key(kind, d, m, shells):
+    model = noise.make_noise_model(kind, d=d, Lbox=8.0, m=m,
+                                   beta=None if kind == "white" else 1.0)
+    first, counts = spde.radius_shells(model)
+    assert counts.size == shells
+    assert counts.sum() == m**d
+    assert (first[0], counts[0]) == (0, 1)          # shell 0: the zero mode
+    shell = _shell_of_modes(model)
+    # the float radii within a shell agree to roundoff
+    r = noise._radius_grid(model).ravel()
+    assert np.allclose(r, r[first][shell], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("d,m", [(1, 16), (1, 15), (2, 8), (2, 7), (3, 4)])
+def test_shell_forcing_has_variance_m_d_n_s_and_is_independent(d, m):
+    """Z_s, the shell sum of Re fftn of white noise w, is the linear map
+    C w with C[s, x] = sum over shell s of cos(xi . x); its covariance
+    C C^T must be diag(m**d n_s): variance m**d n_s, and (Gaussian)
+    independent across shells."""
+    model = dataclasses.replace(
+        noise.make_noise_model("white", d=d, Lbox=8.0, m=4), m=m)
+    npts = m**d
+    shape = (m,) * d
+    unit = np.eye(npts).reshape((npts,) + shape)
+    cos = np.fft.fftn(unit, axes=tuple(range(1, d + 1))).real \
+        .reshape(npts, npts)                          # [x, xi]
+    shell = _shell_of_modes(model)
+    counts = spde.radius_shells(model)[1]
+    C = np.zeros((counts.size, npts))
+    np.add.at(C, shell, cos.T)
+    assert np.allclose(C @ C.T, np.diag(npts * counts.astype(float)),
+                       rtol=0.0, atol=1e-9 * npts)
 
 
 @pytest.mark.parametrize("coeff", ["const", "anderson"])
 @pytest.mark.parametrize("kind", ["heat", "wave"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_solver_draws_nw_fields_per_step_from_each_stream(d, kind, coeff):
-    """After n steps a path's generator stands where n * nw * m**d standard
+    """After n steps a path's generator stands where n * nw * S standard
     normals leave a fresh one (nw = 2 noises per step for wave, 1 for
-    heat), whatever the batch, the coefficients or the records asked."""
+    heat; S modes per noise, the radius shells for a constant sigma and
+    the m**d grid points for Anderson), whatever the batch or the records
+    asked."""
     model = noise.make_noise_model("white", d=1, Lbox=8.0, m=16) if d == 1 \
         else noise.make_noise_model("riesz", d=2, Lbox=8.0, m=8, beta=1.0)
     dt = 0.9 * model.dx**2 if kind == "heat" else 0.5 * model.dx
     n, nw = 7, 2 if kind == "wave" else 1
+    modes = spde.radius_shells(model)[1].size if coeff == "const" \
+        else model.m ** d
     stream = f"contract-{kind}-{coeff}-{d}"
     rngs = [path_rng(4, stream, i) for i in range(3)]
     spde.solve_batch(model, kind, _COEFFS[coeff], 0.6, n * dt, dt, rngs,
                      eps_grid=[2 * dt])
     for i, rng in enumerate(rngs):
         ref = path_rng(4, stream, i)
-        ref.standard_normal(n * nw * model.m ** d)
+        ref.standard_normal(n * nw * modes)
         assert rng.random() == ref.random()
 
 
