@@ -44,7 +44,6 @@ from .montecarlo import (ScalingFit, decide, fit_scaling, path_rng,
 __all__ = [
     "AmbitSet",
     "make_cone",
-    "make_slab",
     "Kernel",
     "constant_kernel",
     "power_kernel",
@@ -118,10 +117,6 @@ def make_cone(c, zeta=1.0) -> AmbitSet:
     return AmbitSet(float(c), float(zeta))
 
 
-def make_slab(half_width) -> AmbitSet:
-    return AmbitSet(float(half_width), 0.0)
-
-
 @dataclass(frozen=True)
 class Kernel:
     """g(t, s; x, y) from a named family.
@@ -157,12 +152,6 @@ class Kernel:
             return self.value * lag ** (-self.theta)
         r = np.asarray(y, dtype=float) - x
         return self.value * np.exp(-r * r / (2.0 * self.width ** 2))
-
-    def space_bump_scale(self, q):
-        """c with profile^q = exp(-c r^2), or None for flat kernels."""
-        if self.kind != "bump":
-            return None
-        return q / (2.0 * self.width ** 2)
 
 
 def constant_kernel(value=1.0) -> Kernel:
@@ -329,10 +318,6 @@ def default_beta_gamma(alpha):
 # ---------------------------------------------------------------------------
 
 
-# Gauss-Jacobi nodes of the bump kernel's slab integral
-_JACOBI_NODES = 48
-
-
 def _condition_exponent(kernel, aset, q, time_holder, space_holder):
     """Exponent of a slab condition integral, 1 + a + q k + zeta (1 + p),
     with time weight a, space weight p and k the kernel's time power.
@@ -342,44 +327,6 @@ def _condition_exponent(kernel, aset, q, time_holder, space_holder):
     if time_holder <= -1.0 or b_u <= -1.0:
         raise ValueError("divergent")
     return 1.0 + time_holder + b_u
-
-
-def _slab_condition_integral(eps, kernel, aset, q, time_holder, space_holder,
-                             nodes=_JACOBI_NODES):
-    """int_0^eps v^time_holder * S(u) dv with v = s - (t - eps), u = eps - v,
-    S(u) = int_{|y'| <= c u^zeta} |kernel|^q |y'|^space_holder dy': the
-    slab integral whose power of eps _condition_exponent gives in closed
-    form, kept as the oracle of that exponent.
-
-    For the flat profile (constant and power kernels) the integrand is
-    const v^a u^b, so the integral is const eps^(a+b+1) B(a+1, b+1) in
-    closed form.  The bump kernel's incomplete-Gamma profile is integrated
-    by Gauss-Jacobi quadrature with the pure powers of u and v folded into
-    the weight.  The integral must converge (see _condition_exponent).
-    """
-    a_v = time_holder
-    p = space_holder
-    b_u = q * kernel.time_power
-    scale = kernel.value ** q if kernel.kind != "power" \
-        else abs(kernel.value) ** q
-    bump_c = kernel.space_bump_scale(q)
-    if bump_c is None:
-        # flat profile: S(u) = 2 (c u^zeta)^(1+p) / (1+p)
-        b_u += aset.zeta * (1.0 + p)
-        const = scale * 2.0 * aset.c ** (1.0 + p) / (1.0 + p)
-        log_beta = (math.lgamma(a_v + 1.0) + math.lgamma(b_u + 1.0)
-                    - math.lgamma(a_v + b_u + 2.0))
-        return const * eps ** (a_v + b_u + 1.0) * math.exp(log_beta)
-    # imported here: only the bump kernel needs scipy.special
-    from scipy import special
-
-    const = scale * 2.0
-    half_p = 0.5 * (p + 1.0)
-    norm = special.gamma(half_p) / (2.0 * bump_c ** half_p)
-    xj, wj = special.roots_jacobi(nodes, b_u, a_v)
-    w = aset.half_width(eps * (1.0 - xj) / 2.0)
-    vals = const * (norm * special.gammainc(half_p, bump_c * w * w))
-    return (eps / 2.0) ** (a_v + b_u + 1.0) * float(np.sum(wj * vals))
 
 
 @dataclass
@@ -397,8 +344,8 @@ class ExponentBundle:
 
 def _conditions(spec, alpha, gamma):
     """{name: (kernel, set, q, time weight, space weight)} of the (H4)
-    conditions that apply to spec: the arguments of _condition_exponent and
-    _slab_condition_integral after eps."""
+    conditions that apply to spec: the arguments of _condition_exponent, and
+    after eps those of the slab-integral oracle in tests/oracles.py."""
     conds = {"gamma0": (spec.kernel_g, spec.ambit_set, alpha, 0.0, 0.0)}
     if not spec.sigma.is_constant:
         conds["gamma1"] = (spec.kernel_g, spec.ambit_set, gamma,

@@ -30,11 +30,8 @@ import numpy as np
 from .montecarlo import ScalingFit, decide, fit_scaling
 
 __all__ = [
-    "Stencil",
     "CriterionStatistic",
     "CriterionReport",
-    "make_stencil",
-    "finite_difference",
     "criterion_statistic",
     "criterion_report",
     "default_h_grid",
@@ -54,49 +51,6 @@ _NOISE_MULTIPLE = 3.0
 # outcomes in this list that one of its frequencies gives
 _PRECEDENCE = [(False, "ok"), (None, "inconclusive"), (True, "ok"),
                (None, "degenerate")]
-
-
-@dataclass(frozen=True)
-class Stencil:
-    """Forward-difference coefficients (-1)^(n-j) C(n,j), j = 0..n."""
-
-    n: int
-    coefficients: tuple
-
-
-def _coefficients(n: int) -> tuple:
-    return tuple((-1) ** (n - j) * math.comb(n, j) for j in range(n + 1))
-
-
-def make_stencil(n: int) -> Stencil:
-    """Stencil of order n, 1 <= n <= 20 (binomial overflow guard above)."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError("stencil order must be an integer")
-    if n < 1 or n > MAX_ORDER:
-        raise ValueError(f"stencil order must satisfy 1 <= n <= {MAX_ORDER}")
-    return Stencil(int(n), _coefficients(int(n)))
-
-
-def compose(a: Stencil, b: Stencil) -> Stencil:
-    """Coefficient convolution; equals make_stencil(a.n + b.n) exactly."""
-    ca = np.array(a.coefficients, dtype=object)
-    cb = np.array(b.coefficients, dtype=object)
-    conv = [sum(ca[i] * cb[k - i]
-                for i in range(max(0, k - b.n), min(a.n, k) + 1))
-            for k in range(a.n + b.n + 1)]
-    return Stencil(a.n + b.n, tuple(int(c) for c in conv))
-
-
-def finite_difference(f, x, h, n):
-    """n-th forward difference of the callable f at x with step h, f being
-    evaluated at x + j*h."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x, dtype=complex)
-    for j, c in enumerate(make_stencil(n).coefficients):
-        out = out + c * np.asarray(f(x + j * h))
-    if np.all(np.abs(out.imag) == 0.0):
-        return out.real
-    return out
 
 
 def default_h_grid() -> np.ndarray:

@@ -8,7 +8,6 @@ missing output directory, runtime failure).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -37,8 +36,7 @@ def _parser():
     r.add_argument("--seed", type=int, default=None,
                    help="shorthand for run.seed=N")
     r.add_argument("--workers", type=int, default=None,
-                   help="worker threads (falls back to AMBITLAB_WORKERS, "
-                        "then run.workers)")
+                   help="worker threads (falls back to run.workers)")
     r.add_argument("--outdir", default=None,
                    help="shorthand for run.outdir=DIR (must exist)")
     return p
@@ -52,15 +50,6 @@ def run(config_path, overrides=(), experiment=None, seed=None, workers=None,
         extra.append(f"run.experiment={experiment}")
     if seed is not None:
         extra.append(f"run.seed={seed}")
-    if workers is None:
-        env = os.environ.get("AMBITLAB_WORKERS")
-        if env is not None:
-            try:
-                workers = int(env)
-            except ValueError:
-                print(f"error: AMBITLAB_WORKERS={env!r} is not an integer",
-                      file=sys.stderr)
-                return 1
     if workers is not None:
         extra.append(f"run.workers={workers}")
     if outdir is not None:

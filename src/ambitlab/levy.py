@@ -9,8 +9,6 @@ The module provides
 
 * the sharp assumption constants of the family (tail moments, truncated
   second moment, cosine lower bound), each in closed form,
-* the dyadic moment-lemma bound with its explicit constant, against the
-  closed-form truncated moments,
 * simulation of X = int int f dL by compound-Poisson jumps above the
   model's truncation tau plus a variance-matched Gaussian for the sub-tau
   part (sample_integral), and of jump records (sample_records) that replay
@@ -35,9 +33,6 @@ __all__ = [
     "kappa_alpha",
     "AssumptionConstants",
     "assumption_constants",
-    "moment_lemma_constant",
-    "MomentLemmaReport",
-    "moment_lemma_check",
     "CellGrid",
     "build_cells",
     "JumpRecord",
@@ -148,58 +143,6 @@ def assumption_constants(model) -> AssumptionConstants:
     return AssumptionConstants(
         alpha=a, c_sum=model.c_sum, C_bar=model.c_sum / (2.0 - a),
         c_lower=model.c_sum * kappa, kappa=kappa)
-
-
-# ---------------------------------------------------------------------------
-# moment lemma
-# ---------------------------------------------------------------------------
-
-
-# truncation levels a of moment_lemma_check
-_MOMENT_A_GRID = np.geomspace(1e-3, 1.0, 20)
-
-
-def moment_lemma_constant(gamma, alpha) -> float:
-    """C_{gamma,alpha} = 2^(2-gamma) * 2^(2-alpha) / (2^(gamma-alpha) - 1)."""
-    if not (alpha < gamma <= 2.0):
-        raise ValueError("need alpha < gamma <= 2")
-    return 2.0 ** (2.0 - gamma) * 2.0 ** (2.0 - alpha) \
-        / (2.0 ** (gamma - alpha) - 1.0)
-
-
-@dataclass
-class MomentLemmaReport:
-    gamma: float
-    alpha: float
-    constant: float
-    a_grid: np.ndarray
-    integrals: np.ndarray
-    bounds: np.ndarray
-    max_violation: float     # max (integral - bound); must be <= 1e-9 scale
-    passed: bool
-
-
-def moment_lemma_check(model, gamma) -> MomentLemmaReport:
-    """int_{|z|<=a} |z|^gamma rho = c_sum a^(gamma-alpha) / (gamma-alpha)
-    against the dyadic bound C_{gamma,alpha} * C_bar * a^(gamma-alpha).
-
-    Both sides are the one power of a, so the check compares two
-    constants: bound/integral exceeds its infimum 4/3 (alpha -> 0,
-    gamma = 2) over the whole range alpha < gamma <= 2, and the check
-    passes for every valid (alpha, gamma).
-    """
-    a = model.alpha
-    if not (a < gamma <= 2.0):
-        raise ValueError("moment lemma needs alpha < gamma <= 2")
-    const = moment_lemma_constant(gamma, a)
-    c_bar = model.c_sum / (2.0 - a)
-    powers = _MOMENT_A_GRID ** (gamma - a)
-    integrals = model.c_sum * powers / (gamma - a)
-    bounds = const * c_bar * powers
-    viol = float(np.max(integrals - bounds))
-    return MomentLemmaReport(float(gamma), a, const, _MOMENT_A_GRID.copy(),
-                             integrals, bounds, viol,
-                             bool(viol <= 1e-9 * float(np.max(bounds))))
 
 
 # ---------------------------------------------------------------------------

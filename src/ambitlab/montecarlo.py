@@ -1,4 +1,4 @@
-"""Monte-Carlo plumbing: scaling fits, verdicts, reproducible ensembles, ECF.
+"""Monte-Carlo plumbing: scaling fits, verdicts, reproducible ensembles.
 
 The slope's confidence halfwidth uses an own Student-t quantile (the exact
 integer-dof CDF solved by Newton's method), so the module needs no SciPy.
@@ -27,7 +27,6 @@ __all__ = [
     "decide",
     "path_rng",
     "run_ensemble_blocks",
-    "empirical_cf",
 ]
 
 # Ordinates below this are treated as exact zeros (log-log fits impossible).
@@ -216,24 +215,3 @@ def run_ensemble_blocks(n_paths, block_fn, *, master_seed, stream,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(do_block, spans))
     return np.concatenate(results, axis=0)
-
-
-# ---------------------------------------------------------------------------
-# empirical characteristic function
-# ---------------------------------------------------------------------------
-
-
-def empirical_cf(values, xi):
-    """Empirical characteristic function: mean of exp(i xi X).
-
-    Returns (phi, stderr) where stderr is the universal 1/sqrt(n) bound on
-    the complex-mean fluctuation (|e^{i xi X}| = 1).
-    """
-    values = np.asarray(values, dtype=float)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if values.size == 0:
-        raise ValueError("empty sample")
-    phase = np.exp(1j * np.outer(xi, values))
-    phi = phase.mean(axis=1)
-    stderr = np.full(xi.shape, 1.0 / np.sqrt(values.size))
-    return phi, stderr

@@ -217,15 +217,35 @@ def _noise_beta(model):
     return {"white": model.d, "riesz": model.beta}.get(model.kind, 0.0)
 
 
-def _variance_g(model, operator, eps):
-    """variance_g and the number of integrand evaluations it took (0 for
-    the closed forms)."""
+def variance_g(model, operator, eps, tally=None) -> float:
+    """g(eps) = int_0^eps ds int mu(dxi) |F(Lambda(s))(xi)|^2.
+
+    In polar form g = omega_d int_0^inf S(r) r^(d-1)
+    squared_time_integral(operator, eps, r) dr.  For white and Riesz noise
+    S(r) r^(d-1) = r^(beta-1) and g is a pure power in closed form:
+
+        heat:  omega_d (1/4) (2 eps)^(1 - beta/2) (-Gamma(beta/2 - 1))
+        wave:  omega_d pi eps^(3 - beta) 2^-beta
+               / (Gamma(4 - beta) sin(pi beta / 2))
+
+    (sqrt(2 pi eps) and pi eps^2/2 for white noise in d=1).  The
+    exponential covariance takes one radial quadrature, split where the
+    time integral turns over from growing like eps to decaying in r
+    (r = 1/sqrt(2 eps) for heat, r = 1/eps for wave).  Its wave tail is
+    split exactly as S r^(d-3) eps/2 - S r^(d-4) sin(2 eps r)/4: the first
+    part is a plain quadrature, the second a Fourier integral (QAWF).
+
+    A dict passed as tally receives evaluations, the number of integrand
+    evaluations the quadrature took (0 for the closed forms).
+    """
     _check_operator(operator)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     _check_dalang(model)
+    tally = {} if tally is None else tally
+    tally["evaluations"] = 0
     if eps == 0:
-        return 0.0, 0
+        return 0.0
     d = model.d
     if model.kind != "exponential":
         # S(r) r^(d-1) = r^(beta-1); Dalang's condition gives 0 < beta < 2
@@ -236,12 +256,10 @@ def _variance_g(model, operator, eps):
         else:
             g = math.pi * eps ** (3.0 - beta) * 2.0 ** -beta \
                 / (math.gamma(4.0 - beta) * math.sin(math.pi * beta / 2.0))
-        return float(_SPHERE_AREA[d] * g), 0
-    calls = 0
+        return float(_SPHERE_AREA[d] * g)
 
     def radial(r, power):
-        nonlocal calls
-        calls += 1
+        tally["evaluations"] += 1
         return spectral_density_radial(model, r) * r ** power
 
     f = lambda r: radial(r, d - 1) * squared_time_integral(operator, eps, r)
@@ -263,28 +281,7 @@ def _variance_g(model, operator, eps):
                     weight="sin", wvar=2.0 * eps,
                     epsabs=0.1 * _G_EPSREL * (head + plain))
         total = head + plain - osc
-    return float(_SPHERE_AREA[d] * total), calls
-
-
-def variance_g(model, operator, eps) -> float:
-    """g(eps) = int_0^eps ds int mu(dxi) |F(Lambda(s))(xi)|^2.
-
-    In polar form g = omega_d int_0^inf S(r) r^(d-1)
-    squared_time_integral(operator, eps, r) dr.  For white and Riesz noise
-    S(r) r^(d-1) = r^(beta-1) and g is a pure power in closed form:
-
-        heat:  omega_d (1/4) (2 eps)^(1 - beta/2) (-Gamma(beta/2 - 1))
-        wave:  omega_d pi eps^(3 - beta) 2^-beta
-               / (Gamma(4 - beta) sin(pi beta / 2))
-
-    (sqrt(2 pi eps) and pi eps^2/2 for white noise in d=1).  The
-    exponential covariance takes one radial quadrature, split where the
-    time integral turns over from growing like eps to decaying in r
-    (r = 1/sqrt(2 eps) for heat, r = 1/eps for wave).  Its wave tail is
-    split exactly as S r^(d-3) eps/2 - S r^(d-4) sin(2 eps r)/4: the first
-    part is a plain quadrature, the second a Fourier integral (QAWF).
-    """
-    return _variance_g(model, operator, eps)[0]
+    return float(_SPHERE_AREA[d] * total)
 
 
 def grid_variance_g(model, operator, eps) -> float:
@@ -325,10 +322,11 @@ def exponent_gamma(model, operator, eps_grid) -> GammaExponents:
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size < 4:
         raise ValueError("eps_grid needs at least 4 points")
-    results = [_variance_g(model, operator, e) for e in eps_grid]
-    g_vals = np.array([g for g, _ in results])
+    tallies = [{} for _ in eps_grid]
+    g_vals = np.array([variance_g(model, operator, e, tally=t)
+                       for e, t in zip(eps_grid, tallies)])
     calls = None if model.kind != "exponential" \
-        else np.array([n for _, n in results])
+        else np.array([t["evaluations"] for t in tallies])
     z_vals = squared_time_integral(operator, eps_grid, 0.0)
     beta = _noise_beta(model)
     if operator == "heat":

@@ -19,7 +19,10 @@ import pytest
 import ambitlab.ambit as am
 import ambitlab.levy as lv
 from ambitlab import besov
-from ambitlab.montecarlo import empirical_cf, fit_scaling, path_rng
+from ambitlab.montecarlo import fit_scaling, path_rng
+
+import oracles
+from oracles import empirical_cf
 
 
 EPS = np.geomspace(1e-3, 0.5, 10)
@@ -67,7 +70,7 @@ def test_cone_geometry():
 
 
 def test_slab_geometry():
-    slab = am.make_slab(1.5)
+    slab = am.make_cone(1.5, 0.0)
     assert slab.half_width(0.7) == 1.5
     assert slab.indicator(1.0, 0.0, np.array([0.5]),
                           np.array([1.4]))[0] == 1.0
@@ -115,7 +118,7 @@ def _integrals(spec, model, bundle, eps):
     """The slab integrals on eps of the (H4) conditions behind bundle, by
     the quadrature oracle _slab_condition_integral."""
     conds = am._conditions(spec, model.alpha, bundle.gamma)
-    return {name: np.array([am._slab_condition_integral(e, *cond)
+    return {name: np.array([oracles._slab_condition_integral(e, *cond)
                             for e in eps]) for name, cond in conds.items()}
 
 
@@ -189,12 +192,14 @@ def test_bump_quadrature_is_flat_at_small_eps(model):
         local = np.diff(np.log(rows)) / np.diff(np.log(small))
         assert np.abs(local - want).max() <= 1e-4, name
         for e, v in zip(grid, integrals[name]):
-            fine = am._slab_condition_integral(e, spec.kernel_g,
-                                               spec.ambit_set, q, a, p, 96)
+            fine = oracles._slab_condition_integral(e, spec.kernel_g,
+                                                    spec.ambit_set, q, a, p,
+                                                    96)
             assert v == pytest.approx(fine, rel=1e-8, abs=0.0)
 
 
-@pytest.mark.parametrize("aset", [am.make_cone(1.3, 0.7), am.make_slab(0.8)],
+@pytest.mark.parametrize("aset", [am.make_cone(1.3, 0.7),
+                                  am.make_cone(0.8, 0.0)],
                          ids=["cone", "slab"])
 @pytest.mark.parametrize("kernel", [am.constant_kernel(1.3),
                                     am.power_kernel(0.5, -0.8)],
@@ -210,7 +215,7 @@ def test_flat_slab_integral_matches_gauss_jacobi(kernel, aset):
         _, wj = roots_jacobi(48, b, a)
         for eps in EPS:
             want = const * (eps / 2.0) ** (a + b + 1.0) * wj.sum()
-            got = am._slab_condition_integral(eps, kernel, aset, q, a, p)
+            got = oracles._slab_condition_integral(eps, kernel, aset, q, a, p)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -228,7 +233,7 @@ def test_cone_aperture_homogeneity(model, cone_spec):
 
 
 def test_divergent_kernel_names_the_condition(model):
-    hot = am.make_ambit_spec(ambit_set=am.make_slab(1.0),
+    hot = am.make_ambit_spec(ambit_set=am.make_cone(1.0, 0.0),
                              kernel_g=am.power_kernel(0.9),
                              sigma=am.constant_field(1.0),
                              b=am.constant_field(0.0))
@@ -253,7 +258,7 @@ def test_exponent_validation(model, cone_spec):
 
 
 def test_zero_fields_return_start_value(model):
-    spec = am.make_ambit_spec(ambit_set=am.make_slab(1.0),
+    spec = am.make_ambit_spec(ambit_set=am.make_cone(1.0, 0.0),
                               sigma=am.constant_field(0.0),
                               b=am.constant_field(0.0), x0=3.25)
     disc = am.make_discretization(spec, model, 1.0, 0.0)
@@ -262,7 +267,7 @@ def test_zero_fields_return_start_value(model):
 
 def test_pure_drift_integrates_the_set(model):
     # g = 0, h = 1, b = 1 on [0, t] x [x-1, x+1]: X = x0 + 2t
-    spec = am.make_ambit_spec(ambit_set=am.make_slab(1.0),
+    spec = am.make_ambit_spec(ambit_set=am.make_cone(1.0, 0.0),
                               kernel_g=am.constant_kernel(0.0),
                               kernel_h=am.constant_kernel(1.0),
                               sigma=am.constant_field(1.0),
@@ -276,7 +281,7 @@ def test_slab_field_matches_stable_cf(model):
     """Constant-kernel slab value is stable(alpha) with A = c_sum K 2t."""
     lite = lv.make_levy_model(1.2, 1 / 60, 1 / 60, T=1.0,
                               domain=(-1.0, 1.0))
-    spec = am.make_ambit_spec(ambit_set=am.make_slab(1.0),
+    spec = am.make_ambit_spec(ambit_set=am.make_cone(1.0, 0.0),
                               kernel_g=am.constant_kernel(1.0),
                               sigma=am.constant_field(1.0),
                               b=am.constant_field(0.0))
@@ -407,7 +412,7 @@ COUPLING_SPECS = pytest.mark.parametrize("spec", [
                        kernel_g=am.power_kernel(0.5),
                        sigma=am.weierstrass_field(),
                        b=am.weierstrass_field(base=0.3), x0=0.2),
-    am.make_ambit_spec(ambit_set=am.make_slab(0.8),
+    am.make_ambit_spec(ambit_set=am.make_cone(0.8, 0.0),
                        kernel_g=am.bump_kernel(0.4),
                        sigma=am.weierstrass_field(delta1=0.3, delta2=0.7),
                        b=am.constant_field(0.5)),
@@ -654,7 +659,7 @@ def test_error_decay_degenerate_for_constant_fields(model):
 
 
 def test_density_criterion_dirac_control(model):
-    dirac = am.make_ambit_spec(ambit_set=am.make_slab(1.0),
+    dirac = am.make_ambit_spec(ambit_set=am.make_cone(1.0, 0.0),
                                kernel_g=am.constant_kernel(0.0),
                                sigma=am.constant_field(1.0),
                                b=am.constant_field(0.0))
@@ -697,16 +702,16 @@ def _bulk_spec(ambit_set, kernel_g, drift_set=None):
 # (spec, x, integrand) of the bulk sampler: 1_A g sigma0 is one number on
 # the sampling box only for a slab that covers it and a constant kernel
 INTEGRAND_CASES = {
-    "slab": (_bulk_spec(am.make_slab(0.75), am.constant_kernel(1.7)), 0.3,
-             "constant"),
+    "slab": (_bulk_spec(am.make_cone(0.75, 0.0), am.constant_kernel(1.7)),
+             0.3, "constant"),
     "cone": (_bulk_spec(am.make_cone(0.75), am.constant_kernel(1.7)), 0.3,
              "callable"),
-    "power": (_bulk_spec(am.make_slab(0.75), am.power_kernel(0.5, 1.7)),
+    "power": (_bulk_spec(am.make_cone(0.75, 0.0), am.power_kernel(0.5, 1.7)),
               0.3, "callable"),
-    "narrow": (_bulk_spec(am.make_slab(0.75), am.constant_kernel(1.7),
-                          drift_set=am.make_slab(1.0)), 0.3, "callable"),
+    "narrow": (_bulk_spec(am.make_cone(0.75, 0.0), am.constant_kernel(1.7),
+                          drift_set=am.make_cone(1.0, 0.0)), 0.3, "callable"),
     # the box's last position x + 0.35 rounds to more than 0.35 from x
-    "edge": (_bulk_spec(am.make_slab(0.35), am.constant_kernel(1.7)),
+    "edge": (_bulk_spec(am.make_cone(0.35, 0.0), am.constant_kernel(1.7)),
              -23.021, "callable"),
 }
 

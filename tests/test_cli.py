@@ -677,12 +677,3 @@ def test_main_accepts_override_as_first_positional(tmp_path):
 def test_main_needs_an_experiment(capsys):
     assert cli.main(["run", "run.seed=1"]) == 1
     assert "no --experiment" in capsys.readouterr().err
-
-
-def test_main_env_worker_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("AMBITLAB_WORKERS", "not-a-number")
-    assert cli.run(None, [], experiment="besov-stat",
-                   outdir=str(tmp_path)) == 1
-    monkeypatch.setenv("AMBITLAB_WORKERS", "2")
-    assert cli.run(None, [], experiment="besov-stat",
-                   outdir=str(tmp_path)) == 0

@@ -13,11 +13,12 @@ from ambitlab.montecarlo import (
     ScalingFit,
     _t_quantile_975,
     decide,
-    empirical_cf,
     fit_scaling,
     path_rng,
     run_ensemble_blocks,
 )
+
+from oracles import empirical_cf
 
 
 class TestFitScaling:
@@ -199,7 +200,7 @@ class TestDecide:
         Hölder order, not left undecided."""
         model = levy.make_levy_model(1.2, 0.5, 0.5, T=1.0,
                                      domain=(-1.0, 1.0))
-        dirac = ambit.make_ambit_spec(ambit_set=ambit.make_slab(1.0),
+        dirac = ambit.make_ambit_spec(ambit_set=ambit.make_cone(1.0, 0.0),
                                       kernel_g=ambit.constant_kernel(0.0),
                                       sigma=ambit.constant_field(1.0),
                                       b=ambit.constant_field(0.0))

@@ -267,6 +267,30 @@ def test_quadrature_recovers_closed_form_exponents(kw, op):
         assert local == pytest.approx(ex.gamma1, abs=0.02)
 
 
+
+@pytest.mark.parametrize("op", ["heat", "wave"])
+@pytest.mark.parametrize("kw", [dict(kind="white", d=1),
+                                dict(kind="riesz", d=2, beta=1.0),
+                                dict(kind="exponential", d=1, ell=0.7)],
+                         ids=lambda kw: kw["kind"])
+def test_exponent_gamma_reads_variance_g(kw, op):
+    """exponent_gamma's g values are variance_g's, bit for bit, and its
+    evaluation counts are the ones variance_g tallies: the quadrature's
+    integrand calls, which run.log reports, and none for a closed form."""
+    m = noise.make_noise_model(Lbox=8.0, m=16, **kw)
+    eps = np.geomspace(1e-3, 0.1, 5)
+    ex = noise.exponent_gamma(m, op, eps)
+    tallies = [{} for _ in eps]
+    want = [noise.variance_g(m, op, e, tally=t) for e, t in zip(eps, tallies)]
+    assert ex.g_values.tolist() == want
+    counts = [t["evaluations"] for t in tallies]
+    if kw["kind"] == "exponential":
+        assert ex.evaluations.tolist() == counts
+        assert min(counts) > 0
+    else:
+        assert ex.evaluations is None
+        assert counts == [0] * len(eps)
+
 def test_exponential_wave_variance_closed_form():
     # with x = 2 eps/ell the closed form is (ell^3/4)(x^2/2 - x + 1 - e^-x);
     # its power series sum_{k>=3} (-1)^(k+1) x^k/k! does not cancel
