@@ -21,7 +21,8 @@ for, as a prefix (history) and a suffix (slab) of them; at the last edge,
 t, the slab is empty and X_eps is X.  Paths are sampled and reduced in
 stacks (sample_stack; make_path is a stack of one): each path's generator
 makes the same calls in the same order whatever the stack, so results do
-not depend on how paths are stacked.
+not depend on how paths are stacked.  error_decay and density_sample's
+random-coefficient branch run one path ensemble of such stacks.
 For time-singular kernels the sub-truncation Gaussian variance is the
 cell-midpoint quadrature, converging only in the joint cell/tau
 refinement (the slab terms of the paired gap cancel to the order of the
@@ -166,64 +167,12 @@ def bump_kernel(width, value=1.0) -> Kernel:
     return Kernel("bump", value=float(value), width=float(width))
 
 
-class _ConstantPath:
-    def __init__(self, value):
-        self.value = float(value)
-
-    def __call__(self, s, y):
-        return np.full(np.broadcast(np.asarray(s), 0.0).shape, self.value)
-
-
-class _WeierstrassPath:
-    """One realisation: base + amp * sum_j 2^(-j d1) G_j cos(2^j w0 s + ph_j)
-    + amp * sum_j 2^(-j d2) H_j cos(2^j w0 y + ps_j)."""
-
-    def __init__(self, spec, rng):
-        lv = spec.levels
-        self.spec = spec
-        self.freqs, decay_t, decay_x = spec.dyadic_scales
-        self.gains_t = rng.standard_normal(lv) * decay_t
-        self.gains_x = rng.standard_normal(lv) * decay_x
-        self.phases_t = rng.uniform(0.0, 2.0 * np.pi, lv)
-        self.phases_x = rng.uniform(0.0, 2.0 * np.pi, lv)
-
-    def __call__(self, s, y):
-        s = np.asarray(s, dtype=float)
-        y = np.asarray(y, dtype=float)
-        st = s[..., None] * self.freqs + self.phases_t
-        sx = y[..., None] * self.freqs + self.phases_x
-        out = self.spec.base \
-            + self.spec.amplitude * np.cos(st) @ self.gains_t \
-            + self.spec.amplitude * np.cos(sx) @ self.gains_x
-        return out
-
-
-def _grids(field_spec, paths, s, y):
-    """Each path's field on the grid s x y, shape (len(paths), len(s),
-    len(y)).  The time and space sums are separable, so each axis is
-    evaluated once, as one batched matmul over the stack of paths."""
-    if field_spec.is_constant:
-        # one read-only number for every path and point
-        return np.broadcast_to(field_spec.value,
-                               (len(paths), len(s), len(y)))
-    amp, freqs = field_spec.amplitude, paths[0].freqs
-
-    def axis_sum(points, phases, gains):
-        waves = amp * np.cos(np.multiply.outer(points, freqs)
-                             + np.stack(phases)[:, None, :])
-        return np.matmul(waves, np.stack(gains)[:, :, None])
-
-    time = field_spec.base + axis_sum(s, [p.phases_t for p in paths],
-                                      [p.gains_t for p in paths])
-    space = axis_sum(y, [p.phases_x for p in paths],
-                     [p.gains_x for p in paths])
-    return time + space.transpose(0, 2, 1)
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """Volatility/drift field family with Hölder exponents known by
-    construction (H2): time exponent delta1, space exponent delta2."""
+    construction (H2): time exponent delta1, space exponent delta2.  A
+    path, base + amp sum_j 2^(-j d1) G_j cos(2^j w0 s + ph_j) + amp sum_j
+    2^(-j d2) H_j cos(2^j w0 y + ps_j), is its draw of gains and phases."""
 
     kind: str
     value: float = 0.0
@@ -259,10 +208,37 @@ class FieldSpec:
             a.flags.writeable = False
         return scales
 
-    def sample_path(self, rng):
+    def draw(self, rng):
+        """One path's (4, levels) time gains, space gains, time phases and
+        space phases, in draw order; a constant field draws nothing."""
         if self.is_constant:
-            return _ConstantPath(self.value)
-        return _WeierstrassPath(self, rng)
+            return np.empty((4, 0))
+        lv = self.levels
+        _, decay_t, decay_x = self.dyadic_scales
+        return np.stack([rng.standard_normal(lv) * decay_t,
+                         rng.standard_normal(lv) * decay_x,
+                         rng.uniform(0.0, 2.0 * np.pi, lv),
+                         rng.uniform(0.0, 2.0 * np.pi, lv)])
+
+    def grid(self, draws, s, y):
+        """(paths, len(s), len(y)) fields of a (4, paths, levels) stack of
+        draws on the grid s x y: the time and space sums are separable, so
+        each axis is one batched matmul over the paths."""
+        if self.is_constant:
+            # one read-only number for every path and point
+            return np.broadcast_to(self.value,
+                                   (draws.shape[1], len(s), len(y)))
+        gains_t, gains_x, phases_t, phases_x = draws
+        freqs = self.dyadic_scales[0]
+
+        def axis_sum(points, phases, gains):
+            waves = self.amplitude * np.cos(np.multiply.outer(points, freqs)
+                                            + phases[:, None, :])
+            return np.matmul(waves, gains[:, :, None])
+
+        time = self.base + axis_sum(s, phases_t, gains_t)
+        space = axis_sum(y, phases_x, gains_x)
+        return time + space.transpose(0, 2, 1)
 
 
 def constant_field(value) -> FieldSpec:
@@ -455,8 +431,6 @@ class AmbitDiscretization:
     cells: levy.CellGrid
     t: float
     x: float
-    s_axis: np.ndarray       # (rows,) time midpoints
-    y_axis: np.ndarray       # (cols,) space midpoints
     g_mid: np.ndarray        # 1_A * g at the midpoints
     gauss_sd: np.ndarray     # sd of the sub-tau Gaussian
     comp_cell: np.ndarray    # (tau, 1] compensator (a multiple of vol)
@@ -465,15 +439,6 @@ class AmbitDiscretization:
     def __post_init__(self):
         self._rows = _EdgeLookup(self.cells.time_edges)
         self._cols = _EdgeLookup(self.cells.space_edges)
-
-    @property
-    def shape(self):
-        return self.s_axis.size, self.y_axis.size
-
-    def cell_index(self, s, y):
-        """Time-major index of the cell holding each point (s, y); points
-        outside the box go to the nearest cell."""
-        return self._rows(s) * self.y_axis.size + self._cols(y)
 
     def cut_row(self, eps):
         """Index of the time edge at t - eps: rows below it are the
@@ -507,7 +472,6 @@ def make_discretization(spec, model, t, x, *, eps_grid=(), nt=64,
     box = replace(model, T=t, domain=(x - W, x + W))
     edges = [t - e for e in eps_grid if 0 < e <= t]
     cells = levy.build_cells(box, nt=nt, nx=nx, extra_time_edges=edges)
-    te, se = cells.time_edges, cells.space_edges
     s_mid, y_mid = cells.s_mid, cells.y_mid
     g_mid = spec.ambit_set.indicator(t, x, s_mid, y_mid) \
         * spec.kernel_g(t, s_mid, x, y_mid)
@@ -515,10 +479,8 @@ def make_discretization(spec, model, t, x, *, eps_grid=(), nt=64,
     h_mid = spec.kernel_h(t, s_mid, x, y_mid)
     drift_cell = np.where(ind_b, h_mid, 0.0) * cells.cell_vol
     gauss_sd, comp_cell = levy.cell_factors(box, cells)
-    return AmbitDiscretization(box, cells, float(t), float(x),
-                               0.5 * (te[:-1] + te[1:]),
-                               0.5 * (se[:-1] + se[1:]), g_mid, gauss_sd,
-                               comp_cell, drift_cell)
+    return AmbitDiscretization(box, cells, float(t), float(x), g_mid,
+                               gauss_sd, comp_cell, drift_cell)
 
 
 def _prefix(rows):
@@ -540,7 +502,7 @@ def _parts(stack, k) -> ApproxParts:
     bincount keyed by (path, row) sums the jumps of the whole stack.  At
     the last edge, t, the slab is empty and X_eps is X."""
     spec, disc, record = stack.spec, stack.disc, stack.record
-    n_paths, (n_rows, n_cols) = record.counts.size, disc.shape
+    n_paths, (n_rows, n_cols) = record.counts.size, disc.cells.shape
     # each jump's (path, row) key, and its flat (path, cell) index
     key = np.repeat(np.arange(n_paths) * n_rows, record.counts)
     key += disc._rows(record.s)
@@ -571,8 +533,8 @@ def _parts(stack, k) -> ApproxParts:
     # sigma and b at every edge, then indexed: matmul's rounding depends on
     # the point count, so fewer edges would move the frozen values an ulp
     edges, x = disc.cells.time_edges, np.array([disc.x])
-    sigma_frozen = _grids(spec.sigma, stack.sigma_paths, edges, x)[:, k, 0]
-    drift_frozen = _grids(spec.b, stack.b_paths, edges, x)[:, k, 0] \
+    sigma_frozen = spec.sigma.grid(stack.sigma_draws, edges, x)[:, k, 0]
+    drift_frozen = spec.b.grid(stack.b_draws, edges, x)[:, k, 0] \
         * _suffix(row_sums(disc.drift_cell))[k]
     u_eps = spec.x0 + hist + drift_history + drift_frozen
     return ApproxParts(disc.t - edges[k], u_eps + sigma_frozen * slab, u_eps,
@@ -596,8 +558,8 @@ class PathStack:
 
     spec: AmbitSpec
     disc: AmbitDiscretization
-    sigma_paths: list
-    b_paths: list
+    sigma_draws: np.ndarray  # (4, paths, levels) FieldSpec.draw stacks
+    b_draws: np.ndarray
     sigma_mid: np.ndarray    # (paths, cells) volatility at cell midpoints
     b_mid: np.ndarray
     g_sigma_mid: np.ndarray  # (paths, cells) 1_A g sigma at cell midpoints
@@ -614,27 +576,16 @@ def sample_stack(spec, disc, rngs) -> PathStack:
     the calls of a lone path (its fields, then its jump record), so a path
     never depends on the paths stacked with it; the arithmetic runs once
     for the stack."""
-    sigma_paths, b_paths = [], []
-    for rng in rngs:
-        sigma_paths.append(spec.sigma.sample_path(rng))
-        b_paths.append(spec.b.sample_path(rng))
-    n_paths = len(rngs)
-    sigma_mid = _grids(spec.sigma, sigma_paths, disc.s_axis,
-                       disc.y_axis).reshape(n_paths, -1)
-    b_mid = _grids(spec.b, b_paths, disc.s_axis,
-                   disc.y_axis).reshape(n_paths, -1)
+    draws = [(spec.sigma.draw(rng), spec.b.draw(rng)) for rng in rngs]
+    sigma_draws, b_draws = (np.stack(d, axis=1) for d in zip(*draws))
+    n_paths, axes = len(rngs), (disc.cells.s_axis, disc.cells.y_axis)
+    sigma_mid = spec.sigma.grid(sigma_draws, *axes).reshape(n_paths, -1)
+    b_mid = spec.b.grid(b_draws, *axes).reshape(n_paths, -1)
     g_sigma_mid = disc.g_mid * sigma_mid
     record = levy.sample_records(disc.box_model, g_sigma_mid, rngs,
                                  cells=disc.cells)
-    return PathStack(spec, disc, sigma_paths, b_paths, sigma_mid, b_mid,
+    return PathStack(spec, disc, sigma_draws, b_draws, sigma_mid, b_mid,
                      g_sigma_mid, record)
-
-
-def _stacks(spec, disc, rngs):
-    """sample_stack over consecutive sub-stacks of PATHS_PER_STACK
-    generators; yields (first path index, stack)."""
-    for i in range(0, len(rngs), PATHS_PER_STACK):
-        yield i, sample_stack(spec, disc, rngs[i:i + PATHS_PER_STACK])
 
 
 def make_path(spec, disc, rng) -> PathStack:
@@ -660,6 +611,29 @@ def approx_parts(stack: PathStack, eps) -> ApproxParts:
     """Decompose X_eps = U_eps + sigma(t - eps, x) * slab_noise at the
     time edge t - eps."""
     return _parts(stack, stack.disc.cut_row(eps))
+
+
+def _ensemble(spec, disc, k, n_paths, *, master_seed, stream, workers):
+    """(X_eps at time edges k, sigma(t, x), jump count) of path i drawn
+    from path_rng(master_seed, stream, i), for each of n_paths, whatever
+    the workers and PATHS_PER_STACK; k ends with the last edge, t, where
+    X_eps is X."""
+    def block(_idx, rngs):
+        out = np.empty((len(rngs), len(k) + 2))
+        for i in range(0, len(rngs), PATHS_PER_STACK):
+            # the previous stack stays referenced while this one is drawn:
+            # freed first, its pages would fault back in for this one
+            stack = sample_stack(spec, disc, rngs[i:i + PATHS_PER_STACK])
+            parts = _parts(stack, k)
+            rows = out[i:i + len(parts.value)]
+            rows[:, :-2] = parts.value
+            rows[:, -2] = parts.sigma_frozen[:, -1]
+            rows[:, -1] = stack.record.counts
+        return out
+
+    raw = run_ensemble_blocks(n_paths, block, master_seed=master_seed,
+                              stream=stream, workers=workers)
+    return raw[:, :-2], raw[:, -2], raw[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -700,28 +674,18 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
                                nt=nt, nx=nx)
     k = np.array([disc.cut_row(e) for e in eps_grid] + [-1])
 
-    def block(_idx, rngs):
-        # after the gaps: 1 + |X|, so degenerate gaps (pure float
-        # rearrangement for constant coefficients) can be told apart, and
-        # the path's jump count
-        out = np.empty((len(rngs), eps_grid.size + 2))
-        for i, stack in _stacks(spec, disc, rngs):
-            # X_eps at the cut rows, then X at the last edge
-            x_eps = _parts(stack, k).value
-            values = x_eps[:, -1]
-            rows = out[i:i + values.size]
-            rows[:, :-2] = np.abs(values[:, None] - x_eps[:, :-1])
-            rows[:, -2] = 1.0 + np.abs(values)
-            rows[:, -1] = stack.record.counts
-        return out
-
     clock = time.perf_counter()
-    raw = run_ensemble_blocks(n_paths, block, master_seed=master_seed,
-                              stream="ambit-decay", workers=workers)
+    # X_eps at the cut rows, then X at the last edge
+    x_eps, _, jumps = _ensemble(spec, disc, k, n_paths,
+                                master_seed=master_seed,
+                                stream="ambit-decay", workers=workers)
     seconds = dict(ensemble=time.perf_counter() - clock)
-    abs_gaps, scale, jumps = raw[:, :-2], raw[:, -2:-1], raw[:, -1]
+    values = x_eps[:, -1:]
+    abs_gaps = np.abs(values - x_eps[:, :-1])
     gaps = abs_gaps ** beta
-    degenerate = bool(np.all(abs_gaps < 1e-11 * scale))
+    # 1 + |X| tells degenerate gaps (pure float rearrangement for constant
+    # coefficients) apart
+    degenerate = bool(np.all(abs_gaps < 1e-11 * (1.0 + np.abs(values))))
     means = gaps.mean(axis=0)
     stderrs = gaps.std(axis=0, ddof=1) / math.sqrt(n_paths)
 
@@ -812,21 +776,13 @@ def density_sample(spec, model, t, x, n, n_paths, *, master_seed=0,
         counters = dict(jumps_per_draw=tally["jumps"] / n_paths, tally=tally,
                         integrand="callable" if g0 is None else "constant")
     else:
-        def block(_idx, rngs):
-            out = np.empty((len(rngs), 3))
-            for i, stack in _stacks(spec, disc, rngs):
-                # X and sigma(t, x): the last time edge is t
-                parts = _parts(stack, -1)
-                rows = out[i:i + parts.value.size]
-                rows[:, 0] = parts.value
-                rows[:, 1] = np.abs(parts.sigma_frozen) ** n
-                rows[:, 2] = stack.record.counts
-            return out
-
-        raw = run_ensemble_blocks(n_paths, block, master_seed=master_seed,
-                                  stream="ambit-density", workers=workers)
-        values, weights = raw[:, 0], raw[:, 1]
-        counters = dict(jumps_per_draw=float(raw[:, 2].mean()), tally=None,
+        # X and sigma(t, x): the last time edge is t
+        x_t, sigma, jumps = _ensemble(spec, disc, [-1], n_paths,
+                                      master_seed=master_seed,
+                                      stream="ambit-density",
+                                      workers=workers)
+        values, weights = x_t[:, 0], np.abs(sigma) ** n
+        counters = dict(jumps_per_draw=float(jumps.mean()), tally=None,
                         integrand=None)
     return DensitySample(values, weights, disc,
                          sampler_s=time.perf_counter() - clock, **counters)

@@ -249,7 +249,7 @@ def _exp_ambit_decay(cfg):
         "n_paths": run["n_paths"], "hypotheses": hypotheses,
     }
     disc = report.discretization
-    n_rows, n_cols = disc.shape
+    n_rows, n_cols = disc.cells.shape
     logs = [f"tau={disc.box_model.tau:.6g}", f"cells={n_rows}x{n_cols}"]
     logs += [f"cut_row eps={e:.6g} row={disc.cut_row(e)}"
              for e in report.eps_grid]
@@ -272,7 +272,7 @@ def _exp_ambit_density(cfg):
                                   run["n_paths"], master_seed=run["seed"],
                                   workers=run["workers"], nt=a["nt"],
                                   nx=a["nx"])
-    n_rows, n_cols = sample.discretization.shape
+    n_rows, n_cols = sample.discretization.cells.shape
     logs = [f"tau={sample.discretization.box_model.tau:.6g}",
             f"cells={n_rows}x{n_cols}"]
     logs.append(f"jumps_per_draw={sample.jumps_per_draw:.2f}")

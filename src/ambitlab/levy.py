@@ -60,7 +60,17 @@ class LevyBasisModel:
     tau: float
 
     def __post_init__(self):
-        # checked here, so that dataclasses.replace(model, tau=...) is too
+        # checked here, so that dataclasses.replace(model, ...) is too
+        if not (0.0 < self.alpha < 2.0):
+            raise ValueError("alpha must lie in (0, 2)")
+        if self.c_plus < 0 or self.c_minus < 0 or self.c_sum == 0:
+            raise ValueError(
+                "one-sided weights must be nonnegative, not both 0")
+        if not self.T > 0:
+            raise ValueError("T must be positive")
+        lo, hi = self.domain
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError("domain must be a finite interval lo < hi")
         if not 0.0 < self.tau < math.inf:
             raise ValueError("tau must be positive and finite")
 
@@ -81,21 +91,15 @@ class LevyBasisModel:
 def make_levy_model(alpha, c_plus=1.0, c_minus=1.0, *, T=1.0,
                     domain=(-1.0, 1.0), tau=None) -> LevyBasisModel:
     """tau defaults to err^(1/(2-alpha)), err = 1e-2: the Gaussian that
-    replaces the sub-tau jumps then has variance C_bar * err * int f^2."""
-    if not (0.0 < alpha < 2.0):
-        raise ValueError("alpha must lie in (0, 2)")
-    if c_plus < 0 or c_minus < 0 or c_plus + c_minus == 0:
-        raise ValueError("one-sided weights must be nonnegative, not both 0")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    replaces the sub-tau jumps then has variance C_bar * err * int f^2.
+    The model checks its fields itself."""
     try:
         lo, hi = map(float, domain)
     except (TypeError, ValueError):
         raise ValueError("domain must be one interval (lo, hi)") from None
-    if not -math.inf < lo < hi < math.inf:
-        raise ValueError("domain must be a finite interval lo < hi")
     if tau is None:
-        tau = 1e-2 ** (1.0 / (2.0 - alpha))
+        # the model refuses an alpha outside (0, 2) before it reads tau
+        tau = 1e-2 ** (1.0 / (2.0 - alpha)) if alpha < 2.0 else math.inf
     return LevyBasisModel(float(alpha), float(c_plus), float(c_minus),
                           float(T), (lo, hi), float(tau))
 
@@ -129,12 +133,6 @@ class AssumptionConstants:
     c_lower: float           # RePsi_rho(xi) = c_lower |xi|^alpha
     kappa: float             # K_alpha
 
-    def C_beta(self, beta) -> float:
-        """Tail constant: int_{|z|>a} |z|^beta rho = C_beta a^(beta-alpha)."""
-        if beta >= self.alpha:
-            raise ValueError("tail moment requires beta < alpha")
-        return self.c_sum / (self.alpha - beta)
-
 
 def assumption_constants(model) -> AssumptionConstants:
     # u = xi z turns int (1 - cos(xi z)) rho(dz) into c_sum K_alpha |xi|^alpha
@@ -157,9 +155,15 @@ class CellGrid:
 
     time_edges: np.ndarray
     space_edges: np.ndarray
+    s_axis: np.ndarray       # (rows,) time midpoints
+    y_axis: np.ndarray       # (cols,) space midpoints
     s_mid: np.ndarray        # (n_cells,), time-major
     y_mid: np.ndarray        # (n_cells,)
     cell_vol: np.ndarray     # (n_cells,)
+
+    @property
+    def shape(self):
+        return self.s_axis.size, self.y_axis.size
 
     @property
     def n_cells(self):
@@ -181,11 +185,12 @@ def build_cells(model, nt=32, nx=32, extra_time_edges=()) -> CellGrid:
         if t_edges[0] < -1e-12 or t_edges[-1] > model.T + 1e-12:
             raise ValueError("extra time edges outside [0, T]")
     space_edges = np.linspace(*model.domain, nx + 1)
-    s_mid, y_mid = (m.ravel() for m in np.meshgrid(
-        0.5 * (t_edges[:-1] + t_edges[1:]),
-        0.5 * (space_edges[:-1] + space_edges[1:]), indexing="ij"))
+    s_axis, y_axis = (0.5 * (e[:-1] + e[1:]) for e in (t_edges, space_edges))
+    s_mid, y_mid = (m.ravel() for m in np.meshgrid(s_axis, y_axis,
+                                                   indexing="ij"))
     cell_vol = np.outer(np.diff(t_edges), np.diff(space_edges)).ravel()
-    return CellGrid(t_edges, space_edges, s_mid, y_mid, cell_vol)
+    return CellGrid(t_edges, space_edges, s_axis, y_axis, s_mid, y_mid,
+                    cell_vol)
 
 
 def _sub_tau_law(model):
@@ -210,18 +215,6 @@ class JumpRecord:
     y: np.ndarray            # (total_jumps,)
     z: np.ndarray            # (total_jumps,) signed jump sizes
     cell_normals: np.ndarray  # (n_draws, n_cells)
-
-    def erase_after(self, t_cut):
-        """Record with all jumps in (t_cut, T] removed and slab cell
-        normals zeroed — the sigma-algebra-up-to-t_cut surrogate."""
-        keep = self.s <= t_cut + 1e-12
-        normals = self.cell_normals.copy()
-        normals[:, self.cells.s_mid > t_cut] = 0.0
-        counts = np.zeros_like(self.counts)
-        did = np.repeat(np.arange(counts.size), self.counts)
-        np.add.at(counts, did[keep], 1)
-        return JumpRecord(self.cells, counts, self.s[keep],
-                          self.y[keep], self.z[keep], normals)
 
 
 def cell_factors(model, cells):

@@ -58,26 +58,33 @@ class SpectralNoiseModel:
     beta: float = None
     ell: float = None
 
+    def __post_init__(self):
+        # checked here, so that dataclasses.replace(model, ...) is too
+        if self.kind not in ("white", "riesz", "exponential"):
+            raise ValueError(f"unknown noise kind {self.kind!r}")
+        if self.d not in (1, 2, 3):
+            raise ValueError(f"dimension must be 1, 2 or 3, got {self.d!r}")
+        if not self.Lbox > 0:
+            raise ValueError("Lbox must be positive")
+        if self.m < 2:
+            raise ValueError("m must be at least 2")
+        if self.kind == "riesz":
+            if self.beta is None or not (0 < self.beta < self.d):
+                raise ValueError("riesz noise requires 0 < beta < d")
+        if self.kind == "exponential":
+            if self.ell is None or not self.ell > 0:
+                raise ValueError("exponential covariance requires ell > 0")
+
     @property
     def dx(self) -> float:
         return self.Lbox / self.m
 
 
 def make_noise_model(kind, d, Lbox, m, beta=None, ell=None):
-    if kind not in ("white", "riesz", "exponential"):
-        raise ValueError(f"unknown noise kind {kind!r}")
-    if d not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {d!r}")
-    if Lbox <= 0:
-        raise ValueError("Lbox must be positive")
+    """The model checks its fields itself; m must be a power of two here
+    (the solver takes any m >= 2)."""
     if m < 2 or (m & (m - 1)) != 0:
         raise ValueError("m must be a power of two >= 2")
-    if kind == "riesz":
-        if beta is None or not (0 < beta < d):
-            raise ValueError("riesz noise requires 0 < beta < d")
-    if kind == "exponential":
-        if ell is None or ell <= 0:
-            raise ValueError("exponential covariance requires ell > 0")
     return SpectralNoiseModel(kind, int(d), float(Lbox), int(m),
                               None if beta is None else float(beta),
                               None if ell is None else float(ell))

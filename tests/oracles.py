@@ -9,7 +9,11 @@ fast paths against them:
 * the dyadic moment-lemma bound of the Lévy family with its explicit
   constant, against the closed-form truncated moments,
 * the slab integrals of the (H4) exponent conditions, whose powers of eps
-  `ambit.exponent_conditions` gives in closed form, and
+  `ambit.exponent_conditions` gives in closed form,
+* the tail constant of the Lévy family, the erasure of a jump record after
+  a cut time and the cell of a point of an ambit discretization,
+* one path's volatility field evaluated pointwise from its draw, the
+  reference of `FieldSpec.grid`'s separable evaluation, and
 * the empirical characteristic function of a sample.
 """
 
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ambitlab.besov import MAX_ORDER
+from ambitlab.levy import JumpRecord
 
 # ---------------------------------------------------------------------------
 # difference stencils
@@ -174,6 +179,60 @@ def _slab_condition_integral(eps, kernel, aset, q, time_holder, space_holder,
     w = aset.half_width(eps * (1.0 - xj) / 2.0)
     vals = const * (norm * special.gammainc(half_p, bump_c * w * w))
     return (eps / 2.0) ** (a_v + b_u + 1.0) * float(np.sum(wj * vals))
+
+
+# ---------------------------------------------------------------------------
+# Lévy basis and ambit discretization
+# ---------------------------------------------------------------------------
+
+
+def C_beta(constants, beta) -> float:
+    """Tail constant of levy.AssumptionConstants:
+    int_{|z|>a} |z|^beta rho = C_beta a^(beta-alpha)."""
+    if beta >= constants.alpha:
+        raise ValueError("tail moment requires beta < alpha")
+    return constants.c_sum / (constants.alpha - beta)
+
+
+def erase_after(record, t_cut):
+    """Record with all jumps in (t_cut, T] removed and slab cell
+    normals zeroed — the sigma-algebra-up-to-t_cut surrogate."""
+    keep = record.s <= t_cut + 1e-12
+    normals = record.cell_normals.copy()
+    normals[:, record.cells.s_mid > t_cut] = 0.0
+    counts = np.zeros_like(record.counts)
+    did = np.repeat(np.arange(counts.size), record.counts)
+    np.add.at(counts, did[keep], 1)
+    return JumpRecord(record.cells, counts, record.s[keep],
+                      record.y[keep], record.z[keep], normals)
+
+
+def cell_index(disc, s, y):
+    """Time-major index of the cell of an ambit.AmbitDiscretization holding
+    each point (s, y); points outside the box go to the nearest cell."""
+    return disc._rows(s) * disc.cells.shape[1] + disc._cols(y)
+
+
+# ---------------------------------------------------------------------------
+# volatility fields
+# ---------------------------------------------------------------------------
+
+
+def field_at(spec, draw, s, y):
+    """The field of one path, known by its draw (FieldSpec.draw), at the
+    points (s, y): the sum over the Weierstrass levels, point by point."""
+    if spec.is_constant:
+        return np.full(np.broadcast(np.asarray(s), 0.0).shape, spec.value)
+    gains_t, gains_x, phases_t, phases_x = draw
+    freqs = spec.dyadic_scales[0]
+    s = np.asarray(s, dtype=float)
+    y = np.asarray(y, dtype=float)
+    st = s[..., None] * freqs + phases_t
+    sx = y[..., None] * freqs + phases_x
+    out = spec.base \
+        + spec.amplitude * np.cos(st) @ gains_t \
+        + spec.amplitude * np.cos(sx) @ gains_x
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,27 @@ def test_field_specs():
         am.weierstrass_field(levels=1)
 
 
+def test_field_draws():
+    """A Weierstrass draw is the time gains, space gains, time phases and
+    space phases of its levels, drawn in that order; a constant field
+    draws nothing, and its grid is its value at every path and point."""
+    spec = am.weierstrass_field(delta1=0.3, delta2=0.7, levels=5)
+    rng = path_rng(6, "draw", 0)
+    _, decay_t, decay_x = spec.dyadic_scales
+    want = [rng.standard_normal(5) * decay_t,
+            rng.standard_normal(5) * decay_x,
+            rng.uniform(0.0, 2.0 * np.pi, 5),
+            rng.uniform(0.0, 2.0 * np.pi, 5)]
+    assert np.array_equal(spec.draw(path_rng(6, "draw", 0)), want)
+    const = am.constant_field(0.4)
+    rng = path_rng(6, "draw", 1)
+    draws = np.stack([const.draw(rng) for _ in range(3)], axis=1)
+    assert draws.shape == (4, 3, 0)
+    assert rng.random() == path_rng(6, "draw", 1).random()
+    grid = const.grid(draws, np.array([0.1, 0.2]), np.array([0.0]))
+    assert grid.shape == (3, 2, 1) and np.all(grid == 0.4)
+
+
 def test_default_beta_gamma_ordering():
     for a in (0.3, 0.8, 1.0, 1.2, 1.7, 1.95):
         beta, gamma = am.default_beta_gamma(a)
@@ -334,8 +355,8 @@ def test_erased_record_keeps_surrogate(model):
     disc = am.make_discretization(spec, model, 1.0, 0.0, eps_grid=(0.25,))
     path = am.make_path(spec, disc, path_rng(4, "w", 0))
     parts = am.approx_parts(path, 0.25)
-    erased = dataclasses.replace(path,
-                                 record=path.record.erase_after(0.75))
+    erased = dataclasses.replace(
+        path, record=oracles.erase_after(path.record, 0.75))
     parts_e = am.approx_parts(erased, 0.25)
     assert parts.u_eps[0] == parts_e.u_eps[0]
     assert parts_e.slab_noise[0] == 0.0
@@ -358,7 +379,7 @@ def test_coupling_triangle_replay(model):
         lhs = abs(path.values[0] - parts.value[0])
 
         def gap_int(s, y):
-            sig = path.sigma_mid[0][disc.cell_index(s, y)]
+            sig = path.sigma_mid[0][oracles.cell_index(disc, s, y)]
             ind = spec.ambit_set.indicator(1.0, 0.0, s, y)
             gv = spec.kernel_g(1.0, s, 0.0, y)
             return ind * gv * (sig - parts.sigma_frozen[0]) \
@@ -386,7 +407,8 @@ def _replayed_parts(path, eps):
             * spec.kernel_g(t, s, x, y)
 
     def hist_integrand(s, y):
-        return unit(s, y) * path.sigma_mid[0][disc.cell_index(s, y)] \
+        return unit(s, y) \
+            * path.sigma_mid[0][oracles.cell_index(disc, s, y)] \
             * (s <= t_cut + 1e-15)
 
     def slab_integrand(s, y):
@@ -395,8 +417,9 @@ def _replayed_parts(path, eps):
     hist = lv.replay_integral(disc.box_model, path.record, hist_integrand)[0]
     slab = lv.replay_integral(disc.box_model, path.record, slab_integrand)[0]
     point = (np.array([t_cut]), np.array([x]))
-    sigma_frozen = path.sigma_paths[0](*point)[0]
-    b_frozen = path.b_paths[0](*point)[0]
+    sigma_frozen = oracles.field_at(spec.sigma, path.sigma_draws[:, 0],
+                                    *point)[0]
+    b_frozen = oracles.field_at(spec.b, path.b_draws[:, 0], *point)[0]
     in_hist = disc.cells.s_mid <= t_cut + 1e-15
     drift_hist = np.sum(path.disc.drift_cell[in_hist]
                         * path.b_mid[0][in_hist])
@@ -434,14 +457,15 @@ def test_one_pass_coupling_matches_replay(spec, c_minus):
     for i in range(4):
         path = am.make_path(spec, disc, path_rng(8, "one-pass", i))
         cells = disc.cells
-        direct = path.sigma_paths[0](cells.s_mid, cells.y_mid)
+        direct = oracles.field_at(spec.sigma, path.sigma_draws[:, 0],
+                                  cells.s_mid, cells.y_mid)
         ulp = np.spacing(np.abs(direct))
         assert np.all(np.abs(path.sigma_mid[0] - direct) <= 4 * ulp)
 
         def full(s, y):
             return spec.ambit_set.indicator(1.0, 0.0, s, y) \
                 * spec.kernel_g(1.0, s, 0.0, y) \
-                * path.sigma_mid[0][disc.cell_index(s, y)]
+                * path.sigma_mid[0][oracles.cell_index(disc, s, y)]
 
         value = spec.x0 \
             + lv.replay_integral(disc.box_model, path.record, full)[0] \
@@ -506,9 +530,10 @@ def test_cell_index_is_time_major(model, reference_spec):
     cells = disc.cells
     want = _searchsorted_cells(cells.time_edges, s) * 40 \
         + _searchsorted_cells(cells.space_edges, y)
-    assert np.array_equal(disc.cell_index(s, y), want)
+    assert np.array_equal(oracles.cell_index(disc, s, y), want)
     # each cell's midpoint lies in that cell
-    assert np.array_equal(disc.cell_index(cells.s_mid, cells.y_mid),
+    assert np.array_equal(oracles.cell_index(disc, cells.s_mid,
+                                             cells.y_mid),
                           np.arange(cells.n_cells))
 
 
@@ -520,15 +545,17 @@ STACK_SIZES = (1, 5, am.PATHS_PER_STACK)
 @COUPLING_SPECS
 @COUPLING_SKEWS
 def test_stacked_paths_equal_single_paths(spec, c_minus, monkeypatch):
-    """Stacks of every size in STACK_SIZES, as the ensembles draw them (a
-    short last stack included), give each path exactly what make_path, a
-    stack of one, gives it, and leave its generator where make_path
-    leaves it."""
+    """The path ensemble draws stacks of every size in STACK_SIZES with
+    sample_stack (a short last stack included).  Each stack gives each
+    path exactly what make_path, a stack of one, gives it, and leaves its
+    generator where make_path leaves it; so do the ensemble's X_eps,
+    sigma(t, x) and jump counts."""
     model = lv.make_levy_model(1.2, 0.5, c_minus, T=1.0,
                                domain=(-1.0, 1.0))
     grid = (0.03, 0.1, 0.37, 1.0)
     disc = am.make_discretization(spec, model, 1.0, 0.0, eps_grid=grid,
                                   nt=20, nx=16)
+    k = [disc.cut_row(e) for e in grid] + [-1]
     terms = [f.name for f in dataclasses.fields(am.ApproxParts)
              if f.name != "eps"]
     n = 37
@@ -538,10 +565,19 @@ def test_stacked_paths_equal_single_paths(spec, c_minus, monkeypatch):
         paths.append(am.make_path(spec, disc, rng))
         path_parts.append([am.approx_parts(paths[-1], e) for e in grid])
         after.append(rng.random())
+    sample = am.sample_stack
     for size in STACK_SIZES:
         monkeypatch.setattr(am, "PATHS_PER_STACK", size)
-        rngs = [path_rng(8, "stacked", i) for i in range(n)]
-        stacks = [stack for _, stack in am._stacks(spec, disc, rngs)]
+        stacks, rngs = [], []
+
+        def spy(spec, disc, stack_rngs):
+            rngs.extend(stack_rngs)
+            stacks.append(sample(spec, disc, stack_rngs))
+            return stacks[-1]
+
+        monkeypatch.setattr(am, "sample_stack", spy)
+        x_eps, sigma, counts = am._ensemble(spec, disc, k, n, master_seed=8,
+                                            stream="stacked", workers=1)
         assert [stack.values.size for stack in stacks] \
             == [size] * (n // size) + [n % size] * bool(n % size)
         assert [rng.random() for rng in rngs] == after
@@ -553,6 +589,10 @@ def test_stacked_paths_equal_single_paths(spec, c_minus, monkeypatch):
             for j in range(values.size):
                 path = paths[i]
                 assert path.values[0] == values[j]
+                assert np.array_equal(path.sigma_draws[:, 0],
+                                      stack.sigma_draws[:, j])
+                assert np.array_equal(path.b_draws[:, 0],
+                                      stack.b_draws[:, j])
                 assert np.array_equal(path.sigma_mid[0], stack.sigma_mid[j])
                 assert np.array_equal(path.b_mid[0], stack.b_mid[j])
                 jumps = slice(first[j], first[j + 1])
@@ -566,6 +606,11 @@ def test_stacked_paths_equal_single_paths(spec, c_minus, monkeypatch):
                     for name in terms:
                         assert getattr(one, name)[0] \
                             == getattr(many, name)[j], (size, many.eps, name)
+                assert x_eps[i].tolist() \
+                    == [one.value[0] for one in path_parts[i]] \
+                    + [path.values[0]]
+                assert sigma[i] == am._parts(path, -1).sigma_frozen[0]
+                assert counts[i] == path.record.counts[0]
                 i += 1
         assert i == n
 
@@ -689,7 +734,8 @@ def test_random_volatility_density_sample_reads_each_path(model, workers):
         path = am.make_path(spec, sample.discretization,
                             path_rng(seed, "ambit-density", i))
         assert sample.values[i] == path.values[0]
-        want = abs(path.sigma_paths[0](*point)[0]) ** n
+        want = abs(oracles.field_at(spec.sigma, path.sigma_draws[:, 0],
+                                    *point)[0]) ** n
         assert abs(sample.weights[i] - want) <= 8 * np.spacing(want)
 
 
@@ -759,7 +805,11 @@ def test_weierstrass_holder_fit():
     s0, y0 = 0.3, 0.2
     d2 = {"time": [], "space": []}
     for _ in range(400):
-        path = spec.sample_path(rng)
+        draw = spec.draw(rng)
+
+        def path(s, y):
+            return oracles.field_at(spec, draw, s, y)
+
         v0 = path(np.array([s0]), np.array([y0]))[0]
         d2["time"].append((path(s0 + lags, np.full(lags.size, y0)) - v0)**2)
         d2["space"].append((path(np.full(lags.size, s0), y0 + lags) - v0)**2)

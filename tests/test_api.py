@@ -1,8 +1,9 @@
 """Every public name of the package has a caller outside the tests.
 
 A name in a module's __all__ must be referenced somewhere in src/ambitlab
-other than its own definition, or somewhere in bench/.  Code that only the
-tests call lives in tests/oracles.py.  The benchmark also binds names by
+other than its own definition, or somewhere in bench/, and so must each
+public method of a class in an __all__.  Code that only the tests call
+lives in tests/oracles.py.  The benchmark also binds names by
 string, as `(ambit, "make_path")` and span names like
 "levy.replay_integral", so each dot-separated part of a bench string counts
 as a reference too.  The check reads the source and imports nothing.
@@ -48,28 +49,49 @@ def _exports(tree):
     return []
 
 
+def _public_methods(tree, exported):
+    """Class.method of each public method of the classes in exported."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in exported:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}"
+
+
 def _scan():
-    """({module.name} of every __all__ entry, the names referenced)."""
-    exported, referenced = set(), set()
+    """({module.name} of every __all__ entry, {module.Class.method} of
+    their public methods, the names referenced)."""
+    exported, methods, referenced = set(), set(), set()
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        exported |= {f"{path.stem}.{name}" for name in _exports(tree)}
+        names = _exports(tree)
+        exported |= {f"{path.stem}.{name}" for name in names}
+        methods |= {f"{path.stem}.{name}"
+                    for name in _public_methods(tree, names)}
         referenced |= set(_references(tree, strings=False))
     for path in BENCH:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         referenced |= set(_references(tree, strings=True))
-    return exported, referenced
+    return exported, methods, referenced
 
 
 def test_every_export_has_a_caller():
-    exported, referenced = _scan()
+    exported, _, referenced = _scan()
     uncalled = sorted(name for name in exported - AWAITING_CALLER
                       if name.rpartition(".")[2] not in referenced)
     assert not uncalled, f"exported but called only by tests: {uncalled}"
 
 
+def test_every_public_method_has_a_caller():
+    _, methods, referenced = _scan()
+    uncalled = sorted(name for name in methods
+                      if name.rpartition(".")[2] not in referenced)
+    assert not uncalled, f"public methods called only by tests: {uncalled}"
+
+
 def test_exempt_names_still_wait_for_a_caller():
-    exported, referenced = _scan()
+    exported, _, referenced = _scan()
     assert AWAITING_CALLER <= exported
     called = sorted(name for name in AWAITING_CALLER
                     if name.rpartition(".")[2] in referenced)

@@ -381,6 +381,28 @@ def test_ambit_decay_log_times_the_stages(tmp_path):
     assert runs[1][1:] == runs[2][1:]
 
 
+def test_ambit_decay_with_random_drift_is_worker_independent(tmp_path):
+    """A Weierstrass drift b reaches the run: its Hölder exponents give the
+    drift conditions gamma3 = 1 + delta1 + 1 and gamma4 = 1 + 1 + delta2
+    of a constant kernel h on the unit cone, and the artifacts are the
+    same at 1 and 2 workers (300 paths are two blocks of 256)."""
+    overrides = ["ambit.sigma_field=weierstrass", "ambit.b_field=weierstrass",
+                 "ambit.b_delta1=0.3", "ambit.b_delta2=0.6", "ambit.nt=12",
+                 "ambit.nx=12", "ambit.eps_points=4", "run.n_paths=300"]
+    runs = {}
+    for w in (1, 2):
+        out = tmp_path / f"w{w}"
+        out.mkdir()
+        assert cli.run(None, overrides, experiment="ambit-decay",
+                       workers=w, outdir=str(out)) in (0, 2)
+        runs[w] = ((out / "results.csv").read_bytes(),
+                   (out / "summary.json").read_bytes())
+    assert runs[1] == runs[2]
+    hypotheses = json.loads(runs[1][1])["hypotheses"]
+    assert hypotheses["gamma3"] == pytest.approx(2.3, abs=1e-12)
+    assert hypotheses["gamma4"] == pytest.approx(2.6, abs=1e-12)
+
+
 def test_spde_exponents_log_counts_the_work(tmp_path):
     overrides = ["run.n_paths=300", "noise.kind=white", "noise.m=64",
                  "spde.operator=wave", "spde.t=1.0", "spde.eps_points=5"]

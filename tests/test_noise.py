@@ -16,6 +16,7 @@ noted):
     scales as eps^3 q(eps r), so g(eps) = C eps^(3-beta) exactly.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -50,6 +51,23 @@ WAVE = "wave"
 def test_model_validation(kwargs, msg):
     with pytest.raises(ValueError, match=msg):
         noise.make_noise_model(**kwargs)
+
+
+@pytest.mark.parametrize("change,msg", [
+    (dict(Lbox=-8.0), "Lbox"),
+    (dict(Lbox=math.nan), "Lbox"),
+    (dict(m=1), "at least 2"),
+    (dict(d=4), "dimension"),
+    (dict(kind="riesz"), "riesz"),
+    (dict(kind="exponential"), "ell"),
+    (dict(kind="exponential", ell=math.nan), "ell"),
+])
+def test_replaced_model_is_checked(change, msg):
+    """The model checks its own fields, so dataclasses.replace, which
+    skips the factory, is refused too."""
+    model = noise.make_noise_model("white", d=1, Lbox=8.0, m=64)
+    with pytest.raises(ValueError, match=msg):
+        dataclasses.replace(model, **change)
 
 
 def test_white_density_is_flat():
