@@ -113,9 +113,10 @@ def _run(cfg):
 
 def _solver_logs(run, model, operator, coeffs, n_steps, ensemble_s):
     """run.log lines of an ensemble of solve_batch blocks: its time and
-    work, and the generator calls of each path (one per step).  A
-    constant-sigma solve works on S radius shells (a shells=S line), an
-    Anderson one on the m**d grid points."""
+    work, and the generator calls of each path (one per steps_per_call
+    steps; normals_per_call is a full call's).  A constant-sigma solve works
+    on S radius shells (a shells=S line), an Anderson one on the m**d grid
+    points."""
     blocks = math.ceil(run["n_paths"] / spde.paths_per_block(model))
     logs = [f"ensemble_s={ensemble_s:.3f}", f"paths={run['n_paths']}",
             f"blocks={blocks}"]
@@ -124,9 +125,12 @@ def _solver_logs(run, model, operator, coeffs, n_steps, ensemble_s):
     else:
         modes = spde.radius_shells(model)[1].size
         logs.append(f"shells={modes}")
+    steps = spde.steps_per_call(operator, modes, n_steps)
+    normals = steps * spde.noises_per_step(operator) * modes
     return logs + [f"steps_x_modes={n_steps}x{modes}",
-                   f"calls_per_path={n_steps}",
-                   f"normals_per_call={spde.noises_per_step(operator) * modes}"]
+                   f"steps_per_call={steps}",
+                   f"calls_per_path={math.ceil(n_steps / steps)}",
+                   f"normals_per_call={normals}"]
 
 
 def _exp_spde_exponents(cfg):

@@ -89,7 +89,8 @@ def fit_scaling(x, y, stderr=None) -> ScalingFit:
 
     Parameters
     ----------
-    x : strictly monotone, positive abscissae (>= 4 points).
+    x : strictly monotone, positive abscissae (>= 4 points).  x, y and
+        stderr must be finite: a NaN or inf carries no slope.
     y : positive ordinates.  If every |y| is below 1e-14 the data carry no
         scaling information and the fit is flagged "degenerate".
     stderr : optional per-point Monte-Carlo errors of y; propagated to
@@ -102,6 +103,13 @@ def fit_scaling(x, y, stderr=None) -> ScalingFit:
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("x and y must be 1-d arrays of equal length")
+    if stderr is not None:
+        stderr = np.asarray(stderr, dtype=float)
+        if stderr.shape != y.shape:
+            raise ValueError("stderr must match y")
+    for name, v in (("x", x), ("y", y), ("stderr", stderr)):
+        if v is not None and not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} values must be finite")
     if x.size < 4:
         raise ValueError("need at least 4 points for a scaling fit")
     dx = np.diff(x)
@@ -117,9 +125,6 @@ def fit_scaling(x, y, stderr=None) -> ScalingFit:
     lx = np.log(x)
     ly = np.log(y)
     if stderr is not None:
-        stderr = np.asarray(stderr, dtype=float)
-        if stderr.shape != y.shape:
-            raise ValueError("stderr must match y")
         # delta method: sd(log y) = stderr / y; guard exact-zero errors
         sd = np.maximum(stderr / y, 1e-12)
         w = 1.0 / sd**2

@@ -25,6 +25,11 @@ Z_s ~ N(0, m^d n_s), independent across shells and steps.  A step then
 draws one normal per shell and noise (257 shells for 512 points in d=1)
 and runs no FFT.  An Anderson sigma(u) needs the physical field and runs
 on the rfftn half spectrum.
+
+Each path draws the noises of steps_per_call consecutive steps in one
+standard_normal call (about NORMALS_PER_CALL normals), which draws the
+same doubles as one call per step and leaves the generator in the same
+state, but runs the GIL-held per-call work a few times less often.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ __all__ = [
     "anderson_coefficients",
     "solve_batch",
     "noises_per_step",
+    "steps_per_call",
     "radius_shells",
     "paths_per_block",
     "approximate_u_eps",
@@ -66,10 +72,18 @@ WAVE_CFL = 1.0  # dt <= WAVE_CFL * dx
 #   wall (s)          1.10    1.14    1.13    +10 to +30%
 # Fixed 64-path blocks slow small grids at 2 workers (wave m=128: 0.61 ->
 # 0.79 s for 2048 paths), so the budget is in grid points and grids of
-# m**d <= 128 keep DEFAULT_BLOCK paths.  Heat, with less work per path and
-# step, pays more at m=512: 1024 paths, 128 steps, 2 workers took 1.13 s in
-# 256-path blocks, 1.12 s in 128 and 1.30 s in 64 (medians of eight).
+# m**d <= 128 keep DEFAULT_BLOCK paths.  Heat on shells (m=512, 1024 paths,
+# 128 steps, 2 workers) took 1.02 s in 256-path blocks, 1.06 s in 128 and
+# 1.21 s in 64 while each path drew one step per call, and 0.48, 0.48 and
+# 0.49 s drawing 7 steps per call (medians of nine; same host): 64-path
+# blocks no longer cost heat measurably.
 POINTS_PER_BLOCK = 2**15
+
+# Normals a path draws per generator call, about: solve_batch fills the
+# noises of steps_per_call consecutive steps in one standard_normal call,
+# so a block's draw buffer holds B * NORMALS_PER_CALL doubles at most (1 MB
+# at 64 paths), or one step's noises if they are more.
+NORMALS_PER_CALL = 2**11
 
 
 @dataclass(frozen=True)
@@ -192,8 +206,19 @@ def noises_per_step(operator):
     """Noises each path draws per solver step: w1 and w2 for wave (position
     and velocity forcing), w1 for heat.  A noise is S normals for a
     constant sigma (one per radius shell) and m**d for an Anderson sigma
-    (white noise on the grid); see solve_batch."""
+    (white noise on the grid); solve_batch draws the noises of
+    steps_per_call steps in one call."""
     return 2 if operator == "wave" else 1
+
+
+def steps_per_call(operator, modes, n_steps):
+    """C, the solver steps whose noises a path draws in one standard_normal
+    call: as many steps of nw = noises_per_step(operator) noises of `modes`
+    normals (the S radius shells for a constant sigma, the m**d grid points
+    for Anderson) as NORMALS_PER_CALL holds, at least 1 and at most
+    n_steps."""
+    return max(1, min(n_steps,
+                      NORMALS_PER_CALL // (noises_per_step(operator) * modes)))
 
 
 def paths_per_block(model):
@@ -215,16 +240,17 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
     """Integrate a batch of independent paths (one RNG per path), started
     at rest (wave: zero initial velocity).
 
-    Each step, path i's generator draws the step's nw = noises_per_step
-    noises in one standard_normal call, w1 first and (wave) w2 after it.
-    A constant sigma solves on the S shells of radius_shells(model): a
-    noise is S normals, shell s's forcing Z_s divided by its standard
-    deviation sqrt(m**d n_s), so a step draws nw * S normals and runs no
-    FFT.  An Anderson sigma reads the physical field: a noise is white
-    noise on the grid, and a step draws nw * m**d normals.  A path's stream
-    therefore does not depend on the batch it is solved in, and after n
-    steps its generator stands where standard_normal(n * nw * S), or
-    n * nw * m**d for Anderson, leaves it.
+    Each step draws nw = noises_per_step noises per path, w1 first and
+    (wave) w2 after it.  A constant sigma solves on the S shells of
+    radius_shells(model): a noise is S normals, shell s's forcing Z_s
+    divided by its standard deviation sqrt(m**d n_s), so a step draws
+    nw * S normals and runs no FFT.  An Anderson sigma reads the physical
+    field: a noise is white noise on the grid, S = m**d normals.  Path i's
+    generator draws the noises of C = steps_per_call(operator, S, n_steps)
+    consecutive steps in one standard_normal call, and of the steps left
+    in the last one.  A path's stream therefore does not depend on the
+    batch it is solved in, and after n steps its generator stands where
+    standard_normal(n * nw * S) leaves it.
 
     For an eps_grid, the step ending at t_end - eps records U_eps (that
     state flowed to t_end, plus the drift's zero-mode integral) and the
@@ -236,7 +262,7 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
     and a non-empty eps_grid holds distinct multiples of dt in (0, t_end).
     """
     _check_operator(operator)
-    if dt <= 0 or t_end <= 0:
+    if not dt > 0 or not t_end > 0:
         raise ValueError("dt and t_end must be positive")
     dx = model.dx
     if operator == "heat":
@@ -304,31 +330,29 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
     # a constant drift forces the zero mode only
     kick = [dr[origin] * (b0 * npts) for dr in drift]
 
-    # path i's nw noises lie back to back in noise[i], so one call draws them
     if shells:
         # the state is U_s, the sum of Re u_hat over shell s; a constant
         # sigma scales the forcing once
         F = tuple(sigma_const * f for f in K)
-        noise = W = np.empty((B, nw, r.size))
+        noise_shape = r.shape
 
         def read(spec):
             return spec.sum(axis=1) / npts
     else:
         F = K
-        noise = np.empty((B, nw) + (m,) * d)
+        noise_shape = (m,) * d
         # the noise's own transform is read by the slab noise G only
-        W = None if eps_grid is None \
+        W_hat = None if eps_grid is None \
             else np.empty((B, nw) + r.shape, dtype=complex)
-        shape_d = (m,) * d
         axes = tuple(range(1, d + 1))
         noise_axes = tuple(a + 1 for a in axes)
 
         def read(spec):
             return _origin_value(spec, m)
-    if W is not None:
-        W1, W2 = W[:, 0], (W[:, 1] if wave else None)
-    if shells:
-        S1, S2 = W1, W2        # the drawn normals force the shells
+    # path i's noises of C steps, per step w1 then (wave) w2, lie back to
+    # back in draws[i], so one call draws them; step k reads draws[:, k % C]
+    C = steps_per_call(operator, r.size if shells else npts, n_steps)
+    draws = np.empty((B, C, nw) + noise_shape)
 
     # per-step buffers, reused: fresh arrays of this size cost page faults
     uhat = np.zeros((B,) + r.shape, dtype=float if shells else complex)
@@ -346,13 +370,20 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
         U = np.empty((B, len(eps_grid)))
 
     for k in range(n_steps):
-        # one stream per path and one call per step: w1, then (wave) w2
-        for draw, rng in zip(noise, rngs):
-            rng.standard_normal(out=draw)
-        if not shells:
-            if W is not None:
-                np.fft.rfftn(noise, axes=noise_axes, out=W)
-            sig_u = coeffs.sigma(np.fft.irfftn(uhat, s=shape_d, axes=axes))
+        # the last call draws only the steps left
+        if k % C == 0:
+            n = min(C, n_steps - k)
+            for draw, rng in zip(draws, rngs):
+                rng.standard_normal(out=draw[:n])
+        noise = draws[:, k % C]
+        if shells:
+            W = noise              # the drawn normals force the shells
+            S1, S2 = W[:, 0], (W[:, 1] if wave else None)
+        else:
+            if W_hat is not None:
+                W = np.fft.rfftn(noise, axes=noise_axes, out=W_hat)
+            sig_u = coeffs.sigma(np.fft.irfftn(uhat, s=noise_shape,
+                                               axes=axes))
             S1 = np.fft.rfftn(sig_u * noise[:, 0], axes=axes)
             S2 = np.fft.rfftn(sig_u * noise[:, 1], axes=axes) if wave \
                 else None
@@ -379,7 +410,8 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
         # x = 0
         if eps_grid is not None and k >= slab_start:
             (row, *_), _ = _flow(operator, t_end - (k + 1) * dt, r)
-            forcing = (K[0] * W1, K[1] * W1 + K[2] * W2) if wave \
+            W1 = W[:, 0]
+            forcing = (K[0] * W1, K[1] * W1 + K[2] * W[:, 1]) if wave \
                 else (K[0] * W1,)
             add_to = eps_grid >= (t_end - k * dt) - 1e-9 * dt
             G[:, add_to] += _flowed_origin(row, forcing, read)[:, None]
@@ -422,8 +454,12 @@ def time_holder_delta(point_series, series_times, t0, lags):
     """Fit E|u(t0 + tau, 0) - u(t0, 0)|^2 ~ tau^delta from stored paths.
 
     Returns the ScalingFit and, per lag in ascending order, the Monte-Carlo
-    mean of the squared increment and its standard error.
+    mean of the squared increment and its standard error, which needs at
+    least 2 paths.
     """
+    if point_series.shape[0] < 2:
+        raise ValueError("time_holder_delta needs at least 2 paths for a "
+                         "standard error")
     times = np.asarray(series_times, dtype=float)
     lags = np.asarray(sorted(lags), dtype=float)
     dt = times[1] - times[0]

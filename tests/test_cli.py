@@ -421,23 +421,26 @@ def test_spde_exponents_log_counts_the_work(tmp_path):
     assert len(timers) == 2
     assert all(float(line.split("=")[1]) >= 0 for line in timers)
     work = ("paths=", "blocks=", "shells=", "steps_x_modes=",
-            "calls_per_path=", "normals_per_call=", "g_evaluations ")
+            "steps_per_call=", "calls_per_path=", "normals_per_call=",
+            "g_evaluations ")
     counters = [line for line in log if line.startswith(work)]
     assert counters == [line for line in runs[2][0]
                         if line.startswith(work)]
     # 300 paths in blocks of 256; dt = dx/2 = 1/16 over t = 1; sigma is
-    # constant, so the 64 points solve on 33 radius shells, and each path
-    # draws the two wave noises of a step, 33 normals each, in one call
-    assert counters[:6] == ["paths=300", "blocks=2", "shells=33",
-                            "steps_x_modes=16x33", "calls_per_path=16",
-                            "normals_per_call=66"]
+    # constant, so the 64 points solve on 33 radius shells; a step's two
+    # wave noises are 66 normals, and NORMALS_PER_CALL = 2048 holds all 16
+    # steps, so each path draws them in one call
+    assert counters[:7] == ["paths=300", "blocks=2", "shells=33",
+                            "steps_x_modes=16x33", "steps_per_call=16",
+                            "calls_per_path=1", "normals_per_call=1056"]
     # white noise: g(eps) is a closed form, so no quadrature ran
     assert not any(line.startswith("g_evaluations ") for line in log)
     assert log.count("variance_g=closed_form") == 1
     # timers and counters stay out of the artifacts
     for _, csv, summary in runs.values():
         for word in (b"_s=", b"blocks", b"g_evaluations", b"shells",
-                     b"steps_x_modes", b"calls_per_path", b"normals_per_call"):
+                     b"steps_x_modes", b"steps_per_call", b"calls_per_path",
+                     b"normals_per_call"):
             assert word not in csv + summary
     assert runs[1][1:] == runs[2][1:]
 
@@ -484,7 +487,7 @@ def test_spde_density_log_counts_the_work(tmp_path):
     overrides = ["run.n_paths=300", "noise.kind=white", "noise.m=64",
                  "spde.operator=heat", "spde.coefficients=anderson"]
     work = ("paths=", "blocks=", "shells=", "steps_x_modes=",
-            "calls_per_path=", "normals_per_call=")
+            "steps_per_call=", "calls_per_path=", "normals_per_call=")
     runs = {}
     for w in (1, 2):
         out = tmp_path / f"w{w}"
@@ -502,12 +505,15 @@ def test_spde_density_log_counts_the_work(tmp_path):
     assert counters == [line for line in runs[2][0]
                         if line.startswith(work)]
     # dt = 2 dx^2 = 1/32 over t = 0.25; one heat noise per step, white
-    # noise on all 64 points for an Anderson sigma (no shells line)
+    # noise on all 64 points for an Anderson sigma (no shells line); the 8
+    # steps' 512 normals are one call
     assert counters == ["paths=300", "blocks=2", "steps_x_modes=8x64",
-                        "calls_per_path=8", "normals_per_call=64"]
+                        "steps_per_call=8", "calls_per_path=1",
+                        "normals_per_call=512"]
     for _, csv, summary in runs.values():
         for word in (b"_s=", b"criterion_s", b"blocks", b"steps_x_modes",
-                     b"calls_per_path", b"normals_per_call"):
+                     b"steps_per_call", b"calls_per_path",
+                     b"normals_per_call"):
             assert word not in csv + summary
     assert runs[1][1:] == runs[2][1:]
 
@@ -602,6 +608,16 @@ def test_run_requires_existing_outdir(tmp_path, capsys):
                    outdir=str(tmp_path / "missing"))
     assert code == 1
     assert "does not exist" in capsys.readouterr().err
+
+
+def test_one_path_exponent_run_is_a_named_error(tmp_path, capsys):
+    # a standard error needs two paths: one path exits 1 by name instead
+    # of writing a delta fit without a slope flagged "ok"
+    code = cli.run(None, ["run.n_paths=1", "spde.t=1.0", "noise.m=64"],
+                   experiment="spde-exponents", outdir=str(tmp_path))
+    assert code == 1
+    assert "at least 2 paths" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_run_flags_inconclusive_statistics(tmp_path):

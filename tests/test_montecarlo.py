@@ -67,6 +67,17 @@ class TestFitScaling:
         with pytest.raises(ValueError, match="positive"):
             fit_scaling(x, y)
 
+    @pytest.mark.parametrize("where", ["x", "y", "stderr"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, where, bad):
+        # a NaN or inf would fit slope=nan with r2=1.0 and flag "ok"
+        data = {"x": np.geomspace(0.01, 1.0, 5)}
+        data["y"] = data["x"] ** 0.5
+        data["stderr"] = 0.1 * data["y"]
+        data[where][2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_scaling(data["x"], data["y"], data["stderr"])
+
     def test_stderr_shape_mismatch_raises(self):
         x = np.geomspace(0.01, 1.0, 5)
         with pytest.raises(ValueError, match="stderr"):

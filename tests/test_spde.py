@@ -208,10 +208,11 @@ def test_flow_is_a_semigroup_and_its_drift_composes(kind):
 
 class _FoldedNoise:
     """A generator stand-in for a constant-sigma solve on shells.  Each
-    standard_normal(out=) call draws the step's white noises on the full
-    grid from rng, w1 then (wave) w2, as _full_spectrum_reference draws
-    them, and writes each noise's shell sums of Re fftn divided by
-    sqrt(m**d n_s): the unit-variance shell forcings of that same noise."""
+    standard_normal(out=) call fills the (steps, nw, S) out of a few steps:
+    per step and noise, w1 then (wave) w2, it draws the white noise on the
+    full grid from rng, as _full_spectrum_reference draws them, and writes
+    its shell sums of Re fftn divided by sqrt(m**d n_s): the unit-variance
+    shell forcings of that same noise."""
 
     def __init__(self, model, rng):
         self.rng = rng
@@ -220,7 +221,7 @@ class _FoldedNoise:
         self.scale = np.sqrt(model.m ** model.d * spde.radius_shells(model)[1])
 
     def standard_normal(self, out):
-        for row in out:
+        for row in out.reshape(-1, out.shape[-1]):
             w = self.rng.standard_normal(self.shape)
             row[:] = np.bincount(self.shell, weights=np.fft.fftn(w).real.ravel(),
                                  minlength=row.size) / self.scale
@@ -379,6 +380,63 @@ def test_solver_draws_nw_fields_per_step_from_each_stream(d, kind, coeff):
         assert rng.random() == ref.random()
 
 
+class _CallLog:
+    """A generator that records the steps each standard_normal(out=) call
+    fills, the leading axis of its (steps, nw, S) out."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.steps = []
+
+    def standard_normal(self, out):
+        self.steps.append(out.shape[0])
+        self.rng.standard_normal(out=out)
+
+
+@pytest.mark.parametrize("coeff", ["const", "anderson"])
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_chunked_draws_equal_one_call_per_step(d, kind, coeff, monkeypatch):
+    """A path draws the noises of C steps per call and the steps left in
+    the last one: 7 steps at C = 3 take calls of 3, 3 and 1 steps.  The
+    point series, the slab noise G and u_eps are the bytes of C = 1, and
+    each generator ends where n * nw * S normals leave a fresh one."""
+    model = noise.make_noise_model("white", d=1, Lbox=8.0, m=16) if d == 1 \
+        else noise.make_noise_model("riesz", d=2, Lbox=8.0, m=8, beta=1.0)
+    dt = 0.9 * model.dx**2 if kind == "heat" else 0.5 * model.dx
+    n, nw = 7, 2 if kind == "wave" else 1
+    modes = spde.radius_shells(model)[1].size if coeff == "const" \
+        else model.m ** d
+    stream = f"chunks-{kind}-{coeff}-{d}"
+    sols = {}
+    for chunk, calls in ((1, [1] * 7), (3, [3, 3, 1])):
+        monkeypatch.setattr(spde, "NORMALS_PER_CALL", chunk * nw * modes)
+        assert spde.steps_per_call(kind, modes, n) == chunk
+        rngs = [_CallLog(path_rng(5, stream, i)) for i in range(3)]
+        sols[chunk] = spde.solve_batch(model, kind, _COEFFS[coeff], 0.6,
+                                       n * dt, dt, rngs,
+                                       eps_grid=[2 * dt, 5 * dt])
+        for i, rng in enumerate(rngs):
+            assert rng.steps == calls
+            ref = path_rng(5, stream, i)
+            ref.standard_normal(n * nw * modes)
+            assert rng.rng.random() == ref.random()
+    for field in ("point_series", "G", "u_eps"):
+        assert getattr(sols[3], field).tobytes() \
+            == getattr(sols[1], field).tobytes()
+
+
+def test_steps_per_call_fills_the_normals_budget():
+    # NORMALS_PER_CALL = 2048: wave on 257 shells (514 normals a step)
+    # draws 3 steps a call, heat on them 7; a short run draws all its
+    # steps at once, and a step larger than the budget is one call
+    assert spde.NORMALS_PER_CALL == 2**11
+    assert spde.steps_per_call("wave", 257, 128) == 3
+    assert spde.steps_per_call("heat", 257, 103) == 7
+    assert spde.steps_per_call("wave", 33, 16) == 16
+    assert spde.steps_per_call("heat", 4096, 5) == 1
+
+
 @pytest.mark.parametrize("coeff", ["const", "anderson"])
 @pytest.mark.parametrize("kind", ["heat", "wave"])
 @pytest.mark.parametrize("d", [1, 2])
@@ -495,6 +553,11 @@ def test_time_grid_validation():
     with pytest.raises(ValueError):
         spde.solve_batch(model, HEAT, c, 0.0, 1.0, -0.1,
                          [path_rng(0, "t", 3)])
+    # NaN fails every comparison, so it is refused by name too
+    for t_end, step in ((1.0, np.nan), (np.nan, dt)):
+        with pytest.raises(ValueError, match="must be positive"):
+            spde.solve_batch(model, HEAT, c, 0.0, t_end, step,
+                             [path_rng(0, "t", 3)])
     # the eps record has one column per step: none, or two on one step,
     # is refused before any draw
     for bad in ([], [2 * dt, 2 * dt, 4 * dt]):
@@ -540,6 +603,14 @@ def test_time_holder_fit_on_brownian_paths():
     assert abs(fit.slope - 1.0) < 0.05
     # the fitted points: each lag's mean within 4 standard errors of tau
     assert np.all(np.abs(means - lags) < 4.0 * errs)
+
+
+def test_time_holder_needs_two_paths():
+    # a standard error needs two paths; one would fit NaN errors
+    series = np.zeros((1, 9))
+    times = np.arange(9) * 0.125
+    with pytest.raises(ValueError, match="2 paths"):
+        spde.time_holder_delta(series, times, 0.0, [0.125, 0.25, 0.375, 0.5])
 
 
 def test_time_holder_rejects_off_grid_times():
