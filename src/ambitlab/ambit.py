@@ -667,6 +667,9 @@ def error_decay(spec, model, t, x, beta, eps_grid, n_paths, *,
     """
     if not (0.0 < beta < model.alpha):
         raise ValueError("need 0 < beta < alpha")
+    if n_paths < 2:
+        raise ValueError("error_decay needs at least 2 paths for a standard "
+                         "error")
     eps_grid = np.asarray(sorted(eps_grid), dtype=float)
     if eps_grid.size < 4 or eps_grid[0] <= 0 or eps_grid[-1] > t:
         raise ValueError("eps_grid must hold >= 4 values in (0, t]")

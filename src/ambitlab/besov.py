@@ -169,12 +169,17 @@ def criterion_statistic(samples, weights, n, h_grid=None, alpha=0.5,
     standard error; a fit over fewer than 4 qualifying points is flagged
     "inconclusive", and an all-zero statistic is flagged "degenerate".
 
-    weights holds one weight per sample, or one number for every sample;
-    None means unit weights.  Returns one CriterionStatistic per frequency.
+    samples needs at least 2 values, for the standard error.  weights holds
+    one weight per sample, or one number for every sample; None means unit
+    weights.  Returns one CriterionStatistic per frequency.
     """
     x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("samples must be a non-empty 1-d array")
+    if x.ndim != 1:
+        raise ValueError("samples must be a 1-d array")
+    if x.size < 2:
+        # one sample's statistic is |2 sin(kh/2)|^n exactly, slope n
+        raise ValueError("the criterion needs at least 2 samples for a "
+                         "standard error")
     w = np.asarray(1.0 if weights is None else weights, dtype=float)
     if w.ndim and w.shape != x.shape:
         raise ValueError("weights must match samples")
@@ -197,8 +202,7 @@ def criterion_statistic(samples, weights, n, h_grid=None, alpha=0.5,
         np.multiply(1j * k, x, out=z)
         np.exp(z, out=z)
         z *= w
-        sd = np.sqrt(z.real.var(ddof=1) + z.imag.var(ddof=1)) if N > 1 \
-            else 0.0
+        sd = np.sqrt(z.real.var(ddof=1) + z.imag.var(ddof=1))
         factor = np.abs(2.0 * np.sin(k * h / 2.0)) ** n
         stat = abs(z.mean()) * factor / norm_c
         err = sd * factor / np.sqrt(N) / norm_c

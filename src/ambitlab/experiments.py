@@ -23,7 +23,8 @@ import numpy as np
 import scipy
 
 from . import __version__, ambit, besov, levy, noise, spde
-from .montecarlo import DEFAULT_BLOCK, path_rng, run_ensemble_blocks
+from .montecarlo import (DEFAULT_BLOCK, fit_scaling, path_rng,
+                         run_ensemble_blocks)
 
 __all__ = ["ExperimentResult", "REGISTRY", "run_experiment",
            "write_artifacts", "format_csv"]
@@ -111,25 +112,42 @@ def _run(cfg):
 # ---------------------------------------------------------------------------
 
 
-def _solver_logs(run, model, operator, coeffs, n_steps, ensemble_s):
+def _exact_law(model, operator, coeffs, u0, dt, steps):
+    """(cov, seconds): spde.point_law's covariance at steps and the time
+    one build takes, for a constant sigma; (None, None) for Anderson."""
+    if coeffs.sigma_constant is None:
+        return None, None
+    clock = time.perf_counter()
+    _, cov = spde.point_law(model, operator, coeffs, u0, dt, steps)
+    return cov, time.perf_counter() - clock
+
+
+def _solver_logs(run, model, operator, n_steps, law, ensemble_s):
     """run.log lines of an ensemble of solve_batch blocks: its time and
-    work, and the generator calls of each path (one per steps_per_call
-    steps; normals_per_call is a full call's).  A constant-sigma solve works
-    on S radius shells (a shells=S line), an Anderson one on the m**d grid
-    points."""
+    work.  A constant-sigma path is drawn from the exact law on the S
+    radius shells (law = (cov, seconds) of _exact_law): one normal per step
+    read, the law's build time and its covariance's condition number.  An
+    Anderson path steps the m**d grid points and draws the noises of
+    steps_per_call steps per generator call (normals_per_call is a full
+    call's)."""
     blocks = math.ceil(run["n_paths"] / spde.paths_per_block(model))
     logs = [f"ensemble_s={ensemble_s:.3f}", f"paths={run['n_paths']}",
             f"blocks={blocks}"]
-    if coeffs.sigma_constant is None:
-        modes = model.m ** model.d
-    else:
-        modes = spde.radius_shells(model)[1].size
-        logs.append(f"shells={modes}")
-    steps = spde.steps_per_call(operator, modes, n_steps)
-    normals = steps * spde.noises_per_step(operator) * modes
+    cov, law_s = law
+    if cov is not None:
+        shells = spde.radius_shells(model)[1].size
+        return logs + ["law=exact", f"shells={shells}",
+                       f"steps_x_modes={n_steps}x{shells}",
+                       f"law_steps={len(cov)}",
+                       f"normals_per_path={len(cov)}",
+                       f"law_s={law_s:.4f}",
+                       f"law_condition={spde.law_condition(cov):.3g}"]
+    modes = model.m ** model.d
+    per_call = spde.steps_per_call(operator, modes, n_steps)
+    normals = per_call * spde.noises_per_step(operator) * modes
     return logs + [f"steps_x_modes={n_steps}x{modes}",
-                   f"steps_per_call={steps}",
-                   f"calls_per_path={math.ceil(n_steps / steps)}",
+                   f"steps_per_call={per_call}",
+                   f"calls_per_path={math.ceil(n_steps / per_call)}",
                    f"normals_per_call={normals}"]
 
 
@@ -146,14 +164,19 @@ def _exp_spde_exponents(cfg):
 
     dt = _spde_step(cfg, model)
     t = s["t"]
-    t0 = round(t / (2.0 * dt)) * dt
+    n_steps = int(round(t / dt))
+    k0 = round(t / (2.0 * dt))
+    t0 = k0 * dt
     lags = [dt * 2 ** j for j in range(s["n_lags"])]
     lags = [lag for lag in lags if t0 + lag <= t + 1e-12]
     if len(lags) < 4:
         raise ValueError("fewer than 4 usable lags; increase t or shrink dt")
+    # the solver returns u(t, 0) at t0 and t0 + each lag only
+    steps = np.array([k0] + [k0 + 2 ** j for j in range(len(lags))])
 
     def block(_idx, rngs):
-        sol = spde.solve_batch(model, operator, coeffs, s["u0"], t, dt, rngs)
+        sol = spde.solve_batch(model, operator, coeffs, s["u0"], t, dt, rngs,
+                               steps=steps)
         return sol.point_series
 
     clock = time.perf_counter()
@@ -163,9 +186,10 @@ def _exp_spde_exponents(cfg):
                                  workers=run["workers"],
                                  block_size=spde.paths_per_block(model))
     ensemble_s = time.perf_counter() - clock
-    times = np.arange(series.shape[1]) * dt
-    delta_fit, msq, msq_err = spde.time_holder_delta(series, times, t0, lags)
+    delta_fit, msq, msq_err = spde.time_holder_delta(series, steps * dt, t0,
+                                                     lags)
     report = spde.gammabar(ge, delta_fit)
+    law = _exact_law(model, operator, coeffs, s["u0"], dt, steps)
 
     rows = []
     for e, g, z in zip(eps, ge.g_values, ge.zero_mode_values):
@@ -177,20 +201,32 @@ def _exp_spde_exponents(cfg):
     summary = {
         "gamma": report.gamma1, "gamma1": report.gamma1,
         "gamma2": report.gamma2, "delta": report.delta,
+        "delta_exact": _delta_exact(law[0], lags),
         "gammabar": report.gammabar, "verdict": report.verdict,
         "besov_order_interval": report.beta_interval,
         "fits": {"delta": asdict(delta_fit)},
         "operator": operator, "dt": dt, "t": t,
     }
     logs = [f"exponent_gamma_s={gamma_s:.3f}"]
-    logs += _solver_logs(run, model, operator, coeffs, series.shape[1] - 1,
-                         ensemble_s)
+    logs += _solver_logs(run, model, operator, n_steps, law, ensemble_s)
     if ge.evaluations is None:
         logs.append("variance_g=closed_form")
     else:
         logs += [f"g_evaluations eps={e:.6g} calls={n}"
                  for e, n in zip(eps, ge.evaluations)]
     return ExperimentResult(rows, summary, report.flag, logs)
+
+
+def _delta_exact(cov, lags):
+    """The fit_scaling slope of the exact increment variance C(t0 + tau,
+    t0 + tau) - 2 C(t0, t0 + tau) + C(t0, t0) over the lags, from the
+    point law's covariance at t0 and t0 + each lag (t0 first); None for
+    Anderson (no law) or a degenerate fit (sigma = 0)."""
+    if cov is None:
+        return None
+    msq = np.diag(cov)[1:] - 2.0 * cov[0, 1:] + cov[0, 0]
+    fit = fit_scaling(lags, msq)
+    return None if fit.flag == "degenerate" else fit.slope
 
 
 def _exp_spde_density(cfg):
@@ -200,10 +236,12 @@ def _exp_spde_density(cfg):
     operator = s["operator"]
     run = _run(cfg)
     dt = _spde_step(cfg, model)
+    n_steps = int(round(s["t"] / dt))
+    steps = np.array([n_steps])
 
     def block(_idx, rngs):
         sol = spde.solve_batch(model, operator, coeffs, s["u0"], s["t"], dt,
-                               rngs)
+                               rngs, steps=steps)
         return sol.final_point_values()[:, None]
 
     clock = time.perf_counter()
@@ -215,8 +253,8 @@ def _exp_spde_density(cfg):
     ensemble_s = time.perf_counter() - clock
     # the density of u(t, 0) on {sigma != 0}: weights |sigma(u)|^n
     weights = np.abs(coeffs.sigma_values(values)) ** s["n"]
-    logs = _solver_logs(run, model, operator, coeffs,
-                        int(round(s["t"] / dt)), ensemble_s)
+    law = _exact_law(model, operator, coeffs, s["u0"], dt, steps)
+    logs = _solver_logs(run, model, operator, n_steps, law, ensemble_s)
     return _criterion_result(values, weights, s["n"], s["holder"], logs,
                              n=s["n"], n_paths=run["n_paths"],
                              operator=operator)

@@ -7,29 +7,32 @@ step is exact (`_flow`), and the stochastic forcing of each step carries
 the exact per-mode variance int_0^dt |F(Lambda(r))(xi)|^2 dr (coefficients
 frozen at the step's left endpoint), so for sigma == 1 the solution
 variance equals the grid-spectral variance functional g exactly, for every
-dt.  For an eps grid the step loop also records the one-step approximation
+dt.
+
+With a constant sigma this scheme is linear and Gaussian, and u(t, 0) is
+the mean of the full spectrum, so it reads each mode through Re u_hat(xi)
+only: u(t, 0) = m^-d sum_s U_s, where U_s sums Re u_hat over the n_s modes
+of shell s (one |xi|).  Every multiplier depends on |xi| only, so U_s
+follows its radius's one-step map, driven by the shell sum Z_s of the
+noise's Re W_hat; the cosine sums of distinct shells are orthogonal, so
+Z_s ~ N(0, m^d n_s), independent across shells and steps.  `point_law`
+gives the exact mean and covariance of u(k dt, 0) at the steps a caller
+reads, and solve_batch draws each path from it as mean + L z, L the
+Cholesky factor: one normal per step read, no step loop.
+
+An Anderson sigma(u) needs the physical field: solve_batch steps it on the
+rfftn half spectrum.  Each path draws the noises of steps_per_call
+consecutive steps in one standard_normal call (about NORMALS_PER_CALL
+normals), which draws the same doubles as one call per step and leaves the
+generator in the same state, but runs the GIL-held per-call work a few
+times less often.  For an eps grid the step loop also records the one-step
+approximation
 
     u_eps(t, 0) = U_eps(t, 0) + sigma(u(t-eps, 0)) * G(eps),
 
 where G(eps) is the sigma-free noise functional of the last slab (a
 centred Gaussian with variance g(eps) independent of the past) and U_eps
 is the time-(t-eps) state flowed to t plus the slab's constant drift.
-
-With a constant sigma the solver works on radius shells.  u(t, 0) is the
-mean of the full spectrum, so it reads each mode through Re u_hat(xi)
-only: u(t, 0) = m^-d sum_s U_s, where U_s sums Re u_hat over the n_s modes
-of shell s (one |xi|).  Every multiplier depends on |xi| only, so U_s
-follows its radius's one-step map, driven by the shell sum Z_s of the
-noise's Re W_hat; the cosine sums of distinct shells are orthogonal, so
-Z_s ~ N(0, m^d n_s), independent across shells and steps.  A step then
-draws one normal per shell and noise (257 shells for 512 points in d=1)
-and runs no FFT.  An Anderson sigma(u) needs the physical field and runs
-on the rfftn half spectrum.
-
-Each path draws the noises of steps_per_call consecutive steps in one
-standard_normal call (about NORMALS_PER_CALL normals), which draws the
-same doubles as one call per step and leaves the generator in the same
-state, but runs the GIL-held per-call work a few times less often.
 """
 
 from __future__ import annotations
@@ -46,9 +49,12 @@ __all__ = [
     "CoefficientPair",
     "FieldSolution",
     "GammaBarReport",
+    "SingularLawError",
     "constant_coefficients",
     "anderson_coefficients",
     "solve_batch",
+    "point_law",
+    "law_condition",
     "noises_per_step",
     "steps_per_call",
     "radius_shells",
@@ -72,17 +78,16 @@ WAVE_CFL = 1.0  # dt <= WAVE_CFL * dx
 #   wall (s)          1.10    1.14    1.13    +10 to +30%
 # Fixed 64-path blocks slow small grids at 2 workers (wave m=128: 0.61 ->
 # 0.79 s for 2048 paths), so the budget is in grid points and grids of
-# m**d <= 128 keep DEFAULT_BLOCK paths.  Heat on shells (m=512, 1024 paths,
-# 128 steps, 2 workers) took 1.02 s in 256-path blocks, 1.06 s in 128 and
-# 1.21 s in 64 while each path drew one step per call, and 0.48, 0.48 and
-# 0.49 s drawing 7 steps per call (medians of nine; same host): 64-path
-# blocks no longer cost heat measurably.
+# m**d <= 128 keep DEFAULT_BLOCK paths.  A constant-sigma block builds and
+# factors the point law once (n x n for the n steps read) and keeps n
+# values per path.
 POINTS_PER_BLOCK = 2**15
 
-# Normals a path draws per generator call, about: solve_batch fills the
-# noises of steps_per_call consecutive steps in one standard_normal call,
-# so a block's draw buffer holds B * NORMALS_PER_CALL doubles at most (1 MB
-# at 64 paths), or one step's noises if they are more.
+# Normals an Anderson path draws per generator call, about: solve_batch
+# fills the noises of steps_per_call consecutive steps in one
+# standard_normal call, so a block's draw buffer holds B * NORMALS_PER_CALL
+# doubles at most (1 MB at 64 paths), or one step's noises if they are
+# more.  A constant-sigma path draws its normals in one call.
 NORMALS_PER_CALL = 2**11
 
 
@@ -111,18 +116,26 @@ def anderson_coefficients(lam=1.0, b0=0.0) -> CoefficientPair:
     return CoefficientPair(sigma=lambda u: lam * u, b_constant=float(b0))
 
 
+class SingularLawError(ValueError):
+    """The covariance of the point law at the requested steps has no
+    Cholesky factor; no jitter is added to make one."""
+
+
 @dataclass
 class FieldSolution:
-    """A solved batch: u(t, 0) on every step and, for an eps grid, the slab
-    noise G and the one-step approximation u_eps, one column per eps."""
+    """A solved batch: u(t, 0) at the steps read and, for an eps grid, the
+    slab noise G and the one-step approximation u_eps, one column per eps."""
 
     dt: float
-    point_series: np.ndarray          # (n_paths, n_steps+1): u(t, 0)
+    # (n_paths, len(steps)): u(k dt, 0) at the steps solve_batch was asked
+    # for, or (n_paths, n_steps + 1) at every step from 0
+    point_series: np.ndarray
     eps_grid: np.ndarray = None       # sorted
     G: np.ndarray = None              # (n_paths, n_eps) slab noise at x=0
     u_eps: np.ndarray = None          # (n_paths, n_eps) U_eps + sigma G
 
     def final_point_values(self):
+        """u(t, 0) at the last step read."""
         return self.point_series[:, -1]
 
 
@@ -188,14 +201,24 @@ def _add_product(acc, a, b, scratch):
     acc += scratch
 
 
-def _wave_step_covariance(dt, r):
-    """Covariance of (int sin((dt-u)r)/r dM, int cos((dt-u)r) dM) per mode."""
-    a = dt * r
-    sinc = _sin_over_r(dt, r)
-    c11 = squared_time_integral("wave", dt, r)
+def _wave_covariance(t, r):
+    """(c11, c12, c22): the covariance of (int_0^t sin((t-u)r)/r dM,
+    int_0^t cos((t-u)r) dM) per mode, the wave state (u, v) that unit
+    white forcing builds from rest over time t."""
+    a = t * r
+    sinc = _sin_over_r(t, r)
+    c11 = squared_time_integral("wave", t, r)
     c12 = 0.5 * sinc**2
-    c22 = np.where(r < 1e-12, dt,
-                   0.5 * (dt + np.sin(2.0 * a) / np.where(r < 1e-12, 1.0, 2.0 * r)))
+    c22 = np.where(r < 1e-12, t,
+                   0.5 * (t + np.sin(2.0 * a)
+                          / np.where(r < 1e-12, 1.0, 2.0 * r)))
+    return c11, c12, c22
+
+
+def _wave_step_covariance(dt, r):
+    """(l11, l21, l22): the lower Cholesky factor of _wave_covariance(dt, r)
+    per mode, one step's forcing of (u, v)."""
+    c11, c12, c22 = _wave_covariance(dt, r)
     l11 = np.sqrt(c11)
     l21 = c12 / l11
     l22 = np.sqrt(np.maximum(c22 - l21**2, 0.0))
@@ -203,20 +226,18 @@ def _wave_step_covariance(dt, r):
 
 
 def noises_per_step(operator):
-    """Noises each path draws per solver step: w1 and w2 for wave (position
-    and velocity forcing), w1 for heat.  A noise is S normals for a
-    constant sigma (one per radius shell) and m**d for an Anderson sigma
-    (white noise on the grid); solve_batch draws the noises of
-    steps_per_call steps in one call."""
+    """Noises each Anderson path draws per solver step: w1 and w2 for wave
+    (position and velocity forcing), w1 for heat, each white noise on the
+    m**d grid points; solve_batch draws the noises of steps_per_call steps
+    in one call."""
     return 2 if operator == "wave" else 1
 
 
 def steps_per_call(operator, modes, n_steps):
     """C, the solver steps whose noises a path draws in one standard_normal
     call: as many steps of nw = noises_per_step(operator) noises of `modes`
-    normals (the S radius shells for a constant sigma, the m**d grid points
-    for Anderson) as NORMALS_PER_CALL holds, at least 1 and at most
-    n_steps."""
+    normals (the m**d grid points of an Anderson solve) as NORMALS_PER_CALL
+    holds, at least 1 and at most n_steps."""
     return max(1, min(n_steps,
                       NORMALS_PER_CALL // (noises_per_step(operator) * modes)))
 
@@ -235,35 +256,14 @@ def _flowed_origin(row, states, read):
     return read(sum(terms[1:], terms[0]))
 
 
-def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
-                eps_grid=None) -> FieldSolution:
-    """Integrate a batch of independent paths (one RNG per path), started
-    at rest (wave: zero initial velocity).
-
-    Each step draws nw = noises_per_step noises per path, w1 first and
-    (wave) w2 after it.  A constant sigma solves on the S shells of
-    radius_shells(model): a noise is S normals, shell s's forcing Z_s
-    divided by its standard deviation sqrt(m**d n_s), so a step draws
-    nw * S normals and runs no FFT.  An Anderson sigma reads the physical
-    field: a noise is white noise on the grid, S = m**d normals.  Path i's
-    generator draws the noises of C = steps_per_call(operator, S, n_steps)
-    consecutive steps in one standard_normal call, and of the steps left
-    in the last one.  A path's stream therefore does not depend on the
-    batch it is solved in, and after n steps its generator stands where
-    standard_normal(n * nw * S) leaves it.
-
-    For an eps_grid, the step ending at t_end - eps records U_eps (that
-    state flowed to t_end, plus the drift's zero-mode integral) and the
-    slab noise G accumulates from the largest eps on; the solution carries
-    G and u_eps = U_eps + sigma(u(t_end - eps, 0)) G, a column per eps.
-
-    Preconditions: operator is "heat" or "wave", dt resolves it (heat:
-    dt <= 4 dx^2, wave: dt <= dx), the Dalang spectral condition holds,
-    and a non-empty eps_grid holds distinct multiples of dt in (0, t_end).
-    """
+def _time_grid(model, operator, t_end, dt):
+    """n_steps = t_end / dt, after the solver's preconditions: operator is
+    "heat" or "wave", dt and t_end are positive and finite, dt resolves
+    the operator (heat: dt <= 4 dx^2, wave: dt <= dx), the Dalang spectral
+    condition holds and t_end is a multiple of dt."""
     _check_operator(operator)
-    if not dt > 0 or not t_end > 0:
-        raise ValueError("dt and t_end must be positive")
+    if not 0 < dt < np.inf or not 0 < t_end < np.inf:
+        raise ValueError("dt and t_end must be positive and finite")
     dx = model.dx
     if operator == "heat":
         if dt > HEAT_CFL * dx * dx * (1 + 1e-9):
@@ -277,44 +277,178 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * t_end:
         raise ValueError("t_end must be a multiple of dt")
+    return n_steps
 
-    # the state after step k + 1 = n_steps - eps/dt is the cut of eps
+
+def _eps_cuts(eps_grid, t_end, dt, n_steps):
+    """(eps_grid sorted, {k: i}): the step k = n_steps - eps/dt whose state
+    is the cut of column i; (None, {}) without an eps_grid.  A non-empty
+    eps_grid must hold distinct multiples of dt in (0, t_end)."""
     cut_of = {}
-    if eps_grid is not None:
-        eps_grid = np.asarray(sorted(eps_grid), dtype=float)
-        if eps_grid.size == 0:
-            raise ValueError("eps_grid is empty")
-        for i, e in enumerate(eps_grid):
-            if not (0 < e < t_end):
-                raise ValueError("eps values must lie in (0, t_end)")
-            k = int(round(e / dt))
-            if abs(k * dt - e) > 1e-9 * max(e, dt):
-                raise ValueError(f"eps = {e!r} is not a step multiple of dt")
-            if n_steps - k in cut_of:
-                raise ValueError(f"eps_grid holds {e!r} twice on one step")
-            cut_of[n_steps - k] = i
-        slab_start = min(cut_of)
+    if eps_grid is None:
+        return None, cut_of
+    eps_grid = np.asarray(sorted(eps_grid), dtype=float)
+    if eps_grid.size == 0:
+        raise ValueError("eps_grid is empty")
+    for i, e in enumerate(eps_grid):
+        if not (0 < e < t_end):
+            raise ValueError("eps values must lie in (0, t_end)")
+        k = int(round(e / dt))
+        if abs(k * dt - e) > 1e-9 * max(e, dt):
+            raise ValueError(f"eps = {e!r} is not a step multiple of dt")
+        if n_steps - k in cut_of:
+            raise ValueError(f"eps_grid holds {e!r} twice on one step")
+        cut_of[n_steps - k] = i
+    return eps_grid, cut_of
+
+
+def _checked_steps(steps, n_steps=None):
+    """steps as an integer array: non-empty, strictly increasing (sorted,
+    no repeats), each in 1..n_steps (1.. when n_steps is None)."""
+    steps = np.asarray(steps)
+    if steps.ndim != 1 or steps.size == 0 \
+            or not np.issubdtype(steps.dtype, np.integer):
+        raise ValueError("steps must be a non-empty 1-d sequence of "
+                         "integer step indices")
+    if np.any(np.diff(steps) <= 0):
+        raise ValueError("steps must be sorted without repeats")
+    if steps[0] < 1 or (n_steps is not None and steps[-1] > n_steps):
+        raise ValueError(f"steps must lie in 1..{n_steps or 'n_steps'}")
+    return steps.astype(np.int64)
+
+
+def point_law(model, operator, coeffs, u0, dt, steps):
+    """(mean, cov): the exact law of u(k dt, 0) at the step indices k of
+    `steps` (sorted, distinct, each >= 1) for a constant sigma, started at
+    rest from u0.
+
+    On the radius shells of radius_shells(model) the scheme is linear and
+    Gaussian.  Shell s's state (U_s, and V_s for wave) takes the one-step
+    flow Phi_s = _flow(dt) and the forcing F_s z, z standard normal, each
+    step: sigma times the step's own forcing, whose covariance F_s F_s^T
+    is v_s = m^d n_s times the grid density times squared_time_integral
+    (heat) or _wave_covariance (wave) over dt.  The state covariance
+    follows P_s(k+1) = Phi_s P_s(k) Phi_s^T + F_s F_s^T from P_s(0) = 0.
+    The flow is exact and a semigroup, and each step's forcing covariance
+    is the exact integral over that step, so the recursion sums to the
+    same integral over [0, k dt]: P_s(k) = sigma^2 v_s times the closed form
+    at t = k dt.  For i <= j,
+
+        C(i, j) = m^-2d sum_s [_flow((j - i) dt) P_s(i)]_uu,
+
+    one matrix product per flow entry over all pairs.  The mean is u0 plus
+    b0 times the zero mode's drift integral: u0 + b0 t for heat and
+    u0 + b0 t^2 / 2 for wave.
+    """
+    _check_operator(operator)
+    sigma = coeffs.sigma_constant
+    if sigma is None:
+        raise ValueError("point_law needs a constant sigma")
+    steps = _checked_steps(steps)
+    first, counts = radius_shells(model)
+    npts = model.m ** model.d
+    r = _radius_grid(model).ravel()[first]
+    # sigma^2 times the variance of shell s's forcing before its time
+    # integral, in the solver's units (U_s sums n_s modes of m^d points)
+    var = sigma**2 * _grid_density(model).ravel()[first] * (npts * counts) \
+        * (2.0 * np.pi / model.dx) ** model.d
+
+    # P_s at each step read, (steps, s): [P]_uu and, for wave, [P]_vu
+    t = steps[:, None] * dt
+    if operator == "heat":
+        P = (var * squared_time_integral(operator, t, r),)
+    else:
+        c11, c12, _ = _wave_covariance(t, r)
+        P = (var * c11, var * c12)
+
+    i, j = np.triu_indices(steps.size)
+    gaps, which = np.unique(steps[j] - steps[i], return_inverse=True)
+    (flow_u, *_), _ = _flow(operator, gaps[:, None] * dt, r)
+    # by_gap[g, i] = sum_s [_flow(gaps[g] dt) P_s(steps[i])]_uu
+    by_gap = sum(np.dot(f, p.T) for f, p in zip(flow_u, P))
+    cov = np.empty((steps.size, steps.size))
+    cov[i, j] = by_gap[which, i] / npts**2
+    cov[j, i] = cov[i, j]
+
+    _, drift = _flow(operator, steps * dt, 0.0)
+    mean = u0 + coeffs.b_constant * drift[0]
+    return mean, cov
+
+
+def law_condition(cov):
+    """The 2-norm condition number of a covariance matrix: its largest
+    eigenvalue over its smallest, inf when the smallest is not positive."""
+    w = np.linalg.eigvalsh(cov)
+    return float(w[-1] / w[0]) if w[0] > 0 else float("inf")
+
+
+def _law_factor(cov):
+    """L with L L^T = cov: the Cholesky factor, or the zero matrix of a
+    zero covariance (sigma = 0).  A covariance with no factor raises
+    SingularLawError with its condition number; no jitter is added."""
+    if not cov.any():
+        return cov
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise SingularLawError(
+            f"the point law's {cov.shape[0]}-step covariance has no Cholesky"
+            f" factor (condition number {law_condition(cov):.3g})") from None
+
+
+def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
+                eps_grid=None, steps=None) -> FieldSolution:
+    """u(k dt, 0) for a batch of independent paths (one RNG per path),
+    started at rest (wave: zero initial velocity), at the step indices
+    `steps` (sorted, distinct, in 1..n_steps with n_steps = t_end / dt); at
+    every step 0..n_steps when steps is None.
+
+    A constant sigma draws each path from point_law at those steps: path
+    i's generator draws len(steps) normals z in one standard_normal call,
+    and its values are mean + np.dot(L, z), L the Cholesky factor of the
+    law's covariance (one product per path, so a path's values do not
+    depend on the batch).  A covariance with no Cholesky factor raises
+    SingularLawError.  A constant sigma takes no eps_grid.
+
+    An Anderson sigma steps the physical field on the rfftn half spectrum.
+    Each step draws nw = noises_per_step noises per path, w1 first and
+    (wave) w2 after it, each white noise on the m**d grid points.  Path
+    i's generator draws the noises of C = steps_per_call(operator, m**d,
+    n_steps) consecutive steps in one standard_normal call, and of the
+    steps left in the last one.  A path's stream therefore does not depend
+    on the batch it is solved in, and after n steps its generator stands
+    where standard_normal(n * nw * m**d) leaves it.  For an eps_grid, the
+    step ending at t_end - eps records U_eps (that state flowed to t_end,
+    plus the drift's zero-mode integral) and the slab noise G accumulates
+    from the largest eps on; the solution carries G and u_eps = U_eps +
+    sigma(u(t_end - eps, 0)) G, a column per eps.
+
+    Preconditions (each refused by a ValueError before any draw): those of
+    _time_grid, a non-empty eps_grid of distinct multiples of dt in (0,
+    t_end), and steps as above.
+    """
+    n_steps = _time_grid(model, operator, t_end, dt)
+    eps_grid, cut_of = _eps_cuts(eps_grid, t_end, dt, n_steps)
+    if steps is not None:
+        steps = _checked_steps(steps, n_steps)
+    if coeffs.sigma_constant is not None:
+        if eps_grid is not None:
+            raise ValueError("a constant sigma takes no eps_grid: solve_batch"
+                             " draws it from its exact law")
+        return _exact_batch(model, operator, coeffs, u0, dt, n_steps, steps,
+                            rngs)
 
     B = len(rngs)
     m, d = model.m, model.d
     npts = m**d
     wave = operator == "wave"
     nw = noises_per_step(operator)
-    sigma_const = coeffs.sigma_constant
-    shells = sigma_const is not None
-    if shells:
-        first, counts = radius_shells(model)
-        r = _radius_grid(model).ravel()[first]
-        # the standard deviation sqrt(npts n_s) of the shell forcing Z_s
-        base = np.sqrt(_grid_density(model).ravel()[first] * (npts * counts))
-        origin = (0,)
-    else:
-        # the noise and the fields are real and every multiplier depends
-        # on |xi| only, so the state lives on the rfftn half spectrum
-        r = _half_spectrum(model, _radius_grid(model))
-        base = _half_spectrum(model, np.sqrt(_grid_density(model)))
-        origin = (0,) * d
-    base = base * (2.0 * np.pi / dx) ** (d / 2.0)
+    # the noise and the fields are real and every multiplier depends on
+    # |xi| only, so the state lives on the rfftn half spectrum
+    r = _half_spectrum(model, _radius_grid(model))
+    base = _half_spectrum(model, np.sqrt(_grid_density(model))) \
+        * (2.0 * np.pi / model.dx) ** (d / 2.0)
+    origin = (0,) * d
     zero = (slice(None),) + origin
 
     rows, drift = _flow(operator, dt, r)
@@ -330,32 +464,22 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
     # a constant drift forces the zero mode only
     kick = [dr[origin] * (b0 * npts) for dr in drift]
 
-    if shells:
-        # the state is U_s, the sum of Re u_hat over shell s; a constant
-        # sigma scales the forcing once
-        F = tuple(sigma_const * f for f in K)
-        noise_shape = r.shape
+    noise_shape = (m,) * d
+    # the noise's own transform is read by the slab noise G only
+    W_hat = None if eps_grid is None \
+        else np.empty((B, nw) + r.shape, dtype=complex)
+    axes = tuple(range(1, d + 1))
+    noise_axes = tuple(a + 1 for a in axes)
 
-        def read(spec):
-            return spec.sum(axis=1) / npts
-    else:
-        F = K
-        noise_shape = (m,) * d
-        # the noise's own transform is read by the slab noise G only
-        W_hat = None if eps_grid is None \
-            else np.empty((B, nw) + r.shape, dtype=complex)
-        axes = tuple(range(1, d + 1))
-        noise_axes = tuple(a + 1 for a in axes)
-
-        def read(spec):
-            return _origin_value(spec, m)
+    def read(spec):
+        return _origin_value(spec, m)
     # path i's noises of C steps, per step w1 then (wave) w2, lie back to
     # back in draws[i], so one call draws them; step k reads draws[:, k % C]
-    C = steps_per_call(operator, r.size if shells else npts, n_steps)
+    C = steps_per_call(operator, npts, n_steps)
     draws = np.empty((B, C, nw) + noise_shape)
 
     # per-step buffers, reused: fresh arrays of this size cost page faults
-    uhat = np.zeros((B,) + r.shape, dtype=float if shells else complex)
+    uhat = np.zeros((B,) + r.shape, dtype=complex)
     uhat[zero] = u0 * npts
     if wave:
         vhat = np.zeros_like(uhat)
@@ -366,6 +490,7 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
     point_series = np.empty((B, n_steps + 1))
     point_series[:, 0] = u0
     if eps_grid is not None:
+        slab_start = min(cut_of)
         G = np.zeros((B, len(eps_grid)))
         U = np.empty((B, len(eps_grid)))
 
@@ -376,30 +501,24 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
             for draw, rng in zip(draws, rngs):
                 rng.standard_normal(out=draw[:n])
         noise = draws[:, k % C]
-        if shells:
-            W = noise              # the drawn normals force the shells
-            S1, S2 = W[:, 0], (W[:, 1] if wave else None)
-        else:
-            if W_hat is not None:
-                W = np.fft.rfftn(noise, axes=noise_axes, out=W_hat)
-            sig_u = coeffs.sigma(np.fft.irfftn(uhat, s=noise_shape,
-                                               axes=axes))
-            S1 = np.fft.rfftn(sig_u * noise[:, 0], axes=axes)
-            S2 = np.fft.rfftn(sig_u * noise[:, 1], axes=axes) if wave \
-                else None
+        if W_hat is not None:
+            W = np.fft.rfftn(noise, axes=noise_axes, out=W_hat)
+        sig_u = coeffs.sigma(np.fft.irfftn(uhat, s=noise_shape, axes=axes))
+        S1 = np.fft.rfftn(sig_u * noise[:, 0], axes=axes)
+        S2 = np.fft.rfftn(sig_u * noise[:, 1], axes=axes) if wave else None
 
         if wave:
             np.multiply(vu, uhat, out=tmp_v)         # needs the old uhat
             uhat *= uu
             _add_product(uhat, uv, vhat, tmp_u)
-            _add_product(uhat, F[0], S1, tmp_u)
+            _add_product(uhat, K[0], S1, tmp_u)
             vhat *= vv
             vhat += tmp_v
-            _add_product(vhat, F[1], S1, tmp_v)
-            _add_product(vhat, F[2], S2, tmp_v)
+            _add_product(vhat, K[1], S1, tmp_v)
+            _add_product(vhat, K[2], S2, tmp_v)
         else:
             uhat *= uu
-            _add_product(uhat, F[0], S1, tmp_u)
+            _add_product(uhat, K[0], S1, tmp_u)
 
         if b0 != 0.0:
             uhat[zero] += kick[0]
@@ -423,11 +542,33 @@ def solve_batch(model, operator, coeffs, u0, t_end, dt, rngs, *,
             U[:, i] = _flowed_origin(row, state, read) \
                 + b0 * drift_eps[0][origin]
 
+    if eps_grid is not None:
+        cuts = sorted(cut_of, reverse=True)    # eps ascending
+        u_eps = U + coeffs.sigma(point_series[:, cuts]) * G
+    if steps is not None:
+        point_series = point_series[:, steps]
     if eps_grid is None:
         return FieldSolution(dt, point_series)
-    cuts = sorted(cut_of, reverse=True)    # eps ascending
-    u_eps = U + coeffs.sigma_values(point_series[:, cuts]) * G
     return FieldSolution(dt, point_series, eps_grid, G, u_eps)
+
+
+def _exact_batch(model, operator, coeffs, u0, dt, n_steps, steps, rngs):
+    """solve_batch for a constant sigma: each path drawn from point_law."""
+    every = steps is None
+    if every:
+        steps = np.arange(1, n_steps + 1)
+    mean, cov = point_law(model, operator, coeffs, u0, dt, steps)
+    factor = _law_factor(cov)
+    # every step from 0: column 0 is u0 and the law fills the rest
+    series = np.empty((len(rngs), steps.size + every))
+    series[:, 0] = u0
+    values = series[:, 1:] if every else series
+    z = np.empty(steps.size)
+    for rng, row in zip(rngs, values):
+        rng.standard_normal(out=z)
+        np.dot(factor, z, out=row)
+    values += mean
+    return FieldSolution(dt, series)
 
 
 def approximate_u_eps(solution: FieldSolution, eps: float) -> np.ndarray:
@@ -453,20 +594,21 @@ def approximate_u_eps(solution: FieldSolution, eps: float) -> np.ndarray:
 def time_holder_delta(point_series, series_times, t0, lags):
     """Fit E|u(t0 + tau, 0) - u(t0, 0)|^2 ~ tau^delta from stored paths.
 
-    Returns the ScalingFit and, per lag in ascending order, the Monte-Carlo
-    mean of the squared increment and its standard error, which needs at
-    least 2 paths.
+    series_times holds the time of each stored column, ascending; they
+    need not be evenly spaced.  Returns the ScalingFit and, per lag in
+    ascending order, the Monte-Carlo mean of the squared increment and its
+    standard error, which needs at least 2 paths.
     """
     if point_series.shape[0] < 2:
         raise ValueError("time_holder_delta needs at least 2 paths for a "
                          "standard error")
     times = np.asarray(series_times, dtype=float)
     lags = np.asarray(sorted(lags), dtype=float)
-    dt = times[1] - times[0]
+    tol = 1e-9 * np.max(np.abs(times))
 
     def idx(t):
-        k = int(round((t - times[0]) / dt))
-        if not (0 <= k < times.size) or abs(times[k] - t) > 1e-9 * max(t, dt):
+        k = int(np.argmin(np.abs(times - t)))
+        if abs(times[k] - t) > tol:
             raise ValueError(f"time {t!r} not in stored series")
         return k
 

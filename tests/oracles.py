@@ -13,8 +13,10 @@ fast paths against them:
 * the tail constant of the Lévy family, the erasure of a jump record after
   a cut time and the cell of a point of an ambit discretization,
 * one path's volatility field evaluated pointwise from its draw, the
-  reference of `FieldSpec.grid`'s separable evaluation, and
-* the empirical characteristic function of a sample.
+  reference of `FieldSpec.grid`'s separable evaluation,
+* the empirical characteristic function of a sample, and
+* the constant-sigma SPDE step loop on radius shells, the scheme whose
+  exact Gaussian law `spde.point_law` gives.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ambitlab import spde
 from ambitlab.besov import MAX_ORDER
 from ambitlab.levy import JumpRecord
+from ambitlab.noise import _grid_density, _radius_grid, squared_time_integral
 
 # ---------------------------------------------------------------------------
 # difference stencils
@@ -254,3 +258,131 @@ def empirical_cf(values, xi):
     phi = phase.mean(axis=1)
     stderr = np.full(xi.shape, 1.0 / np.sqrt(values.size))
     return phi, stderr
+
+
+# ---------------------------------------------------------------------------
+# the constant-sigma SPDE step loop
+# ---------------------------------------------------------------------------
+
+
+def shell_solve(model, operator, coeffs, u0, t_end, dt, rngs, *,
+                eps_grid=None) -> spde.FieldSolution:
+    """spde.solve_batch's step loop for a constant sigma, on the S shells
+    of spde.radius_shells(model): u(t, 0) at every step 0..n_steps and,
+    for an eps_grid, the slab noise G and u_eps, as solve_batch records
+    them for an Anderson sigma.
+
+    Each step draws nw = spde.noises_per_step(operator) noises of S
+    normals per path, w1 first and (wave) w2 after it: shell s's forcing
+    Z_s divided by its standard deviation sqrt(m**d n_s), so a step draws
+    nw * S normals and runs no FFT.  Path i's generator draws the noises of
+    C = spde.steps_per_call(operator, S, n_steps) consecutive steps in one
+    standard_normal call, and of the steps left in the last one.  The
+    state is U_s, the sum of Re u_hat over shell s, and u(t, 0) =
+    m^-d sum_s U_s.
+    """
+    n_steps = spde._time_grid(model, operator, t_end, dt)
+    eps_grid, cut_of = spde._eps_cuts(eps_grid, t_end, dt, n_steps)
+    if eps_grid is not None:
+        slab_start = min(cut_of)
+
+    B = len(rngs)
+    npts = model.m ** model.d
+    wave = operator == "wave"
+    nw = spde.noises_per_step(operator)
+    sigma_const = coeffs.sigma_constant
+    first, counts = spde.radius_shells(model)
+    r = _radius_grid(model).ravel()[first]
+    # the standard deviation sqrt(npts n_s) of the shell forcing Z_s
+    base = np.sqrt(_grid_density(model).ravel()[first] * (npts * counts))
+    origin = (0,)
+    base = base * (2.0 * np.pi / model.dx) ** (model.d / 2.0)
+    zero = (slice(None),) + origin
+
+    rows, drift = spde._flow(operator, dt, r)
+    if wave:
+        (uu, uv), (vu, vv) = rows
+        l11, l21, l22 = spde._wave_step_covariance(dt, r)
+        # sigma-free forcing: u by K[0] w1, v by K[1] w1 + K[2] w2
+        K = (base * l11, base * l21, base * l22)
+    else:
+        (uu,), = rows
+        K = (base * np.sqrt(squared_time_integral(operator, dt, r)),)
+    b0 = coeffs.b_constant
+    # a constant drift forces the zero mode only
+    kick = [dr[origin] * (b0 * npts) for dr in drift]
+
+    # the state is U_s, the sum of Re u_hat over shell s; a constant sigma
+    # scales the forcing once
+    F = tuple(sigma_const * f for f in K)
+
+    def read(spec):
+        return spec.sum(axis=1) / npts
+    # path i's noises of C steps, per step w1 then (wave) w2, lie back to
+    # back in draws[i], so one call draws them; step k reads draws[:, k % C]
+    C = spde.steps_per_call(operator, r.size, n_steps)
+    draws = np.empty((B, C, nw) + r.shape)
+
+    uhat = np.zeros((B,) + r.shape)
+    uhat[zero] = u0 * npts
+    if wave:
+        vhat = np.zeros_like(uhat)
+        tmp_v = np.empty_like(uhat)
+    tmp_u = np.empty_like(uhat)
+    state = (uhat, vhat) if wave else (uhat,)
+
+    point_series = np.empty((B, n_steps + 1))
+    point_series[:, 0] = u0
+    if eps_grid is not None:
+        G = np.zeros((B, len(eps_grid)))
+        U = np.empty((B, len(eps_grid)))
+
+    for k in range(n_steps):
+        # the last call draws only the steps left
+        if k % C == 0:
+            n = min(C, n_steps - k)
+            for draw, rng in zip(draws, rngs):
+                rng.standard_normal(out=draw[:n])
+        W = draws[:, k % C]        # the drawn normals force the shells
+        S1, S2 = W[:, 0], (W[:, 1] if wave else None)
+
+        if wave:
+            np.multiply(vu, uhat, out=tmp_v)         # needs the old uhat
+            uhat *= uu
+            spde._add_product(uhat, uv, vhat, tmp_u)
+            spde._add_product(uhat, F[0], S1, tmp_u)
+            vhat *= vv
+            vhat += tmp_v
+            spde._add_product(vhat, F[1], S1, tmp_v)
+            spde._add_product(vhat, F[2], S2, tmp_v)
+        else:
+            uhat *= uu
+            spde._add_product(uhat, F[0], S1, tmp_u)
+
+        if b0 != 0.0:
+            uhat[zero] += kick[0]
+            if wave:
+                vhat[zero] += kick[1]
+
+        # sigma-free smoothed slab noise, flowed to t_end and evaluated at
+        # x = 0
+        if eps_grid is not None and k >= slab_start:
+            (row, *_), _ = spde._flow(operator, t_end - (k + 1) * dt, r)
+            W1 = W[:, 0]
+            forcing = (K[0] * W1, K[1] * W1 + K[2] * W[:, 1]) if wave \
+                else (K[0] * W1,)
+            add_to = eps_grid >= (t_end - k * dt) - 1e-9 * dt
+            G[:, add_to] += spde._flowed_origin(row, forcing, read)[:, None]
+
+        point_series[:, k + 1] = read(uhat)
+        i = cut_of.get(k + 1)
+        if i is not None:
+            (row, *_), drift_eps = spde._flow(operator, eps_grid[i], r)
+            U[:, i] = spde._flowed_origin(row, state, read) \
+                + b0 * drift_eps[0][origin]
+
+    if eps_grid is None:
+        return spde.FieldSolution(dt, point_series)
+    cuts = sorted(cut_of, reverse=True)    # eps ascending
+    u_eps = U + coeffs.sigma_values(point_series[:, cuts]) * G
+    return spde.FieldSolution(dt, point_series, eps_grid, G, u_eps)

@@ -2,6 +2,7 @@
 
 import json
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -417,30 +418,35 @@ def test_spde_exponents_log_counts_the_work(tmp_path):
                    (out / "summary.json").read_bytes())
     log = runs[1][0]
     timers = [line for line in log
-              if line.startswith(("exponent_gamma_s=", "ensemble_s="))]
-    assert len(timers) == 2
+              if line.startswith(("exponent_gamma_s=", "ensemble_s=",
+                                  "law_s="))]
+    assert len(timers) == 3
     assert all(float(line.split("=")[1]) >= 0 for line in timers)
-    work = ("paths=", "blocks=", "shells=", "steps_x_modes=",
+    work = ("paths=", "blocks=", "law=", "shells=", "steps_x_modes=",
+            "law_steps=", "normals_per_path=", "law_condition=",
             "steps_per_call=", "calls_per_path=", "normals_per_call=",
             "g_evaluations ")
     counters = [line for line in log if line.startswith(work)]
     assert counters == [line for line in runs[2][0]
                         if line.startswith(work)]
-    # 300 paths in blocks of 256; dt = dx/2 = 1/16 over t = 1; sigma is
-    # constant, so the 64 points solve on 33 radius shells; a step's two
-    # wave noises are 66 normals, and NORMALS_PER_CALL = 2048 holds all 16
-    # steps, so each path draws them in one call
-    assert counters[:7] == ["paths=300", "blocks=2", "shells=33",
-                            "steps_x_modes=16x33", "steps_per_call=16",
-                            "calls_per_path=1", "normals_per_call=1056"]
+    # 300 paths in blocks of 256; dt = dx/2 = 1/16 over t = 1, so t0 is
+    # step 8 and the lags 1, 2, 4 and 8 steps fit; sigma is constant, so
+    # each path is drawn from the exact law of the 64 points' 33 radius
+    # shells at those 5 steps: 5 normals per path, and no step loop
+    assert counters[:7] == ["paths=300", "blocks=2", "law=exact",
+                            "shells=33", "steps_x_modes=16x33",
+                            "law_steps=5", "normals_per_path=5"]
+    # the 5 x 5 covariance's condition number
+    assert float(counters[7].partition("law_condition=")[2]) > 1.0
+    assert len(counters) == 8
     # white noise: g(eps) is a closed form, so no quadrature ran
     assert not any(line.startswith("g_evaluations ") for line in log)
     assert log.count("variance_g=closed_form") == 1
     # timers and counters stay out of the artifacts
     for _, csv, summary in runs.values():
         for word in (b"_s=", b"blocks", b"g_evaluations", b"shells",
-                     b"steps_x_modes", b"steps_per_call", b"calls_per_path",
-                     b"normals_per_call"):
+                     b"steps_x_modes", b"law_steps", b"normals_per_path",
+                     b"law_condition"):
             assert word not in csv + summary
     assert runs[1][1:] == runs[2][1:]
 
@@ -620,6 +626,48 @@ def test_one_path_exponent_run_is_a_named_error(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("experiment,overrides,words", [
+    ("besov-stat", [], "at least 2 samples"),
+    ("ambit-decay", ["ambit.sigma_field=weierstrass", "ambit.nt=8",
+                     "ambit.nx=8", "ambit.eps_points=4"], "at least 2 paths"),
+], ids=["besov-stat", "ambit-decay"])
+def test_one_sample_runs_are_named_errors(tmp_path, capsys, monkeypatch,
+                                          experiment, overrides, words):
+    """One sample fits the criterion's slope n by construction, and one
+    decay path has no standard error: both exit 1 by name, with no NumPy
+    warning and no artifacts; the decay run refuses before it draws."""
+    def no_draw(*_args, **_kwargs):
+        raise AssertionError("drew paths")
+
+    monkeypatch.setattr(ambit, "_ensemble", no_draw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.run(None, overrides + ["run.n_paths=1"],
+                       experiment=experiment, outdir=str(tmp_path))
+    assert code == 1
+    assert words in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_spde_exponents_report_delta_exact(tmp_path):
+    """delta_exact is the slope of the constant-sigma law's exact increment
+    variance over the run's lags (0.5222 at the heat defaults, whatever
+    the path count); an Anderson sigma has no such law: null."""
+    runs = {"heat": ["run.n_paths=64"],
+            "anderson": ["run.n_paths=64", "spde.coefficients=anderson",
+                         "spde.operator=wave", "noise.m=64", "spde.t=1.0"]}
+    exact = {}
+    for name, overrides in runs.items():
+        out = tmp_path / name
+        out.mkdir()
+        assert cli.run(None, overrides, experiment="spde-exponents",
+                       outdir=str(out)) in (0, 2)
+        exact[name] = json.loads((out / "summary.json").read_text())[
+            "delta_exact"]
+    assert exact["heat"] == pytest.approx(0.5222, abs=5e-4)
+    assert exact["anderson"] is None
+
+
 def test_run_flags_inconclusive_statistics(tmp_path):
     # at unit scale the top frequency is unresolvable with 200 paths
     code = cli.run(None, ["run.scale=1.0", "run.n_paths=200"],
@@ -639,7 +687,7 @@ def test_run_flags_inconclusive_statistics(tmp_path):
 def test_undecided_verdicts_exit_2_with_null(tmp_path, capsys, experiment,
                                              overrides):
     """A CI that holds the threshold leaves the verdict null and the run
-    inconclusive.  Four heat paths fit delta = 1.10 +- 1.53 against the
+    inconclusive.  Four heat paths fit delta = -0.27 +- 0.42 against the
     threshold 0: exit 2 with the point gammabar still reported.  The
     64-path bump-kernel decay fit, 2.16 +- 1.23 against the rate 1.635,
     neither passes nor fails, so stdout carries no passed=."""
@@ -652,7 +700,7 @@ def test_undecided_verdicts_exit_2_with_null(tmp_path, capsys, experiment,
     assert summary["flag"] == "inconclusive"
     if experiment == "spde-exponents":
         assert summary["verdict"] is None
-        assert summary["gammabar"] == pytest.approx(3.195, abs=1e-3)
+        assert summary["gammabar"] == pytest.approx(0.4505, abs=1e-3)
         assert summary["fits"]["delta"]["flag"] == "ok"
     else:
         assert summary["passed"] is None
@@ -671,7 +719,8 @@ def test_zero_statistic_is_conclusive(tmp_path, capsys):
         "spde-exponents": (["spde.sigma0=0", "run.n_paths=64",
                             "noise.m=128"],
                            {"verdict": None, "delta": None, "gammabar": None,
-                            "besov_order_interval": None}),
+                            "besov_order_interval": None,
+                            "delta_exact": None}),
     }
     for experiment, (overrides, want) in cases.items():
         out_dir = tmp_path / experiment

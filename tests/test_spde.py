@@ -1,11 +1,17 @@
 """Mild-solution solver: exactness properties, variance targets, exponents.
 
-The two sharp oracles:
+The sharp oracles:
 
-  * constant coefficients make the one-step freezing exact, so the recorded
-    decomposition must reproduce u(t, 0) to float roundoff for every eps;
+  * the constant-sigma step loop on radius shells (oracles.shell_solve) is
+    linear, so the covariance of point_law, from which solve_batch draws
+    constant-sigma paths, must equal the sum of its unit-normal responses
+    h h^T to roundoff, and its mean the loop's noiseless run;
+  * constant coefficients make the one-step freezing exact, so the
+    loop's recorded decomposition must reproduce u(t, 0) to float roundoff
+    for every eps;
   * with sigma == 1 the per-mode forcing carries the exact step variance,
-    so Var u(t, 0) equals the grid-spectral functional g (MC check).
+    so Var u(t, 0) equals the grid-spectral functional g (exactly on the
+    law's diagonal, by Monte Carlo on the loop).
 """
 
 import dataclasses
@@ -15,6 +21,8 @@ import pytest
 
 from ambitlab import besov, noise, spde
 from ambitlab.montecarlo import ScalingFit, fit_scaling, path_rng
+
+from oracles import shell_solve
 
 
 HEAT = "heat"
@@ -65,11 +73,10 @@ def test_constant_coefficients_freeze_exactly(kind):
     model = white()
     dt = 4 * model.dx**2 if kind == "heat" else 0.5 * model.dx
     eps_grid = [4 * dt, 8 * dt, 16 * dt]
-    sol = spde.solve_batch(model, kind,
-                           spde.constant_coefficients(1.3, 0.7),
-                           u0=0.5, t_end=40 * dt, dt=dt,
-                           rngs=[path_rng(123, "freeze", i) for i in range(8)],
-                           eps_grid=eps_grid)
+    sol = shell_solve(model, kind, spde.constant_coefficients(1.3, 0.7),
+                      u0=0.5, t_end=40 * dt, dt=dt,
+                      rngs=[path_rng(123, "freeze", i) for i in range(8)],
+                      eps_grid=eps_grid)
     u = sol.final_point_values()
     for eps in eps_grid:
         u_eps = spde.approximate_u_eps(sol, eps)
@@ -79,9 +86,8 @@ def test_constant_coefficients_freeze_exactly(kind):
 def test_unrecorded_eps_raises():
     model = white()
     dt = 4 * model.dx**2
-    sol = spde.solve_batch(model, HEAT, spde.constant_coefficients(), 0.0,
-                           16 * dt, dt, [path_rng(0, "e", 0)],
-                           eps_grid=[4 * dt])
+    sol = shell_solve(model, HEAT, spde.constant_coefficients(), 0.0,
+                      16 * dt, dt, [path_rng(0, "e", 0)], eps_grid=[4 * dt])
     with pytest.raises(ValueError, match="not recorded"):
         spde.approximate_u_eps(sol, 2 * dt)
     plain = spde.solve_batch(model, HEAT, spde.constant_coefficients(), 0.0,
@@ -243,6 +249,12 @@ def _shell_of_modes(model):
     return shell
 
 
+def _solver(coeffs):
+    """The step loop that records eps data for coeffs: solve_batch for an
+    Anderson sigma, the shell loop of oracles for a constant one."""
+    return spde.solve_batch if coeffs.sigma_constant is None else shell_solve
+
+
 def _streams(model, coeffs, seed, stream, paths):
     """The solver's generators: plain path_rng streams for an Anderson
     sigma, folded onto shells for a constant one."""
@@ -253,13 +265,14 @@ def _streams(model, coeffs, seed, stream, paths):
 
 
 def _check_against_reference(model, kind, coeffs, u0, dt, stream, tol):
-    """point_series, G and every u_eps column of a 3-path solve against
-    _full_spectrum_reference on the same white noise, and each path alone
-    against its batch row."""
+    """point_series, G and every u_eps column of a 3-path solve of the step
+    loop against _full_spectrum_reference on the same white noise, and
+    each path alone against its batch row."""
     n, eps_k = 12, [2, 3, 5]
     kw = dict(eps_grid=[e * dt for e in eps_k])
-    sol = spde.solve_batch(model, kind, coeffs, u0, n * dt, dt,
-                           _streams(model, coeffs, 3, stream, range(3)), **kw)
+    solve = _solver(coeffs)
+    sol = solve(model, kind, coeffs, u0, n * dt, dt,
+                _streams(model, coeffs, 3, stream, range(3)), **kw)
     series, G, u_eps = _full_spectrum_reference(
         model, kind, coeffs, u0, n, dt,
         [path_rng(3, stream, i) for i in range(3)], eps_k)
@@ -271,8 +284,8 @@ def _check_against_reference(model, kind, coeffs, u0, dt, stream, tol):
 
     # each path keeps its own draw order: a batch row is the lone solve
     for i in range(3):
-        alone = spde.solve_batch(model, kind, coeffs, u0, n * dt, dt,
-                                 _streams(model, coeffs, 3, stream, [i]), **kw)
+        alone = solve(model, kind, coeffs, u0, n * dt, dt,
+                      _streams(model, coeffs, 3, stream, [i]), **kw)
         assert np.array_equal(alone.point_series[0], sol.point_series[i])
         assert np.array_equal(alone.G[0], sol.G[i])
 
@@ -281,8 +294,8 @@ def _check_against_reference(model, kind, coeffs, u0, dt, stream, tol):
 @pytest.mark.parametrize("kind", ["heat", "wave"])
 @pytest.mark.parametrize("d,m", [(1, 16), (1, 15), (2, 8), (2, 7)])
 def test_half_spectrum_matches_full_spectrum_reference(d, m, kind, coeff):
-    """Anderson solves on the rfftn half spectrum; constant-sigma ones, on
-    radius shells, take the reference's noise folded onto shells (see
+    """Anderson solves on the rfftn half spectrum; the constant-sigma shell
+    loop takes the reference's noise folded onto shells (see
     test_shells_match_full_spectrum_reference_on_the_same_noise)."""
     # make_noise_model asks for a power of two; the solver itself does not,
     # and odd m has no self-conjugate Nyquist plane on the last axis
@@ -308,9 +321,10 @@ _SHELL_MODELS = {
 @pytest.mark.parametrize("grid", sorted(_SHELL_MODELS))
 def test_shells_match_full_spectrum_reference_on_the_same_noise(grid, kind,
                                                                 b0):
-    """A constant-sigma solve on radius shells, fed the shell sums of the
-    reference's own white noise, gives the full-spectrum point series, slab
-    noise G and u_eps to 1e-12, in d = 1, 2 and 3, with and without drift."""
+    """The constant-sigma step loop on radius shells, fed the shell sums of
+    the reference's own white noise, gives the full-spectrum point series,
+    slab noise G and u_eps to 1e-12, in d = 1, 2 and 3, with and without
+    drift."""
     kind_, d, m, beta = _SHELL_MODELS[grid]
     model = noise.make_noise_model(kind_, d=d, Lbox=8.0, m=m, beta=beta)
     dt = 0.9 * model.dx**2 if kind == "heat" else 0.5 * model.dx
@@ -359,11 +373,11 @@ def test_shell_forcing_has_variance_m_d_n_s_and_is_independent(d, m):
 @pytest.mark.parametrize("kind", ["heat", "wave"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_solver_draws_nw_fields_per_step_from_each_stream(d, kind, coeff):
-    """After n steps a path's generator stands where n * nw * S standard
-    normals leave a fresh one (nw = 2 noises per step for wave, 1 for
-    heat; S modes per noise, the radius shells for a constant sigma and
-    the m**d grid points for Anderson), whatever the batch or the records
-    asked."""
+    """After n steps of the step loop a path's generator stands where
+    n * nw * S standard normals leave a fresh one (nw = 2 noises per step
+    for wave, 1 for heat; S modes per noise, the radius shells of the
+    constant-sigma loop and the m**d grid points for Anderson), whatever
+    the batch or the records asked."""
     model = noise.make_noise_model("white", d=1, Lbox=8.0, m=16) if d == 1 \
         else noise.make_noise_model("riesz", d=2, Lbox=8.0, m=8, beta=1.0)
     dt = 0.9 * model.dx**2 if kind == "heat" else 0.5 * model.dx
@@ -372,8 +386,8 @@ def test_solver_draws_nw_fields_per_step_from_each_stream(d, kind, coeff):
         else model.m ** d
     stream = f"contract-{kind}-{coeff}-{d}"
     rngs = [path_rng(4, stream, i) for i in range(3)]
-    spde.solve_batch(model, kind, _COEFFS[coeff], 0.6, n * dt, dt, rngs,
-                     eps_grid=[2 * dt])
+    _solver(_COEFFS[coeff])(model, kind, _COEFFS[coeff], 0.6, n * dt, dt,
+                            rngs, eps_grid=[2 * dt])
     for i, rng in enumerate(rngs):
         ref = path_rng(4, stream, i)
         ref.standard_normal(n * nw * modes)
@@ -397,8 +411,8 @@ class _CallLog:
 @pytest.mark.parametrize("kind", ["heat", "wave"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_chunked_draws_equal_one_call_per_step(d, kind, coeff, monkeypatch):
-    """A path draws the noises of C steps per call and the steps left in
-    the last one: 7 steps at C = 3 take calls of 3, 3 and 1 steps.  The
+    """A step-loop path draws the noises of C steps per call and the steps
+    left in the last one: 7 steps at C = 3 take calls of 3, 3 and 1 steps.  The
     point series, the slab noise G and u_eps are the bytes of C = 1, and
     each generator ends where n * nw * S normals leave a fresh one."""
     model = noise.make_noise_model("white", d=1, Lbox=8.0, m=16) if d == 1 \
@@ -413,9 +427,9 @@ def test_chunked_draws_equal_one_call_per_step(d, kind, coeff, monkeypatch):
         monkeypatch.setattr(spde, "NORMALS_PER_CALL", chunk * nw * modes)
         assert spde.steps_per_call(kind, modes, n) == chunk
         rngs = [_CallLog(path_rng(5, stream, i)) for i in range(3)]
-        sols[chunk] = spde.solve_batch(model, kind, _COEFFS[coeff], 0.6,
-                                       n * dt, dt, rngs,
-                                       eps_grid=[2 * dt, 5 * dt])
+        sols[chunk] = _solver(_COEFFS[coeff])(model, kind, _COEFFS[coeff],
+                                              0.6, n * dt, dt, rngs,
+                                              eps_grid=[2 * dt, 5 * dt])
         for i, rng in enumerate(rngs):
             assert rng.steps == calls
             ref = path_rng(5, stream, i)
@@ -442,9 +456,11 @@ def test_steps_per_call_fills_the_normals_budget():
 @pytest.mark.parametrize("d", [1, 2])
 def test_blocks_cannot_move_a_number(d, kind, coeff):
     """Every solver operation acts on each path alone, so solving a batch
-    at once or in uneven slices gives the same bytes: the point series,
-    the slab noise G and the recorded u_eps.  An Anderson solve without eps
-    records skips the noise's own transform, and its series stays too."""
+    at once or in uneven slices gives the same bytes: the point series
+    (at every step and at a few steps read), and for Anderson the slab
+    noise G and the recorded u_eps.  An Anderson solve without eps records
+    skips the noise's own transform, and its series stays too.  A
+    constant-sigma path is mean + np.dot(L, z), one product per path."""
     model = noise.make_noise_model("white", d=1, Lbox=8.0, m=16) if d == 1 \
         else noise.make_noise_model("riesz", d=2, Lbox=8.0, m=8, beta=1.0)
     dt = 0.9 * model.dx**2 if kind == "heat" else 0.5 * model.dx
@@ -456,16 +472,24 @@ def test_blocks_cannot_move_a_number(d, kind, coeff):
         return spde.solve_batch(model, kind, _COEFFS[coeff], 0.6, n * dt, dt,
                                 rngs, **kw)
 
-    whole = solve(0, 7, eps_grid=eps_grid)
-    parts = [solve(lo, hi, eps_grid=eps_grid)
-             for lo, hi in ((0, 1), (1, 4), (4, 6), (6, 7))]
+    slices = ((0, 1), (1, 4), (4, 6), (6, 7))
 
-    def joined(get):
+    def joined(parts, get):
         return np.concatenate([get(p) for p in parts]).tobytes()
 
-    assert joined(lambda p: p.point_series) == whole.point_series.tobytes()
-    assert joined(lambda p: p.G) == whole.G.tobytes()
-    assert joined(lambda p: p.u_eps) == whole.u_eps.tobytes()
+    for kw in ({}, {"steps": [3, 5, 12]}):
+        whole = solve(0, 7, **kw)
+        parts = [solve(lo, hi, **kw) for lo, hi in slices]
+        assert joined(parts, lambda p: p.point_series) \
+            == whole.point_series.tobytes()
+    if coeff == "const":
+        return
+    whole = solve(0, 7, eps_grid=eps_grid)
+    parts = [solve(lo, hi, eps_grid=eps_grid) for lo, hi in slices]
+    assert joined(parts, lambda p: p.point_series) \
+        == whole.point_series.tobytes()
+    assert joined(parts, lambda p: p.G) == whole.G.tobytes()
+    assert joined(parts, lambda p: p.u_eps) == whole.u_eps.tobytes()
     assert solve(0, 7).point_series.tobytes() == whole.point_series.tobytes()
 
 
@@ -482,6 +506,140 @@ def test_paths_per_block_fixes_the_grid_points():
 
 
 # ---------------------------------------------------------------------------
+# the exact point law of a constant sigma
+# ---------------------------------------------------------------------------
+
+
+class _UnitNormal:
+    """A generator stand-in whose draws are all zero but for normal number
+    `index` of its stream, which is 1 (index -1: no noise at all)."""
+
+    def __init__(self, index):
+        self.index = index
+        self.drawn = 0
+
+    def standard_normal(self, out):
+        flat = out.reshape(-1)
+        flat[:] = 0.0
+        if 0 <= self.index - self.drawn < flat.size:
+            flat[self.index - self.drawn] = 1.0
+        self.drawn += flat.size
+
+
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+@pytest.mark.parametrize("grid", ["white-1-64", "riesz-2-16", "riesz-3-8"])
+def test_point_law_is_the_step_loops_law(grid, kind):
+    """The shell loop is linear in its normals, so the covariance of
+    u(k dt, 0) is the sum of h h^T over its responses h to each unit
+    normal, and its mean is the loop's noiseless run.  point_law must give
+    both at every step and at a few steps read, to 1e-12 relative, in
+    d = 1, 2 and 3, with a drift."""
+    kind_, d, m, beta = _SHELL_MODELS[grid]
+    model = noise.make_noise_model(kind_, d=d, Lbox=8.0, m=m, beta=beta)
+    dt = 0.9 * model.dx**2 if kind == "heat" else 0.5 * model.dx
+    coeffs, u0, n = spde.constant_coefficients(0.7, 0.4), 0.3, 12
+    shells = spde.radius_shells(model)[1].size
+    normals = n * spde.noises_per_step(kind) * shells
+
+    def loop(indices):
+        return shell_solve(model, kind, coeffs, u0, n * dt, dt,
+                           [_UnitNormal(i) for i in indices]).point_series
+
+    noiseless = loop([-1])[0]
+    h = loop(range(normals)) - noiseless
+    want = (h.T @ h)[1:, 1:]
+    mean, cov = spde.point_law(model, kind, coeffs, u0, dt,
+                               np.arange(1, n + 1))
+    assert _rel_err(cov, want) < 1e-12
+    assert _rel_err(mean, noiseless[1:]) < 1e-12
+    read = np.array([2, 5, 6, 12])
+    mean, cov = spde.point_law(model, kind, coeffs, u0, dt, read)
+    assert _rel_err(cov, want[np.ix_(read - 1, read - 1)]) < 1e-12
+    assert _rel_err(mean, noiseless[read]) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+def test_point_law_variance_is_grid_variance_g(kind):
+    """With sigma = 1 the variance of u(k dt, 0) is the grid functional g
+    at k dt."""
+    model = white(m=512)
+    dt = 2.0 * model.dx**2 if kind == "heat" else 0.5 * model.dx
+    steps = np.array([1, 2, 3, 8, 64, 127, 128])
+    _, cov = spde.point_law(model, kind, spde.constant_coefficients(), 0.0,
+                            dt, steps)
+    g = [noise.grid_variance_g(model, kind, k * dt) for k in steps]
+    assert _rel_err(np.diag(cov) / g, np.ones(steps.size)) < 1e-12
+
+
+def _delta_exact(model, kind, dt, k0, lag_steps):
+    """The exact time-Holder slope: fit_scaling of the increment variance
+    C(t0 + tau, t0 + tau) - 2 C(t0, t0 + tau) + C(t0, t0) over the lags."""
+    steps = np.concatenate([[k0], k0 + np.asarray(lag_steps)])
+    _, cov = spde.point_law(model, kind, spde.constant_coefficients(), 0.0,
+                            dt, steps)
+    msq = np.diag(cov)[1:] - 2.0 * cov[0, 1:] + cov[0, 0]
+    return fit_scaling(dt * np.asarray(lag_steps, dtype=float), msq).slope
+
+
+def test_delta_exact_on_the_wave_acceptance_grid():
+    # test_04's grid: wave, white noise, m = 512, t0 at step 384 of 448
+    model = white(m=512)
+    delta = _delta_exact(model, WAVE, 0.5 * model.dx, 384, [8, 16, 32, 48, 64])
+    assert delta == pytest.approx(1.0538, abs=5e-4)
+
+
+def test_exact_paths_draw_one_normal_per_step_read():
+    """A constant-sigma path draws len(steps) normals in one call, and its
+    values are mean + np.dot(L, z), L the Cholesky factor of the law."""
+    model = white()
+    dt = 0.5 * model.dx
+    coeffs = spde.constant_coefficients(1.3, 0.7)
+    read = [3, 7, 8, 20]
+    rngs = [_CallLog(path_rng(6, "exact", i)) for i in range(3)]
+    sol = spde.solve_batch(model, WAVE, coeffs, 0.2, 20 * dt, dt, rngs,
+                           steps=read)
+    mean, cov = spde.point_law(model, WAVE, coeffs, 0.2, dt, read)
+    factor = np.linalg.cholesky(cov)
+    for i, rng in enumerate(rngs):
+        assert rng.steps == [len(read)]
+        ref = path_rng(6, "exact", i)
+        z = ref.standard_normal(len(read))
+        assert sol.point_series[i].tobytes() \
+            == (mean + np.dot(factor, z)).tobytes()
+        assert rng.rng.random() == ref.random()
+    # every step: column 0 is u0 at time 0, and the law gives steps 1..20
+    every = spde.solve_batch(model, WAVE, coeffs, 0.2, 20 * dt, dt,
+                             [path_rng(6, "exact", 0)])
+    assert every.point_series.shape == (1, 21)
+    assert every.point_series[0, 0] == 0.2
+
+
+def test_law_without_a_factor_is_refused_by_name(monkeypatch):
+    """A covariance that has no Cholesky factor raises SingularLawError
+    with its condition number; no jitter is added.  sigma = 0 gives the
+    zero covariance, whose factor is zero: the paths are the mean."""
+    model = white()
+    dt = model.dx**2
+
+    def singular(*_args):
+        return np.zeros(2), np.ones((2, 2))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spde, "point_law", singular)
+        with pytest.raises(spde.SingularLawError, match="condition number"):
+            spde.solve_batch(model, HEAT, spde.constant_coefficients(), 0.0,
+                             4 * dt, dt, [path_rng(0, "sing", 0)],
+                             steps=[2, 4])
+    still = spde.solve_batch(model, HEAT, spde.constant_coefficients(0.0, 0.5),
+                             0.1, 4 * dt, dt, [path_rng(0, "sing", 1)],
+                             steps=[2, 4])
+    assert still.point_series.tolist() == [[0.1 + 0.5 * 2 * dt,
+                                            0.1 + 0.5 * 4 * dt]]
+    with pytest.raises(ValueError, match="constant sigma"):
+        spde.point_law(model, HEAT, spde.anderson_coefficients(), 0.0, dt, [1])
+
+
+# ---------------------------------------------------------------------------
 # variance targets (MC)
 # ---------------------------------------------------------------------------
 
@@ -490,10 +648,10 @@ def test_heat_variance_matches_grid_functional():
     model = white(m=128)
     dt = 0.05 / 32
     B = 512
-    sol = spde.solve_batch(model, HEAT, spde.constant_coefficients(1.0, 0.0),
-                           0.0, 0.05, dt,
-                           [path_rng(7, "hvar", i) for i in range(B)],
-                           eps_grid=[8 * dt, 16 * dt])
+    sol = shell_solve(model, HEAT, spde.constant_coefficients(1.0, 0.0),
+                      0.0, 0.05, dt,
+                      [path_rng(7, "hvar", i) for i in range(B)],
+                      eps_grid=[8 * dt, 16 * dt])
     v = sol.final_point_values().var(ddof=1)
     want = noise.grid_variance_g(model, HEAT, 0.05)
     assert abs(v - want) < 4.0 * want * np.sqrt(2.0 / (B - 1))
@@ -509,10 +667,10 @@ def test_wave_variance_matches_grid_functional():
     dt = 0.5 * model.dx
     B = 512
     t_end = 16 * dt
-    sol = spde.solve_batch(model, WAVE, spde.constant_coefficients(1.0, 0.0),
-                           0.0, t_end, dt,
-                           [path_rng(9, "wvar", i) for i in range(B)],
-                           eps_grid=[4 * dt])
+    sol = shell_solve(model, WAVE, spde.constant_coefficients(1.0, 0.0),
+                      0.0, t_end, dt,
+                      [path_rng(9, "wvar", i) for i in range(B)],
+                      eps_grid=[4 * dt])
     v = sol.final_point_values().var(ddof=1)
     want = noise.grid_variance_g(model, WAVE, t_end)
     assert abs(v - want) < 4.0 * want * np.sqrt(2.0 / (B - 1))
@@ -558,6 +716,27 @@ def test_time_grid_validation():
         with pytest.raises(ValueError, match="must be positive"):
             spde.solve_batch(model, HEAT, c, 0.0, t_end, step,
                              [path_rng(0, "t", 3)])
+    # an infinite horizon has no step count
+    with pytest.raises(ValueError, match="positive and finite"):
+        spde.solve_batch(model, HEAT, c, 0.0, np.inf, dt,
+                         [path_rng(0, "t", 3)])
+    # the steps read: sorted, distinct integers in 1..n_steps, each refused
+    # before any draw, for either sigma
+    for coeffs in (c, spde.anderson_coefficients()):
+        for bad, word in (([4, 2], "sorted"), ([2, 2, 4], "repeats"),
+                          ([0, 4], "1..16"), ([4, 17], "1..16"),
+                          ([], "non-empty"), ([2.0, 4.0], "integer")):
+            rng = path_rng(0, "t", 5)
+            with pytest.raises(ValueError, match=word):
+                spde.solve_batch(model, HEAT, coeffs, 0.0, 16 * dt, dt, [rng],
+                                 steps=bad)
+            assert rng.random() == path_rng(0, "t", 5).random()
+    # a constant sigma is drawn from its law, which records no eps data
+    rng = path_rng(0, "t", 6)
+    with pytest.raises(ValueError, match="constant sigma takes no eps_grid"):
+        spde.solve_batch(model, HEAT, c, 0.0, 16 * dt, dt, [rng],
+                         eps_grid=[4 * dt])
+    assert rng.random() == path_rng(0, "t", 6).random()
     # the eps record has one column per step: none, or two on one step,
     # is refused before any draw
     for bad in ([], [2 * dt, 2 * dt, 4 * dt]):
@@ -603,6 +782,25 @@ def test_time_holder_fit_on_brownian_paths():
     assert abs(fit.slope - 1.0) < 0.05
     # the fitted points: each lag's mean within 4 standard errors of tau
     assert np.all(np.abs(means - lags) < 4.0 * errs)
+
+
+def test_time_holder_reads_columns_by_their_times():
+    """The stored columns need not be evenly spaced: a series kept at t0
+    and t0 + each lag gives the fit of the full series, byte for byte."""
+    rng = path_rng(11, "bm", 1)
+    dt = 1.0 / 128
+    series = np.concatenate(
+        [np.zeros((50, 1)),
+         np.cumsum(rng.standard_normal((50, 128)) * np.sqrt(dt), axis=1)],
+        axis=1)
+    lags = dt * np.array([1, 2, 4, 8, 16])
+    read = np.array([64, 65, 66, 68, 72, 80])
+    full = spde.time_holder_delta(series, np.arange(129) * dt, 64 * dt, lags)
+    kept = spde.time_holder_delta(series[:, read], read * dt, 64 * dt, lags)
+    assert kept[0] == full[0]
+    assert kept[1].tobytes() == full[1].tobytes()
+    with pytest.raises(ValueError, match="stored"):
+        spde.time_holder_delta(series[:, read], read * dt, 64 * dt, 3 * lags)
 
 
 def test_time_holder_needs_two_paths():
