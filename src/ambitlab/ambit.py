@@ -8,25 +8,23 @@ with A_t(x), B_t(x) cones {0 <= s <= t, |x - y| <= c (t - s)^zeta}
 either constants or Weierstrass-type random fields with Hölder exponents
 known by construction.  Everything is d = 1.
 
-The stochastic integral freezes sigma at cell midpoints of the sampling
-partition (a predictable simple-process approximation) and is driven by
-one jump record draw per path; the record makes the coupled approximation
+With constant sigma the stochastic integral is exactly alpha-stable, and
+density_sample draws it from that law (levy.sample_integral).  Otherwise
+sigma is frozen at the cell midpoints of the sampling partition and each
+path is driven by one jump record draw, which the coupled approximation
 
     X_eps(t, x) = U_eps(t, x) + sigma(t - eps, x) * int int_slab g dL
 
-share every jump and every sub-truncation Gaussian with the exact field.
-Cells are time-major and every t - eps is a time edge, so one reduction
-of a stack's records to per-row integrals gives X_eps at every edge asked
-for, as a prefix (history) and a suffix (slab) of them; at the last edge,
-t, the slab is empty and X_eps is X.  Paths are sampled and reduced in
-stacks (sample_stack; make_path is a stack of one): each path's generator
-makes the same calls in the same order whatever the stack, so results do
-not depend on how paths are stacked.  error_decay and density_sample's
-random-coefficient branch run one path ensemble of such stacks.
-For time-singular kernels the sub-truncation Gaussian variance is the
-cell-midpoint quadrature, converging only in the joint cell/tau
-refinement (the slab terms of the paired gap cancel to the order of the
-volatility modulus, which is what the decay experiments measure).
+shares, every jump and sub-truncation Gaussian alike.  Cells are
+time-major and every t - eps is a time edge, so one reduction of a
+stack's records to per-row integrals gives X_eps at every edge asked for,
+as a prefix (history) and a suffix (slab); at the last edge, t, X_eps is
+X.  Each path's generator makes the same calls whatever the stack
+(sample_stack; make_path is a stack of one), so results do not depend on
+the stacking.  error_decay and density_sample's random-coefficient branch
+run one path ensemble of such stacks.  For time-singular kernels the
+sub-truncation Gaussian variance is the cell-midpoint quadrature,
+converging only in the joint cell/tau refinement.
 """
 
 from __future__ import annotations
@@ -713,27 +711,41 @@ class DensitySample:
     values: np.ndarray
     weights: object          # per-draw array, or one float for every draw
     discretization: AmbitDiscretization
-    jumps_per_draw: float    # mean jump count per sample
-    tally: dict              # bulk sampler's tally (None for the ensemble)
-    integrand: str           # bulk jump integrand: "constant" or "callable"
+    law: tuple               # levy.stable_law of the integral, or None
+    jumps_per_draw: float    # mean jump count per path (None for the law)
     sampler_s: float
 
 
-def _box_constant(spec, disc):
-    """g's value if 1_A g is that one number at every jump the bulk
-    sampler can draw, else None.  That needs a slab, a constant kernel and
-    the slab's indicator true at both extreme jump corners; as the jump
-    maps are monotone, every jump, and every cell midpoint, then lies
-    inside the slab.  So a cone, a power or bump kernel, a slab narrower
-    than the drift set, or a box edge that rounds out of the slab keeps
-    the per-jump callable."""
-    g = spec.kernel_g
-    if spec.ambit_set.zeta or g.kind != "constant":
-        return None
-    s, y = levy.jump_bounds(disc.box_model)
-    if not np.all(spec.ambit_set.indicator(disc.t, disc.x, s, y)):
-        return None
-    return g.value
+@dataclass(frozen=True)
+class _Integrand:
+    """(s, y) -> scale * 1_A g: X(t, x)'s integrand for sigma = scale."""
+
+    spec: AmbitSpec
+    t: float
+    x: float
+    scale: float
+
+    def __call__(self, s, y):
+        t, x = self.t, self.x
+        return self.spec.ambit_set.indicator(t, x, s, y) \
+            * self.spec.kernel_g(t, s, x, y) * self.scale
+
+    def cell_masses(self, cells, p):
+        """int int_cell |f|^p per cell (levy._cell_masses): the midpoint
+        rule, but the power kernel's (t - s)^(-theta p) integrates exactly
+        per row, ((t - s0)^q - (t - s1)^q) / q with q = 1 - theta p."""
+        g, mid = self.spec.kernel_g, (cells.s_mid, cells.y_mid)
+        if g.kind != "power":
+            return np.abs(self(*mid)) ** p * cells.cell_vol
+        q = 1.0 - g.theta * p
+        lag = self.t - cells.time_edges
+        with np.errstate(divide="ignore"):   # inf on the row ending at t
+            rows = np.log(lag[:-1] / lag[1:]) if q == 0.0 \
+                else (lag[:-1] ** q - lag[1:] ** q) / q
+        masses = np.outer(rows, np.diff(cells.space_edges)).ravel()
+        masses *= abs(g.value * self.scale) ** p
+        inside = self.spec.ambit_set.indicator(self.t, self.x, *mid)
+        return np.where(inside, masses, 0.0)
 
 
 def density_sample(spec, model, t, x, n, n_paths, *, master_seed=0,
@@ -741,43 +753,25 @@ def density_sample(spec, model, t, x, n, n_paths, *, master_seed=0,
     """n_paths draws of X(t, x) with their weights |sigma(t, x)|^n, the
     sample besov.criterion_report judges.
 
-    Deterministic coefficient fields take one bulk sampler call (one
-    integrand, n_paths draws, chunk c drawn from child c of the
-    "ambit-density" path_rng stream) whose whole chunks run on `workers`
-    threads; random volatility runs the path ensemble over `workers` in
-    stacks of PATHS_PER_STACK paths.  Either way the sample is the same
-    for any worker count.
+    Deterministic coefficient fields make the stochastic integral exactly
+    stable, drawn by one levy.sample_integral call on the "ambit-density"
+    path_rng stream's first generator; random volatility runs the path
+    ensemble over `workers` in stacks of PATHS_PER_STACK paths.  Either way
+    the sample is the same for any worker count.
     """
     disc = make_discretization(spec, model, t, x, nt=nt, nx=nx)
     clock = time.perf_counter()
     if spec.sigma.is_constant and spec.b.is_constant:
         sig0 = spec.sigma.value
-        b0 = spec.b.value
-        g0 = _box_constant(spec, disc)
-
-        if g0 is None:
-            def f(s, y):
-                ind = spec.ambit_set.indicator(t, x, s, y)
-                return ind * spec.kernel_g(t, s, x, y) * sig0
-        else:
-            # (1_A g)(s, y) * sig0 is g0 * sig0 on the whole box
-            scale = g0 * sig0
-
-            def f(s, y):
-                return scale
-
-        rng = path_rng(master_seed, "ambit-density", 0)
-        tally = {}
-        stoch = levy.sample_integral(disc.box_model, f, rng,
-                                     n_draws=n_paths, cells=disc.cells,
-                                     workers=workers, tally=tally)
-        # spec.x0 + stoch + drift in that order, the second sum in place
-        # (stoch itself stays the sampler's draws)
-        values = spec.x0 + stoch
-        values += float(np.sum(disc.drift_cell * b0))
+        f = _Integrand(spec, disc.t, disc.x, sig0)
+        law = levy.stable_law(disc.box_model, f, disc.cells)
+        values = levy.sample_integral(
+            disc.box_model, f, path_rng(master_seed, "ambit-density", 0),
+            n_draws=n_paths, cells=disc.cells)
+        values += spec.x0    # x0 + X + drift, in place
+        values += float(np.sum(disc.drift_cell * spec.b.value))
         weights = abs(sig0) ** n
-        counters = dict(jumps_per_draw=tally["jumps"] / n_paths, tally=tally,
-                        integrand="callable" if g0 is None else "constant")
+        jumps = None
     else:
         # X and sigma(t, x): the last time edge is t
         x_t, sigma, jumps = _ensemble(spec, disc, [-1], n_paths,
@@ -785,7 +779,6 @@ def density_sample(spec, model, t, x, n, n_paths, *, master_seed=0,
                                       stream="ambit-density",
                                       workers=workers)
         values, weights = x_t[:, 0], np.abs(sigma) ** n
-        counters = dict(jumps_per_draw=float(jumps.mean()), tally=None,
-                        integrand=None)
-    return DensitySample(values, weights, disc,
-                         sampler_s=time.perf_counter() - clock, **counters)
+        law, jumps = None, float(jumps.mean())
+    return DensitySample(values, weights, disc, law, jumps,
+                         time.perf_counter() - clock)

@@ -4,8 +4,9 @@ module operation, and emit deterministic artifacts.
 results.csv is long-format (experiment, quantity, x, value, stderr) with
 %.12g floats.  The path ensembles run through the fixed-block ensemble
 runner, the SPDE ones in blocks of spde.paths_per_block(model) paths;
-ambit-density's bulk sampler and besov-stat draw from one path_rng stream
-directly.  Either way the bytes never depend on the worker count.
+ambit-density's exact stable draws (constant coefficients) and besov-stat
+draw from one path_rng generator directly.  Either way the bytes never
+depend on the worker count.
 summary.json holds the exponents, Monte-Carlo fits and verdicts plus the
 config hash and seed; a non-finite number in it is null.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import platform
-import statistics
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -317,23 +317,12 @@ def _exp_ambit_density(cfg):
     n_rows, n_cols = sample.discretization.cells.shape
     logs = [f"tau={sample.discretization.box_model.tau:.6g}",
             f"cells={n_rows}x{n_cols}"]
-    logs.append(f"jumps_per_draw={sample.jumps_per_draw:.2f}")
-    tally = sample.tally
-    if tally is not None:
-        chunk_s = tally["chunk_s"]
-        # the most bytes one worker's reused uniform buffer held
-        scratch = 8 * tally["uniforms_per_jump"] \
-            * max(tally["buffer_jumps"], tally["max_chunk_jumps"])
-        logs += [f"chunks={tally['chunks']}",
-                 f"draws_per_chunk={tally['draws_per_chunk']}",
-                 f"integrand={sample.integrand}",
-                 f"uniforms_per_jump={tally['uniforms_per_jump']}",
-                 f"max_chunk_jumps={tally['max_chunk_jumps']}",
-                 f"scratch_bytes_per_worker={scratch}",
-                 f"chunk_s_min={min(chunk_s):.4f}",
-                 # not np.median, which would import numpy.ma in the run
-                 f"chunk_s_median={statistics.median(chunk_s):.4f}",
-                 f"chunk_s_max={max(chunk_s):.4f}"]
+    if sample.law is None:
+        logs.append(f"jumps_per_draw={sample.jumps_per_draw:.2f}")
+    else:
+        logs.append("law=stable")
+        logs += [f"{name}={value:.6g}" for name, value
+                 in zip(("scale", "skew", "shift"), sample.law)]
     logs.append(f"sampler_s={sample.sampler_s:.3f}")
     return _criterion_result(sample.values, sample.weights, a["n"],
                              a["holder"], logs, n=a["n"],

@@ -5,24 +5,17 @@ The Lévy measure family is the two-sided power law
     rho(dz) = c_plus 1_{z>0} z^(-alpha-1) dz + c_minus 1_{z<0} |z|^(-alpha-1) dz,
 
 and the control measure is Lebesgue measure on the box [0, T] x [lo, hi].
-The module provides
-
-* the sharp assumption constants of the family (tail moments, truncated
-  second moment, cosine lower bound), each in closed form,
-* simulation of X = int int f dL by compound-Poisson jumps above the
-  model's truncation tau plus a variance-matched Gaussian for the sub-tau
-  part (sample_integral), and of jump records (sample_records) that replay
-  a second integrand against the *same* noise (replay_integral), and
-* the characteristic exponent RePsi = A |xi|^alpha, A by midpoint
-  quadrature of |f|^alpha on the cell grid.
+Here are the family's assumption constants in closed form, the exact
+alpha-stable law of X = int int f dL for a deterministic f (stable_law,
+characteristic_exponent) and its Chambers-Mallows-Stuck draws
+(sample_integral), and, for random integrands, jump records
+(sample_records: compound-Poisson jumps above the model's truncation tau,
+a matched Gaussian below it) that replay against the *same* noise.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +30,8 @@ __all__ = [
     "build_cells",
     "JumpRecord",
     "cell_factors",
-    "jump_bounds",
     "sample_records",
+    "stable_law",
     "sample_integral",
     "replay_integral",
     "CharacteristicExponent",
@@ -50,7 +43,7 @@ __all__ = [
 class LevyBasisModel:
     """Stable-like basis: index alpha, one-sided weights, the box
     [0, T] x [lo, hi] with Lebesgue control, and the small-jump truncation
-    tau, below which the samplers draw a matched Gaussian."""
+    tau, below which the jump records draw a matched Gaussian."""
 
     alpha: float
     c_plus: float
@@ -169,10 +162,6 @@ class CellGrid:
     def n_cells(self):
         return self.s_mid.size
 
-    def quadrature(self, values):
-        """Midpoint quadrature of a per-cell sample against Lebesgue."""
-        return float(np.sum(values * self.cell_vol))
-
 
 def build_cells(model, nt=32, nx=32, extra_time_edges=()) -> CellGrid:
     t_edges = np.linspace(0.0, model.T, nt + 1)
@@ -240,117 +229,63 @@ def replay_integral(model, record, f):
     # different integrand against the same normals couples pathwise
     sd = cell_factors(model, record.cells)[0]
     gauss_part = record.cell_normals @ (f_mid * sd)
-    comp = _sub_tau_law(model)[1] * record.cells.quadrature(f_mid)
+    comp = _sub_tau_law(model)[1] \
+        * float(np.sum(f_mid * record.cells.cell_vol))
     return jump_part + gauss_part - comp
 
 
-# Most expected jumps per draw the samplers accept: a model whose tau asks
-# for more is taken for a resolution error rather than a costly draw.
+# Most expected jumps per draw sample_records accepts: a model whose tau
+# asks for more is taken for a resolution error rather than a costly draw.
 _MAX_EXPECTED_JUMPS = 250_000.0
 
 
 def _check_integrand(model, cells, f_mid):
     """Sampler preconditions on the cell values of f (one integrand per row
-    of a stack (..., n_cells)); returns the expected jump count per draw."""
-    alpha = model.alpha
+    of a stack (..., n_cells)): finite, with int int |f|^alpha finite."""
     if not np.all(np.isfinite(f_mid)):
         raise ValueError("integrand not finite on the cell lattice")
-    # eq-style integrability audit: int int |f|^alpha dlambda must be finite.
-    # With finite values a row's sum can only fail by overflow, so the
-    # per-cell audit runs only when max|f|^alpha max(vol) n_cells is not
-    # comfortably finite.  Overflow is the failure tested for, not a warning.
+    # int int |f|^alpha must be finite: with finite values a row's sum can
+    # only overflow, so the per-cell audit runs only when max|f|^alpha
+    # max(vol) n_cells is not comfortably finite (overflow is not a warning)
     f_max = max(np.max(f_mid), -np.min(f_mid))
     with np.errstate(over="ignore"):
-        if not f_max ** alpha * np.max(cells.cell_vol) * cells.n_cells < 1e300:
+        if not f_max ** model.alpha * np.max(cells.cell_vol) * cells.n_cells \
+                < 1e300:
             mass = np.abs(f_mid, dtype=float)
-            mass **= alpha
+            mass **= model.alpha
             mass *= cells.cell_vol
             if not np.all(np.isfinite(np.sum(mass, axis=-1))):
                 raise ValueError(
                     "integrand fails the |f|^alpha integrability check")
 
-    rate_bound = model.box_volume * model.c_sum * model.tau ** -alpha / alpha
-    if not np.isfinite(rate_bound) or rate_bound > _MAX_EXPECTED_JUMPS:
-        raise ValueError(
-            f"expected jump count {rate_bound:.3g} per draw exceeds the "
-            f"resolution budget {_MAX_EXPECTED_JUMPS:.3g}; raise tau")
-    return rate_bound
-
 
 # Uniform blocks of the jump stream, one uniform per jump each, in stream
-# order: times, positions, signs and magnitudes.  A one-number integrand
-# reads only the last two.
+# order: times, positions, signs and magnitudes.
 _BLOCKS = 4
-_SIZE_BLOCKS = 2
-
-# Expected jumps per chunk of sample_integral's draws.  Each worker reuses
-# one uniform buffer of 16 bytes per jump, some 4 MB (32 bytes, 8 MB, for
-# a callable integrand), and a chunk allocates about 8.5 bytes per jump
-# besides (the draw index and the sign test; tracemalloc at 2.5e5 jumps).
-# Measured on the ambit-density benchmark: wall time is flat from 1.25e5
-# to 5e5, and peak RSS grows with the chunk while page faults are fewest
-# near 2.5e5.
-_JUMPS_PER_CHUNK = 250_000.0
-
-# Poisson standard deviations above a chunk's expected jump total that each
-# worker's reused uniform buffer holds; a chunk past it gets a larger one.
-_MARGIN_SD = 6.0
-
-
-def _map_sizes(model, sign, z):
-    """Signed sizes of the jumps whose sign and magnitude uniform blocks
-    are sign and z, mapped in place into z: +-tau * z**(-1/alpha),
-    negative where the sign uniform falls past c_plus / c_sum."""
-    # the sign row becomes +-0.5 in place: copysign needs no mask, and
-    # flips nothing else since the sizes are positive
-    sign *= model.c_sum
-    np.subtract(0.5, sign >= model.c_plus, out=sign)
-    z **= -1.0 / model.alpha
-    np.multiply(model.tau, z, out=z)
-    return np.copysign(z, sign, out=z)
-
-
-def _map_jumps(model, u):
-    """Times, positions and signed sizes of the jumps whose _BLOCKS uniform
-    blocks are the rows of u, in stream order.  Times and positions are
-    mapped in place as uniform() maps doubles (lo + (hi - lo) * u), sizes
-    by _map_sizes."""
-    s, y, sign, z = u
-    s *= model.T
-    lo, hi = model.domain
-    y *= hi - lo
-    y += lo
-    return s, y, _map_sizes(model, sign, z)
-
-
-def jump_bounds(model):
-    """(s, y): the least and greatest time and position a sampled jump
-    can take, as _map_jumps maps the least and greatest double random()
-    returns, 0 and 1 - 2**-53.  The maps are monotone, so every jump time
-    and position lies between the two, rounding included."""
-    u = np.array([0.0, 1.0 - 2.0 ** -53])
-    s, y, _ = _map_jumps(model, np.stack([u, u, u, np.ones(2)]))
-    return s, y
 
 
 def sample_records(model, f_mid, rngs, *, cells) -> JumpRecord:
     """The noise of one integral per generator (the jumps above the
     model's tau and the cell normals of the Gaussian below it) against
     integrands known by their cell-midpoint values (row i of f_mid for
-    rngs[i]), checked as sample_integral checks f and stacked as one
-    record of len(rngs) draws.
+    rngs[i]), stacked as one record of len(rngs) draws.  A model whose tau
+    asks for more than _MAX_EXPECTED_JUMPS jumps per draw is refused.
 
-    Generator i draws poisson(rate_bound, 1) for its jump count tot, then
-    the uniforms of random((_BLOCKS, tot)), a row per block, then
-    standard_normal(n_cells) for its cell normals.  So a draw never depends
-    on the draws stacked with it; only the arithmetic on the drawn numbers
-    runs once per stack.  Every count is drawn first, so the uniforms go
-    straight into the stack's blocks: random(out=) fills a row in the
-    order random((_BLOCKS, tot)) would.
+    Generator i draws poisson(rate_bound, 1) for its jump count tot, the
+    uniforms of random((_BLOCKS, tot)) row by row, then
+    standard_normal(n_cells), so a draw never depends on the draws stacked
+    with it.  Every count comes first, so random(out=) fills the stack's
+    blocks directly, in the order random((_BLOCKS, tot)) would.
     """
     if np.shape(f_mid) != (len(rngs), cells.n_cells):
         raise ValueError("need one row of cell values per generator")
-    rate_bound = _check_integrand(model, cells, f_mid)
+    _check_integrand(model, cells, f_mid)
+    rate_bound = model.box_volume * model.c_sum * model.tau ** -model.alpha \
+        / model.alpha
+    if not np.isfinite(rate_bound) or rate_bound > _MAX_EXPECTED_JUMPS:
+        raise ValueError(
+            f"expected jump count {rate_bound:.3g} per draw exceeds the "
+            f"resolution budget {_MAX_EXPECTED_JUMPS:.3g}; raise tau")
     counts = np.array([rng.poisson(rate_bound, 1)[0] for rng in rngs],
                       dtype=np.int64)
     ends = np.cumsum(counts)
@@ -360,124 +295,108 @@ def sample_records(model, f_mid, rngs, *, cells) -> JumpRecord:
         for row in u[:, start:end]:
             rng.random(out=row)
         rng.standard_normal(out=out)
-    s, y, z = _map_jumps(model, u)
-    return JumpRecord(cells=cells, counts=counts, s=s, y=y, z=z,
-                      cell_normals=normals)
+    # in place: times and positions as uniform() maps doubles, sizes
+    # +-tau * z**(-1/alpha), negative where the sign uniform falls past
+    # c_plus / c_sum; the sign row becomes +-0.5, so copysign needs no
+    # mask, and flips nothing else since the sizes are positive
+    s, y, sign, z = u
+    s *= model.T
+    lo, hi = model.domain
+    y *= hi - lo
+    y += lo
+    sign *= model.c_sum
+    np.subtract(0.5, sign >= model.c_plus, out=sign)
+    z **= -1.0 / model.alpha
+    np.multiply(model.tau, z, out=z)
+    return JumpRecord(cells=cells, counts=counts, s=s, y=y,
+                      z=np.copysign(z, sign, out=z), cell_normals=normals)
 
 
-def sample_integral(model, f, rng, *, n_draws, cells=None, workers=1,
-                    tally=None):
+# ---------------------------------------------------------------------------
+# the exact law of a deterministic integrand
+# ---------------------------------------------------------------------------
+
+
+def _cell_masses(f, f_mid, cells, p):
+    """Per cell, int int_cell |f|^p: f.cell_masses(cells, p) where f has
+    that method, else the midpoint rule."""
+    exact = getattr(f, "cell_masses", None)
+    return exact(cells, p) if exact else np.abs(f_mid) ** p * cells.cell_vol
+
+
+def stable_law(model, f, cells=None):
+    """(scale, skew, shift) of the exact law of X = int int f dL for a
+    deterministic f, on the cells given or else on build_cells(model):
+    log E e^(i xi X) = -(scale |xi|)^alpha (1 - i skew sign(xi) tan(pi
+    alpha / 2)) + i shift xi, with scale^alpha = c_sum K_alpha int int
+    |f|^alpha (characteristic_exponent's A), skew = c_diff int int
+    sign(f) |f|^alpha / (c_sum int int |f|^alpha) and shift = c_diff /
+    (alpha - 1) int int f, the 1_{[-1,1]} compensation's (Samorodnitsky-
+    Taqqu 1994, ch. 3).  Asymmetric alpha = 1 is refused."""
+    a = model.alpha
+    if a == 1.0 and model.c_diff:
+        raise ValueError("an asymmetric basis (c_plus != c_minus) at "
+                         "alpha = 1 has a log-scale shift: no stable_law")
+    if cells is None:
+        cells = build_cells(model)
+    f_mid = np.asarray(f(cells.s_mid, cells.y_mid), dtype=float)
+    _check_integrand(model, cells, f_mid)
+    A = characteristic_exponent(model, f, 1.0, cells=cells).alpha_coefficient
+    skew = shift = 0.0
+    if model.c_diff and A:   # a zero integrand has no skew: no 0/0
+        sign = np.sign(f_mid)
+        skew = float(model.c_diff * kappa_alpha(a) / A
+                     * np.sum(sign * _cell_masses(f, f_mid, cells, a)))
+        shift = float(model.c_diff / (a - 1.0)
+                      * np.sum(sign * _cell_masses(f, f_mid, cells, 1.0)))
+        if not math.isfinite(shift):
+            raise ValueError("integrand's shift int int f diverges")
+    return A ** (1.0 / a), skew, shift
+
+
+def sample_integral(model, f, rng, *, n_draws, cells=None):
     """(n_draws,) draws of X = int_0^T int_D f(s, y) L(ds, dy), on the
-    cells given or else on build_cells(model).
-
-    Jumps with |z| above the model's tau come from a compound-Poisson
-    sampler (uniform times and positions on the box, Pareto magnitudes);
-    jumps below tau are replaced by a centred per-cell Gaussian matching
-    the truncated second moment; the raw simulation of (tau, 1] jumps is
-    compensated per the 1_{[-1,1]} truncation convention of the
-    characteristic exponent.
-
-    The draws come in chunks of about _JUMPS_PER_CHUNK expected jumps, so
-    the chunk count depends on n_draws and the jump rate only.  Chunk c
-    draws from its own generator rng.spawn(n_chunks)[c] and rng itself
-    draws nothing; each call spawns new children, so two calls on one rng
-    give independent values.  The `workers` threads draw whole chunks, so
-    the values are the same for any count.  A dict passed as tally
-    receives the work done: chunks, draws_per_chunk (of every chunk but
-    the last), jumps (over all draws), max_chunk_jumps (of the largest
-    chunk), buffer_jumps (the jumps each worker's uniform buffer starts
-    with room for), chunk_s (the wall time of each chunk, in chunk order)
-    and uniforms_per_jump (the uniforms each jump reads: 2 or _BLOCKS).
-
-    Chunk c's stream is poisson(rate_bound, nb) for its jump counts, tot
-    in all, then the uniforms of random((_BLOCKS, tot)), a row per block,
-    then standard_normal(nb) for the sub-tau Gaussian.  The uniforms go
-    by random(out=) into the first uniforms_per_jump * tot doubles of the
-    one buffer its worker reuses for the whole call, which fills them in
-    the order random((uniforms_per_jump, tot)) would; a chunk past the
-    buffer replaces it with a larger one.  Where f is one number c on the
-    whole box it may return c itself, which scales the jumps and cells as
-    the array of c would: then only the sign and magnitude blocks are
-    read, and the chunk advances its generator past blocks 0 and 1
-    instead of drawing them, which leaves the stream where the full draw
-    would (so rng must be a PCG64 or PCG64DXSM generator).
-    """
+    cells given or else on build_cells(model), from stable_law by
+    Chambers-Mallows-Stuck (JASA 71, 1976) in Weron's skewed form (Stat.
+    Probab. Lett. 28, 1996): with V = pi (u - 1/2) from random(n_draws),
+    then W from standard_exponential(n_draws), t = skew tan(pi alpha / 2)
+    and B = arctan(t) / alpha,
+    X = shift + scale (1 + t^2)^(1 / (2 alpha)) sin(alpha (V + B))
+    / cos(V)^(1/alpha) (cos(V - alpha (V + B)) / W)^((1 - alpha) / alpha),
+    the Cauchy shift + scale tan(V) at alpha = 1 (symmetric, so B = 0).
+    A zero integrand returns the shift and draws nothing."""
     n = int(n_draws)
     if n <= 0:
         raise ValueError("n_draws must be positive")
-    if int(workers) != workers or workers < 1:
-        raise ValueError("workers must be a positive integer")
-    if cells is None:
-        cells = build_cells(model)
-
-    f_mid = np.asarray(f(cells.s_mid, cells.y_mid), dtype=float)
-    rate_bound = _check_integrand(model, cells, f_mid)
-
-    values = np.empty(n)
-    sigma2, comp = _sub_tau_law(model)
-    total_sd = math.sqrt(float(np.sum(sigma2 * f_mid ** 2 * cells.cell_vol)))
-    comp *= cells.quadrature(f_mid)
-
-    constant = f_mid.ndim == 0
-    # advance() moves past exactly one random() double per step only for
-    # the PCG64 family
-    bit_generator = type(rng.bit_generator)
-    if constant and bit_generator not in (np.random.PCG64,
-                                          np.random.PCG64DXSM):
-        raise ValueError(
-            "a one-number integrand needs a PCG64 or PCG64DXSM generator, "
-            "whose advance() skips one random() double per step; got "
-            f"{bit_generator.__name__}")
-    size = max(1, int(_JUMPS_PER_CHUNK / max(rate_bound, 1.0)))
-    starts = range(0, n, size)
-    rngs = rng.spawn(len(starts))
-
-    # one uniform buffer per worker, reused by every chunk it runs: fresh
-    # blocks drawn in a worker thread would stay resident in its arena
-    k = _SIZE_BLOCKS if constant else _BLOCKS
-    mean = min(size, n) * rate_bound
-    buffer_jumps = max(0, math.ceil(mean + _MARGIN_SD * math.sqrt(mean)))
-    buffers = queue.SimpleQueue()
-    for _ in range(min(int(workers), len(starts))):
-        buffers.put(np.empty(k * buffer_jumps))
-
-    def chunk(start, chunk_rng):
-        clock = time.perf_counter()
-        nb = min(size, n - start)
-        counts = chunk_rng.poisson(rate_bound, nb)
-        tot = int(counts.sum())
-        buf = buffers.get()
-        try:
-            if buf.size < k * tot:
-                buf = np.empty(k * tot)
-            u = buf[:k * tot].reshape(k, tot)
-            if constant:
-                # random() takes one 64-bit output per double
-                chunk_rng.bit_generator.advance(
-                    (_BLOCKS - _SIZE_BLOCKS) * tot)
-                z = _map_sizes(model, *chunk_rng.random(out=u))
-                z *= f_mid
-            else:
-                s, y, z = _map_jumps(model, chunk_rng.random(out=u))
-                if tot:
-                    z *= f(s, y)
-            sums = np.bincount(np.repeat(np.arange(nb), counts), weights=z,
-                               minlength=nb)
-        finally:
-            # a chunk that raises still hands its buffer on
-            buffers.put(buf)
-        values[start:start + nb] = \
-            sums + total_sd * chunk_rng.standard_normal(nb) - comp
-        return tot, time.perf_counter() - clock
-
-    with ThreadPoolExecutor(int(workers)) as pool:
-        jumps, seconds = zip(*pool.map(chunk, starts, rngs))
-    if tally is not None:
-        tally.update(chunks=len(rngs), draws_per_chunk=size,
-                     jumps=sum(jumps), max_chunk_jumps=max(jumps),
-                     buffer_jumps=buffer_jumps, chunk_s=seconds,
-                     uniforms_per_jump=k)
-    return values
+    scale, skew, shift = stable_law(model, f, cells)
+    if not scale:
+        return np.full(n, shift)
+    a = model.alpha
+    v = rng.random(n)
+    v -= 0.5
+    v *= math.pi
+    # V keeps 1e-12 inside +-pi/2 (moving draws of 3e-13 per end): at the
+    # ends cos(V - alpha (V + B)) of a one-sided law may round below 0
+    lim = math.pi / 2.0 - 1e-12
+    np.clip(v, -lim, lim, out=v)
+    w = rng.standard_exponential(n)
+    t = skew * math.tan(math.pi * a / 2.0)
+    b = math.atan(t) / a
+    x = v + b
+    x *= a
+    # w becomes (cos(V - alpha (V + B)) / W)^((1 - alpha) / alpha)
+    c = np.subtract(v, x)
+    np.divide(np.cos(c, out=c), w, out=w)
+    w **= (1.0 - a) / a
+    np.cos(v, out=v)
+    v **= -1.0 / a
+    np.sin(x, out=x)
+    x *= v
+    x *= w
+    x *= (1.0 + t * t) ** (0.5 / a)
+    x *= scale
+    x += shift
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +407,6 @@ def sample_integral(model, f, rng, *, n_draws, cells=None, workers=1,
 @dataclass
 class CharacteristicExponent:
     values: np.ndarray           # RePsi(xi) at the xi asked for
-    alpha: float
     alpha_coefficient: float     # A with RePsi = A |xi|^alpha (stable family)
 
 
@@ -500,15 +418,16 @@ def characteristic_exponent(model, f, xi, *,
     The inner integral over the stable measure is closed-form,
     int (1 - cos(xi z u)) rho(dz) = c_sum K_alpha |xi u|^alpha, so the
     exponent reduces to A |xi|^alpha with A = K_alpha int int c_sum
-    |f|^alpha; the outer integral is midpoint quadrature on the cell grid.
+    |f|^alpha; the outer integral sums the cell integrals of |f|^alpha
+    (_cell_masses: the midpoint rule unless f gives them).
     """
     if cells is None:
         cells = build_cells(model)
     a = model.alpha
     f_mid = np.asarray(f(cells.s_mid, cells.y_mid), dtype=float)
     A = model.c_sum * kappa_alpha(a) \
-        * cells.quadrature(np.abs(f_mid) ** a)
+        * float(np.sum(_cell_masses(f, f_mid, cells, a)))
     if not np.isfinite(A):
         raise ValueError("characteristic exponent quadrature diverged")
     values = A * np.abs(np.asarray(xi, dtype=float)) ** a
-    return CharacteristicExponent(values, a, float(A))
+    return CharacteristicExponent(values, float(A))

@@ -6,10 +6,9 @@ integer-dof CDF solved by Newton's method), so the module needs no SciPy.
 Randomness comes from `path_rng`, a pure function of (master_seed, stream,
 path_index).  Path ensembles run through `run_ensemble_blocks`, whose fixed
 blocks and per-path RNGs make results bit-identical for any worker count.
-Single-draw experiments take one `path_rng` stream directly; the bulk Levy
-sampler (`levy.sample_integral`) draws each chunk from its own child of
-that stream (`Generator.spawn`) and runs whole chunks on its workers, with
-the same result for any worker count.
+Single-draw experiments, such as the exact stable draws of
+`levy.sample_integral`, take one `path_rng` generator directly and draw in
+one thread, so their result does not depend on the worker count either.
 """
 
 from __future__ import annotations

@@ -739,60 +739,57 @@ def test_random_volatility_density_sample_reads_each_path(model, workers):
         assert abs(sample.weights[i] - want) <= 8 * np.spacing(want)
 
 
-def _bulk_spec(ambit_set, kernel_g, drift_set=None):
-    return am.make_ambit_spec(ambit_set=ambit_set, drift_set=drift_set,
-                              kernel_g=kernel_g, sigma=am.constant_field(0.8),
+def test_zero_kernel_gives_a_constant_sample(model):
+    """g = 0 (the benchmark's wrong case): the stochastic integral is its
+    shift, 0, so every draw is x0 plus the drift."""
+    spec = am.make_ambit_spec(ambit_set=am.make_cone(1.0, 0.0),
+                              kernel_g=am.constant_kernel(0.0),
+                              sigma=am.constant_field(1.0),
                               b=am.constant_field(0.4), x0=0.1)
+    sample = am.density_sample(spec, model, 1.0, 0.0, 0, 500, nt=8, nx=8)
+    assert sample.law == (0.0, 0.0, 0.0)
+    drift = float(np.sum(sample.discretization.drift_cell * 0.4))
+    assert np.all(sample.values == 0.1 + drift)
 
 
-# (spec, x, integrand) of the bulk sampler: 1_A g sigma0 is one number on
-# the sampling box only for a slab that covers it and a constant kernel
-INTEGRAND_CASES = {
-    "slab": (_bulk_spec(am.make_cone(0.75, 0.0), am.constant_kernel(1.7)),
-             0.3, "constant"),
-    "cone": (_bulk_spec(am.make_cone(0.75), am.constant_kernel(1.7)), 0.3,
-             "callable"),
-    "power": (_bulk_spec(am.make_cone(0.75, 0.0), am.power_kernel(0.5, 1.7)),
-              0.3, "callable"),
-    "narrow": (_bulk_spec(am.make_cone(0.75, 0.0), am.constant_kernel(1.7),
-                          drift_set=am.make_cone(1.0, 0.0)), 0.3, "callable"),
-    # the box's last position x + 0.35 rounds to more than 0.35 from x
-    "edge": (_bulk_spec(am.make_cone(0.35, 0.0), am.constant_kernel(1.7)),
-             -23.021, "callable"),
-}
+@pytest.mark.parametrize("zeta,rel", [(0.0, 1e-12), (1.0, 5e-3)])
+def test_power_kernel_moment_is_exact_per_row(zeta, rel):
+    """int int |1_A g|^alpha of g = (t - s)^(-theta) over the cone of
+    aperture c is 2 c t^(1 + zeta - theta alpha) / (1 + zeta - theta
+    alpha): the law's cell integrals give it exactly on the slab and
+    within 0.5% on the zeta = 1 cone at 64 x 64, where the midpoint rule
+    misses the slab's by 7.6%."""
+    lite = lv.make_levy_model(1.2, 1 / 60, 1 / 60, T=1.0,
+                              domain=(-1.0, 1.0))
+    spec = am.make_ambit_spec(ambit_set=am.make_cone(1.0, zeta),
+                              kernel_g=am.power_kernel(0.5),
+                              sigma=am.constant_field(1.0),
+                              b=am.constant_field(0.0))
+    disc = am.make_discretization(spec, lite, 1.0, 0.0)
+    f = am._Integrand(spec, 1.0, 0.0, 1.0)
+    unit = lite.c_sum * lv.kappa_alpha(lite.alpha)
+
+    def moment(integrand):
+        return lv.characteristic_exponent(
+            disc.box_model, integrand, 1.0,
+            cells=disc.cells).alpha_coefficient / unit
+
+    q = 1.0 + zeta - 0.5 * lite.alpha
+    assert moment(f) == pytest.approx(2.0 / q, rel=rel)
+    if not zeta:
+        midpoint = moment(lambda s, y: f(s, y))
+        assert midpoint / (2.0 / q) - 1.0 == pytest.approx(-0.076, abs=5e-4)
 
 
-@pytest.mark.parametrize("case", sorted(INTEGRAND_CASES))
-def test_bulk_integrand_draws_the_per_jump_values(case, monkeypatch):
-    """density_sample applies 1_A g sigma0 as one number
-    only where it is that number on the whole sampling box, and either way
-    draws, bit for bit, the values of the per-jump callable."""
-    spec, x, kind = INTEGRAND_CASES[case]
-    lite = lv.make_levy_model(1.2, 1 / 60, 1 / 60)
-    sample = lv.sample_integral
-    drawn = []
-
-    def spy(*args, **kwargs):
-        drawn.append(sample(*args, **kwargs))
-        return drawn[-1]
-
-    def f(s, y):
-        return spec.ambit_set.indicator(1.0, x, s, y) \
-            * spec.kernel_g(1.0, s, x, y) * 0.8
-
-    monkeypatch.setattr(lv, "sample_integral", spy)
-    for workers in (1, 2):
-        got = am.density_sample(spec, lite, 1.0, x, 1, 13_000,
-                                master_seed=5, workers=workers, nt=8, nx=8)
-        assert got.integrand == kind
-        assert got.tally["chunks"] > 1
-        disc = got.discretization
-        want = sample(disc.box_model, f, path_rng(5, "ambit-density", 0),
-                      n_draws=13_000, cells=disc.cells,
-                      workers=workers)
-        assert np.array_equal(drawn[-1], want), workers
-        # one weight |sigma0|^n for every draw
-        assert got.values.shape == (13_000,) and got.weights == 0.8
+def test_divergent_power_kernel_moment_is_refused(model):
+    """theta alpha >= 1 on a slab: int int |1_A g|^alpha is infinite, so
+    X(t, x) is not defined and density_sample refuses by name."""
+    spec = am.make_ambit_spec(ambit_set=am.make_cone(1.0, 0.0),
+                              kernel_g=am.power_kernel(0.9),
+                              sigma=am.constant_field(1.0),
+                              b=am.constant_field(0.0))
+    with pytest.raises(ValueError, match="diverged"):
+        am.density_sample(spec, model, 1.0, 0.0, 1, 100, nt=8, nx=8)
 
 
 def test_weierstrass_holder_fit():

@@ -18,7 +18,6 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 # public names that wait for a caller from a ROADMAP.md item
 AWAITING_CALLER = {
-    "levy.characteristic_exponent",  # item 2: the exact ambit field law
     "noise.grid_variance_g",         # item 4: the exact linear SPDE law
     "spde.approximate_u_eps",        # item 5: the spde-coupling experiment
 }

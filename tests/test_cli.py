@@ -525,8 +525,7 @@ def test_spde_density_log_counts_the_work(tmp_path):
 
 
 # the benchmark's ambit-density model (a slab, constant kernel and
-# volatility) at a small grid: about 55 jumps per draw, so 40000 draws make
-# nine sampler chunks, run whole on the workers
+# volatility) at a small grid: its 40000 draws come from the exact stable law
 DENSITY = ["run.n_paths=40000", "ambit.c=1", "ambit.zeta=0",
            "ambit.kernel_g=constant", "ambit.sigma_field=constant",
            "levy.alpha=1.2", f"levy.c_plus={1 / 60!r}",
@@ -548,7 +547,7 @@ def _density_runs(tmp_path, workers):
 
 
 def test_ambit_density_is_worker_independent(tmp_path):
-    """The bulk sampler runs its chunks on the workers; the artifacts stay
+    """The exact stable draws come from one generator; the artifacts stay
     byte for byte those of one worker."""
     runs = _density_runs(tmp_path, (1, 2, 4))
     assert json.loads(runs[1][2])["verdict"] is True
@@ -557,46 +556,41 @@ def test_ambit_density_is_worker_independent(tmp_path):
 
 def test_ambit_density_log_counts_the_work(tmp_path):
     runs = _density_runs(tmp_path, (1, 2))
-    keys = ("tau=", "cells=", "jumps_per_draw=", "chunks=",
-            "draws_per_chunk=", "integrand=", "uniforms_per_jump=",
-            "max_chunk_jumps=", "scratch_bytes_per_worker=",
-            "chunk_s_min=", "chunk_s_median=", "chunk_s_max=", "sampler_s=",
-            "criterion_s=")
+    keys = ("tau=", "cells=", "law=", "scale=", "skew=", "shift=",
+            "sampler_s=", "criterion_s=")
+    # the slab [0, 1] x [-1, 1]: scale^alpha = c_sum K_alpha 2
+    scale = (2.0 / 60 * levy.kappa_alpha(1.2) * 2.0) ** (1.0 / 1.2)
     for log, csv, summary in runs.values():
         lines = [line for line in log if line.startswith(keys)]
         assert [line.split("=")[0] + "=" for line in lines] == list(keys)
         values = dict(line.split("=") for line in lines)
         assert float(values["tau"]) > 0
         assert values["cells"] == "16x16"
-        # 40,000 draws of about 56 expected jumps: about 4,500 per chunk
-        assert values["chunks"] == "9"
-        assert values["draws_per_chunk"] == "4500"
-        # the slab covers the sampling box and g is constant
-        assert values["integrand"] == "constant"
-        # so the jumps read only their sign and size uniforms
-        assert values["uniforms_per_jump"] == "2"
-        assert float(values["jumps_per_draw"]) > 1
-        # the largest chunk: about 4,500 draws times jumps_per_draw
-        most = int(values["max_chunk_jumps"])
-        assert 0.99 * 4500 * float(values["jumps_per_draw"]) < most \
-            < 260_000
-        # one buffer of two uniform rows per worker, holding the largest
-        # chunk with a margin of a few Poisson standard deviations
-        scratch = int(values["scratch_bytes_per_worker"])
-        assert 16 * most <= scratch < 16 * (most + 5000)
-        assert 0 <= float(values["chunk_s_min"]) \
-            <= float(values["chunk_s_median"]) \
-            <= float(values["chunk_s_max"])
+        assert values["law"] == "stable"
+        assert float(values["scale"]) == pytest.approx(scale, rel=1e-5)
+        # a symmetric basis: no skew and no shift
+        assert values["skew"] == values["shift"] == "0"
+        assert not any(line.startswith("jumps_per_draw=") for line in log)
         assert float(values["sampler_s"]) > 0
         assert float(values["criterion_s"]) > 0
         # counters and timers stay out of the artifacts
-        for word in (b"_s=", b"chunk", b"jumps", b"integrand", b"uniforms",
-                     b"scratch"):
+        for word in (b"_s=", b"law", b"scale", b"skew", b"shift"):
             assert word not in csv + summary
     counters = [[line for line in runs[w][0]
-                 if line.startswith(keys[:9])] for w in runs]
+                 if line.startswith(keys[:6])] for w in runs]
     assert counters[0] == counters[1]
     assert runs[1][1:] == runs[2][1:]
+
+
+def test_ambit_density_draws_no_jumps(tmp_path, capsys):
+    """At alpha = 1.6 the default tau asks for 1.25e8 jumps per draw, past
+    the jump budget; constant coefficients draw the exact law instead,
+    which has no jumps and no budget."""
+    code = cli.run(None, ["levy.alpha=1.6", "run.n_paths=20000"],
+                   experiment="ambit-density", seed=2, outdir=str(tmp_path))
+    assert code in (0, 2)
+    assert "budget" not in capsys.readouterr().err
+    assert "law=stable" in (tmp_path / "run.log").read_text().splitlines()
 
 
 def test_run_reports_config_errors(tmp_path, capsys):

@@ -7,8 +7,10 @@ Oracles used here, all independent of the implementation:
     small-jump and cosine constants and the moment-lemma integrals;
   * the symmetric alpha=1 unit-weight basis over a set of Lebesgue measure V
     is Cauchy with scale V pi, giving its exact CF;
-  * KS two-sample agreement between tau values and between T-additivity
-    splits (stable laws are infinitely divisible).
+  * the exact CF of an alpha-stable law with the basis's scale, skewness
+    and 1_{[-1,1]} shift, written out from the Levy measure;
+  * KS two-sample agreement between tau values of the jump sampler and
+    between T-additivity splits (stable laws are infinitely divisible).
 """
 
 import dataclasses
@@ -177,9 +179,14 @@ def test_draw_shapes_and_budget():
     assert one.shape == (1,)
     seven = levy.sample_integral(m, ONE, path_rng(1, "s", 1), n_draws=7)
     assert seven.shape == (7,)
+    # the jump budget binds the jump sampler; the exact law draws no jumps
+    fine = dataclasses.replace(m, tau=1e-9)
+    cells = levy.build_cells(fine, nt=4, nx=4)
     with pytest.raises(ValueError, match="budget"):
-        levy.sample_integral(dataclasses.replace(m, tau=1e-9), ONE,
-                             path_rng(1, "s", 2), n_draws=1)
+        levy.sample_records(fine, np.ones((1, cells.n_cells)),
+                            [path_rng(1, "s", 2)], cells=cells)
+    assert levy.sample_integral(fine, ONE, path_rng(1, "s", 2),
+                                n_draws=3).shape == (3,)
     with pytest.raises(ValueError, match="n_draws"):
         levy.sample_integral(m, ONE, path_rng(1, "s", 3), n_draws=0)
 
@@ -205,17 +212,46 @@ def test_integrability_audit_catches_overflow():
     # one such cell in a row: the bound fails, the exact sum does not
     one = np.zeros((1, cells.n_cells))
     one[0, 3] = edge
-    assert levy._check_integrand(m, cells, one) > 0
+    levy._check_integrand(m, cells, one)
+
+
+def _jump_integrals(m, f, stream, n_draws, cells):
+    """n_draws integrals of f by the jump sampler: sample_records against
+    f's cell values, one generator per draw, replayed by replay_integral,
+    in stacks of 1000 draws."""
+    f_mid = f(cells.s_mid, cells.y_mid)
+    out = []
+    for start in range(0, n_draws, 1000):
+        rngs = [path_rng(3, stream, i)
+                for i in range(start, min(start + 1000, n_draws))]
+        rec = levy.sample_records(m, np.tile(f_mid, (len(rngs), 1)), rngs,
+                                  cells=cells)
+        out.append(levy.replay_integral(m, rec, f))
+    return np.concatenate(out)
 
 
 def test_tau_insensitivity_ks():
-    """Halving the jump cutoff must not move the sampled law."""
+    """Halving the jump cutoff must not move the jump sampler's law."""
     m = levy.make_levy_model(1.2, 1.0, 1.0, T=1.0, domain=(-1.0, 1.0))
-    a = levy.sample_integral(dataclasses.replace(m, tau=0.05), ONE,
-                             path_rng(3, "tau", 0), n_draws=4000)
-    b = levy.sample_integral(dataclasses.replace(m, tau=0.025), ONE,
-                             path_rng(3, "tau", 1), n_draws=4000)
+    cells = levy.build_cells(m, nt=8, nx=8)
+    a = _jump_integrals(dataclasses.replace(m, tau=0.05), ONE, "tau-a",
+                        4000, cells)
+    b = _jump_integrals(dataclasses.replace(m, tau=0.025), ONE, "tau-b",
+                        4000, cells)
     assert stats.ks_2samp(a, b).pvalue > 1e-3
+
+
+def test_jump_integrals_match_quadrature_cf():
+    """On test_08's model (symmetric alpha = 1, tau = 0.01, about 200
+    jumps per draw), the jump sampler's integrals have the |CF|
+    exp(-characteristic_exponent) within 5 standard errors at xi <= 1."""
+    m = levy.make_levy_model(1.0, 1.0, 1.0, T=0.5, tau=0.01)
+    xi = np.array([0.25, 0.5, 1.0])
+    ce = levy.characteristic_exponent(m, ONE, xi)
+    vals = _jump_integrals(m, ONE, "jump-cf", 40_000,
+                           levy.build_cells(m, nt=8, nx=8))
+    phi, err = empirical_cf(vals, xi)
+    assert np.all(np.abs(np.abs(phi) - np.exp(-ce.values)) < 5.0 * err)
 
 
 def test_infinite_divisibility_ks():
@@ -307,27 +343,13 @@ def _explicit_jumps(m, rng, tau, n_draws):
     return counts, s, y, z
 
 
-def _explicit_integral(m, f, rng, tau, cells, n_draws):
-    """(values, jump count) of n_draws sample_integral draws in one chunk,
-    rebuilt from _explicit_jumps and then standard_normal(n_draws) on rng."""
-    counts, s, y, z = _explicit_jumps(m, rng, tau, n_draws)
-    jumps = np.bincount(np.repeat(np.arange(n_draws), counts),
-                        weights=f(s, y) * z, minlength=n_draws)
-    sd, comp = levy.cell_factors(m, cells)
-    f_cell = f(cells.s_mid, cells.y_mid)
-    values = jumps + np.sqrt(np.sum((f_cell * sd) ** 2)) \
-        * rng.standard_normal(n_draws) - np.sum(f_cell * comp)
-    return values, counts.sum()
-
-
 _RECORD_FIELDS = ("counts", "s", "y", "z", "cell_normals")
 
 
 @pytest.mark.parametrize("case", sorted(RECORD_CASES))
 def test_records_equal_explicit_uniform_draws(case):
-    """sample_records gives the jumps, cell normals and generator states,
-    and a one-chunk sample_integral the values, of one explicit
-    uniform()/standard_normal() call per quantity."""
+    """sample_records gives the jumps, cell normals and generator states
+    of one explicit uniform()/standard_normal() call per quantity."""
     m = RECORD_CASES[case]
     tau = m.tau
     cells = levy.build_cells(m, nt=8, nx=8)
@@ -338,11 +360,9 @@ def test_records_equal_explicit_uniform_draws(case):
         assert 0 < np.count_nonzero(rec.counts) < len(rngs)
     if case in ("positive", "negative"):
         assert rec.z.size and np.all((rec.z > 0) == (case == "positive"))
-    (s0, s1), (y0, y1) = levy.jump_bounds(m)
-    assert s0 == 0.0 and s1 < m.T and y0 == m.domain[0] and y1 <= m.domain[1]
     if rec.s.size:
-        assert s0 <= rec.s.min() and rec.s.max() <= s1
-        assert y0 <= rec.y.min() and rec.y.max() <= y1
+        assert 0.0 <= rec.s.min() and rec.s.max() < m.T
+        assert m.domain[0] <= rec.y.min() and rec.y.max() <= m.domain[1]
     refs = []
     for i, rng in enumerate(rngs):
         ref_rng = path_rng(9, "explicit", i)
@@ -352,15 +372,6 @@ def test_records_equal_explicit_uniform_draws(case):
     for name, ref in zip(_RECORD_FIELDS, zip(*refs)):
         assert np.array_equal(getattr(rec, name), np.concatenate(ref)), name
 
-    # the chunk drawer, on the chunk's child generator: the same blocks
-    # over all draws, then one normal per draw for the sub-tau Gaussian
-    f = lambda s, y: np.cos(s)
-    vals = levy.sample_integral(m, f, path_rng(9, "explicit-multi", 0),
-                                n_draws=5, cells=cells)
-    child = path_rng(9, "explicit-multi", 0).spawn(1)[0]
-    want = _explicit_integral(m, f, child, tau, cells, 5)[0]
-    assert vals == pytest.approx(want, rel=1e-12)
-
     f_mid[3, 5] = np.nan
     with pytest.raises(ValueError, match="not finite"):
         levy.sample_records(m, f_mid, rngs, cells=cells)
@@ -368,186 +379,86 @@ def test_records_equal_explicit_uniform_draws(case):
         levy.sample_records(m, f_mid[:4], rngs, cells=cells)
 
 
-# (model, integrand, n_draws, extra sample_integral arguments)
-SPLIT_CASES = {
-    "d1": (levy.make_levy_model(1.2, 1.0, 0.5, T=1.0,
-                                domain=(-2.0, 2.0), tau=0.05),
-           _osc, 2001),
-    # 0.06 expected jumps per draw: most draws have none
-    "sparse": (levy.make_levy_model(1.5, 1.0, 1.0, T=0.1,
-                                    domain=(0.0, 0.2), tau=0.6),
-               _osc, 1234),
-    # about 5800 expected jumps per draw: chunks of 43 draws, the tenth
-    # one of 13
-    "chunks": (levy.make_levy_model(1.2, 1.0, 1.0, T=1.0,
-                                    domain=(-1.0, 1.0), tau=0.002),
-               _osc, 400),
-}
+# ---------------------------------------------------------------------------
+# the exact stable law
+# ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
-def test_split_sampler_equals_serial(case):
-    """Any worker count gives the one-thread values and work tally (all
-    but the chunk times), and the generator passed in draws nothing."""
-    m, f, n = SPLIT_CASES[case]
-    kw = dict(cells=levy.build_cells(m, nt=8, nx=8))
-    ref_tally = {}
-    ref = levy.sample_integral(m, f, path_rng(11, case, 0), n_draws=n,
-                               tally=ref_tally, **kw)
-    ref_tally.pop("chunk_s")
-    for workers in (1, 2, 3, 5):
-        rng = path_rng(11, case, 0)
-        state = rng.bit_generator.state
-        tally = {}
-        vals = levy.sample_integral(m, f, rng, n_draws=n, workers=workers,
-                                    tally=tally, **kw)
-        assert np.array_equal(vals, ref), workers
-        chunk_s = tally.pop("chunk_s")
-        assert len(chunk_s) == tally["chunks"] and min(chunk_s) > 0
-        assert tally == ref_tally, workers
-        assert rng.bit_generator.state == state, workers
-    if tally["chunks"] == 1:
-        # the tally counts the jumps of the chunk's explicit draw
-        child = path_rng(11, case, 0).spawn(1)[0]
-        counts = _explicit_jumps(m, child, m.tau, n)[0]
-        assert tally["jumps"] == counts.sum()
+def _exact_cf(m, vol, xi):
+    """CF of int int 1 dL over a set of Lebesgue measure vol, from the
+    Levy measure: -c_sum K |xi|^a (1 - i beta sign(xi) tan(pi a / 2)) with
+    beta = c_diff / c_sum, plus i xi times the 1_{[-1,1]} shift
+    c_diff vol int_1^inf z^-a dz (a > 1) or -c_diff vol int_0^1 z^-a dz
+    (a < 1), both c_diff vol / (a - 1)."""
+    a = m.alpha
+    beta = m.c_diff / m.c_sum
+    kappa = -gamma_fn(-a) * np.cos(np.pi * a / 2.0)
+    psi = -m.c_sum * kappa * vol * np.abs(xi) ** a \
+        * (1.0 - 1j * beta * np.sign(xi) * np.tan(np.pi * a / 2.0))
+    return np.exp(psi + 1j * xi * m.c_diff * vol / (a - 1.0))
 
 
-def test_chunks_draw_from_spawned_generators():
-    """Chunk c of sample_integral is explicit poisson/uniform/
-    standard_normal calls on child c of the generator passed in, and a
-    second call on that generator draws new values."""
-    m, f, n = SPLIT_CASES["chunks"]
-    cells = levy.build_cells(m, nt=8, nx=8)
-    rng = path_rng(11, "chunks", 0)
-    tally = {}
-    vals = levy.sample_integral(m, f, rng, n_draws=n, cells=cells,
-                                tally=tally)
-    assert tally["chunks"] == 10 and tally["draws_per_chunk"] == 43
-    jumps = 0
-    for c, child in enumerate(path_rng(11, "chunks", 0).spawn(10)):
-        nb = min(43, n - 43 * c)
-        want, tot = _explicit_integral(m, f, child, m.tau, cells, nb)
-        assert vals[43 * c:43 * c + nb] == pytest.approx(want, rel=1e-12), c
-        jumps += tot
-    assert tally["jumps"] == jumps
-    again = levy.sample_integral(m, f, rng, n_draws=n, cells=cells)
-    assert not np.any(again == vals)
+@pytest.mark.parametrize("alpha", [0.7, 1.5])
+def test_stable_draws_match_the_skewed_cf(alpha):
+    """A skewed basis (c+ = 1, c- = 0.2): the complex ECF of the draws is
+    within 5 standard errors of the exact CF, shift included."""
+    m = levy.make_levy_model(alpha, 1.0, 0.2, T=0.5, domain=(-1.0, 1.0))
+    xi = np.array([0.25, 0.5, 1.0, 2.0])
+    vals = levy.sample_integral(m, ONE, path_rng(21, "skew", 0),
+                                n_draws=100_000)
+    phi, err = empirical_cf(vals, xi)
+    assert np.all(np.abs(phi - _exact_cf(m, m.box_volume, xi)) < 5.0 * err)
+    _, skew, shift = levy.stable_law(m, ONE)
+    assert skew == pytest.approx(0.8 / 1.2, rel=1e-12)
+    assert shift == pytest.approx(0.8 / (alpha - 1.0), rel=1e-12)
 
 
-# (model, n_draws) of the one-number integrand tests
-SKIP_CASES = {
-    # c_plus != c_minus: the sign map draws both signs
-    "signs": (levy.make_levy_model(1.3, 1.0, 0.3, T=1.0,
-                                   domain=(-1.0, 1.0), tau=0.05), 3001),
-    "sparse": SPLIT_CASES["sparse"][0::2],
-    # the sparse model's five draws hold no jump: advance(0), random((2, 0))
-    "empty": (SPLIT_CASES["sparse"][0], 5),
-    "chunks": SPLIT_CASES["chunks"][0::2],
-}
+def test_asymmetric_alpha_one_is_refused():
+    m = levy.make_levy_model(1.0, 1.0, 0.5)
+    for call in (lambda: levy.stable_law(m, ONE),
+                 lambda: levy.sample_integral(m, ONE, path_rng(1, "a", 0),
+                                              n_draws=3)):
+        with pytest.raises(ValueError, match="asymmetric basis"):
+            call()
 
 
-@pytest.mark.parametrize("case", sorted(SKIP_CASES))
-def test_constant_integrand_skips_unread_uniforms(case):
-    """A one-number integrand advances past the time and position blocks
-    instead of drawing them: the values and work tally (all but chunk_s
-    and uniforms_per_jump) of that number returned per jump, bit for bit,
-    at any worker count and on either PCG64 generator."""
-    m, n = SKIP_CASES[case]
-    c = -0.7
-    kw = dict(n_draws=n, cells=levy.build_cells(m, nt=8, nx=8))
-    rngs = {"PCG64": lambda: path_rng(13, case, 0),
-            "PCG64DXSM": lambda: np.random.Generator(np.random.PCG64DXSM(13))}
-    for name, make_rng in rngs.items():
-        for workers in (1, 2, 3):
-            one, per_jump = {}, {}
-            got = levy.sample_integral(m, lambda s, y: c, make_rng(),
-                                       workers=workers, tally=one, **kw)
-            want = levy.sample_integral(
-                m, lambda s, y: np.full(np.shape(s), c), make_rng(),
-                workers=workers, tally=per_jump, **kw)
-            assert np.array_equal(got, want), (name, workers)
-            del one["chunk_s"], per_jump["chunk_s"]
-            assert one.pop("uniforms_per_jump") == 2
-            assert per_jump.pop("uniforms_per_jump") == 4
-            assert one == per_jump, (name, workers)
-            if name == "PCG64" and case == "empty":
-                assert one["jumps"] == 0
-    if case == "chunks":
-        assert one["chunks"] == 10
+def test_zero_integrand_returns_the_shift():
+    """sigma = 0 has no scale and no skew (no 0/0): every draw is the
+    shift, 0, exactly."""
+    m = levy.make_levy_model(1.5, 1.0, 0.2)
+    assert levy.stable_law(m, lambda s, y: np.zeros_like(s)) \
+        == (0.0, 0.0, 0.0)
+    vals = levy.sample_integral(m, lambda s, y: np.zeros_like(s),
+                                path_rng(1, "z", 0), n_draws=5)
+    assert np.array_equal(vals, np.zeros(5))
 
 
-@pytest.mark.parametrize("case", ["d1", "chunks"])
-@pytest.mark.parametrize("branch", ["callable", "constant"])
-def test_chunk_past_its_worker_buffer_grows_it(case, branch, monkeypatch):
-    """A chunk whose jump total exceeds its worker's reused uniform buffer
-    draws into a larger one: the values of buffers that hold every chunk,
-    and the one-thread values and tally (all but chunk_s) at any worker
-    count, on both integrand branches."""
-    m, f, n = SPLIT_CASES[case]
-    if branch == "constant":
-        f = lambda s, y: -0.7  # noqa: E731
-    kw = dict(n_draws=n, cells=levy.build_cells(m, nt=8, nx=8))
-    roomy_tally = {}
-    roomy = levy.sample_integral(m, f, path_rng(17, case, 0),
-                                 tally=roomy_tally, **kw)
-    assert roomy_tally["max_chunk_jumps"] < roomy_tally["buffer_jumps"]
-    # buffers three Poisson standard deviations short of a chunk's mean
-    monkeypatch.setattr(levy, "_MARGIN_SD", -3.0)
-    ref_tally = {}
-    ref = levy.sample_integral(m, f, path_rng(17, case, 0),
-                               tally=ref_tally, **kw)
-    del ref_tally["chunk_s"]
-    assert ref_tally["max_chunk_jumps"] > ref_tally["buffer_jumps"]
-    assert np.array_equal(ref, roomy)
-    for workers in (1, 2, 3):
-        tally = {}
-        vals = levy.sample_integral(m, f, path_rng(17, case, 0),
-                                    workers=workers, tally=tally, **kw)
-        assert np.array_equal(vals, ref), workers
-        del tally["chunk_s"]
-        assert tally == ref_tally, workers
+class _Uniforms:
+    """A generator whose random() returns the uniforms given and whose
+    standard_exponential() returns ones."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        return self.u[:n].copy()
+
+    def standard_exponential(self, n):
+        return np.ones(n)
 
 
-def test_chunk_error_hands_its_buffer_on():
-    """An integrand that raises on a chunk's jumps surfaces its error; the
-    chunk still returns its worker's buffer, so the chunks queued behind it
-    run and the call ends."""
-    m, _, n = SPLIT_CASES["chunks"]
-    cells = levy.build_cells(m, nt=8, nx=8)
-
-    def f(s, y):
-        if s.size != cells.n_cells:
-            raise RuntimeError("jump integrand failed")
-        return np.cos(s)
-
-    with pytest.raises(RuntimeError, match="jump integrand"):
-        levy.sample_integral(m, f, path_rng(19, "chunks", 0), n_draws=n,
-                             cells=cells, workers=1)
-
-
-@pytest.mark.parametrize("bit_generator", [np.random.Philox,
-                                           np.random.MT19937])
-def test_constant_integrand_needs_a_pcg64_generator(bit_generator):
-    """advance() skips one random() double per step only on PCG64 and
-    PCG64DXSM, so a one-number integrand refuses any other generator; a
-    per-jump integrand draws every block and takes any."""
-    m, f, _ = SPLIT_CASES["d1"]
-    rng = np.random.Generator(bit_generator(1))
-    with pytest.raises(ValueError, match="PCG64 or PCG64DXSM"):
-        levy.sample_integral(m, lambda s, y: 0.5, rng, n_draws=3,
-                             cells=levy.build_cells(m, nt=4, nx=4))
-    assert levy.sample_integral(m, f, rng, n_draws=3,
-                                cells=levy.build_cells(m, nt=4,
-                                                       nx=4)).shape == (3,)
-
-
-def test_split_sampler_validates_workers():
-    m, f, _ = SPLIT_CASES["d1"]
-    for bad in (0, -1, 1.5):
-        with pytest.raises(ValueError, match="workers"):
-            levy.sample_integral(m, f, path_rng(1, "w", 0), n_draws=3,
-                                 workers=bad)
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.9])
+def test_every_draw_is_finite(alpha):
+    """Uniforms at and next to both ends of [0, 1), exactly 0 included,
+    give finite draws, for symmetric and one-sided bases alike."""
+    k = np.arange(40) * 2.0 ** -53
+    u = np.concatenate([k, 1.0 - 2.0 ** -53 - k, [0.25, 0.5]])
+    weights = [(1.0, 1.0)] if alpha == 1.0 else \
+        [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.2)]
+    for c_plus, c_minus in weights:
+        m = levy.make_levy_model(alpha, c_plus, c_minus, T=0.5)
+        vals = levy.sample_integral(m, ONE, _Uniforms(u), n_draws=u.size)
+        assert np.all(np.isfinite(vals)), (c_plus, c_minus)
 
 
 def test_default_tau_honors_model_setting():
